@@ -50,7 +50,7 @@ def bspline_basis(knots, k, normalize=False):
         # recursion, anchored at l = 0
         blk = np.array([[1.0], [0.0]])
         for q in range(1, k + 1):
-            blk = _raise_order(blk, xi[: q + 2], q)
+            blk = _raise_order_pair(blk, blk, xi[: q + 2], q)
         blocks = [blk.copy() for _ in range(n - k + 1)]
     else:
         blocks = [np.array([[1.0], [0.0]]) for _ in range(n + 1)]
@@ -90,11 +90,6 @@ def _raise_order_pair(blk_l, blk_r, seg, q):
     out[:, 1:] = p1 * j / d1 + p2 * j / d2
     out[:, :q] += lam1[:, None] * p1 / d1 + lam2[:, None] * p2 / d2
     return out
-
-
-def _raise_order(blk, seg, q):
-    """Equidistant case: both parents are the same translated block."""
-    return _raise_order_pair(blk, blk, seg, q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,32 @@
 """Calculus on derivative-matrix splines.
 
 All operations work in the one-sided convention internally and return
-results in that convention.  Inner products are computed in closed form by
-convolving the per-interval Taylor coefficient vectors of the two factors
-and integrating the resulting polynomial over each shared interval.
+results in that convention.  ``gramian``, ``lincomb``, ``dintegra`` and the
+``integra`` tolerance read a family through one sparse layout
+(:func:`_taylor_layout`):
+
+* ``C`` (d x (n+2)(k+1)): row ``i`` is member ``i``'s derivative matrix
+  flattened over the knots its support components cover; column
+  ``t*(k+1) + p`` holds the p-th derivative at knot ``t``;
+* ``C_int``: ``C`` without each component's last knot, i.e. only the Taylor
+  rows that start an interval the member lives on;
+* ``O`` (d x (n+1)): interval incidence, 1 where a member lives.
+
+On an interval of width ``w`` a row ``r`` is the polynomial
+``sum_p r[p] x^p / p!``, so the Gram matrix is ``C_int_a M C_int_b'`` with
+``M`` block-diagonal, ``M_t[p, q] = w^(p+q+1) / ((p+q+1) p! q!)``; definite
+integrals weight ``C_int`` by ``w^(p+1) / (p+1)!``; linear combinations are
+``coeffs C`` with the support read off ``|coeffs| O``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.sparse
 
 from .core import (
-    DerivativeMatrix,
-    EMPTY_SUPPORT,
     SplineFamily,
     SupportSet,
     as_one_sided,
@@ -21,28 +35,76 @@ from .core import (
 )
 
 
+def _ranges(starts, lengths):
+    """Concatenation of ``arange(s, s + l)`` over paired starts and lengths."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(np.sum(lengths)))
+
+
+def _csr(rows, cols, data, shape):
+    """CSR matrix from entries already sorted by row, then by column."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return scipy.sparse.csr_matrix((data, cols, indptr), shape=shape)
+
+
+def _taylor_layout(fam1):
+    """Sparse layout ``(C, C_int, O)`` of a one-sided family (module docstring)."""
+    k1 = fam1.smorder + 1
+    n_knots = len(fam1.knots)
+    d = len(fam1)
+    comps = np.array([(i, lo, hi) for i, (supp, _) in enumerate(fam1.members)
+                      for lo, hi in supp], dtype=int).reshape(-1, 3)
+    member, lo, hi = comps.T
+    size = (hi - lo + 1) * k1
+    rows = np.repeat(member, size)
+    cols = _ranges(lo * k1, size)
+    data = np.concatenate([np.empty(0)] + [blk.ravel() for _, der in fam1.members
+                                           for blk in der.blocks])
+    c = _csr(rows, cols, data, (d, n_knots * k1))
+    # a component's last knot starts no interval of the member; zeros add nothing
+    keep = (cols < np.repeat(hi * k1, size)) & (data != 0.0)
+    c_int = _csr(rows[keep], cols[keep], data[keep], (d, n_knots * k1))
+    o = _csr(np.repeat(member, hi - lo), _ranges(lo, hi - lo),
+             np.ones(int(np.sum(hi - lo))), (d, n_knots - 1))
+    return c, c_int, o
+
+
+def _interval_weights(xi, k):
+    """Flattened ``w^(p+1) / (p+1)!`` per knot row; 0 on the last knot."""
+    return np.vstack([taylor_astar(np.diff(xi), k).T, np.zeros((1, k + 1))]).ravel()
+
+
+def _moment_matrix(xi, k):
+    """Block-diagonal ``M``: ``M_t[p, q] = w^(p+q+1) / ((p+q+1) p! q!)``."""
+    w = np.diff(xi)[:, None, None]
+    e = np.arange(k + 1)[:, None] + np.arange(k + 1) + 1
+    fact = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
+    blocks = w ** e / (e * np.outer(fact, fact))
+    n_int = blocks.shape[0]
+    indptr = np.append(np.arange(n_int + 1), n_int)  # no block on the last knot
+    size = (n_int + 1) * (k + 1)
+    return scipy.sparse.bsr_matrix((blocks, np.arange(n_int), indptr),
+                                   shape=(size, size)).tocsr()
+
+
 def _merge_components(comps):
-    """Union of (lo, hi) index intervals; runs closer than one full knot gap
-    are merged so the result is a legal support set."""
-    comps = sorted(comps)
-    out = []
-    for lo, hi in comps:
-        if out and lo <= out[-1][1] + 1:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in out)
+    """Union of (lo, hi) index intervals given sorted by ``lo``; runs closer
+    than one full knot gap are merged so the result is a legal support set."""
+    comps = np.asarray(comps, dtype=int).reshape(-1, 2)
+    if not comps.size:
+        return ()
+    lo, hi = comps.T
+    reach = np.maximum.accumulate(hi)
+    start = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1] + 1]))
+    end = reach[np.append(start[1:] - 1, -1)]
+    return tuple(zip(lo[start].tolist(), end.tolist()))
 
 
 def _member_from_union(full, comps, k):
     """Cut a full matrix into blocks over the given support components."""
-    if not comps:
-        return make_member(EMPTY_SUPPORT, ())
-    blocks = []
-    for lo, hi in comps:
-        blk = full[lo : hi + 1].copy()
+    blocks = [full[lo : hi + 1].copy() for lo, hi in comps]
+    for blk in blocks:
         blk[-1, k] = 0.0
-        blocks.append(blk)
     return make_member(SupportSet(comps), blocks)
 
 
@@ -58,18 +120,20 @@ def lincomb(fam, coeffs, type=None):
     if coeffs.shape[1] != len(fam1):
         raise ValueError("coefficient matrix has %d columns, family has %d members"
                          % (coeffs.shape[1], len(fam1)))
-    n_rows = len(fam1.knots)
+    c, _, o = _taylor_layout(fam1)
+    a = scipy.sparse.csr_matrix(coeffs)
+    full = a @ c
+    cover = abs(a) @ o
+    cover.sort_indices()
+    shape = (len(fam1.knots), k + 1)
     members = []
-    for row in coeffs:
-        full = np.zeros((n_rows, k + 1))
-        comps = []
-        for c, (supp, der) in zip(row, fam1.members):
-            if c == 0.0:
-                continue
-            for (lo, hi), blk in zip(supp, der.blocks):
-                full[lo : hi + 1] += c * blk
-                comps.append((lo, hi))
-        members.append(_member_from_union(full, _merge_components(comps), k))
+    for r in range(coeffs.shape[0]):
+        row = np.zeros(shape[0] * shape[1])
+        at = slice(full.indptr[r], full.indptr[r + 1])
+        row[full.indices[at]] = full.data[at]
+        t = cover.indices[cover.indptr[r] : cover.indptr[r + 1]]
+        comps = _merge_components(np.column_stack([t, t + 1]))
+        members.append(_member_from_union(row.reshape(shape), comps, k))
     return SplineFamily(fam1.knots, k, tuple(members),
                         type if type is not None else "sp", fam1.epsilon)
 
@@ -91,100 +155,46 @@ def deriva(fam):
     return SplineFamily(fam1.knots, k - 1, tuple(members), "sp", fam1.epsilon)
 
 
-def _cumulative(fam1, idx):
-    """Full (n+2, k+2) matrix of the antiderivative of member ``idx``
-    (column 0 holds the running integral) plus the structural support."""
-    supp, der = fam1.members[idx]
-    k = fam1.smorder
-    xi = fam1.knots.xi
-    full = np.zeros((xi.size, k + 2))
-    c = 0.0
-    comps = list(supp)
-    for ci, ((lo, hi), blk) in enumerate(zip(supp, der.blocks)):
-        full[lo : hi + 1, 1:] = blk
-        # constant plateau between the previous component and this one
-        prev_hi = comps[ci - 1][1] if ci else 0
-        full[prev_hi : lo + 1, 0] = c
-        for j in range(lo, hi):
-            full[j, 0] = c
-            c += float(blk[j - lo] @ taylor_astar(xi[j + 1] - xi[j], k))
-        full[hi, 0] = c
-    if comps:
-        full[comps[-1][1] :, 0] = c
-    return full, comps, c
-
-
 def integra(fam):
     """Termwise antiderivative, zero at the left end: order rises to k+1.
 
     When a member's total integral is nonzero the support extends to the
-    last knot, since the antiderivative stays at a nonzero constant.
+    last knot, since the antiderivative stays at a nonzero constant.  A
+    running integral counts as zero when it is within ``epsilon`` times an
+    upper bound on the member's ``L1`` norm.
     """
     fam1 = as_one_sided(fam)
     k = fam1.smorder
-    n_last = len(fam1.knots) - 1
+    n_knots = len(fam1.knots)
+    _, c_int, _ = _taylor_layout(fam1)
+    w = _interval_weights(fam1.knots.xi, k)
+    tols = fam1.epsilon * (abs(c_int) @ w)
     members = []
-    for idx in range(len(fam1)):
-        full, comps, _ = _cumulative(fam1, idx)
-        tol = fam1.member_tolerance(idx)
-        out_comps = []
-        run = None
-        for ci, (lo, hi) in enumerate(comps):
-            if run is None:
-                run = [lo, hi]
-            else:
-                run[1] = hi
-            c_after = full[hi, 0]
-            last = ci == len(comps) - 1
-            if abs(c_after) > tol:
-                run[1] = n_last if last else comps[ci + 1][0]
-                if last:
-                    out_comps.append(tuple(run))
-                    run = None
-            else:
-                out_comps.append(tuple(run))
-                run = None
-        members.append(_member_from_union(full, _merge_components(out_comps), k + 1))
+    for idx, (supp, _) in enumerate(fam1.members):
+        at = slice(c_int.indptr[idx], c_int.indptr[idx + 1])
+        cols = c_int.indices[at]
+        per_knot = np.bincount(cols // (k + 1), c_int.data[at] * w[cols], n_knots)
+        running = np.concatenate([[0.0], np.cumsum(per_knot[:-1])])
+        full = np.column_stack([running, fam1.full_matrix(idx)])
+        # a component whose running integral ends nonzero reaches the next one
+        comps = list(supp)
+        nxt = [lo for lo, _ in comps[1:]] + [n_knots - 1]
+        ends = [hi if abs(running[hi]) <= tols[idx] else e
+                for (_, hi), e in zip(comps, nxt)]
+        union = _merge_components([(lo, e) for (lo, _), e in zip(comps, ends)])
+        members.append(_member_from_union(full, union, k + 1))
     return SplineFamily(fam1.knots, k + 1, tuple(members), "sp", fam1.epsilon)
 
 
 def dintegra(fam):
     """Definite integrals over the whole range, one per member."""
     fam1 = as_one_sided(fam)
-    return np.array([_cumulative(fam1, i)[2] for i in range(len(fam1))])
+    _, c_int, _ = _taylor_layout(fam1)
+    return c_int @ _interval_weights(fam1.knots.xi, fam1.smorder)
 
 
-def _interval_rows(fam1, idx):
-    """Interval indices and the one-sided rows active on them for member idx."""
-    supp, der = fam1.members[idx]
-    ints = []
-    rows = []
-    for (lo, hi), blk in zip(supp, der.blocks):
-        ints.append(np.arange(lo, hi))
-        rows.append(blk[:-1])
-    if not ints:
-        k = fam1.smorder
-        return np.empty(0, dtype=int), np.empty((0, k + 1))
-    return np.concatenate(ints), np.vstack(rows)
-
-
-def _pair_inner(rows_a, rows_b, widths, k):
-    """Sum of integrals of products of two piecewise polynomials given by
-    Taylor rows over shared intervals of the given widths."""
-    fact = np.array([1.0] + list(np.cumprod(np.arange(1, k + 1)))) if k else np.array([1.0])
-    a = rows_a / fact
-    b = rows_b / fact
-    conv = np.zeros((a.shape[0], 2 * k + 1))
-    for i in range(k + 1):
-        for j in range(k + 1):
-            conv[:, i + j] += a[:, i] * b[:, j]
-    powers = np.arange(1, 2 * k + 2)
-    w = widths[:, None] ** powers / powers
-    return float(np.sum(conv * w))
-
-
-#: number of entry computations performed by the last gramian() call
-#: (support-disjoint pairs are skipped and not counted)
+#: nonzero entries of the last gramian() product (upper triangle only when
+#: symmetric); support-disjoint pairs never produce an entry
 LAST_PAIR_COUNT = 0
 
 
@@ -199,34 +209,13 @@ def gramian(fam_a, fam_b=None):
     b1 = a1 if symmetric else as_one_sided(fam_b)
     if a1.knots != b1.knots or a1.smorder != b1.smorder:
         raise ValueError("gramian requires identical knots and order")
-    k = a1.smorder
-    xi = a1.knots.xi
-    widths = np.diff(xi)
-    da, db = len(a1), len(b1)
-    a_data = [_interval_rows(a1, i) for i in range(da)]
-    b_data = a_data if symmetric else [_interval_rows(b1, j) for j in range(db)]
-    a_span = [(ints[0], ints[-1]) if ints.size else None for ints, _ in a_data]
-    b_span = a_span if symmetric else [(ints[0], ints[-1]) if ints.size else None
-                                       for ints, _ in b_data]
-    g = np.zeros((da, db))
-    LAST_PAIR_COUNT = 0
-    for i in range(da):
-        if a_span[i] is None:
-            continue
-        ia, ra = a_data[i]
-        j0 = i if symmetric else 0
-        for j in range(j0, db):
-            if b_span[j] is None:
-                continue
-            if b_span[j][0] > a_span[i][1] or b_span[j][1] < a_span[i][0]:
-                continue
-            ib, rb = b_data[j]
-            shared, pa, pb = np.intersect1d(ia, ib, assume_unique=True,
-                                            return_indices=True)
-            if shared.size == 0:
-                continue
-            LAST_PAIR_COUNT += 1
-            g[i, j] = _pair_inner(ra[pa], rb[pb], widths[shared], k)
-            if symmetric and j != i:
-                g[j, i] = g[i, j]
-    return g
+    ca = _taylor_layout(a1)[1]
+    cb = ca if symmetric else _taylor_layout(b1)[1]
+    g = ca @ _moment_matrix(a1.knots.xi, a1.smorder) @ cb.T
+    if symmetric:
+        g = scipy.sparse.triu(g, format="csr")
+        LAST_PAIR_COUNT = g.count_nonzero()
+        g = g + scipy.sparse.triu(g, 1).T
+    else:
+        LAST_PAIR_COUNT = g.count_nonzero()
+    return g.toarray()

@@ -3,7 +3,8 @@
 Commands: ``basis``, ``eval``, ``check``, ``random``, ``project``,
 ``fpca``, ``gram``.  Splines travel as JSON archives, numbers as CSV.
 Exit codes: 0 success, 1 numerical or validity failure, 2 usage error.
-The environment variable ``SPLINET_THREADS`` caps internal parallelism.
+All work runs in one thread; the ``SPLINET_THREADS`` environment variable
+is ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .archive import load_archive, save_archive
 from .bases import splinet
-from .calculus import gramian
+from .calculus import gramian, lincomb
 from .core import KnotSet, ValidityReport, equidistant_knots, evaluate, is_valid_spline, sample_grid
 from .project import (
     FunctionalDataMatrix,
@@ -25,6 +26,7 @@ from .project import (
     fpca,
     project_data,
     project_splines,
+    read_csv_matrix,
     read_fdata_csv,
     write_coeff_csv,
 )
@@ -143,16 +145,7 @@ def _cmd_project(args):
 
 def _cmd_fpca(args):
     basis, _ = load_archive(args.basis)
-    with open(args.coeff, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    try:
-        float(rows[0][0])
-        start = 0
-    except ValueError:
-        start = 1
-    coeff = np.array([[float(x) for x in r] for r in rows[start:]])
-    from .calculus import lincomb
-
+    coeff = read_csv_matrix(args.coeff)
     pr = ProjectionResult(coeff, basis, lincomb(basis, coeff))
     fp = fpca(pr)
     _write_csv(args.out + ".eigenvalues.csv", ["component", "eigenvalue"],

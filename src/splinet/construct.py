@@ -24,6 +24,9 @@ from .core import (
     EPS_EQUID,
     KnotSet,
     SplineFamily,
+    SupportSet,
+    as_one_sided,
+    make_member,
     member_from_full,
     taylor_step_matrix,
 )
@@ -402,8 +405,6 @@ def construct(knots, k, seed, method="RRM", epsilon=DEFAULT_EPSILON, return_resi
 
 def refine(fam, new_knots):
     """Re-express a family over a superset of its knots."""
-    from .core import SupportSet, make_member  # local to avoid clutter above
-
     old = fam.knots.xi
     new = new_knots.xi
     scale = old[-1] - old[0]
@@ -417,8 +418,6 @@ def refine(fam, new_knots):
         if abs(new[idx_map[i]] - x) > 1e-12 * scale:
             raise ValueError("new knots do not contain original knot %g" % x)
     k = fam.smorder
-    from .core import as_one_sided
-
     fam1 = as_one_sided(fam)
     members = []
     for supp, der in fam1.members:

@@ -19,7 +19,6 @@ is used for serialization (see :mod:`splinet.archive`).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -539,10 +538,3 @@ def exsupp(fam):
     out = replace(fam1, members=tuple(members))
     return out if fam.convention == ONE_SIDED else sym2one(out, inverse=True)
 
-
-def thread_count():
-    """Worker cap from the SPLINET_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SPLINET_THREADS", "1")))
-    except ValueError:
-        return 1

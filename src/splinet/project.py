@@ -160,51 +160,6 @@ def project_data(data, knots, k, type="spnt"):
 # functional PCA
 
 
-def _jacobi_eigh(a):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns eigenvalues (descending) and the matching eigenvector columns.
-    """
-    a = np.array(a, dtype=float)
-    d = a.shape[0]
-    v = np.eye(d)
-    norm = np.linalg.norm(a, "fro")
-    if norm == 0.0:
-        return np.zeros(d), v
-    tol = 1e-12 * norm
-
-    def offdiag():
-        return np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-
-    for _ in range(60):
-        if offdiag() <= tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                # threshold Jacobi: negligible entries are left alone
-                if abs(apq) <= 1e-18 * norm:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e8:
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p].copy(), a[q].copy()
-                a[p], a[q] = c * rp - s * rq, s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p], a[:, q] = c * cp - s * cq, s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
 @dataclass(frozen=True)
 class FpcaResult:
     mean_coeff: np.ndarray
@@ -230,7 +185,8 @@ def fpca(pr):
     mean = coeff.mean(axis=0)
     centered = coeff - mean
     cov = centered.T @ centered / (m - 1)
-    w, v = _jacobi_eigh(cov)
+    w, v = np.linalg.eigh(cov)
+    w, v = w[::-1], v[:, ::-1]  # descending
     lam1 = w[0] if w.size else 0.0
     if w.size and w[-1] < -1e-10 * max(lam1, 1.0):
         raise ValueError("coefficient covariance is indefinite")
@@ -264,16 +220,23 @@ def kl_reconstruct(fp, coeff_row, m_components):
 # CSV interfaces
 
 
-def read_fdata_csv(path):
-    """Functional-data CSV: column 1 ascending args, columns 2.. samples."""
+def read_csv_matrix(path):
+    """Numeric CSV as a 2-d array; a first row that is not numeric is a header."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise ValueError("%s holds no CSV rows" % path)
     start = 0
     try:
         float(rows[0][0])
     except ValueError:
         start = 1  # header line
-    body = np.array([[float(x) for x in r] for r in rows[start:]])
+    return np.array([[float(x) for x in r] for r in rows[start:]])
+
+
+def read_fdata_csv(path):
+    """Functional-data CSV: column 1 ascending args, columns 2.. samples."""
+    body = read_csv_matrix(path)
     if body.ndim != 2 or body.shape[1] < 2:
         raise ValueError("need an argument column plus at least one sample")
     return FunctionalDataMatrix(body[:, 0], body[:, 1:])

@@ -6,18 +6,18 @@ the result into a valid spline with :func:`splinet.construct.construct`.
 
 Randomness comes from numpy's counter-based Philox bit generator.  Member
 ``i`` always uses the substream ``Philox(key=seed).jumped(i)``, so a fixed
-seed gives bit-identical output no matter how many worker threads are used
-(see ``SPLINET_THREADS``).
+seed gives bit-identical output however many members are drawn.  Draws run
+in a single thread; the ``SPLINET_THREADS`` environment variable is
+ignored.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SplineFamily, as_one_sided, member_from_full, thread_count
+from .core import SplineFamily, as_one_sided
 from .construct import construct
 
 #: bit generator used for all draws; recorded here and in the CLI output
@@ -88,10 +88,5 @@ def rspline(mean, noise, count=1, method="RRM"):
         fam = construct(knots, k, t, method, epsilon=fam1.epsilon)
         return fam.members[0]
 
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(draw, range(count)))
-    else:
-        members = [draw(i) for i in range(count)]
+    members = [draw(i) for i in range(count)]
     return SplineFamily(knots, k, tuple(members), "sp", fam1.epsilon)

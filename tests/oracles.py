@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own fast paths: inner
 products come from composite Gauss-Legendre quadrature on dense
-evaluations, and the first-row/last-row completion is re-solved as one
+evaluations, or from the exact closed form summed pair by pair over shared
+knot intervals, and the first-row/last-row completion is re-solved as one
 dense linear system in the unknown entries.
 """
 
@@ -31,6 +32,61 @@ def quad_gramian(fam_a, fam_b=None):
     for i in range(len(fam_a)):
         for j in range(len(fam_b)):
             g[i, j] = quad_inner(fam_a, i, fam_b, j)
+    return g
+
+
+def _interval_rows(fam1, idx):
+    """Interval indices and the one-sided rows active on them for member idx."""
+    supp, der = fam1.members[idx]
+    ints = [np.arange(lo, hi) for lo, hi in supp]
+    rows = [blk[:-1] for blk in der.blocks]
+    if not ints:
+        return np.empty(0, dtype=int), np.empty((0, fam1.smorder + 1))
+    return np.concatenate(ints), np.vstack(rows)
+
+
+def _pair_inner(rows_a, rows_b, widths, k):
+    """Sum of integrals of products of two piecewise polynomials given by
+    Taylor rows over shared intervals of the given widths."""
+    fact = np.array([1.0] + list(np.cumprod(np.arange(1, k + 1)))) if k else np.array([1.0])
+    a = rows_a / fact
+    b = rows_b / fact
+    conv = np.zeros((a.shape[0], 2 * k + 1))
+    for i in range(k + 1):
+        for j in range(k + 1):
+            conv[:, i + j] += a[:, i] * b[:, j]
+    powers = np.arange(1, 2 * k + 2)
+    w = widths[:, None] ** powers / powers
+    return float(np.sum(conv * w))
+
+
+def pairwise_gramian(fam_a, fam_b=None):
+    """Exact closed-form Gram matrix, one member pair at a time.
+
+    Each pair's Taylor rows are matched on the knot intervals both members
+    live on, and the product polynomial is integrated interval by interval.
+    Pairs whose index spans do not overlap are skipped; the symmetric case
+    computes the upper triangle and mirrors it.
+    """
+    a1 = sp.as_one_sided(fam_a)
+    symmetric = fam_b is None
+    b1 = a1 if symmetric else sp.as_one_sided(fam_b)
+    k = a1.smorder
+    widths = np.diff(a1.knots.xi)
+    a_data = [_interval_rows(a1, i) for i in range(len(a1))]
+    b_data = a_data if symmetric else [_interval_rows(b1, j) for j in range(len(b1))]
+    g = np.zeros((len(a_data), len(b_data)))
+    for i, (ia, ra) in enumerate(a_data):
+        for j in range(i if symmetric else 0, len(b_data)):
+            ib, rb = b_data[j]
+            if not ia.size or not ib.size or ib[0] > ia[-1] or ib[-1] < ia[0]:
+                continue
+            shared, pa, pb = np.intersect1d(ia, ib, assume_unique=True,
+                                            return_indices=True)
+            if shared.size:
+                g[i, j] = _pair_inner(ra[pa], rb[pb], widths[shared], k)
+                if symmetric:
+                    g[j, i] = g[i, j]
     return g
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinet as sp
 import splinet.calculus as calculus
@@ -74,6 +76,44 @@ def test_gramian_skips_disjoint_pairs():
         assert calculus.LAST_PAIR_COUNT >= d
 
 
+def _noisy_tails(fam, rng):
+    """Copy of ``fam`` with random last rows: they lie on no knot interval,
+    so they must not enter any integral."""
+    members = []
+    for supp, der in fam.members:
+        blocks = [b.copy() for b in der.blocks]
+        for b in blocks:
+            b[-1] = rng.standard_normal(b.shape[1])
+        members.append(sp.make_member(supp, blocks))
+    return sp.SplineFamily(fam.knots, fam.smorder, tuple(members), fam.type)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 300), k=st.integers(0, 3))
+def test_gramian_matches_pairwise_oracle(seed, n, k):
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.05, 1.0, n + 1)
+    knots = sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths))
+    bs = sp.bspline_basis(knots, k)
+    d = len(bs)
+    coeffs = rng.standard_normal((12, d))
+    for row in coeffs[1:]:
+        # k + 2 or more zero coefficients in a row leave an empty interval
+        # gap, so the member splits into support components
+        for _ in range(2):
+            lo = int(rng.integers(0, d))
+            row[lo : lo + int(rng.integers(k + 2, k + 20))] = 0.0
+    coeffs[0] = 0.0  # empty support after exsupp
+    multi = _noisy_tails(sp.exsupp(sp.lincomb(bs, coeffs)), rng)
+    assert max(len(supp) for supp, _ in multi.members) > 1
+    for args in ((bs,), (multi,), (bs, multi), (multi, bs)):
+        g = sp.gramian(*args)
+        go = oracles.pairwise_gramian(*args)
+        assert np.max(np.abs(g - go)) <= 1e-13 * np.max(np.abs(go))
+        if len(args) == 1:
+            assert np.array_equal(g, g.T)
+
+
 def test_gramian_empty_support_member():
     knots = sp.equidistant_knots(0.0, 1.0, 9)
     bs = sp.bspline_basis(knots, 2)
@@ -112,13 +152,14 @@ def test_lincomb_single_row_and_errors():
 def test_lincomb_support_union():
     knots = sp.equidistant_knots(0.0, 1.0, 11)
     bs = sp.bspline_basis(knots, 2)
-    c = np.zeros(len(bs))
-    c[0] = 1.0
-    c[6] = -2.0
-    f = sp.lincomb(bs, c)
-    supp = f.members[0][0]
-    assert supp.components == ((0, 3), (6, 9))
-    assert sp.is_valid_spline(f).all_ok
+    # B-spline l lives on knots l .. l+3; a gap of one interval is merged
+    for j, comps in ((6, ((0, 3), (6, 9))), (4, ((0, 7),))):
+        c = np.zeros(len(bs))
+        c[0] = 1.0
+        c[j] = -2.0
+        f = sp.lincomb(bs, c)
+        assert f.members[0][0].components == comps
+        assert sp.is_valid_spline(f).all_ok
 
 
 def test_lincomb_valid():
@@ -208,6 +249,17 @@ def test_integra_keeps_support_for_zero_integral():
     (lo, hi), = prim.members[0][0]
     assert hi == 9  # last knot of the second hat, not the range end
     assert sp.is_valid_spline(prim).all_ok
+
+
+@pytest.mark.parametrize("family", ["bs", "os"])
+def test_integra_end_values_match_dintegra(family):
+    # d = 189: large derivative entries must not truncate the running
+    # integral of a member whose integral is small next to them
+    res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 191), 3)
+    fam = res.bs if family == "bs" else res.os
+    ends = sp.evaluate(sp.integra(fam), [1.0])[0]
+    dint = sp.dintegra(fam)
+    assert np.max(np.abs(ends - dint)) <= 1e-12 * np.max(np.abs(dint))
 
 
 def test_integra_is_antiderivative_on_grid():

@@ -80,6 +80,17 @@ def test_missing_file_is_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_empty_csv_is_error(tmp_path, capsys):
+    main(["basis", "--equid", "0", "1", "7", "-k", "2", "-o", str(tmp_path / "b")])
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["project", "-i", str(empty), "--equid", "0", "1", "7", "-k", "2",
+                 "-o", str(tmp_path / "p")]) == 1
+    assert main(["fpca", "--coeff", str(empty), "--basis", str(tmp_path / "b.os.json"),
+                 "-o", str(tmp_path / "f")]) == 1
+    assert "no CSV rows" in capsys.readouterr().err
+
+
 def test_random_and_reproducibility(tmp_path, capsys):
     rng = np.random.default_rng(0)
     mean = oracles.random_valid_family(rng, 12, 3)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import splinet as sp
-from splinet.project import _jacobi_eigh
 
 import oracles
 
@@ -141,28 +140,6 @@ def test_project_data_out_of_range_warns():
         sp.project_data(sp.FunctionalDataMatrix(t, vals), knots, 1)
     with pytest.raises(ValueError):
         sp.project_data(sp.FunctionalDataMatrix([-3.0, -2.0], [1.0, 1.0]), knots, 1)
-
-
-# ---------------------------------------------------------------------------
-# eigen solver
-
-
-def test_jacobi_matches_reference():
-    rng = np.random.default_rng(7)
-    for d in (2, 5, 9, 16):
-        a = rng.standard_normal((d, d))
-        a = a @ a.T + 0.1 * np.eye(d)
-        w, v = _jacobi_eigh(a)
-        wr = np.sort(np.linalg.eigvalsh(a))[::-1]
-        assert np.allclose(w, wr, rtol=1e-10, atol=1e-10)
-        assert np.max(np.abs(a @ v - v * w)) < 1e-9 * np.max(np.abs(a))
-
-
-def test_jacobi_degenerate():
-    w, v = _jacobi_eigh(np.zeros((4, 4)))
-    assert np.all(w == 0) and np.array_equal(v, np.eye(4))
-    w, v = _jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-    assert np.array_equal(w, [3.0, 2.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
