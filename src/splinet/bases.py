@@ -6,12 +6,18 @@ order-(q-1) matrices of members l and l+1, with weights given by diagonal
 knot-distance matrices.  Three orthonormalization schemes act on the Gram
 matrix H and produce a coefficient transform P with P' H P = I:
 
-* ``gsob``  -- one-sided Gram-Schmidt (triangular P, via Cholesky);
+* ``gsob``  -- one-sided Gram-Schmidt: columns one at a time, left to right
+  (triangular P);
 * ``twob``  -- two-sided scheme working inward from both ends in pairs;
 * ``dyadic``-- the splinet: disjoint k-tuples arranged on a dyadic net,
   processed level by level; each tuple is projected orthogonal to the
   already-processed members it overlaps and then orthonormalized
   internally with a symmetric (inverse square root) step.
+
+All three run on one orthogonalizer that reads H only through its band
+(B-splines i and j overlap iff ``|i - j| <= k``) and forms no d x d array.
+Every column of P keeps its own row range, that of the part of its group H
+couples it with, and ``P`` is returned as a ``scipy.sparse`` CSC matrix.
 
 For equidistant knots and a complete net every B-spline is a translate of
 every other, H is Toeplitz, and one tuple per level suffices: the rest are
@@ -24,9 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.linalg.blas import dsbmv as _dsbmv
 
 from .calculus import gramian, lincomb
-from .core import KnotSet, SplineFamily, SupportSet, make_member
+from .core import KnotSet, SplineFamily, SupportSet, _ranges, make_member
 
 #: entries of P smaller than this (relative to max |P|) are set to zero
 P_TRUNCATION = 1e-11
@@ -147,55 +155,75 @@ def net_layout(n, k):
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """Coefficient transform P with P' H P = I and its sparsity count."""
+    """Coefficient transform P with P' H P = I and its sparsity count.
 
-    P: np.ndarray
+    ``P`` is a ``scipy.sparse`` CSC matrix; column j holds the coefficients
+    of orthonormal member j against the B-splines.
+    """
+
+    P: scipy.sparse.csc_matrix
     nnz: int
 
 
 def _truncate(p):
-    mag = np.abs(p)
-    scale = mag.max()
-    if scale > 0:
-        p[mag < P_TRUNCATION * scale] = 0.0
-    return TransformMatrix(p, int(np.count_nonzero(p)))
+    mag = np.abs(p.data)
+    p.data[mag < P_TRUNCATION * mag.max(initial=0.0)] = 0.0
+    p.eliminate_zeros()
+    return TransformMatrix(p, p.nnz)
+
+
+def _lower_band(h, k):
+    """LAPACK lower band storage ``ab[u, i] = H[i+u, i]``, u = 0..k."""
+    d = h.shape[0]
+    ab = np.zeros((min(k, d - 1) + 1, d))
+    for u in range(ab.shape[0]):
+        ab[u, : d - u] = h.diagonal(-u)
+    return ab
 
 
 def _check_spd(h):
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    """Validate a symmetric positive definite Gram matrix, dense or sparse.
+
+    Returns the (symmetrized) matrix as CSR and its band width.
+    """
+    if not scipy.sparse.issparse(h):
+        h = np.asarray(h, dtype=float)
+        if h.ndim != 2:
+            raise ValueError("gram matrix must be square")
+    h = scipy.sparse.csr_matrix(h, dtype=float)
+    if h.shape[0] != h.shape[1]:
         raise ValueError("gram matrix must be square")
-    if not np.array_equal(h, h.T):
-        scale = max(1.0, float(np.max(np.abs(h))))
-        asym = h - h.T
-        if float(np.max(np.abs(asym))) > 1e-10 * scale:
+    if not np.all(np.isfinite(h.data)):
+        raise ValueError("gram matrix must be finite")
+    asym = h - h.T
+    if asym.count_nonzero():
+        scale = max(1.0, float(abs(h).max()))
+        if float(abs(asym).max()) > 1e-10 * scale:
             raise ValueError("gram matrix must be symmetric")
         h = h - 0.5 * asym
     d = h.shape[0]
-    nz_i, nz_j = np.nonzero(h)
-    band = int(np.max(nz_i - nz_j)) if nz_i.size else 0
-    tau = 1e-12 * float(np.trace(h))
-    if 0 < band < d // 4:
+    coo = h.tocoo()
+    nz = coo.data != 0
+    band = int(np.max(coo.row[nz] - coo.col[nz])) if nz.any() else 0
+    tau = 1e-12 * float(h.diagonal().sum())
+    if band < d // 4:
         # banded: H - tau*I admits a Cholesky factor iff min eig > tau
-        ab = np.zeros((band + 1, d))
-        for u in range(band + 1):
-            ab[u, : d - u] = np.diagonal(h, -u)
+        ab = _lower_band(h, band)
         ab[0] -= tau
         try:
             scipy.linalg.cholesky_banded(ab, lower=True)
         except np.linalg.LinAlgError:
             raise ValueError("gram matrix is not positive definite")
-    elif np.linalg.eigvalsh(h)[0] <= tau:
+    elif np.linalg.eigvalsh(h.toarray())[0] <= tau:
         raise ValueError("gram matrix is not positive definite")
-    return h
-
-
-def _gsob(h):
-    low = scipy.linalg.cholesky(h, lower=True)
-    return scipy.linalg.solve_triangular(low, np.eye(h.shape[0]), lower=True).T
+    return h, band
 
 
 def _lowdin(m):
+    if m.shape == (1, 1):
+        if m[0, 0] <= 0:
+            raise ValueError("tuple gram block is not positive definite")
+        return 1.0 / np.sqrt(m)
     w, v = np.linalg.eigh(m)
     if w[0] <= 0:
         raise ValueError("tuple gram block is not positive definite")
@@ -203,93 +231,138 @@ def _lowdin(m):
 
 
 class _GroupOrthogonalizer:
-    """Shared machinery: project a group of columns orthogonal to everything
-    already processed that it can overlap, then orthonormalize it internally.
+    """Project a group of columns H-orthogonal to the finished columns it
+    couples with, then orthonormalize it internally.
 
-    Tracks the nonzero row range of every finished column so that each step
-    works on a small submatrix of H.
+    H is read through its lower band of width ``k`` only.  Finished column j
+    of P is nonzero on rows ``lo[j]..hi[j]`` alone and couples with unit
+    vector ``e_g`` iff that range meets ``g-k..g+k``.  A group is split into
+    the parts H couples: column ranges (own index plus the ranges of the
+    columns it couples with) that come within ``k`` of each other share a
+    part, and each part is projected and orthonormalized on its own rows.
+    Far apart columns (a ``twob`` pair away from the middle) become separate
+    parts; a contiguous tuple is always one part.  Each part's dense block
+    is kept once, with every column holding a view of it, so translating a
+    tuple (the Toeplitz path) shares the block instead of copying it.
     """
 
     def __init__(self, h, k):
-        self.h = h
-        self.k = k
-        d = h.shape[0]
-        self.p = np.zeros((d, d))
-        self.ranges = [None] * d  # (lo, hi) of nonzero rows, inclusive
-        self.done = []
+        self.ab = np.asfortranarray(_lower_band(h, k))
+        self.k = self.ab.shape[0] - 1
+        d = self.ab.shape[1]
+        # unfinished columns get a range no index can couple with
+        self.lo = np.full(d, d + self.k)
+        self.hi = np.full(d, -self.k - 1)
+        self.cols = [None] * d
+
+    def _hmul(self, r0, x):
+        """``H[r0:r0+m, r0:r0+m] @ x`` from the band, m = len(x)."""
+        ab = self.ab[:, r0 : r0 + x.shape[0]]
+        return np.column_stack([_dsbmv(self.k, 1.0, ab, col, lower=1) for col in x.T])
 
     def process(self, group):
-        group = list(group)
-        lo, hi = min(group), max(group)
-        act = [j for j in self.done
-               if self.ranges[j][1] >= lo - self.k and self.ranges[j][0] <= hi + self.k]
-        r0, r1 = lo, hi
-        for j in act:
-            r0 = min(r0, self.ranges[j][0])
-            r1 = max(r1, self.ranges[j][1])
-        rows = slice(r0, r1 + 1)
-        hsub = self.h[rows, rows]
-        e = np.zeros((r1 - r0 + 1, len(group)))
-        for c, j in enumerate(group):
-            e[j - r0, c] = 1.0
-        if act:
-            q = self.p[rows][:, act]
-            e = e - q @ (q.T @ (hsub @ e))
-        m = e.T @ (hsub @ e)
-        e = e @ _lowdin(m)
-        for c, j in enumerate(group):
-            self.p[r0 : r1 + 1, j] = e[:, c]
-            self.ranges[j] = (r0, r1)
-        self.done.extend(group)
-        return r0, r1
+        """Finish the columns of ``group`` (ascending indices)."""
+        g = np.asarray(group)
+        k = self.k
+        near = np.flatnonzero((self.hi >= g[0] - k) & (self.lo <= g[-1] + k))
+        if np.all(np.diff(g) <= k):
+            # H couples neighbouring columns directly: one part
+            self._process_part(g, min(g[0], self.lo[near].min(initial=g[0])),
+                               max(g[-1], self.hi[near].max(initial=g[-1])), near)
+            return
+        lo, hi = self.lo[near], self.hi[near]
+        coupled = (hi >= g[:, None] - k) & (lo <= g[:, None] + k)
+        r0 = np.minimum(g, np.where(coupled, lo, g[:, None]).min(axis=1, initial=g[-1]))
+        r1 = np.maximum(g, np.where(coupled, hi, g[:, None]).max(axis=1, initial=g[0]))
+        order = np.argsort(r0, kind="stable")
+        reach = np.maximum.accumulate(r1[order])
+        cuts = np.flatnonzero(r0[order][1:] > reach[:-1] + k) + 1
+        for part in np.split(order, cuts):
+            self._process_part(g[part], r0[part].min(), r1[part].max(),
+                               near[coupled[part].any(axis=0)])
 
-    def copy_translated(self, src_group, dst_group, offset, r0, r1):
-        block = self.p[r0 : r1 + 1, list(src_group)]
-        self.p[r0 + offset : r1 + 1 + offset, list(dst_group)] = block
-        for dj in dst_group:
-            self.ranges[dj] = (r0 + offset, r1 + offset)
-        self.done.extend(dst_group)
+    def _process_part(self, cols, r0, r1, act):
+        e = np.zeros((r1 - r0 + 1, cols.size))
+        e[cols - r0, np.arange(cols.size)] = 1.0
+        if act.size:
+            q = np.zeros((e.shape[0], act.size))
+            for c, j in enumerate(act):
+                q[self.lo[j] - r0 : self.hi[j] - r0 + 1, c] = self.cols[j]
+            # H e vanishes outside the rows within k of the part's columns
+            w = slice(max(cols.min() - self.k, r0) - r0, min(cols.max() + self.k, r1) - r0 + 1)
+            e = e - q @ (q[w].T @ self._hmul(r0 + w.start, e[w]))
+        e = e @ _lowdin(e.T @ self._hmul(r0, e))
+        blk = np.asfortranarray(e)
+        self.lo[cols] = r0
+        self.hi[cols] = r1
+        for c, j in enumerate(cols):
+            self.cols[j] = blk[:, c]
+
+    def translate(self, src, dst, offset):
+        """Finish columns ``dst`` as the columns ``src`` shifted down by ``offset`` rows."""
+        src, dst = np.asarray(src), np.asarray(dst)
+        self.lo[dst] = self.lo[src] + offset
+        self.hi[dst] = self.hi[src] + offset
+        for s, t in zip(src, dst):
+            self.cols[t] = self.cols[s]
+
+    def transform(self):
+        """P as CSC, once every column is finished."""
+        d = self.ab.shape[1]
+        lengths = self.hi - self.lo + 1
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        return scipy.sparse.csc_matrix(
+            (np.concatenate(self.cols), _ranges(self.lo, lengths), indptr), shape=(d, d))
+
+
+def _gsob(h, k):
+    g = _GroupOrthogonalizer(h, k)
+    for j in range(h.shape[0]):
+        g.process((j,))
+    return g.transform()
 
 
 def _twob(h, k):
-    d = h.shape[0]
     g = _GroupOrthogonalizer(h, k)
-    left, right = 0, d - 1
+    left, right = 0, h.shape[0] - 1
     while left < right:
         g.process((left, right))
         left += 1
         right -= 1
     if left == right:
         g.process((left,))
-    return g.p
+    return g.transform()
 
 
 def _dyadic(h, k, net, toeplitz=False):
     g = _GroupOrthogonalizer(h, k)
     for lv in net.levels:
         if toeplitz and lv:
-            r0, r1 = g.process(lv[0])
+            g.process(lv[0])
             step = lv[1][0] - lv[0][0] if len(lv) > 1 else 0
             for i, tup in enumerate(lv[1:], start=1):
-                g.copy_translated(lv[0], tup, i * step, r0, r1)
+                g.translate(lv[0], tup, i * step)
         else:
             for tup in lv:
                 g.process(tup)
-    return g.p
+    return g.transform()
 
 
 def diagonalize_gram(h, method="dyadic", net=None, k=None, _toeplitz=False):
-    """Transform P with P' H P = I by one of the three schemes."""
-    h = _check_spd(h)
+    """Transform P with P' H P = I by one of the three schemes.
+
+    ``h`` may be dense or ``scipy.sparse``.  Which columns couple is read
+    off the band of ``h``; ``k`` is accepted for compatibility and unused.
+    """
+    h, band = _check_spd(h)
     if method == "gsob":
-        p = _gsob(h)
+        p = _gsob(h, band)
     elif method == "twob":
-        p = _twob(h, k if k is not None else h.shape[0])
+        p = _twob(h, band)
     elif method == "dyadic":
         if net is None:
             raise ValueError("dyadic diagonalization needs a net")
-        kk = k if k is not None else net.k
-        p = _dyadic(h, kk, net, toeplitz=_toeplitz)
+        p = _dyadic(h, band, net, toeplitz=_toeplitz)
     else:
         raise ValueError("method must be one of gsob, twob, dyadic")
     return _truncate(p)
@@ -324,13 +397,13 @@ def splinet(knots, k, type="spnt", normalize=False, use_toeplitz=None):
     net = net_layout(knots.n, k)
     if type == "bs":
         return SplinetResult(bs, None, net, None)
-    h = gramian(bs)
     if type in ("spnt", "dspnt"):
         fast = knots.equid and net.complete if use_toeplitz is None else use_toeplitz
-        tr = diagonalize_gram(h, "dyadic", net=net, k=k, _toeplitz=fast)
+        tr = diagonalize_gram(gramian(bs), "dyadic", net=net, _toeplitz=fast)
         tag = "dspnt" if net.complete else "spnt"
     else:
-        tr = diagonalize_gram(h, type, k=k)
+        tr = diagonalize_gram(gramian(bs), type)
         tag = type
-    os_fam = lincomb(bs, tr.P.T, type=tag)
+    # dense P' until bench/spans.count_coeff_nnz can count sparse coefficients
+    os_fam = lincomb(bs, tr.P.T.toarray(), type=tag)
     return SplinetResult(bs, os_fam, net, tr)

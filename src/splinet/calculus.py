@@ -29,16 +29,12 @@ import scipy.sparse
 from .core import (
     SplineFamily,
     SupportSet,
+    _merge_components,
+    _ranges,
     as_one_sided,
     make_member,
     taylor_astar,
 )
-
-
-def _ranges(starts, lengths):
-    """Concatenation of ``arange(s, s + l)`` over paired starts and lengths."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(np.sum(lengths)))
 
 
 def _csr(rows, cols, data, shape):
@@ -87,19 +83,6 @@ def _moment_matrix(xi, k):
                                    shape=(size, size)).tocsr()
 
 
-def _merge_components(comps):
-    """Union of (lo, hi) index intervals given sorted by ``lo``; runs closer
-    than one full knot gap are merged so the result is a legal support set."""
-    comps = np.asarray(comps, dtype=int).reshape(-1, 2)
-    if not comps.size:
-        return ()
-    lo, hi = comps.T
-    reach = np.maximum.accumulate(hi)
-    start = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1] + 1]))
-    end = reach[np.append(start[1:] - 1, -1)]
-    return tuple(zip(lo[start].tolist(), end.tolist()))
-
-
 def _member_from_union(full, comps, k):
     """Cut a full matrix into blocks over the given support components."""
     blocks = [full[lo : hi + 1].copy() for lo, hi in comps]
@@ -112,22 +95,24 @@ def lincomb(fam, coeffs, type=None):
     """Linear combinations of family members.
 
     ``coeffs`` is ``(p, d)`` (or ``(d,)`` for a single combination) against
-    a family of ``d`` members; returns a family of ``p`` members.
+    a family of ``d`` members, dense or ``scipy.sparse``; returns a family
+    of ``p`` members.
     """
     fam1 = as_one_sided(fam)
     k = fam1.smorder
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    if coeffs.shape[1] != len(fam1):
+    if not scipy.sparse.issparse(coeffs):
+        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    a = scipy.sparse.csr_matrix(coeffs, dtype=float)
+    if a.shape[1] != len(fam1):
         raise ValueError("coefficient matrix has %d columns, family has %d members"
-                         % (coeffs.shape[1], len(fam1)))
+                         % (a.shape[1], len(fam1)))
     c, _, o = _taylor_layout(fam1)
-    a = scipy.sparse.csr_matrix(coeffs)
     full = a @ c
     cover = abs(a) @ o
     cover.sort_indices()
     shape = (len(fam1.knots), k + 1)
     members = []
-    for r in range(coeffs.shape[0]):
+    for r in range(a.shape[0]):
         row = np.zeros(shape[0] * shape[1])
         at = slice(full.indptr[r], full.indptr[r + 1])
         row[full.indices[at]] = full.data[at]

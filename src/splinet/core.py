@@ -105,6 +105,8 @@ class KnotSet:
         xi = np.asarray(self.xi, dtype=float)
         if xi.ndim != 1 or xi.size < 2:
             raise ValueError("need at least two knots")
+        if not np.all(np.isfinite(xi)):
+            raise ValueError("knots must be finite")
         diffs = np.diff(xi)
         if np.any(diffs <= 0):
             raise ValueError("knots must be strictly increasing")
@@ -362,15 +364,22 @@ def is_valid_spline(fam):
     """Check the Taylor propagation and boundary constraints of every member.
 
     Returns a :class:`ValidityReport`; structural problems (shape mismatches)
-    raise instead of reporting invalidity.
+    raise instead of reporting invalidity.  A member with a non-finite entry
+    is invalid with violation ``inf``.
     """
     xi = fam.knots.xi
     k = fam.smorder
+    nf_member, nf_knot = _nonfinite_rows(fam)
+    nonfinite = np.zeros(len(fam), dtype=bool)
+    nonfinite[nf_member] = True
     report_ok = []
     worst = 0.0
     worst_member = -1
     worst_knot = -1
     for idx in range(len(fam)):
+        if nonfinite[idx]:
+            report_ok.append(False)
+            continue
         supp, der = fam.members[idx]
         tol = fam.member_tolerance(idx)
         bad = 0.0
@@ -410,7 +419,28 @@ def is_valid_spline(fam):
         report_ok.append(bad <= tol)
         if bad > worst:
             worst, worst_member, worst_knot = bad, idx, bad_knot
+    if nf_member.size:
+        worst, worst_member, worst_knot = math.inf, int(nf_member[0]), int(nf_knot[0])
     return ValidityReport(report_ok, worst, worst_member, worst_knot)
+
+
+def _nonfinite_rows(fam):
+    """Member and knot index of every derivative row with a non-finite entry."""
+    comps = np.array([(i, lo, hi) for i, (supp, _) in enumerate(fam.members)
+                      for lo, hi in supp], dtype=int).reshape(-1, 3)
+    if not comps.size:
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    member, lo, hi = comps.T
+    rows = np.vstack([blk for _, der in fam.members for blk in der.blocks])
+    bad = ~np.isfinite(rows).all(axis=1)
+    size = hi - lo + 1
+    return np.repeat(member, size)[bad], _ranges(lo, size)[bad]
+
+
+def _ranges(starts, lengths):
+    """Concatenation of ``arange(s, s + l)`` over paired starts and lengths."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(np.sum(lengths)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +458,8 @@ def evaluate(fam, grid, deriv=0):
     if deriv < 0 or deriv > k:
         raise ValueError("derivative order must be in [0, %d]" % k)
     grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid points must be finite")
     if grid.size and (grid.min() < xi[0] or grid.max() > xi[-1]):
         raise ValueError("grid points outside the knot range")
     fam = as_one_sided(fam)
@@ -508,33 +540,32 @@ def exsupp(fam):
     an empty support.
     """
     fam1 = as_one_sided(fam)
-    k = fam.smorder
     members = []
     for idx in range(len(fam1)):
         supp, der = fam1.members[idx]
         tol = fam1.member_tolerance(idx)
-        runs = []  # (lo, hi) in knot indices, merged across old components
-        blocks_src = {}
+        runs, blocks = [], []
         for (lo, hi), blk in zip(supp, der.blocks):
-            m = hi - lo - 1
-            alive = np.max(np.abs(blk[: m + 1]), axis=1) > tol
-            i = 0
-            while i <= m:
-                if alive[i]:
-                    j = i
-                    while j <= m and alive[j]:
-                        j += 1
-                    runs.append((lo + i, lo + j))
-                    blocks_src[(lo + i, lo + j)] = blk[i : j + 1].copy()
-                    i = j
-                else:
-                    i += 1
-        new_blocks = []
-        for key in runs:
-            b = blocks_src[key]
-            b[-1, -1] = 0.0
-            new_blocks.append(b)
-        members.append(make_member(SupportSet(tuple(runs)), new_blocks))
+            alive = np.flatnonzero(np.max(np.abs(blk[:-1]), axis=1) > tol)
+            # one dead interval between live runs stays inside the component
+            for a, b in _merge_components(np.column_stack([alive, alive + 1])):
+                new = blk[a : b + 1].copy()
+                new[-1, -1] = 0.0
+                runs.append((lo + a, lo + b))
+                blocks.append(new)
+        members.append(make_member(SupportSet(tuple(runs)), blocks))
     out = replace(fam1, members=tuple(members))
     return out if fam.convention == ONE_SIDED else sym2one(out, inverse=True)
 
+
+def _merge_components(comps):
+    """Union of (lo, hi) index intervals given sorted by ``lo``; runs closer
+    than one full knot gap are merged so the result is a legal support set."""
+    comps = np.asarray(comps, dtype=int).reshape(-1, 2)
+    if not comps.size:
+        return ()
+    lo, hi = comps.T
+    reach = np.maximum.accumulate(hi)
+    start = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1] + 1]))
+    end = reach[np.append(start[1:] - 1, -1)]
+    return tuple(zip(lo[start].tolist(), end.tolist()))

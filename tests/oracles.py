@@ -4,10 +4,13 @@ Everything here deliberately avoids the library's own fast paths: inner
 products come from composite Gauss-Legendre quadrature on dense
 evaluations, or from the exact closed form summed pair by pair over shared
 knot intervals, and the first-row/last-row completion is re-solved as one
-dense linear system in the unknown entries.
+dense linear system in the unknown entries.  Gram diagonalization runs on
+dense ``H`` and ``P`` with whole-group row envelopes, and ``gsob`` through a
+dense Cholesky factor.
 """
 
 import numpy as np
+import scipy.linalg
 
 import splinet as sp
 
@@ -158,3 +161,102 @@ def random_knots(rng, n, a=0.0, b=1.0):
     while np.min(np.diff(np.concatenate([[a], inner, [b]]))) < (b - a) * 1e-3:
         inner = np.sort(rng.uniform(a, b, n))
     return sp.KnotSet(np.concatenate([[a], inner, [b]]))
+
+
+# ---------------------------------------------------------------------------
+# Gram diagonalization on dense arrays
+
+
+class _EnvelopeOrthogonalizer:
+    """Dense H and P: a group is projected against every finished column
+    whose row range comes within ``k`` of the group's index envelope, on the
+    rows spanned by all of them, and every group column records that whole
+    span as its row range."""
+
+    def __init__(self, h, k):
+        self.h = h
+        self.k = k
+        d = h.shape[0]
+        self.p = np.zeros((d, d))
+        self.ranges = [None] * d  # (lo, hi) of nonzero rows, inclusive
+        self.done = []
+
+    def process(self, group):
+        group = list(group)
+        lo, hi = min(group), max(group)
+        act = [j for j in self.done
+               if self.ranges[j][1] >= lo - self.k and self.ranges[j][0] <= hi + self.k]
+        r0, r1 = lo, hi
+        for j in act:
+            r0 = min(r0, self.ranges[j][0])
+            r1 = max(r1, self.ranges[j][1])
+        rows = slice(r0, r1 + 1)
+        hsub = self.h[rows, rows]
+        e = np.zeros((r1 - r0 + 1, len(group)))
+        for c, j in enumerate(group):
+            e[j - r0, c] = 1.0
+        if act:
+            q = self.p[rows][:, act]
+            e = e - q @ (q.T @ (hsub @ e))
+        m = e.T @ (hsub @ e)
+        w, v = np.linalg.eigh(m)
+        e = e @ ((v / np.sqrt(w)) @ v.T)
+        for c, j in enumerate(group):
+            self.p[r0 : r1 + 1, j] = e[:, c]
+            self.ranges[j] = (r0, r1)
+        self.done.extend(group)
+        return r0, r1
+
+    def copy_translated(self, src_group, dst_group, offset, r0, r1):
+        block = self.p[r0 : r1 + 1, list(src_group)]
+        self.p[r0 + offset : r1 + 1 + offset, list(dst_group)] = block
+        for dj in dst_group:
+            self.ranges[dj] = (r0 + offset, r1 + offset)
+        self.done.extend(dst_group)
+
+
+def envelope_twob(h, k):
+    d = h.shape[0]
+    g = _EnvelopeOrthogonalizer(h, k)
+    left, right = 0, d - 1
+    while left < right:
+        g.process((left, right))
+        left += 1
+        right -= 1
+    if left == right:
+        g.process((left,))
+    return g.p
+
+
+def envelope_dyadic(h, k, net, toeplitz=False):
+    g = _EnvelopeOrthogonalizer(h, k)
+    for lv in net.levels:
+        if toeplitz and lv:
+            r0, r1 = g.process(lv[0])
+            step = lv[1][0] - lv[0][0] if len(lv) > 1 else 0
+            for i, tup in enumerate(lv[1:], start=1):
+                g.copy_translated(lv[0], tup, i * step, r0, r1)
+        else:
+            for tup in lv:
+                g.process(tup)
+    return g.p
+
+
+def cholesky_gsob(h):
+    """One-sided transform ``L^{-T}`` from a dense Cholesky factor ``H = L L'``."""
+    low = scipy.linalg.cholesky(h, lower=True)
+    return scipy.linalg.solve_triangular(low, np.eye(h.shape[0]), lower=True).T
+
+
+def dense_diagonalize(h, method, k, net=None, toeplitz=False):
+    """``(P, nnz)`` for a dense Gram matrix, truncated like the library's
+    transform (entries below ``P_TRUNCATION`` times max |P| dropped)."""
+    if method == "gsob":
+        p = cholesky_gsob(h)
+    elif method == "twob":
+        p = envelope_twob(h, k)
+    else:
+        p = envelope_dyadic(h, k, net, toeplitz)
+    mag = np.abs(p)
+    p[mag < sp.bases.P_TRUNCATION * mag.max()] = 0.0
+    return p, int(np.count_nonzero(p))

@@ -266,8 +266,8 @@ def test_c12_performance_and_toeplitz_speedup():
         t = time.perf_counter()
         fn()
         return time.perf_counter() - t
-    p_fast = _dyadic(h, 3, net, toeplitz=True)
-    p_slow = _dyadic(h, 3, net, toeplitz=False)
+    p_fast = _dyadic(h, 3, net, toeplitz=True).toarray()
+    p_slow = _dyadic(h, 3, net, toeplitz=False).toarray()
     scale = np.max(np.abs(p_slow))
     assert np.max(np.abs(p_fast - p_slow)) <= 1e-12 * scale
     t_fast = best(lambda: _dyadic(h, 3, net, toeplitz=True))

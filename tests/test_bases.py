@@ -1,5 +1,10 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinet as sp
 from splinet.bases import _check_spd, diagonalize_gram
@@ -121,9 +126,10 @@ def test_gsob_2x2_closed_form():
     # Gram matrix [[1, 1/2], [1/2, 1]] -> inverse-transpose Cholesky
     h = np.array([[1.0, 0.5], [0.5, 1.0]])
     tr = diagonalize_gram(h, "gsob")
+    p = tr.P.toarray()
     expect = np.array([[1.0, -1.0 / np.sqrt(3.0)], [0.0, 2.0 / np.sqrt(3.0)]])
-    assert np.allclose(tr.P, expect, atol=1e-14)
-    assert np.allclose(tr.P.T @ h @ tr.P, np.eye(2), atol=1e-14)
+    assert np.allclose(p, expect, atol=1e-14)
+    assert np.allclose(p.T @ h @ p, np.eye(2), atol=1e-14)
 
 
 @pytest.mark.parametrize("method", ["gsob", "twob", "dyadic"])
@@ -139,7 +145,8 @@ def test_diagonalize_gram_identity(method, n, k):
 def test_gsob_is_triangular():
     bs = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 12), 3)
     tr = diagonalize_gram(sp.gramian(bs), "gsob")
-    assert np.allclose(tr.P, np.triu(tr.P))
+    p = tr.P.toarray()
+    assert np.allclose(p, np.triu(p))
     d = len(bs)
     assert tr.nnz == d * (d + 1) // 2
 
@@ -177,8 +184,43 @@ def test_dyadic_toeplitz_matches_general():
         net = sp.net_layout(n, 3)
         fast = diagonalize_gram(h, "dyadic", net=net, k=3, _toeplitz=True)
         slow = diagonalize_gram(h, "dyadic", net=net, k=3, _toeplitz=False)
-        scale = np.max(np.abs(slow.P))
-        assert np.max(np.abs(fast.P - slow.P)) < 1e-12 * scale
+        scale = np.max(np.abs(slow.P.toarray()))
+        assert np.max(np.abs(fast.P.toarray() - slow.P.toarray())) < 1e-12 * scale
+
+
+def _assert_matches_oracle(tr, oracle):
+    p, nnz = oracle
+    assert np.max(np.abs(tr.P.toarray() - p)) <= 1e-12 * np.max(np.abs(p))
+    assert tr.nnz == nnz
+
+
+def _assert_orthonormal(tr, h):
+    hs = scipy.sparse.csr_matrix(h)
+    err = abs(tr.P.T @ hs @ tr.P - scipy.sparse.identity(h.shape[0]))
+    assert err.max() <= 1e-10
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 300), k=st.integers(1, 3))
+def test_transform_matches_envelope_oracle(seed, n, k):
+    # random knots: every scheme against the dense envelope/Cholesky oracle
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.05, 1.0, n + 1)
+    knots = sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths))
+    h = sp.gramian(sp.bspline_basis(knots, k))
+    net = sp.net_layout(n, k)
+    for method in ("gsob", "twob", "dyadic"):
+        tr = diagonalize_gram(h, method, net=net)
+        _assert_matches_oracle(tr, oracles.dense_diagonalize(h, method, k, net))
+        _assert_orthonormal(tr, h)
+    # complete equidistant net of about the same size: the Toeplitz path
+    n_c = k * 2 ** int(np.log2((n + 1) / k)) - 1
+    h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n_c), k))
+    net = sp.net_layout(n_c, k)
+    assert net.complete
+    tr = diagonalize_gram(h, "dyadic", net=net, _toeplitz=True)
+    _assert_matches_oracle(tr, oracles.dense_diagonalize(h, "dyadic", k, net, toeplitz=True))
+    _assert_orthonormal(tr, h)
 
 
 def test_diagonalize_gram_validation():
@@ -186,6 +228,8 @@ def test_diagonalize_gram_validation():
         diagonalize_gram(np.array([[1.0, 2.0], [0.0, 1.0]]), "gsob")  # asymmetric
     with pytest.raises(ValueError):
         diagonalize_gram(np.array([[1.0, 2.0], [2.0, 1.0]]), "gsob")  # indefinite
+    with pytest.raises(ValueError, match="finite"):
+        diagonalize_gram(np.array([[1.0, np.nan], [np.nan, 1.0]]), "gsob")
     h = np.eye(3)
     with pytest.raises(ValueError):
         diagonalize_gram(h, "dyadic")  # needs a net
@@ -226,6 +270,20 @@ def test_splinet_nonequidistant_orthonormal():
         assert np.max(np.abs(g - np.eye(len(res.os)))) < 1e-9
 
 
+def test_twob_runtime_guard():
+    # the two-sided scheme on irregular knots at d = 1533: ~14 s when every
+    # pair recorded the envelope of both columns as its row range, under 1 s
+    # with per-part ranges
+    rng = np.random.default_rng(5)
+    widths = rng.uniform(0.5, 1.5, 1536)
+    knots = sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths))
+    t0 = time.perf_counter()
+    res = sp.splinet(knots, 3, type="twob")
+    total = time.perf_counter() - t0
+    assert len(res.os) == 1533
+    assert total < 5.0, total
+
+
 def test_splinet_type_tags():
     assert sp.splinet(sp.equidistant_knots(0.0, 1.0, 11), 3).os.type == "dspnt"
     assert sp.splinet(sp.equidistant_knots(0.0, 1.0, 12), 3).os.type == "spnt"
@@ -247,8 +305,8 @@ def test_splinet_toeplitz_flag_agrees():
     knots = sp.equidistant_knots(0.0, 1.0, 23)
     a = sp.splinet(knots, 3, use_toeplitz=True)
     b = sp.splinet(knots, 3, use_toeplitz=False)
-    scale = np.max(np.abs(b.transform.P))
-    assert np.max(np.abs(a.transform.P - b.transform.P)) < 1e-12 * scale
+    scale = np.max(np.abs(b.transform.P.toarray()))
+    assert np.max(np.abs(a.transform.P.toarray() - b.transform.P.toarray())) < 1e-12 * scale
 
 
 def test_splinet_supports_grow_by_level():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +139,9 @@ def test_lincomb_identity_and_linearity():
     f12 = sp.lincomb(bs, np.vstack([c1, c2, 2 * c1 - 3 * c2]))
     v = sp.evaluate(f12, grid)
     assert np.allclose(v[:, 2], 2 * v[:, 0] - 3 * v[:, 1], atol=1e-10)
+    # sparse coefficients give the same family
+    sparse = sp.lincomb(bs, scipy.sparse.csc_matrix(np.vstack([c1, c2])))
+    assert np.array_equal(sp.evaluate(sparse, grid), v[:, :2])
 
 
 def test_lincomb_single_row_and_errors():

@@ -48,6 +48,17 @@ def test_knot_flags_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nonfinite_knots_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    for bad in ("nan", "inf"):
+        assert main(["basis", "--equid", "0", bad, "5", "-k", "2", "-o", out]) == 1
+    kf = tmp_path / "k.txt"
+    for bad in ("nan", "inf", "-inf"):
+        kf.write_text("0 0.5 %s 1" % bad)
+        assert main(["basis", "--knots", str(kf), "-k", "2", "-o", out]) == 1
+    assert capsys.readouterr().err.count("knots must be finite") == 5
+
+
 def test_eval_csv(tmp_path):
     out = str(tmp_path / "b")
     main(["basis", "--equid", "0", "1", "9", "-k", "2", "--type", "bs", "-o", out])
@@ -73,6 +84,17 @@ def test_check_invalid_archive(tmp_path, capsys):
     open(path, "w").write(json.dumps(obj))
     assert main(["check", "-i", path]) == 1
     assert "invalid" in capsys.readouterr().err
+
+
+def test_check_nan_archive(tmp_path, capsys):
+    out = str(tmp_path / "b")
+    main(["basis", "--equid", "0", "1", "11", "-k", "3", "-o", out])
+    path = out + ".os.json"
+    obj = json.loads(open(path).read())
+    obj["splines"][2]["der"][0][1][1] = float("nan")
+    open(path, "w").write(json.dumps(obj))
+    assert main(["check", "-i", path]) == 1
+    assert "member 2 violates validity by inf" in capsys.readouterr().err
 
 
 def test_missing_file_is_error(tmp_path, capsys):

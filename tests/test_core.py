@@ -79,6 +79,14 @@ def test_knotset_basic():
         sp.KnotSet([0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knotset_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sp.KnotSet([0.0, bad, 1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        sp.KnotSet([0.0, 1.0, bad])
+
+
 def test_equidistant_knots():
     ks = sp.equidistant_knots(-1.0, 1.0, 9)
     assert ks.n == 9 and ks.equid
@@ -251,6 +259,21 @@ def test_is_valid_spline_flags_boundary():
     assert not rep.all_ok and rep.worst_knot == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_is_valid_spline_flags_nonfinite(bad):
+    res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 23), 3)
+    members = list(res.os.members)
+    supp, der = members[4]
+    blocks = [b.copy() for b in der.blocks]
+    blocks[0][2, 1] = bad
+    members[4] = sp.make_member(supp, blocks)
+    rep = sp.is_valid_spline(sp.SplineFamily(res.os.knots, 3, tuple(members), "sp"))
+    assert not rep.all_ok
+    assert rep.member_ok == [i != 4 for i in range(len(members))]
+    assert rep.max_violation == np.inf
+    assert rep.worst_member == 4 and rep.worst_knot == supp.components[0][0] + 2
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -275,6 +298,13 @@ def test_evaluate_out_of_range_raises():
         sp.evaluate(bs, [1.5])
     with pytest.raises(ValueError):
         sp.evaluate(bs, [0.5], deriv=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_nonfinite_grid_raises(bad):
+    bs = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 5), 1)
+    with pytest.raises(ValueError, match="finite"):
+        sp.evaluate(bs, [0.5, bad])
 
 
 def test_evaluate_right_continuous_at_support_edge():
@@ -354,6 +384,19 @@ def test_exsupp_shrinks_cancellation():
     c[-1] = 1.0
     two = sp.exsupp(sp.lincomb(bs, c))
     assert len(two.members[0][0]) == 2
+
+
+def test_exsupp_keeps_one_dead_interval():
+    # zero coefficients 5..7 at order 2 leave interval 7 alone dead: the live
+    # runs on either side would be adjacent components, so they stay one
+    bs = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 20), 2)
+    c = np.ones(len(bs))
+    c[5:8] = 0.0
+    fam = sp.lincomb(bs, c)
+    out = sp.exsupp(fam)
+    assert out.members[0][0].components == ((0, 21),)
+    grid = np.linspace(0.0, 1.0, 211)
+    assert np.array_equal(sp.evaluate(out, grid), sp.evaluate(fam, grid))
 
 
 def test_empty_family_and_full_support():
