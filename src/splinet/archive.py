@@ -1,12 +1,22 @@
 """JSON spline archives.
 
-Top-level fields: ``knots`` (reals), ``order`` (int), ``type`` (family
-tag), ``epsilon`` (real), ``splines`` (list of members, each with ``supp``,
-a list of 0-based ``[lo, hi]`` knot-index pairs, and ``der``, one row-major
-matrix per support component in the symmetric convention), and optionally
-``net`` (list of levels, each a list of member-index tuples).  Floats are
-written in shortest-round-trip decimal form, so write/read round-trips are
-bit-exact.
+Top-level fields, in this order: ``knots`` (reals), ``order`` (int),
+``type`` (family tag), ``epsilon`` (real), ``splines`` (list of members,
+each with ``supp``, a list of 0-based ``[lo, hi]`` knot-index pairs, and
+``der``, one row-major matrix per support component in the symmetric
+convention), and optionally ``net`` (list of levels, each a list of
+member-index tuples).
+
+The file is byte-stable across versions: it is exactly
+``json.dumps(fields, indent=1) + "\n"``.  Every list element sits on its
+own line, indented one space per nesting level; empty lists are ``[]``;
+``order``, ``supp`` and ``net`` entries are ints; reals are written by
+``float.__repr__`` (shortest round-trip form, ``-0.0`` kept), except that
+non-finite values take JSON's tokens ``NaN``, ``Infinity`` and
+``-Infinity``; the file ends with a newline.  Write/read round-trips are
+therefore bit-exact.  :func:`save_archive` renders this layout itself, one
+member at a time, rather than through ``json``'s pure-Python indenting
+encoder.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import numpy as np
 
 from .bases import DyadicNet
 from .core import (
+    DEFAULT_EPSILON,
     KnotSet,
     SplineFamily,
     SupportSet,
@@ -26,57 +37,83 @@ from .core import (
 )
 
 
-def family_to_dict(fam, net=None):
-    fam = as_symmetric(fam)
-    out = {
-        "knots": [float(x) for x in fam.knots.xi],
-        "order": int(fam.smorder),
-        "type": fam.type,
-        "epsilon": float(fam.epsilon),
-        "splines": [
-            {
-                "supp": [[int(lo), int(hi)] for lo, hi in supp],
-                "der": [[[float(x) for x in row] for row in blk]
-                        for blk in der.blocks],
-            }
-            for supp, der in fam.members
-        ],
-    }
-    if net is not None:
-        out["net"] = [[list(t) for t in level] for level in net.levels]
-    return out
-
-
 def family_from_dict(obj):
-    knots = KnotSet(np.array(obj["knots"], dtype=float))
-    k = int(obj["order"])
-    members = []
-    for item in obj["splines"]:
-        supp = SupportSet(tuple((lo, hi) for lo, hi in item["supp"]))
-        blocks = [np.array(b, dtype=float) for b in item["der"]]
-        for (lo, hi), blk in zip(supp, blocks):
-            if blk.shape != (hi - lo + 1, k + 1):
-                raise ValueError("derivative block shape does not match support")
-        members.append(make_member(supp, blocks, SYMMETRIC))
-    fam = SplineFamily(knots, k, tuple(members), obj.get("type", "sp"),
-                       float(obj.get("epsilon", 1e-7)))
-    net = None
-    if "net" in obj:
-        levels = tuple(tuple(tuple(int(i) for i in t) for t in lv)
-                       for lv in obj["net"])
-        d = len(fam)
-        n_tuples = sum(len(lv) for lv in levels)
-        complete = n_tuples == 2 ** len(levels) - 1 and all(
-            len(t) == max(k, 1) for lv in levels for t in lv
-        ) and n_tuples * max(k, 1) == d
-        net = DyadicNet(levels, complete, k)
-    return fam, net
+    """Family and net from a parsed archive; a wrong structure or field type
+    raises ``ValueError("malformed archive: ...")``."""
+    try:
+        knots = KnotSet(np.array(obj["knots"], dtype=float))
+        k = int(obj["order"])
+        members = []
+        for item in obj["splines"]:
+            supp = SupportSet(tuple((lo, hi) for lo, hi in item["supp"]))
+            blocks = [np.array(b, dtype=float) for b in item["der"]]
+            for (lo, hi), blk in zip(supp, blocks):
+                if blk.shape != (hi - lo + 1, k + 1):
+                    raise ValueError("derivative block shape does not match support")
+            members.append(make_member(supp, blocks, SYMMETRIC))
+        fam = SplineFamily(knots, k, tuple(members), obj.get("type", "sp"),
+                           float(obj.get("epsilon", DEFAULT_EPSILON)))
+        net = None
+        if "net" in obj:
+            levels = tuple(tuple(tuple(int(i) for i in t) for t in lv)
+                           for lv in obj["net"])
+            d = len(fam)
+            n_tuples = sum(len(lv) for lv in levels)
+            complete = n_tuples == 2 ** len(levels) - 1 and all(
+                len(t) == max(k, 1) for lv in levels for t in lv
+            ) and n_tuples * max(k, 1) == d
+            net = DyadicNet(levels, complete, k)
+        return fam, net
+    except KeyError as exc:
+        raise ValueError("malformed archive: missing field %s" % exc) from exc
+    except TypeError as exc:
+        raise ValueError("malformed archive: %s" % exc) from exc
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _tokens(values):
+    """JSON number tokens of a float array in row-major order."""
+    toks = list(map(float.__repr__, values.ravel().tolist()))
+    if not np.isfinite(values).all():
+        toks = [_JSON_NONFINITE.get(t, t) for t in toks]
+    return toks
+
+
+def _list(items, depth):
+    """Rendered ``items`` as a JSON list whose brackets sit at ``depth``."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _member_text(supp, der, row):
+    supp_text = _list([_list([str(lo), str(hi)], 4) for lo, hi in supp], 3)
+    der_text = _list([_list([row] * blk.shape[0], 4) % tuple(_tokens(blk))
+                      for blk in der.blocks], 3)
+    return '{\n   "supp": %s,\n   "der": %s\n  }' % (supp_text, der_text)
 
 
 def save_archive(path, fam, net=None):
+    """Write ``fam`` (and ``net``) in the layout described in the module
+    docstring, one member at a time."""
+    fam = as_symmetric(fam)
+    row = _list(["%s"] * (fam.smorder + 1), 5)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_dict(fam, net), fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "knots": %s,\n "order": %d,\n "type": %s,\n "epsilon": %s,\n "splines": '
+                 % (_list(_tokens(fam.knots.xi), 1), fam.smorder, json.dumps(fam.type),
+                    float.__repr__(float(fam.epsilon))))
+        fh.write("[" if fam.members else "[]")
+        for i, (supp, der) in enumerate(fam.members):
+            fh.write((",\n  " if i else "\n  ") + _member_text(supp, der, row))
+        fh.write("\n ]" if fam.members else "")
+        if net is not None:
+            levels = [_list([_list([str(int(i)) for i in t], 3) for t in level], 2)
+                      for level in net.levels]
+            fh.write(',\n "net": ' + _list(levels, 1))
+        fh.write("\n}\n")
 
 
 def load_archive(path):

@@ -10,7 +10,6 @@ is ignored.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -29,6 +28,9 @@ from .project import (
     read_csv_matrix,
     read_fdata_csv,
     write_coeff_csv,
+    _repr_rows,
+    _reprs,
+    _write_csv,
 )
 from .random import RNG_ALGORITHM, NoiseSpec, rspline
 
@@ -46,13 +48,6 @@ def _knots_from_args(args):
 
 class UsageError(Exception):
     pass
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 def _fmt(x):
@@ -76,9 +71,10 @@ def _cmd_eval(args):
     fam, _ = load_archive(args.input)
     grid = sample_grid(fam.knots, max(fam.smorder, 1), args.density)
     vals = evaluate(fam, grid, deriv=args.deriv)
-    rows = [(_fmt(g), j, _fmt(vals[i, j]))
-            for j in range(vals.shape[1]) for i, g in enumerate(grid)]
-    _write_csv(args.out, ["arg", "member", "value"], rows)
+    # long format: every grid point of member 0, then of member 1, ...
+    members = [s for s in map(str, range(vals.shape[1])) for _ in range(grid.size)]
+    _write_csv(args.out, ["arg", "member", "value"],
+               zip(_reprs(grid) * vals.shape[1], members, _reprs(vals.T)))
     print("wrote %s (%d points x %d members)" % (args.out, grid.size, vals.shape[1]))
     return 0
 
@@ -149,11 +145,11 @@ def _cmd_fpca(args):
     pr = ProjectionResult(coeff, basis, lincomb(basis, coeff))
     fp = fpca(pr)
     _write_csv(args.out + ".eigenvalues.csv", ["component", "eigenvalue"],
-               [(i + 1, _fmt(l)) for i, l in enumerate(fp.eigenvalues)])
+               zip(map(str, range(1, fp.eigenvalues.size + 1)), _reprs(fp.eigenvalues)))
     save_archive(args.out + ".eigenfunctions.json", fp.eigenfunctions)
     _write_csv(args.out + ".scores.csv",
                ["z%d" % (j + 1) for j in range(fp.scores.shape[1])],
-               [[_fmt(x) for x in row] for row in fp.scores])
+               _repr_rows(fp.scores))
     print("wrote %s.eigenvalues.csv, %s.eigenfunctions.json, %s.scores.csv "
           "(%d retained components)" % (args.out, args.out, args.out, fp.n_retained))
     return 0
@@ -166,7 +162,7 @@ def _cmd_gram(args):
         other, _ = load_archive(args.second)
     g = gramian(fam, other)
     _write_csv(args.out, ["g%d" % (j + 1) for j in range(g.shape[1])],
-               [[_fmt(x) for x in row] for row in g])
+               _repr_rows(g))
     print("wrote %s (%d x %d)" % (args.out, g.shape[0], g.shape[1]))
     return 0
 

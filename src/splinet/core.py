@@ -219,6 +219,8 @@ class SplineFamily:
             raise ValueError("smorder must be non-negative")
         if self.type not in _FAMILY_TYPES:
             raise ValueError("unknown family type %r" % (self.type,))
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be finite and non-negative; got %r" % (self.epsilon,))
         members = tuple(self.members)
         k = self.smorder
         for supp, der in members:

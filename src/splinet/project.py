@@ -11,6 +11,7 @@ geometry of the function space is the Euclidean geometry of coefficients.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -242,10 +243,32 @@ def read_fdata_csv(path):
     return FunctionalDataMatrix(body[:, 0], body[:, 1:])
 
 
+_CSV_CHUNK_ROWS = 4096
+
+
+def _reprs(values):
+    """``repr`` of every entry of a float array, in row-major order."""
+    return list(map(float.__repr__, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _repr_rows(matrix):
+    """The rows of a 2-d float array as lists of ``repr`` strings."""
+    toks, c = _reprs(matrix), matrix.shape[1]
+    return [toks[i * c:(i + 1) * c] for i in range(matrix.shape[0])]
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` (sequences of strings) as ``csv.writer``
+    writes fields that need no quoting: comma separated, ``\\r\\n`` line ends.
+    Rows are joined and written ``_CSV_CHUNK_ROWS`` at a time, so the text of
+    a long CSV is never held whole."""
+    rows = iter(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        while lines := list(map(",".join, itertools.islice(rows, _CSV_CHUNK_ROWS))):
+            fh.write("\r\n".join(lines) + "\r\n")
+
+
 def write_coeff_csv(path, coeff):
     coeff = np.atleast_2d(np.asarray(coeff, dtype=float))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["c%d" % (j + 1) for j in range(coeff.shape[1])])
-        for row in coeff:
-            w.writerow([repr(float(x)) for x in row])
+    _write_csv(path, ["c%d" % (j + 1) for j in range(coeff.shape[1])], _repr_rows(coeff))

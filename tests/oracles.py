@@ -6,8 +6,11 @@ evaluations, or from the exact closed form summed pair by pair over shared
 knot intervals, and the first-row/last-row completion is re-solved as one
 dense linear system in the unknown entries.  Gram diagonalization runs on
 dense ``H`` and ``P`` with whole-group row envelopes, and ``gsob`` through a
-dense Cholesky factor.
+dense Cholesky factor.  Archives are written through ``json``'s own encoder
+as the nested dict/list tree of the stored fields.
 """
+
+import json
 
 import numpy as np
 import scipy.linalg
@@ -260,3 +263,30 @@ def dense_diagonalize(h, method, k, net=None, toeplitz=False):
     mag = np.abs(p)
     p[mag < sp.bases.P_TRUNCATION * mag.max()] = 0.0
     return p, int(np.count_nonzero(p))
+
+
+def family_to_dict(fam, net=None):
+    """The archive fields of ``fam`` (and ``net``) as plain dicts and lists."""
+    fam = sp.as_symmetric(fam)
+    out = {
+        "knots": [float(x) for x in fam.knots.xi],
+        "order": int(fam.smorder),
+        "type": fam.type,
+        "epsilon": float(fam.epsilon),
+        "splines": [
+            {
+                "supp": [[int(lo), int(hi)] for lo, hi in supp],
+                "der": [[[float(x) for x in row] for row in blk]
+                        for blk in der.blocks],
+            }
+            for supp, der in fam.members
+        ],
+    }
+    if net is not None:
+        out["net"] = [[list(t) for t in level] for level in net.levels]
+    return out
+
+
+def archive_text(fam, net=None):
+    """The bytes ``save_archive`` must write, through ``json.dumps(indent=1)``."""
+    return json.dumps(family_to_dict(fam, net), indent=1) + "\n"

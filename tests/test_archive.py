@@ -1,9 +1,15 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import splinet as sp
+from splinet.bases import DyadicNet
+from splinet.core import ONE_SIDED, SYMMETRIC, make_member
 
 import oracles
 
@@ -81,3 +87,98 @@ def test_incomplete_net_flag(tmp_path):
     sp.save_archive(path, res.os, res.net)
     _, net = sp.load_archive(path)
     assert net is not None and not net.complete
+
+
+# ---------------------------------------------------------------------------
+# the writer against json.dumps(indent=1), and bit-exact round trips
+
+_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+)
+
+
+@st.composite
+def _supports(draw, n):
+    """Disjoint, non-adjacent components over knots 0..n+1; may be empty."""
+    comps, lo = [], draw(st.integers(0, n + 2))
+    while lo <= n and draw(st.booleans()):
+        hi = min(lo + draw(st.integers(1, 3)), n + 1)
+        comps.append((lo, hi))
+        lo = hi + 2 + draw(st.integers(0, 2))
+    return sp.SupportSet(tuple(comps))
+
+
+@st.composite
+def _families(draw):
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 8))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n + 1, max_size=n + 1))
+    knots = sp.KnotSet(draw(st.floats(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(steps)]))
+    convention = draw(st.sampled_from([ONE_SIDED, SYMMETRIC]))
+    members = []
+    for _ in range(draw(st.integers(0, 4))):
+        supp = draw(_supports(n))
+        blocks = [np.array(draw(st.lists(_REALS, min_size=(hi - lo + 1) * (k + 1),
+                                         max_size=(hi - lo + 1) * (k + 1))))
+                  .reshape(hi - lo + 1, k + 1) for lo, hi in supp]
+        members.append(make_member(supp, blocks, convention))
+    fam = sp.SplineFamily(knots, k, tuple(members),
+                          draw(st.sampled_from(["sp", "bs", "gsob", "twob", "spnt", "dspnt"])),
+                          draw(st.floats(0.0, 1e3)))
+    net = None
+    if draw(st.booleans()):
+        tuples = st.lists(st.integers(0, 50), max_size=4).map(tuple)
+        levels = draw(st.lists(st.lists(tuples, max_size=3).map(tuple), max_size=3))
+        net = DyadicNet(tuple(levels), False, k)
+    return fam, net
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _nonfinite_family():
+    """-0.0, NaN and both infinities in one block, beside an empty support."""
+    blk = np.array([[np.nan, -0.0], [np.inf, -np.inf], [0.0, 1e-300]])
+    return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, 1), 1,
+                           (make_member(sp.SupportSet(((0, 2),)), [blk], SYMMETRIC),
+                            make_member(sp.SupportSet(()), [], SYMMETRIC)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families())
+@example((_nonfinite_family(), None))
+@example((sp.empty_family(sp.equidistant_knots(0.0, 1.0, 3), 2), None))
+def test_writer_matches_json_oracle_and_roundtrips(tmp_path_factory, case):
+    fam, net = case
+    path = tmp_path_factory.mktemp("prop") / "f.json"
+    sp.save_archive(path, fam, net)
+    assert path.read_text(encoding="utf-8") == oracles.archive_text(fam, net)
+    back, back_net = sp.load_archive(path)
+    ref = sp.as_symmetric(fam)
+    assert np.array_equal(_bits(back.knots.xi), _bits(ref.knots.xi))
+    assert (back.smorder, back.type) == (ref.smorder, ref.type)
+    assert _bits(back.epsilon) == _bits(ref.epsilon)
+    assert len(back) == len(ref)
+    for (s1, d1), (s2, d2) in zip(back.members, ref.members):
+        assert s1.components == s2.components
+        assert len(d1.blocks) == len(d2.blocks)
+        assert all(np.array_equal(_bits(b1), _bits(b2)) for b1, b2 in zip(d1.blocks, d2.blocks))
+    assert (back_net is None) == (net is None)
+    if net is not None:
+        assert back_net.levels == net.levels
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 5), st.data())
+def test_csv_writer_matches_csv_module(tmp_path_factory, rows, cols, data):
+    m = np.array(data.draw(st.lists(_REALS, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=float).reshape(rows, cols)
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    sp.write_coeff_csv(path, m)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["c%d" % (j + 1) for j in range(cols)])
+    w.writerows([[repr(float(x)) for x in row] for row in m])
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")

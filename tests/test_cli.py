@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -75,6 +76,22 @@ def test_eval_csv(tmp_path):
     assert value == sp.evaluate(bs, [arg])[0, member]
 
 
+def test_eval_csv_bytes_match_csv_module(tmp_path):
+    out = str(tmp_path / "b")
+    main(["basis", "--equid", "0", "1", "9", "-k", "3", "-o", out])
+    ev = tmp_path / "vals.csv"
+    assert main(["eval", "-i", out + ".os.json", "-N", "2", "--deriv", "1", "-o", str(ev)]) == 0
+    fam, _ = sp.load_archive(out + ".os.json")
+    grid = sp.sample_grid(fam.knots, 3, 2)
+    vals = sp.evaluate(fam, grid, deriv=1)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["arg", "member", "value"])
+    w.writerows((repr(float(g)), j, repr(float(vals[i, j])))
+                for j in range(vals.shape[1]) for i, g in enumerate(grid))
+    assert ev.read_bytes() == ref.getvalue().encode("utf-8")
+
+
 def test_check_invalid_archive(tmp_path, capsys):
     out = str(tmp_path / "b")
     main(["basis", "--equid", "0", "1", "9", "-k", "2", "--type", "bs", "-o", out])
@@ -95,6 +112,43 @@ def test_check_nan_archive(tmp_path, capsys):
     open(path, "w").write(json.dumps(obj))
     assert main(["check", "-i", path]) == 1
     assert "member 2 violates validity by inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+def test_check_rejects_bad_epsilon(tmp_path, capsys, eps):
+    out = str(tmp_path / "b")
+    main(["basis", "--equid", "0", "1", "9", "-k", "2", "--type", "bs", "-o", out])
+    path = out + ".bs.json"
+    obj = json.loads(open(path).read())
+    obj["splines"][0]["der"][0][1][0] += 0.5  # member 0 is broken
+    obj["epsilon"] = eps
+    open(path, "w").write(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["check", "-i", path]) == 1
+    captured = capsys.readouterr()
+    assert "error: epsilon must be finite and non-negative" in captured.err
+    assert "valid" not in captured.out
+
+
+@pytest.mark.parametrize("edit", ["top_level_list", "splines_int", "net_int_level",
+                                  "no_knots"])
+def test_check_malformed_archive(tmp_path, capsys, edit):
+    out = str(tmp_path / "b")
+    main(["basis", "--equid", "0", "1", "11", "-k", "3", "-o", out])
+    path = out + ".os.json"
+    obj = json.loads(open(path).read())
+    if edit == "top_level_list":
+        obj = [1, 2]
+    elif edit == "splines_int":
+        obj["splines"] = 5
+    elif edit == "net_int_level":
+        obj["net"] = [[5]]
+    else:
+        del obj["knots"]
+    open(path, "w").write(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["check", "-i", path]) == 1
+    assert "error: malformed archive" in capsys.readouterr().err
 
 
 def test_missing_file_is_error(tmp_path, capsys):

@@ -259,6 +259,14 @@ def test_is_valid_spline_flags_boundary():
     assert not rep.all_ok and rep.worst_knot == 0
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0])
+def test_family_rejects_bad_epsilon(eps):
+    knots = sp.equidistant_knots(0.0, 1.0, 8)
+    member = sp.member_from_full(knots, 2, np.zeros((10, 3)))
+    with pytest.raises(ValueError, match="epsilon"):
+        sp.SplineFamily(knots, 2, (member,), "sp", eps)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_is_valid_spline_flags_nonfinite(bad):
     res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 23), 3)
