@@ -37,15 +37,28 @@ from .core import (
 )
 
 
+def _integer(value, field):
+    """``value`` as an int; ``3.0`` counts as 3, a non-integral value or a
+    non-number is a malformed archive."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("malformed archive: %s entry %r is not an integer" % (field, value))
+
+
 def family_from_dict(obj):
     """Family and net from a parsed archive; a wrong structure or field type
-    raises ``ValueError("malformed archive: ...")``."""
+    raises ``ValueError("malformed archive: ...")``, as do a non-integral
+    ``order`` or ``supp`` entry and a ``net`` index outside ``0..d-1`` or
+    repeated across the net."""
     try:
         knots = KnotSet(np.array(obj["knots"], dtype=float))
-        k = int(obj["order"])
+        k = _integer(obj["order"], "order")
         members = []
         for item in obj["splines"]:
-            supp = SupportSet(tuple((lo, hi) for lo, hi in item["supp"]))
+            supp = SupportSet(tuple((_integer(lo, "supp"), _integer(hi, "supp"))
+                                    for lo, hi in item["supp"]))
             blocks = [np.array(b, dtype=float) for b in item["der"]]
             for (lo, hi), blk in zip(supp, blocks):
                 if blk.shape != (hi - lo + 1, k + 1):
@@ -55,9 +68,14 @@ def family_from_dict(obj):
                            float(obj.get("epsilon", DEFAULT_EPSILON)))
         net = None
         if "net" in obj:
-            levels = tuple(tuple(tuple(int(i) for i in t) for t in lv)
+            levels = tuple(tuple(tuple(_integer(i, "net") for i in t) for t in lv)
                            for lv in obj["net"])
             d = len(fam)
+            indices = [i for lv in levels for t in lv for i in t]
+            if any(not 0 <= i < d for i in indices):
+                raise ValueError("malformed archive: net index outside 0..%d" % (d - 1))
+            if len(set(indices)) != len(indices):
+                raise ValueError("malformed archive: net index repeated")
             n_tuples = sum(len(lv) for lv in levels)
             complete = n_tuples == 2 ** len(levels) - 1 and all(
                 len(t) == max(k, 1) for lv in levels for t in lv

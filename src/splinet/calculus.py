@@ -31,6 +31,7 @@ from .core import (
     SupportSet,
     _merge_components,
     _ranges,
+    _stack,
     as_one_sided,
     make_member,
     taylor_astar,
@@ -48,14 +49,11 @@ def _taylor_layout(fam1):
     k1 = fam1.smorder + 1
     n_knots = len(fam1.knots)
     d = len(fam1)
-    comps = np.array([(i, lo, hi) for i, (supp, _) in enumerate(fam1.members)
-                      for lo, hi in supp], dtype=int).reshape(-1, 3)
-    member, lo, hi = comps.T
+    member, lo, hi, stacked = _stack(fam1)
     size = (hi - lo + 1) * k1
     rows = np.repeat(member, size)
     cols = _ranges(lo * k1, size)
-    data = np.concatenate([np.empty(0)] + [blk.ravel() for _, der in fam1.members
-                                           for blk in der.blocks])
+    data = stacked.ravel()
     c = _csr(rows, cols, data, (d, n_knots * k1))
     # a component's last knot starts no interval of the member; zeros add nothing
     keep = (cols < np.repeat(hi * k1, size)) & (data != 0.0)

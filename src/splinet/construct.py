@@ -25,8 +25,11 @@ from .core import (
     KnotSet,
     SplineFamily,
     SupportSet,
+    _ranges,
+    _stack,
+    _taylor_rows,
+    _unstack,
     as_one_sided,
-    make_member,
     member_from_full,
     taylor_step_matrix,
 )
@@ -404,40 +407,39 @@ def construct(knots, k, seed, method="RRM", epsilon=DEFAULT_EPSILON, return_resi
 
 
 def refine(fam, new_knots):
-    """Re-express a family over a superset of its knots."""
+    """Re-express a family over a superset of its knots.
+
+    Every new knot row is the old row of the interval it falls in, stepped
+    forward by its distance from that interval's left knot; a row at an old
+    knot is copied.  A component's last row is its old last row.
+    """
     old = fam.knots.xi
     new = new_knots.xi
     scale = old[-1] - old[0]
-    idx_map = np.searchsorted(new, old)
-    idx_map = np.clip(idx_map, 0, new.size - 1)
+    idx_map = np.clip(np.searchsorted(new, old), 0, new.size - 1)
     # a knot may land one slot late due to rounding; fix up and verify
-    for i, x in enumerate(old):
-        j = idx_map[i]
-        if j > 0 and abs(new[j - 1] - x) < abs(new[j] - x):
-            idx_map[i] = j - 1
-        if abs(new[idx_map[i]] - x) > 1e-12 * scale:
-            raise ValueError("new knots do not contain original knot %g" % x)
+    idx_map -= (idx_map > 0) & (np.abs(new[idx_map - 1] - old) < np.abs(new[idx_map] - old))
+    missing = np.abs(new[idx_map] - old) > 1e-12 * scale
+    if missing.any():
+        raise ValueError("new knots do not contain original knot %g" % old[np.argmax(missing)])
     k = fam.smorder
-    fam1 = as_one_sided(fam)
-    members = []
-    for supp, der in fam1.members:
-        comps = []
-        blocks = []
-        for (lo, hi), blk in zip(supp, der.blocks):
-            nlo, nhi = int(idx_map[lo]), int(idx_map[hi])
-            nb = np.zeros((nhi - nlo + 1, k + 1))
-            for j in range(nlo, nhi + 1):
-                pos = np.searchsorted(old, new[j], side="right") - 1
-                pos = min(max(pos, lo), hi - 1)
-                dt = new[j] - old[pos]
-                if dt == 0.0:
-                    nb[j - nlo] = blk[pos - lo]
-                else:
-                    nb[j - nlo] = blk[pos - lo] @ taylor_step_matrix(dt, k)
-            nb[-1, :] = blk[-1, :]
-            nb[-1, k] = 0.0
-            blocks.append(nb)
-            comps.append((nlo, nhi))
-        members.append(make_member(SupportSet(tuple(comps)), blocks))
-    out = SplineFamily(new_knots, k, tuple(members), fam.type, fam.epsilon)
-    return out
+    _, lo, hi, rows = _stack(as_one_sided(fam))
+    nlo, nhi = idx_map[lo], idx_map[hi]
+    nsize = nhi - nlo + 1
+    comp = np.repeat(np.arange(lo.size), nsize)
+    j = _ranges(nlo, nsize)
+    pos = np.clip(np.searchsorted(old, new[j], side="right") - 1, lo[comp], hi[comp] - 1)
+    dt = new[j] - old[pos]
+    end = np.cumsum(hi - lo + 1) - 1
+    # the stacked row of old knot pos is end - hi + pos in its component
+    out = rows[(end - hi)[comp] + pos]
+    # a zero step copies the row: a product would turn inf * 0 into nan
+    step = dt != 0.0
+    out[step] = _taylor_rows(out[step], dt[step])
+    nend = np.cumsum(nsize) - 1
+    out[nend] = rows[end]
+    out[nend, k] = 0.0
+    comps = list(zip(nlo.tolist(), nhi.tolist()))
+    cuts = np.cumsum([0] + [len(supp) for supp, _ in fam.members]).tolist()
+    supports = [SupportSet(tuple(comps[a:b])) for a, b in zip(cuts[:-1], cuts[1:])]
+    return SplineFamily(new_knots, k, _unstack(supports, out), fam.type, fam.epsilon)

@@ -271,16 +271,78 @@ def member_from_full(knots, k, full, convention=ONE_SIDED):
 
 
 # ---------------------------------------------------------------------------
+# stacked rows
+
+
+def _stack(fam):
+    """Component arrays ``member, lo, hi`` and the stacked derivative rows.
+
+    Components are listed member by member in support order; ``rows`` holds
+    their blocks one after another, ``hi - lo + 1`` rows each.
+    """
+    member, lo, hi = np.array([(i, lo, hi) for i, (supp, _) in enumerate(fam.members)
+                               for lo, hi in supp], dtype=int).reshape(-1, 3).T
+    blocks = [blk for _, der in fam.members for blk in der.blocks]
+    rows = np.concatenate(blocks) if blocks else np.empty((0, fam.smorder + 1))
+    return member, lo, hi, rows
+
+
+def _unstack(supports, rows):
+    """One-sided members over ``supports`` with their blocks cut, in order,
+    from ``rows``."""
+    members = []
+    at = 0
+    for supp in supports:
+        blocks = []
+        for lo, hi in supp:
+            blocks.append(rows[at : at + hi - lo + 1])
+            at += hi - lo + 1
+        members.append(make_member(supp, blocks))
+    return tuple(members)
+
+
+def _ranges(starts, lengths):
+    """Concatenation of ``arange(s, s + l)`` over paired starts and lengths."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(np.sum(lengths)))
+
+
+def _taylor_rows(rows, dt):
+    """``rows[r] @ taylor_step_matrix(dt[r], k)`` for every row ``r``.
+
+    Column ``c`` is the Horner sum ``v = rows[:, i] + v * dt / (i - c + 1)``
+    for ``i = k-1 .. c``, started from ``v = rows[:, k]``; no step matrix is
+    formed, so memory stays O(rows).
+    """
+    k = rows.shape[1] - 1
+    out = np.empty(rows.shape)
+    for c in range(k + 1):
+        v = rows[:, k]
+        for i in range(k - 1, c - 1, -1):
+            v = rows[:, i] + v * dt / (i - c + 1)
+        out[:, c] = v
+    return out
+
+
+# ---------------------------------------------------------------------------
 # convention conversion
 
 
-def _sym2one_block(blk):
-    m = blk.shape[0] - 2
-    l = m // 2
-    out = blk.copy()
-    # bottom-half k-th entries are left-hand limits: shift them up one row
-    out[l + 1 : m + 1, -1] = blk[l + 2 : m + 2, -1]
-    out[m + 1, -1] = 0.0
+def _sym2one_rows(rows, size, k):
+    """One-sided copy of stacked symmetric blocks of ``size`` rows each.
+
+    Rows ``l+1 .. m`` of a block take the k-th entry of the row below (the
+    bottom half stores left-hand limits) and the last row's k-th entry is 0;
+    for ``k = 0`` only the last row changes.
+    """
+    out = rows.copy()
+    end = np.cumsum(size) - 1
+    if k > 0:
+        m = size - 2
+        l = m // 2
+        shift = _ranges(end - m + l, m - l)
+        out[shift, k] = rows[shift + 1, k]
+    out[end, k] = 0.0
     return out
 
 
@@ -308,17 +370,16 @@ def sym2one(fam, inverse=False):
     src = SYMMETRIC if not inverse else ONE_SIDED
     dst = ONE_SIDED if not inverse else SYMMETRIC
     k = fam.smorder
-    members = []
-    for supp, der in fam.members:
+    for _, der in fam.members:
         if der.convention != src:
             raise ValueError("expected %r convention, found %r" % (src, der.convention))
-        if k == 0 and not inverse:
-            blocks = []
-            for blk in der.blocks:
-                b = blk.copy()
-                b[-1, -1] = 0.0
-                blocks.append(b)
-        elif k == 0:
+    if not inverse:
+        _, lo, hi, rows = _stack(fam)
+        one = _sym2one_rows(rows, hi - lo + 1, k)
+        return replace(fam, members=_unstack([supp for supp, _ in fam.members], one))
+    members = []
+    for supp, der in fam.members:
+        if k == 0:
             # piecewise constants: no interior shift, the terminal row just
             # records the last interval value (the left limit there)
             blocks = []
@@ -326,8 +387,6 @@ def sym2one(fam, inverse=False):
                 b = blk.copy()
                 b[-1, -1] = blk[-2, -1] if blk.shape[0] > 1 else 0.0
                 blocks.append(b)
-        elif not inverse:
-            blocks = [_sym2one_block(b) for b in der.blocks]
         else:
             blocks = [_one2sym_block(b, k) for b in der.blocks]
         members.append(make_member(supp, blocks, dst))
@@ -363,86 +422,70 @@ class ValidityReport:
 
 
 def is_valid_spline(fam):
-    """Check the Taylor propagation and boundary constraints of every member.
+    """Check the boundary and Taylor-propagation constraints of every member.
 
-    Returns a :class:`ValidityReport`; structural problems (shape mismatches)
-    raise instead of reporting invalidity.  A member with a non-finite entry
-    is invalid with violation ``inf``.
+    On each support component ``(lo, hi)``, read in the one-sided convention,
+    the violations are: derivatives ``0..k-1`` at ``lo`` and at ``hi``, which
+    must vanish; the k-th column at ``hi``, which must be 0; at every later
+    knot, derivatives ``0..k-1`` minus the Taylor step of the row before it.
+    A symmetric-convention component with ``m`` internal knots, ``l = m // 2``,
+    also checks its middle knot: for even ``m`` the stored k-th entries of rows
+    ``l`` and ``l+1`` must agree (knot ``lo+l``), for odd ``m`` the k-th entry
+    of row ``l+1`` must be 0 (knot ``lo+l+1``).
+
+    A member is valid when its largest violation is at most
+    ``epsilon * max|stored entry|`` (``epsilon`` when every entry is 0).  The
+    worst member is the lowest-index member reaching ``max_violation`` and the
+    worst knot the lowest knot index at which it does; both are -1 when no
+    violation is positive, as for an empty family.  A member with a
+    non-finite entry is invalid and makes ``max_violation`` ``inf``; the first
+    non-finite row (lowest member, then lowest knot) names the worst member
+    and knot.  Structural problems (shape mismatches) raise instead.
     """
-    xi = fam.knots.xi
     k = fam.smorder
-    nf_member, nf_knot = _nonfinite_rows(fam)
-    nonfinite = np.zeros(len(fam), dtype=bool)
-    nonfinite[nf_member] = True
-    report_ok = []
-    worst = 0.0
-    worst_member = -1
-    worst_knot = -1
-    for idx in range(len(fam)):
-        if nonfinite[idx]:
-            report_ok.append(False)
-            continue
-        supp, der = fam.members[idx]
-        tol = fam.member_tolerance(idx)
-        bad = 0.0
-        bad_knot = -1
-
-        def note(v, knot):
-            nonlocal bad, bad_knot
-            if v > bad:
-                bad, bad_knot = v, knot
-
-        for (lo, hi), blk in zip(supp, der.blocks):
-            if der.convention == ONE_SIDED:
-                one = blk
-            elif k == 0:
-                one = blk.copy()
-                one[-1, -1] = 0.0
-            else:
-                one = _sym2one_block(blk)
-            m = hi - lo - 1
-            # zero boundary conditions on derivatives 0..k-1
-            if k > 0:
-                note(float(np.max(np.abs(one[0, :k]))), lo)
-                note(float(np.max(np.abs(one[m + 1, :k]))), hi)
-            note(abs(float(one[m + 1, k])), hi)
-            # Taylor propagation row by row
-            for i in range(m + 1):
-                a = taylor_step_matrix(xi[lo + i + 1] - xi[lo + i], k)
-                pred = one[i] @ a
-                if k > 0:
-                    note(float(np.max(np.abs(pred[:k] - one[i + 1, :k]))), lo + i + 1)
-            if der.convention == SYMMETRIC and k > 0:
-                l = m // 2
-                if m % 2 == 0:
-                    note(abs(float(blk[l, k] - blk[l + 1, k])), lo + l)
-                else:
-                    note(abs(float(blk[l + 1, k])), lo + l + 1)
-        report_ok.append(bad <= tol)
-        if bad > worst:
-            worst, worst_member, worst_knot = bad, idx, bad_knot
-    if nf_member.size:
-        worst, worst_member, worst_knot = math.inf, int(nf_member[0]), int(nf_knot[0])
-    return ValidityReport(report_ok, worst, worst_member, worst_knot)
-
-
-def _nonfinite_rows(fam):
-    """Member and knot index of every derivative row with a non-finite entry."""
-    comps = np.array([(i, lo, hi) for i, (supp, _) in enumerate(fam.members)
-                      for lo, hi in supp], dtype=int).reshape(-1, 3)
-    if not comps.size:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    member, lo, hi = comps.T
-    rows = np.vstack([blk for _, der in fam.members for blk in der.blocks])
-    bad = ~np.isfinite(rows).all(axis=1)
+    d = len(fam)
+    member, lo, hi, rows = _stack(fam)
     size = hi - lo + 1
-    return np.repeat(member, size)[bad], _ranges(lo, size)[bad]
-
-
-def _ranges(starts, lengths):
-    """Concatenation of ``arange(s, s + l)`` over paired starts and lengths."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(np.sum(lengths)))
+    end = np.cumsum(size) - 1
+    start = end - size + 1
+    knot = _ranges(lo, size)
+    row_member = np.repeat(member, size)
+    sym = np.array([der.convention == SYMMETRIC for _, der in fam.members], dtype=bool)[member]
+    one = rows
+    if sym.any():
+        one = np.where(np.repeat(sym, size)[:, None], _sym2one_rows(rows, size, k), rows)
+    viol = np.zeros(rows.shape[0])
+    # non-finite members are reported from their first non-finite row below
+    with np.errstate(invalid="ignore", over="ignore"):
+        viol[end] = np.max(np.abs(one[end]), axis=1)
+        if k > 0:
+            viol[start] = np.max(np.abs(one[start, :k]), axis=1)
+            t = np.delete(np.arange(rows.shape[0]), end)
+            pred = _taylor_rows(one[t], np.diff(fam.knots.xi)[knot[t]])
+            viol[t + 1] = np.maximum(viol[t + 1],
+                                     np.max(np.abs(pred[:, :k] - one[t + 1, :k]), axis=1))
+            # symmetric middle knot: rows l and l+1 (even m) or row l+1 (odd m)
+            m = size[sym] - 2
+            odd = m % 2 == 1
+            mid = start[sym] + m // 2
+            gap = np.abs(np.where(odd, 0.0, rows[mid, k]) - rows[mid + 1, k])
+            viol[mid + odd] = np.maximum(viol[mid + odd], gap)
+        worst_of = np.zeros(d)
+        np.maximum.at(worst_of, row_member, viol)
+        scale = np.zeros(d)
+        np.maximum.at(scale, row_member, np.max(np.abs(rows), axis=1))
+    nonfinite = ~np.isfinite(rows).all(axis=1)
+    tol = fam.epsilon * np.where(scale > 0, scale, 1.0)
+    member_ok = (worst_of <= tol) & (np.bincount(row_member[nonfinite], minlength=d) == 0)
+    if nonfinite.any():
+        r = int(np.argmax(nonfinite))
+        return ValidityReport(member_ok.tolist(), math.inf, int(row_member[r]), int(knot[r]))
+    worst = float(np.max(worst_of, initial=0.0))
+    if worst == 0.0:
+        return ValidityReport(member_ok.tolist(), 0.0, -1, -1)
+    w = int(np.argmax(worst_of))
+    r = int(np.argmax((row_member == w) & (viol == worst)))
+    return ValidityReport(member_ok.tolist(), worst, w, int(knot[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +528,9 @@ def evaluate(fam, grid, deriv=0):
             t = t[keep]
             iv = np.clip(iv[keep], lo, hi - 1)
             dt = t - xi[iv]
-            rows = blk[iv - lo]
-            # Horner evaluation of the local Taylor polynomial
-            val = rows[:, k].copy()
-            for p in range(k - deriv - 1, -1, -1):
-                val = rows[:, p + deriv] + val * dt / (p + 1)
-            out[sel, j] = val
+            # the deriv-th derivative is column 0 of the Taylor step of
+            # derivatives deriv..k
+            out[sel, j] = _taylor_rows(blk[iv - lo, deriv:], dt)[:, 0]
     return out
 
 

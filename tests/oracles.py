@@ -7,7 +7,8 @@ knot intervals, and the first-row/last-row completion is re-solved as one
 dense linear system in the unknown entries.  Gram diagonalization runs on
 dense ``H`` and ``P`` with whole-group row envelopes, and ``gsob`` through a
 dense Cholesky factor.  Archives are written through ``json``'s own encoder
-as the nested dict/list tree of the stored fields.
+as the nested dict/list tree of the stored fields.  Validity and knot
+refinement walk members row by row with explicit Taylor step matrices.
 """
 
 import json
@@ -164,6 +165,131 @@ def random_knots(rng, n, a=0.0, b=1.0):
     while np.min(np.diff(np.concatenate([[a], inner, [b]]))) < (b - a) * 1e-3:
         inner = np.sort(rng.uniform(a, b, n))
     return sp.KnotSet(np.concatenate([[a], inner, [b]]))
+
+
+def lincomb_family(rng, k, n=12, count=5, symmetric=False):
+    """``count`` members of ``exsupp(lincomb(...))`` over random knots.
+
+    Every member but the last gets a run of zero B-spline coefficients, so
+    most members have two support components; the last member is all zero
+    and ends up with an empty support.  Members are scaled by up to 1e3 either
+    way, so per-member tolerances differ.
+    """
+    knots = random_knots(rng, n)
+    bs = sp.bspline_basis(knots, k)
+    d = len(bs)
+    coeffs = rng.standard_normal((count, d)) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+    for row in coeffs[:-1]:
+        at = rng.integers(1, d - 1)
+        row[at : at + rng.integers(0, k + 4)] = 0.0
+    coeffs[-1] = 0.0
+    fam = sp.exsupp(sp.lincomb(bs, coeffs))
+    return sp.as_symmetric(fam) if symmetric else fam
+
+
+def _one_sided_block(blk, k, convention):
+    """One block in the one-sided convention: for a symmetric block the
+    bottom-half k-th entries are left-hand limits and move up one row."""
+    out = blk.copy()
+    if convention == sp.core.SYMMETRIC:
+        if k > 0:
+            m = blk.shape[0] - 2
+            l = m // 2
+            out[l + 1 : m + 1, -1] = blk[l + 2 : m + 2, -1]
+        out[-1, -1] = 0.0
+    return out
+
+
+def loop_is_valid_spline(fam):
+    """:func:`splinet.is_valid_spline` one member and one row at a time.
+
+    Violations are noted in the order: left boundary, right boundary, the
+    Taylor propagation knot by knot, the symmetric middle knot; a member's
+    worst knot is the first noted at its largest violation.
+    """
+    from splinet.core import SYMMETRIC, ValidityReport, taylor_step_matrix
+
+    xi = fam.knots.xi
+    k = fam.smorder
+    report_ok = []
+    worst, worst_member, worst_knot = 0.0, -1, -1
+    first_nonfinite = None
+    for idx, (supp, der) in enumerate(fam.members):
+        nonfinite = [lo + int(np.argmax(~np.isfinite(blk).all(axis=1)))
+                     for (lo, _), blk in zip(supp, der.blocks)
+                     if not np.isfinite(blk).all()]
+        if nonfinite:
+            report_ok.append(False)
+            if first_nonfinite is None:
+                first_nonfinite = (idx, nonfinite[0])
+            continue
+        bad, bad_knot = 0.0, -1
+        for (lo, hi), blk in zip(supp, der.blocks):
+            one = _one_sided_block(blk, k, der.convention)
+            m = hi - lo - 1
+            notes = []
+            if k > 0:
+                notes.append((float(np.max(np.abs(one[0, :k]))), lo))
+                notes.append((float(np.max(np.abs(one[m + 1, :k]))), hi))
+            notes.append((abs(float(one[m + 1, k])), hi))
+            for i in range(m + 1):
+                pred = one[i] @ taylor_step_matrix(xi[lo + i + 1] - xi[lo + i], k)
+                if k > 0:
+                    notes.append((float(np.max(np.abs(pred[:k] - one[i + 1, :k]))), lo + i + 1))
+            if der.convention == SYMMETRIC and k > 0:
+                l = m // 2
+                if m % 2 == 0:
+                    notes.append((abs(float(blk[l, k] - blk[l + 1, k])), lo + l))
+                else:
+                    notes.append((abs(float(blk[l + 1, k])), lo + l + 1))
+            for v, knot in notes:
+                if v > bad:
+                    bad, bad_knot = v, knot
+        report_ok.append(bad <= fam.member_tolerance(idx))
+        if bad > worst:
+            worst, worst_member, worst_knot = bad, idx, bad_knot
+    if first_nonfinite is not None:
+        worst, (worst_member, worst_knot) = np.inf, first_nonfinite
+    return ValidityReport(report_ok, worst, worst_member, worst_knot)
+
+
+def loop_refine(fam, new_knots):
+    """:func:`splinet.refine` one member and one new knot at a time, each
+    new row the old row times its Taylor step matrix (copied at old knots)."""
+    from splinet.core import taylor_step_matrix
+
+    old = fam.knots.xi
+    new = new_knots.xi
+    scale = old[-1] - old[0]
+    idx_map = np.clip(np.searchsorted(new, old), 0, new.size - 1)
+    for i, x in enumerate(old):
+        j = idx_map[i]
+        if j > 0 and abs(new[j - 1] - x) < abs(new[j] - x):
+            idx_map[i] = j - 1
+        if abs(new[idx_map[i]] - x) > 1e-12 * scale:
+            raise ValueError("new knots do not contain original knot %g" % x)
+    k = fam.smorder
+    members = []
+    for supp, der in fam.members:
+        comps, blocks = [], []
+        for (lo, hi), stored in zip(supp, der.blocks):
+            blk = _one_sided_block(stored, k, der.convention)
+            nlo, nhi = int(idx_map[lo]), int(idx_map[hi])
+            nb = np.zeros((nhi - nlo + 1, k + 1))
+            for j in range(nlo, nhi + 1):
+                pos = np.searchsorted(old, new[j], side="right") - 1
+                pos = min(max(pos, lo), hi - 1)
+                dt = new[j] - old[pos]
+                if dt == 0.0:
+                    nb[j - nlo] = blk[pos - lo]
+                else:
+                    nb[j - nlo] = blk[pos - lo] @ taylor_step_matrix(dt, k)
+            nb[-1, :] = blk[-1, :]
+            nb[-1, k] = 0.0
+            blocks.append(nb)
+            comps.append((nlo, nhi))
+        members.append(sp.make_member(sp.SupportSet(tuple(comps)), blocks))
+    return sp.SplineFamily(new_knots, k, tuple(members), fam.type, fam.epsilon)
 
 
 # ---------------------------------------------------------------------------

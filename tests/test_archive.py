@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
+from splinet.archive import family_from_dict
 from splinet.bases import DyadicNet
 from splinet.core import ONE_SIDED, SYMMETRIC, make_member
 
@@ -89,6 +91,40 @@ def test_incomplete_net_flag(tmp_path):
     assert net is not None and not net.complete
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("order", 3.7, "order entry 3.7 is not an integer"),
+    ("order", "3", "order entry '3' is not an integer"),
+    ("order", True, "order entry True is not an integer"),
+    ("supp", [[0, 4.5]], "supp entry 4.5 is not an integer"),
+    ("net", [[[99, -4, 7]]], "net index outside 0..8"),
+    ("net", [[[0, 1, 2], [3, 4, 2]]], "net index repeated"),
+    ("net", [[[0, 1, 2.5]]], "net entry 2.5 is not an integer"),
+], ids=["order_fraction", "order_string", "order_bool", "supp_fraction", "net_out_of_range",
+        "net_repeated", "net_fraction"])
+def test_malformed_integer_fields(tmp_path, field, value, message):
+    res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 11), 3)
+    path = tmp_path / "os.json"
+    sp.save_archive(path, res.os, res.net)
+    obj = json.loads(path.read_text())
+    if field == "supp":
+        obj["splines"][0]["supp"] = value
+    else:
+        obj[field] = value
+    with pytest.raises(ValueError, match="malformed archive: " + message):
+        family_from_dict(obj)
+
+
+def test_integral_float_order_accepted(tmp_path):
+    fam = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 7), 2)
+    path = tmp_path / "bs.json"
+    sp.save_archive(path, fam)
+    obj = json.loads(path.read_text())
+    obj["order"] = 2.0
+    obj["splines"][0]["supp"] = [[0.0, 3.0]]
+    back, _ = family_from_dict(obj)
+    assert back.smorder == 2 and back.members[0][0].components == ((0, 3),)
+
+
 # ---------------------------------------------------------------------------
 # the writer against json.dumps(indent=1), and bit-exact round trips
 
@@ -128,9 +164,11 @@ def _families(draw):
                           draw(st.floats(0.0, 1e3)))
     net = None
     if draw(st.booleans()):
-        tuples = st.lists(st.integers(0, 50), max_size=4).map(tuple)
-        levels = draw(st.lists(st.lists(tuples, max_size=3).map(tuple), max_size=3))
-        net = DyadicNet(tuple(levels), False, k)
+        # member indices at most once each, as the loader requires
+        pool = iter(draw(st.permutations(range(len(members)))))
+        shape = draw(st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=3))
+        levels = tuple(tuple(tuple(islice(pool, size)) for size in lv) for lv in shape)
+        net = DyadicNet(levels, False, k)
     return fam, net
 
 

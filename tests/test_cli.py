@@ -131,7 +131,8 @@ def test_check_rejects_bad_epsilon(tmp_path, capsys, eps):
 
 
 @pytest.mark.parametrize("edit", ["top_level_list", "splines_int", "net_int_level",
-                                  "no_knots"])
+                                  "no_knots", "order_fraction", "supp_fraction",
+                                  "net_out_of_range", "net_repeated"])
 def test_check_malformed_archive(tmp_path, capsys, edit):
     out = str(tmp_path / "b")
     main(["basis", "--equid", "0", "1", "11", "-k", "3", "-o", out])
@@ -143,6 +144,14 @@ def test_check_malformed_archive(tmp_path, capsys, edit):
         obj["splines"] = 5
     elif edit == "net_int_level":
         obj["net"] = [[5]]
+    elif edit == "order_fraction":
+        obj["order"] = 3.7
+    elif edit == "supp_fraction":
+        obj["splines"][0]["supp"] = [[0.0, 4.5]]
+    elif edit == "net_out_of_range":
+        obj["net"] = [[[99999, -4, 7]]]
+    elif edit == "net_repeated":
+        obj["net"][0][0][0] = obj["net"][-1][0][0]
     else:
         del obj["knots"]
     open(path, "w").write(json.dumps(obj))

@@ -283,3 +283,38 @@ def test_refine_requires_superset():
     bad = sp.equidistant_knots(0.0, 1.0, 7)  # misses original knots
     with pytest.raises(ValueError):
         sp.refine(fam, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.booleans(), st.sampled_from([None, np.nan, np.inf, -np.inf]),
+       st.integers(0, 2**31 - 1))
+def test_refine_matches_loop_oracle(k, symmetric, bad, seed):
+    """The stacked refinement against the per-knot loop: equal supports, rows
+    at old knots copied bit for bit (``-0.0`` and non-finite entries too),
+    the other rows equal to rounding wherever the loop's row is finite."""
+    rng = np.random.default_rng(seed)
+    fam = oracles.lincomb_family(rng, k, symmetric=symmetric)
+    members = list(fam.members)
+    supp, der = members[0]
+    blocks = [b.copy() for b in der.blocks]
+    blocks[0][0, 0] = -0.0
+    if bad is not None:
+        blk = blocks[-1]
+        blk[rng.integers(0, blk.shape[0]), rng.integers(0, k + 1)] = bad
+    members[0] = sp.make_member(supp, blocks, der.convention)
+    fam = sp.SplineFamily(fam.knots, k, tuple(members), fam.type, fam.epsilon)
+    new = sp.KnotSet(np.union1d(fam.knots.xi, rng.uniform(0.0, 1.0, 6)))
+    at_old = np.isin(new.xi, fam.knots.xi)
+    out = sp.refine(fam, new)
+    with np.errstate(invalid="ignore"):
+        ref = oracles.loop_refine(fam, new)
+    assert out.knots == new and out.convention == ref.convention
+    for (supp, der), (rsupp, rder) in zip(out.members, ref.members, strict=True):
+        assert supp == rsupp
+        scale = max((float(np.max(np.abs(b[np.isfinite(b)]), initial=0.0))
+                     for b in rder.blocks), default=0.0)
+        for (lo, hi), blk, rblk in zip(supp, der.blocks, rder.blocks, strict=True):
+            copied = at_old[lo : hi + 1]
+            assert blk[copied].tobytes() == rblk[copied].tobytes()
+            finite = np.isfinite(rblk).all(axis=1)
+            assert np.all(np.abs(blk[finite] - rblk[finite]) <= 1e-14 * scale)

@@ -282,6 +282,79 @@ def test_is_valid_spline_flags_nonfinite(bad):
     assert rep.worst_member == 4 and rep.worst_knot == supp.components[0][0] + 2
 
 
+def test_is_valid_spline_tie_rule_and_empty():
+    knots = sp.equidistant_knots(0.0, 1.0, 7)  # spacing 1/8, exact in binary
+    hollow = sp.make_member(sp.SupportSet(()), ())
+    for members in ((), (hollow,) * 3):
+        rep = sp.is_valid_spline(sp.SplineFamily(knots, 2, members))
+        assert rep.all_ok and (rep.max_violation, rep.worst_member, rep.worst_knot) == (0.0, -1, -1)
+    # two equal members, each breaking the Taylor step by exactly 1 into
+    # knots 4 and 7: the lower member and the lower knot are named
+    mat = np.zeros((9, 3))
+    mat[3, 2] = mat[6, 2] = 8.0
+    ok = sp.member_from_full(knots, 2, np.zeros((9, 3)))
+    bad = sp.member_from_full(knots, 2, mat)
+    rep = sp.is_valid_spline(sp.SplineFamily(knots, 2, (ok, bad, bad)))
+    assert rep.member_ok == [True, False, False] and rep.max_violation == 1.0
+    assert (rep.worst_member, rep.worst_knot) == (1, 4)
+
+
+def _raise_entry(fam, i, row, col, by):
+    """``fam`` with ``by`` added to entry (row, col) of member i's first block."""
+    members = list(fam.members)
+    supp, der = members[i]
+    blocks = [b.copy() for b in der.blocks]
+    blocks[0][row, col] += by
+    members[i] = sp.make_member(supp, blocks, der.convention)
+    return sp.SplineFamily(fam.knots, fam.smorder, tuple(members), fam.type, fam.epsilon)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.booleans(),
+       st.sampled_from(["none", "kth", "middle", "value", np.nan, np.inf, -np.inf]),
+       st.integers(0, 2**31 - 1))
+def test_is_valid_spline_matches_loop_oracle(k, symmetric, edit, seed):
+    """The stacked validity pass against the row-by-row loop.
+
+    ``kth`` raises a one-sided k-th entry (for k = 0 the last row's), which
+    breaks the Taylor step into one knot only; ``middle`` raises the stored
+    symmetric middle-knot entry; ``value`` raises a value, which breaks two
+    neighbouring knots by about the same amount, so only the member is
+    compared there; a non-finite ``edit`` is added to a random entry.
+    """
+    rng = np.random.default_rng(seed)
+    fam = oracles.lincomb_family(rng, k)
+    i = int(rng.integers(0, len(fam) - 1))
+    lo, hi = fam.members[i][0].components[0]
+    r = int(rng.integers(0, hi - lo + 1))
+    delta = 1e6 * fam.member_tolerance(i)
+    if edit == "kth":
+        fam = _raise_entry(fam, i, hi - lo if k == 0 else min(r, hi - lo - 1), k, delta)
+    if symmetric:
+        fam = sp.as_symmetric(fam)
+    if edit == "middle":
+        m = hi - lo - 1
+        fam = _raise_entry(fam, i, m // 2 + m % 2, k, delta)
+    elif edit == "value":
+        fam = _raise_entry(fam, i, r, 0, delta)
+    elif not isinstance(edit, str):
+        fam = _raise_entry(fam, i, r, int(rng.integers(0, k + 1)), edit)
+
+    rep, ref = sp.is_valid_spline(fam), oracles.loop_is_valid_spline(fam)
+    assert rep.member_ok == ref.member_ok
+    if ref.max_violation == np.inf:
+        assert rep.max_violation == np.inf
+        assert (rep.worst_member, rep.worst_knot) == (ref.worst_member, ref.worst_knot)
+        return
+    worst = {rep.worst_member, ref.worst_member} - {-1}
+    scale = max((fam.members[w][1].max_abs() for w in worst), default=0.0)
+    assert abs(rep.max_violation - ref.max_violation) <= 1e-14 * scale
+    if not all(ref.member_ok):
+        assert rep.worst_member == ref.worst_member == i
+        if edit != "value":
+            assert rep.worst_knot == ref.worst_knot
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
