@@ -107,7 +107,7 @@ def _cmd_random(args):
             spec = json.load(fh)
         noise = NoiseSpec(np.asarray(spec.get("sigma", 1.0), dtype=float),
                           np.asarray(spec.get("theta", 1.0), dtype=float),
-                          int(spec.get("seed", args.seed)))
+                          spec.get("seed", args.seed))
     else:
         noise = NoiseSpec(_parse_cov(args.sigma), _parse_cov(args.theta), args.seed)
     fam = rspline(mean, noise, args.count, method=args.method)

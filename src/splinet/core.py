@@ -277,8 +277,9 @@ def member_from_full(knots, k, full, convention=ONE_SIDED):
 def _stack(fam):
     """Component arrays ``member, lo, hi`` and the stacked derivative rows.
 
-    Components are listed member by member in support order; ``rows`` holds
-    their blocks one after another, ``hi - lo + 1`` rows each.
+    Components are listed member by member in support order; ``rows`` is a
+    new array holding their blocks one after another, ``hi - lo + 1`` rows
+    each.
     """
     member, lo, hi = np.array([(i, lo, hi) for i, (supp, _) in enumerate(fam.members)
                                for lo, hi in supp], dtype=int).reshape(-1, 3).T
@@ -287,9 +288,9 @@ def _stack(fam):
     return member, lo, hi, rows
 
 
-def _unstack(supports, rows):
-    """One-sided members over ``supports`` with their blocks cut, in order,
-    from ``rows``."""
+def _unstack(supports, rows, convention=ONE_SIDED):
+    """Members over ``supports`` with their blocks cut, in order, from
+    ``rows``."""
     members = []
     at = 0
     for supp in supports:
@@ -297,7 +298,7 @@ def _unstack(supports, rows):
         for lo, hi in supp:
             blocks.append(rows[at : at + hi - lo + 1])
             at += hi - lo + 1
-        members.append(make_member(supp, blocks))
+        members.append(make_member(supp, blocks, convention))
     return tuple(members)
 
 
@@ -307,20 +308,24 @@ def _ranges(starts, lengths):
     return np.repeat(starts - offsets, lengths) + np.arange(int(np.sum(lengths)))
 
 
-def _taylor_rows(rows, dt):
-    """``rows[r] @ taylor_step_matrix(dt[r], k)`` for every row ``r``.
-
-    Column ``c`` is the Horner sum ``v = rows[:, i] + v * dt / (i - c + 1)``
-    for ``i = k-1 .. c``, started from ``v = rows[:, k]``; no step matrix is
-    formed, so memory stays O(rows).
-    """
+def _taylor_col(rows, dt, c):
+    """Column ``c`` of ``rows[r] @ taylor_step_matrix(dt[r], k)`` for every
+    row ``r``: the Horner sum ``v = rows[:, i] + v * dt / (i - c + 1)`` for
+    ``i = k-1 .. c``, started from ``v = rows[:, k]``."""
     k = rows.shape[1] - 1
+    v = rows[:, k]
+    for i in range(k - 1, c - 1, -1):
+        v = rows[:, i] + v * dt / (i - c + 1)
+    return v
+
+
+def _taylor_rows(rows, dt):
+    """``rows[r] @ taylor_step_matrix(dt[r], k)`` for every row ``r``, one
+    :func:`_taylor_col` per column; no step matrix is formed, so memory stays
+    O(rows)."""
     out = np.empty(rows.shape)
-    for c in range(k + 1):
-        v = rows[:, k]
-        for i in range(k - 1, c - 1, -1):
-            v = rows[:, i] + v * dt / (i - c + 1)
-        out[:, c] = v
+    for c in range(rows.shape[1]):
+        out[:, c] = _taylor_col(rows, dt, c)
     return out
 
 
@@ -329,36 +334,45 @@ def _taylor_rows(rows, dt):
 
 
 def _sym2one_rows(rows, size, k):
-    """One-sided copy of stacked symmetric blocks of ``size`` rows each.
+    """Stacked symmetric blocks of ``size`` rows each, made one-sided in
+    place; returns ``rows``.
 
     Rows ``l+1 .. m`` of a block take the k-th entry of the row below (the
     bottom half stores left-hand limits) and the last row's k-th entry is 0;
     for ``k = 0`` only the last row changes.
     """
-    out = rows.copy()
     end = np.cumsum(size) - 1
     if k > 0:
         m = size - 2
         l = m // 2
         shift = _ranges(end - m + l, m - l)
-        out[shift, k] = rows[shift + 1, k]
-    out[end, k] = 0.0
-    return out
+        rows[shift, k] = rows[shift + 1, k]
+    rows[end, k] = 0.0
+    return rows
 
 
-def _one2sym_block(blk, k):
-    m = blk.shape[0] - 2
-    l = m // 2
-    out = blk.copy()
-    out[l + 2 : m + 2, -1] = blk[l + 1 : m + 1, -1]
+def _one2sym_rows(rows, size, k):
+    """Stacked one-sided blocks of ``size`` rows each, made symmetric in
+    place; returns ``rows``.  The inverse of :func:`_sym2one_rows`.
+
+    Rows ``l+2 .. m+1`` of a block take the k-th entry of the row above (the
+    bottom half stores left-hand limits); row ``l+1`` repeats row ``l``'s for
+    even ``m`` and holds 0 for odd ``m``.  For ``k = 0`` (piecewise constants)
+    only the last row changes: it records the last interval value, the left
+    limit there.
+    """
+    end = np.cumsum(size) - 1
     if k == 0:
-        # piecewise constants: the terminal row restores the last interval value
-        out[m + 1, -1] = blk[m, -1] if m >= 0 else 0.0
-    elif m % 2 == 0:
-        out[l + 1, -1] = blk[l, -1]
-    else:
-        out[l + 1, -1] = 0.0
-    return out
+        rows[end, 0] = rows[end - 1, 0]
+        return rows
+    m = size - 2
+    l = m // 2
+    # the shift reads row l+1 before the middle entry overwrites it
+    shift = _ranges(end - m + l + 1, m - l)
+    rows[shift, k] = rows[shift - 1, k]
+    mid = end - m + l
+    rows[mid, k] = np.where(m % 2 == 0, rows[mid - 1, k], 0.0)
+    return rows
 
 
 def sym2one(fam, inverse=False):
@@ -373,24 +387,11 @@ def sym2one(fam, inverse=False):
     for _, der in fam.members:
         if der.convention != src:
             raise ValueError("expected %r convention, found %r" % (src, der.convention))
-    if not inverse:
-        _, lo, hi, rows = _stack(fam)
-        one = _sym2one_rows(rows, hi - lo + 1, k)
-        return replace(fam, members=_unstack([supp for supp, _ in fam.members], one))
-    members = []
-    for supp, der in fam.members:
-        if k == 0:
-            # piecewise constants: no interior shift, the terminal row just
-            # records the last interval value (the left limit there)
-            blocks = []
-            for blk in der.blocks:
-                b = blk.copy()
-                b[-1, -1] = blk[-2, -1] if blk.shape[0] > 1 else 0.0
-                blocks.append(b)
-        else:
-            blocks = [_one2sym_block(b, k) for b in der.blocks]
-        members.append(make_member(supp, blocks, dst))
-    return replace(fam, members=tuple(members))
+    # _stack's rows are a fresh copy, so they are converted in place
+    _, lo, hi, rows = _stack(fam)
+    convert = _one2sym_rows if inverse else _sym2one_rows
+    out = convert(rows, hi - lo + 1, k)
+    return replace(fam, members=_unstack([supp for supp, _ in fam.members], out, dst))
 
 
 def as_one_sided(fam):
@@ -453,7 +454,7 @@ def is_valid_spline(fam):
     sym = np.array([der.convention == SYMMETRIC for _, der in fam.members], dtype=bool)[member]
     one = rows
     if sym.any():
-        one = np.where(np.repeat(sym, size)[:, None], _sym2one_rows(rows, size, k), rows)
+        one = np.where(np.repeat(sym, size)[:, None], _sym2one_rows(rows.copy(), size, k), rows)
     viol = np.zeros(rows.shape[0])
     # non-finite members are reported from their first non-finite row below
     with np.errstate(invalid="ignore", over="ignore"):
@@ -528,9 +529,8 @@ def evaluate(fam, grid, deriv=0):
             t = t[keep]
             iv = np.clip(iv[keep], lo, hi - 1)
             dt = t - xi[iv]
-            # the deriv-th derivative is column 0 of the Taylor step of
-            # derivatives deriv..k
-            out[sel, j] = _taylor_rows(blk[iv - lo, deriv:], dt)[:, 0]
+            # the deriv-th derivative is column deriv of the Taylor step
+            out[sel, j] = _taylor_col(blk[iv - lo], dt, deriv)
     return out
 
 

@@ -1,14 +1,17 @@
 """Random splines: matrix-normal perturbation plus construct correction.
 
 A draw perturbs the mean spline's full derivative matrix S by
-``Sigma^{1/2} Z Theta^{1/2}`` with Z a standard normal matrix, then repairs
-the result into a valid spline with :func:`splinet.construct.construct`.
+``Sigma^{1/2} Z Theta^{1/2}`` with Z a standard normal matrix; the perturbed
+matrices of all draws are then repaired into valid splines by one batched
+run of the construction core (see :mod:`splinet.construct`), which forms the
+knot-dependent systems once per call and treats each draw as one more
+right-hand side.
 
 Randomness comes from numpy's counter-based Philox bit generator.  Member
-``i`` always uses the substream ``Philox(key=seed).jumped(i)``, so a fixed
-seed gives bit-identical output however many members are drawn.  Draws run
-in a single thread; the ``SPLINET_THREADS`` environment variable is
-ignored.
+``i`` always uses the substream ``Philox(key=seed).jumped(i)``, and the
+batched repair works draw by draw elementwise, so a fixed seed gives
+bit-identical output however many members are drawn.  Draws run in a single
+thread; the ``SPLINET_THREADS`` environment variable is ignored.
 """
 
 from __future__ import annotations
@@ -17,16 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SplineFamily, as_one_sided
-from .construct import construct
+from .core import SplineFamily, _unstack, as_one_sided, full_support
+from .construct import _check_construct, _construct_rows
 
 #: bit generator used for all draws; recorded here and in the CLI output
 #: because the archive format carries no metadata field
 RNG_ALGORITHM = "numpy Philox4x64 counter-based generator, one jumped substream per member"
 
+#: Philox keys are two 64-bit words
+_SEED_LIMIT = 2**128
+
 
 def _expand_cov(c, size, name):
     c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("%s has non-finite entries" % name)
     if c.ndim == 0:
         mat = float(c) * np.eye(size)
     elif c.ndim == 1:
@@ -55,12 +63,21 @@ def _sqrt_psd(mat, name):
 class NoiseSpec:
     """Row covariance Sigma, column covariance Theta, and an RNG seed.
 
-    Scalars mean that multiple of the identity; vectors mean diagonals.
+    Scalars mean that multiple of the identity; vectors mean diagonals.  The
+    seed is an integer in ``[0, 2**128)``.
     """
 
     sigma: object = 1.0
     theta: object = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError("seed must be an integer; got %r" % (seed,))
+        if not 0 <= seed < _SEED_LIMIT:
+            raise ValueError("seed must be in [0, 2**128); got %d" % seed)
+        object.__setattr__(self, "seed", int(seed))
 
     def roots(self, n_rows, n_cols):
         sig = _expand_cov(self.sigma, n_rows, "Sigma")
@@ -69,7 +86,14 @@ class NoiseSpec:
 
 
 def rspline(mean, noise, count=1, method="RRM"):
-    """Draw ``count`` random splines around a single-member mean family."""
+    """Draw ``count`` random splines around a single-member mean family.
+
+    Member ``i`` perturbs the mean with the normal draws of substream
+    ``Philox(key=noise.seed).jumped(i)``; all members are then repaired by
+    one batched run of the construction core behind
+    :func:`~splinet.construct.construct`, so member ``i`` is the same bits
+    for every ``count > i``.
+    """
     if len(mean) != 1:
         raise ValueError("mean must be a single-member family")
     if count < 1:
@@ -77,16 +101,15 @@ def rspline(mean, noise, count=1, method="RRM"):
     fam1 = as_one_sided(mean)
     knots = fam1.knots
     k = fam1.smorder
+    _check_construct(knots.n, k, method)
     s = fam1.full_matrix(0)
     sig_half, th_half = noise.roots(s.shape[0], s.shape[1])
-    seed = int(noise.seed)
-
-    def draw(i):
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-        z = rng.standard_normal(s.shape)
-        t = s + sig_half @ z @ th_half
-        fam = construct(knots, k, t, method, epsilon=fam1.epsilon)
-        return fam.members[0]
-
-    members = [draw(i) for i in range(count)]
-    return SplineFamily(knots, k, tuple(members), "sp", fam1.epsilon)
+    t = np.empty((count,) + s.shape)
+    for i in range(count):
+        rng = np.random.Generator(np.random.Philox(key=noise.seed).jumped(i))
+        # one product per draw: a BLAS call over the whole stack may round a
+        # draw differently depending on count
+        t[i] = s + sig_half @ rng.standard_normal(s.shape) @ th_half
+    rows, _ = _construct_rows(knots, k, t, method)
+    members = _unstack([full_support(knots)] * count, rows.reshape(-1, k + 1))
+    return SplineFamily(knots, k, members, "sp", fam1.epsilon)

@@ -8,7 +8,10 @@ dense linear system in the unknown entries.  Gram diagonalization runs on
 dense ``H`` and ``P`` with whole-group row envelopes, and ``gsob`` through a
 dense Cholesky factor.  Archives are written through ``json``'s own encoder
 as the nested dict/list tree of the stored fields.  Validity and knot
-refinement walk members row by row with explicit Taylor step matrices.
+refinement walk members row by row with explicit Taylor step matrices, and
+the conversion to the symmetric convention block by block.  Whole-spline
+construction runs one seed matrix at a time, with explicit step matrices and
+one ``np.linalg.solve`` per frlr group.
 """
 
 import json
@@ -17,6 +20,8 @@ import numpy as np
 import scipy.linalg
 
 import splinet as sp
+from splinet.construct import COND_LIMIT, SingularSystemError
+from splinet.core import EPS_EQUID, taylor_step_matrix
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -200,6 +205,29 @@ def _one_sided_block(blk, k, convention):
     return out
 
 
+def loop_as_symmetric(fam):
+    """:func:`splinet.as_symmetric` of a one-sided family, one block at a
+    time: the bottom-half k-th entries move down one row, and the middle row
+    repeats the row above (even ``m``) or holds 0 (odd ``m``); for ``k = 0``
+    the last row takes the last interval value."""
+    k = fam.smorder
+    members = []
+    for supp, der in fam.members:
+        blocks = []
+        for blk in der.blocks:
+            m = blk.shape[0] - 2
+            l = m // 2
+            out = blk.copy()
+            if k == 0:
+                out[m + 1, 0] = blk[m, 0]
+            else:
+                out[l + 2 : m + 2, k] = blk[l + 1 : m + 1, k]
+                out[l + 1, k] = blk[l, k] if m % 2 == 0 else 0.0
+            blocks.append(out)
+        members.append(sp.make_member(supp, blocks, sp.core.SYMMETRIC))
+    return sp.SplineFamily(fam.knots, k, tuple(members), fam.type, fam.epsilon)
+
+
 def loop_is_valid_spline(fam):
     """:func:`splinet.is_valid_spline` one member and one row at a time.
 
@@ -290,6 +318,256 @@ def loop_refine(fam, new_knots):
             comps.append((nlo, nhi))
         members.append(sp.make_member(sp.SupportSet(tuple(comps)), blocks))
     return sp.SplineFamily(new_knots, k, tuple(members), fam.type, fam.epsilon)
+
+# ---------------------------------------------------------------------------
+# whole-spline construction, one draw at a time
+
+
+def _loop_frlc(first_row, kth_col, spacings, k):
+    """Propagate rows forward; ``kth_col`` supplies column k for every row."""
+    m1 = len(spacings)  # = m + 1
+    u = np.zeros((m1 + 1, k + 1))
+    u[0] = first_row
+    u[:, k] = kth_col
+    for i in range(1, m1 + 1):
+        a = taylor_step_matrix(spacings[i - 1], k)
+        u[i, :k] = (u[i - 1] @ a)[:k]
+    return u
+
+
+def _loop_frfc(first_row_partial, first_col, spacings, k):
+    m1 = len(spacings)
+    u = np.zeros((m1 + 1, k + 1))
+    u[0, :k] = first_row_partial
+    u[:, 0] = first_col
+    a = taylor_step_matrix(spacings[0], k)
+    u[0, k] = (first_col[1] - u[0, :k] @ a[:k, 0]) / a[k, 0]
+    for i in range(1, m1 + 1):
+        a_prev = taylor_step_matrix(spacings[i - 1], k)
+        u[i, 1:k] = (u[i - 1] @ a_prev)[1:k]
+        if i < m1:
+            a_next = taylor_step_matrix(spacings[i], k)
+            u[i, k] = (first_col[i + 1] - u[i, :k] @ a_next[:k, 0]) / a_next[k, 0]
+    return u
+
+
+def _loop_frlr(first_row, last_row, spacings, k):
+    """Core first-row/last-row solve; spacings may be negative (mirrored)."""
+    m = len(spacings) - 1
+    first_row = np.asarray(first_row, dtype=float)
+    last_row = np.asarray(last_row, dtype=float)
+    if m == 0:
+        u = np.vstack([first_row, last_row])
+        a = taylor_step_matrix(spacings[0], k)
+        prop = (first_row @ a)[:k]
+        residual = float(np.max(np.abs(prop - last_row[:k]))) if k else 0.0
+        u[1, :k] = prop
+        return u, residual
+
+    equid = np.max(np.abs(np.abs(spacings) - abs(spacings[0]))) <= EPS_EQUID * abs(spacings[0])
+    if equid:
+        a_full = taylor_step_matrix(spacings[0], k)
+        ab = a_full[k - m : k, k - m : k]
+        c = a_full[k, k - m : k]
+        # B^{(r, m+1)} = A^{m+1-r+1}... powers of the single block
+        pow_cache = [np.eye(m)]
+        for _ in range(m + 1):
+            pow_cache.append(pow_cache[-1] @ ab)
+        cmat = np.vstack([c @ pow_cache[m + 1 - r] for r in range(2, m + 2)])
+        dmat = a_full[k - m : k + 1, k - m : k] @ pow_cache[m]
+    else:
+        a_fulls = [taylor_step_matrix(s, k) for s in spacings]
+        ab = [a[k - m : k, k - m : k] for a in a_fulls]
+        c = [a[k, k - m : k] for a in a_fulls]
+        # suffix[r] = A^{(r)} A^{(r+1)} ... A^{(m+1)}  (steps are 1-based)
+        suffix = [np.eye(m) for _ in range(m + 3)]
+        for r in range(m + 1, 0, -1):
+            suffix[r] = ab[r - 1] @ suffix[r + 1]
+        cmat = np.vstack([c[r - 1] @ suffix[r + 1] for r in range(2, m + 2)])
+        dmat = a_fulls[0][k - m : k + 1, k - m : k] @ suffix[2]
+
+    if np.linalg.cond(cmat) > COND_LIMIT:
+        raise SingularSystemError("frlr system is numerically singular")
+    rhs = last_row[k - m : k] - first_row[k - m : k + 1] @ dmat
+    mid_kth = np.linalg.solve(cmat.T, rhs)
+
+    kth_col = np.concatenate([[first_row[k]], mid_kth, [last_row[k]]])
+    u = _loop_frlc(first_row, kth_col, spacings, k)
+    residual = 0.0
+    if k - m > 0:
+        residual = float(np.max(np.abs(u[m + 1, : k - m] - last_row[: k - m])))
+    return u, residual
+
+
+def _loop_backward_row(derivs_next, kth_on_interval, spacing, k):
+    """Derivatives 0..k-1 at the left knot of an interval from the right knot."""
+    d = np.concatenate([derivs_next, [kth_on_interval]])
+    return (d @ taylor_step_matrix(-spacing, k))[:k]
+
+
+def _loop_left_terminal(s, t, xi, k, residuals):
+    """Resolve knots 0..k+1 by a mirrored m=k frlr with zero boundary rows."""
+    first = np.concatenate([s[k + 1, :k], [t[k, k] if s[k, k] == 0.0 else s[k, k]]])
+    s[k, k] = first[k]
+    spac = xi[k::-1] - xi[k + 1 : 0 : -1]  # negative steps xi[k]-xi[k+1], ...
+    u, _ = _loop_frlr(first, np.zeros(k + 1), spac, k)
+    for i in range(1, k + 1):
+        s[k - i, k] = u[i, k]
+        s[k + 1 - i, :k] = u[i, :k]
+    residuals["left_boundary"] = float(np.max(np.abs(u[k + 1, :k]))) if k else 0.0
+    s[0, :k] = 0.0
+
+
+def _loop_right_terminal(s, t, xi, k, n, residuals):
+    if s[n - k, k] == 0.0:
+        s[n - k, k] = t[n - k, k]
+    first = s[n - k].copy()
+    u, _ = _loop_frlr(first, np.zeros(k + 1), np.diff(xi[n - k :]), k)
+    for i in range(1, k + 1):
+        s[n - k + i, k] = u[i, k]
+        s[n - k + i, :k] = u[i, :k]
+    residuals["right_boundary"] = float(np.max(np.abs(u[k + 1, :k]))) if k else 0.0
+    s[n + 1, :] = 0.0
+
+
+def _loop_construct_crlc(knots, k, t):
+    xi = knots.xi
+    n = knots.n
+    l = n // 2
+    s = np.zeros_like(t)
+    residuals = {}
+    s[k : n - k + 1, k] = t[k : n - k + 1, k]
+    s[l + 1, :k] = t[l + 1, :k]
+    q_left = l + 1 if n % 2 else l
+    if n % 2 == 0:
+        s[l, :k] = _loop_backward_row(s[l + 1, :k], s[l, k], xi[l + 1] - xi[l], k)
+        residuals["center_bridge"] = float(np.max(np.abs(s[l, :k] - t[l, :k]))) if k else 0.0
+    for i in range(q_left, k + 1, -1):
+        s[i - 1, :k] = _loop_backward_row(s[i, :k], s[i - 1, k], xi[i] - xi[i - 1], k)
+    for i in range(l + 1, n - k):
+        a = taylor_step_matrix(xi[i + 1] - xi[i], k)
+        s[i + 1, :k] = (s[i] @ a)[:k]
+    _loop_left_terminal(s, t, xi, k, residuals)
+    _loop_right_terminal(s, t, xi, k, n, residuals)
+    return s, residuals
+
+
+def _loop_construct_crfc(knots, k, t):
+    xi = knots.xi
+    n = knots.n
+    l = n // 2
+    s = np.zeros_like(t)
+    residuals = {}
+    s[k : n - k + 2, 0] = t[k : n - k + 2, 0]
+    s[l + 1, 1:k] = t[l + 1, 1:k]
+    # right of center: plain frfc over xi[l+1] .. xi[n-k+1]
+    u = _loop_frfc(s[l + 1, :k], s[l + 1 : n - k + 2, 0], np.diff(xi[l + 1 : n - k + 2]), k)
+    mr = n - k - l - 1
+    for i in range(mr + 2):
+        s[l + 1 + i, 1:k] = u[i, 1:k]
+        if i <= mr:
+            s[l + 1 + i, k] = u[i, k]
+    # left of center: mirrored frfc over xi[l+1] .. xi[k]
+    rev = xi[l + 1 :: -1][: l + 2 - k]
+    vals = s[:, 0][l + 1 :: -1][: l + 2 - k]
+    ul = _loop_frfc(s[l + 1, :k], vals, np.diff(rev), k)
+    ml = l - k
+    for i in range(ml + 2):
+        s[l + 1 - i, 1:k] = ul[i, 1:k]
+        if i <= ml:
+            s[l - i, k] = ul[i, k]
+    _loop_left_terminal(s, t, xi, k, residuals)
+    _loop_right_terminal(s, t, xi, k, n, residuals)
+    return s, residuals
+
+
+def _loop_construct_rrm(knots, k, t):
+    xi = knots.xi
+    n = knots.n
+    l = n // 2
+    s = np.zeros_like(t)
+    residuals = {"groups": 0.0}
+    s[l + 1, :k] = t[l + 1, :k]
+    q_left = l + 1 if n % 2 else l
+    if n % 2 == 0:
+        s[l, k] = t[l, k]
+        s[l, :k] = _loop_backward_row(s[l + 1, :k], t[l, k], xi[l + 1] - xi[l], k)
+        residuals["center_bridge"] = float(np.max(np.abs(s[l, :k] - t[l, :k]))) if k else 0.0
+
+    def note(r):
+        residuals["groups"] = max(residuals["groups"], r)
+
+    # left half: mirrored m=k groups, then a remainder group, down to xi[k+1]
+    cur = q_left
+    while cur - (k + 1) >= k + 1:
+        nxt = cur - (k + 1)
+        first = np.concatenate([s[cur, :k], [t[cur - 1, k]]])
+        s[cur - 1, k] = t[cur - 1, k]
+        last = np.concatenate([t[nxt, :k], [0.0]])
+        seg = xi[nxt : cur + 1][::-1]
+        u, r = _loop_frlr(first, last, np.diff(seg), k)
+        note(r)
+        for i in range(1, k + 1):
+            s[cur - i - 1, k] = u[i, k]
+            s[cur - i, :k] = u[i, :k]
+        s[nxt, :k] = u[k + 1, :k]
+        cur = nxt
+    if cur > k + 1:
+        mrem = cur - k - 2
+        first = np.concatenate([s[cur, :k], [t[cur - 1, k]]])
+        s[cur - 1, k] = t[cur - 1, k]
+        last = np.concatenate([t[k + 1, :k], [0.0]])
+        seg = xi[k + 1 : cur + 1][::-1]
+        u, r = _loop_frlr(first, last, np.diff(seg), k)
+        note(r)
+        for i in range(1, mrem + 1):
+            s[cur - i - 1, k] = u[i, k]
+        for i in range(1, mrem + 2):
+            s[cur - i, :k] = u[i, :k]
+
+    # right half: forward m=k groups, remainder, up to xi[n-k]
+    cur = l + 1
+    while cur + (k + 1) <= n - k:
+        nxt = cur + (k + 1)
+        first = np.concatenate([s[cur, :k], [t[cur, k]]])
+        s[cur, k] = t[cur, k]
+        last = np.concatenate([t[nxt, :k], [0.0]])
+        u, r = _loop_frlr(first, last, np.diff(xi[cur : nxt + 1]), k)
+        note(r)
+        for i in range(1, k + 1):
+            s[cur + i, k] = u[i, k]
+            s[cur + i, :k] = u[i, :k]
+        s[nxt, :k] = u[k + 1, :k]
+        cur = nxt
+    if cur < n - k:
+        mrem = n - k - cur - 1
+        first = np.concatenate([s[cur, :k], [t[cur, k]]])
+        s[cur, k] = t[cur, k]
+        last = np.concatenate([t[n - k, :k], [0.0]])
+        u, r = _loop_frlr(first, last, np.diff(xi[cur : n - k + 1]), k)
+        note(r)
+        for i in range(1, mrem + 1):
+            s[cur + i, k] = u[i, k]
+        for i in range(1, mrem + 2):
+            s[cur + i, :k] = u[i, :k]
+
+    _loop_left_terminal(s, t, xi, k, residuals)
+    _loop_right_terminal(s, t, xi, k, n, residuals)
+    return s, residuals
+
+
+def loop_construct(knots, k, t, method):
+    """The construction of one full ``(n+2) x (k+1)`` seed matrix ``t``, row
+    by row with explicit Taylor step matrices and one ``np.linalg.solve`` per
+    frlr group: ``(matrix, residuals)`` with float residuals."""
+    t = np.asarray(t, dtype=float)
+    if k == 0:
+        s = t.copy()
+        s[-1] = 0.0
+        return s, {}
+    drivers = {"CRLC": _loop_construct_crlc, "CRFC": _loop_construct_crfc,
+               "RRM": _loop_construct_rrm}
+    return drivers[method](knots, k, t)
 
 
 # ---------------------------------------------------------------------------

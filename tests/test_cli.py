@@ -193,6 +193,20 @@ def test_random_and_reproducibility(tmp_path, capsys):
     assert len(fam) == 5 and sp.is_valid_spline(fam).all_ok
 
 
+@pytest.mark.parametrize("flags, says", [(["--sigma", "nan"], "Sigma has non-finite"),
+                                         (["--theta", "inf"], "Theta has non-finite"),
+                                         (["--seed", "-1"], "seed must be in")])
+def test_random_bad_noise_exit_1(tmp_path, capsys, flags, says):
+    mean = oracles.random_valid_family(np.random.default_rng(5), 10, 2)
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, mean)
+    out = tmp_path / "draws.json"
+    assert main(["random", "--mean", mp, "-M", "2", *flags, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+    assert not out.exists()
+
+
 def test_random_noise_json(tmp_path):
     rng = np.random.default_rng(1)
     mean = oracles.random_valid_family(rng, 10, 2)
@@ -204,6 +218,18 @@ def test_random_noise_json(tmp_path):
     assert main(["random", "--mean", mp, "--noise", str(nz), "-M", "3", "-o", out]) == 0
     fam, _ = sp.load_archive(out)
     assert len(fam) == 3
+
+
+@pytest.mark.parametrize("seed", [1.7, True, "3"])
+def test_random_noise_json_seed_must_be_integer(tmp_path, capsys, seed):
+    mean = oracles.random_valid_family(np.random.default_rng(6), 10, 2)
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, mean)
+    nz = tmp_path / "noise.json"
+    nz.write_text(json.dumps({"sigma": 0.2, "seed": seed}))
+    out = str(tmp_path / "draws.json")
+    assert main(["random", "--mean", mp, "--noise", str(nz), "-M", "2", "-o", out]) == 1
+    assert "error: seed must be an integer" in capsys.readouterr().err
 
 
 def test_project_archive(tmp_path):

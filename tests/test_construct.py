@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
+from splinet.construct import _construct_rows
 from splinet.core import taylor_step_matrix
 
 import oracles
@@ -244,6 +245,63 @@ def test_construct_valid_property(k, extra, seed):
     knots = sp.equidistant_knots(0.0, 1.0, n)
     fam = sp.construct(knots, k, rng.standard_normal(n - k + 1), "CRLC")
     assert sp.is_valid_spline(fam).all_ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["CRLC", "CRFC", "RRM"]), st.integers(0, 3), st.integers(0, 7),
+       st.booleans(), st.integers(0, 2**31 - 1))
+def test_construct_batch_matches_loop_oracle(method, k, extra, equid, seed):
+    """The batched core against the one-draw-at-a-time recursions, draw by
+    draw, values and residuals to 1e-12 of the draw's largest entry.
+
+    Draw 1 has zeros at the k-th entries the terminals test (knots k and
+    n-k); draw 2 keeps only its k-th column, so CRFC computes 0 at knot k and
+    the left terminal falls back to the seed there while the other draws do
+    not; draw 3 is all zero and must come out exactly zero.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2 * k + 2 + extra
+    knots = sp.equidistant_knots(0.0, 1.0, n) if equid else oracles.random_knots(rng, n)
+    t = rng.standard_normal((6, n + 2, k + 1)) * 10.0 ** rng.uniform(-3, 3, (6, 1, 1))
+    t[1, k, k] = t[1, n - k, k] = 0.0
+    t[2, :, :k] = 0.0
+    t[3] = 0.0
+    s, residuals = _construct_rows(knots, k, t, method)
+    assert s.shape == t.shape
+    for i in range(len(t)):
+        ref, ref_residuals = oracles.loop_construct(knots, k, t[i], method)
+        tol = 1e-12 * np.max(np.abs(ref))
+        assert np.all(np.abs(s[i] - ref) <= tol)
+        assert residuals.keys() == ref_residuals.keys()
+        for name, r in ref_residuals.items():
+            assert residuals[name].shape == (len(t),)
+            assert abs(residuals[name][i] - r) <= tol
+
+
+def test_frlr_condition_checked_once_per_group(monkeypatch):
+    """One condition number per frlr system however many draws are stacked,
+    and a singular system still raises, for the batch as for one draw."""
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or cond(a))
+    knots = sp.equidistant_knots(0.0, 1.0, 20)
+    rng = np.random.default_rng(12)
+    counts = []
+    for m in (1, 50):
+        calls.clear()
+        _construct_rows(knots, 3, rng.standard_normal((m, 22, 4)), "RRM")
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    # three spacings of 1e-7 next to one of 1: cond(C) is far above COND_LIMIT
+    xi = np.concatenate([[0.0, 1e-7, 2e-7, 3e-7], 3e-7 + np.arange(1.0, 9.0)])
+    clustered = sp.KnotSet(xi)
+    for method in ("CRLC", "CRFC", "RRM"):
+        with pytest.raises(sp.SingularSystemError):
+            sp.construct(clustered, 3, np.ones((12, 4)), method)
+        with pytest.raises(sp.SingularSystemError):
+            _construct_rows(clustered, 3, np.ones((5, 12, 4)), method)
+    with pytest.raises(sp.SingularSystemError):
+        sp.solve_frlr(np.ones(4), np.zeros(4), [0.0, 1.0, 1.0 + 1e-7, 1.0 + 2e-7, 1.0 + 3e-7])
 
 
 # ---------------------------------------------------------------------------

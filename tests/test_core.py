@@ -227,6 +227,45 @@ def test_sym2one_wrong_convention_raises():
         sp.sym2one(fam)  # expects a symmetric family
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3),
+       st.lists(st.lists(st.integers(0, 5), max_size=3), min_size=1, max_size=4),
+       st.integers(0, 2**31 - 1))
+def test_as_symmetric_matches_block_oracle(k, internal, seed):
+    """The stacked one-sided -> symmetric conversion against the block loop,
+    bit for bit, then back to the input bit for bit.  ``internal`` lists each
+    member's components by their number of internal knots m (odd and even,
+    m = 0 included); a member without components has an empty support."""
+    rng = np.random.default_rng(seed)
+    supports, at = [], 2
+    for ms in internal:
+        comps, lo = [], 0
+        for m in ms:
+            comps.append((lo, lo + m + 1))
+            lo += m + 3
+        supports.append(sp.SupportSet(tuple(comps)))
+        at = max(at, lo)
+    knots = sp.equidistant_knots(0.0, 1.0, at - 2)
+    members = []
+    for supp in supports:
+        blocks = []
+        for lo, hi in supp:
+            blk = rng.standard_normal((hi - lo + 1, k + 1))
+            blk[rng.random(blk.shape) < 0.2] = -0.0
+            blk[-1, k] = 0.0  # one-sided terminal convention
+            blocks.append(blk)
+        members.append(sp.make_member(supp, blocks))
+    fam = sp.SplineFamily(knots, k, tuple(members))
+    got, ref = sp.as_symmetric(fam), oracles.loop_as_symmetric(fam)
+    back = sp.sym2one(got)
+    for (supp, der), (rsupp, rder), (bsupp, bder), (fsupp, fder) in zip(
+            got.members, ref.members, back.members, fam.members, strict=True):
+        assert supp == rsupp == bsupp == fsupp
+        assert der.convention == sp.SYMMETRIC and bder.convention == sp.ONE_SIDED
+        assert [b.tobytes() for b in der.blocks] == [b.tobytes() for b in rder.blocks]
+        assert [b.tobytes() for b in bder.blocks] == [b.tobytes() for b in fder.blocks]
+
+
 # ---------------------------------------------------------------------------
 # validity
 

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ def test_rspline_count_prefix_stable():
     b = sp.rspline(mean, sp.NoiseSpec(seed=3), count=2)
     for j in range(2):
         assert np.array_equal(a.full_matrix(j), b.full_matrix(j))
+
+
+@pytest.mark.parametrize("method", ["CRLC", "CRFC", "RRM"])
+def test_rspline_prefix_bitexact(method):
+    # draws 0-4 of a 1000-member batch are the bits of a 5-member batch and
+    # draw 0 those of a single draw
+    mean = _mean()
+    noise = sp.NoiseSpec(sigma=0.3, theta=0.5, seed=9)
+    big = sp.rspline(mean, noise, count=1000, method=method)
+    five = sp.rspline(mean, noise, count=5, method=method)
+    one = sp.rspline(mean, noise, count=1, method=method)
+    blocks = [[fam.members[j][1].blocks[0].tobytes() for j in range(len(fam))]
+              for fam in (big, five, one)]
+    assert blocks[0][:5] == blocks[1]
+    assert blocks[0][:1] == blocks[2]
 
 
 def test_rspline_thread_invariance(monkeypatch):
@@ -96,6 +112,28 @@ def test_noise_spec_validation():
     indef = -np.eye(10)
     with pytest.raises(ValueError):
         sp.rspline(mean, sp.NoiseSpec(sigma=indef, seed=0))
+
+
+@pytest.mark.parametrize("field, bad", [("sigma", np.nan), ("theta", np.inf),
+                                        ("sigma", [1.0] * 9 + [-np.inf])])
+def test_noise_spec_rejects_nonfinite(field, bad):
+    mean = _mean(n=8, k=2)
+    name = {"sigma": "Sigma", "theta": "Theta"}[field]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="%s has non-finite entries" % name):
+            sp.rspline(mean, sp.NoiseSpec(**{field: bad}))
+
+
+def test_noise_spec_seed_range():
+    for bad in (-1, 2**128):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\); got %d" % bad):
+            sp.NoiseSpec(seed=bad)
+    for bad in (1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sp.NoiseSpec(seed=bad)
+    fam = sp.rspline(_mean(), sp.NoiseSpec(seed=2**128 - 1), count=2)
+    assert sp.is_valid_spline(fam).all_ok
 
 
 def test_rspline_input_validation():
