@@ -77,7 +77,7 @@ def bspline_basis(knots, k, normalize=False):
         members.append(make_member(SupportSet(((l, l + k + 1),)), (b,)))
     fam = SplineFamily(knots, k, tuple(members), "bs")
     if normalize:
-        norms = np.sqrt(np.diag(gramian(fam)))
+        norms = np.sqrt(gramian(fam, sparse=True).diagonal())
         fam = lincomb(fam, np.diag(1.0 / norms), type="bs")
     return fam
 
@@ -399,10 +399,10 @@ def splinet(knots, k, type="spnt", normalize=False, use_toeplitz=None):
         return SplinetResult(bs, None, net, None)
     if type in ("spnt", "dspnt"):
         fast = knots.equid and net.complete if use_toeplitz is None else use_toeplitz
-        tr = diagonalize_gram(gramian(bs), "dyadic", net=net, _toeplitz=fast)
+        tr = diagonalize_gram(gramian(bs, sparse=True), "dyadic", net=net, _toeplitz=fast)
         tag = "dspnt" if net.complete else "spnt"
     else:
-        tr = diagonalize_gram(gramian(bs), type)
+        tr = diagonalize_gram(gramian(bs, sparse=True), type)
         tag = type
     # dense P' until bench/spans.count_coeff_nnz can count sparse coefficients
     os_fam = lincomb(bs, tr.P.T.toarray(), type=tag)

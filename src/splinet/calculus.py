@@ -29,9 +29,12 @@ import scipy.sparse
 from .core import (
     SplineFamily,
     SupportSet,
+    _live_runs,
     _merge_components,
     _ranges,
     _stack,
+    _supports,
+    _unstack,
     as_one_sided,
     make_member,
     taylor_astar,
@@ -89,35 +92,84 @@ def _member_from_union(full, comps, k):
     return make_member(SupportSet(comps), blocks)
 
 
+#: entries per chunk of the nonzero scan of dense coefficients
+_SCAN_CHUNK = 1 << 22
+
+
+def _dense_csr(m):
+    """CSR copy of a dense 2-d array, equal to ``csr_matrix(m)``.
+
+    The nonzero scan runs over boolean masks, several times faster than over
+    the floats, a few rows at a time so that no mask grows past
+    ``_SCAN_CHUNK`` entries.
+    """
+    m = np.ascontiguousarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("coefficients must be a vector or a matrix")
+    n_rows, n_cols = m.shape
+    step = max(1, _SCAN_CHUNK // max(n_cols, 1))
+    nz = np.concatenate([np.flatnonzero(m[r : r + step] != 0) + r * n_cols
+                         for r in range(0, n_rows, step)] or [np.empty(0, dtype=np.intp)])
+    indptr = np.searchsorted(nz, np.arange(n_rows + 1) * n_cols)
+    data = m.reshape(-1)[nz]
+    nz %= max(n_cols, 1)
+    return scipy.sparse.csr_matrix((data, nz, indptr), shape=m.shape)
+
+
 def lincomb(fam, coeffs, type=None):
     """Linear combinations of family members.
 
     ``coeffs`` is ``(p, d)`` (or ``(d,)`` for a single combination) against
     a family of ``d`` members, dense or ``scipy.sparse``; returns a family
-    of ``p`` members.
+    of ``p`` members.  Member ``r`` lives on the intervals where some member
+    with a nonzero coefficient in row ``r`` lives (``|coeffs| O``), merged
+    into components by :func:`~splinet.core._live_runs`; its blocks are
+    ``coeffs C`` cut over those components, each with its last k-th entry 0.
+    All ``p`` members are built in one pass over one stacked array, and
+    their blocks are views into it.
     """
     fam1 = as_one_sided(fam)
     k = fam1.smorder
-    if not scipy.sparse.issparse(coeffs):
-        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    a = scipy.sparse.csr_matrix(coeffs, dtype=float)
+    k1 = k + 1
+    if scipy.sparse.issparse(coeffs):
+        a = scipy.sparse.csr_matrix(coeffs, dtype=float)
+    else:
+        a = _dense_csr(np.atleast_2d(coeffs))
+    p = a.shape[0]
     if a.shape[1] != len(fam1):
         raise ValueError("coefficient matrix has %d columns, family has %d members"
                          % (a.shape[1], len(fam1)))
-    c, _, o = _taylor_layout(fam1)
-    full = a @ c
+    c, o = _taylor_layout(fam1)[::2]
     cover = abs(a) @ o
     cover.sort_indices()
-    shape = (len(fam1.knots), k + 1)
-    members = []
-    for r in range(a.shape[0]):
-        row = np.zeros(shape[0] * shape[1])
-        at = slice(full.indptr[r], full.indptr[r + 1])
-        row[full.indices[at]] = full.data[at]
-        t = cover.indices[cover.indptr[r] : cover.indptr[r + 1]]
-        comps = _merge_components(np.column_stack([t, t + 1]))
-        members.append(_member_from_union(row.reshape(shape), comps, k))
-    return SplineFamily(fam1.knots, k, tuple(members),
+    owner = np.repeat(np.arange(p), np.diff(cover.indptr))
+    t = cover.indices.astype(np.int64)
+    first, last = _live_runs(owner, t)
+    member, lo, hi = owner[first], t[first], t[last] + 1
+    size = hi - lo + 1
+    # temporaries go as soon as they are used: at most one index array as
+    # long as full is alive at a time
+    del cover, owner, t
+    # the output is allocated before the product's arrays: allocated after
+    # them, it raised the process's peak RSS by about its own size (glibc)
+    rows = np.zeros((int(np.sum(size)), k1))
+    full = a @ c
+    n_cols = c.shape[1]
+    del a, c
+    full.sort_indices()
+    # the entries of full, ordered by row and then column, fall to the
+    # components in turn; find where each component's entries begin
+    key = np.repeat(np.arange(p, dtype=np.int64) * n_cols, np.diff(full.indptr))
+    key += full.indices
+    begin = np.searchsorted(key, member * n_cols + lo * k1)
+    del key
+    # flat position in the stacked rows = column + component's shift
+    at = np.repeat((np.cumsum(size) - size - lo) * k1, np.diff(np.append(begin, full.nnz)))
+    at += full.indices
+    rows.reshape(-1)[at] = full.data
+    del at, full
+    rows[np.cumsum(size) - 1, k] = 0.0
+    return SplineFamily(fam1.knots, k, _unstack(_supports(p, member, lo, hi), rows),
                         type if type is not None else "sp", fam1.epsilon)
 
 
@@ -181,10 +233,13 @@ def dintegra(fam):
 LAST_PAIR_COUNT = 0
 
 
-def gramian(fam_a, fam_b=None):
+def gramian(fam_a, fam_b=None, sparse=False):
     """Matrix of pairwise inner products ``<a_i, b_j>`` in L2.
 
-    With one argument, the (symmetric) Gram matrix of the family.
+    With one argument, the (symmetric) Gram matrix of the family, whose
+    upper triangle is computed and mirrored, so it is exactly symmetric.
+    Returns a dense array, or with ``sparse=True`` the ``scipy.sparse`` CSR
+    matrix of the same entries: support-disjoint pairs are never stored.
     """
     global LAST_PAIR_COUNT
     a1 = as_one_sided(fam_a)
@@ -201,4 +256,4 @@ def gramian(fam_a, fam_b=None):
         g = g + scipy.sparse.triu(g, 1).T
     else:
         LAST_PAIR_COUNT = g.count_nonzero()
-    return g.toarray()
+    return g.tocsr() if sparse else g.toarray()

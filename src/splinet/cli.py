@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,7 +41,7 @@ def _knots_from_args(args):
         raise UsageError("--equid and --knots are mutually exclusive")
     if args.equid is not None:
         a, b, n = args.equid
-        return equidistant_knots(float(a), float(b), int(round(float(n))))
+        return equidistant_knots(float(a), float(b), _count_arg("--equid N", n))
     if args.knots is not None:
         return KnotSet(np.sort(np.loadtxt(args.knots, dtype=float).ravel()))
     raise UsageError("need either --equid A B N or --knots FILE")
@@ -48,6 +49,29 @@ def _knots_from_args(args):
 
 class UsageError(Exception):
     pass
+
+
+def _count_arg(flag, text):
+    """``text`` as a non-negative integer (``10`` or ``10.0``); anything else,
+    a fraction, a negative or non-finite number, is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value >= 0 and value.is_integer()):
+        raise UsageError("%s must be a non-negative integer; got %r" % (flag, text))
+    return int(value)
+
+
+#: integer flags with a lower bound: attribute -> (flag, smallest value)
+_FLAG_MIN = {"order": ("-k", 0), "density": ("-N", 1), "count": ("-M", 1)}
+
+
+def _check_flag_ranges(args):
+    for attr, (flag, low) in _FLAG_MIN.items():
+        value = getattr(args, attr, None)
+        if value is not None and value < low:
+            raise UsageError("%s must be >= %d; got %d" % (flag, low, value))
 
 
 def _fmt(x):
@@ -240,6 +264,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        _check_flag_ranges(args)
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

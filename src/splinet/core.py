@@ -579,25 +579,57 @@ def exsupp(fam):
 
     Intervals whose one-sided derivative row is entirely below the member's
     validity tolerance are dropped; an everywhere-small member ends up with
-    an empty support.
+    an empty support.  Live intervals separated by one dead interval stay in
+    one component (:func:`_live_runs`).  One pass over the stacked rows.
     """
     fam1 = as_one_sided(fam)
-    members = []
-    for idx in range(len(fam1)):
-        supp, der = fam1.members[idx]
-        tol = fam1.member_tolerance(idx)
-        runs, blocks = [], []
-        for (lo, hi), blk in zip(supp, der.blocks):
-            alive = np.flatnonzero(np.max(np.abs(blk[:-1]), axis=1) > tol)
-            # one dead interval between live runs stays inside the component
-            for a, b in _merge_components(np.column_stack([alive, alive + 1])):
-                new = blk[a : b + 1].copy()
-                new[-1, -1] = 0.0
-                runs.append((lo + a, lo + b))
-                blocks.append(new)
-        members.append(make_member(SupportSet(tuple(runs)), blocks))
-    out = replace(fam1, members=tuple(members))
-    return out if fam.convention == ONE_SIDED else sym2one(out, inverse=True)
+    k = fam1.smorder
+    member, lo, hi, rows = _stack(fam1)
+    size = hi - lo + 1
+    end = np.cumsum(size) - 1
+    row_max = np.max(np.abs(rows), axis=1)
+    # member_tolerance for every member: epsilon times its largest entry
+    scale = np.zeros(len(fam1))
+    with np.errstate(invalid="ignore"):  # a NaN entry makes its member's scale NaN
+        np.maximum.at(scale, np.repeat(member, size), row_max)
+    tol = fam1.epsilon * np.where(scale > 0, scale, 1.0)
+    alive = row_max > np.repeat(tol[member], size)
+    alive[end] = False  # a component's last row starts no interval
+    live = np.flatnonzero(alive)
+    comp = np.searchsorted(end, live)
+    owner = member[comp]
+    t = live - (end - hi)[comp]  # the knot index each live row starts at
+    first, last = _live_runs(owner, t)
+    new_lo, new_hi = t[first], t[last] + 1
+    new_size = new_hi - new_lo + 1
+    out = rows[_ranges(live[first], new_size)]
+    out[np.cumsum(new_size) - 1, k] = 0.0
+    supports = _supports(len(fam1), owner[first], new_lo, new_hi)
+    res = replace(fam1, members=_unstack(supports, out))
+    return res if fam.convention == ONE_SIDED else sym2one(res, inverse=True)
+
+
+def _live_runs(member, t):
+    """First and last positions of the support components made by live
+    intervals ``t``, listed member by member in ascending order.
+
+    A component ends where the member changes or where more than one dead
+    interval follows: runs with one dead interval between them would be
+    adjacent components, so they stay one (the rule of
+    :func:`_merge_components`, applied to every member at once).
+    """
+    if not t.size:
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    brk = np.flatnonzero((np.diff(member) != 0) | (np.diff(t) > 2)) + 1
+    return np.concatenate([[0], brk]), np.append(brk - 1, t.size - 1)
+
+
+def _supports(count, member, lo, hi):
+    """A :class:`SupportSet` for each of members ``0..count-1`` from
+    components ``(lo, hi)`` listed member by member."""
+    comps = list(zip(lo.tolist(), hi.tolist()))
+    cut = np.searchsorted(member, np.arange(count + 1)).tolist()
+    return [SupportSet(tuple(comps[a:b])) for a, b in zip(cut[:-1], cut[1:])]
 
 
 def _merge_components(comps):

@@ -9,7 +9,8 @@ dense ``H`` and ``P`` with whole-group row envelopes, and ``gsob`` through a
 dense Cholesky factor.  Archives are written through ``json``'s own encoder
 as the nested dict/list tree of the stored fields.  Validity and knot
 refinement walk members row by row with explicit Taylor step matrices, and
-the conversion to the symmetric convention block by block.  Whole-spline
+the conversion to the symmetric convention block by block.  Linear
+combinations and support shrinking build one member at a time.  Whole-spline
 construction runs one seed matrix at a time, with explicit step matrices and
 one ``np.linalg.solve`` per frlr group.
 """
@@ -18,10 +19,12 @@ import json
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 import splinet as sp
+from splinet.calculus import _member_from_union, _taylor_layout
 from splinet.construct import COND_LIMIT, SingularSystemError
-from splinet.core import EPS_EQUID, taylor_step_matrix
+from splinet.core import EPS_EQUID, _merge_components, taylor_step_matrix
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -190,6 +193,95 @@ def lincomb_family(rng, k, n=12, count=5, symmetric=False):
     coeffs[-1] = 0.0
     fam = sp.exsupp(sp.lincomb(bs, coeffs))
     return sp.as_symmetric(fam) if symmetric else fam
+
+
+def loop_lincomb(fam, coeffs, type=None):
+    """:func:`splinet.lincomb` one output member at a time: each member's
+    row of ``coeffs C`` is scattered into a dense ``(n+2)(k+1)`` row, its
+    support is ``|coeffs| O`` merged by ``_merge_components``, and its
+    blocks are copies cut from that row."""
+    fam1 = sp.as_one_sided(fam)
+    k = fam1.smorder
+    if not scipy.sparse.issparse(coeffs):
+        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    a = scipy.sparse.csr_matrix(coeffs, dtype=float)
+    c, _, o = _taylor_layout(fam1)
+    full = a @ c
+    cover = abs(a) @ o
+    cover.sort_indices()
+    shape = (len(fam1.knots), k + 1)
+    members = []
+    for r in range(a.shape[0]):
+        row = np.zeros(shape[0] * shape[1])
+        at = slice(full.indptr[r], full.indptr[r + 1])
+        row[full.indices[at]] = full.data[at]
+        t = cover.indices[cover.indptr[r] : cover.indptr[r + 1]]
+        comps = _merge_components(np.column_stack([t, t + 1]))
+        members.append(_member_from_union(row.reshape(shape), comps, k))
+    return sp.SplineFamily(fam1.knots, k, tuple(members),
+                           type if type is not None else "sp", fam1.epsilon)
+
+
+def loop_exsupp(fam):
+    """:func:`splinet.exsupp` one member and one block at a time: the live
+    intervals of a block are its rows (bar the last) with an entry above the
+    member's tolerance, merged by ``_merge_components``."""
+    fam1 = sp.as_one_sided(fam)
+    members = []
+    for idx in range(len(fam1)):
+        supp, der = fam1.members[idx]
+        tol = fam1.member_tolerance(idx)
+        runs, blocks = [], []
+        for (lo, hi), blk in zip(supp, der.blocks):
+            alive = np.flatnonzero(np.max(np.abs(blk[:-1]), axis=1) > tol)
+            # one dead interval between live runs stays inside the component
+            for a, b in _merge_components(np.column_stack([alive, alive + 1])):
+                new = blk[a : b + 1].copy()
+                new[-1, -1] = 0.0
+                runs.append((lo + a, lo + b))
+                blocks.append(new)
+        members.append(sp.make_member(sp.SupportSet(tuple(runs)), blocks))
+    out = sp.SplineFamily(fam1.knots, fam1.smorder, tuple(members), fam1.type, fam1.epsilon)
+    return out if fam.convention == sp.ONE_SIDED else sp.as_symmetric(out)
+
+
+def random_rows_family(rng, k, n=14, count=6):
+    """``count`` members with random supports and entries, not valid splines.
+
+    Each interval row is kept, scaled far below the member's tolerance, or
+    zeroed, at random, so live runs are split by dead runs of every length
+    (one dead interval among them).  Members are scaled by up to 1e3 either
+    way.  The next-to-last member is nonzero on its components' last rows
+    only (it lives nowhere), the last has an empty support.
+    """
+    knots = random_knots(rng, n)
+    members = []
+    for i in range(count):
+        comps, blocks = [], []
+        lo = int(rng.integers(0, 3))
+        while i < count - 1 and lo < n + 1:
+            hi = min(lo + int(rng.integers(1, 7)), n + 1)
+            blk = rng.standard_normal((hi - lo + 1, k + 1)) * 10.0 ** rng.uniform(-3, 3)
+            fate = rng.random(hi - lo)
+            blk[:-1][fate < 0.35] *= 1e-12
+            blk[:-1][fate < 0.15] = 0.0
+            if i == count - 2:
+                blk[:-1] = 0.0
+            comps.append((lo, hi))
+            blocks.append(blk)
+            lo = hi + int(rng.integers(2, 5))
+        members.append(sp.make_member(sp.SupportSet(tuple(comps)), blocks))
+    return sp.SplineFamily(knots, k, tuple(members))
+
+
+def assert_same_family(f, g):
+    """Equal supports and bit-identical blocks, member by member."""
+    assert (len(f), f.smorder, f.type, f.convention) == (len(g), g.smorder, g.type, g.convention)
+    for (supp_f, der_f), (supp_g, der_g) in zip(f.members, g.members):
+        assert supp_f.components == supp_g.components
+        assert len(der_f.blocks) == len(der_g.blocks)
+        for a, b in zip(der_f.blocks, der_g.blocks):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _one_sided_block(blk, k, convention):

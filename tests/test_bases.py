@@ -309,6 +309,27 @@ def test_splinet_toeplitz_flag_agrees():
     assert np.max(np.abs(a.transform.P.toarray() - b.transform.P.toarray())) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("type, use_toeplitz, equid", [
+    ("dspnt", True, True), ("dspnt", False, True), ("spnt", None, False),
+    ("gsob", None, False), ("twob", None, False)])
+def test_splinet_sparse_gram_archive_matches_dense_route(type, use_toeplitz, equid):
+    # splinet() hands the sparse Gram to the orthogonalizer; the dense Gram
+    # gives the same transform and, through the dense P', the same archive
+    rng = np.random.default_rng(11)
+    # 45 members make a complete net, 46 do not
+    knots = sp.equidistant_knots(0.0, 1.0, 47) if equid else oracles.random_knots(rng, 48)
+    res = sp.splinet(knots, 3, type=type, use_toeplitz=use_toeplitz)
+    h = sp.gramian(res.bs)
+    if type in ("dspnt", "spnt"):
+        tr = diagonalize_gram(h, "dyadic", net=res.net, _toeplitz=bool(use_toeplitz))
+    else:
+        tr = diagonalize_gram(h, type)
+    dense = sp.lincomb(res.bs, tr.P.T.toarray(), type=res.os.type)
+    assert res.os.type == type
+    assert tr.nnz == res.transform.nnz
+    assert oracles.archive_text(res.os, res.net) == oracles.archive_text(dense, res.net)
+
+
 def test_splinet_supports_grow_by_level():
     res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 23), 3)
     net = res.net

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -123,6 +125,26 @@ def test_gramian_empty_support_member():
     assert np.all(g[-1] == 0.0) and np.all(g[:, -1] == 0.0)
 
 
+def test_gramian_sparse_matches_dense():
+    rng = np.random.default_rng(8)
+    bs = sp.bspline_basis(oracles.random_knots(rng, 40), 3)
+    coeffs = rng.standard_normal((6, len(bs)))
+    coeffs[:, 10:17] = 0.0
+    coeffs[0] = 0.0
+    multi = sp.exsupp(sp.lincomb(bs, coeffs))
+    for args in ((bs,), (multi,), (bs, multi)):
+        dense = sp.gramian(*args)
+        pairs = calculus.LAST_PAIR_COUNT
+        g = sp.gramian(*args, sparse=True)
+        assert calculus.LAST_PAIR_COUNT == pairs
+        assert scipy.sparse.isspmatrix_csr(g)
+        assert np.array_equal(g.toarray(), dense)
+        # support-disjoint pairs are not stored
+        assert g.nnz == np.count_nonzero(dense)
+        if len(args) == 1:
+            assert (g != g.T).nnz == 0
+
+
 # ---------------------------------------------------------------------------
 # linear combinations
 
@@ -151,6 +173,8 @@ def test_lincomb_single_row_and_errors():
     assert len(one) == 1
     with pytest.raises(ValueError):
         sp.lincomb(bs, np.ones(len(bs) + 1))
+    with pytest.raises(ValueError):
+        sp.lincomb(bs, np.ones((1, 1, len(bs))))
 
 
 def test_lincomb_support_union():
@@ -172,6 +196,64 @@ def test_lincomb_valid():
     bs = sp.bspline_basis(knots, 3)
     f = sp.lincomb(bs, rng.standard_normal((5, len(bs))))
     assert sp.is_valid_spline(f).all_ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.booleans(), st.sampled_from(["dense", "csr", "csc", "vector"]),
+       st.booleans(), st.integers(0, 2**31 - 1))
+def test_lincomb_matches_loop_oracle(k, symmetric, kind, valid, seed):
+    """The one-pass lincomb against the per-member loop, bit for bit.
+
+    The family is gathered with itself, so a row with +1 and -1 on a member
+    and its copy cancels exactly (nonempty support, zero blocks); one row is
+    all zero (empty support); the others mix sparse random coefficients, so
+    supports have one-dead-interval merges and several components.  Members
+    are valid splines or random rows, whose last rows are not zero.
+    """
+    rng = np.random.default_rng(seed)
+    if valid:
+        fam = oracles.lincomb_family(rng, k)
+    else:
+        fam = oracles.random_rows_family(rng, k)
+    if symmetric:
+        fam = sp.as_symmetric(fam)
+    fam = sp.gather(fam, fam)
+    d = len(fam)
+    coeffs = rng.standard_normal((6, d)) * (rng.random((6, d)) < 0.4)
+    coeffs[1] = 0.0
+    i = int(rng.integers(0, d // 2 - 1))  # either family's last member is empty
+    coeffs[2] = 0.0
+    coeffs[2, [i, i + d // 2]] = (1.0, -1.0)
+    if kind == "vector":
+        coeffs = coeffs[int(rng.integers(0, 6))]
+    elif kind != "dense":
+        coeffs = getattr(scipy.sparse, kind + "_matrix")(coeffs)
+    out = sp.lincomb(fam, coeffs, type="bs")
+    oracles.assert_same_family(out, oracles.loop_lincomb(fam, coeffs, type="bs"))
+    if kind == "dense":
+        lo, hi = fam.members[i][0].components[0]
+        assert out.members[2][0].components[0][0] <= lo
+        assert all(not b.any() for b in out.members[2][1].blocks)
+        assert out.members[1][0].empty
+
+
+#: tracemalloc peak of lincomb(bs, P') over the bytes of its output rows
+LINCOMB_PEAK_FACTOR = 5
+
+
+def test_lincomb_peak_memory_bounded_by_output():
+    # the dense P' is made before tracing starts, as splinet() passes it in;
+    # what lincomb allocates on top stays within a small multiple of its output
+    res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 1535), 3)
+    pt = res.transform.P.T.toarray()
+    tracemalloc.start()
+    try:
+        out = sp.lincomb(res.bs, pt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(b.nbytes for _, der in out.members for b in der.blocks)
+    assert peak <= LINCOMB_PEAK_FACTOR * out_bytes, (peak, out_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,37 @@ def test_knot_flags_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["basis", "--equid", "0", "1", "5", "-k", "-1"], "-k must be >= 0; got -1"),
+    (["project", "-i", "{mean}", "--equid", "0", "1", "5", "-k", "-2"], "-k must be >= 0"),
+    (["eval", "-i", "{mean}", "-N", "0"], "-N must be >= 1; got 0"),
+    (["eval", "-i", "{mean}", "-N", "-3"], "-N must be >= 1"),
+    (["random", "--mean", "{mean}", "-M", "0"], "-M must be >= 1; got 0"),
+    (["basis", "--equid", "0", "1", "-3", "-k", "2"], "--equid N must be a non-negative integer"),
+    (["basis", "--equid", "0", "1", "10.4", "-k", "2"], "got '10.4'"),
+    (["basis", "--equid", "0", "1", "2.5", "-k", "2"], "got '2.5'"),
+    (["basis", "--equid", "0", "1", "nan", "-k", "2"], "got 'nan'"),
+    (["basis", "--equid", "0", "1", "inf", "-k", "2"], "got 'inf'"),
+    (["basis", "--equid", "0", "1", "five", "-k", "2"], "got 'five'"),
+])
+def test_flag_values_are_usage_errors(tmp_path, capsys, argv, says):
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, oracles.random_valid_family(np.random.default_rng(3), 10, 2))
+    out = tmp_path / "out"
+    argv = [mp if a == "{mean}" else a for a in argv] + ["-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and says in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mean.json"]
+
+
+def test_equid_count_may_be_written_as_float(tmp_path):
+    out = str(tmp_path / "b")
+    assert main(["basis", "--equid", "0", "1", "10.0", "-k", "2", "--type", "bs", "-o", out]) == 0
+    bs, _ = sp.load_archive(out + ".bs.json")
+    assert bs.knots.n == 10
+
+
 def test_nonfinite_knots_exit_1(tmp_path, capsys):
     out = str(tmp_path / "x")
     for bad in ("nan", "inf"):

@@ -519,6 +519,21 @@ def test_exsupp_keeps_one_dead_interval():
     assert np.array_equal(sp.evaluate(out, grid), sp.evaluate(fam, grid))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.booleans(), st.integers(0, 2**31 - 1))
+def test_exsupp_matches_loop_oracle(k, symmetric, seed):
+    """The one-pass exsupp against the per-member loop, bit for bit: dead
+    runs of every length (one dead interval stays inside a component), a
+    member alive nowhere, an empty support, and both conventions."""
+    rng = np.random.default_rng(seed)
+    fam = oracles.random_rows_family(rng, k)
+    if symmetric:
+        fam = sp.as_symmetric(fam)
+    out = sp.exsupp(fam)
+    oracles.assert_same_family(out, oracles.loop_exsupp(fam))
+    assert out.members[-2][0].empty and out.members[-1][0].empty
+
+
 def test_empty_family_and_full_support():
     knots = sp.equidistant_knots(0.0, 1.0, 4)
     fam = sp.empty_family(knots, 2)
