@@ -26,15 +26,7 @@ import json
 import numpy as np
 
 from .bases import DyadicNet
-from .core import (
-    DEFAULT_EPSILON,
-    KnotSet,
-    SplineFamily,
-    SupportSet,
-    SYMMETRIC,
-    as_symmetric,
-    make_member,
-)
+from .core import DEFAULT_EPSILON, SYMMETRIC, KnotSet, _family, as_symmetric
 
 
 def _integer(value, field):
@@ -55,17 +47,21 @@ def family_from_dict(obj):
     try:
         knots = KnotSet(np.array(obj["knots"], dtype=float))
         k = _integer(obj["order"], "order")
-        members = []
-        for item in obj["splines"]:
-            supp = SupportSet(tuple((_integer(lo, "supp"), _integer(hi, "supp"))
-                                    for lo, hi in item["supp"]))
-            blocks = [np.array(b, dtype=float) for b in item["der"]]
-            for (lo, hi), blk in zip(supp, blocks):
-                if blk.shape != (hi - lo + 1, k + 1):
-                    raise ValueError("derivative block shape does not match support")
-            members.append(make_member(supp, blocks, SYMMETRIC))
-        fam = SplineFamily(knots, k, tuple(members), obj.get("type", "sp"),
-                           float(obj.get("epsilon", DEFAULT_EPSILON)))
+        splines = obj["splines"]
+        comps = [[(_integer(lo, "supp"), _integer(hi, "supp")) for lo, hi in item["supp"]]
+                 for item in splines]
+        ders = [item["der"] for item in splines]
+        if [len(der) for der in ders] != [len(cs) for cs in comps]:
+            raise ValueError("support/derivative block count mismatch")
+        flat = [row for der in ders for blk in der for row in blk]
+        rows = np.array(flat, dtype=float) if flat else np.empty((0, k + 1))
+        sizes = [hi - lo + 1 for cs in comps for lo, hi in cs]
+        if [len(blk) for der in ders for blk in der] != sizes or rows.shape != (len(flat), k + 1):
+            raise ValueError("derivative block shape does not match support")
+        lo, hi = np.array([c for cs in comps for c in cs], dtype=np.int64).reshape(-1, 2).T
+        fam = _family(knots, k, rows, lo, hi, np.cumsum([0] + [len(c) for c in comps]),
+                      SYMMETRIC, obj.get("type", "sp"),
+                      float(obj.get("epsilon", DEFAULT_EPSILON)))
         net = None
         if "net" in obj:
             levels = tuple(tuple(tuple(_integer(i, "net") for i in t) for t in lv)
@@ -84,7 +80,7 @@ def family_from_dict(obj):
         return fam, net
     except KeyError as exc:
         raise ValueError("malformed archive: missing field %s" % exc) from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError("malformed archive: %s" % exc) from exc
 
 
@@ -107,26 +103,29 @@ def _list(items, depth):
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
 
 
-def _member_text(supp, der, row):
-    supp_text = _list([_list([str(lo), str(hi)], 4) for lo, hi in supp], 3)
-    der_text = _list([_list([row] * blk.shape[0], 4) % tuple(_tokens(blk))
-                      for blk in der.blocks], 3)
+def _member_text(comps, blocks, row):
+    supp_text = _list([_list([str(lo), str(hi)], 4) for lo, hi in comps], 3)
+    der_text = _list([_list([row] * blk.shape[0], 4) % tuple(_tokens(blk)) for blk in blocks], 3)
     return '{\n   "supp": %s,\n   "der": %s\n  }' % (supp_text, der_text)
 
 
 def save_archive(path, fam, net=None):
     """Write ``fam`` (and ``net``) in the layout described in the module
-    docstring, one member at a time."""
+    docstring, one member at a time from the stacked rows."""
     fam = as_symmetric(fam)
     row = _list(["%s"] * (fam.smorder + 1), 5)
+    comps = list(zip(fam.lo.tolist(), fam.hi.tolist()))
+    bounds = np.append(0, np.cumsum(fam.hi - fam.lo + 1)).tolist()  # component row offsets
+    cut = fam.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "knots": %s,\n "order": %d,\n "type": %s,\n "epsilon": %s,\n "splines": '
                  % (_list(_tokens(fam.knots.xi), 1), fam.smorder, json.dumps(fam.type),
                     float.__repr__(float(fam.epsilon))))
-        fh.write("[" if fam.members else "[]")
-        for i, (supp, der) in enumerate(fam.members):
-            fh.write((",\n  " if i else "\n  ") + _member_text(supp, der, row))
-        fh.write("\n ]" if fam.members else "")
+        fh.write("[" if len(fam) else "[]")
+        for i, (a, b) in enumerate(zip(cut[:-1], cut[1:])):
+            blocks = [fam.rows[bounds[c] : bounds[c + 1]] for c in range(a, b)]
+            fh.write((",\n  " if i else "\n  ") + _member_text(comps[a:b], blocks, row))
+        fh.write("\n ]" if len(fam) else "")
         if net is not None:
             levels = [_list([_list([str(int(i)) for i in t], 3) for t in level], 2)
                       for level in net.levels]

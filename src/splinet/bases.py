@@ -3,8 +3,9 @@
 B-splines are built by an order-raising recursion directly on derivative
 matrices: the order-q matrix of member l is a weighted combination of the
 order-(q-1) matrices of members l and l+1, with weights given by diagonal
-knot-distance matrices.  Three orthonormalization schemes act on the Gram
-matrix H and produce a coefficient transform P with P' H P = I:
+knot-distance matrices; each step runs over all members at once.  Three
+orthonormalization schemes act on the Gram matrix H and produce a
+coefficient transform P with P' H P = I:
 
 * ``gsob``  -- one-sided Gram-Schmidt: columns one at a time, left to right
   (triangular P);
@@ -34,7 +35,7 @@ import scipy.sparse
 from scipy.linalg.blas import dsbmv as _dsbmv
 
 from .calculus import gramian, lincomb
-from .core import KnotSet, SplineFamily, SupportSet, _ranges, make_member
+from .core import ONE_SIDED, KnotSet, SplineFamily, _family, _ranges
 
 #: entries of P smaller than this (relative to max |P|) are set to zero
 P_TRUNCATION = 1e-11
@@ -53,50 +54,44 @@ def bspline_basis(knots, k, normalize=False):
         raise ValueError("need at least k internal knots for order-k B-splines")
     xi = knots.xi
 
-    if knots.equid:
-        # every member is a translate: carry a single block through the
-        # recursion, anchored at l = 0
-        blk = np.array([[1.0], [0.0]])
-        for q in range(1, k + 1):
-            blk = _raise_order_pair(blk, blk, xi[: q + 2], q)
-        blocks = [blk.copy() for _ in range(n - k + 1)]
-    else:
-        blocks = [np.array([[1.0], [0.0]]) for _ in range(n + 1)]
-        for q in range(1, k + 1):
-            blocks = [
-                _raise_order_pair(blocks[l], blocks[l + 1], xi[l : l + q + 2], q)
-                for l in range(n - q + 1)
-            ]
+    # one step raises the order of every member at once; on equidistant
+    # knots every member is a translate, so a single block, anchored at
+    # l = 0, is carried through the recursion and tiled
+    equid = knots.equid
+    blk = np.zeros((1 if equid else n + 1, 2, 1))
+    blk[:, 0] = 1.0
+    for q in range(1, k + 1):
+        left, right = (blk, blk) if equid else (blk[:-1], blk[1:])
+        seg = np.lib.stride_tricks.sliding_window_view(xi, q + 2)[: left.shape[0]]
+        blk = _raise_order(left, right, seg, q)
+    rows = np.tile(blk[0], (n - k + 1, 1)) if equid else blk.reshape(-1, k + 1)
 
-    members = []
-    for l, blk in enumerate(blocks):
-        b = blk.copy()
-        b[0, :k] = 0.0
-        b[-1, :k] = 0.0
-        b[-1, k] = 0.0
-        members.append(make_member(SupportSet(((l, l + k + 1),)), (b,)))
-    fam = SplineFamily(knots, k, tuple(members), "bs")
+    # member l lives on knots l..l+k+1: zero boundary values and last row
+    lo = np.arange(n - k + 1)
+    rows[lo * (k + 2), :k] = 0.0
+    rows[lo * (k + 2) + k + 1] = 0.0
+    fam = _family(knots, k, rows, lo, lo + k + 1, np.arange(n - k + 2), ONE_SIDED, "bs")
     if normalize:
         norms = np.sqrt(gramian(fam, sparse=True).diagonal())
         fam = lincomb(fam, np.diag(1.0 / norms), type="bs")
     return fam
 
 
-def _raise_order_pair(blk_l, blk_r, seg, q):
-    """One order-raising step combining members l and l+1 over knots seg."""
-    rows = q + 2
-    p1 = np.zeros((rows, q))
-    p1[:-1] = blk_l
-    p2 = np.zeros((rows, q))
-    p2[1:] = blk_r
-    lam1 = seg - seg[0]
-    lam2 = seg - seg[-1]
-    d1 = seg[-2] - seg[0]
-    d2 = seg[1] - seg[-1]
-    out = np.zeros((rows, q + 1))
+def _raise_order(blk_l, blk_r, seg, q):
+    """One order-raising step for every member l at once: the blocks of
+    members l and l+1 (``(L, q+1, q)`` each) combine over knots ``seg[l]``."""
+    p1 = np.zeros((seg.shape[0], q + 2, q))
+    p1[:, :-1] = blk_l
+    p2 = np.zeros_like(p1)
+    p2[:, 1:] = blk_r
+    lam1 = (seg - seg[:, :1])[:, :, None]
+    lam2 = (seg - seg[:, -1:])[:, :, None]
+    d1 = (seg[:, -2] - seg[:, 0])[:, None, None]
+    d2 = (seg[:, 1] - seg[:, -1])[:, None, None]
+    out = np.zeros((seg.shape[0], q + 2, q + 1))
     j = np.arange(1, q + 1)
-    out[:, 1:] = p1 * j / d1 + p2 * j / d2
-    out[:, :q] += lam1[:, None] * p1 / d1 + lam2[:, None] * p2 / d2
+    out[:, :, 1:] = p1 * j / d1 + p2 * j / d2
+    out[:, :, :q] += lam1 * p1 / d1 + lam2 * p2 / d2
     return out
 
 

@@ -27,14 +27,11 @@ import numpy as np
 import scipy.sparse
 
 from .core import (
-    SplineFamily,
+    ONE_SIDED,
     SupportSet,
+    _family,
     _live_runs,
-    _merge_components,
     _ranges,
-    _stack,
-    _supports,
-    _unstack,
     as_one_sided,
     make_member,
     taylor_astar,
@@ -52,16 +49,16 @@ def _taylor_layout(fam1):
     k1 = fam1.smorder + 1
     n_knots = len(fam1.knots)
     d = len(fam1)
-    member, lo, hi, stacked = _stack(fam1)
+    lo, hi = fam1.lo, fam1.hi
     size = (hi - lo + 1) * k1
-    rows = np.repeat(member, size)
+    rows = np.repeat(fam1.member, size)
     cols = _ranges(lo * k1, size)
-    data = stacked.ravel()
+    data = fam1.rows.ravel()
     c = _csr(rows, cols, data, (d, n_knots * k1))
     # a component's last knot starts no interval of the member; zeros add nothing
     keep = (cols < np.repeat(hi * k1, size)) & (data != 0.0)
     c_int = _csr(rows[keep], cols[keep], data[keep], (d, n_knots * k1))
-    o = _csr(np.repeat(member, hi - lo), _ranges(lo, hi - lo),
+    o = _csr(np.repeat(fam1.member, hi - lo), _ranges(lo, hi - lo),
              np.ones(int(np.sum(hi - lo))), (d, n_knots - 1))
     return c, c_int, o
 
@@ -85,7 +82,8 @@ def _moment_matrix(xi, k):
 
 
 def _member_from_union(full, comps, k):
-    """Cut a full matrix into blocks over the given support components."""
+    """Cut a full matrix into blocks over the given support components (the
+    loop oracles build their members with it)."""
     blocks = [full[lo : hi + 1].copy() for lo, hi in comps]
     for blk in blocks:
         blk[-1, k] = 0.0
@@ -169,8 +167,8 @@ def lincomb(fam, coeffs, type=None):
     rows.reshape(-1)[at] = full.data
     del at, full
     rows[np.cumsum(size) - 1, k] = 0.0
-    return SplineFamily(fam1.knots, k, _unstack(_supports(p, member, lo, hi), rows),
-                        type if type is not None else "sp", fam1.epsilon)
+    return _family(fam1.knots, k, rows, lo, hi, np.searchsorted(member, np.arange(p + 1)),
+                   ONE_SIDED, type if type is not None else "sp", fam1.epsilon)
 
 
 def deriva(fam):
@@ -179,15 +177,10 @@ def deriva(fam):
     k = fam1.smorder
     if k < 1:
         raise ValueError("cannot differentiate an order-0 family")
-    members = []
-    for supp, der in fam1.members:
-        blocks = []
-        for blk in der.blocks:
-            nb = blk[:, 1:].copy()
-            nb[-1, k - 1] = 0.0
-            blocks.append(nb)
-        members.append(make_member(supp, blocks))
-    return SplineFamily(fam1.knots, k - 1, tuple(members), "sp", fam1.epsilon)
+    rows = fam1.rows[:, 1:].copy()
+    rows[np.cumsum(fam1.hi - fam1.lo + 1) - 1, k - 1] = 0.0
+    return _family(fam1.knots, k - 1, rows, fam1.lo, fam1.hi, fam1.offsets, ONE_SIDED, "sp",
+                   fam1.epsilon)
 
 
 def integra(fam):
@@ -200,25 +193,48 @@ def integra(fam):
     """
     fam1 = as_one_sided(fam)
     k = fam1.smorder
-    n_knots = len(fam1.knots)
-    _, c_int, _ = _taylor_layout(fam1)
+    lo, hi, member, rows = fam1.lo, fam1.hi, fam1.member, fam1.rows
+    size = hi - lo + 1
+    end = np.cumsum(size) - 1
     w = _interval_weights(fam1.knots.xi, k)
-    tols = fam1.epsilon * (abs(c_int) @ w)
-    members = []
-    for idx, (supp, _) in enumerate(fam1.members):
-        at = slice(c_int.indptr[idx], c_int.indptr[idx + 1])
-        cols = c_int.indices[at]
-        per_knot = np.bincount(cols // (k + 1), c_int.data[at] * w[cols], n_knots)
-        running = np.concatenate([[0.0], np.cumsum(per_knot[:-1])])
-        full = np.column_stack([running, fam1.full_matrix(idx)])
-        # a component whose running integral ends nonzero reaches the next one
-        comps = list(supp)
-        nxt = [lo for lo, _ in comps[1:]] + [n_knots - 1]
-        ends = [hi if abs(running[hi]) <= tols[idx] else e
-                for (_, hi), e in zip(comps, nxt)]
-        union = _merge_components([(lo, e) for (lo, _), e in zip(comps, ends)])
-        members.append(_member_from_union(full, union, k + 1))
-    return SplineFamily(fam1.knots, k + 1, tuple(members), "sp", fam1.epsilon)
+    tols = fam1.epsilon * (abs(_taylor_layout(fam1)[1]) @ w)
+    # each row's integral over the interval it starts, summed in column
+    # order; a component's last row starts none
+    wk = w.reshape(-1, k + 1)[_ranges(lo, size)]
+    inc = np.zeros(rows.shape[0])
+    for p in range(k + 1):
+        inc += rows[:, p] * wk[:, p]
+    inc[end] = 0.0
+    # the running integral at every row: a sum over the member's rows before
+    # it, taken in order, one row position at a time across all members
+    bounds = np.append(0, np.cumsum(size))[fam1.offsets]
+    length = np.diff(bounds)
+    by_len = np.argsort(-length, kind="stable")
+    starts, desc = bounds[:-1][by_len], length[by_len]
+    run = np.zeros(rows.shape[0])
+    for j in range(1, int(desc.max(initial=0))):
+        at = starts[: np.searchsorted(-desc, -j)] + j
+        run[at] = run[at - 1] + inc[at - 1]
+    # a component whose running integral ends nonzero reaches the next one
+    # (and joins it) or, the member's last, the last knot
+    last = np.diff(np.append(member, len(fam1))) != 0
+    ext = ~(np.abs(run[end]) <= tols[member])
+    reach = np.where(ext, np.where(last, len(fam1.knots) - 1, np.roll(lo, -1)), hi)
+    head = np.append(True, ~(ext & ~last)[:-1])[: lo.size]  # starts a new component
+    new_lo, new_hi = lo[head], reach[np.roll(head, -1)]
+    new_size = new_hi - new_lo + 1
+    shift = np.cumsum(new_size) - new_size - new_lo  # new stacked row of knot j: shift + j
+    pos = np.repeat(shift[np.cumsum(head) - 1], size) + _ranges(lo, size)
+    out = np.zeros((int(np.sum(new_size)), k + 2))
+    out[pos, 1:] += rows
+    # a knot between joined components keeps the running integral before it
+    src = np.zeros(out.shape[0], dtype=np.int64)
+    src[pos] = np.arange(rows.shape[0])
+    out[:, 0] = run[np.maximum.accumulate(src)]
+    out[np.cumsum(new_size) - 1, k + 1] = 0.0
+    return _family(fam1.knots, k + 1, out, new_lo, new_hi,
+                   np.searchsorted(member[head], np.arange(len(fam1) + 1)), ONE_SIDED, "sp",
+                   fam1.epsilon)
 
 
 def dintegra(fam):

@@ -64,7 +64,8 @@ def _count_arg(flag, text):
 
 
 #: integer flags with a lower bound: attribute -> (flag, smallest value)
-_FLAG_MIN = {"order": ("-k", 0), "density": ("-N", 1), "count": ("-M", 1)}
+_FLAG_MIN = {"order": ("-k", 0), "density": ("-N", 1), "count": ("-M", 1),
+             "deriv": ("--deriv", 0)}
 
 
 def _check_flag_ranges(args):
@@ -142,10 +143,8 @@ def _cmd_random(args):
 
 
 def _cmd_project(args):
-    is_archive = False
     with open(args.input, encoding="utf-8") as fh:
-        head = fh.read(1)
-        is_archive = head == "{"
+        is_archive = fh.read(1) == "{"
     if is_archive:
         fam, _ = load_archive(args.input)
         target = None

@@ -36,16 +36,13 @@ import scipy.linalg
 from .core import (
     DEFAULT_EPSILON,
     EPS_EQUID,
+    ONE_SIDED,
     KnotSet,
-    SplineFamily,
-    SupportSet,
+    _family,
     _ranges,
-    _stack,
     _taylor_col,
     _taylor_rows,
-    _unstack,
     as_one_sided,
-    member_from_full,
     taylor_step_matrix,
 )
 
@@ -453,7 +450,7 @@ def construct(knots, k, seed, method="RRM", epsilon=DEFAULT_EPSILON, return_resi
     _check_construct(knots.n, k, method)
     t = _seed_matrix(knots, k, seed, "CRLC" if k == 0 else method)
     s, residuals = _construct_rows(knots, k, t[None], method)
-    fam = SplineFamily(knots, k, (member_from_full(knots, k, s[0]),), "sp", epsilon)
+    fam = _family(knots, k, s[0], [0], [knots.n + 1], [0, 1], ONE_SIDED, "sp", epsilon)
     if return_residuals:
         return fam, {name: float(r[0]) for name, r in residuals.items()}
     return fam
@@ -480,7 +477,8 @@ def refine(fam, new_knots):
     if missing.any():
         raise ValueError("new knots do not contain original knot %g" % old[np.argmax(missing)])
     k = fam.smorder
-    _, lo, hi, rows = _stack(as_one_sided(fam))
+    fam1 = as_one_sided(fam)
+    lo, hi, rows = fam1.lo, fam1.hi, fam1.rows
     nlo, nhi = idx_map[lo], idx_map[hi]
     nsize = nhi - nlo + 1
     comp = np.repeat(np.arange(lo.size), nsize)
@@ -496,7 +494,4 @@ def refine(fam, new_knots):
     nend = np.cumsum(nsize) - 1
     out[nend] = rows[end]
     out[nend, k] = 0.0
-    comps = list(zip(nlo.tolist(), nhi.tolist()))
-    cuts = np.cumsum([0] + [len(supp) for supp, _ in fam.members]).tolist()
-    supports = [SupportSet(tuple(comps[a:b])) for a, b in zip(cuts[:-1], cuts[1:])]
-    return SplineFamily(new_knots, k, _unstack(supports, out), fam.type, fam.epsilon)
+    return _family(new_knots, k, out, nlo, nhi, fam1.offsets, ONE_SIDED, fam.type, fam.epsilon)

@@ -12,14 +12,21 @@ column of the derivative matrix:
   the bottom half left-hand limits, split at ``l = m // 2`` rows into the
   block (``m`` = number of internal knots of the support component).
 
-The one-sided form is the canonical in-memory convention; the symmetric form
-is used for serialization (see :mod:`splinet.archive`).
+A :class:`SplineFamily` stores these Taylor rows once, stacked: ``rows``
+(R x (k+1)) holds the block of every support component ``(lo[c], hi[c])``,
+one row per knot, one after another; components are listed member by member
+in support order, and member ``i`` owns components ``offsets[i]:offsets[i+1]``.
+One ``convention`` holds for the whole family: one-sided in memory, symmetric
+in archives (:mod:`splinet.archive`).  Every operation reads and builds these
+arrays; ``members`` gives ``(SupportSet, DerivativeMatrix)`` pairs back as
+views, built on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +43,7 @@ _FAMILY_TYPES = ("sp", "bs", "gsob", "twob", "spnt", "dspnt")
 
 
 def _factorials(k):
-    out = np.ones(k + 1)
-    for j in range(2, k + 1):
-        out[j] = out[j - 1] * j
-    return out
+    return np.cumprod(np.maximum(np.arange(k + 1), 1.0))
 
 
 def taylor_step_matrix(alpha, k):
@@ -67,10 +71,8 @@ def taylor_astar(alpha, k):
 
 def difference_matrix(size):
     """Square matrix with a zero first row, then -1/+1 sub/diagonal bands."""
-    d = np.zeros((size, size))
-    for i in range(1, size):
-        d[i, i] = 1.0
-        d[i, i - 1] = -1.0
+    d = np.eye(size) - np.eye(size, k=-1)
+    d[0, 0] = 0.0
     return d
 
 
@@ -167,14 +169,6 @@ class SupportSet:
     def n_intervals(self):
         return sum(hi - lo for lo, hi in self.components)
 
-    def validate_range(self, n):
-        for lo, hi in self.components:
-            if hi > n + 1:
-                raise ValueError("support component (%d, %d) outside knot range" % (lo, hi))
-
-
-EMPTY_SUPPORT = SupportSet(())
-
 
 def full_support(knots):
     return SupportSet(((0, len(knots) - 1),))
@@ -185,77 +179,137 @@ class DerivativeMatrix:
     """Per-support-component blocks of derivative values.
 
     Block ``r`` is an ``(m_r + 2) x (k + 1)`` array; column ``j`` holds the
-    j-th derivative at the component's knots.
+    j-th derivative at the component's knots.  Block shapes and the
+    convention are checked when a :class:`SplineFamily` stacks the blocks.
     """
 
     blocks: tuple
     convention: str = ONE_SIDED
 
-    def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
-        if self.convention not in (ONE_SIDED, SYMMETRIC):
-            raise ValueError("unknown convention %r" % (self.convention,))
-        for b in blocks:
-            if b.ndim != 2:
-                raise ValueError("derivative blocks must be 2-d")
-        object.__setattr__(self, "blocks", blocks)
-
     def max_abs(self):
-        return max((float(np.max(np.abs(b))) for b in self.blocks if b.size), default=0.0)
+        return max((float(np.max(np.abs(b))) for b in self.blocks if np.size(b)), default=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SplineFamily:
-    """A collection of splines over shared knots and smoothness order."""
+    """A collection of splines over shared knots and smoothness order, stored
+    as stacked rows (module docstring); all arrays are read-only.
+    ``SplineFamily(knots, k, members, type, epsilon)`` takes
+    ``(SupportSet, DerivativeMatrix)`` pairs of one convention."""
 
     knots: KnotSet
     smorder: int
-    members: tuple  # of (SupportSet, DerivativeMatrix)
-    type: str = "sp"
-    epsilon: float = DEFAULT_EPSILON
+    rows: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    offsets: np.ndarray
+    convention: str
+    type: str
+    epsilon: float
 
-    def __post_init__(self):
-        if self.smorder < 0:
+    def __init__(self, knots, smorder, members, type="sp", epsilon=DEFAULT_EPSILON):
+        """Stack the members once; shapes and conventions are checked over
+        all blocks at once."""
+        members, k = tuple(members), smorder
+        conventions = {der.convention for _, der in members}
+        if len(conventions) > 1:
+            raise ValueError("members mix the one-sided and symmetric conventions")
+        if [len(der.blocks) for _, der in members] != [len(supp) for supp, _ in members]:
+            raise ValueError("support/derivative block count mismatch")
+        comps = [c for supp, _ in members for c in supp]
+        blocks = [np.asarray(b, dtype=float) for _, der in members for b in der.blocks]
+        lo, hi = np.array(comps, dtype=np.int64).reshape(-1, 2).T
+        shapes = [b.shape for b in blocks]
+        want = [(m, k + 1) for m in (hi - lo + 1).tolist()]
+        if shapes != want:
+            shape, c = next((s, c) for s, w, c in zip(shapes, want, comps) if s != w)
+            if len(shape) != 2:
+                raise ValueError("derivative blocks must be 2-d")
+            raise ValueError("block shape %s does not match support (%d, %d) at order %d"
+                             % (shape, c[0], c[1], k))
+        self._set(knots, k, np.concatenate(blocks) if blocks else np.empty((0, k + 1)), lo, hi,
+                  np.cumsum([0] + [len(supp) for supp, _ in members]),
+                  conventions.pop() if conventions else ONE_SIDED, type, epsilon)
+
+    def _set(self, knots, k, rows, lo, hi, offsets, convention, type, epsilon):
+        """Check the layout in one vectorized pass and store it; ``rows`` is
+        taken over and made read-only."""
+        if k < 0:
             raise ValueError("smorder must be non-negative")
-        if self.type not in _FAMILY_TYPES:
-            raise ValueError("unknown family type %r" % (self.type,))
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError("epsilon must be finite and non-negative; got %r" % (self.epsilon,))
-        members = tuple(self.members)
-        k = self.smorder
-        for supp, der in members:
-            supp.validate_range(self.knots.n)
-            if len(der.blocks) != len(supp):
-                raise ValueError("support/derivative block count mismatch")
-            for (lo, hi), blk in zip(supp, der.blocks):
-                if blk.shape != (hi - lo + 1, k + 1):
-                    raise ValueError(
-                        "block shape %s does not match support (%d, %d) at order %d"
-                        % (blk.shape, lo, hi, k)
-                    )
-        object.__setattr__(self, "members", members)
+        if type not in _FAMILY_TYPES:
+            raise ValueError("unknown family type %r" % (type,))
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ValueError("epsilon must be finite and non-negative; got %r" % (epsilon,))
+        if convention not in (ONE_SIDED, SYMMETRIC):
+            raise ValueError("unknown convention %r" % (convention,))
+        lo, hi, offsets = (np.asarray(a, dtype=np.int64) for a in (lo, hi, offsets))
+        rows = np.asarray(rows, dtype=float)
+        bad = np.flatnonzero((lo < 0) | (hi <= lo))
+        if bad.size:
+            raise ValueError("bad support component (%d, %d)" % (lo[bad[0]], hi[bad[0]]))
+        member = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        if np.any((member[1:] == member[:-1]) & (lo[1:] <= hi[:-1] + 1)):
+            raise ValueError("support components must be disjoint and non-adjacent")
+        bad = np.flatnonzero(hi > knots.n + 1)
+        if bad.size:
+            raise ValueError("support component (%d, %d) outside knot range"
+                             % (lo[bad[0]], hi[bad[0]]))
+        if rows.shape != (int(np.sum(hi - lo + 1)), k + 1):
+            raise ValueError("stacked rows %s do not match the support at order %d"
+                             % (rows.shape, k))
+        for a in (rows, lo, hi, offsets):
+            a.flags.writeable = False
+        vars(self).update(knots=knots, smorder=k, rows=rows, lo=lo, hi=hi, offsets=offsets,
+                          convention=convention, type=type, epsilon=epsilon)
 
     def __len__(self):
-        return len(self.members)
+        return self.offsets.size - 1
 
     @property
-    def convention(self):
-        for _, der in self.members:
-            return der.convention
-        return ONE_SIDED
+    def member(self):
+        """The member owning each support component."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    @cached_property
+    def members(self):
+        """``(SupportSet, DerivativeMatrix)`` per member, built on first use;
+        the blocks are read-only views of :attr:`rows`."""
+        comps = list(zip(self.lo.tolist(), self.hi.tolist()))
+        blocks = np.split(self.rows, np.cumsum(self.hi - self.lo + 1)[:-1]) if comps else []
+        cut = self.offsets.tolist()
+        return tuple((SupportSet(tuple(comps[a:b])),
+                      DerivativeMatrix(tuple(blocks[a:b]), self.convention))
+                     for a, b in zip(cut[:-1], cut[1:]))
 
     def member_tolerance(self, i):
         """Absolute validity tolerance for member i (epsilon is relative)."""
-        scale = self.members[i][1].max_abs()
-        return self.epsilon * (scale if scale > 0 else 1.0)
+        return float(_tolerances(subsample(self, [i]))[0])
 
     def full_matrix(self, i):
         """Member i expanded to the full ``(n+2) x (k+1)`` derivative matrix."""
+        one = subsample(self, [i])
         out = np.zeros((len(self.knots), self.smorder + 1))
-        supp, der = self.members[i]
-        for (lo, hi), blk in zip(supp, der.blocks):
-            out[lo : hi + 1] += blk
+        out[_ranges(one.lo, one.hi - one.lo + 1)] += one.rows
         return out
+
+
+def _family(knots, k, rows, lo, hi, offsets, convention=ONE_SIDED, type="sp",
+            epsilon=DEFAULT_EPSILON):
+    """A family straight from its stacked layout, the constructor every
+    operation builds its result through; ``rows`` is taken over, not copied."""
+    fam = object.__new__(SplineFamily)
+    fam._set(knots, k, rows, lo, hi, offsets, convention, type, epsilon)
+    return fam
+
+
+def _tolerances(fam):
+    """Absolute validity tolerance of every member: ``epsilon`` times its
+    largest finite ``|entry|``, or ``epsilon`` when that is 0."""
+    mag = np.abs(fam.rows)
+    scale = np.zeros(len(fam))
+    np.maximum.at(scale, np.repeat(fam.member, fam.hi - fam.lo + 1),
+                  np.max(mag, axis=1, where=np.isfinite(mag), initial=0.0))
+    return fam.epsilon * np.where(scale > 0, scale, 1.0)
 
 
 def make_member(supp, blocks, convention=ONE_SIDED):
@@ -272,34 +326,6 @@ def member_from_full(knots, k, full, convention=ONE_SIDED):
 
 # ---------------------------------------------------------------------------
 # stacked rows
-
-
-def _stack(fam):
-    """Component arrays ``member, lo, hi`` and the stacked derivative rows.
-
-    Components are listed member by member in support order; ``rows`` is a
-    new array holding their blocks one after another, ``hi - lo + 1`` rows
-    each.
-    """
-    member, lo, hi = np.array([(i, lo, hi) for i, (supp, _) in enumerate(fam.members)
-                               for lo, hi in supp], dtype=int).reshape(-1, 3).T
-    blocks = [blk for _, der in fam.members for blk in der.blocks]
-    rows = np.concatenate(blocks) if blocks else np.empty((0, fam.smorder + 1))
-    return member, lo, hi, rows
-
-
-def _unstack(supports, rows, convention=ONE_SIDED):
-    """Members over ``supports`` with their blocks cut, in order, from
-    ``rows``."""
-    members = []
-    at = 0
-    for supp in supports:
-        blocks = []
-        for lo, hi in supp:
-            blocks.append(rows[at : at + hi - lo + 1])
-            at += hi - lo + 1
-        members.append(make_member(supp, blocks, convention))
-    return tuple(members)
 
 
 def _ranges(starts, lengths):
@@ -381,17 +407,13 @@ def sym2one(fam, inverse=False):
     With ``inverse=False`` a symmetric family becomes one-sided; with
     ``inverse=True`` the opposite.  Only the last column changes.
     """
-    src = SYMMETRIC if not inverse else ONE_SIDED
-    dst = ONE_SIDED if not inverse else SYMMETRIC
-    k = fam.smorder
-    for _, der in fam.members:
-        if der.convention != src:
-            raise ValueError("expected %r convention, found %r" % (src, der.convention))
-    # _stack's rows are a fresh copy, so they are converted in place
-    _, lo, hi, rows = _stack(fam)
+    src = ONE_SIDED if inverse else SYMMETRIC
+    if fam.convention != src:
+        raise ValueError("expected %r convention, found %r" % (src, fam.convention))
     convert = _one2sym_rows if inverse else _sym2one_rows
-    out = convert(rows, hi - lo + 1, k)
-    return replace(fam, members=_unstack([supp for supp, _ in fam.members], out, dst))
+    rows = convert(fam.rows.copy(), fam.hi - fam.lo + 1, fam.smorder)
+    return _family(fam.knots, fam.smorder, rows, fam.lo, fam.hi, fam.offsets,
+                   SYMMETRIC if inverse else ONE_SIDED, fam.type, fam.epsilon)
 
 
 def as_one_sided(fam):
@@ -434,27 +456,24 @@ def is_valid_spline(fam):
     ``l`` and ``l+1`` must agree (knot ``lo+l``), for odd ``m`` the k-th entry
     of row ``l+1`` must be 0 (knot ``lo+l+1``).
 
-    A member is valid when its largest violation is at most
-    ``epsilon * max|stored entry|`` (``epsilon`` when every entry is 0).  The
-    worst member is the lowest-index member reaching ``max_violation`` and the
-    worst knot the lowest knot index at which it does; both are -1 when no
-    violation is positive, as for an empty family.  A member with a
-    non-finite entry is invalid and makes ``max_violation`` ``inf``; the first
-    non-finite row (lowest member, then lowest knot) names the worst member
-    and knot.  Structural problems (shape mismatches) raise instead.
+    A member is valid when its largest violation is at most its tolerance,
+    ``epsilon * max|stored entry|`` (:func:`_tolerances`).  The worst member
+    is the lowest-index member reaching ``max_violation`` and the worst knot
+    the lowest knot index at which it does; both are -1 when no violation is
+    positive, as for an empty family.  A member with a non-finite entry is
+    invalid and makes ``max_violation`` ``inf``; the first non-finite row
+    (lowest member, then lowest knot) names the worst member and knot.
     """
     k = fam.smorder
     d = len(fam)
-    member, lo, hi, rows = _stack(fam)
-    size = hi - lo + 1
+    rows = fam.rows
+    size = fam.hi - fam.lo + 1
     end = np.cumsum(size) - 1
     start = end - size + 1
-    knot = _ranges(lo, size)
-    row_member = np.repeat(member, size)
-    sym = np.array([der.convention == SYMMETRIC for _, der in fam.members], dtype=bool)[member]
-    one = rows
-    if sym.any():
-        one = np.where(np.repeat(sym, size)[:, None], _sym2one_rows(rows.copy(), size, k), rows)
+    knot = _ranges(fam.lo, size)
+    row_member = np.repeat(fam.member, size)
+    sym = fam.convention == SYMMETRIC
+    one = _sym2one_rows(rows.copy(), size, k) if sym else rows
     viol = np.zeros(rows.shape[0])
     # non-finite members are reported from their first non-finite row below
     with np.errstate(invalid="ignore", over="ignore"):
@@ -465,18 +484,17 @@ def is_valid_spline(fam):
             pred = _taylor_rows(one[t], np.diff(fam.knots.xi)[knot[t]])
             viol[t + 1] = np.maximum(viol[t + 1],
                                      np.max(np.abs(pred[:, :k] - one[t + 1, :k]), axis=1))
-            # symmetric middle knot: rows l and l+1 (even m) or row l+1 (odd m)
-            m = size[sym] - 2
-            odd = m % 2 == 1
-            mid = start[sym] + m // 2
-            gap = np.abs(np.where(odd, 0.0, rows[mid, k]) - rows[mid + 1, k])
-            viol[mid + odd] = np.maximum(viol[mid + odd], gap)
+            if sym:
+                # middle knot: rows l and l+1 (even m) or row l+1 (odd m)
+                m = size - 2
+                odd = m % 2 == 1
+                mid = start + m // 2
+                gap = np.abs(np.where(odd, 0.0, rows[mid, k]) - rows[mid + 1, k])
+                viol[mid + odd] = np.maximum(viol[mid + odd], gap)
         worst_of = np.zeros(d)
         np.maximum.at(worst_of, row_member, viol)
-        scale = np.zeros(d)
-        np.maximum.at(scale, row_member, np.max(np.abs(rows), axis=1))
     nonfinite = ~np.isfinite(rows).all(axis=1)
-    tol = fam.epsilon * np.where(scale > 0, scale, 1.0)
+    tol = _tolerances(fam)
     member_ok = (worst_of <= tol) & (np.bincount(row_member[nonfinite], minlength=d) == 0)
     if nonfinite.any():
         r = int(np.argmax(nonfinite))
@@ -491,6 +509,10 @@ def is_valid_spline(fam):
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+
+#: (point, component) pairs that evaluate() steps at a time
+_EVAL_CHUNK = 1 << 16
 
 
 def evaluate(fam, grid, deriv=0):
@@ -510,27 +532,25 @@ def evaluate(fam, grid, deriv=0):
         raise ValueError("grid points outside the knot range")
     fam = as_one_sided(fam)
     out = np.zeros((grid.size, len(fam)))
-    for j in range(len(fam)):
-        supp, der = fam.members[j]
-        for (lo, hi), blk in zip(supp, der.blocks):
-            sel = np.nonzero((grid >= xi[lo]) & (grid <= xi[hi]))[0]
-            if sel.size == 0:
-                continue
-            t = grid[sel]
-            iv = np.searchsorted(xi, t, side="right") - 1
-            # right-continuous: a point at the component's right boundary
-            # belongs to the next interval (value 0 there), except at the
-            # very last knot where the left limit is used
-            at_end = (iv == hi) & (hi == xi.size - 1)
-            keep = (iv < hi) | at_end
-            sel = sel[keep]
-            if sel.size == 0:
-                continue
-            t = t[keep]
-            iv = np.clip(iv[keep], lo, hi - 1)
-            dt = t - xi[iv]
-            # the deriv-th derivative is column deriv of the Taylor step
-            out[sel, j] = _taylor_col(blk[iv - lo], dt, deriv)
+    order = np.argsort(grid, kind="stable")
+    t = grid[order]
+    # each point's interval; the last knot takes the last interval's left limit
+    iv = np.minimum(np.searchsorted(xi, t, side="right") - 1, xi.size - 2)
+    # right-continuous: component (lo, hi) holds the points of intervals
+    # lo..hi-1, so a point at xi[hi] belongs to the next interval (value 0)
+    first = np.searchsorted(iv, fam.lo)
+    count = np.searchsorted(iv, fam.hi) - first
+    size = fam.hi - fam.lo + 1
+    row0 = np.cumsum(size) - size - fam.lo  # stacked row of knot j: row0 + j
+    member = fam.member
+    # (point, component) pairs in chunks of about _EVAL_CHUNK
+    cuts = np.flatnonzero(np.diff(np.cumsum(count) // _EVAL_CHUNK)) + 1
+    for comps in np.split(np.arange(count.size), cuts):
+        c = np.repeat(comps, count[comps])
+        p = _ranges(first[comps], count[comps])
+        j = iv[p]
+        # the deriv-th derivative is column deriv of the Taylor step
+        out[order[p], member[c]] = _taylor_col(fam.rows[row0[c] + j], t[p] - xi[j], deriv)
     return out
 
 
@@ -539,13 +559,9 @@ def sample_grid(knots, k, N):
     if N < 1:
         raise ValueError("N must be >= 1")
     xi = knots.xi
-    pieces = [xi]
-    inner = k * N
-    if inner > 0:
-        frac = np.arange(1, inner + 1) / (inner + 1.0)
-        for i in range(xi.size - 1):
-            pieces.append(xi[i] + frac * (xi[i + 1] - xi[i]))
-    return np.sort(np.concatenate(pieces))
+    frac = np.arange(1, k * N + 1) / (k * N + 1.0)
+    inner = xi[:-1, None] + frac * np.diff(xi)[:, None]
+    return np.sort(np.concatenate([xi, inner.ravel()]))
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +573,24 @@ def gather(a, b):
     if a.knots != b.knots or a.smorder != b.smorder:
         raise ValueError("gather requires identical knots and order")
     typ = a.type if a.type == b.type else "sp"
-    conv = a.convention
-    bm = b.members
-    if b.convention != conv and len(b):
-        bm = (sym2one(b) if conv == ONE_SIDED else sym2one(b, inverse=True)).members
-    return SplineFamily(a.knots, a.smorder, a.members + bm, typ, a.epsilon)
+    if b.convention != a.convention:
+        b = sym2one(b, inverse=a.convention == SYMMETRIC)
+    return _family(a.knots, a.smorder, np.concatenate([a.rows, b.rows]),
+                   np.concatenate([a.lo, b.lo]), np.concatenate([a.hi, b.hi]),
+                   np.concatenate([a.offsets, b.offsets[1:] + a.offsets[-1]]),
+                   a.convention, typ, a.epsilon)
 
 
 def subsample(fam, indices):
     """Select members by index, keeping order of ``indices``."""
-    members = tuple(fam.members[int(i)] for i in indices)
-    return replace(fam, members=members)
+    idx = np.arange(len(fam))[np.asarray(indices, dtype=np.int64).reshape(-1)]
+    count = np.diff(fam.offsets)[idx]
+    comp = _ranges(fam.offsets[idx], count)
+    size = fam.hi - fam.lo + 1
+    rows = fam.rows[_ranges((np.cumsum(size) - size)[comp], size[comp])]
+    return _family(fam.knots, fam.smorder, rows, fam.lo[comp], fam.hi[comp],
+                   np.concatenate([[0], np.cumsum(count)]), fam.convention, fam.type,
+                   fam.epsilon)
 
 
 def empty_family(knots, k, type="sp", epsilon=DEFAULT_EPSILON):
@@ -579,21 +602,17 @@ def exsupp(fam):
 
     Intervals whose one-sided derivative row is entirely below the member's
     validity tolerance are dropped; an everywhere-small member ends up with
-    an empty support.  Live intervals separated by one dead interval stay in
-    one component (:func:`_live_runs`).  One pass over the stacked rows.
+    an empty support.  A row with a NaN or infinite entry is live.  Live
+    intervals separated by one dead interval stay in one component
+    (:func:`_live_runs`).  One pass over the stacked rows.
     """
     fam1 = as_one_sided(fam)
     k = fam1.smorder
-    member, lo, hi, rows = _stack(fam1)
-    size = hi - lo + 1
+    member, hi, rows = fam1.member, fam1.hi, fam1.rows
+    size = hi - fam1.lo + 1
     end = np.cumsum(size) - 1
     row_max = np.max(np.abs(rows), axis=1)
-    # member_tolerance for every member: epsilon times its largest entry
-    scale = np.zeros(len(fam1))
-    with np.errstate(invalid="ignore"):  # a NaN entry makes its member's scale NaN
-        np.maximum.at(scale, np.repeat(member, size), row_max)
-    tol = fam1.epsilon * np.where(scale > 0, scale, 1.0)
-    alive = row_max > np.repeat(tol[member], size)
+    alive = (row_max > np.repeat(_tolerances(fam1)[member], size)) | ~np.isfinite(row_max)
     alive[end] = False  # a component's last row starts no interval
     live = np.flatnonzero(alive)
     comp = np.searchsorted(end, live)
@@ -604,9 +623,10 @@ def exsupp(fam):
     new_size = new_hi - new_lo + 1
     out = rows[_ranges(live[first], new_size)]
     out[np.cumsum(new_size) - 1, k] = 0.0
-    supports = _supports(len(fam1), owner[first], new_lo, new_hi)
-    res = replace(fam1, members=_unstack(supports, out))
-    return res if fam.convention == ONE_SIDED else sym2one(res, inverse=True)
+    fam1 = _family(fam1.knots, k, out, new_lo, new_hi,
+                   np.searchsorted(owner[first], np.arange(len(fam1) + 1)), ONE_SIDED,
+                   fam1.type, fam1.epsilon)
+    return fam1 if fam.convention == ONE_SIDED else sym2one(fam1, inverse=True)
 
 
 def _live_runs(member, t):
@@ -622,14 +642,6 @@ def _live_runs(member, t):
         return np.empty(0, dtype=int), np.empty(0, dtype=int)
     brk = np.flatnonzero((np.diff(member) != 0) | (np.diff(t) > 2)) + 1
     return np.concatenate([[0], brk]), np.append(brk - 1, t.size - 1)
-
-
-def _supports(count, member, lo, hi):
-    """A :class:`SupportSet` for each of members ``0..count-1`` from
-    components ``(lo, hi)`` listed member by member."""
-    comps = list(zip(lo.tolist(), hi.tolist()))
-    cut = np.searchsorted(member, np.arange(count + 1)).tolist()
-    return [SupportSet(tuple(comps[a:b])) for a, b in zip(cut[:-1], cut[1:])]
 
 
 def _merge_components(comps):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bases import splinet
+from .bases import _lower_band, splinet
 from .calculus import gramian, integra, lincomb
 from .core import KnotSet, SplineFamily, evaluate
 from .construct import refine
@@ -77,15 +77,16 @@ def _union_knots(a, b):
     return KnotSet(merged[keep])
 
 
-def _band_cholesky_solve(g, rhs, k):
-    """Solve G X = rhs for banded SPD G of bandwidth k (columns of rhs)."""
-    d = g.shape[0]
-    bw = min(k, d - 1)
-    ab = np.zeros((bw + 1, d))
-    for u in range(bw + 1):
-        ab[u, : d - u] = np.diagonal(g, -u)
-    cb = scipy.linalg.cholesky_banded(ab, lower=True)
-    return scipy.linalg.cho_solve_banded((cb, True), rhs)
+def _projection(basis, transform, b, type):
+    """The projection whose inner products with the basis members are ``b``
+    (m x d): the coefficients are ``b`` itself for an orthonormal basis and
+    solve the banded normal equations (bandwidth k) for B-splines."""
+    coeff = b
+    if type == "bs":
+        ab = _lower_band(gramian(basis), basis.smorder)
+        coeff = scipy.linalg.cho_solve_banded(
+            (scipy.linalg.cholesky_banded(ab, lower=True), True), b.T).T
+    return ProjectionResult(coeff, basis, lincomb(basis, coeff), transform)
 
 
 def project_splines(fam, target_knots=None, type="spnt"):
@@ -104,14 +105,7 @@ def project_splines(fam, target_knots=None, type="spnt"):
         union = _union_knots(fam.knots, target)
         fam_ref = refine(fam, union)
         basis_ref = refine(basis, union)
-    b = gramian(fam_ref, basis_ref)  # (m, d) inner products
-    if type == "bs":
-        g = gramian(basis)
-        coeff = _band_cholesky_solve(g, b.T, k).T
-    else:
-        coeff = b
-    sp = lincomb(basis, coeff)
-    return ProjectionResult(coeff, basis, sp, transform)
+    return _projection(basis, transform, gramian(fam_ref, basis_ref), type)
 
 
 def project_data(data, knots, k, type="spnt"):
@@ -139,22 +133,10 @@ def project_data(data, knots, k, type="spnt"):
     basis, transform = _make_basis(knots, k, type)
     prim = integra(basis)
     ends = args if args[-1] == xi[-1] else np.concatenate([args, [xi[-1]]])
-    f = evaluate(prim, ends)  # (T(+1), d) antiderivative values
-    if ends.size == args.size:
-        # last step has zero width; its value never contributes
-        deltas = np.diff(f, axis=0)
-        vals = values[:-1]
-    else:
-        deltas = np.diff(f, axis=0)
-        vals = values
-    b = vals.T @ deltas  # (m, d)
-    if type == "bs":
-        g = gramian(basis)
-        coeff = _band_cholesky_solve(g, b.T, k).T
-    else:
-        coeff = b
-    sp = lincomb(basis, coeff)
-    return ProjectionResult(coeff, basis, sp, transform)
+    deltas = np.diff(evaluate(prim, ends), axis=0)  # antiderivative steps
+    # with args ending at the last knot, the last step has zero width and
+    # its value never contributes
+    return _projection(basis, transform, values[: deltas.shape[0]].T @ deltas, type)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +178,8 @@ def fpca(pr):
     w[w < 1e-20 * max(1.0, float(np.mean(coeff ** 2)))] = 0.0
     lam1 = w[0] if w.size else 0.0
     # reproducible sign: largest-magnitude coefficient positive
-    for j in range(v.shape[1]):
-        lead = np.argmax(np.abs(v[:, j]))
-        if v[lead, j] < 0:
-            v[:, j] = -v[:, j]
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v = np.where(lead < 0, -v, v)
     retained = int(np.sum(w > 1e-10 * lam1)) if lam1 > 0 else 0
     scores = centered @ v[:, :retained]
     scores = scores / np.sqrt(w[:retained])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SplineFamily, _unstack, as_one_sided, full_support
+from .core import ONE_SIDED, _family, as_one_sided
 from .construct import _check_construct, _construct_rows
 
 #: bit generator used for all draws; recorded here and in the CLI output
@@ -111,5 +111,6 @@ def rspline(mean, noise, count=1, method="RRM"):
         # draw differently depending on count
         t[i] = s + sig_half @ rng.standard_normal(s.shape) @ th_half
     rows, _ = _construct_rows(knots, k, t, method)
-    members = _unstack([full_support(knots)] * count, rows.reshape(-1, k + 1))
-    return SplineFamily(knots, k, members, "sp", fam1.epsilon)
+    return _family(knots, k, rows.reshape(-1, k + 1), np.zeros(count, dtype=np.int64),
+                   np.full(count, knots.n + 1), np.arange(count + 1), ONE_SIDED, "sp",
+                   fam1.epsilon)

@@ -10,7 +10,8 @@ dense Cholesky factor.  Archives are written through ``json``'s own encoder
 as the nested dict/list tree of the stored fields.  Validity and knot
 refinement walk members row by row with explicit Taylor step matrices, and
 the conversion to the symmetric convention block by block.  Linear
-combinations and support shrinking build one member at a time.  Whole-spline
+combinations, support shrinking, evaluation, antiderivatives and the
+B-spline recursion build one member at a time.  Whole-spline
 construction runs one seed matrix at a time, with explicit step matrices and
 one ``np.linalg.solve`` per frlr group.
 """
@@ -22,9 +23,9 @@ import scipy.linalg
 import scipy.sparse
 
 import splinet as sp
-from splinet.calculus import _member_from_union, _taylor_layout
+from splinet.calculus import _interval_weights, _member_from_union, _taylor_layout
 from splinet.construct import COND_LIMIT, SingularSystemError
-from splinet.core import EPS_EQUID, _merge_components, taylor_step_matrix
+from splinet.core import EPS_EQUID, _merge_components, _taylor_col, taylor_step_matrix
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -225,7 +226,7 @@ def loop_lincomb(fam, coeffs, type=None):
 def loop_exsupp(fam):
     """:func:`splinet.exsupp` one member and one block at a time: the live
     intervals of a block are its rows (bar the last) with an entry above the
-    member's tolerance, merged by ``_merge_components``."""
+    member's tolerance or a non-finite entry, merged by ``_merge_components``."""
     fam1 = sp.as_one_sided(fam)
     members = []
     for idx in range(len(fam1)):
@@ -233,7 +234,8 @@ def loop_exsupp(fam):
         tol = fam1.member_tolerance(idx)
         runs, blocks = [], []
         for (lo, hi), blk in zip(supp, der.blocks):
-            alive = np.flatnonzero(np.max(np.abs(blk[:-1]), axis=1) > tol)
+            row_max = np.max(np.abs(blk[:-1]), axis=1)
+            alive = np.flatnonzero((row_max > tol) | ~np.isfinite(row_max))
             # one dead interval between live runs stays inside the component
             for a, b in _merge_components(np.column_stack([alive, alive + 1])):
                 new = blk[a : b + 1].copy()
@@ -243,6 +245,87 @@ def loop_exsupp(fam):
         members.append(sp.make_member(sp.SupportSet(tuple(runs)), blocks))
     out = sp.SplineFamily(fam1.knots, fam1.smorder, tuple(members), fam1.type, fam1.epsilon)
     return out if fam.convention == sp.ONE_SIDED else sp.as_symmetric(out)
+
+
+def loop_evaluate(fam, grid, deriv=0):
+    """:func:`splinet.evaluate` one member and one component at a time: the
+    points in ``[xi[lo], xi[hi]]`` of each component, bar those at ``xi[hi]``
+    unless it is the last knot, are stepped from their interval's row."""
+    xi = fam.knots.xi
+    grid = np.asarray(grid, dtype=float)
+    fam = sp.as_one_sided(fam)
+    out = np.zeros((grid.size, len(fam)))
+    for j, (supp, der) in enumerate(fam.members):
+        for (lo, hi), blk in zip(supp, der.blocks):
+            sel = np.flatnonzero((grid >= xi[lo]) & (grid <= xi[hi]))
+            iv = np.searchsorted(xi, grid[sel], side="right") - 1
+            keep = (iv < hi) | ((iv == hi) & (hi == xi.size - 1))
+            sel, iv = sel[keep], np.clip(iv[keep], lo, hi - 1)
+            out[sel, j] = _taylor_col(blk[iv - lo], grid[sel] - xi[iv], deriv)
+    return out
+
+
+def loop_integra(fam):
+    """:func:`splinet.integra` one member at a time: the running integral is
+    a cumulative sum over a dense per-knot vector, and a component whose
+    running integral ends nonzero reaches the next one (``_merge_components``)
+    or the last knot."""
+    fam1 = sp.as_one_sided(fam)
+    k = fam1.smorder
+    n_knots = len(fam1.knots)
+    c_int = _taylor_layout(fam1)[1]
+    w = _interval_weights(fam1.knots.xi, k)
+    tols = fam1.epsilon * (abs(c_int) @ w)
+    members = []
+    for idx, (supp, _) in enumerate(fam1.members):
+        at = slice(c_int.indptr[idx], c_int.indptr[idx + 1])
+        cols = c_int.indices[at]
+        per_knot = np.bincount(cols // (k + 1), c_int.data[at] * w[cols], n_knots)
+        running = np.concatenate([[0.0], np.cumsum(per_knot[:-1])])
+        full = np.column_stack([running, fam1.full_matrix(idx)])
+        comps = list(supp)
+        nxt = [lo for lo, _ in comps[1:]] + [n_knots - 1]
+        ends = [hi if abs(running[hi]) <= tols[idx] else e for (_, hi), e in zip(comps, nxt)]
+        union = _merge_components([(lo, e) for (lo, _), e in zip(comps, ends)])
+        members.append(_member_from_union(full, union, k + 1))
+    return sp.SplineFamily(fam1.knots, k + 1, tuple(members), "sp", fam1.epsilon)
+
+
+def loop_bspline_basis(knots, k):
+    """:func:`splinet.bspline_basis` one member at a time: each order-raising
+    step combines the blocks of members l and l+1 over knots
+    ``xi[l : l+q+2]``; on equidistant knots one block is raised and copied."""
+    xi = knots.xi
+    n = knots.n
+
+    def raise_pair(blk_l, blk_r, seg, q):
+        p1 = np.zeros((q + 2, q))
+        p1[:-1] = blk_l
+        p2 = np.zeros((q + 2, q))
+        p2[1:] = blk_r
+        d1, d2 = seg[-2] - seg[0], seg[1] - seg[-1]
+        out = np.zeros((q + 2, q + 1))
+        j = np.arange(1, q + 1)
+        out[:, 1:] = p1 * j / d1 + p2 * j / d2
+        out[:, :q] += (seg - seg[0])[:, None] * p1 / d1 + (seg - seg[-1])[:, None] * p2 / d2
+        return out
+
+    if knots.equid:
+        blk = np.array([[1.0], [0.0]])
+        for q in range(1, k + 1):
+            blk = raise_pair(blk, blk, xi[: q + 2], q)
+        blocks = [blk.copy() for _ in range(n - k + 1)]
+    else:
+        blocks = [np.array([[1.0], [0.0]]) for _ in range(n + 1)]
+        for q in range(1, k + 1):
+            blocks = [raise_pair(blocks[l], blocks[l + 1], xi[l : l + q + 2], q)
+                      for l in range(n - q + 1)]
+    members = []
+    for l, blk in enumerate(blocks):
+        blk[0, :k] = 0.0
+        blk[-1] = 0.0
+        members.append(sp.make_member(sp.SupportSet(((l, l + k + 1),)), (blk,)))
+    return sp.SplineFamily(knots, k, tuple(members), "bs")
 
 
 def random_rows_family(rng, k, n=14, count=6):

@@ -114,6 +114,24 @@ def test_malformed_integer_fields(tmp_path, field, value, message):
         family_from_dict(obj)
 
 
+@pytest.mark.parametrize("splines, message", [
+    ([{"supp": [[0, 2], [3, 5]], "der": [[[0.0] * 3] * 3] * 2}], "disjoint and non-adjacent"),
+    ([{"supp": [[0, 9]], "der": [[[0.0] * 3] * 10]}], r"support component \(0, 9\) outside"),
+    ([{"supp": [[2, 2]], "der": [[[0.0] * 3]]}], r"bad support component \(2, 2\)"),
+    ([{"supp": [[0, 2]], "der": []}], "block count mismatch"),
+    ([{"supp": [[0, 2]], "der": [[[0.0] * 2] * 3]}], "block shape does not match"),
+    ([{"supp": [[0, 2], [4, 7]], "der": [[[0.0] * 3] * 4, [[0.0] * 3] * 3]}],
+     "block shape does not match"),
+], ids=["adjacent", "out_of_range", "empty_component", "block_count", "row_width",
+        "block_rows_swapped"])
+def test_archive_support_and_shape_checked(splines, message):
+    """Archive members go straight into the stacked layout; its one
+    vectorized check rejects what a SupportSet or block shape would."""
+    obj = {"knots": list(np.linspace(0.0, 1.0, 8)), "order": 2, "splines": splines}
+    with pytest.raises(ValueError, match=message):
+        family_from_dict(obj)
+
+
 def test_integral_float_order_accepted(tmp_path):
     fam = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 7), 2)
     path = tmp_path / "bs.json"

@@ -340,3 +340,14 @@ def test_splinet_supports_grow_by_level():
         sizes.append(max(spans))
     # deeper levels have geometrically wider supports
     assert sizes[0] < sizes[1] < sizes[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 25), st.booleans(), st.integers(0, 2**31 - 1))
+def test_bspline_basis_matches_loop_oracle(k, extra, equid, seed):
+    """The order-raising recursion over all members at once against the
+    per-member loop, bit for bit, on equidistant and irregular knots."""
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    knots = sp.equidistant_knots(0.0, 1.0, n) if equid else oracles.random_knots(rng, n)
+    oracles.assert_same_family(sp.bspline_basis(knots, k), oracles.loop_bspline_basis(knots, k))

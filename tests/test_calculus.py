@@ -356,3 +356,29 @@ def test_integra_is_antiderivative_on_grid():
     vals = sp.evaluate(fam, xs)[:, 0]
     running = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2 * np.diff(xs))])
     assert np.max(np.abs(sp.evaluate(prim, xs)[:, 0] - running)) < 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(["lincomb", "deriva", "rows", "rows_nan"]),
+       st.booleans(), st.integers(0, 2**31 - 1))
+def test_integra_matches_loop_oracle(k, source, symmetric, seed):
+    """integra, one pass over the stacked rows, against the per-member loop,
+    bit for bit: members of several components whose integrals end nonzero
+    (the antiderivative joins them) or at zero (derivatives of splines),
+    rows that are not splines, with signed zeros and a NaN, and empty
+    supports."""
+    rng = np.random.default_rng(seed)
+    if source.startswith("rows"):
+        fam = oracles.random_rows_family(rng, k)
+        members = [sp.make_member(supp, [np.where(b == 0.0, -0.0, b) for b in der.blocks])
+                   for supp, der in fam.members]
+        if source == "rows_nan":
+            members[0][1].blocks[0][0, 0] = np.nan
+        fam = sp.SplineFamily(fam.knots, k, tuple(members))
+    elif source == "deriva":
+        fam = sp.deriva(oracles.lincomb_family(rng, k + 1))
+    else:
+        fam = oracles.lincomb_family(rng, k)
+    if symmetric:
+        fam = sp.as_symmetric(fam)
+    oracles.assert_same_family(sp.integra(fam), oracles.loop_integra(fam))

@@ -61,6 +61,7 @@ def test_knot_flags_usage_errors(tmp_path, capsys):
     (["basis", "--equid", "0", "1", "nan", "-k", "2"], "got 'nan'"),
     (["basis", "--equid", "0", "1", "inf", "-k", "2"], "got 'inf'"),
     (["basis", "--equid", "0", "1", "five", "-k", "2"], "got 'five'"),
+    (["eval", "-i", "{mean}", "--deriv", "-1"], "--deriv must be >= 0; got -1"),
 ])
 def test_flag_values_are_usage_errors(tmp_path, capsys, argv, says):
     mp = str(tmp_path / "mean.json")
@@ -71,6 +72,15 @@ def test_flag_values_are_usage_errors(tmp_path, capsys, argv, says):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and says in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mean.json"]
+
+
+def test_deriv_above_order_exit_1(tmp_path, capsys):
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, oracles.random_valid_family(np.random.default_rng(3), 10, 2))
+    out = tmp_path / "out.csv"
+    assert main(["eval", "-i", mp, "--deriv", "3", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: derivative order must be in [0, 2]")
+    assert not out.exists()
 
 
 def test_equid_count_may_be_written_as_float(tmp_path):

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
@@ -520,18 +522,61 @@ def test_exsupp_keeps_one_dead_interval():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 3), st.booleans(), st.integers(0, 2**31 - 1))
-def test_exsupp_matches_loop_oracle(k, symmetric, seed):
+@given(st.integers(0, 3), st.booleans(), st.integers(0, 2**31 - 1),
+       st.sampled_from([None, np.nan, np.inf, -np.inf]))
+@example(2, False, 7, np.nan)
+def test_exsupp_matches_loop_oracle(k, symmetric, seed, nonfinite):
     """The one-pass exsupp against the per-member loop, bit for bit: dead
     runs of every length (one dead interval stays inside a component), a
-    member alive nowhere, an empty support, and both conventions."""
+    member alive nowhere, an empty support, and both conventions.  A
+    non-finite entry in member 0's first row keeps that row live."""
     rng = np.random.default_rng(seed)
     fam = oracles.random_rows_family(rng, k)
+    if nonfinite is not None:
+        (supp, der), *rest = fam.members
+        blocks = [b.copy() for b in der.blocks]
+        blocks[0][0, 0] = nonfinite
+        fam = sp.SplineFamily(fam.knots, k, (sp.make_member(supp, blocks), *rest))
     if symmetric:
         fam = sp.as_symmetric(fam)
     out = sp.exsupp(fam)
     oracles.assert_same_family(out, oracles.loop_exsupp(fam))
     assert out.members[-2][0].empty and out.members[-1][0].empty
+    assert np.isfinite(out.rows).all() == (nonfinite is None)
+    # the tolerance scale is the largest finite entry
+    entries = np.concatenate([b.ravel() for b in fam.members[0][1].blocks])
+    scale = np.max(np.abs(entries[np.isfinite(entries)]), initial=0.0)
+    assert fam.member_tolerance(0) == fam.epsilon * (scale if scale > 0 else 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.booleans(), st.booleans(), st.sampled_from([5, 1 << 16]),
+       st.integers(0, 2**31 - 1))
+def test_evaluate_matches_loop_oracle(k, spline_rows, symmetric, chunk, seed):
+    """evaluate, one pass over (point, component) pairs in chunks, against
+    the per-component loop, bit for bit, for every derivative order on an
+    unsorted grid holding every knot, repeated points and random points;
+    rows that are not splines show which row each point is stepped from."""
+    rng = np.random.default_rng(seed)
+    fam = (oracles.lincomb_family if spline_rows else oracles.random_rows_family)(rng, k)
+    if symmetric:
+        fam = sp.as_symmetric(fam)
+    xi = fam.knots.xi
+    grid = np.concatenate([xi, rng.uniform(xi[0], xi[-1], 40), xi[rng.integers(0, xi.size, 5)]])
+    rng.shuffle(grid)
+    with mock.patch.object(sp.core, "_EVAL_CHUNK", chunk):
+        for deriv in range(k + 1):
+            got = sp.evaluate(fam, grid, deriv)
+            assert got.tobytes() == oracles.loop_evaluate(fam, grid, deriv).tobytes()
+
+
+def test_family_rejects_mixed_conventions():
+    """Members of one family share one convention: a one-sided member beside
+    a symmetric one would be read with the wrong k-th column."""
+    a = oracles.random_valid_family(np.random.default_rng(8), 10, 3)
+    with pytest.raises(ValueError, match="mix"):
+        sp.SplineFamily(a.knots, 3, a.members + sp.as_symmetric(a).members)
+    assert sp.gather(a, sp.as_symmetric(a)).convention == sp.ONE_SIDED
 
 
 def test_empty_family_and_full_support():
