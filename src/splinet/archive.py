@@ -25,7 +25,7 @@ import json
 
 import numpy as np
 
-from .bases import DyadicNet
+from .bases import DyadicNet, _net_complete
 from .core import DEFAULT_EPSILON, SYMMETRIC, KnotSet, _family, as_symmetric
 
 
@@ -72,10 +72,8 @@ def family_from_dict(obj):
                 raise ValueError("malformed archive: net index outside 0..%d" % (d - 1))
             if len(set(indices)) != len(indices):
                 raise ValueError("malformed archive: net index repeated")
-            n_tuples = sum(len(lv) for lv in levels)
-            complete = n_tuples == 2 ** len(levels) - 1 and all(
-                len(t) == max(k, 1) for lv in levels for t in lv
-            ) and n_tuples * max(k, 1) == d
+            # a complete net must also cover every member
+            complete = _net_complete(levels, k) and len(indices) == d
             net = DyadicNet(levels, complete, k)
         return fam, net
     except KeyError as exc:

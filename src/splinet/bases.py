@@ -20,9 +20,10 @@ All three run on one orthogonalizer that reads H only through its band
 Every column of P keeps its own row range, that of the part of its group H
 couples it with, and ``P`` is returned as a ``scipy.sparse`` CSC matrix.
 
-For equidistant knots and a complete net every B-spline is a translate of
-every other, H is Toeplitz, and one tuple per level suffices: the rest are
-obtained by shifting rows and columns.
+H is read once into its lower band, and that band decides the dyadic path:
+when the net is complete, its tuples span the band and every band diagonal
+is constant (H is Toeplitz, as on equidistant knots), one tuple per level is
+computed and the rest are obtained by shifting rows and columns.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ from .core import ONE_SIDED, KnotSet, SplineFamily, _family, _ranges
 #: entries of P smaller than this (relative to max |P|) are set to zero
 P_TRUNCATION = 1e-11
 
+#: largest spread of a band diagonal of H, relative to the band's largest
+#: entry, for which the dyadic scheme treats H as Toeplitz
+TOEPLITZ_TOL = 1e-10
+
+#: the ``type`` values of :func:`splinet`
+BASIS_TYPES = ("spnt", "dspnt", "gsob", "twob", "bs")
+
 
 # ---------------------------------------------------------------------------
 # B-splines
@@ -54,17 +62,13 @@ def bspline_basis(knots, k, normalize=False):
         raise ValueError("need at least k internal knots for order-k B-splines")
     xi = knots.xi
 
-    # one step raises the order of every member at once; on equidistant
-    # knots every member is a translate, so a single block, anchored at
-    # l = 0, is carried through the recursion and tiled
-    equid = knots.equid
-    blk = np.zeros((1 if equid else n + 1, 2, 1))
+    # one step raises the order of every member at once
+    blk = np.zeros((n + 1, 2, 1))
     blk[:, 0] = 1.0
     for q in range(1, k + 1):
-        left, right = (blk, blk) if equid else (blk[:-1], blk[1:])
-        seg = np.lib.stride_tricks.sliding_window_view(xi, q + 2)[: left.shape[0]]
-        blk = _raise_order(left, right, seg, q)
-    rows = np.tile(blk[0], (n - k + 1, 1)) if equid else blk.reshape(-1, k + 1)
+        seg = np.lib.stride_tricks.sliding_window_view(xi, q + 2)[: blk.shape[0] - 1]
+        blk = _raise_order(blk[:-1], blk[1:], seg, q)
+    rows = blk.reshape(-1, k + 1)
 
     # member l lives on knots l..l+k+1: zero boundary values and last row
     lo = np.arange(n - k + 1)
@@ -132,16 +136,19 @@ def net_layout(n, k):
     d = n - k + 1
     size = max(k, 1)
     tuples = [tuple(range(t, min(t + size, d))) for t in range(0, d, size)]
-    n_tuples = len(tuples)
-    n_levels = n_tuples.bit_length()
-    levels = [[] for _ in range(n_levels)]
+    levels = [[] for _ in range(len(tuples).bit_length())]
     for t, tup in enumerate(tuples, start=1):
         level = (t & -t).bit_length() - 1  # trailing zeros of t
         levels[level].append(tup)
-    complete = n_tuples == 2**n_levels - 1 and all(
-        len(tup) == size for tup in tuples
-    )
-    return DyadicNet(tuple(tuple(lv) for lv in levels), complete, k)
+    levels = tuple(tuple(lv) for lv in levels)
+    return DyadicNet(levels, _net_complete(levels, k), k)
+
+
+def _net_complete(levels, k):
+    """Whether a net of ``levels`` (N of them) holds 2^N - 1 tuples, each of
+    ``max(k, 1)`` indices."""
+    tuples = [tup for lv in levels for tup in lv]
+    return len(tuples) == 2 ** len(levels) - 1 and all(len(tup) == max(k, 1) for tup in tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,8 @@ def _lower_band(h, k):
 def _check_spd(h):
     """Validate a symmetric positive definite Gram matrix, dense or sparse.
 
-    Returns the (symmetrized) matrix as CSR and its band width.
+    Returns the (symmetrized) matrix's lower band (:func:`_lower_band`), as
+    wide as its farthest nonzero from the diagonal.
     """
     if not scipy.sparse.issparse(h):
         h = np.asarray(h, dtype=float)
@@ -196,22 +204,17 @@ def _check_spd(h):
         if float(abs(asym).max()) > 1e-10 * scale:
             raise ValueError("gram matrix must be symmetric")
         h = h - 0.5 * asym
-    d = h.shape[0]
     coo = h.tocoo()
     nz = coo.data != 0
-    band = int(np.max(coo.row[nz] - coo.col[nz])) if nz.any() else 0
-    tau = 1e-12 * float(h.diagonal().sum())
-    if band < d // 4:
-        # banded: H - tau*I admits a Cholesky factor iff min eig > tau
-        ab = _lower_band(h, band)
-        ab[0] -= tau
-        try:
-            scipy.linalg.cholesky_banded(ab, lower=True)
-        except np.linalg.LinAlgError:
-            raise ValueError("gram matrix is not positive definite")
-    elif np.linalg.eigvalsh(h.toarray())[0] <= tau:
+    ab = _lower_band(h, int(np.max(coo.row[nz] - coo.col[nz])) if nz.any() else 0)
+    # H - tau*I admits a Cholesky factor iff min eig > tau
+    shifted = ab.copy()
+    shifted[0] -= 1e-12 * ab[0].sum()
+    try:
+        scipy.linalg.cholesky_banded(shifted, lower=True)
+    except np.linalg.LinAlgError:
         raise ValueError("gram matrix is not positive definite")
-    return h, band
+    return ab
 
 
 def _lowdin(m):
@@ -229,7 +232,7 @@ class _GroupOrthogonalizer:
     """Project a group of columns H-orthogonal to the finished columns it
     couples with, then orthonormalize it internally.
 
-    H is read through its lower band of width ``k`` only.  Finished column j
+    H is read through its lower band ``ab`` of width ``k`` only.  Finished column j
     of P is nonzero on rows ``lo[j]..hi[j]`` alone and couples with unit
     vector ``e_g`` iff that range meets ``g-k..g+k``.  A group is split into
     the parts H couples: column ranges (own index plus the ranges of the
@@ -241,8 +244,8 @@ class _GroupOrthogonalizer:
     tuple (the Toeplitz path) shares the block instead of copying it.
     """
 
-    def __init__(self, h, k):
-        self.ab = np.asfortranarray(_lower_band(h, k))
+    def __init__(self, ab):
+        self.ab = np.asfortranarray(ab)
         self.k = self.ab.shape[0] - 1
         d = self.ab.shape[1]
         # unfinished columns get a range no index can couple with
@@ -310,16 +313,16 @@ class _GroupOrthogonalizer:
             (np.concatenate(self.cols), _ranges(self.lo, lengths), indptr), shape=(d, d))
 
 
-def _gsob(h, k):
-    g = _GroupOrthogonalizer(h, k)
-    for j in range(h.shape[0]):
+def _gsob(ab):
+    g = _GroupOrthogonalizer(ab)
+    for j in range(ab.shape[1]):
         g.process((j,))
     return g.transform()
 
 
-def _twob(h, k):
-    g = _GroupOrthogonalizer(h, k)
-    left, right = 0, h.shape[0] - 1
+def _twob(ab):
+    g = _GroupOrthogonalizer(ab)
+    left, right = 0, ab.shape[1] - 1
     while left < right:
         g.process((left, right))
         left += 1
@@ -329,8 +332,10 @@ def _twob(h, k):
     return g.transform()
 
 
-def _dyadic(h, k, net, toeplitz=False):
-    g = _GroupOrthogonalizer(h, k)
+def _dyadic(ab, net, toeplitz=False):
+    """The dyadic scheme on H's lower band ``ab``; ``toeplitz`` computes one
+    tuple per level and translates it to the others."""
+    g = _GroupOrthogonalizer(ab)
     for lv in net.levels:
         if toeplitz and lv:
             g.process(lv[0])
@@ -343,21 +348,27 @@ def _dyadic(h, k, net, toeplitz=False):
     return g.transform()
 
 
-def diagonalize_gram(h, method="dyadic", net=None, k=None, _toeplitz=False):
+def diagonalize_gram(h, method="dyadic", net=None):
     """Transform P with P' H P = I by one of the three schemes.
 
-    ``h`` may be dense or ``scipy.sparse``.  Which columns couple is read
-    off the band of ``h``; ``k`` is accepted for compatibility and unused.
+    ``h`` may be dense or ``scipy.sparse``.  It is read once into its lower
+    band, which gives the columns that couple and picks the dyadic path: one
+    tuple per level is translated to the others when the net is complete,
+    its tuples span the band, and every band diagonal is constant to
+    ``TOEPLITZ_TOL`` of the band's largest entry.
     """
-    h, band = _check_spd(h)
+    ab = _check_spd(h)
     if method == "gsob":
-        p = _gsob(h, band)
+        p = _gsob(ab)
     elif method == "twob":
-        p = _twob(h, band)
+        p = _twob(ab)
     elif method == "dyadic":
         if net is None:
             raise ValueError("dyadic diagonalization needs a net")
-        p = _dyadic(h, band, net, toeplitz=_toeplitz)
+        d, tol = ab.shape[1], TOEPLITZ_TOL * np.abs(ab).max()
+        toeplitz = net.complete and max(net.k, 1) >= ab.shape[0] - 1 and all(
+            np.abs(row[: d - u] - row[0]).max() <= tol for u, row in enumerate(ab))
+        p = _dyadic(ab, net, toeplitz=toeplitz)
     else:
         raise ValueError("method must be one of gsob, twob, dyadic")
     return _truncate(p)
@@ -375,26 +386,25 @@ class SplinetResult:
     transform: TransformMatrix | None
 
 
-def splinet(knots, k, type="spnt", normalize=False, use_toeplitz=None):
+def splinet(knots, k, type="spnt", normalize=False):
     """B-spline basis plus (unless ``type='bs'``) an orthonormalized one.
 
-    ``type`` selects the scheme: ``spnt``/``dspnt`` for the dyadic net
-    (the tag in the result reflects whether the net is complete), ``gsob``
-    and ``twob`` for the one- and two-sided schemes, ``bs`` for the plain
-    basis only.  The equidistant complete-net case computes one tuple per
-    level and translates it; ``use_toeplitz=False`` forces the general path.
+    ``type`` is one of ``BASIS_TYPES``: ``spnt``/``dspnt`` for the dyadic
+    net (the tag in the result reflects whether the net is complete),
+    ``gsob`` and ``twob`` for the one- and two-sided schemes, ``bs`` for the
+    plain basis only.  Whether the dyadic scheme translates one tuple per
+    level is read off the Gram matrix's band (:func:`diagonalize_gram`).
     """
     if not isinstance(knots, KnotSet):
         knots = KnotSet(np.asarray(knots, dtype=float))
-    if type not in ("spnt", "dspnt", "gsob", "twob", "bs"):
+    if type not in BASIS_TYPES:
         raise ValueError("unknown basis type %r" % (type,))
     bs = bspline_basis(knots, k, normalize=normalize)
     net = net_layout(knots.n, k)
     if type == "bs":
         return SplinetResult(bs, None, net, None)
     if type in ("spnt", "dspnt"):
-        fast = knots.equid and net.complete if use_toeplitz is None else use_toeplitz
-        tr = diagonalize_gram(gramian(bs, sparse=True), "dyadic", net=net, _toeplitz=fast)
+        tr = diagonalize_gram(gramian(bs, sparse=True), "dyadic", net=net)
         tag = "dspnt" if net.complete else "spnt"
     else:
         tr = diagonalize_gram(gramian(bs, sparse=True), type)

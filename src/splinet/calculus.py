@@ -28,12 +28,10 @@ import scipy.sparse
 
 from .core import (
     ONE_SIDED,
-    SupportSet,
     _family,
     _live_runs,
     _ranges,
     as_one_sided,
-    make_member,
     taylor_astar,
 )
 
@@ -79,15 +77,6 @@ def _moment_matrix(xi, k):
     size = (n_int + 1) * (k + 1)
     return scipy.sparse.bsr_matrix((blocks, np.arange(n_int), indptr),
                                    shape=(size, size)).tocsr()
-
-
-def _member_from_union(full, comps, k):
-    """Cut a full matrix into blocks over the given support components (the
-    loop oracles build their members with it)."""
-    blocks = [full[lo : hi + 1].copy() for lo, hi in comps]
-    for blk in blocks:
-        blk[-1, k] = 0.0
-    return make_member(SupportSet(comps), blocks)
 
 
 #: entries per chunk of the nonzero scan of dense coefficients

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .archive import load_archive, save_archive
-from .bases import splinet
+from .bases import BASIS_TYPES, splinet
 from .calculus import gramian, lincomb
 from .core import KnotSet, ValidityReport, equidistant_knots, evaluate, is_valid_spline, sample_grid
 from .project import (
@@ -205,8 +205,7 @@ def build_parser():
     p = sub.add_parser("basis", help="generate a B-spline basis and an orthonormal one")
     _add_knot_flags(p)
     p.add_argument("-k", "--order", type=int, required=True)
-    p.add_argument("--type", default="spnt",
-                   choices=["spnt", "dspnt", "gsob", "twob", "bs"])
+    p.add_argument("--type", default="spnt", choices=BASIS_TYPES)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("-o", "--out", default="basis", help="output path prefix")
     p.set_defaults(func=_cmd_basis)
@@ -238,7 +237,7 @@ def build_parser():
     p.add_argument("-i", "--input", required=True)
     _add_knot_flags(p)
     p.add_argument("-k", "--order", type=int, default=3)
-    p.add_argument("--type", default="spnt", choices=["spnt", "dspnt", "bs", "gsob", "twob"])
+    p.add_argument("--type", default="spnt", choices=BASIS_TYPES)
     p.add_argument("-o", "--out", default="projection", help="output path prefix")
     p.set_defaults(func=_cmd_project)
 

@@ -35,7 +35,6 @@ import scipy.linalg
 
 from .core import (
     DEFAULT_EPSILON,
-    EPS_EQUID,
     ONE_SIDED,
     KnotSet,
     _family,
@@ -156,27 +155,15 @@ def _frlr_system(spacings, k):
     middle k-th entries ``x`` solve ``C' x = last[k-m:k] - first[k-m:] D``.
     Raises :class:`SingularSystemError` when ``C`` is numerically singular."""
     m = len(spacings) - 1
-    equid = np.max(np.abs(np.abs(spacings) - abs(spacings[0]))) <= EPS_EQUID * abs(spacings[0])
-    if equid:
-        a_full = taylor_step_matrix(spacings[0], k)
-        ab = a_full[k - m : k, k - m : k]
-        c = a_full[k, k - m : k]
-        # B^{(r, m+1)} = A^{m+1-r+1}... powers of the single block
-        pow_cache = [np.eye(m)]
-        for _ in range(m + 1):
-            pow_cache.append(pow_cache[-1] @ ab)
-        cmat = np.vstack([c @ pow_cache[m + 1 - r] for r in range(2, m + 2)])
-        dmat = a_full[k - m : k + 1, k - m : k] @ pow_cache[m]
-    else:
-        a_fulls = [taylor_step_matrix(s, k) for s in spacings]
-        ab = [a[k - m : k, k - m : k] for a in a_fulls]
-        c = [a[k, k - m : k] for a in a_fulls]
-        # suffix[r] = A^{(r)} A^{(r+1)} ... A^{(m+1)}  (steps are 1-based)
-        suffix = [np.eye(m) for _ in range(m + 3)]
-        for r in range(m + 1, 0, -1):
-            suffix[r] = ab[r - 1] @ suffix[r + 1]
-        cmat = np.vstack([c[r - 1] @ suffix[r + 1] for r in range(2, m + 2)])
-        dmat = a_fulls[0][k - m : k + 1, k - m : k] @ suffix[2]
+    a_fulls = [taylor_step_matrix(s, k) for s in spacings]
+    ab = [a[k - m : k, k - m : k] for a in a_fulls]
+    c = [a[k, k - m : k] for a in a_fulls]
+    # suffix[r] = A^{(r)} A^{(r+1)} ... A^{(m+1)}  (steps are 1-based)
+    suffix = [np.eye(m) for _ in range(m + 3)]
+    for r in range(m + 1, 0, -1):
+        suffix[r] = ab[r - 1] @ suffix[r + 1]
+    cmat = np.vstack([c[r - 1] @ suffix[r + 1] for r in range(2, m + 2)])
+    dmat = a_fulls[0][k - m : k + 1, k - m : k] @ suffix[2]
     if np.linalg.cond(cmat) > COND_LIMIT:
         raise SingularSystemError("frlr system is numerically singular")
     return cmat, dmat

@@ -33,7 +33,8 @@ import numpy as np
 ONE_SIDED = "one"
 SYMMETRIC = "sym"
 
-#: relative tolerance used to detect equally spaced knots
+#: relative tolerance of ``KnotSet.equid``; it describes knots and selects no
+#: computation path
 EPS_EQUID = 1e-8
 
 #: default relative validity tolerance of a family
@@ -132,6 +133,8 @@ class KnotSet:
 
 def equidistant_knots(a, b, n):
     """n internal knots equally spaced in (a, b), terminal knots at a and b."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("knots must be finite")
     return KnotSet(np.linspace(a, b, n + 2))
 
 
@@ -635,23 +638,10 @@ def _live_runs(member, t):
 
     A component ends where the member changes or where more than one dead
     interval follows: runs with one dead interval between them would be
-    adjacent components, so they stay one (the rule of
-    :func:`_merge_components`, applied to every member at once).
+    adjacent components, so they stay one.
     """
     if not t.size:
         return np.empty(0, dtype=int), np.empty(0, dtype=int)
     brk = np.flatnonzero((np.diff(member) != 0) | (np.diff(t) > 2)) + 1
     return np.concatenate([[0], brk]), np.append(brk - 1, t.size - 1)
 
-
-def _merge_components(comps):
-    """Union of (lo, hi) index intervals given sorted by ``lo``; runs closer
-    than one full knot gap are merged so the result is a legal support set."""
-    comps = np.asarray(comps, dtype=int).reshape(-1, 2)
-    if not comps.size:
-        return ()
-    lo, hi = comps.T
-    reach = np.maximum.accumulate(hi)
-    start = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1] + 1]))
-    end = reach[np.append(start[1:] - 1, -1)]
-    return tuple(zip(lo[start].tolist(), end.tolist()))

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bases import _lower_band, splinet
+from .bases import BASIS_TYPES, _lower_band, splinet
 from .calculus import gramian, integra, lincomb
 from .core import KnotSet, SplineFamily, evaluate
 from .construct import refine
-
-_BASIS_TYPES = ("spnt", "dspnt", "bs", "gsob", "twob")
 
 
 @dataclass(frozen=True)
@@ -63,9 +61,9 @@ class FunctionalDataMatrix:
 
 
 def _make_basis(knots, k, type):
-    if type not in _BASIS_TYPES:
-        raise ValueError("basis type must be one of %s" % (_BASIS_TYPES,))
-    res = splinet(knots, k, type="bs" if type == "bs" else type)
+    if type not in BASIS_TYPES:
+        raise ValueError("basis type must be one of %s" % (BASIS_TYPES,))
+    res = splinet(knots, k, type=type)
     basis = res.bs if type == "bs" else res.os
     return basis, res.transform
 

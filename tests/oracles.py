@@ -23,11 +23,32 @@ import scipy.linalg
 import scipy.sparse
 
 import splinet as sp
-from splinet.calculus import _interval_weights, _member_from_union, _taylor_layout
+from splinet.calculus import _interval_weights, _taylor_layout
 from splinet.construct import COND_LIMIT, SingularSystemError
-from splinet.core import EPS_EQUID, _merge_components, _taylor_col, taylor_step_matrix
+from splinet.core import _taylor_col, taylor_step_matrix
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _merge_components(comps):
+    """Union of (lo, hi) index intervals given sorted by ``lo``; runs closer
+    than one full knot gap are merged so the result is a legal support set."""
+    comps = np.asarray(comps, dtype=int).reshape(-1, 2)
+    if not comps.size:
+        return ()
+    lo, hi = comps.T
+    reach = np.maximum.accumulate(hi)
+    start = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1] + 1]))
+    end = reach[np.append(start[1:] - 1, -1)]
+    return tuple(zip(lo[start].tolist(), end.tolist()))
+
+
+def _member_from_union(full, comps, k):
+    """Cut a full matrix into blocks over the given support components."""
+    blocks = [full[lo : hi + 1].copy() for lo, hi in comps]
+    for blk in blocks:
+        blk[-1, k] = 0.0
+    return sp.make_member(sp.SupportSet(comps), blocks)
 
 
 def quad_inner(fam_a, i, fam_b, j, deriv=0):
@@ -294,7 +315,7 @@ def loop_integra(fam):
 def loop_bspline_basis(knots, k):
     """:func:`splinet.bspline_basis` one member at a time: each order-raising
     step combines the blocks of members l and l+1 over knots
-    ``xi[l : l+q+2]``; on equidistant knots one block is raised and copied."""
+    ``xi[l : l+q+2]``."""
     xi = knots.xi
     n = knots.n
 
@@ -310,16 +331,10 @@ def loop_bspline_basis(knots, k):
         out[:, :q] += (seg - seg[0])[:, None] * p1 / d1 + (seg - seg[-1])[:, None] * p2 / d2
         return out
 
-    if knots.equid:
-        blk = np.array([[1.0], [0.0]])
-        for q in range(1, k + 1):
-            blk = raise_pair(blk, blk, xi[: q + 2], q)
-        blocks = [blk.copy() for _ in range(n - k + 1)]
-    else:
-        blocks = [np.array([[1.0], [0.0]]) for _ in range(n + 1)]
-        for q in range(1, k + 1):
-            blocks = [raise_pair(blocks[l], blocks[l + 1], xi[l : l + q + 2], q)
-                      for l in range(n - q + 1)]
+    blocks = [np.array([[1.0], [0.0]]) for _ in range(n + 1)]
+    for q in range(1, k + 1):
+        blocks = [raise_pair(blocks[l], blocks[l + 1], xi[l : l + q + 2], q)
+                  for l in range(n - q + 1)]
     members = []
     for l, blk in enumerate(blocks):
         blk[0, :k] = 0.0
@@ -539,27 +554,15 @@ def _loop_frlr(first_row, last_row, spacings, k):
         u[1, :k] = prop
         return u, residual
 
-    equid = np.max(np.abs(np.abs(spacings) - abs(spacings[0]))) <= EPS_EQUID * abs(spacings[0])
-    if equid:
-        a_full = taylor_step_matrix(spacings[0], k)
-        ab = a_full[k - m : k, k - m : k]
-        c = a_full[k, k - m : k]
-        # B^{(r, m+1)} = A^{m+1-r+1}... powers of the single block
-        pow_cache = [np.eye(m)]
-        for _ in range(m + 1):
-            pow_cache.append(pow_cache[-1] @ ab)
-        cmat = np.vstack([c @ pow_cache[m + 1 - r] for r in range(2, m + 2)])
-        dmat = a_full[k - m : k + 1, k - m : k] @ pow_cache[m]
-    else:
-        a_fulls = [taylor_step_matrix(s, k) for s in spacings]
-        ab = [a[k - m : k, k - m : k] for a in a_fulls]
-        c = [a[k, k - m : k] for a in a_fulls]
-        # suffix[r] = A^{(r)} A^{(r+1)} ... A^{(m+1)}  (steps are 1-based)
-        suffix = [np.eye(m) for _ in range(m + 3)]
-        for r in range(m + 1, 0, -1):
-            suffix[r] = ab[r - 1] @ suffix[r + 1]
-        cmat = np.vstack([c[r - 1] @ suffix[r + 1] for r in range(2, m + 2)])
-        dmat = a_fulls[0][k - m : k + 1, k - m : k] @ suffix[2]
+    a_fulls = [taylor_step_matrix(s, k) for s in spacings]
+    ab = [a[k - m : k, k - m : k] for a in a_fulls]
+    c = [a[k, k - m : k] for a in a_fulls]
+    # suffix[r] = A^{(r)} A^{(r+1)} ... A^{(m+1)}  (steps are 1-based)
+    suffix = [np.eye(m) for _ in range(m + 3)]
+    for r in range(m + 1, 0, -1):
+        suffix[r] = ab[r - 1] @ suffix[r + 1]
+    cmat = np.vstack([c[r - 1] @ suffix[r + 1] for r in range(2, m + 2)])
+    dmat = a_fulls[0][k - m : k + 1, k - m : k] @ suffix[2]
 
     if np.linalg.cond(cmat) > COND_LIMIT:
         raise SingularSystemError("frlr system is numerically singular")

@@ -89,6 +89,10 @@ def test_incomplete_net_flag(tmp_path):
     sp.save_archive(path, res.os, res.net)
     _, net = sp.load_archive(path)
     assert net is not None and not net.complete
+    # full tuples, 2^N - 1 of them, that leave member 9 out
+    sp.save_archive(path, res.os, sp.net_layout(11, 3))
+    _, net = sp.load_archive(path)
+    assert net is not None and not net.complete
 
 
 @pytest.mark.parametrize("field, value, message", [

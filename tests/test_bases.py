@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
-from splinet.bases import _check_spd, diagonalize_gram
+from splinet.bases import _check_spd, _dyadic, _lower_band, _truncate, diagonalize_gram
 
 import oracles
 
@@ -92,6 +92,8 @@ def test_net_layout_example():
     net = sp.net_layout(3, 1)  # d = 3, tuples of size 1
     assert net.complete
     assert net.levels == (((0,), (2,)), ((1,),))
+    net0 = sp.net_layout(2, 0)  # order 0 also has tuples of size 1
+    assert net0.complete and net0.levels == net.levels
 
 
 def test_net_layout_k3_complete():
@@ -138,7 +140,7 @@ def test_diagonalize_gram_identity(method, n, k):
     bs = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n), k)
     h = sp.gramian(bs)
     net = sp.net_layout(n, k)
-    tr = diagonalize_gram(h, method, net=net, k=k)
+    tr = diagonalize_gram(h, method, net=net)
     assert np.max(np.abs(tr.P.T @ h @ tr.P - np.eye(len(bs)))) < 1e-10
 
 
@@ -158,7 +160,7 @@ def test_twob_sparsity_bound():
     # middle tails, i.e. for large enough d at each order
     for n, k in [(20, 1), (33, 1), (81, 2), (100, 3), (120, 3)]:
         bs = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n), k)
-        tr = diagonalize_gram(sp.gramian(bs), "twob", k=k)
+        tr = diagonalize_gram(sp.gramian(bs), "twob")
         d = len(bs)
         assert tr.nnz <= d * (d + 2) / 4 + d
 
@@ -170,8 +172,8 @@ def test_nnz_ordering():
         h = sp.gramian(bs)
         net = sp.net_layout(n, k)
         nnz_g = diagonalize_gram(h, "gsob").nnz
-        nnz_t = diagonalize_gram(h, "twob", k=k).nnz
-        nnz_d = diagonalize_gram(h, "dyadic", net=net, k=k).nnz
+        nnz_t = diagonalize_gram(h, "twob").nnz
+        nnz_d = diagonalize_gram(h, "dyadic", net=net).nnz
         assert nnz_d < nnz_t < nnz_g
 
 
@@ -182,10 +184,10 @@ def test_dyadic_toeplitz_matches_general():
         bs = sp.bspline_basis(knots, 3)
         h = sp.gramian(bs)
         net = sp.net_layout(n, 3)
-        fast = diagonalize_gram(h, "dyadic", net=net, k=3, _toeplitz=True)
-        slow = diagonalize_gram(h, "dyadic", net=net, k=3, _toeplitz=False)
-        scale = np.max(np.abs(slow.P.toarray()))
-        assert np.max(np.abs(fast.P.toarray() - slow.P.toarray())) < 1e-12 * scale
+        fast = _dyadic(_lower_band(h, 3), net, toeplitz=True).toarray()
+        slow = _dyadic(_lower_band(h, 3), net, toeplitz=False).toarray()
+        scale = np.max(np.abs(slow))
+        assert np.max(np.abs(fast - slow)) < 1e-12 * scale
 
 
 def _assert_matches_oracle(tr, oracle):
@@ -218,7 +220,7 @@ def test_transform_matches_envelope_oracle(seed, n, k):
     h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n_c), k))
     net = sp.net_layout(n_c, k)
     assert net.complete
-    tr = diagonalize_gram(h, "dyadic", net=net, _toeplitz=True)
+    tr = diagonalize_gram(h, "dyadic", net=net)
     _assert_matches_oracle(tr, oracles.dense_diagonalize(h, "dyadic", k, net, toeplitz=True))
     _assert_orthonormal(tr, h)
 
@@ -303,10 +305,11 @@ def test_splinet_spans_same_space():
 
 def test_splinet_toeplitz_flag_agrees():
     knots = sp.equidistant_knots(0.0, 1.0, 23)
-    a = sp.splinet(knots, 3, use_toeplitz=True)
-    b = sp.splinet(knots, 3, use_toeplitz=False)
-    scale = np.max(np.abs(b.transform.P.toarray()))
-    assert np.max(np.abs(a.transform.P.toarray() - b.transform.P.toarray())) < 1e-12 * scale
+    a = sp.splinet(knots, 3)
+    h = sp.gramian(a.bs)
+    b = _truncate(_dyadic(_lower_band(h, 3), a.net, toeplitz=False))
+    scale = np.max(np.abs(b.P.toarray()))
+    assert np.max(np.abs(a.transform.P.toarray() - b.P.toarray())) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("type, use_toeplitz, equid", [
@@ -318,16 +321,81 @@ def test_splinet_sparse_gram_archive_matches_dense_route(type, use_toeplitz, equ
     rng = np.random.default_rng(11)
     # 45 members make a complete net, 46 do not
     knots = sp.equidistant_knots(0.0, 1.0, 47) if equid else oracles.random_knots(rng, 48)
-    res = sp.splinet(knots, 3, type=type, use_toeplitz=use_toeplitz)
+    res = sp.splinet(knots, 3, type=type)
+    sparse_os, sparse_tr = res.os, res.transform
     h = sp.gramian(res.bs)
     if type in ("dspnt", "spnt"):
-        tr = diagonalize_gram(h, "dyadic", net=res.net, _toeplitz=bool(use_toeplitz))
+        if use_toeplitz is False:
+            # splinet() takes the Toeplitz path on these knots: run the
+            # general one on the sparse Gram as splinet() would
+            sparse_tr = _truncate(_dyadic(_check_spd(sp.gramian(res.bs, sparse=True)), res.net))
+            sparse_os = sp.lincomb(res.bs, sparse_tr.P.T.toarray(), type=type)
+        tr = _truncate(_dyadic(_lower_band(h, 3), res.net, toeplitz=bool(use_toeplitz)))
     else:
         tr = diagonalize_gram(h, type)
     dense = sp.lincomb(res.bs, tr.P.T.toarray(), type=res.os.type)
     assert res.os.type == type
-    assert tr.nnz == res.transform.nnz
-    assert oracles.archive_text(res.os, res.net) == oracles.archive_text(dense, res.net)
+    assert tr.nnz == sparse_tr.nnz
+    assert oracles.archive_text(sparse_os, res.net) == oracles.archive_text(dense, res.net)
+
+
+def _perturbed_knots(n, seed=3):
+    """n internal knots whose widths are 1/(n+1) perturbed by 2e-9 relative:
+    equidistant to ``EPS_EQUID``, but their Gram matrix is not Toeplitz."""
+    rng = np.random.default_rng(seed)
+    widths = (1.0 + 2e-9 * rng.uniform(-1.0, 1.0, n + 1)) / (n + 1)
+    return sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]))
+
+
+def _irregular_knots(n, seed=5):
+    widths = np.random.default_rng(seed).uniform(0.5, 1.5, n + 1)
+    return sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths))
+
+
+def test_splinet_near_equidistant_orthonormal():
+    # the widths pass the equidistance test; translating one tuple per level
+    # on these knots gave a basis orthonormal only to 3.7e-9
+    n = 3 * 2**6 - 1
+    knots = _perturbed_knots(n)
+    assert knots.equid
+    res = sp.splinet(knots, 3)
+    assert np.max(np.abs(sp.gramian(res.os) - np.eye(len(res.os)))) <= 1e-10
+
+
+_PATH_CASES = [("unit", True), ("shifted", True), ("irregular", False), ("perturbed", False)]
+
+
+@pytest.mark.parametrize("d, kind, toeplitz", [
+    (d, kind, toeplitz) for d in (1533, 6141) for kind, toeplitz in _PATH_CASES
+] + [(24573, kind, toeplitz) for kind, toeplitz in _PATH_CASES[:2]])
+def test_dyadic_path_read_off_the_gram(monkeypatch, d, kind, toeplitz):
+    # the Toeplitz path is taken exactly when H's band is Toeplitz: on
+    # equidistant knots over [0, 1] and [0.9, 2.9], not on irregular or
+    # perturbed ones
+    n = d + 2
+    knots = {"unit": lambda: sp.equidistant_knots(0.0, 1.0, n),
+             "shifted": lambda: sp.equidistant_knots(0.9, 2.9, n),
+             "irregular": lambda: _irregular_knots(n),
+             "perturbed": lambda: _perturbed_knots(n)}[kind]()
+    taken = []
+
+    def spy(ab, net, toeplitz=False):
+        taken.append(toeplitz)
+        return _dyadic(ab, net, toeplitz)
+
+    monkeypatch.setattr(sp.bases, "_dyadic", spy)
+    h = sp.gramian(sp.bspline_basis(knots, 3), sparse=True)
+    diagonalize_gram(h, "dyadic", net=sp.net_layout(n, 3))
+    assert taken == [toeplitz]
+
+
+def test_dyadic_tuples_shorter_than_band_take_general_path():
+    # a complete net of single indices over a Gram of band 2: translating
+    # tuple (0,) to (2,) would ignore that H couples the two
+    h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 8), 2))
+    net = sp.net_layout(7, 1)
+    assert net.complete and h.shape == (7, 7)
+    _assert_orthonormal(diagonalize_gram(h, "dyadic", net=net), h)
 
 
 def test_splinet_supports_grow_by_level():

@@ -110,7 +110,8 @@ def test_frlr_equidistant_matches_general():
     rng = np.random.default_rng(9)
     k, m = 3, 3
     seg_eq = np.linspace(0.0, 2.0, m + 2)
-    # nudge one knot below the equidistance tolerance: same answer expected
+    # an equidistant segment and one with a knot moved by 1e-3 both recover
+    # the middle k-th entries they were built from
     first = rng.standard_normal(k + 1)
     col = np.concatenate([[first[k]], rng.standard_normal(m), [0.0]])
     truth = sp.solve_frlc(first, col, seg_eq)

@@ -87,6 +87,11 @@ def test_knotset_rejects_nonfinite(bad):
         sp.KnotSet([0.0, bad, 1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
         sp.KnotSet([0.0, 1.0, bad])
+    # the endpoints are checked before np.linspace can warn on them
+    with pytest.raises(ValueError, match="finite"):
+        sp.equidistant_knots(0.0, bad, 5)
+    with pytest.raises(ValueError, match="finite"):
+        sp.equidistant_knots(bad, 1.0, 5)
 
 
 def test_equidistant_knots():
