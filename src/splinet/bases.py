@@ -18,7 +18,10 @@ coefficient transform P with P' H P = I:
 All three run on one orthogonalizer that reads H only through its band
 (B-splines i and j overlap iff ``|i - j| <= k``) and forms no d x d array.
 Every column of P keeps its own row range, that of the part of its group H
-couples it with, and ``P`` is returned as a ``scipy.sparse`` CSC matrix.
+couples it with, and P is returned as compressed-sparse-column numpy arrays
+(:class:`TransformMatrix`); its ``scipy.sparse`` form is built on first use.
+Everything here runs on numpy alone, the banded Cholesky factorization of the
+positive-definiteness test included.
 
 H is read once into its lower band, and that band decides the dyadic path:
 when the net is complete, its tuples span the band and every band diagonal
@@ -28,14 +31,13 @@ computed and the rest are obtained by shifting rows and columns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.linalg.blas import dsbmv as _dsbmv
 
-from .calculus import gramian, lincomb
+from .calculus import _Csr, _as_csr, _gram, gramian, lincomb
 from .core import ONE_SIDED, KnotSet, SplineFamily, _family, _ranges
 
 #: entries of P smaller than this (relative to max |P|) are set to zero
@@ -76,8 +78,9 @@ def bspline_basis(knots, k, normalize=False):
     rows[lo * (k + 2) + k + 1] = 0.0
     fam = _family(knots, k, rows, lo, lo + k + 1, np.arange(n - k + 2), ONE_SIDED, "bs")
     if normalize:
-        norms = np.sqrt(gramian(fam, sparse=True).diagonal())
-        fam = lincomb(fam, np.diag(1.0 / norms), type="bs")
+        d = len(fam)
+        scale = 1.0 / np.sqrt(_gram(fam, fam, True)[0].diagonal())
+        fam = lincomb(fam, _Csr(np.arange(d + 1), np.arange(d), scale, (d, d)), type="bs")
     return fam
 
 
@@ -159,61 +162,139 @@ def _net_complete(levels, k):
 class TransformMatrix:
     """Coefficient transform P with P' H P = I and its sparsity count.
 
-    ``P`` is a ``scipy.sparse`` CSC matrix; column j holds the coefficients
-    of orthonormal member j against the B-splines.
+    ``pt`` holds P in compressed-sparse-column numpy arrays (``indptr``,
+    ``indices``, ``data``), which read by rows are P' (a
+    :class:`~splinet.calculus._Csr`): column j holds the coefficients of
+    orthonormal member j against the B-splines.  ``P``, the ``scipy.sparse``
+    CSC matrix, is built from them on first access.
     """
 
-    P: scipy.sparse.csc_matrix
+    pt: _Csr
     nnz: int
 
+    @cached_property
+    def P(self):
+        import scipy.sparse
 
-def _truncate(p):
-    mag = np.abs(p.data)
-    p.data[mag < P_TRUNCATION * mag.max(initial=0.0)] = 0.0
-    p.eliminate_zeros()
-    return TransformMatrix(p, p.nnz)
+        pt = self.pt
+        return scipy.sparse.csc_matrix((pt.data, pt.indices, pt.indptr), shape=pt.shape[::-1])
 
 
-def _lower_band(h, k):
-    """LAPACK lower band storage ``ab[u, i] = H[i+u, i]``, u = 0..k."""
-    d = h.shape[0]
-    ab = np.zeros((min(k, d - 1) + 1, d))
-    for u in range(ab.shape[0]):
-        ab[u, : d - u] = h.diagonal(-u)
-    return ab
+def _truncate(tr):
+    """``tr`` without the entries of P below ``P_TRUNCATION`` of its largest."""
+    pt = tr.pt
+    mag = np.abs(pt.data)
+    keep = (mag >= P_TRUNCATION * mag.max(initial=0.0)) & (mag > 0)
+    cols = pt.rows()[keep]
+    out = _Csr.from_sorted(cols, pt.indices[keep], pt.data[keep], pt.shape)
+    return TransformMatrix(out, out.nnz)
+
+
+#: rows of H per dense block of the banded Cholesky factorization
+_CHOLESKY_BLOCK = 64
+
+#: a Gram matrix H counts as positive definite when H - tau*I has a Cholesky
+#: factor, tau this fraction of H's trace
+SPD_SHIFT = 1e-12
+
+
+def _band_block(ab, s, e):
+    """``H[s:e, s:e]`` as a dense array, from H's lower band ``ab``."""
+    n = e - s
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    for u in range(min(ab.shape[0], n)):
+        flat[u * n :: n + 1] = ab[u, s : e - u]  # H[i+u, i]
+        flat[u : n * (n - u) : n + 1] = ab[u, s : e - u]  # H[i, i+u]
+    return out
+
+
+def _cholesky_banded(ab, shift=0.0):
+    """Lower Cholesky factor of H - shift*I, H given by its lower band ``ab``
+    of width w.
+
+    H is factored in dense blocks of ``_CHOLESKY_BLOCK`` rows (at least w).  A
+    block's rows meet earlier rows only in the w rows just before it, and
+    all that those w rows carry from the rows before them is their Schur
+    complement S.  So each block is factored together with those w rows,
+    S in place of their own entries, and the trailing w x w of its factor,
+    T, gives the next block's S = T T'.  Returns ``(factor, lead)`` per block,
+    the first ``lead`` rows and columns of the factor those of the w rows
+    before the block (none for the first).  Raises ``ValueError`` when
+    H - shift*I is not positive definite.
+    """
+    w, d = ab.shape[0] - 1, ab.shape[1]
+    size = max(_CHOLESKY_BLOCK, w)
+    factors, carry = [], np.zeros((0, 0))
+    for s in range(0, d, size):
+        e = min(s + size, d)
+        lead = carry.shape[0]
+        a = _band_block(ab, s - lead, e)
+        n = a.shape[0]
+        a.reshape(-1)[lead * (n + 1) :: n + 1] -= shift
+        a[:lead, :lead] = carry
+        try:
+            low = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise ValueError("gram matrix is not positive definite") from None
+        factors.append((low, lead))
+        tail = low[n - w :, n - w :]
+        carry = tail @ tail.T
+    return factors
+
+
+def _cho_solve_banded(factors, b):
+    """Solve ``H x = b`` for ``b`` of d rows, given :func:`_cholesky_banded`'s
+    factors of H: forward through the blocks, then back."""
+    y = np.array(b, dtype=float)
+    bounds, e = [], 0
+    for low, lead in factors:
+        s, e = e, e + low.shape[0] - lead
+        y[s:e] = np.linalg.solve(low[lead:, lead:], y[s:e] - low[lead:, :lead] @ y[s - lead : s])
+        bounds.append((s, e))
+    for j in range(len(factors) - 1, -1, -1):
+        (low, lead), (s, e) = factors[j], bounds[j]
+        if j + 1 < len(factors):
+            after, a_lead = factors[j + 1]
+            y[e - a_lead : e] -= after[a_lead:, :a_lead].T @ y[e : bounds[j + 1][1]]
+        y[s:e] = np.linalg.solve(low[lead:, lead:].T, y[s:e])
+    return y
 
 
 def _check_spd(h):
-    """Validate a symmetric positive definite Gram matrix, dense or sparse.
+    """Validate a symmetric positive definite Gram matrix: a dense array, a
+    ``scipy.sparse`` matrix or :func:`~splinet.calculus.gramian`'s numpy
+    container.
 
-    Returns the (symmetrized) matrix's lower band (:func:`_lower_band`), as
-    wide as its farthest nonzero from the diagonal.
+    Returns the (symmetrized) matrix's lower band in LAPACK storage,
+    ``ab[u, i] = H[i+u, i]``, as wide as its farthest nonzero from the
+    diagonal.  H - tau*I, tau ``SPD_SHIFT`` times H's trace, must admit a
+    Cholesky factor, which holds iff H's smallest eigenvalue exceeds tau.
     """
-    if not scipy.sparse.issparse(h):
-        h = np.asarray(h, dtype=float)
-        if h.ndim != 2:
-            raise ValueError("gram matrix must be square")
-    h = scipy.sparse.csr_matrix(h, dtype=float)
+    if np.ndim(h) != 2:
+        raise ValueError("gram matrix must be square")
+    h = _as_csr(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError("gram matrix must be square")
     if not np.all(np.isfinite(h.data)):
         raise ValueError("gram matrix must be finite")
-    asym = h - h.T
-    if asym.count_nonzero():
-        scale = max(1.0, float(abs(h).max()))
-        if float(abs(asym).max()) > 1e-10 * scale:
+    # the lower band ab[u, i] = H[i+u, i] and its mirror H[i, i+u], read in
+    # one pass over the entries
+    rows, cols, data = h.rows(), h.indices, h.data
+    off = rows - cols
+    width = int(np.abs(off[data != 0]).max(initial=0))
+    ab, up = np.zeros((2, width + 1, h.shape[0]))
+    at = (off >= 0) & (off <= width)
+    ab[off[at], cols[at]] = data[at]
+    at = (off <= 0) & (off >= -width)
+    up[-off[at], rows[at]] = data[at]
+    asym = ab - up
+    if np.any(asym):
+        scale = max(1.0, float(np.abs(h.data).max()))
+        if float(np.abs(asym).max()) > 1e-10 * scale:
             raise ValueError("gram matrix must be symmetric")
-        h = h - 0.5 * asym
-    coo = h.tocoo()
-    nz = coo.data != 0
-    ab = _lower_band(h, int(np.max(coo.row[nz] - coo.col[nz])) if nz.any() else 0)
-    # H - tau*I admits a Cholesky factor iff min eig > tau
-    shifted = ab.copy()
-    shifted[0] -= 1e-12 * ab[0].sum()
-    try:
-        scipy.linalg.cholesky_banded(shifted, lower=True)
-    except np.linalg.LinAlgError:
-        raise ValueError("gram matrix is not positive definite")
+        ab -= 0.5 * asym
+    _cholesky_banded(ab, SPD_SHIFT * ab[0].sum())
     return ab
 
 
@@ -245,7 +326,7 @@ class _GroupOrthogonalizer:
     """
 
     def __init__(self, ab):
-        self.ab = np.asfortranarray(ab)
+        self.ab = np.ascontiguousarray(ab)
         self.k = self.ab.shape[0] - 1
         d = self.ab.shape[1]
         # unfinished columns get a range no index can couple with
@@ -254,9 +335,16 @@ class _GroupOrthogonalizer:
         self.cols = [None] * d
 
     def _hmul(self, r0, x):
-        """``H[r0:r0+m, r0:r0+m] @ x`` from the band, m = len(x)."""
-        ab = self.ab[:, r0 : r0 + x.shape[0]]
-        return np.column_stack([_dsbmv(self.k, 1.0, ab, col, lower=1) for col in x.T])
+        """``H[r0:r0+m, r0:r0+m] @ x`` from the band, m = len(x): one
+        product per band diagonal and side."""
+        m = x.shape[0]
+        ab = self.ab[:, r0 : r0 + m]
+        y = ab[0, :, None] * x
+        for u in range(1, min(self.k, m - 1) + 1):
+            band = ab[u, : m - u, None]
+            y[u:] += band * x[: m - u]  # H[i+u, i] x[i]
+            y[: m - u] += band * x[u:]  # H[i, i+u] x[i+u]
+        return y
 
     def process(self, group):
         """Finish the columns of ``group`` (ascending indices)."""
@@ -296,21 +384,25 @@ class _GroupOrthogonalizer:
         for c, j in enumerate(cols):
             self.cols[j] = blk[:, c]
 
-    def translate(self, src, dst, offset):
-        """Finish columns ``dst`` as the columns ``src`` shifted down by ``offset`` rows."""
+    def translate(self, src, dst, step):
+        """Finish the columns of every row ``i`` of ``dst`` (a group each) as
+        the columns ``src`` shifted down by ``(i + 1) * step`` rows."""
         src, dst = np.asarray(src), np.asarray(dst)
-        self.lo[dst] = self.lo[src] + offset
-        self.hi[dst] = self.hi[src] + offset
-        for s, t in zip(src, dst):
-            self.cols[t] = self.cols[s]
+        shift = step * np.arange(1, dst.shape[0] + 1)[:, None]
+        self.lo[dst] = self.lo[src] + shift
+        self.hi[dst] = self.hi[src] + shift
+        blocks = [self.cols[s] for s in src.tolist()]
+        for row in dst.tolist():
+            for t, col in zip(row, blocks):
+                self.cols[t] = col
 
     def transform(self):
-        """P as CSC, once every column is finished."""
+        """P as a :class:`TransformMatrix`, once every column is finished."""
         d = self.ab.shape[1]
         lengths = self.hi - self.lo + 1
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        return scipy.sparse.csc_matrix(
-            (np.concatenate(self.cols), _ranges(self.lo, lengths), indptr), shape=(d, d))
+        pt = _Csr(np.concatenate([[0], np.cumsum(lengths)]), _ranges(self.lo, lengths),
+                  np.concatenate(self.cols), (d, d))
+        return TransformMatrix(pt, pt.nnz)
 
 
 def _gsob(ab):
@@ -339,9 +431,8 @@ def _dyadic(ab, net, toeplitz=False):
     for lv in net.levels:
         if toeplitz and lv:
             g.process(lv[0])
-            step = lv[1][0] - lv[0][0] if len(lv) > 1 else 0
-            for i, tup in enumerate(lv[1:], start=1):
-                g.translate(lv[0], tup, i * step)
+            if len(lv) > 1:
+                g.translate(lv[0], lv[1:], lv[1][0] - lv[0][0])
         else:
             for tup in lv:
                 g.process(tup)
@@ -351,7 +442,8 @@ def _dyadic(ab, net, toeplitz=False):
 def diagonalize_gram(h, method="dyadic", net=None):
     """Transform P with P' H P = I by one of the three schemes.
 
-    ``h`` may be dense or ``scipy.sparse``.  It is read once into its lower
+    ``h`` may be dense, ``scipy.sparse`` or the numpy container that
+    :func:`~splinet.calculus.gramian` builds.  It is read once into its lower
     band, which gives the columns that couple and picks the dyadic path: one
     tuple per level is translated to the others when the net is complete,
     its tuples span the band, and every band diagonal is constant to
@@ -366,6 +458,10 @@ def diagonalize_gram(h, method="dyadic", net=None):
         if net is None:
             raise ValueError("dyadic diagonalization needs a net")
         d, tol = ab.shape[1], TOEPLITZ_TOL * np.abs(ab).max()
+        laid = np.fromiter(itertools.chain.from_iterable(net.all_tuples()), dtype=np.int64)
+        if not np.array_equal(np.sort(laid), np.arange(d)):
+            raise ValueError("the net must lay out each of the gram matrix's %d columns "
+                             "exactly once" % d)
         toeplitz = net.complete and max(net.k, 1) >= ab.shape[0] - 1 and all(
             np.abs(row[: d - u] - row[0]).max() <= tol for u, row in enumerate(ab))
         p = _dyadic(ab, net, toeplitz=toeplitz)
@@ -403,12 +499,13 @@ def splinet(knots, k, type="spnt", normalize=False):
     net = net_layout(knots.n, k)
     if type == "bs":
         return SplinetResult(bs, None, net, None)
+    h = gramian(bs, _csr=True)
     if type in ("spnt", "dspnt"):
-        tr = diagonalize_gram(gramian(bs, sparse=True), "dyadic", net=net)
+        tr = diagonalize_gram(h, "dyadic", net=net)
         tag = "dspnt" if net.complete else "spnt"
     else:
-        tr = diagonalize_gram(gramian(bs, sparse=True), type)
+        tr = diagonalize_gram(h, type)
         tag = type
     # dense P' until bench/spans.count_coeff_nnz can count sparse coefficients
-    os_fam = lincomb(bs, tr.P.T.toarray(), type=tag)
+    os_fam = lincomb(bs, tr.pt.toarray(), type=tag)
     return SplinetResult(bs, os_fam, net, tr)

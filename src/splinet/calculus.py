@@ -1,22 +1,24 @@
 """Calculus on derivative-matrix splines.
 
 All operations work in the one-sided convention internally and return
-results in that convention.  ``gramian``, ``lincomb``, ``dintegra`` and the
-``integra`` tolerance read a family through one sparse layout
-(:func:`_taylor_layout`):
+results in that convention.  They read a family straight from its stacked
+Taylor rows (:class:`~splinet.core.SplineFamily`), with numpy alone:
 
-* ``C`` (d x (n+2)(k+1)): row ``i`` is member ``i``'s derivative matrix
-  flattened over the knots its support components cover; column
-  ``t*(k+1) + p`` holds the p-th derivative at knot ``t``;
-* ``C_int``: ``C`` without each component's last knot, i.e. only the Taylor
-  rows that start an interval the member lives on;
-* ``O`` (d x (n+1)): interval incidence, 1 where a member lives.
+* a member's *interval rows* (:func:`_interval_rows`) are the rows of its
+  support components but each component's last: the Taylor rows that start
+  an interval the member lives on;
+* on an interval of width ``w`` a row ``r`` is the polynomial
+  ``sum_p r[p] x^p / p!``, so an inner product sums ``r_a M_t r_b'`` over
+  the intervals ``t`` both members live on, with
+  ``M_t[p, q] = w^(p+q+1) / ((p+q+1) p! q!)`` (:func:`_moment_blocks`), and
+  a definite integral sums ``r . a_t`` with ``a_t[p] = w^(p+1) / (p+1)!``;
+* a linear combination scatters the coefficient-weighted rows of the members
+  it combines into its output rows, over the union of their supports.
 
-On an interval of width ``w`` a row ``r`` is the polynomial
-``sum_p r[p] x^p / p!``, so the Gram matrix is ``C_int_a M C_int_b'`` with
-``M`` block-diagonal, ``M_t[p, q] = w^(p+q+1) / ((p+q+1) p! q!)``; definite
-integrals weight ``C_int`` by ``w^(p+1) / (p+1)!``; linear combinations are
-``coeffs C`` with the support read off ``|coeffs| O``.
+Sparse matrices (Gram matrices, coefficients) are held in :class:`_Csr`, a
+compressed-sparse-row container of numpy arrays.  scipy is imported only to
+return a ``scipy.sparse`` matrix where one is asked for; ``scipy.sparse``
+input is read through its ``tocsr`` method.
 """
 
 from __future__ import annotations
@@ -24,59 +26,67 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse
 
 from .core import (
     ONE_SIDED,
     _family,
-    _live_runs,
     _ranges,
     as_one_sided,
     taylor_astar,
 )
 
 
-def _csr(rows, cols, data, shape):
-    """CSR matrix from entries already sorted by row, then by column."""
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
-    return scipy.sparse.csr_matrix((data, cols, indptr), shape=shape)
+class _Csr:
+    """Compressed sparse rows in numpy arrays: row ``i`` stores ``data[a:b]``
+    in the columns ``indices[a:b]`` (ascending, none twice), with
+    ``a, b = indptr[i], indptr[i + 1]``.  Read by columns, the same arrays
+    hold the transpose."""
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+    ndim = 2
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = tuple(shape)
+
+    @classmethod
+    def from_sorted(cls, rows, cols, data, shape):
+        """The container of entries already sorted by row, then by column."""
+        counts = np.bincount(rows, minlength=shape[0])
+        return cls(np.concatenate([[0], np.cumsum(counts)]), cols, data, shape)
+
+    @property
+    def nnz(self):
+        return self.data.size
+
+    def rows(self):
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+    def diagonal(self):
+        """The entries ``[i, i]``."""
+        out = np.zeros(min(self.shape))
+        on = self.indices == self.rows()
+        out[self.indices[on]] = self.data[on]
+        return out
 
 
-def _taylor_layout(fam1):
-    """Sparse layout ``(C, C_int, O)`` of a one-sided family (module docstring)."""
-    k1 = fam1.smorder + 1
-    n_knots = len(fam1.knots)
-    d = len(fam1)
-    lo, hi = fam1.lo, fam1.hi
-    size = (hi - lo + 1) * k1
-    rows = np.repeat(fam1.member, size)
-    cols = _ranges(lo * k1, size)
-    data = fam1.rows.ravel()
-    c = _csr(rows, cols, data, (d, n_knots * k1))
-    # a component's last knot starts no interval of the member; zeros add nothing
-    keep = (cols < np.repeat(hi * k1, size)) & (data != 0.0)
-    c_int = _csr(rows[keep], cols[keep], data[keep], (d, n_knots * k1))
-    o = _csr(np.repeat(fam1.member, hi - lo), _ranges(lo, hi - lo),
-             np.ones(int(np.sum(hi - lo))), (d, n_knots - 1))
-    return c, c_int, o
-
-
-def _interval_weights(xi, k):
-    """Flattened ``w^(p+1) / (p+1)!`` per knot row; 0 on the last knot."""
-    return np.vstack([taylor_astar(np.diff(xi), k).T, np.zeros((1, k + 1))]).ravel()
-
-
-def _moment_matrix(xi, k):
-    """Block-diagonal ``M``: ``M_t[p, q] = w^(p+q+1) / ((p+q+1) p! q!)``."""
-    w = np.diff(xi)[:, None, None]
-    e = np.arange(k + 1)[:, None] + np.arange(k + 1) + 1
-    fact = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
-    blocks = w ** e / (e * np.outer(fact, fact))
-    n_int = blocks.shape[0]
-    indptr = np.append(np.arange(n_int + 1), n_int)  # no block on the last knot
-    size = (n_int + 1) * (k + 1)
-    return scipy.sparse.bsr_matrix((blocks, np.arange(n_int), indptr),
-                                   shape=(size, size)).tocsr()
+def _as_csr(m):
+    """``m`` as a :class:`_Csr`: the container itself, a canonical copy of a
+    ``scipy.sparse`` matrix, or :func:`_dense_csr` of anything else."""
+    if isinstance(m, _Csr):
+        return m
+    if hasattr(m, "tocsr"):
+        m = m.tocsr(copy=True)
+        m.sum_duplicates()
+        return _Csr(m.indptr.astype(np.int64), m.indices.astype(np.int64),
+                    np.asarray(m.data, dtype=float), m.shape)
+    return _dense_csr(m)
 
 
 #: entries per chunk of the nonzero scan of dense coefficients
@@ -84,13 +94,14 @@ _SCAN_CHUNK = 1 << 22
 
 
 def _dense_csr(m):
-    """CSR copy of a dense 2-d array, equal to ``csr_matrix(m)``.
+    """:class:`_Csr` of the nonzero entries of a dense vector (one row) or
+    matrix.
 
     The nonzero scan runs over boolean masks, several times faster than over
     the floats, a few rows at a time so that no mask grows past
     ``_SCAN_CHUNK`` entries.
     """
-    m = np.ascontiguousarray(m, dtype=float)
+    m = np.ascontiguousarray(np.atleast_2d(m), dtype=float)
     if m.ndim != 2:
         raise ValueError("coefficients must be a vector or a matrix")
     n_rows, n_cols = m.shape
@@ -100,7 +111,57 @@ def _dense_csr(m):
     indptr = np.searchsorted(nz, np.arange(n_rows + 1) * n_cols)
     data = m.reshape(-1)[nz]
     nz %= max(n_cols, 1)
-    return scipy.sparse.csr_matrix((data, nz, indptr), shape=m.shape)
+    return _Csr(indptr, nz, data, m.shape)
+
+
+def _chunks(owner, work, limit):
+    """``(start, stop)`` runs over items listed by ascending ``owner``, each
+    holding about ``limit`` of their ``work``; a run is cut only where the
+    owner changes, so one owner's items always share a run."""
+    if not owner.size:
+        return []
+    starts = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))
+    before = np.append(0, np.cumsum(work))[starts]
+    cuts = starts[np.append(True, np.diff(before // limit) > 0)]
+    bounds = np.append(cuts, owner.size).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _interval_rows(fam1):
+    """The interval rows of a one-sided family (module docstring), in
+    stacked order: the member, interval (knot index) and Taylor row of each."""
+    n_iv = fam1.hi - fam1.lo
+    t = _ranges(fam1.lo, n_iv)
+    at = t + np.repeat(np.cumsum(n_iv + 1) - (n_iv + 1) - fam1.lo, n_iv)
+    return np.repeat(fam1.member, n_iv), t, fam1.rows[at]
+
+
+def _interval_weights(xi, k):
+    """Flattened ``w^(p+1) / (p+1)!`` per knot row; 0 on the last knot."""
+    return np.vstack([taylor_astar(np.diff(xi), k).T, np.zeros((1, k + 1))]).ravel()
+
+
+def _integrals(fam1, absolute=False):
+    """Every member's integral over the whole range; with ``absolute``, that
+    of its rows' entrywise magnitudes, a bound on the member's L1 norm.  A
+    member's products are summed in stacked order."""
+    k1 = fam1.smorder + 1
+    owner, t, rows = _interval_rows(fam1)
+    w = _interval_weights(fam1.knots.xi, fam1.smorder).reshape(-1, k1)[t]
+    terms = (np.abs(rows) if absolute else rows) * w
+    return np.bincount(np.repeat(owner, k1), terms.ravel(), minlength=len(fam1))
+
+
+def _moment_blocks(xi, k):
+    """``M_t[p, q] = w^(p+q+1) / ((p+q+1) p! q!)`` for every interval ``t``."""
+    w = np.diff(xi)[:, None, None]
+    e = np.arange(k + 1)[:, None] + np.arange(k + 1) + 1
+    fact = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
+    return w ** e / (e * np.outer(fact, fact))
+
+
+#: products formed per chunk of the lincomb scatter and the Gram kernel
+_PRODUCT_CHUNK = 1 << 14
 
 
 def lincomb(fam, coeffs, type=None):
@@ -108,56 +169,74 @@ def lincomb(fam, coeffs, type=None):
 
     ``coeffs`` is ``(p, d)`` (or ``(d,)`` for a single combination) against
     a family of ``d`` members, dense or ``scipy.sparse``; returns a family
-    of ``p`` members.  Member ``r`` lives on the intervals where some member
-    with a nonzero coefficient in row ``r`` lives (``|coeffs| O``), merged
-    into components by :func:`~splinet.core._live_runs`; its blocks are
-    ``coeffs C`` cut over those components, each with its last k-th entry 0.
-    All ``p`` members are built in one pass over one stacked array, and
-    their blocks are views into it.
+    of ``p`` members.  Member ``r`` lives on the union of the supports of the
+    members with a nonzero coefficient in row ``r``; components of that union
+    with one dead interval between them stay one component (as in
+    :func:`~splinet.core._live_runs`).  Its rows are the coefficient-weighted
+    rows of those members, summed member by member in ascending order, each
+    component's last k-th entry 0.  All ``p`` members are built in one pass
+    over one stacked array, and their blocks are views into it.
     """
     fam1 = as_one_sided(fam)
     k = fam1.smorder
-    k1 = k + 1
-    if scipy.sparse.issparse(coeffs):
-        a = scipy.sparse.csr_matrix(coeffs, dtype=float)
-    else:
-        a = _dense_csr(np.atleast_2d(coeffs))
+    a = _as_csr(coeffs)
     p = a.shape[0]
     if a.shape[1] != len(fam1):
         raise ValueError("coefficient matrix has %d columns, family has %d members"
                          % (a.shape[1], len(fam1)))
-    c, o = _taylor_layout(fam1)[::2]
-    cover = abs(a) @ o
-    cover.sort_indices()
-    owner = np.repeat(np.arange(p), np.diff(cover.indptr))
-    t = cover.indices.astype(np.int64)
-    first, last = _live_runs(owner, t)
-    member, lo, hi = owner[first], t[first], t[last] + 1
+    row, col, val = a.rows(), a.indices, a.data
+    live = val != 0
+    if not live.all():
+        row, col, val = row[live], col[live], val[live]
+    # temporaries go as soon as they are used: lincomb(bs, P') is where
+    # splinet()'s peak memory is
+    del a, live
+    # one piece per coefficient and support component of its member, in
+    # coefficient order: the pieces of output row r, member by member
+    n_comp = np.diff(fam1.offsets)[col]
+    comp = _ranges(fam1.offsets[col], n_comp)
+    row, val = np.repeat(row, n_comp), np.repeat(val, n_comp)
+    del col, n_comp
+    lo, hi = fam1.lo[comp], fam1.hi[comp]
+    # the union of each output row's pieces: sorted by (row, lo), a piece
+    # starts a new component when it begins more than one interval past the
+    # farthest end so far; rows are kept apart by an offset of span knots
+    span = len(fam1.knots) + 1
+    key = row * span + lo
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    reach = np.maximum.accumulate(row[order] * span + hi[order])
+    head = key > np.append(-1, reach[:-1] + 1)
+    piece_out = np.empty_like(order)
+    piece_out[order] = np.cumsum(head) - 1
+    starts = np.flatnonzero(head)
+    out_member = key[starts] // span
+    out_lo = key[starts] % span
+    out_hi = reach[np.append(starts[1:], key.size)[: starts.size] - 1] % span
+    del key, reach, head, order, starts
+    out_size = out_hi - out_lo + 1
+    # each piece's first output row (that of knot t in output component c is
+    # shift[c] + t) and first row in the family's stacked rows
+    shift = np.cumsum(out_size) - out_size - out_lo
     size = hi - lo + 1
-    # temporaries go as soon as they are used: at most one index array as
-    # long as full is alive at a time
-    del cover, owner, t
-    # the output is allocated before the product's arrays: allocated after
-    # them, it raised the process's peak RSS by about its own size (glibc)
-    rows = np.zeros((int(np.sum(size)), k1))
-    full = a @ c
-    n_cols = c.shape[1]
-    del a, c
-    full.sort_indices()
-    # the entries of full, ordered by row and then column, fall to the
-    # components in turn; find where each component's entries begin
-    key = np.repeat(np.arange(p, dtype=np.int64) * n_cols, np.diff(full.indptr))
-    key += full.indices
-    begin = np.searchsorted(key, member * n_cols + lo * k1)
-    del key
-    # flat position in the stacked rows = column + component's shift
-    at = np.repeat((np.cumsum(size) - size - lo) * k1, np.diff(np.append(begin, full.nnz)))
-    at += full.indices
-    rows.reshape(-1)[at] = full.data
-    del at, full
-    rows[np.cumsum(size) - 1, k] = 0.0
-    return _family(fam1.knots, k, rows, lo, hi, np.searchsorted(member, np.arange(p + 1)),
-                   ONE_SIDED, type if type is not None else "sp", fam1.epsilon)
+    dst = shift[piece_out] + lo
+    del piece_out, lo, hi, shift
+    src = (np.cumsum(fam1.hi - fam1.lo + 1) - (fam1.hi - fam1.lo + 1))[comp]
+    del comp
+    rows = np.zeros((int(np.sum(out_size)), k + 1))
+    columns = fam1.rows.T.copy()
+    for s, e in _chunks(row, size, _PRODUCT_CHUNK):
+        # a chunk's output rows are one contiguous run, base to end
+        base, end = int(dst[s:e].min()), int((dst[s:e] + size[s:e]).max())
+        at = _ranges(dst[s:e] - base, size[s:e])
+        take = at + np.repeat(src[s:e] - dst[s:e] + base, size[s:e])
+        weight = np.repeat(val[s:e], size[s:e])
+        for q in range(k + 1):
+            rows[base:end, q] = np.bincount(at, weight * columns[q].take(take), end - base)
+    rows[np.cumsum(out_size) - 1, k] = 0.0
+    return _family(fam1.knots, k, rows, out_lo, out_hi,
+                   np.searchsorted(out_member, np.arange(p + 1)), ONE_SIDED,
+                   type if type is not None else "sp", fam1.epsilon)
 
 
 def deriva(fam):
@@ -186,7 +265,7 @@ def integra(fam):
     size = hi - lo + 1
     end = np.cumsum(size) - 1
     w = _interval_weights(fam1.knots.xi, k)
-    tols = fam1.epsilon * (abs(_taylor_layout(fam1)[1]) @ w)
+    tols = fam1.epsilon * _integrals(fam1, absolute=True)
     # each row's integral over the interval it starts, summed in column
     # order; a component's last row starts none
     wk = w.reshape(-1, k + 1)[_ranges(lo, size)]
@@ -228,9 +307,7 @@ def integra(fam):
 
 def dintegra(fam):
     """Definite integrals over the whole range, one per member."""
-    fam1 = as_one_sided(fam)
-    _, c_int, _ = _taylor_layout(fam1)
-    return c_int @ _interval_weights(fam1.knots.xi, fam1.smorder)
+    return _integrals(as_one_sided(fam))
 
 
 #: nonzero entries of the last gramian() product (upper triangle only when
@@ -238,7 +315,86 @@ def dintegra(fam):
 LAST_PAIR_COUNT = 0
 
 
-def gramian(fam_a, fam_b=None, sparse=False):
+def _gram(a1, b1, symmetric, dense=False):
+    """The inner products ``<a_i, b_j>`` of two one-sided families, and how
+    many nonzero ones were computed: with ``symmetric`` (``b1`` is ``a1``)
+    those with ``i <= j``, the rest mirrored.  Returns a dense array with
+    ``dense``, else a :class:`_Csr` of the nonzero entries.
+
+    Every interval row of ``a1`` is multiplied by its interval's ``M_t`` once
+    and paired with the interval rows of ``b1`` on the same interval; a
+    pair's intervals are summed in ascending order.  Pairs are formed for
+    about ``_PRODUCT_CHUNK`` at a time, a member of ``a1`` never split.
+
+    The two outputs sum a pair's intervals in the same order, so they hold
+    the same bits, but they accumulate differently.  The container sorts
+    each chunk's pair keys; a dense array takes one ``np.bincount`` per
+    chunk, which is cheaper where many pairs meet on few entries (a
+    thousand draws against a few dozen B-splines), while a sparse Gram the
+    size of ``splinet()``'s takes 300 MB as a dense array at d = 6141.
+    """
+    k1 = a1.smorder + 1
+    n_a, n_b = len(a1), len(b1)
+    ia, ta, ra = _interval_rows(a1)
+    ib, tb, rb = (ia, ta, ra) if symmetric else _interval_rows(b1)
+    m = _moment_blocks(a1.knots.xi, a1.smorder)[ta]
+    xa = ra[:, :1] * m[:, 0]
+    for p in range(1, k1):
+        xa = xa + ra[:, p : p + 1] * m[:, p]
+    del m
+    # b's interval rows grouped by interval, members ascending within each
+    order = np.argsort(tb, kind="stable")
+    count = np.bincount(tb, minlength=len(a1.knots) - 1)
+    start = (np.cumsum(count) - count)[ta]
+    length = count[ta]
+    if symmetric:  # from its own place on: members j >= i
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        length = start + length - place
+        start = place
+    jb = ib[order]
+    xa, rb = xa.T.copy(), rb[order].T.copy()
+    out = np.zeros((n_a, n_b)) if dense else None
+    keys, vals = [], []
+    for s, e in _chunks(ia, length, _PRODUCT_CHUNK):
+        pa = np.repeat(np.arange(s, e), length[s:e])
+        pb = _ranges(start[s:e], length[s:e])
+        val = xa[0].take(pa) * rb[0].take(pb)
+        for q in range(1, k1):
+            val += xa[q].take(pa) * rb[q].take(pb)
+        key = ia.take(pa) * n_b + jb.take(pb)
+        del pa, pb
+        if dense:  # the chunk's rows of the output, summed in place
+            i0, i1 = ia[s], ia[e - 1] + 1
+            out[i0:i1] = np.bincount(key - i0 * n_b, val, (i1 - i0) * n_b).reshape(-1, n_b)
+            continue
+        by_key = np.argsort(key, kind="stable")
+        key = key[by_key]
+        new = key != np.append(-1, key[:-1])
+        val = np.bincount(np.cumsum(new) - 1, val[by_key])
+        nonzero = val != 0
+        keys.append(key[new][nonzero])
+        vals.append(val[nonzero])
+    if dense:
+        pairs = np.count_nonzero(out)
+        if symmetric:
+            out += np.triu(out, 1).T
+        return out, pairs
+    key = np.concatenate(keys or [np.empty(0, dtype=np.int64)])
+    val = np.concatenate(vals or [np.empty(0)])
+    pairs = key.size
+    if symmetric:
+        i, j = np.divmod(key, n_b)
+        low = i != j
+        key = np.concatenate([key, j[low] * n_b + i[low]])
+        val = np.concatenate([val, val[low]])
+        by_key = np.argsort(key, kind="stable")
+        key, val = key[by_key], val[by_key]
+    i, j = np.divmod(key, n_b)
+    return _Csr.from_sorted(i, j, val, (n_a, n_b)), pairs
+
+
+def gramian(fam_a, fam_b=None, sparse=False, *, _csr=False):
     """Matrix of pairwise inner products ``<a_i, b_j>`` in L2.
 
     With one argument, the (symmetric) Gram matrix of the family, whose
@@ -246,19 +402,19 @@ def gramian(fam_a, fam_b=None, sparse=False):
     Returns a dense array, or with ``sparse=True`` the ``scipy.sparse`` CSR
     matrix of the same entries: support-disjoint pairs are never stored.
     """
+    # _csr=True returns the numpy container (_Csr) and imports no scipy.
+    # Only splinet() passes it: it calls this public function, not _gram, so
+    # that the benchmark's span of gramian nests under splinet's.  Spans
+    # recorded by the library itself (ROADMAP item 5) let this argument go.
     global LAST_PAIR_COUNT
     a1 = as_one_sided(fam_a)
     symmetric = fam_b is None
     b1 = a1 if symmetric else as_one_sided(fam_b)
     if a1.knots != b1.knots or a1.smorder != b1.smorder:
         raise ValueError("gramian requires identical knots and order")
-    ca = _taylor_layout(a1)[1]
-    cb = ca if symmetric else _taylor_layout(b1)[1]
-    g = ca @ _moment_matrix(a1.knots.xi, a1.smorder) @ cb.T
-    if symmetric:
-        g = scipy.sparse.triu(g, format="csr")
-        LAST_PAIR_COUNT = g.count_nonzero()
-        g = g + scipy.sparse.triu(g, 1).T
-    else:
-        LAST_PAIR_COUNT = g.count_nonzero()
-    return g.tocsr() if sparse else g.toarray()
+    g, LAST_PAIR_COUNT = _gram(a1, b1, symmetric, dense=not (sparse or _csr))
+    if sparse and not _csr:
+        import scipy.sparse
+
+        return scipy.sparse.csr_matrix((g.data, g.indices, g.indptr), shape=g.shape)
+    return g

@@ -18,7 +18,7 @@ import numpy as np
 
 from .archive import load_archive, save_archive
 from .bases import BASIS_TYPES, splinet
-from .calculus import gramian, lincomb
+from .calculus import gramian
 from .core import KnotSet, ValidityReport, equidistant_knots, evaluate, is_valid_spline, sample_grid
 from .project import (
     FunctionalDataMatrix,
@@ -165,8 +165,9 @@ def _cmd_project(args):
 def _cmd_fpca(args):
     basis, _ = load_archive(args.basis)
     coeff = read_csv_matrix(args.coeff)
-    pr = ProjectionResult(coeff, basis, lincomb(basis, coeff))
-    fp = fpca(pr)
+    # fpca reads only the coefficients and the basis, so the projections
+    # themselves are not built
+    fp = fpca(ProjectionResult(coeff, basis, None))
     _write_csv(args.out + ".eigenvalues.csv", ["component", "eigenvalue"],
                zip(map(str, range(1, fp.eigenvalues.size + 1)), _reprs(fp.eigenvalues)))
     save_archive(args.out + ".eigenfunctions.json", fp.eigenfunctions)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_EPSILON,
@@ -76,9 +75,25 @@ def _rows_dot(rows, mat):
     return out
 
 
+def _lu_factor(a):
+    """Partial-pivot LU of a small square matrix, as LAPACK's ``getrf``
+    returns it: ``lu`` holds U and, below the diagonal, the multipliers of
+    the unit lower factor; step ``i`` swapped rows ``i`` and ``piv[i]``."""
+    lu = np.array(a, dtype=float)
+    piv = np.zeros(lu.shape[0], dtype=int)
+    for i in range(lu.shape[0]):
+        p = i + int(np.argmax(np.abs(lu[i:, i])))
+        piv[i] = p
+        lu[[i, p]] = lu[[p, i]]
+        if lu[i, i] != 0:
+            lu[i + 1 :, i] /= lu[i, i]
+        lu[i + 1 :, i + 1 :] -= np.outer(lu[i + 1 :, i], lu[i, i + 1 :])
+    return lu, piv
+
+
 def _lu_solve_rows(lu, piv, rhs):
     """Solve ``A x = b`` for every row ``b`` of ``rhs``, given
-    ``scipy.linalg.lu_factor(A)``, by substitution over the stack."""
+    ``_lu_factor(A)``, by substitution over the stack."""
     x = rhs.T.copy()
     for i, p in enumerate(piv):
         x[[i, p]] = x[[p, i]]
@@ -180,7 +195,7 @@ def _frlr(first_row, last_row, spacings, k):
         u[:, 1, :k] = prop
         return u, _max_abs(prop - last_row[:, :k])
     cmat, dmat = _frlr_system(spacings, k)
-    lu, piv = scipy.linalg.lu_factor(cmat.T)
+    lu, piv = _lu_factor(cmat.T)
     rhs = last_row[:, k - m : k] - _rows_dot(first_row[:, k - m :], dmat)
     mid_kth = _lu_solve_rows(lu, piv, rhs)
     kth_col = np.column_stack([first_row[:, k], mid_kth, last_row[:, k]])

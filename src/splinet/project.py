@@ -16,9 +16,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+# numpy loads numpy.ma on the first np.unique call (np.union1d in
+# _union_knots); loading it with this module keeps that out of the first
+# projection
+import numpy.ma  # noqa: F401
 
-from .bases import BASIS_TYPES, _lower_band, splinet
+from .bases import BASIS_TYPES, _check_spd, _cho_solve_banded, _cholesky_banded, splinet
 from .calculus import gramian, integra, lincomb
 from .core import KnotSet, SplineFamily, evaluate
 from .construct import refine
@@ -78,12 +81,14 @@ def _union_knots(a, b):
 def _projection(basis, transform, b, type):
     """The projection whose inner products with the basis members are ``b``
     (m x d): the coefficients are ``b`` itself for an orthonormal basis and
-    solve the banded normal equations (bandwidth k) for B-splines."""
+    solve the banded normal equations (bandwidth k) for B-splines, whose
+    Gram matrix must pass :func:`~splinet.bases._check_spd`."""
     coeff = b
     if type == "bs":
-        ab = _lower_band(gramian(basis), basis.smorder)
-        coeff = scipy.linalg.cho_solve_banded(
-            (scipy.linalg.cholesky_banded(ab, lower=True), True), b.T).T
+        # _check_spd factors H - tau*I, which does not solve H x = b, so H
+        # itself is factored a second time
+        factors = _cholesky_banded(_check_spd(gramian(basis)))
+        coeff = _cho_solve_banded(factors, b.T).T
     return ProjectionResult(coeff, basis, lincomb(basis, coeff), transform)
 
 

@@ -19,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads its random module on first use; loading it with this module
+# keeps that out of the first draw
+import numpy.random  # noqa: F401
 
 from .core import ONE_SIDED, _family, as_one_sided
 from .construct import _check_construct, _construct_rows

@@ -1,0 +1,78 @@
+"""Run every kind of CLI job on small inputs in this process, then report
+whether any ``scipy`` module was imported.
+
+Usage, with ``src`` on ``PYTHONPATH``::
+
+    python tests/cli_jobs.py DIR
+
+The inputs are written to ``DIR`` by numpy and splinet alone.  The jobs
+cover every command and the jobs of the benchmark's workloads: ``basis`` of
+every type and with ``--normalize``, ``check``, ``random``, ``project`` of
+an archive (orthonormal and ``bs``) and of a data CSV, ``fpca``, ``eval``
+and ``gram``.  The exit status is 0 when every job exits 0 and no ``scipy``
+module is loaded: scipy is needed only for the ``scipy.sparse`` objects the
+library returns or accepts on request, never on a CLI path.
+"""
+
+import os
+import sys
+
+import numpy as np
+
+import splinet as sp
+from splinet.bases import BASIS_TYPES
+from splinet.cli import main
+
+
+def write_inputs(d):
+    """Knot file, single-member mean archive and functional-data CSV."""
+    rng = np.random.default_rng(0)
+    widths = rng.uniform(0.5, 1.5, 31)
+    np.savetxt(os.path.join(d, "knots.txt"), np.cumsum(np.append(0.0, widths)) / widths.sum())
+    knots = sp.equidistant_knots(0.0, 1.0, 20)
+    sp.save_archive(os.path.join(d, "mean.json"),
+                    sp.construct(knots, 3, rng.standard_normal(18), "CRLC"))
+    args = np.linspace(0.0, 1.0, 200, endpoint=False)
+    samples = np.sin(2 * np.pi * np.outer(args, rng.uniform(0.5, 2.0, 8)))
+    np.savetxt(os.path.join(d, "data.csv"), np.column_stack([args, samples]), fmt="%.17g",
+               delimiter=",", header="arg," + ",".join("s%d" % i for i in range(8)),
+               comments="")
+
+
+def jobs(d):
+    p = lambda name: os.path.join(d, name)  # noqa: E731
+    knots = ["--knots", p("knots.txt"), "-k", "3"]
+    out = [["basis"] + knots + ["--type", t, "-o", p("b_" + t)] for t in BASIS_TYPES]
+    return out + [
+        ["basis"] + knots + ["--normalize", "-o", p("b_norm")],
+        ["basis", "--equid", "0", "1", "11", "-k", "3", "-o", p("b11")],
+        ["check", "-i", p("b_spnt.os.json")],
+        ["random", "--mean", p("mean.json"), "-M", "20", "--seed", "3", "-o", p("draws.json")],
+        ["check", "-i", p("draws.json")],
+        ["project", "-i", p("draws.json"), "--equid", "0", "1", "12", "-o", p("pr")],
+        ["project", "-i", p("draws.json"), "--equid", "0", "1", "12", "--type", "bs",
+         "-o", p("pr_bs")],
+        ["project", "-i", p("data.csv"), "--equid", "0", "1", "11", "-k", "3", "-o", p("pd")],
+        ["fpca", "--coeff", p("pd.coeff.csv"), "--basis", p("b11.os.json"), "-o", p("fp")],
+        ["eval", "-i", p("draws.json"), "-N", "2", "-o", p("draws.eval.csv")],
+        ["gram", "-i", p("b_bs.bs.json"), "-o", p("gram.csv")],
+    ]
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+def run(d):
+    write_inputs(d)
+    failed = [argv for argv in jobs(d) if main(argv) != 0]
+    for argv in failed:
+        print("job failed: splinet %s" % " ".join(argv), file=sys.stderr)
+    loaded = scipy_modules()
+    if loaded:
+        print("scipy modules imported: %s" % ", ".join(loaded), file=sys.stderr)
+    return 1 if failed or loaded else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1]))

@@ -23,11 +23,45 @@ import scipy.linalg
 import scipy.sparse
 
 import splinet as sp
-from splinet.calculus import _interval_weights, _taylor_layout
+from splinet.bases import SPD_SHIFT
+from splinet.calculus import _interval_weights
 from splinet.construct import COND_LIMIT, SingularSystemError
-from splinet.core import _taylor_col, taylor_step_matrix
+from splinet.core import _ranges, _taylor_col, taylor_step_matrix
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _csr(rows, cols, data, shape):
+    """CSR matrix from entries already sorted by row, then by column."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return scipy.sparse.csr_matrix((data, cols, indptr), shape=shape)
+
+
+def _taylor_layout(fam1):
+    """Sparse layout ``(C, C_int, O)`` of a one-sided family, in scipy:
+
+    * ``C`` (d x (n+2)(k+1)): row ``i`` is member ``i``'s derivative matrix
+      flattened over the knots its support components cover; column
+      ``t*(k+1) + p`` holds the p-th derivative at knot ``t``;
+    * ``C_int``: ``C`` without each component's last knot, i.e. only the
+      Taylor rows that start an interval the member lives on;
+    * ``O`` (d x (n+1)): interval incidence, 1 where a member lives.
+    """
+    k1 = fam1.smorder + 1
+    n_knots = len(fam1.knots)
+    d = len(fam1)
+    lo, hi = fam1.lo, fam1.hi
+    size = (hi - lo + 1) * k1
+    rows = np.repeat(fam1.member, size)
+    cols = _ranges(lo * k1, size)
+    data = fam1.rows.ravel()
+    c = _csr(rows, cols, data, (d, n_knots * k1))
+    # a component's last knot starts no interval of the member; zeros add nothing
+    keep = (cols < np.repeat(hi * k1, size)) & (data != 0.0)
+    c_int = _csr(rows[keep], cols[keep], data[keep], (d, n_knots * k1))
+    o = _csr(np.repeat(fam1.member, hi - lo), _ranges(lo, hi - lo),
+             np.ones(int(np.sum(hi - lo))), (d, n_knots - 1))
+    return c, c_int, o
 
 
 def _merge_components(comps):
@@ -190,7 +224,18 @@ def random_valid_family(rng, n, k, count=1, method="CRLC"):
     return out
 
 
+#: random_knots redraws uniform knots until no gap is below 1e-3 of the range
+#: for at most this many knots (about exp(n^2 / 1000) draws); above it, that
+#: would almost never succeed, so the gaps are drawn instead
+REDRAW_MAX_KNOTS = 100
+
+
 def random_knots(rng, n, a=0.0, b=1.0):
+    if n > REDRAW_MAX_KNOTS:
+        widths = rng.uniform(0.5, 1.5, n + 1)
+        xi = a + (b - a) * np.cumsum(np.append(0.0, widths)) / np.sum(widths)
+        xi[-1] = b
+        return sp.KnotSet(xi)
     inner = np.sort(rng.uniform(a, b, n))
     while np.min(np.diff(np.concatenate([[a], inner, [b]]))) < (b - a) * 1e-3:
         inner = np.sort(rng.uniform(a, b, n))
@@ -827,6 +872,16 @@ def envelope_dyadic(h, k, net, toeplitz=False):
     return g.p
 
 
+def lower_band(h, k):
+    """LAPACK lower band storage ``ab[u, i] = H[i+u, i]``, u = 0..k, of a
+    dense or ``scipy.sparse`` H."""
+    d = h.shape[0]
+    ab = np.zeros((min(k, d - 1) + 1, d))
+    for u in range(ab.shape[0]):
+        ab[u, : d - u] = h.diagonal(-u)
+    return ab
+
+
 def cholesky_gsob(h):
     """One-sided transform ``L^{-T}`` from a dense Cholesky factor ``H = L L'``."""
     low = scipy.linalg.cholesky(h, lower=True)
@@ -872,3 +927,13 @@ def family_to_dict(fam, net=None):
 def archive_text(fam, net=None):
     """The bytes ``save_archive`` must write, through ``json.dumps(indent=1)``."""
     return json.dumps(family_to_dict(fam, net), indent=1) + "\n"
+
+
+def tridiagonal_near_tau(d, ratio):
+    """``tridiag(-1, 2 + s, -1)`` of size d whose smallest eigenvalue is
+    ``ratio`` times tau, tau = ``SPD_SHIFT`` times its trace (the smallest
+    eigenvalue of ``tridiag(-1, 2, -1)`` is ``2 - 2 cos(pi / (d + 1))``)."""
+    lam = 2.0 - 2.0 * np.cos(np.pi / (d + 1))
+    c = ratio * SPD_SHIFT * d
+    s = (2.0 * c - lam) / (1.0 - c)
+    return np.diag(np.full(d, 2.0 + s)) - np.eye(d, k=1) - np.eye(d, k=-1)

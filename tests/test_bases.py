@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
-from splinet.bases import _check_spd, _dyadic, _lower_band, _truncate, diagonalize_gram
+from splinet.bases import (
+    SPD_SHIFT,
+    _check_spd,
+    _cho_solve_banded,
+    _cholesky_banded,
+    _dyadic,
+    _truncate,
+    diagonalize_gram,
+)
 
 import oracles
 
@@ -184,8 +192,8 @@ def test_dyadic_toeplitz_matches_general():
         bs = sp.bspline_basis(knots, 3)
         h = sp.gramian(bs)
         net = sp.net_layout(n, 3)
-        fast = _dyadic(_lower_band(h, 3), net, toeplitz=True).toarray()
-        slow = _dyadic(_lower_band(h, 3), net, toeplitz=False).toarray()
+        fast = _dyadic(oracles.lower_band(h, 3), net, toeplitz=True).P.toarray()
+        slow = _dyadic(oracles.lower_band(h, 3), net, toeplitz=False).P.toarray()
         scale = np.max(np.abs(slow))
         assert np.max(np.abs(fast - slow)) < 1e-12 * scale
 
@@ -250,6 +258,53 @@ def test_check_spd_banded_path():
         _check_spd(h2)
 
 
+def test_dyadic_net_must_match_gram():
+    # a 5 x 5 Gram (order 3) against nets laying out 3 and 21 indices
+    h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 7), 3))
+    for n in (5, 23):
+        with pytest.raises(ValueError, match="each of the gram matrix's 5 columns"):
+            diagonalize_gram(h, "dyadic", sp.net_layout(n, 3))
+
+
+@pytest.mark.parametrize("d", [50, 150])  # one Cholesky block, three
+def test_check_spd_tau_shift(d):
+    # positive definite, but the smallest eigenvalue below tau: rejected
+    below, above = oracles.tridiagonal_near_tau(d, 0.5), oracles.tridiagonal_near_tau(d, 2.0)
+    for h, ratio in ((below, 0.5), (above, 2.0)):
+        tau = SPD_SHIFT * np.trace(h)
+        assert np.linalg.eigvalsh(h)[0] == pytest.approx(ratio * tau, rel=1e-3)
+    for h in (below, scipy.sparse.csr_matrix(below)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            _check_spd(h)
+    with pytest.raises(ValueError, match="not positive definite"):
+        _cholesky_banded(oracles.lower_band(below, 1), SPD_SHIFT * np.trace(below))
+    _cholesky_banded(oracles.lower_band(below, 1))
+    assert np.array_equal(_check_spd(scipy.sparse.csr_matrix(above)), oracles.lower_band(above, 1))
+    _cholesky_banded(oracles.lower_band(above, 1), SPD_SHIFT * np.trace(above))
+
+
+@pytest.mark.parametrize("w, d", [(0, 1), (0, 70), (1, 2), (2, 64), (3, 65), (3, 200),
+                                  (5, 130), (70, 150)])
+def test_banded_cholesky_solve_matches_dense(w, d):
+    # block edges, a short last block and a band wider than a block
+    rng = np.random.default_rng(w * 1000 + d)
+    a = rng.standard_normal((d, d))
+    h = np.triu(np.tril(a @ a.T, w), -w) + 3.0 * d * np.eye(d)
+    b = rng.standard_normal((d, 3))
+    factors = _cholesky_banded(oracles.lower_band(h, w))
+    ref = np.linalg.solve(h, b)
+    assert np.max(np.abs(_cho_solve_banded(factors, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    one = _cho_solve_banded(factors, b[:, 0])
+    assert np.max(np.abs(one - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref))
+    # the blocks multiply back to H
+    low = np.zeros((d, d))
+    e = 0
+    for f, lead in factors:
+        s, e = e, e + f.shape[0] - lead
+        low[s:e, s - lead : e] = f[lead:]
+    assert np.max(np.abs(low @ low.T - h)) <= 1e-12 * np.max(np.abs(h))
+
+
 # ---------------------------------------------------------------------------
 # splinet
 
@@ -307,7 +362,7 @@ def test_splinet_toeplitz_flag_agrees():
     knots = sp.equidistant_knots(0.0, 1.0, 23)
     a = sp.splinet(knots, 3)
     h = sp.gramian(a.bs)
-    b = _truncate(_dyadic(_lower_band(h, 3), a.net, toeplitz=False))
+    b = _truncate(_dyadic(oracles.lower_band(h, 3), a.net, toeplitz=False))
     scale = np.max(np.abs(b.P.toarray()))
     assert np.max(np.abs(a.transform.P.toarray() - b.P.toarray())) < 1e-12 * scale
 
@@ -330,7 +385,7 @@ def test_splinet_sparse_gram_archive_matches_dense_route(type, use_toeplitz, equ
             # general one on the sparse Gram as splinet() would
             sparse_tr = _truncate(_dyadic(_check_spd(sp.gramian(res.bs, sparse=True)), res.net))
             sparse_os = sp.lincomb(res.bs, sparse_tr.P.T.toarray(), type=type)
-        tr = _truncate(_dyadic(_lower_band(h, 3), res.net, toeplitz=bool(use_toeplitz)))
+        tr = _truncate(_dyadic(oracles.lower_band(h, 3), res.net, toeplitz=bool(use_toeplitz)))
     else:
         tr = diagonalize_gram(h, type)
     dense = sp.lincomb(res.bs, tr.P.T.toarray(), type=res.os.type)

@@ -383,3 +383,21 @@ def test_console_script_entry(tmp_path):
     except md.PackageNotFoundError:
         return
     _assert_splinet_script(installed)
+
+
+def test_cli_jobs_import_no_scipy(tmp_path):
+    """Every kind of CLI job runs without importing scipy: ``cli_jobs.py``
+    runs them all in one fresh interpreter, so that nothing this test
+    process has loaded counts, and fails if a job fails or a ``scipy``
+    module was imported."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    here = pathlib.Path(__file__).resolve().parent
+    path = [str(here.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    res = subprocess.run([sys.executable, str(here / "cli_jobs.py"), str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr

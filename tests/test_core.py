@@ -100,6 +100,15 @@ def test_equidistant_knots():
     assert ks.xi[0] == -1.0 and ks.xi[-1] == 1.0
 
 
+def test_random_knots_terminates_for_many_knots():
+    # above oracles.REDRAW_MAX_KNOTS the gaps are drawn, never redrawn
+    knots = oracles.random_knots(np.random.default_rng(0), 1535, -1.0, 3.0)
+    assert isinstance(knots, sp.KnotSet) and knots.n == 1535
+    assert knots.xi[0] == -1.0 and knots.xi[-1] == 3.0
+    gaps = np.diff(knots.xi)
+    assert np.all(gaps > 0) and gaps.max() <= 3.0 * gaps.min() * (1 + 1e-9)
+
+
 def test_supportset_validation():
     s = sp.SupportSet(((0, 3), (5, 8)))
     assert len(s) == 2 and s.n_intervals() == 6 and not s.empty

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import splinet as sp
+import splinet.project
 
 import oracles
 
@@ -130,6 +131,25 @@ def test_project_data_multiple_samples_and_bs():
     b = sp.project_data(sp.FunctionalDataMatrix(t, vals), knots, 2, type="bs")
     grid = np.linspace(0, 1, 201)
     assert np.max(np.abs(sp.evaluate(a.sp, grid) - sp.evaluate(b.sp, grid))) < 1e-8
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_bs_projection_checks_tau_shift(monkeypatch, ratio):
+    # the bs normal equations are solved only for a Gram matrix whose
+    # smallest eigenvalue exceeds tau (bases._check_spd); 150 rows take
+    # three Cholesky blocks
+    d = 150
+    h = oracles.tridiagonal_near_tau(d, ratio)
+    basis = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, d + 2), 3)
+    b = np.random.default_rng(0).standard_normal((2, d))
+    monkeypatch.setattr(splinet.project, "gramian", lambda fam: h)
+    if ratio < 1:
+        with pytest.raises(ValueError, match="not positive definite"):
+            splinet.project._projection(basis, None, b, "bs")
+        return
+    coeff = splinet.project._projection(basis, None, b, "bs").coeff
+    ref = np.linalg.solve(h, b.T).T
+    assert np.max(np.abs(coeff - ref)) <= 1e-4 * np.max(np.abs(ref))
 
 
 def test_project_data_out_of_range_warns():
