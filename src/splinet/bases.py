@@ -170,7 +170,10 @@ class TransformMatrix:
     """
 
     pt: _Csr
-    nnz: int
+
+    @property
+    def nnz(self):
+        return self.pt.nnz
 
     @cached_property
     def P(self):
@@ -187,7 +190,7 @@ def _truncate(tr):
     keep = (mag >= P_TRUNCATION * mag.max(initial=0.0)) & (mag > 0)
     cols = pt.rows()[keep]
     out = _Csr.from_sorted(cols, pt.indices[keep], pt.data[keep], pt.shape)
-    return TransformMatrix(out, out.nnz)
+    return TransformMatrix(out)
 
 
 #: rows of H per dense block of the banded Cholesky factorization
@@ -402,7 +405,7 @@ class _GroupOrthogonalizer:
         lengths = self.hi - self.lo + 1
         pt = _Csr(np.concatenate([[0], np.cumsum(lengths)]), _ranges(self.lo, lengths),
                   np.concatenate(self.cols), (d, d))
-        return TransformMatrix(pt, pt.nnz)
+        return TransformMatrix(pt)
 
 
 def _gsob(ab):

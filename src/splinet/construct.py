@@ -11,8 +11,10 @@ On top of them, :func:`construct` builds a whole valid spline from seed
 values by one of three strategies (``CRLC``, ``CRFC``, ``RRM``) working
 outward from the central knot, and :func:`refine` embeds a family into a
 finer knot set.  All matrices here use the one-sided k-th derivative
-convention; mirrored (right-to-left) passes reuse the same recursions with
-negative knot spacings.
+convention.  Each strategy is written once, as a sweep to the right: the
+left half is that sweep run on :func:`_mirror` images of the stacks over the
+reversed knots, whose negative spacings the recursions accept, and copied
+back.
 
 Every recursion runs over a stack of ``M`` matrices at once, rows shaped
 ``(M, k+1)`` and matrices ``(M, rows, k+1)``.  What depends on the knots
@@ -28,6 +30,7 @@ its draws.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -56,6 +59,8 @@ def _check_segment(knots_segment):
     seg = np.asarray(knots_segment, dtype=float)
     if seg.ndim != 1 or seg.size < 2:
         raise ValueError("segment needs at least two knots")
+    if not np.all(np.isfinite(seg)):
+        raise ValueError("segment knots must be finite")
     if np.any(np.diff(seg) <= 0):
         raise ValueError("segment knots must be strictly increasing")
     return seg
@@ -230,11 +235,6 @@ def solve_frlr(first_row, last_row, knots_segment, m=None):
 # whole-spline construction
 
 
-def _backward_row(derivs_next, kth_on_interval, spacing, k):
-    """Derivatives 0..k-1 at the left knot of an interval from the right knot."""
-    return _taylor_rows(np.column_stack([derivs_next, kth_on_interval]), -spacing)[:, :k]
-
-
 def _seed_matrix(knots, k, seed, method):
     n = knots.n
     l = n // 2
@@ -261,160 +261,65 @@ def _seed_matrix(knots, k, seed, method):
     return t
 
 
-def _left_terminal(s, t, xi, k, residuals):
-    """Resolve knots 0..k+1 by a mirrored m=k frlr with zero boundary rows;
-    a matrix whose k-th entry at knot k is still 0 takes its seed's there."""
-    s[:, k, k] = np.where(s[:, k, k] == 0.0, t[:, k, k], s[:, k, k])
-    first = np.column_stack([s[:, k + 1, :k], s[:, k, k]])
-    spac = xi[k::-1] - xi[k + 1 : 0 : -1]  # negative steps xi[k]-xi[k+1], ...
-    u, _ = _frlr(first, np.zeros_like(first), spac, k)
-    for i in range(1, k + 1):
-        s[:, k - i, k] = u[:, i, k]
-        s[:, k + 1 - i, :k] = u[:, i, :k]
-    residuals["left_boundary"] = _max_abs(u[:, k + 1, :k])
-    s[:, 0, :k] = 0.0
+def _mirror(a):
+    """The stack ``a`` (``(M, n+2, k+1)``) read from the right over the knots
+    ``xi[::-1]``: row ``r`` holds knot ``n+1-r``, and the one-sided k-th entry
+    of interval ``[j, j+1)`` moves with its interval to row ``n-j``; the last
+    row's k-th entry is 0.  An exact copy; mirroring twice gives ``a`` back
+    when its last row's k-th entry is 0."""
+    out = np.empty_like(a)
+    out[:, :, :-1] = a[:, ::-1, :-1]
+    out[:, :-1, -1] = a[:, -2::-1, -1]
+    out[:, -1, -1] = 0.0
+    return out
 
 
-def _right_terminal(s, t, xi, k, n, residuals):
+def _crlc(s, t, xi, c, n, k):
+    """CRLC from row ``c`` to knot ``n-k``: Taylor steps with the seed's k-th
+    column."""
+    s[:, c : n - k + 1, k] = t[:, c : n - k + 1, k]
+    for i in range(c, n - k):
+        s[:, i + 1, :k] = _taylor_rows(s[:, i], xi[i + 1] - xi[i])[:, :k]
+    return []
+
+
+def _crfc(s, t, xi, c, n, k):
+    """CRFC from row ``c`` to knot ``n-k+1``: one frfc over the seed's value
+    column."""
+    s[:, c : n - k + 2] = _frfc(t[:, c, :k], t[:, c : n - k + 2, 0], np.diff(xi[c : n - k + 2]), k)
+    return []
+
+
+def _rrm(s, t, xi, c, n, k):
+    """RRM from row ``c`` to knot ``n-k``: frlr groups of at most ``k``
+    internal knots, each from the row reached to the seed's full row at its
+    end, whose k-th entry starts the next group; returns the groups'
+    residuals."""
+    groups = []
+    while c < n - k:
+        nxt = min(c + k + 1, n - k)
+        u, r = _frlr(s[:, c], t[:, nxt], np.diff(xi[c : nxt + 1]), k)
+        s[:, c + 1 : nxt + 1] = u[:, 1:]
+        groups.append(r)
+        c = nxt
+    return groups
+
+
+def _terminal(s, t, xi, n, k):
+    """Resolve knots ``n-k+1 .. n+1`` by an m=k frlr from row ``n-k`` to a
+    zero boundary row; a matrix whose k-th entry at knot ``n-k`` is still 0
+    takes its seed's there.  Returns the boundary residuals."""
     s[:, n - k, k] = np.where(s[:, n - k, k] == 0.0, t[:, n - k, k], s[:, n - k, k])
     u, _ = _frlr(s[:, n - k], np.zeros_like(s[:, n - k]), np.diff(xi[n - k :]), k)
-    s[:, n - k + 1 : n + 1] = u[:, 1 : k + 1]
-    residuals["right_boundary"] = _max_abs(u[:, k + 1, :k])
-    s[:, n + 1] = 0.0
+    s[:, n - k + 1 : n + 1] = u[:, 1:-1]
+    return _max_abs(u[:, k + 1, :k])
 
 
-def _construct_crlc(knots, k, t):
-    xi = knots.xi
-    n = knots.n
-    l = n // 2
-    s = np.zeros_like(t)
-    residuals = {}
-    s[:, k : n - k + 1, k] = t[:, k : n - k + 1, k]
-    s[:, l + 1, :k] = t[:, l + 1, :k]
-    q_left = l + 1 if n % 2 else l
-    if n % 2 == 0:
-        s[:, l, :k] = _backward_row(s[:, l + 1, :k], s[:, l, k], xi[l + 1] - xi[l], k)
-        residuals["center_bridge"] = _max_abs(s[:, l, :k] - t[:, l, :k])
-    for i in range(q_left, k + 1, -1):
-        s[:, i - 1, :k] = _backward_row(s[:, i, :k], s[:, i - 1, k], xi[i] - xi[i - 1], k)
-    for i in range(l + 1, n - k):
-        s[:, i + 1, :k] = _taylor_rows(s[:, i], xi[i + 1] - xi[i])[:, :k]
-    _left_terminal(s, t, xi, k, residuals)
-    _right_terminal(s, t, xi, k, n, residuals)
-    return s, residuals
-
-
-def _construct_crfc(knots, k, t):
-    xi = knots.xi
-    n = knots.n
-    l = n // 2
-    s = np.zeros_like(t)
-    residuals = {}
-    s[:, k : n - k + 2, 0] = t[:, k : n - k + 2, 0]
-    s[:, l + 1, 1:k] = t[:, l + 1, 1:k]
-    # right of center: plain frfc over xi[l+1] .. xi[n-k+1]
-    u = _frfc(s[:, l + 1, :k], s[:, l + 1 : n - k + 2, 0], np.diff(xi[l + 1 : n - k + 2]), k)
-    mr = n - k - l - 1
-    for i in range(mr + 2):
-        s[:, l + 1 + i, 1:k] = u[:, i, 1:k]
-        if i <= mr:
-            s[:, l + 1 + i, k] = u[:, i, k]
-    # left of center: mirrored frfc over xi[l+1] .. xi[k]
-    rev = xi[l + 1 :: -1][: l + 2 - k]
-    vals = s[:, l + 1 :: -1, 0][:, : l + 2 - k]
-    ul = _frfc(s[:, l + 1, :k], vals, np.diff(rev), k)
-    ml = l - k
-    for i in range(ml + 2):
-        s[:, l + 1 - i, 1:k] = ul[:, i, 1:k]
-        if i <= ml:
-            s[:, l - i, k] = ul[:, i, k]
-    _left_terminal(s, t, xi, k, residuals)
-    _right_terminal(s, t, xi, k, n, residuals)
-    return s, residuals
-
-
-def _construct_rrm(knots, k, t):
-    xi = knots.xi
-    n = knots.n
-    l = n // 2
-    s = np.zeros_like(t)
-    zero = np.zeros(t.shape[0])
-    residuals = {"groups": zero}
-    s[:, l + 1, :k] = t[:, l + 1, :k]
-    q_left = l + 1 if n % 2 else l
-    if n % 2 == 0:
-        s[:, l, k] = t[:, l, k]
-        s[:, l, :k] = _backward_row(s[:, l + 1, :k], t[:, l, k], xi[l + 1] - xi[l], k)
-        residuals["center_bridge"] = _max_abs(s[:, l, :k] - t[:, l, :k])
-
-    def note(r):
-        # fmax keeps the running maximum where a residual is NaN
-        residuals["groups"] = np.fmax(residuals["groups"], r)
-
-    # left half: mirrored m=k groups, then a remainder group, down to xi[k+1]
-    cur = q_left
-    while cur - (k + 1) >= k + 1:
-        nxt = cur - (k + 1)
-        first = np.column_stack([s[:, cur, :k], t[:, cur - 1, k]])
-        s[:, cur - 1, k] = t[:, cur - 1, k]
-        last = np.column_stack([t[:, nxt, :k], zero])
-        seg = xi[nxt : cur + 1][::-1]
-        u, r = _frlr(first, last, np.diff(seg), k)
-        note(r)
-        for i in range(1, k + 1):
-            s[:, cur - i - 1, k] = u[:, i, k]
-            s[:, cur - i, :k] = u[:, i, :k]
-        s[:, nxt, :k] = u[:, k + 1, :k]
-        cur = nxt
-    if cur > k + 1:
-        mrem = cur - k - 2
-        first = np.column_stack([s[:, cur, :k], t[:, cur - 1, k]])
-        s[:, cur - 1, k] = t[:, cur - 1, k]
-        last = np.column_stack([t[:, k + 1, :k], zero])
-        seg = xi[k + 1 : cur + 1][::-1]
-        u, r = _frlr(first, last, np.diff(seg), k)
-        note(r)
-        for i in range(1, mrem + 1):
-            s[:, cur - i - 1, k] = u[:, i, k]
-        for i in range(1, mrem + 2):
-            s[:, cur - i, :k] = u[:, i, :k]
-
-    # right half: forward m=k groups, remainder, up to xi[n-k]
-    cur = l + 1
-    while cur + (k + 1) <= n - k:
-        nxt = cur + (k + 1)
-        first = np.column_stack([s[:, cur, :k], t[:, cur, k]])
-        s[:, cur, k] = t[:, cur, k]
-        last = np.column_stack([t[:, nxt, :k], zero])
-        u, r = _frlr(first, last, np.diff(xi[cur : nxt + 1]), k)
-        note(r)
-        for i in range(1, k + 1):
-            s[:, cur + i, k] = u[:, i, k]
-            s[:, cur + i, :k] = u[:, i, :k]
-        s[:, nxt, :k] = u[:, k + 1, :k]
-        cur = nxt
-    if cur < n - k:
-        mrem = n - k - cur - 1
-        first = np.column_stack([s[:, cur, :k], t[:, cur, k]])
-        s[:, cur, k] = t[:, cur, k]
-        last = np.column_stack([t[:, n - k, :k], zero])
-        u, r = _frlr(first, last, np.diff(xi[cur : n - k + 1]), k)
-        note(r)
-        for i in range(1, mrem + 1):
-            s[:, cur + i, k] = u[:, i, k]
-        for i in range(1, mrem + 2):
-            s[:, cur + i, :k] = u[:, i, :k]
-
-    _left_terminal(s, t, xi, k, residuals)
-    _right_terminal(s, t, xi, k, n, residuals)
-    return s, residuals
-
-
-_DRIVERS = {"CRLC": _construct_crlc, "CRFC": _construct_crfc, "RRM": _construct_rrm}
+_SWEEPS = {"CRLC": _crlc, "CRFC": _crfc, "RRM": _rrm}
 
 
 def _check_construct(n, k, method):
-    if method not in _DRIVERS:
+    if method not in _SWEEPS:
         raise ValueError("method must be one of CRLC, CRFC, RRM")
     if n < 2 * k + 2:
         raise ValueError(
@@ -430,12 +335,38 @@ def _construct_rows(knots, k, t, method):
     valid matrices, stacked alike, and a dict of per-matrix residual arrays
     of length ``M`` (empty for ``k = 0``).  Arguments are checked by the
     callers (:func:`_check_construct`).
+
+    Each half starts from the seed's row at the central knot ``n//2 + 1``
+    and runs the method's sweep outward, then the terminal; the left half is
+    the same run on the mirrored stacks, from the centre row's image.
     """
     if k == 0:
         s = t.copy()
         s[:, -1] = 0.0
         return s, {}
-    return _DRIVERS[method](knots, k, t)
+    xi, n = knots.xi, knots.n
+    sweep = _SWEEPS[method]
+    c = n // 2 + 1
+    s, sl = np.zeros_like(t), np.zeros_like(t)
+    tl, xl, cl = _mirror(t), xi[::-1], n + 1 - c
+    s[:, c] = t[:, c]
+    sl[:, cl] = tl[:, cl]
+    residuals = {}
+    if n % 2 == 0 and method != "CRFC":
+        # knots c-1 and c are both central; CRLC and RRM reach c-1 by one
+        # Taylor step with the seed's k-th entry between them
+        sl[:, cl + 1] = tl[:, cl + 1]
+        sl[:, cl + 1, :k] = _taylor_rows(sl[:, cl], xl[cl + 1] - xl[cl])[:, :k]
+        residuals["center_bridge"] = _max_abs(sl[:, cl + 1, :k] - tl[:, cl + 1, :k])
+        cl += 1
+    groups = sweep(sl, tl, xl, cl, n, k) + sweep(s, t, xi, c, n, k)
+    residuals["left_boundary"] = _terminal(sl, tl, xl, n, k)
+    residuals["right_boundary"] = _terminal(s, t, xi, n, k)
+    s[:, :c] = _mirror(sl)[:, :c]
+    if method == "RRM":
+        # fmax keeps the running maximum where a residual is NaN
+        residuals = {"groups": functools.reduce(np.fmax, groups, np.zeros(len(t))), **residuals}
+    return s, residuals
 
 
 def construct(knots, k, seed, method="RRM", epsilon=DEFAULT_EPSILON, return_residuals=False):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
-from splinet.construct import _construct_rows
+from splinet.construct import _construct_rows, _mirror
 from splinet.core import taylor_step_matrix
 
 import oracles
@@ -131,6 +131,19 @@ def test_frlr_validation():
         sp.solve_frlr([0.0, 1.0], [0.0], [0.0, 1.0])  # row length mismatch
     with pytest.raises(ValueError):
         sp.solve_frlr([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.5, 1.0], m=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solvers_reject_non_finite_knots(bad):
+    seg = [0.0, bad, 1.0]
+    with pytest.raises(ValueError, match="finite"):
+        sp.solve_frlc(np.zeros(3), np.zeros(3), seg)
+    with pytest.raises(ValueError, match="finite"):
+        sp.solve_frfc(np.zeros(2), np.zeros(3), seg)
+    with pytest.raises(ValueError, match="finite"):
+        sp.solve_frlr(np.ones(3), np.ones(3), seg)
+    with pytest.raises(ValueError, match="finite"):
+        sp.solve_frlr(np.ones(3), np.ones(3), [0.0, bad])
 
 
 def test_singular_system_error_type():
@@ -277,6 +290,31 @@ def test_construct_batch_matches_loop_oracle(method, k, extra, equid, seed):
         for name, r in ref_residuals.items():
             assert residuals[name].shape == (len(t),)
             assert abs(residuals[name][i] - r) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["CRLC", "CRFC", "RRM"]), st.integers(1, 3), st.integers(0, 4),
+       st.integers(0, 2**31 - 1))
+def test_construct_mirror_equivariant(method, k, extra, seed):
+    """For odd n the central knot is its own mirror image, so building on
+    the reflected knots ``1 - xi[::-1]`` from the reflected seed (rows read
+    from the right as in ``_mirror``, derivative j times (-1)^j) gives the
+    reflected spline, and the two boundary residuals trade places."""
+    rng = np.random.default_rng(seed)
+    n = 2 * k + 3 + 2 * extra
+    knots = oracles.random_knots(rng, n)
+    t = rng.standard_normal((3, n + 2, k + 1)) * 10.0 ** rng.uniform(-3, 3, (3, 1, 1))
+    flip = (-1.0) ** np.arange(k + 1)
+    s, residuals = _construct_rows(knots, k, t, method)
+    s_r, residuals_r = _construct_rows(sp.KnotSet(1.0 - knots.xi[::-1]), k, _mirror(t) * flip,
+                                       method)
+    ref = _mirror(s) * flip
+    tol = 1e-13 * np.max(np.abs(ref), axis=(1, 2))
+    assert np.all(np.abs(s_r - ref) <= tol[:, None, None])
+    swap = {"left_boundary": "right_boundary", "right_boundary": "left_boundary"}
+    assert residuals_r.keys() == residuals.keys()
+    for name, r in residuals_r.items():
+        assert np.all(np.abs(r - residuals[swap.get(name, name)]) <= tol)
 
 
 def test_frlr_condition_checked_once_per_group(monkeypatch):
