@@ -17,9 +17,15 @@ coefficient transform P with P' H P = I:
 
 All three run on one orthogonalizer that reads H only through its band
 (B-splines i and j overlap iff ``|i - j| <= k``) and forms no d x d array.
-Every column of P keeps its own row range, that of the part of its group H
-couples it with, and P is returned as compressed-sparse-column numpy arrays
-(:class:`TransformMatrix`); its ``scipy.sparse`` form is built on first use.
+Every column of P keeps its own row range, trimmed to its decay length: the
+entries of the inverse of a band matrix, and of its inverse Cholesky
+factor, decay exponentially away from the diagonal (Demko, Moss & Smith,
+1984, *Decay rates for inverses of band matrices*), so a finished column
+keeps only the rows whose entries exceed ``P_WORKING_TRIM`` of its largest.
+Later columns couple with those rows alone, and time and memory grow with
+d times the decay length, not d^2, for every scheme.  P is returned as
+compressed-sparse-column numpy arrays (:class:`TransformMatrix`); its
+``scipy.sparse`` form is built on first use.
 Everything here runs on numpy alone, the banded Cholesky factorization of the
 positive-definiteness test included.
 
@@ -42,6 +48,10 @@ from .core import ONE_SIDED, KnotSet, SplineFamily, _family, _ranges
 
 #: entries of P smaller than this (relative to max |P|) are set to zero
 P_TRUNCATION = 1e-11
+
+#: a finished column of P keeps the rows from its first to its last entry
+#: above this fraction of its largest, far below ``P_TRUNCATION``
+P_WORKING_TRIM = 1e-17
 
 #: largest spread of a band diagonal of H, relative to the band's largest
 #: entry, for which the dyadic scheme treats H as Toeplitz
@@ -323,9 +333,11 @@ class _GroupOrthogonalizer:
     columns it couples with) that come within ``k`` of each other share a
     part, and each part is projected and orthonormalized on its own rows.
     Far apart columns (a ``twob`` pair away from the middle) become separate
-    parts; a contiguous tuple is always one part.  Each part's dense block
-    is kept once, with every column holding a view of it, so translating a
-    tuple (the Toeplitz path) shares the block instead of copying it.
+    parts; a contiguous tuple is always one part.  Each finished column is
+    trimmed to the rows from its first to its last entry above
+    ``P_WORKING_TRIM`` of its largest and kept as a copy of that slice, so
+    the part's block is freed; translating a tuple (the Toeplitz path)
+    shares the columns instead of copying them.
     """
 
     def __init__(self, ab):
@@ -381,11 +393,14 @@ class _GroupOrthogonalizer:
             w = slice(max(cols.min() - self.k, r0) - r0, min(cols.max() + self.k, r1) - r0 + 1)
             e = e - q @ (q[w].T @ self._hmul(r0 + w.start, e[w]))
         e = e @ _lowdin(e.T @ self._hmul(r0, e))
-        blk = np.asfortranarray(e)
-        self.lo[cols] = r0
-        self.hi[cols] = r1
+        mag = np.abs(e)
+        above = mag > P_WORKING_TRIM * mag.max(axis=0)
+        first = above.argmax(axis=0)
+        last = e.shape[0] - 1 - above[::-1].argmax(axis=0)
+        self.lo[cols] = r0 + first
+        self.hi[cols] = r0 + last
         for c, j in enumerate(cols):
-            self.cols[j] = blk[:, c]
+            self.cols[j] = e[first[c] : last[c] + 1, c].copy()
 
     def translate(self, src, dst, step):
         """Finish the columns of every row ``i`` of ``dst`` (a group each) as
@@ -509,6 +524,5 @@ def splinet(knots, k, type="spnt", normalize=False):
     else:
         tr = diagonalize_gram(h, type)
         tag = type
-    # dense P' until bench/spans.count_coeff_nnz can count sparse coefficients
-    os_fam = lincomb(bs, tr.pt.toarray(), type=tag)
+    os_fam = lincomb(bs, tr.pt, type=tag)
     return SplinetResult(bs, os_fam, net, tr)

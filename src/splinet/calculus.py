@@ -168,10 +168,12 @@ def lincomb(fam, coeffs, type=None):
     """Linear combinations of family members.
 
     ``coeffs`` is ``(p, d)`` (or ``(d,)`` for a single combination) against
-    a family of ``d`` members, dense or ``scipy.sparse``; returns a family
-    of ``p`` members.  Member ``r`` lives on the union of the supports of the
-    members with a nonzero coefficient in row ``r``; components of that union
-    with one dead interval between them stay one component (as in
+    a family of ``d`` members: dense, ``scipy.sparse`` or the numpy
+    container :class:`_Csr` (P' as :class:`~splinet.bases.TransformMatrix`
+    holds it in ``pt``); returns a family of ``p`` members.  Member ``r``
+    lives on the union of the supports of the members with a nonzero
+    coefficient in row ``r``; components of that union with one dead
+    interval between them stay one component (as in
     :func:`~splinet.core._live_runs`).  Its rows are the coefficient-weighted
     rows of those members, summed member by member in ascending order, each
     component's last k-th entry 0.  All ``p`` members are built in one pass
@@ -188,8 +190,8 @@ def lincomb(fam, coeffs, type=None):
     live = val != 0
     if not live.all():
         row, col, val = row[live], col[live], val[live]
-    # temporaries go as soon as they are used: lincomb(bs, P') is where
-    # splinet()'s peak memory is
+    # temporaries go as soon as they are used: the peak is a small multiple
+    # of the output rows
     del a, live
     # one piece per coefficient and support component of its member, in
     # coefficient order: the pieces of output row r, member by member

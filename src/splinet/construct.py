@@ -362,7 +362,9 @@ def _construct_rows(knots, k, t, method):
     groups = sweep(sl, tl, xl, cl, n, k) + sweep(s, t, xi, c, n, k)
     residuals["left_boundary"] = _terminal(sl, tl, xl, n, k)
     residuals["right_boundary"] = _terminal(s, t, xi, n, k)
-    s[:, :c] = _mirror(sl)[:, :c]
+    # rows 0..c-1 of _mirror(sl), written straight into s
+    s[:, :c, :-1] = sl[:, n + 2 - c : n + 2, :-1][:, ::-1]
+    s[:, :c, -1] = sl[:, n + 1 - c : n + 1, -1][:, ::-1]
     if method == "RRM":
         # fmax keeps the running maximum where a residual is NaN
         residuals = {"groups": functools.reduce(np.fmax, groups, np.zeros(len(t))), **residuals}

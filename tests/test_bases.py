@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import strategies as st
 
 import splinet as sp
 from splinet.bases import (
+    BASIS_TYPES,
     SPD_SHIFT,
     _check_spd,
     _cho_solve_banded,
     _cholesky_banded,
     _dyadic,
+    _gsob,
     _truncate,
+    _twob,
     diagonalize_gram,
 )
 
@@ -394,6 +398,25 @@ def test_splinet_sparse_gram_archive_matches_dense_route(type, use_toeplitz, equ
     assert oracles.archive_text(sparse_os, res.net) == oracles.archive_text(dense, res.net)
 
 
+@pytest.mark.parametrize("type", BASIS_TYPES)
+def test_splinet_archive_matches_dense_pt_route(type):
+    # splinet() hands lincomb P' in the container the transform holds; the
+    # dense P' gives the same archive, byte for byte
+    rng = np.random.default_rng(11)
+    # 45 members make a complete net, 46 do not
+    knots = sp.equidistant_knots(0.0, 1.0, 47) if type == "dspnt" else oracles.random_knots(rng, 48)
+    res = sp.splinet(knots, 3, type=type)
+    if type == "bs":
+        # no P: the B-splines are written as every other type builds them
+        assert res.os is None and res.transform is None
+        other = sp.splinet(knots, 3, type="gsob").bs
+        assert oracles.archive_text(res.bs, res.net) == oracles.archive_text(other, res.net)
+        return
+    assert res.os.type == type
+    dense = sp.lincomb(res.bs, res.transform.pt.toarray(), type=type)
+    assert oracles.archive_text(res.os, res.net) == oracles.archive_text(dense, res.net)
+
+
 def _perturbed_knots(n, seed=3):
     """n internal knots whose widths are 1/(n+1) perturbed by 2e-9 relative:
     equidistant to ``EPS_EQUID``, but their Gram matrix is not Toeplitz."""
@@ -474,3 +497,67 @@ def test_bspline_basis_matches_loop_oracle(k, extra, equid, seed):
     n = k + extra
     knots = sp.equidistant_knots(0.0, 1.0, n) if equid else oracles.random_knots(rng, n)
     oracles.assert_same_family(sp.bspline_basis(knots, k), oracles.loop_bspline_basis(knots, k))
+
+
+# ---------------------------------------------------------------------------
+# memory and locality at large d
+
+
+def _traced_peak(fn):
+    """``fn()`` and the ``tracemalloc`` peak of the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _stored_bytes(pt):
+    return pt.data.nbytes + pt.indices.nbytes + pt.indptr.nbytes
+
+
+#: tracemalloc peak of splinet() at d = 24573 over its output family's row
+#: bytes plus P's stored bytes (measured 2.7 on both dyadic paths)
+SPLINET_PEAK_FACTOR = 4
+
+#: tracemalloc peak of diagonalize_gram() over P's stored bytes (measured 4.0
+#: for gsob and twob at d = 1533 and 6141)
+DIAGONALIZE_PEAK_FACTOR = 8
+
+
+@pytest.mark.parametrize("equid", [True, False])
+def test_splinet_large_d_memory_bounded_by_output(equid):
+    # d = 3 * 2^13 - 3 = 24573, a complete net: the Toeplitz path on
+    # equidistant knots, the general dyadic path on irregular ones.  A d x d
+    # array (P' or the Gram) would take 4.8 GB
+    n = 3 * 2**13 - 1
+    knots = sp.equidistant_knots(0.0, 1.0, n) if equid else oracles.random_knots(
+        np.random.default_rng(12), n)
+    t0 = time.perf_counter()
+    sp.splinet(knots, 3)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, elapsed  # measured 0.4 s and 1.3 s
+    res, peak = _traced_peak(lambda: sp.splinet(knots, 3))
+    assert len(res.os) == 24573 and res.os.type == "dspnt"
+    out_bytes = res.os.rows.nbytes + _stored_bytes(res.transform.pt)
+    assert peak <= SPLINET_PEAK_FACTOR * out_bytes, (peak, out_bytes)
+
+
+def test_gsob_twob_columns_trimmed_to_decay_length():
+    # the entries of a band matrix's inverse (and of its inverse Cholesky
+    # factor) decay exponentially away from the diagonal, so a column of P
+    # is as long before truncation at d = 6141 as at d = 1533; where an
+    # entry first drops below the working trim moves by a row with the knots
+    longest = {}
+    for d in (1533, 6141):
+        knots = oracles.random_knots(np.random.default_rng(0), d + 2)
+        h = sp.gramian(sp.bspline_basis(knots, 3), sparse=True)
+        ab = _check_spd(h)
+        for method, scheme in (("gsob", _gsob), ("twob", _twob)):
+            longest[method, d] = int(np.diff(scheme(ab).pt.indptr).max())
+            tr, peak = _traced_peak(lambda: diagonalize_gram(h, method))
+            assert peak <= DIAGONALIZE_PEAK_FACTOR * _stored_bytes(tr.pt), (method, d, peak)
+    for method in ("gsob", "twob"):
+        assert longest[method, 1533] < 200, longest
+        assert abs(longest[method, 6141] - longest[method, 1533]) <= 2, longest
