@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
+from splinet import archive
 from splinet.archive import family_from_dict
 from splinet.bases import DyadicNet
 from splinet.core import ONE_SIDED, SYMMETRIC, make_member
@@ -118,6 +120,34 @@ def test_malformed_integer_fields(tmp_path, field, value, message):
         family_from_dict(obj)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("der", "0.25", "der entry '0.25' is not a number"),
+    ("der", True, "der entry True is not a number"),
+    ("der", None, "der entry None is not a number"),
+    ("der", [0.5], r"der entry \[0.5\] is not a number"),
+    ("knots", "0.5", "knots entry '0.5' is not a number"),
+    ("knots", False, "knots entry False is not a number"),
+    ("epsilon", True, "epsilon entry True is not a number"),
+    ("epsilon", "1e-7", "epsilon entry '1e-7' is not a number"),
+], ids=["der_string", "der_bool", "der_null", "der_list", "knots_string", "knots_bool",
+        "epsilon_bool", "epsilon_string"])
+def test_malformed_real_fields(tmp_path, field, value, message):
+    """``float`` would take a numeric string and a boolean (and numpy ``null``
+    as NaN); the loader takes only JSON numbers."""
+    res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 11), 3)
+    path = tmp_path / "os.json"
+    sp.save_archive(path, res.os, res.net)
+    obj = json.loads(path.read_text())
+    if field == "der":
+        obj["splines"][2]["der"][0][1][3] = value
+    elif field == "knots":
+        obj["knots"][4] = value
+    else:
+        obj[field] = value
+    with pytest.raises(ValueError, match="malformed archive: " + message):
+        family_from_dict(obj)
+
+
 @pytest.mark.parametrize("splines, message", [
     ([{"supp": [[0, 2], [3, 5]], "der": [[[0.0] * 3] * 3] * 2}], "disjoint and non-adjacent"),
     ([{"supp": [[0, 9]], "der": [[[0.0] * 3] * 10]}], r"support component \(0, 9\) outside"),
@@ -206,13 +236,9 @@ def _nonfinite_family():
                             make_member(sp.SupportSet(()), [], SYMMETRIC)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_families())
-@example((_nonfinite_family(), None))
-@example((sp.empty_family(sp.equidistant_knots(0.0, 1.0, 3), 2), None))
-def test_writer_matches_json_oracle_and_roundtrips(tmp_path_factory, case):
-    fam, net = case
-    path = tmp_path_factory.mktemp("prop") / "f.json"
+def _check_writer(path, fam, net):
+    """``save_archive`` writes what ``json.dumps(indent=1)`` does, and loading
+    it back gives the same bits."""
     sp.save_archive(path, fam, net)
     assert path.read_text(encoding="utf-8") == oracles.archive_text(fam, net)
     back, back_net = sp.load_archive(path)
@@ -228,6 +254,114 @@ def test_writer_matches_json_oracle_and_roundtrips(tmp_path_factory, case):
     assert (back_net is None) == (net is None)
     if net is not None:
         assert back_net.levels == net.levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families())
+@example((_nonfinite_family(), None))
+@example((sp.empty_family(sp.equidistant_knots(0.0, 1.0, 3), 2), None))
+def test_writer_matches_json_oracle_and_roundtrips(tmp_path_factory, case):
+    fam, net = case
+    _check_writer(tmp_path_factory.mktemp("prop") / "f.json", fam, net)
+
+
+#: few values, so that rows and blocks recur; 0.0 and -0.0 differ only in bits
+_FEW_REALS = st.sampled_from([0.0, -0.0, 1.5, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _repeating_families(draw):
+    """Families whose derivative blocks recur across and within members: the
+    members share at most two supports, each block comes from a pool of at
+    most two per length, built from at most four rows (one of them the first
+    with the signs of its zeros flipped), so equal rows also sit in blocks of
+    other lengths."""
+    k = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(_FEW_REALS, min_size=k + 1, max_size=k + 1),
+                         min_size=1, max_size=3))
+    rows.append([-x if x == 0.0 else x for x in rows[0]])  # rows[0] with zero signs flipped
+    pool = {}
+
+    def block(size):
+        if size not in pool:
+            pool[size] = [np.array([rows[draw(st.integers(0, len(rows) - 1))]
+                                    for _ in range(size)])
+                          for _ in range(draw(st.integers(1, 2)))]
+        return pool[size][draw(st.integers(0, len(pool[size]) - 1))]
+
+    supports = draw(st.lists(_supports(n).filter(lambda s: s.components), min_size=1,
+                             max_size=2))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        supp = supports[draw(st.integers(0, len(supports) - 1))]
+        members.append(make_member(supp, [block(hi - lo + 1) for lo, hi in supp], SYMMETRIC))
+    return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, n), k, tuple(members))
+
+
+def _repeats_family():
+    """One block twice in a member and again in another; the same block with
+    one -0.0 for 0.0; a repeated NaN and infinity block; the rows of the
+    first block again in a block of two rows."""
+    a = np.array([[0.0, 1.5], [0.0, 1.5], [2.5, -1.0]])
+    signed = a.copy()
+    signed[1, 0] = -0.0
+    odd = np.array([[np.nan, np.inf], [-np.inf, np.nan], [np.nan, np.nan]])
+    two, three = sp.SupportSet(((0, 2), (4, 6))), sp.SupportSet(((0, 2),))
+    members = [make_member(two, [a, a], SYMMETRIC), make_member(three, [a], SYMMETRIC),
+               make_member(three, [signed], SYMMETRIC), make_member(two, [odd, odd], SYMMETRIC),
+               make_member(sp.SupportSet(((1, 3), (5, 6))), [signed, a[:2]], SYMMETRIC),
+               make_member(three, [odd], SYMMETRIC)]
+    return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, 5), 1, tuple(members))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeating_families())
+@example(_repeats_family())
+def test_writer_repeated_blocks_match_json_oracle(tmp_path_factory, fam):
+    """Blocks whose text is rendered once and reused: the bytes of every
+    occurrence are those of ``json.dumps``, and ``-0.0``, NaN and the
+    infinities survive the round trip bit for bit."""
+    _check_writer(tmp_path_factory.mktemp("rep") / "f.json", fam, None)
+
+
+def _distinct_blocks(fam):
+    bounds = np.append(0, np.cumsum(fam.hi - fam.lo + 1))
+    return {fam.rows[a:b].tobytes() for a, b in zip(bounds[:-1], bounds[1:])}
+
+
+def test_each_distinct_block_rendered_once(tmp_path, monkeypatch):
+    """On equidistant knots the B-splines, and the splinet's members within a
+    level, are translates of each other, so their blocks repeat bit for bit;
+    the writer renders each distinct block once, plus the knots."""
+    res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 1535), 3)
+    assert len(res.os) == 1533
+    calls = []
+    tokens = archive._tokens
+    monkeypatch.setattr(archive, "_tokens", lambda values: calls.append(1) or tokens(values))
+    for fam, net in ((res.bs, None), (res.os, res.net)):
+        fam = sp.as_symmetric(fam)
+        distinct = len(_distinct_blocks(fam))
+        assert distinct < len(fam) // 2
+        calls.clear()
+        sp.save_archive(tmp_path / "f.json", fam, net)
+        assert len(calls) <= distinct + 1
+
+
+def test_writer_peak_memory_without_repeats(tmp_path):
+    """1000 random draws share no block: the writer holds a count per block,
+    not their bytes or text, so its peak stays well under the rows' size."""
+    mean = sp.construct(sp.equidistant_knots(0.0, 1.0, 40), 3,
+                        np.random.default_rng(0).standard_normal(38), "CRLC")
+    fam = sp.as_symmetric(sp.rspline(mean, sp.NoiseSpec(seed=11), 1000))
+    assert len(_distinct_blocks(fam)) == len(fam) == 1000
+    tracemalloc.start()
+    try:
+        sp.save_archive(tmp_path / "draws.json", fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * fam.rows.nbytes
 
 
 @settings(max_examples=100, deadline=None)

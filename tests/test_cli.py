@@ -173,7 +173,8 @@ def test_check_rejects_bad_epsilon(tmp_path, capsys, eps):
 
 @pytest.mark.parametrize("edit", ["top_level_list", "splines_int", "net_int_level",
                                   "no_knots", "order_fraction", "supp_fraction",
-                                  "net_out_of_range", "net_repeated"])
+                                  "net_out_of_range", "net_repeated", "der_string",
+                                  "knots_bool", "epsilon_bool"])
 def test_check_malformed_archive(tmp_path, capsys, edit):
     out = str(tmp_path / "b")
     main(["basis", "--equid", "0", "1", "11", "-k", "3", "-o", out])
@@ -193,6 +194,12 @@ def test_check_malformed_archive(tmp_path, capsys, edit):
         obj["net"] = [[[99999, -4, 7]]]
     elif edit == "net_repeated":
         obj["net"][0][0][0] = obj["net"][-1][0][0]
+    elif edit == "der_string":
+        obj["splines"][0]["der"][0][0][0] = "0.25"
+    elif edit == "knots_bool":
+        obj["knots"][0] = False
+    elif edit == "epsilon_bool":
+        obj["epsilon"] = True
     else:
         del obj["knots"]
     open(path, "w").write(json.dumps(obj))
