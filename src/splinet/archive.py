@@ -50,7 +50,8 @@ def _integer(value, field):
 def _reals(values, field):
     """The list ``values`` as a float array; a JSON string, boolean or null in
     it is a malformed archive (numpy would read ``"0.25"`` as 0.25, ``true`` as
-    1.0 and ``null`` as NaN).  One pass over the distinct types, in C."""
+    1.0 and ``null`` as NaN).  The check is one pass in C that collects the
+    values' types; only the few distinct types are looked at in Python."""
     bad = {t for t in set(map(type, values))
            if not issubclass(t, (int, float)) or issubclass(t, bool)}
     if bad:
