@@ -9,7 +9,8 @@ coefficient transform P with P' H P = I:
 
 * ``gsob``  -- one-sided Gram-Schmidt: columns one at a time, left to right
   (triangular P);
-* ``twob``  -- two-sided scheme working inward from both ends in pairs;
+* ``twob``  -- two-sided scheme working inward from both ends in pairs, a
+  pair more than k apart one column at a time (its columns do not couple);
 * ``dyadic``-- the splinet: disjoint k-tuples arranged on a dyadic net,
   processed level by level; each tuple is projected orthogonal to the
   already-processed members it overlaps and then orthonormalized
@@ -328,15 +329,13 @@ class _GroupOrthogonalizer:
 
     H is read through its lower band ``ab`` of width ``k`` only.  Finished column j
     of P is nonzero on rows ``lo[j]..hi[j]`` alone and couples with unit
-    vector ``e_g`` iff that range meets ``g-k..g+k``.  A group is split into
-    the parts H couples: column ranges (own index plus the ranges of the
-    columns it couples with) that come within ``k`` of each other share a
-    part, and each part is projected and orthonormalized on its own rows.
-    Far apart columns (a ``twob`` pair away from the middle) become separate
-    parts; a contiguous tuple is always one part.  Each finished column is
-    trimmed to the rows from its first to its last entry above
+    vector ``e_g`` iff that range meets ``g-k..g+k``.  A group is a run of
+    indices, each within ``k`` of the next (a ``gsob`` singleton, a ``twob``
+    pair near the middle, a dyadic tuple), so H couples it as a whole: it is
+    projected and orthonormalized on the rows that its indices and the
+    columns it couples with span.  Each finished column is trimmed to the rows from its first to its last entry above
     ``P_WORKING_TRIM`` of its largest and kept as a copy of that slice, so
-    the part's block is freed; translating a tuple (the Toeplitz path)
+    the group's block is freed; translating a tuple (the Toeplitz path)
     shares the columns instead of copying them.
     """
 
@@ -362,44 +361,30 @@ class _GroupOrthogonalizer:
         return y
 
     def process(self, group):
-        """Finish the columns of ``group`` (ascending indices)."""
+        """Finish the columns of ``group`` (ascending indices, each within
+        ``k`` of the next)."""
         g = np.asarray(group)
         k = self.k
-        near = np.flatnonzero((self.hi >= g[0] - k) & (self.lo <= g[-1] + k))
-        if np.all(np.diff(g) <= k):
-            # H couples neighbouring columns directly: one part
-            self._process_part(g, min(g[0], self.lo[near].min(initial=g[0])),
-                               max(g[-1], self.hi[near].max(initial=g[-1])), near)
-            return
-        lo, hi = self.lo[near], self.hi[near]
-        coupled = (hi >= g[:, None] - k) & (lo <= g[:, None] + k)
-        r0 = np.minimum(g, np.where(coupled, lo, g[:, None]).min(axis=1, initial=g[-1]))
-        r1 = np.maximum(g, np.where(coupled, hi, g[:, None]).max(axis=1, initial=g[0]))
-        order = np.argsort(r0, kind="stable")
-        reach = np.maximum.accumulate(r1[order])
-        cuts = np.flatnonzero(r0[order][1:] > reach[:-1] + k) + 1
-        for part in np.split(order, cuts):
-            self._process_part(g[part], r0[part].min(), r1[part].max(),
-                               near[coupled[part].any(axis=0)])
-
-    def _process_part(self, cols, r0, r1, act):
-        e = np.zeros((r1 - r0 + 1, cols.size))
-        e[cols - r0, np.arange(cols.size)] = 1.0
+        act = np.flatnonzero((self.hi >= g[0] - k) & (self.lo <= g[-1] + k))
+        r0 = min(g[0], self.lo[act].min(initial=g[0]))
+        r1 = max(g[-1], self.hi[act].max(initial=g[-1]))
+        e = np.zeros((r1 - r0 + 1, g.size))
+        e[g - r0, np.arange(g.size)] = 1.0
         if act.size:
             q = np.zeros((e.shape[0], act.size))
             for c, j in enumerate(act):
                 q[self.lo[j] - r0 : self.hi[j] - r0 + 1, c] = self.cols[j]
-            # H e vanishes outside the rows within k of the part's columns
-            w = slice(max(cols.min() - self.k, r0) - r0, min(cols.max() + self.k, r1) - r0 + 1)
+            # H e vanishes outside the rows within k of the group's columns
+            w = slice(max(g[0] - k, r0) - r0, min(g[-1] + k, r1) - r0 + 1)
             e = e - q @ (q[w].T @ self._hmul(r0 + w.start, e[w]))
         e = e @ _lowdin(e.T @ self._hmul(r0, e))
         mag = np.abs(e)
         above = mag > P_WORKING_TRIM * mag.max(axis=0)
         first = above.argmax(axis=0)
         last = e.shape[0] - 1 - above[::-1].argmax(axis=0)
-        self.lo[cols] = r0 + first
-        self.hi[cols] = r0 + last
-        for c, j in enumerate(cols):
+        self.lo[g] = r0 + first
+        self.hi[g] = r0 + last
+        for c, j in enumerate(g):
             self.cols[j] = e[first[c] : last[c] + 1, c].copy()
 
     def translate(self, src, dst, step):
@@ -431,10 +416,18 @@ def _gsob(ab):
 
 
 def _twob(ab):
+    """Pairs ``(i, d-1-i)`` from both ends inward.  While a pair is more than
+    ``k`` apart, its columns do not couple: a finished left column ends at
+    its own row and a finished right column starts at its own.  So such a
+    pair is finished as its left column, then its right one."""
     g = _GroupOrthogonalizer(ab)
     left, right = 0, ab.shape[1] - 1
     while left < right:
-        g.process((left, right))
+        if right - left > g.k:
+            g.process((left,))
+            g.process((right,))
+        else:
+            g.process((left, right))
         left += 1
         right -= 1
     if left == right:

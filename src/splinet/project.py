@@ -161,10 +161,15 @@ def fpca(pr):
     """Principal component analysis of a projection's coefficient rows."""
     basis = pr.basis
     d = len(basis)
+    coeff = np.asarray(pr.coeff, dtype=float)
+    if coeff.ndim != 2 or coeff.shape[1] != d:
+        raise ValueError("fpca needs one row of %d coefficients per sample (one per basis "
+                         "member), got an array of shape %s" % (d, coeff.shape))
+    if not np.all(np.isfinite(coeff)):
+        raise ValueError("fpca coefficients must be finite")
     ident = gramian(basis)
     if np.max(np.abs(ident - np.eye(d))) > 1e-6:
         raise ValueError("fpca needs an orthonormal basis; project with type='spnt'")
-    coeff = np.asarray(pr.coeff, dtype=float)
     m = coeff.shape[0]
     if m < 2:
         raise ValueError("fpca needs at least two samples")
@@ -205,17 +210,24 @@ def kl_reconstruct(fp, coeff_row, m_components):
 
 
 def read_csv_matrix(path):
-    """Numeric CSV as a 2-d array; a first row that is not numeric is a header."""
+    """Numeric CSV as a 2-d array; a first row that is not numeric is a header.
+    Every row must have as many fields as the first data row."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r]
     if not rows:
         raise ValueError("%s holds no CSV rows" % path)
     start = 0
     try:
-        float(rows[0][0])
+        float(rows[0][1][0])
     except ValueError:
         start = 1  # header line
-    return np.array([[float(x) for x in r] for r in rows[start:]])
+    body = rows[start:]
+    for line, r in body:
+        if len(r) != len(body[0][1]):
+            raise ValueError("%s: the row on line %d has %d fields, expected %d"
+                             % (path, line, len(r), len(body[0][1])))
+    return np.array([[float(x) for x in r] for _, r in body])
 
 
 def read_fdata_csv(path):

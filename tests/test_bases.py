@@ -215,9 +215,12 @@ def _assert_orthonormal(tr, h):
 
 
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 300), k=st.integers(1, 3))
-def test_transform_matches_envelope_oracle(seed, n, k):
-    # random knots: every scheme against the dense envelope/Cholesky oracle
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 4), extra=st.integers(0, 300))
+def test_transform_matches_envelope_oracle(seed, k, extra):
+    # random knots: every scheme against the dense envelope/Cholesky oracle,
+    # from d = 1 and the zero band of k = 0 up (n = k gives d = 1; twob's
+    # first pair is within k when d <= k + 1)
+    n = k + extra
     rng = np.random.default_rng(seed)
     widths = rng.uniform(0.05, 1.0, n + 1)
     knots = sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths))
@@ -227,8 +230,10 @@ def test_transform_matches_envelope_oracle(seed, n, k):
         tr = diagonalize_gram(h, method, net=net)
         _assert_matches_oracle(tr, oracles.dense_diagonalize(h, method, k, net))
         _assert_orthonormal(tr, h)
-    # complete equidistant net of about the same size: the Toeplitz path
-    n_c = k * 2 ** int(np.log2((n + 1) / k)) - 1
+    # complete equidistant net of about the same size, 2^N - 1 tuples of
+    # max(k, 1) indices: the Toeplitz path
+    size = max(k, 1)
+    n_c = size * (2 ** max(1, int(np.log2((n - k + 1) / size + 1))) - 1) + k - 1
     h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n_c), k))
     net = sp.net_layout(n_c, k)
     assert net.complete
@@ -334,7 +339,8 @@ def test_splinet_nonequidistant_orthonormal():
 def test_twob_runtime_guard():
     # the two-sided scheme on irregular knots at d = 1533: ~14 s when every
     # pair recorded the envelope of both columns as its row range, under 1 s
-    # with per-part ranges
+    # now that a pair more than k apart is finished one column at a time,
+    # each column on its own rows
     rng = np.random.default_rng(5)
     widths = rng.uniform(0.5, 1.5, 1536)
     knots = sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths))

@@ -224,6 +224,46 @@ def test_empty_csv_is_error(tmp_path, capsys):
     assert "no CSV rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "wide"])
+def test_fpca_bad_coefficients_exit_1(tmp_path, capsys, bad):
+    # a non-finite entry or a row wider than the basis is refused before the
+    # eigensolve: exit 1 with the library's message
+    b = str(tmp_path / "b")
+    assert main(["basis", "--equid", "0", "1", "11", "-k", "3", "-o", b]) == 0
+    coeff = np.random.default_rng(6).standard_normal((5, 9))
+    if bad == "nan":
+        coeff[2, 4] = np.nan
+    elif bad == "inf":
+        coeff[0, 0] = np.inf
+    else:
+        coeff = np.hstack([coeff, coeff[:, :2]])
+    cp = tmp_path / "c.csv"
+    sp.write_coeff_csv(cp, coeff)
+    capsys.readouterr()
+    assert main(["fpca", "--coeff", str(cp), "--basis", b + ".os.json",
+                 "-o", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fpca")
+    assert ("finite" if bad != "wide" else "9 coefficients") in err
+
+
+def test_ragged_csv_is_error(tmp_path, capsys):
+    # a row with a missing field names its line and both field counts
+    b = str(tmp_path / "b")
+    assert main(["basis", "--equid", "0", "1", "7", "-k", "2", "-o", b]) == 0
+    data = tmp_path / "ragged.csv"
+    data.write_text("arg,s1,s2\n0.0,1.0,2.0\n0.5,1.5\n0.75,1.0,2.0\n")
+    capsys.readouterr()
+    assert main(["project", "-i", str(data), "--equid", "0", "1", "7", "-k", "2",
+                 "-o", str(tmp_path / "p")]) == 1
+    assert "error: %s: the row on line 3 has 2 fields, expected 3" % data in capsys.readouterr().err
+    coeff = tmp_path / "ragged.coeff.csv"
+    coeff.write_text("c1,c2,c3,c4,c5,c6\n" + "1,2,3,4,5,6\n" * 3 + "\n" + "1,2,3,4,5,6,7\n")
+    assert main(["fpca", "--coeff", str(coeff), "--basis", b + ".os.json",
+                 "-o", str(tmp_path / "f")]) == 1
+    assert "the row on line 6 has 7 fields, expected 6" in capsys.readouterr().err
+
+
 def test_random_and_reproducibility(tmp_path, capsys):
     rng = np.random.default_rng(0)
     mean = oracles.random_valid_family(rng, 12, 3)

@@ -201,6 +201,26 @@ def test_fpca_requires_orthonormal_basis():
         sp.fpca(pr)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "wide", "narrow", "flat"])
+def test_fpca_rejects_bad_coefficients(bad):
+    # checked before any arithmetic: no RuntimeWarning, no numpy error text
+    pr, _, _ = _synthetic_projection(m=20)
+    coeff = pr.coeff.copy()
+    d = coeff.shape[1]
+    if bad == "nan":
+        coeff[3, 2] = np.nan
+    elif bad == "inf":
+        coeff[0, d - 1] = -np.inf
+    elif bad == "wide":
+        coeff = np.hstack([coeff, coeff[:, :2]])
+    elif bad == "narrow":
+        coeff = coeff[:, : d - 1]
+    else:
+        coeff = coeff[0]
+    with pytest.raises(ValueError, match="finite" if bad in ("nan", "inf") else "%d coefficients" % d):
+        sp.fpca(sp.ProjectionResult(coeff, pr.basis, None))
+
+
 def test_fpca_identical_samples():
     knots = sp.equidistant_knots(0.0, 1.0, 11)
     res = sp.splinet(knots, 3)
