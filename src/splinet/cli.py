@@ -3,8 +3,9 @@
 Commands: ``basis``, ``eval``, ``check``, ``random``, ``project``,
 ``fpca``, ``gram``.  Splines travel as JSON archives, numbers as CSV.
 Exit codes: 0 success, 1 numerical or validity failure, 2 usage error.
-All work runs in one thread; the ``SPLINET_THREADS`` environment variable
-is ignored.
+``eval`` needs the memory of the archive plus one float per value: its long
+CSV is rendered and written a chunk of rows at a time.  All work runs in one
+thread; the ``SPLINET_THREADS`` environment variable is ignored.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .project import (
     read_csv_matrix,
     read_fdata_csv,
     write_coeff_csv,
-    _repr_rows,
-    _reprs,
+    _cells,
     _write_csv,
+    _write_matrix_csv,
 )
 from .random import RNG_ALGORITHM, NoiseSpec, rspline
 
@@ -96,10 +97,16 @@ def _cmd_eval(args):
     fam, _ = load_archive(args.input)
     grid = sample_grid(fam.knots, max(fam.smorder, 1), args.density)
     vals = evaluate(fam, grid, deriv=args.deriv)
-    # long format: every grid point of member 0, then of member 1, ...
-    members = [s for s in map(str, range(vals.shape[1])) for _ in range(grid.size)]
-    _write_csv(args.out, ["arg", "member", "value"],
-               zip(_reprs(grid) * vals.shape[1], members, _reprs(vals.T)))
+    # long format: every grid point of member 0, then of member 1, ...; the
+    # grid and the member ids are rendered once, the values a chunk at a time
+    arg = np.array(_cells(grid), dtype=object)
+    ids = np.array(_cells(np.arange(vals.shape[1])), dtype=object)
+
+    def columns(rows):
+        member, point = np.divmod(rows, grid.size)
+        return [arg[point], ids[member], vals[point, member]]
+
+    _write_csv(args.out, ["arg", "member", "value"], vals.size, columns)
     print("wrote %s (%d points x %d members)" % (args.out, grid.size, vals.shape[1]))
     return 0
 
@@ -169,11 +176,9 @@ def _cmd_fpca(args):
     # themselves are not built
     fp = fpca(ProjectionResult(coeff, basis, None))
     _write_csv(args.out + ".eigenvalues.csv", ["component", "eigenvalue"],
-               zip(map(str, range(1, fp.eigenvalues.size + 1)), _reprs(fp.eigenvalues)))
+               fp.eigenvalues.size, lambda rows: [rows + 1, fp.eigenvalues[rows]])
     save_archive(args.out + ".eigenfunctions.json", fp.eigenfunctions)
-    _write_csv(args.out + ".scores.csv",
-               ["z%d" % (j + 1) for j in range(fp.scores.shape[1])],
-               _repr_rows(fp.scores))
+    _write_matrix_csv(args.out + ".scores.csv", "z", fp.scores)
     print("wrote %s.eigenvalues.csv, %s.eigenfunctions.json, %s.scores.csv "
           "(%d retained components)" % (args.out, args.out, args.out, fp.n_retained))
     return 0
@@ -185,8 +190,7 @@ def _cmd_gram(args):
     if args.second is not None:
         other, _ = load_archive(args.second)
     g = gramian(fam, other)
-    _write_csv(args.out, ["g%d" % (j + 1) for j in range(g.shape[1])],
-               _repr_rows(g))
+    _write_matrix_csv(args.out, "g", g)
     print("wrote %s (%d x %d)" % (args.out, g.shape[0], g.shape[1]))
     return 0
 

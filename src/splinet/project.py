@@ -11,7 +11,6 @@ geometry of the function space is the Euclidean geometry of coefficients.
 from __future__ import annotations
 
 import csv
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -227,7 +226,17 @@ def read_csv_matrix(path):
         if len(r) != len(body[0][1]):
             raise ValueError("%s: the row on line %d has %d fields, expected %d"
                              % (path, line, len(r), len(body[0][1])))
-    return np.array([[float(x) for x in r] for _, r in body])
+    try:
+        return np.array([[float(x) for x in r] for _, r in body])
+    except ValueError:
+        for line, r in body:
+            for j, x in enumerate(r):
+                try:
+                    float(x)
+                except ValueError:
+                    raise ValueError("%s: field %d on line %d is not a number: %r"
+                                     % (path, j + 1, line, x)) from None
+        raise
 
 
 def read_fdata_csv(path):
@@ -241,29 +250,43 @@ def read_fdata_csv(path):
 _CSV_CHUNK_ROWS = 4096
 
 
-def _reprs(values):
-    """``repr`` of every entry of a float array, in row-major order."""
-    return list(map(float.__repr__, np.asarray(values, dtype=float).ravel().tolist()))
+def _cells(col):
+    """One string per row of a column chunk: the entries of a float array
+    through ``float.__repr__`` (shortest round trip), of an integer array
+    through ``str``, of an object array of strings as they are; the fields
+    of a row of a 2-d array are comma joined."""
+    toks = col.ravel().tolist()
+    if col.dtype != object:
+        toks = list(map(float.__repr__ if col.dtype.kind == "f" else str, toks))
+    if col.ndim == 1:
+        return toks
+    c = col.shape[1]
+    return [",".join(toks[i * c:(i + 1) * c]) for i in range(col.shape[0])]
 
 
-def _repr_rows(matrix):
-    """The rows of a 2-d float array as lists of ``repr`` strings."""
-    toks, c = _reprs(matrix), matrix.shape[1]
-    return [toks[i * c:(i + 1) * c] for i in range(matrix.shape[0])]
+def _write_csv(path, header, nrows, columns):
+    """Write ``header`` and ``nrows`` rows as ``csv.writer`` writes fields
+    that need no quoting: comma separated, ``\\r\\n`` line ends.
 
-
-def _write_csv(path, header, rows):
-    """Write ``header`` and ``rows`` (sequences of strings) as ``csv.writer``
-    writes fields that need no quoting: comma separated, ``\\r\\n`` line ends.
-    Rows are joined and written ``_CSV_CHUNK_ROWS`` at a time, so the text of
-    a long CSV is never held whole."""
-    rows = iter(rows)
+    ``columns(rows)`` gives the table's columns at the row indices ``rows``
+    (an integer array): number arrays or object arrays of strings, a 2-d
+    one giving one field per column (see :func:`_cells`).  It is asked for
+    ``_CSV_CHUNK_ROWS`` rows at a time, and each chunk is rendered, joined
+    and written before the next, so neither the text of a long CSV nor its
+    tokens are ever held whole."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        while lines := list(map(",".join, itertools.islice(rows, _CSV_CHUNK_ROWS))):
+        for lo in range(0, nrows, _CSV_CHUNK_ROWS):
+            rows = np.arange(lo, min(lo + _CSV_CHUNK_ROWS, nrows))
+            lines = map(",".join, zip(*map(_cells, columns(rows))))
             fh.write("\r\n".join(lines) + "\r\n")
 
 
+def _write_matrix_csv(path, prefix, matrix):
+    """A 2-d float array under the header ``prefix1,prefix2,...``."""
+    _write_csv(path, ["%s%d" % (prefix, j + 1) for j in range(matrix.shape[1])],
+               matrix.shape[0], lambda rows: [matrix[rows]])
+
+
 def write_coeff_csv(path, coeff):
-    coeff = np.atleast_2d(np.asarray(coeff, dtype=float))
-    _write_csv(path, ["c%d" % (j + 1) for j in range(coeff.shape[1])], _repr_rows(coeff))
+    _write_matrix_csv(path, "c", np.atleast_2d(np.asarray(coeff, dtype=float)))

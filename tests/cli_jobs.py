@@ -9,11 +9,15 @@ The inputs are written to ``DIR`` by numpy and splinet alone.  The jobs
 cover every command and the jobs of the benchmark's workloads: ``basis`` of
 every type and with ``--normalize``, ``check``, ``random``, ``project`` of
 an archive (orthonormal and ``bs``) and of a data CSV, ``fpca``, ``eval``
-and ``gram``.  The exit status is 0 when every job exits 0 and no ``scipy``
-module is loaded: scipy is needed only for the ``scipy.sparse`` objects the
-library returns or accepts on request, never on a CLI path.
+and ``gram``.  The exit status is 0 when every job exits 0, the ``eval``
+CSV (100 draws on 148 points, several of the writer's chunks) has the bytes
+``csv.writer`` gives the same values, and no ``scipy`` module is loaded:
+scipy is needed only for the ``scipy.sparse`` objects the library returns or
+accepts on request, never on a CLI path.
 """
 
+import csv
+import io
 import os
 import sys
 
@@ -22,6 +26,7 @@ import numpy as np
 import splinet as sp
 from splinet.bases import BASIS_TYPES
 from splinet.cli import main
+from splinet.project import _CSV_CHUNK_ROWS
 
 
 def write_inputs(d):
@@ -47,7 +52,7 @@ def jobs(d):
         ["basis"] + knots + ["--normalize", "-o", p("b_norm")],
         ["basis", "--equid", "0", "1", "11", "-k", "3", "-o", p("b11")],
         ["check", "-i", p("b_spnt.os.json")],
-        ["random", "--mean", p("mean.json"), "-M", "20", "--seed", "3", "-o", p("draws.json")],
+        ["random", "--mean", p("mean.json"), "-M", "100", "--seed", "3", "-o", p("draws.json")],
         ["check", "-i", p("draws.json")],
         ["project", "-i", p("draws.json"), "--equid", "0", "1", "12", "-o", p("pr")],
         ["project", "-i", p("draws.json"), "--equid", "0", "1", "12", "--type", "bs",
@@ -59,6 +64,21 @@ def jobs(d):
     ]
 
 
+def eval_matches_csv_module(d):
+    """The ``eval`` job's CSV against ``csv.writer`` on the same values; the
+    table must span more than three of the writer's chunks."""
+    fam, _ = sp.load_archive(os.path.join(d, "draws.json"))
+    grid = sp.sample_grid(fam.knots, fam.smorder, 2)
+    vals = sp.evaluate(fam, grid)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["arg", "member", "value"])
+    w.writerows((repr(g), j, repr(v))
+                for j, col in enumerate(vals.T.tolist()) for g, v in zip(grid.tolist(), col))
+    with open(os.path.join(d, "draws.eval.csv"), "rb") as fh:
+        return vals.size > 3 * _CSV_CHUNK_ROWS and fh.read() == ref.getvalue().encode("utf-8")
+
+
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
@@ -66,6 +86,8 @@ def scipy_modules():
 def run(d):
     write_inputs(d)
     failed = [argv for argv in jobs(d) if main(argv) != 0]
+    if not failed and not eval_matches_csv_module(d):
+        failed = [["eval", "(its CSV differs from csv.writer's or spans too few chunks)"]]
     for argv in failed:
         print("job failed: splinet %s" % " ".join(argv), file=sys.stderr)
     loaded = scipy_modules()

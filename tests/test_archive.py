@@ -365,10 +365,18 @@ def test_writer_peak_memory_without_repeats(tmp_path):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 6), st.integers(0, 5), st.data())
-def test_csv_writer_matches_csv_module(tmp_path_factory, rows, cols, data):
-    m = np.array(data.draw(st.lists(_REALS, min_size=rows * cols, max_size=rows * cols)),
-                 dtype=float).reshape(rows, cols)
+@given(st.one_of(st.integers(0, 6), st.sampled_from([4095, 4096, 4097, 8193])),
+       st.integers(0, 5), st.lists(_REALS, min_size=1, max_size=30))
+@example(4097, 0, [0.0])
+@example(8193, 0, [0.0])
+@example(4095, 3, [1.5, -0.0, np.nan, np.inf])
+@example(4096, 5, [0.1, -1e300, 5e-324])
+@example(4097, 1, [-np.inf, 2.0])
+@example(8193, 2, [0.0, -2.5, 1e22])
+def test_csv_writer_matches_csv_module(tmp_path_factory, rows, cols, values):
+    # the values repeat through the matrix; the row counts around
+    # _CSV_CHUNK_ROWS = 4096 put rows on both sides of the chunk edges
+    m = np.resize(np.array(values, dtype=float), (rows, cols))
     path = tmp_path_factory.mktemp("csv") / "c.csv"
     sp.write_coeff_csv(path, m)
     ref = io.StringIO(newline="")

@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import splinet as sp
 from splinet.cli import main
+from splinet.project import _CSV_CHUNK_ROWS
 
 import oracles
 
@@ -117,20 +119,68 @@ def test_eval_csv(tmp_path):
     assert value == sp.evaluate(bs, [arg])[0, member]
 
 
+#: (internal knots, order, density, members, rows) of the eval tables below
+_EVAL_TABLES = [
+    (9, 3, 2, 7, 497),      # 71 points x 7 members: less than one chunk
+    (6, 2, 1, 0, 0),        # no members: the header alone
+    (7, 1, 7, 63, 4095),    # 65 x 63: one row short of a chunk
+    (6, 2, 4, 64, 4096),    # 64 x 64: exactly one chunk
+    (3, 3, 1, 241, 4097),   # 17 x 241: the second chunk holds one row
+    (9, 3, 2, 200, 14200),  # 71 x 200: three chunks and a part
+]
+
+
 def test_eval_csv_bytes_match_csv_module(tmp_path):
-    out = str(tmp_path / "b")
-    main(["basis", "--equid", "0", "1", "9", "-k", "3", "-o", out])
-    ev = tmp_path / "vals.csv"
-    assert main(["eval", "-i", out + ".os.json", "-N", "2", "--deriv", "1", "-o", str(ev)]) == 0
-    fam, _ = sp.load_archive(out + ".os.json")
-    grid = sp.sample_grid(fam.knots, 3, 2)
-    vals = sp.evaluate(fam, grid, deriv=1)
-    ref = io.StringIO(newline="")
-    w = csv.writer(ref)
-    w.writerow(["arg", "member", "value"])
-    w.writerows((repr(float(g)), j, repr(float(vals[i, j])))
-                for j in range(vals.shape[1]) for i, g in enumerate(grid))
-    assert ev.read_bytes() == ref.getvalue().encode("utf-8")
+    """``eval`` writes what ``csv.writer`` writes for the same values, at
+    every derivative and on both sides of every chunk edge (a grid has at
+    least 3 points, so a 1-row table is the writer test's case)."""
+    assert _CSV_CHUNK_ROWS == 4096  # the row counts above sit on its edges
+    arch, ev = tmp_path / "fam.json", tmp_path / "vals.csv"
+    for n_int, k, density, count, rows in _EVAL_TABLES:
+        knots = sp.equidistant_knots(0.0, 1.0, n_int)
+        basis = sp.splinet(knots, k).os
+        sp.save_archive(arch, sp.subsample(basis, np.arange(count) % len(basis)))
+        fam, _ = sp.load_archive(arch)
+        grid = sp.sample_grid(knots, max(k, 1), density)
+        assert grid.size * count == rows
+        for deriv in range(k + 1):
+            assert main(["eval", "-i", str(arch), "-N", str(density), "--deriv", str(deriv),
+                         "-o", str(ev)]) == 0
+            vals = sp.evaluate(fam, grid, deriv=deriv)
+            ref = io.StringIO(newline="")
+            w = csv.writer(ref)
+            w.writerow(["arg", "member", "value"])
+            w.writerows((repr(float(g)), j, repr(float(vals[i, j])))
+                        for j in range(vals.shape[1]) for i, g in enumerate(grid))
+            assert ev.read_bytes() == ref.getvalue().encode("utf-8"), (rows, deriv)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("count", [1000, 2000])
+def test_eval_memory_is_archive_plus_values(tmp_path, count):
+    """``eval`` holds the values as floats and renders one chunk of rows at a
+    time, so its peak stays within the value array plus one chunk's tokens
+    and text of what loading the archive takes, whatever the member count
+    (rendering the whole table first took 26 MB more at 1000 draws)."""
+    mean = sp.construct(sp.equidistant_knots(0.0, 1.0, 40), 3,
+                        np.random.default_rng(0).standard_normal(38), "CRLC")
+    arch = tmp_path / "draws.json"
+    sp.save_archive(arch, sp.rspline(mean, sp.NoiseSpec(seed=11), count))
+    load_peak = _traced_peak(sp.load_archive, arch)
+    peak = _traced_peak(main, ["eval", "-i", str(arch), "-N", "2", "-o", str(tmp_path / "e.csv")])
+    values_bytes = 288 * count * 8  # 288 grid points
+    # a row of a chunk: three tokens and their list slots, its line and its
+    # share of the chunk's text, well under 300 bytes
+    chunk_bytes = _CSV_CHUNK_ROWS * 300
+    assert peak - load_peak <= values_bytes + chunk_bytes
 
 
 def test_check_invalid_archive(tmp_path, capsys):
@@ -262,6 +312,25 @@ def test_ragged_csv_is_error(tmp_path, capsys):
     assert main(["fpca", "--coeff", str(coeff), "--basis", b + ".os.json",
                  "-o", str(tmp_path / "f")]) == 1
     assert "the row on line 6 has 7 fields, expected 6" in capsys.readouterr().err
+
+
+def test_bad_number_in_csv_is_error(tmp_path, capsys):
+    # a field that is not a number names the file, its line and its field
+    b = str(tmp_path / "b")
+    assert main(["basis", "--equid", "0", "1", "7", "-k", "2", "-o", b]) == 0
+    data = tmp_path / "bad.csv"
+    data.write_text("arg,s1\n0.0,1.0\n0.5,abc\n0.75,1.0\n")
+    capsys.readouterr()
+    assert main(["project", "-i", str(data), "--equid", "0", "1", "7", "-k", "2",
+                 "-o", str(tmp_path / "p")]) == 1
+    assert ("error: %s: field 2 on line 3 is not a number: 'abc'" % data
+            in capsys.readouterr().err)
+    coeff = tmp_path / "bad.coeff.csv"
+    coeff.write_text("c1,c2,c3,c4,c5,c6\n" + "1,2,3,4,5,6\n" * 3 + "\n" + "1,2,3,,5,6\n")
+    assert main(["fpca", "--coeff", str(coeff), "--basis", b + ".os.json",
+                 "-o", str(tmp_path / "f")]) == 1
+    assert ("error: %s: field 4 on line 6 is not a number: ''" % coeff
+            in capsys.readouterr().err)
 
 
 def test_random_and_reproducibility(tmp_path, capsys):
