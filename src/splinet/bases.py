@@ -90,7 +90,7 @@ def bspline_basis(knots, k, normalize=False):
     fam = _family(knots, k, rows, lo, lo + k + 1, np.arange(n - k + 2), ONE_SIDED, "bs")
     if normalize:
         d = len(fam)
-        scale = 1.0 / np.sqrt(_gram(fam, fam, True)[0].diagonal())
+        scale = 1.0 / np.sqrt(_gram(fam, fam, True).diagonal())
         fam = lincomb(fam, _Csr(np.arange(d + 1), np.arange(d), scale, (d, d)), type="bs")
     return fam
 

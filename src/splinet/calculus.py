@@ -312,28 +312,19 @@ def dintegra(fam):
     return _integrals(as_one_sided(fam))
 
 
-#: nonzero entries of the last gramian() product (upper triangle only when
-#: symmetric); support-disjoint pairs never produce an entry
-LAST_PAIR_COUNT = 0
-
-
-def _gram(a1, b1, symmetric, dense=False):
-    """The inner products ``<a_i, b_j>`` of two one-sided families, and how
-    many nonzero ones were computed: with ``symmetric`` (``b1`` is ``a1``)
-    those with ``i <= j``, the rest mirrored.  Returns a dense array with
-    ``dense``, else a :class:`_Csr` of the nonzero entries.
+def _gram(a1, b1, symmetric):
+    """The inner products ``<a_i, b_j>`` of two one-sided families, as a
+    :class:`_Csr` of the nonzero entries: with ``symmetric`` (``b1`` is
+    ``a1``) those with ``i <= j`` are computed, the rest mirrored.
+    Support-disjoint pairs are never formed and zero sums are not stored, so
+    the nonzero pairs computed are the result's nnz, or with ``symmetric``
+    its upper triangle's.
 
     Every interval row of ``a1`` is multiplied by its interval's ``M_t`` once
     and paired with the interval rows of ``b1`` on the same interval; a
     pair's intervals are summed in ascending order.  Pairs are formed for
-    about ``_PRODUCT_CHUNK`` at a time, a member of ``a1`` never split.
-
-    The two outputs sum a pair's intervals in the same order, so they hold
-    the same bits, but they accumulate differently.  The container sorts
-    each chunk's pair keys; a dense array takes one ``np.bincount`` per
-    chunk, which is cheaper where many pairs meet on few entries (a
-    thousand draws against a few dozen B-splines), while a sparse Gram the
-    size of ``splinet()``'s takes 300 MB as a dense array at d = 6141.
+    about ``_PRODUCT_CHUNK`` at a time, a member of ``a1`` never split, and
+    each chunk's pair keys are sorted and summed.
     """
     k1 = a1.smorder + 1
     n_a, n_b = len(a1), len(b1)
@@ -356,7 +347,6 @@ def _gram(a1, b1, symmetric, dense=False):
         start = place
     jb = ib[order]
     xa, rb = xa.T.copy(), rb[order].T.copy()
-    out = np.zeros((n_a, n_b)) if dense else None
     keys, vals = [], []
     for s, e in _chunks(ia, length, _PRODUCT_CHUNK):
         pa = np.repeat(np.arange(s, e), length[s:e])
@@ -366,10 +356,6 @@ def _gram(a1, b1, symmetric, dense=False):
             val += xa[q].take(pa) * rb[q].take(pb)
         key = ia.take(pa) * n_b + jb.take(pb)
         del pa, pb
-        if dense:  # the chunk's rows of the output, summed in place
-            i0, i1 = ia[s], ia[e - 1] + 1
-            out[i0:i1] = np.bincount(key - i0 * n_b, val, (i1 - i0) * n_b).reshape(-1, n_b)
-            continue
         by_key = np.argsort(key, kind="stable")
         key = key[by_key]
         new = key != np.append(-1, key[:-1])
@@ -377,14 +363,8 @@ def _gram(a1, b1, symmetric, dense=False):
         nonzero = val != 0
         keys.append(key[new][nonzero])
         vals.append(val[nonzero])
-    if dense:
-        pairs = np.count_nonzero(out)
-        if symmetric:
-            out += np.triu(out, 1).T
-        return out, pairs
     key = np.concatenate(keys or [np.empty(0, dtype=np.int64)])
     val = np.concatenate(vals or [np.empty(0)])
-    pairs = key.size
     if symmetric:
         i, j = np.divmod(key, n_b)
         low = i != j
@@ -393,7 +373,7 @@ def _gram(a1, b1, symmetric, dense=False):
         by_key = np.argsort(key, kind="stable")
         key, val = key[by_key], val[by_key]
     i, j = np.divmod(key, n_b)
-    return _Csr.from_sorted(i, j, val, (n_a, n_b)), pairs
+    return _Csr.from_sorted(i, j, val, (n_a, n_b))
 
 
 def gramian(fam_a, fam_b=None, sparse=False, *, _csr=False):
@@ -403,20 +383,24 @@ def gramian(fam_a, fam_b=None, sparse=False, *, _csr=False):
     upper triangle is computed and mirrored, so it is exactly symmetric.
     Returns a dense array, or with ``sparse=True`` the ``scipy.sparse`` CSR
     matrix of the same entries: support-disjoint pairs are never stored.
+    Both come from the one sparse accumulation of :func:`_gram`.  The nonzero
+    pairs it computed are the sparse result's nnz, or for one family its
+    upper triangle's (``scipy.sparse.triu(g).nnz``).
     """
     # _csr=True returns the numpy container (_Csr) and imports no scipy.
     # Only splinet() passes it: it calls this public function, not _gram, so
     # that the benchmark's span of gramian nests under splinet's.  Spans
     # recorded by the library itself (ROADMAP item 5) let this argument go.
-    global LAST_PAIR_COUNT
     a1 = as_one_sided(fam_a)
     symmetric = fam_b is None
     b1 = a1 if symmetric else as_one_sided(fam_b)
     if a1.knots != b1.knots or a1.smorder != b1.smorder:
         raise ValueError("gramian requires identical knots and order")
-    g, LAST_PAIR_COUNT = _gram(a1, b1, symmetric, dense=not (sparse or _csr))
-    if sparse and not _csr:
+    g = _gram(a1, b1, symmetric)
+    if _csr:
+        return g
+    if sparse:
         import scipy.sparse
 
         return scipy.sparse.csr_matrix((g.data, g.indices, g.indptr), shape=g.shape)
-    return g
+    return g.toarray()

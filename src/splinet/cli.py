@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
+import warnings
 
 import numpy as np
 
@@ -42,14 +44,29 @@ def _knots_from_args(args):
         raise UsageError("--equid and --knots are mutually exclusive")
     if args.equid is not None:
         a, b, n = args.equid
-        return equidistant_knots(float(a), float(b), _count_arg("--equid N", n))
+        return equidistant_knots(_real_arg("--equid A", a), _real_arg("--equid B", b),
+                                 _count_arg("--equid N", n))
     if args.knots is not None:
-        return KnotSet(np.sort(np.loadtxt(args.knots, dtype=float).ravel()))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            xi = np.loadtxt(args.knots, dtype=float).ravel()
+        if not xi.size:
+            raise ValueError("%s: no knots in the file" % args.knots)
+        return KnotSet(np.sort(xi))
     raise UsageError("need either --equid A B N or --knots FILE")
 
 
 class UsageError(Exception):
     pass
+
+
+def _real_arg(flag, text):
+    """``text`` as a float; a non-number is a usage error (``nan`` and
+    ``inf`` are numbers, left to the knot checks)."""
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError("%s must be a number; got %r" % (flag, text)) from None
 
 
 def _count_arg(flag, text):
@@ -132,14 +149,35 @@ def _parse_cov(text):
         return np.loadtxt(text, delimiter=",", dtype=float)
 
 
+def _noise_file(path, seed):
+    """The :class:`NoiseSpec` of a ``--noise`` file: a JSON object whose
+    ``sigma`` and ``theta`` (1.0 when absent) are numbers, lists of numbers
+    (diagonals) or lists of such lists (matrices), and whose ``seed``, if
+    present, replaces ``seed``.  Anything else is an error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:
+            raise ValueError("%s: not JSON: %s" % (path, exc)) from None
+    if not isinstance(spec, dict):
+        raise ValueError("%s: must hold a JSON object; got %s" % (path, reprlib.repr(spec)))
+    covs = []
+    for field in ("sigma", "theta"):
+        value = spec.get(field, 1.0)
+        c = np.array(value, dtype=object)
+        # an integer past the float range is no number either
+        if c.ndim > 2 or not all(type(x) is float or (type(x) is int
+                                 and abs(x) <= sys.float_info.max) for x in c.flat):
+            raise ValueError("%s: %s must be a number, a list of numbers or a list of such "
+                             "lists; got %s" % (path, field, reprlib.repr(value)))
+        covs.append(c.astype(float))
+    return NoiseSpec(*covs, spec.get("seed", seed))
+
+
 def _cmd_random(args):
     mean, _ = load_archive(args.mean)
     if args.noise is not None:
-        with open(args.noise, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        noise = NoiseSpec(np.asarray(spec.get("sigma", 1.0), dtype=float),
-                          np.asarray(spec.get("theta", 1.0), dtype=float),
-                          spec.get("seed", args.seed))
+        noise = _noise_file(args.noise, args.seed)
     else:
         noise = NoiseSpec(_parse_cov(args.sigma), _parse_cov(args.theta), args.seed)
     fam = rspline(mean, noise, args.count, method=args.method)

@@ -9,11 +9,11 @@ The inputs are written to ``DIR`` by numpy and splinet alone.  The jobs
 cover every command and the jobs of the benchmark's workloads: ``basis`` of
 every type and with ``--normalize``, ``check``, ``random``, ``project`` of
 an archive (orthonormal and ``bs``) and of a data CSV, ``fpca``, ``eval``
-and ``gram``.  The exit status is 0 when every job exits 0, the ``eval``
-CSV (100 draws on 148 points, several of the writer's chunks) has the bytes
-``csv.writer`` gives the same values, and no ``scipy`` module is loaded:
-scipy is needed only for the ``scipy.sparse`` objects the library returns or
-accepts on request, never on a CLI path.
+and ``gram`` of one archive and of two.  The exit status is 0 when every
+job exits 0, the ``eval`` CSV (100 draws on 148 points, several of the
+writer's chunks) has the bytes ``csv.writer`` gives the same values, and no
+``scipy`` module is loaded: scipy is needed only for the ``scipy.sparse``
+objects the library returns or accepts on request, never on a CLI path.
 """
 
 import csv
@@ -61,6 +61,7 @@ def jobs(d):
         ["fpca", "--coeff", p("pd.coeff.csv"), "--basis", p("b11.os.json"), "-o", p("fp")],
         ["eval", "-i", p("draws.json"), "-N", "2", "-o", p("draws.eval.csv")],
         ["gram", "-i", p("b_bs.bs.json"), "-o", p("gram.csv")],
+        ["gram", "-i", p("draws.json"), "--with", p("mean.json"), "-o", p("gram2.csv")],
     ]
 
 

@@ -72,11 +72,11 @@ def test_gramian_skips_disjoint_pairs():
     # entry computations stay linear in the family size for B-splines
     for n in (20, 40, 80):
         bs = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n), 3)
-        sp.gramian(bs)
         d = len(bs)
         # symmetric path: only upper-triangle overlapping pairs are computed
-        assert calculus.LAST_PAIR_COUNT <= d * 4
-        assert calculus.LAST_PAIR_COUNT >= d
+        pairs = scipy.sparse.triu(sp.gramian(bs, sparse=True)).nnz
+        assert pairs <= d * 4
+        assert pairs >= d
 
 
 def _noisy_tails(fam, rng):
@@ -132,17 +132,27 @@ def test_gramian_sparse_matches_dense():
     coeffs[:, 10:17] = 0.0
     coeffs[0] = 0.0
     multi = sp.exsupp(sp.lincomb(bs, coeffs))
-    for args in ((bs,), (multi,), (bs, multi)):
+    # many full-support members against a few B-splines, each on 4
+    # intervals: more products than one chunk of the kernel
+    many = sp.lincomb(bs, rng.standard_normal((600, len(bs))))
+    few = sp.subsample(bs, np.arange(0, len(bs), 4))
+    assert len(many) * 4 * len(few) > calculus._PRODUCT_CHUNK
+    for args in ((bs,), (multi,), (bs, multi), (many, few)):
         dense = sp.gramian(*args)
-        pairs = calculus.LAST_PAIR_COUNT
         g = sp.gramian(*args, sparse=True)
-        assert calculus.LAST_PAIR_COUNT == pairs
+        c = sp.gramian(*args, _csr=True)
         assert scipy.sparse.isspmatrix_csr(g)
         assert np.array_equal(g.toarray(), dense)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(c, name), getattr(g, name))
+        go = oracles.pairwise_gramian(*args)
+        assert np.max(np.abs(dense - go)) <= 1e-13 * np.max(np.abs(go))
         # support-disjoint pairs are not stored
         assert g.nnz == np.count_nonzero(dense)
         if len(args) == 1:
             assert (g != g.T).nnz == 0
+            # the pairs computed: the upper triangle's
+            assert scipy.sparse.triu(g).nnz == np.count_nonzero(np.triu(dense))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,9 @@ def test_knot_flags_usage_errors(tmp_path, capsys):
     (["basis", "--equid", "0", "1", "inf", "-k", "2"], "got 'inf'"),
     (["basis", "--equid", "0", "1", "five", "-k", "2"], "got 'five'"),
     (["eval", "-i", "{mean}", "--deriv", "-1"], "--deriv must be >= 0; got -1"),
+    (["basis", "--equid", "abc", "1", "7", "-k", "2"], "--equid A must be a number; got 'abc'"),
+    (["basis", "--equid", "0", "one", "7", "-k", "2"], "--equid B must be a number; got 'one'"),
+    (["project", "-i", "{mean}", "--equid", "0x1", "1", "5"], "--equid A must be a number"),
 ])
 def test_flag_values_are_usage_errors(tmp_path, capsys, argv, says):
     mp = str(tmp_path / "mean.json")
@@ -101,6 +105,17 @@ def test_nonfinite_knots_exit_1(tmp_path, capsys):
         kf.write_text("0 0.5 %s 1" % bad)
         assert main(["basis", "--knots", str(kf), "-k", "2", "-o", out]) == 1
     assert capsys.readouterr().err.count("knots must be finite") == 5
+
+
+def test_empty_knots_file_exit_1(tmp_path, capsys):
+    kf = tmp_path / "k.txt"
+    for text in ("", "# no knots\n"):
+        kf.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["basis", "--knots", str(kf), "-k", "2", "-o", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: %s: no knots in the file\n" % kf
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.txt"]
 
 
 def test_eval_csv(tmp_path):
@@ -370,11 +385,14 @@ def test_random_noise_json(tmp_path):
     mp = str(tmp_path / "mean.json")
     sp.save_archive(mp, mean)
     nz = tmp_path / "noise.json"
-    nz.write_text(json.dumps({"sigma": 0.2, "theta": 1.0, "seed": 7}))
-    out = str(tmp_path / "draws.json")
-    assert main(["random", "--mean", mp, "--noise", str(nz), "-M", "3", "-o", out]) == 0
-    fam, _ = sp.load_archive(out)
-    assert len(fam) == 3
+    # scalars, or Sigma's diagonal (one entry per knot) and Theta as a matrix
+    for spec in ({"sigma": 0.2, "theta": 1.0, "seed": 7},
+                 {"sigma": [0.1] * 12, "theta": np.eye(3).tolist()}):
+        nz.write_text(json.dumps(spec))
+        out = str(tmp_path / "draws.json")
+        assert main(["random", "--mean", mp, "--noise", str(nz), "-M", "3", "-o", out]) == 0
+        fam, _ = sp.load_archive(out)
+        assert len(fam) == 3
 
 
 @pytest.mark.parametrize("seed", [1.7, True, "3"])
@@ -387,6 +405,33 @@ def test_random_noise_json_seed_must_be_integer(tmp_path, capsys, seed):
     out = str(tmp_path / "draws.json")
     assert main(["random", "--mean", mp, "--noise", str(nz), "-M", "2", "-o", out]) == 1
     assert "error: seed must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, says", [
+    ("7", "must hold a JSON object; got 7"),
+    ('"x"', "must hold a JSON object; got 'x'"),
+    ("[1, 2]", "must hold a JSON object; got [1, 2]"),
+    ("{", "not JSON"),
+    ('{"sigma": {}}', "sigma must be a number, a list of numbers or a list of such lists; got {}"),
+    ('{"theta": "0.5"}', "theta must be a number"),
+    ('{"sigma": null}', "sigma must be a number"),
+    ('{"sigma": [1, true]}', "sigma must be a number"),
+    ('{"theta": [[1, 0], [0]]}', "theta must be a number"),
+    ('{"theta": [[[1.0]]]}', "theta must be a number"),
+    pytest.param('{"sigma": 1%s}' % ("0" * 400), "sigma must be a number",
+                 id="int-past-float-range"),
+])
+def test_random_noise_file_checked_where_it_enters(tmp_path, capsys, text, says):
+    mean = oracles.random_valid_family(np.random.default_rng(6), 10, 2)
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, mean)
+    nz = tmp_path / "noise.json"
+    nz.write_text(text)
+    out = tmp_path / "draws.json"
+    assert main(["random", "--mean", mp, "--noise", str(nz), "-M", "2", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % nz) and says in err and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_project_archive(tmp_path):
