@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     ONE_SIDED,
     _family,
+    _merge_runs,
     _ranges,
     as_one_sided,
     taylor_astar,
@@ -77,37 +78,30 @@ class _Csr:
 
 
 def _as_csr(m):
-    """``m`` as a :class:`_Csr`: the container itself, a canonical copy of a
-    ``scipy.sparse`` matrix, or :func:`_dense_csr` of anything else."""
+    """``m`` as a :class:`_Csr` of its nonzero entries: the container itself
+    (whose producers store no zeros), a canonical copy of a ``scipy.sparse``
+    matrix without its explicit zeros, or :func:`_dense_csr` of anything
+    else."""
     if isinstance(m, _Csr):
         return m
     if hasattr(m, "tocsr"):
         m = m.tocsr(copy=True)
         m.sum_duplicates()
+        m.eliminate_zeros()
         return _Csr(m.indptr.astype(np.int64), m.indices.astype(np.int64),
                     np.asarray(m.data, dtype=float), m.shape)
     return _dense_csr(m)
 
 
-#: entries per chunk of the nonzero scan of dense coefficients
-_SCAN_CHUNK = 1 << 22
-
-
 def _dense_csr(m):
     """:class:`_Csr` of the nonzero entries of a dense vector (one row) or
-    matrix.
-
-    The nonzero scan runs over boolean masks, several times faster than over
-    the floats, a few rows at a time so that no mask grows past
-    ``_SCAN_CHUNK`` entries.
-    """
+    matrix; the nonzero scan runs over a boolean mask, several times faster
+    than over the floats."""
     m = np.ascontiguousarray(np.atleast_2d(m), dtype=float)
     if m.ndim != 2:
         raise ValueError("coefficients must be a vector or a matrix")
     n_rows, n_cols = m.shape
-    step = max(1, _SCAN_CHUNK // max(n_cols, 1))
-    nz = np.concatenate([np.flatnonzero(m[r : r + step] != 0) + r * n_cols
-                         for r in range(0, n_rows, step)] or [np.empty(0, dtype=np.intp)])
+    nz = np.flatnonzero(m != 0)
     indptr = np.searchsorted(nz, np.arange(n_rows + 1) * n_cols)
     data = m.reshape(-1)[nz]
     nz %= max(n_cols, 1)
@@ -172,9 +166,9 @@ def lincomb(fam, coeffs, type=None):
     container :class:`_Csr` (P' as :class:`~splinet.bases.TransformMatrix`
     holds it in ``pt``); returns a family of ``p`` members.  Member ``r``
     lives on the union of the supports of the members with a nonzero
-    coefficient in row ``r``; components of that union with one dead
-    interval between them stay one component (as in
-    :func:`~splinet.core._live_runs`).  Its rows are the coefficient-weighted
+    coefficient in row ``r`` (:func:`_as_csr` keeps no zero); components of
+    that union with one dead interval between them stay one component
+    (:func:`~splinet.core._merge_runs`).  Its rows are the coefficient-weighted
     rows of those members, summed member by member in ascending order, each
     component's last k-th entry 0.  All ``p`` members are built in one pass
     over one stacked array, and their blocks are views into it.
@@ -187,12 +181,9 @@ def lincomb(fam, coeffs, type=None):
         raise ValueError("coefficient matrix has %d columns, family has %d members"
                          % (a.shape[1], len(fam1)))
     row, col, val = a.rows(), a.indices, a.data
-    live = val != 0
-    if not live.all():
-        row, col, val = row[live], col[live], val[live]
     # temporaries go as soon as they are used: the peak is a small multiple
     # of the output rows
-    del a, live
+    del a
     # one piece per coefficient and support component of its member, in
     # coefficient order: the pieces of output row r, member by member
     n_comp = np.diff(fam1.offsets)[col]
@@ -200,22 +191,13 @@ def lincomb(fam, coeffs, type=None):
     row, val = np.repeat(row, n_comp), np.repeat(val, n_comp)
     del col, n_comp
     lo, hi = fam1.lo[comp], fam1.hi[comp]
-    # the union of each output row's pieces: sorted by (row, lo), a piece
-    # starts a new component when it begins more than one interval past the
-    # farthest end so far; rows are kept apart by an offset of span knots
+    # the union of each output row's pieces, merged in (row, lo) order
     span = len(fam1.knots) + 1
-    key = row * span + lo
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    reach = np.maximum.accumulate(row[order] * span + hi[order])
-    head = key > np.append(-1, reach[:-1] + 1)
+    order = np.argsort(row * span + lo, kind="stable")
+    head, out_member, out_lo, out_hi = _merge_runs(row[order], lo[order], hi[order], span)
     piece_out = np.empty_like(order)
     piece_out[order] = np.cumsum(head) - 1
-    starts = np.flatnonzero(head)
-    out_member = key[starts] // span
-    out_lo = key[starts] % span
-    out_hi = reach[np.append(starts[1:], key.size)[: starts.size] - 1] % span
-    del key, reach, head, order, starts
+    del head, order
     out_size = out_hi - out_lo + 1
     # each piece's first output row (that of knot t in output component c is
     # shift[c] + t) and first row in the family's stacked rows
@@ -290,8 +272,7 @@ def integra(fam):
     last = np.diff(np.append(member, len(fam1))) != 0
     ext = ~(np.abs(run[end]) <= tols[member])
     reach = np.where(ext, np.where(last, len(fam1.knots) - 1, np.roll(lo, -1)), hi)
-    head = np.append(True, ~(ext & ~last)[:-1])[: lo.size]  # starts a new component
-    new_lo, new_hi = lo[head], reach[np.roll(head, -1)]
+    head, new_member, new_lo, new_hi = _merge_runs(member, lo, reach, len(fam1.knots) + 1)
     new_size = new_hi - new_lo + 1
     shift = np.cumsum(new_size) - new_size - new_lo  # new stacked row of knot j: shift + j
     pos = np.repeat(shift[np.cumsum(head) - 1], size) + _ranges(lo, size)
@@ -303,7 +284,7 @@ def integra(fam):
     out[:, 0] = run[np.maximum.accumulate(src)]
     out[np.cumsum(new_size) - 1, k + 1] = 0.0
     return _family(fam1.knots, k + 1, out, new_lo, new_hi,
-                   np.searchsorted(member[head], np.arange(len(fam1) + 1)), ONE_SIDED, "sp",
+                   np.searchsorted(new_member, np.arange(len(fam1) + 1)), ONE_SIDED, "sp",
                    fam1.epsilon)
 
 

@@ -141,19 +141,23 @@ def _cmd_check(args):
 
 
 def _parse_cov(text):
+    """A ``--sigma``/``--theta`` value: a number, or a CSV file
+    (:func:`read_csv_matrix`) of one value (a scalar), one row or one column
+    (a diagonal) or a matrix."""
     if text is None:
         return 1.0
     try:
         return float(text)
     except ValueError:
-        return np.loadtxt(text, delimiter=",", dtype=float)
+        return np.squeeze(read_csv_matrix(text))
 
 
 def _noise_file(path, seed):
     """The :class:`NoiseSpec` of a ``--noise`` file: a JSON object whose
     ``sigma`` and ``theta`` (1.0 when absent) are numbers, lists of numbers
     (diagonals) or lists of such lists (matrices), and whose ``seed``, if
-    present, replaces ``seed``.  Anything else is an error naming the file."""
+    present, replaces ``seed`` and must be an integer in range.  Anything
+    else is an error naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
@@ -171,7 +175,12 @@ def _noise_file(path, seed):
             raise ValueError("%s: %s must be a number, a list of numbers or a list of such "
                              "lists; got %s" % (path, field, reprlib.repr(value)))
         covs.append(c.astype(float))
-    return NoiseSpec(*covs, spec.get("seed", seed))
+    if "seed" not in spec:
+        return NoiseSpec(*covs, seed)
+    try:
+        return NoiseSpec(*covs, spec["seed"])
+    except ValueError as exc:  # NoiseSpec checks the seed alone
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _cmd_random(args):

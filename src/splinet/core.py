@@ -606,8 +606,9 @@ def exsupp(fam):
     Intervals whose one-sided derivative row is entirely below the member's
     validity tolerance are dropped; an everywhere-small member ends up with
     an empty support.  A row with a NaN or infinite entry is live.  Live
-    intervals separated by one dead interval stay in one component
-    (:func:`_live_runs`).  One pass over the stacked rows.
+    intervals separated by one dead interval stay in one component: each
+    live interval ``(t, t + 1)`` is a piece of :func:`_merge_runs`.  One pass
+    over the stacked rows.
     """
     fam1 = as_one_sided(fam)
     k = fam1.smorder
@@ -621,27 +622,31 @@ def exsupp(fam):
     comp = np.searchsorted(end, live)
     owner = member[comp]
     t = live - (end - hi)[comp]  # the knot index each live row starts at
-    first, last = _live_runs(owner, t)
-    new_lo, new_hi = t[first], t[last] + 1
+    head, new_member, new_lo, new_hi = _merge_runs(owner, t, t + 1, len(fam1.knots) + 1)
     new_size = new_hi - new_lo + 1
-    out = rows[_ranges(live[first], new_size)]
+    out = rows[_ranges(live[head], new_size)]
     out[np.cumsum(new_size) - 1, k] = 0.0
     fam1 = _family(fam1.knots, k, out, new_lo, new_hi,
-                   np.searchsorted(owner[first], np.arange(len(fam1) + 1)), ONE_SIDED,
+                   np.searchsorted(new_member, np.arange(len(fam1) + 1)), ONE_SIDED,
                    fam1.type, fam1.epsilon)
     return fam1 if fam.convention == ONE_SIDED else sym2one(fam1, inverse=True)
 
 
-def _live_runs(member, t):
-    """First and last positions of the support components made by live
-    intervals ``t``, listed member by member in ascending order.
+def _merge_runs(owner, lo, hi, span):
+    """Support components from pieces ``(lo, hi)`` listed by ascending
+    ``(owner, lo)``, the one rule behind every support an operation builds.
 
-    A component ends where the member changes or where more than one dead
-    interval follows: runs with one dead interval between them would be
-    adjacent components, so they stay one.
+    A piece starts a new component when its owner changes or when it begins
+    more than one interval past the farthest end so far: runs with one dead
+    interval between them would be adjacent components, so they stay one.
+    ``span`` exceeds every ``hi + 1`` and keeps owners apart.  Returns each
+    piece's head flag (it starts a component) and each component's owner,
+    ``lo`` and ``hi``.
     """
-    if not t.size:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    brk = np.flatnonzero((np.diff(member) != 0) | (np.diff(t) > 2)) + 1
-    return np.concatenate([[0], brk]), np.append(brk - 1, t.size - 1)
-
+    key = owner * span + lo
+    reach = np.maximum.accumulate(owner * span + hi)
+    head = key > np.append(-1, reach[:-1] + 1)
+    starts = np.flatnonzero(head)
+    ends = np.append(starts[1:], key.size)[: starts.size] - 1
+    owners = owner[starts]
+    return head, owners, lo[starts], reach[ends] - owners * span

@@ -15,10 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads numpy.ma on the first np.unique call (np.union1d in
-# _union_knots); loading it with this module keeps that out of the first
-# projection
-import numpy.ma  # noqa: F401
 
 from .bases import BASIS_TYPES, _check_spd, _cho_solve_banded, _cholesky_banded, splinet
 from .calculus import gramian, integra, lincomb
@@ -72,7 +68,7 @@ def _make_basis(knots, k, type):
 
 def _union_knots(a, b):
     scale = max(a.xi[-1] - a.xi[0], b.xi[-1] - b.xi[0])
-    merged = np.union1d(a.xi, b.xi)
+    merged = np.sort(np.concatenate([a.xi, b.xi]))
     keep = np.concatenate([[True], np.diff(merged) > 1e-12 * scale])
     return KnotSet(merged[keep])
 
@@ -222,6 +218,8 @@ def read_csv_matrix(path):
     except ValueError:
         start = 1  # header line
     body = rows[start:]
+    if not body:
+        raise ValueError("%s holds no CSV rows below its header" % path)
     for line, r in body:
         if len(r) != len(body[0][1]):
             raise ValueError("%s: the row on line %d has %d fields, expected %d"

@@ -1,5 +1,5 @@
 """Run every kind of CLI job on small inputs in this process, then report
-whether any ``scipy`` module was imported.
+whether any ``scipy`` module or ``numpy.ma`` was imported.
 
 Usage, with ``src`` on ``PYTHONPATH``::
 
@@ -7,13 +7,15 @@ Usage, with ``src`` on ``PYTHONPATH``::
 
 The inputs are written to ``DIR`` by numpy and splinet alone.  The jobs
 cover every command and the jobs of the benchmark's workloads: ``basis`` of
-every type and with ``--normalize``, ``check``, ``random``, ``project`` of
+every type and with ``--normalize``, ``check``, ``random`` (also with
+``--sigma``/``--theta`` CSV files, one-row diagonals and matrices), ``project`` of
 an archive (orthonormal and ``bs``) and of a data CSV, ``fpca``, ``eval``
 and ``gram`` of one archive and of two.  The exit status is 0 when every
 job exits 0, the ``eval`` CSV (100 draws on 148 points, several of the
 writer's chunks) has the bytes ``csv.writer`` gives the same values, and no
 ``scipy`` module is loaded: scipy is needed only for the ``scipy.sparse``
 objects the library returns or accepts on request, never on a CLI path.
+Nor is ``numpy.ma``, which numpy loads on the first ``np.unique`` call.
 """
 
 import csv
@@ -30,13 +32,21 @@ from splinet.project import _CSV_CHUNK_ROWS
 
 
 def write_inputs(d):
-    """Knot file, single-member mean archive and functional-data CSV."""
+    """Knot file, single-member mean archive, covariance CSVs (one-row
+    diagonals and matrices of Sigma over the mean's 22 knots and of Theta
+    over its 4 derivatives) and functional-data CSV."""
     rng = np.random.default_rng(0)
     widths = rng.uniform(0.5, 1.5, 31)
     np.savetxt(os.path.join(d, "knots.txt"), np.cumsum(np.append(0.0, widths)) / widths.sum())
     knots = sp.equidistant_knots(0.0, 1.0, 20)
     sp.save_archive(os.path.join(d, "mean.json"),
                     sp.construct(knots, 3, rng.standard_normal(18), "CRLC"))
+    for name, size in (("sigma", 22), ("theta", 4)):
+        i = np.arange(size)
+        np.savetxt(os.path.join(d, name + "_row.csv"), np.linspace(0.1, 0.3, size)[None, :],
+                   fmt="%.17g", delimiter=",")
+        np.savetxt(os.path.join(d, name + "_mat.csv"),
+                   0.2 * np.exp(-np.abs(i[:, None] - i) / 2.0), fmt="%.17g", delimiter=",")
     args = np.linspace(0.0, 1.0, 200, endpoint=False)
     samples = np.sin(2 * np.pi * np.outer(args, rng.uniform(0.5, 2.0, 8)))
     np.savetxt(os.path.join(d, "data.csv"), np.column_stack([args, samples]), fmt="%.17g",
@@ -54,6 +64,10 @@ def jobs(d):
         ["check", "-i", p("b_spnt.os.json")],
         ["random", "--mean", p("mean.json"), "-M", "100", "--seed", "3", "-o", p("draws.json")],
         ["check", "-i", p("draws.json")],
+        ["random", "--mean", p("mean.json"), "-M", "5", "--sigma", p("sigma_row.csv"),
+         "--theta", p("theta_row.csv"), "-o", p("draws_diag.json")],
+        ["random", "--mean", p("mean.json"), "-M", "5", "--sigma", p("sigma_mat.csv"),
+         "--theta", p("theta_mat.csv"), "-o", p("draws_mat.json")],
         ["project", "-i", p("draws.json"), "--equid", "0", "1", "12", "-o", p("pr")],
         ["project", "-i", p("draws.json"), "--equid", "0", "1", "12", "--type", "bs",
          "-o", p("pr_bs")],
@@ -80,8 +94,10 @@ def eval_matches_csv_module(d):
         return vals.size > 3 * _CSV_CHUNK_ROWS and fh.read() == ref.getvalue().encode("utf-8")
 
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def unwanted_modules():
+    """The ``scipy`` and ``numpy.ma`` modules loaded."""
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
 
 
 def run(d):
@@ -91,9 +107,9 @@ def run(d):
         failed = [["eval", "(its CSV differs from csv.writer's or spans too few chunks)"]]
     for argv in failed:
         print("job failed: splinet %s" % " ".join(argv), file=sys.stderr)
-    loaded = scipy_modules()
+    loaded = unwanted_modules()
     if loaded:
-        print("scipy modules imported: %s" % ", ".join(loaded), file=sys.stderr)
+        print("modules imported: %s" % ", ".join(loaded), file=sys.stderr)
     return 1 if failed or loaded else 0
 
 

@@ -77,6 +77,23 @@ def _merge_components(comps):
     return tuple(zip(lo[start].tolist(), end.tolist()))
 
 
+def merge_runs(owner, lo, hi):
+    """:func:`splinet.core._merge_runs` as a plain loop over pieces listed by
+    ascending ``(owner, lo)``: a piece joins the open component when it has
+    its owner and begins at most one interval past its end, which it then
+    extends to its own end if that is further; otherwise it opens a
+    component.  Returns the head flags and the ``[owner, lo, hi]`` lists."""
+    heads, comps = [], []
+    for o, a, b in zip(owner, lo, hi):
+        join = bool(comps) and comps[-1][0] == o and a <= comps[-1][2] + 1
+        if join:
+            comps[-1][2] = max(comps[-1][2], b)
+        else:
+            comps.append([o, a, b])
+        heads.append(not join)
+    return heads, comps
+
+
 def _member_from_union(full, comps, k):
     """Cut a full matrix into blocks over the given support components."""
     blocks = [full[lo : hi + 1].copy() for lo, hi in comps]

@@ -247,6 +247,31 @@ def test_lincomb_matches_loop_oracle(k, symmetric, kind, valid, seed):
         assert out.members[1][0].empty
 
 
+def test_lincomb_zero_coefficients_add_no_support():
+    """Zeros are dropped where coefficients enter, so a zero coefficient adds
+    no support: a scipy matrix storing explicit zeros (and a pair of
+    duplicates that cancel) and a dense matrix holding zeros, -0.0 among
+    them, give the family of the same coefficients stored without zeros."""
+    rng = np.random.default_rng(4)
+    bs = sp.bspline_basis(oracles.random_knots(rng, 20), 3)
+    d = len(bs)
+    coeffs = rng.standard_normal((4, d)) * (rng.random((4, d)) < 0.3)
+    coeffs[1] = 0.0
+    coeffs[2, 5] = -0.0
+    want = sp.lincomb(bs, scipy.sparse.csr_matrix(coeffs))
+    assert want.members[1][0].empty
+    stored = scipy.sparse.csr_matrix((coeffs.ravel(), np.tile(np.arange(d), 4),
+                                      np.arange(5) * d), shape=coeffs.shape)
+    coo = stored.tocoo()
+    cancel = scipy.sparse.coo_matrix((np.append(coo.data, [1.0, -1.0]),
+                                      (np.append(coo.row, [1, 1]), np.append(coo.col, [3, 3]))),
+                                     shape=coeffs.shape)
+    assert stored.nnz == cancel.nnz - 2 == coeffs.size
+    for c in (coeffs, stored, cancel):
+        assert calculus._as_csr(c).nnz == np.count_nonzero(coeffs)
+        oracles.assert_same_family(sp.lincomb(bs, c), want)
+
+
 #: tracemalloc peak of lincomb(bs, P') over the bytes of its output rows
 LINCOMB_PEAK_FACTOR = 5
 

@@ -404,7 +404,7 @@ def test_random_noise_json_seed_must_be_integer(tmp_path, capsys, seed):
     nz.write_text(json.dumps({"sigma": 0.2, "seed": seed}))
     out = str(tmp_path / "draws.json")
     assert main(["random", "--mean", mp, "--noise", str(nz), "-M", "2", "-o", out]) == 1
-    assert "error: seed must be an integer" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: %s: seed must be an integer" % nz)
 
 
 @pytest.mark.parametrize("text, says", [
@@ -431,6 +431,57 @@ def test_random_noise_file_checked_where_it_enters(tmp_path, capsys, text, says)
     assert main(["random", "--mean", mp, "--noise", str(nz), "-M", "2", "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: %s: " % nz) and says in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_random_covariance_files(tmp_path):
+    """A ``--sigma``/``--theta`` CSV of one value is a scalar, of one row or
+    one column a diagonal, and of anything else a matrix: each draws the
+    bytes of the same covariance given inline or in a ``--noise`` file."""
+    mean = oracles.random_valid_family(np.random.default_rng(6), 10, 2)
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, mean)
+    sigma, theta = np.linspace(0.1, 0.3, 12), 0.2 * np.eye(3) + 0.05
+
+    def draws(*flags):
+        out = tmp_path / "draws.json"
+        assert main(["random", "--mean", mp, "-M", "3", "--seed", "5", *flags,
+                     "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    def csv_file(name, a):
+        np.savetxt(tmp_path / name, a, fmt="%.17g", delimiter=",")
+        return str(tmp_path / name)
+
+    assert draws("--sigma", csv_file("one.csv", [[0.3]])) == draws("--sigma", "0.3")
+    nz = tmp_path / "noise.json"
+    nz.write_text(json.dumps({"sigma": sigma.tolist(), "theta": theta.tolist()}))
+    want = draws("--noise", str(nz))
+    mat = csv_file("theta.csv", theta)
+    assert draws("--sigma", csv_file("row.csv", sigma[None, :]), "--theta", mat) == want
+    assert draws("--sigma", csv_file("col.csv", sigma[:, None]), "--theta", mat) == want
+
+
+@pytest.mark.parametrize("text, says", [
+    ("", "holds no CSV rows"),
+    ("\n\n", "holds no CSV rows"),
+    ("s1,s2\n", "holds no CSV rows below its header"),
+    ("0.1,0.2\n0.3\n", ": the row on line 2 has 1 fields, expected 2"),
+    ("0.1,0.2\n0.3,x\n", ": field 2 on line 2 is not a number: 'x'"),
+], ids=["empty", "blank", "header-only", "ragged", "non-numeric"])
+@pytest.mark.parametrize("flag", ["--sigma", "--theta"])
+def test_random_covariance_file_checked_where_it_enters(tmp_path, capsys, text, says, flag):
+    # an empty, header-only, ragged or non-numeric file exits 1 with one
+    # line naming the file (and the line), before any draw
+    mean = oracles.random_valid_family(np.random.default_rng(6), 10, 2)
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, mean)
+    cov = tmp_path / "cov.csv"
+    cov.write_text(text)
+    out = tmp_path / "draws.json"
+    assert main(["random", "--mean", mp, flag, str(cov), "-M", "2", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s" % cov) and says in err and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -561,4 +612,36 @@ def test_cli_jobs_import_no_scipy(tmp_path):
     res = subprocess.run([sys.executable, str(here / "cli_jobs.py"), str(tmp_path)],
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
                          capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
+def test_cli_jobs_import_no_numpy_ma(tmp_path):
+    """numpy loads ``numpy.ma`` on its first ``np.unique`` call, which no CLI
+    job makes: ``basis``, ``project`` onto other knots (their union) and
+    ``fpca`` run in a fresh interpreter without loading it."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent("""
+        import sys
+        from splinet.cli import main
+        d = sys.argv[1] + "/"
+        for argv in (["basis", "--equid", "0", "1", "11", "-k", "3", "-o", d + "b11"],
+                     ["basis", "--equid", "0", "1", "7", "-k", "3", "-o", d + "b7"],
+                     ["project", "-i", d + "b11.os.json", "--equid", "0", "1", "7",
+                      "-o", d + "p"],
+                     ["fpca", "--coeff", d + "p.coeff.csv", "--basis", d + "b7.os.json",
+                      "-o", d + "f"]):
+            if main(argv) != 0:
+                sys.exit("job failed: %s" % argv)
+        sys.exit("numpy.ma was imported" if "numpy.ma" in sys.modules else 0)
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                         capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
+from splinet import core
 from splinet.core import taylor_step_matrix
 
 import oracles
@@ -533,6 +534,36 @@ def test_exsupp_keeps_one_dead_interval():
     assert out.members[0][0].components == ((0, 21),)
     grid = np.linspace(0.0, 1.0, 211)
     assert np.array_equal(sp.evaluate(out, grid), sp.evaluate(fam, grid))
+
+
+#: one piece: a new owner?, its start against the farthest end so far (-6..-1
+#: overlap or nest, 0..3 intervals past it) and its length
+_PIECE = st.tuples(st.booleans(), st.integers(-6, 3), st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PIECE, max_size=30))
+@example([])
+@example([(False, 0, 2), (False, 1, 1), (False, 2, 3), (False, -6, 1), (True, 3, 1)])
+def test_merge_runs_matches_loop_oracle(pieces):
+    """Support components of pieces listed by ascending (owner, lo): gaps of
+    0..3 intervals past the farthest end (0 and 1 join, 2 and 3 split),
+    overlapping and nested pieces, owner changes and no pieces at all."""
+    owner, lo, hi = [], [], []
+    o, start, reach = 0, 0, 0
+    for new_owner, gap, length in pieces:
+        if new_owner and owner:
+            o, start, reach = o + 1, 0, 0
+        start = max(start, reach + gap)  # ascending lo within an owner
+        owner.append(o)
+        lo.append(start)
+        hi.append(start + length)
+        reach = max(reach, start + length)
+    arrays = [np.array(a, dtype=np.int64) for a in (owner, lo, hi)]
+    head, c_owner, c_lo, c_hi = core._merge_runs(*arrays, max(hi, default=0) + 2)
+    heads, comps = oracles.merge_runs(owner, lo, hi)
+    assert head.tolist() == heads
+    assert np.column_stack([c_owner, c_lo, c_hi]).reshape(-1, 3).tolist() == comps
 
 
 @settings(max_examples=80, deadline=None)
