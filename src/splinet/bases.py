@@ -9,26 +9,24 @@ coefficient transform P with P' H P = I:
 
 * ``gsob``  -- one-sided Gram-Schmidt: columns one at a time, left to right
   (triangular P);
-* ``twob``  -- two-sided scheme working inward from both ends in pairs, a
-  pair more than k apart one column at a time (its columns do not couple);
+* ``twob``  -- two-sided scheme working inward from both ends in pairs;
 * ``dyadic``-- the splinet: disjoint k-tuples arranged on a dyadic net,
   processed level by level; each tuple is projected orthogonal to the
   already-processed members it overlaps and then orthonormalized
   internally with a symmetric (inverse square root) step.
 
-All three run on one orthogonalizer that reads H only through its band
-(B-splines i and j overlap iff ``|i - j| <= k``) and forms no d x d array.
-Every column of P keeps its own row range, trimmed to its decay length: the
-entries of the inverse of a band matrix, and of its inverse Cholesky
-factor, decay exponentially away from the diagonal (Demko, Moss & Smith,
-1984, *Decay rates for inverses of band matrices*), so a finished column
-keeps only the rows whose entries exceed ``P_WORKING_TRIM`` of its largest.
-Later columns couple with those rows alone, and time and memory grow with
-d times the decay length, not d^2, for every scheme.  P is returned as
-compressed-sparse-column numpy arrays (:class:`TransformMatrix`); its
-``scipy.sparse`` form is built on first use.
-Everything here runs on numpy alone, the banded Cholesky factorization of the
-positive-definiteness test included.
+All three read H only through its band (B-splines i and j overlap iff
+``|i - j| <= k``), form no d x d array and take every column from the
+banded Cholesky factorization that also tests H for positive definiteness:
+kernel 1 builds ``gsob``'s P = L^{-T}, H = L L', whose columns are also
+``twob``'s outer ones (on H and on H reversed); kernel 2 gives a group G
+orthonormalized after the indices S (G among them) as Z Z_GG^{-1/2},
+Z = H_S^{-1} E_G, in one banded solve for all groups that H_S does not
+couple, such as a dyadic level's tuples.  The entries of both decay
+exponentially away from the diagonal (Demko, Moss & Smith, 1984, *Decay
+rates for inverses of band matrices*), so every column keeps the rows from
+its first to its last entry above ``P_WORKING_TRIM`` of its largest.  P is
+held in compressed-sparse-column numpy arrays (:class:`TransformMatrix`).
 
 H is read once into its lower band, and that band decides the dyadic path:
 when the net is complete, its tuples span the band and every band diagonal
@@ -177,7 +175,7 @@ class TransformMatrix:
     ``indices``, ``data``), which read by rows are P' (a
     :class:`~splinet.calculus._Csr`): column j holds the coefficients of
     orthonormal member j against the B-splines.  ``P``, the ``scipy.sparse``
-    CSC matrix, is built from them on first access.
+    CSC matrix, is built from them on first access (``splinet[sparse]``).
     """
 
     pt: _Csr
@@ -188,10 +186,7 @@ class TransformMatrix:
 
     @cached_property
     def P(self):
-        import scipy.sparse
-
-        pt = self.pt
-        return scipy.sparse.csc_matrix((pt.data, pt.indices, pt.indptr), shape=pt.shape[::-1])
+        return self.pt.to_scipy(transpose=True)
 
 
 def _truncate(tr):
@@ -312,142 +307,144 @@ def _check_spd(h):
     return ab
 
 
-def _lowdin(m):
-    if m.shape == (1, 1):
-        if m[0, 0] <= 0:
-            raise ValueError("tuple gram block is not positive definite")
-        return 1.0 / np.sqrt(m)
-    w, v = np.linalg.eigh(m)
-    if w[0] <= 0:
+def _inverse_cholesky(ab):
+    """Kernel 1: the :func:`_trimmed` columns of P = L^{-T}, H = L L' given
+    by its lower band ``ab``, one diagonal at a time over all columns.  Row
+    c of L^{-1} L = I gives ``P[c-u, c]`` from the w diagonals before it;
+    stops once w diagonals in a row lie below ``P_WORKING_TRIM`` of every
+    column's largest entry."""
+    w, d = ab.shape[0] - 1, ab.shape[1]
+    low, e = np.zeros_like(ab), 0  # low[v, i] = L[i + v, i]
+    for f, lead in _cholesky_banded(ab):
+        s, e = e, e + f.shape[0] - lead
+        for v in range(min(w, f.shape[0] - 1) + 1):
+            j = max(lead - v, 0)
+            low[v, s - lead + j : e - v] = f.reshape(-1)[v * f.shape[0] :: f.shape[0] + 1][j:]
+    diags = [1.0 / low[0]]
+    top, small = np.abs(diags[0]), 0
+    for u in range(1, d if w else 1):
+        acc = sum(diags[u - v][u:] * low[v, : d - u] for v in range(1, min(u, w) + 1))
+        diags.append(np.concatenate([np.zeros(u), -acc / low[0, : d - u]]))
+        top = np.maximum(top, np.abs(diags[-1]))
+        small = small + 1 if np.all(np.abs(diags[-1]) <= P_WORKING_TRIM * top) else 0
+        if small == w:
+            break
+    c = np.arange(d)
+    return _trimmed(np.stack(diags[::-1], axis=1)[None], c[None], c - len(diags) + 1)
+
+
+def _grouped_solve(ab, seen, groups):
+    """Kernel 2: the :func:`_trimmed` columns Z Z_GG^{-1/2}, Z = H_S^{-1} E_G,
+    of every group G, a row of ``groups`` (padded with -1), S the ``seen``
+    indices.  With the unseen ones decoupled in a copy of the band, H_S
+    splits into runs of seen indices more than w apart; a group's rows are
+    the runs it lies in.  One banded solve against the summed E_G and one
+    batched ``eigh`` serve all groups when no two share a run; otherwise
+    they are solved one at a time, in order, later ones unseen."""
+    w = ab.shape[0] - 1
+    at = np.flatnonzero(seen)
+    cut = np.flatnonzero(np.diff(at) > w) + 1
+    head, tail = at[np.concatenate([[0], cut])], at[np.concatenate([cut, [at.size]]) - 1]
+    lo = head[np.searchsorted(head, groups[:, 0], "right") - 1]
+    hi = tail[np.searchsorted(head, groups.max(axis=1), "right") - 1]
+    if np.any(lo[1:] <= hi[:-1]):
+        seen, parts = seen.copy(), []
+        seen[groups[groups >= 0]] = False
+        for g in groups:
+            seen[g[g >= 0]] = True
+            parts.append(_grouped_solve(ab, seen, g[None]))
+        return tuple(np.concatenate(a) for a in zip(*parts))
+    r0, r1 = lo.min(), hi.max()
+    band, hide = ab[:, r0 : r1 + 1].copy(), ~seen[r0 : r1 + 1]
+    band[0, hide] = 1.0
+    for u in range(1, w + 1):
+        band[u, hide] = 0.0  # H[i+u, i]
+        band[u, np.flatnonzero(hide[u:])] = 0.0  # H[i, i-u]
+    valid = groups >= 0
+    rhs = np.zeros((hide.size, groups.shape[1]))
+    rhs[groups[valid] - r0, np.nonzero(valid)[1]] = 1.0
+    x = _cho_solve_banded(_cholesky_banded(band), rhs)
+    zgg = np.where(valid[:, :, None] & valid[:, None, :], x[np.maximum(groups - r0, 0)],
+                   np.eye(groups.shape[1]))
+    eig, vec = np.linalg.eigh(zgg)
+    if eig[:, 0].min() <= 0:
         raise ValueError("tuple gram block is not positive definite")
-    return (v / np.sqrt(w)) @ v.T
+    rows = lo[:, None] + np.arange((hi - lo).max() + 1)
+    xs = x[np.minimum(rows, r1) - r0]
+    xs[rows > hi[:, None]] = 0.0
+    y = (vec / np.sqrt(eig)[:, None, :]) @ vec.swapaxes(1, 2) @ xs.swapaxes(1, 2)
+    return _trimmed(y, groups, lo[:, None])
 
 
-class _GroupOrthogonalizer:
-    """Project a group of columns H-orthogonal to the finished columns it
-    couples with, then orthonormalize it internally.
+def _trimmed(y, cols, row0):
+    """Columns ``cols`` of P (-1 skipped), column ``cols[b, c]`` holding
+    ``y[b, c]`` on ascending rows from ``row0[b, c]``, each trimmed to the
+    rows from its first to its last entry above ``P_WORKING_TRIM`` of its
+    largest: ``(cols, data, length, first row)``, data column by column."""
+    mag = np.abs(y)
+    above = mag > P_WORKING_TRIM * mag.max(axis=2, keepdims=True)
+    first = above.argmax(axis=2)
+    length = y.shape[2] - above[..., ::-1].argmax(axis=2) - first
+    start = np.arange(0, y.size, y.shape[2]).reshape(cols.shape) + first
+    keep = cols >= 0
+    return (cols[keep], y.reshape(-1)[_ranges(start[keep], length[keep])], length[keep],
+            (row0 + first)[keep])
 
-    H is read through its lower band ``ab`` of width ``k`` only.  Finished column j
-    of P is nonzero on rows ``lo[j]..hi[j]`` alone and couples with unit
-    vector ``e_g`` iff that range meets ``g-k..g+k``.  A group is a run of
-    indices, each within ``k`` of the next (a ``gsob`` singleton, a ``twob``
-    pair near the middle, a dyadic tuple), so H couples it as a whole: it is
-    projected and orthonormalized on the rows that its indices and the
-    columns it couples with span.  Each finished column is trimmed to the rows from its first to its last entry above
-    ``P_WORKING_TRIM`` of its largest and kept as a copy of that slice, so
-    the group's block is freed; translating a tuple (the Toeplitz path)
-    shares the columns instead of copying them.
-    """
 
-    def __init__(self, ab):
-        self.ab = np.ascontiguousarray(ab)
-        self.k = self.ab.shape[0] - 1
-        d = self.ab.shape[1]
-        # unfinished columns get a range no index can couple with
-        self.lo = np.full(d, d + self.k)
-        self.hi = np.full(d, -self.k - 1)
-        self.cols = [None] * d
-
-    def _hmul(self, r0, x):
-        """``H[r0:r0+m, r0:r0+m] @ x`` from the band, m = len(x): one
-        product per band diagonal and side."""
-        m = x.shape[0]
-        ab = self.ab[:, r0 : r0 + m]
-        y = ab[0, :, None] * x
-        for u in range(1, min(self.k, m - 1) + 1):
-            band = ab[u, : m - u, None]
-            y[u:] += band * x[: m - u]  # H[i+u, i] x[i]
-            y[: m - u] += band * x[u:]  # H[i, i+u] x[i+u]
-        return y
-
-    def process(self, group):
-        """Finish the columns of ``group`` (ascending indices, each within
-        ``k`` of the next)."""
-        g = np.asarray(group)
-        k = self.k
-        act = np.flatnonzero((self.hi >= g[0] - k) & (self.lo <= g[-1] + k))
-        r0 = min(g[0], self.lo[act].min(initial=g[0]))
-        r1 = max(g[-1], self.hi[act].max(initial=g[-1]))
-        e = np.zeros((r1 - r0 + 1, g.size))
-        e[g - r0, np.arange(g.size)] = 1.0
-        if act.size:
-            q = np.zeros((e.shape[0], act.size))
-            for c, j in enumerate(act):
-                q[self.lo[j] - r0 : self.hi[j] - r0 + 1, c] = self.cols[j]
-            # H e vanishes outside the rows within k of the group's columns
-            w = slice(max(g[0] - k, r0) - r0, min(g[-1] + k, r1) - r0 + 1)
-            e = e - q @ (q[w].T @ self._hmul(r0 + w.start, e[w]))
-        e = e @ _lowdin(e.T @ self._hmul(r0, e))
-        mag = np.abs(e)
-        above = mag > P_WORKING_TRIM * mag.max(axis=0)
-        first = above.argmax(axis=0)
-        last = e.shape[0] - 1 - above[::-1].argmax(axis=0)
-        self.lo[g] = r0 + first
-        self.hi[g] = r0 + last
-        for c, j in enumerate(g):
-            self.cols[j] = e[first[c] : last[c] + 1, c].copy()
-
-    def translate(self, src, dst, step):
-        """Finish the columns of every row ``i`` of ``dst`` (a group each) as
-        the columns ``src`` shifted down by ``(i + 1) * step`` rows."""
-        src, dst = np.asarray(src), np.asarray(dst)
-        shift = step * np.arange(1, dst.shape[0] + 1)[:, None]
-        self.lo[dst] = self.lo[src] + shift
-        self.hi[dst] = self.hi[src] + shift
-        blocks = [self.cols[s] for s in src.tolist()]
-        for row in dst.tolist():
-            for t, col in zip(row, blocks):
-                self.cols[t] = col
-
-    def transform(self):
-        """P as a :class:`TransformMatrix`, once every column is finished."""
-        d = self.ab.shape[1]
-        lengths = self.hi - self.lo + 1
-        pt = _Csr(np.concatenate([[0], np.cumsum(lengths)]), _ranges(self.lo, lengths),
-                  np.concatenate(self.cols), (d, d))
-        return TransformMatrix(pt)
+def _assemble(d, parts):
+    """P as a :class:`TransformMatrix` from :func:`_trimmed` parts that
+    together hold each of its d columns once."""
+    cols, data, length, row = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(cols)
+    start, length = (np.cumsum(length) - length)[order], length[order]
+    pt = _Csr(np.concatenate([[0], np.cumsum(length)]), _ranges(row[order], length),
+              data[_ranges(start, length)], (d, d))
+    return TransformMatrix(pt)
 
 
 def _gsob(ab):
-    g = _GroupOrthogonalizer(ab)
-    for j in range(ab.shape[1]):
-        g.process((j,))
-    return g.transform()
+    return _assemble(ab.shape[1], [_inverse_cholesky(ab)])
 
 
 def _twob(ab):
     """Pairs ``(i, d-1-i)`` from both ends inward.  While a pair is more than
-    ``k`` apart, its columns do not couple: a finished left column ends at
-    its own row and a finished right column starts at its own.  So such a
-    pair is finished as its left column, then its right one."""
-    g = _GroupOrthogonalizer(ab)
-    left, right = 0, ab.shape[1] - 1
-    while left < right:
-        if right - left > g.k:
-            g.process((left,))
-            g.process((right,))
-        else:
-            g.process((left, right))
-        left += 1
-        right -= 1
-    if left == right:
-        g.process((left,))
-    return g.transform()
+    w apart, the indices seen so far form two runs that H does not couple:
+    its left column is column i of L^{-T}, its right one column i of the
+    same factor of the reversed band, read backwards.  Each later pair (or
+    the centre index) takes one grouped solve."""
+    w, d = ab.shape[0] - 1, ab.shape[1]
+    m = max(0, (d - w) // 2)
+    parts, seen = [], np.zeros(d, dtype=bool)
+    if m:
+        rev = np.array([np.roll(row[::-1], -u) for u, row in enumerate(ab)])
+        cols, data, length, row = _inverse_cholesky(rev[:, :m])
+        parts += [_inverse_cholesky(ab[:, :m]),
+                  (d - 1 - cols[::-1], data[::-1], length[::-1], (d - row - length)[::-1])]
+        seen[:m] = seen[d - m :] = True
+    for i in range(m, (d + 1) // 2):
+        group = np.array([sorted({i, d - 1 - i})])
+        seen[group] = True
+        parts.append(_grouped_solve(ab, seen, group))
+    return _assemble(d, parts)
 
 
 def _dyadic(ab, net, toeplitz=False):
-    """The dyadic scheme on H's lower band ``ab``; ``toeplitz`` computes one
-    tuple per level and translates it to the others."""
-    g = _GroupOrthogonalizer(ab)
-    for lv in net.levels:
-        if toeplitz and lv:
-            g.process(lv[0])
-            if len(lv) > 1:
-                g.translate(lv[0], lv[1:], lv[1][0] - lv[0][0])
-        else:
-            for tup in lv:
-                g.process(tup)
-    return g.transform()
+    """The dyadic scheme on H's lower band ``ab``, one grouped solve per
+    level: the tuples of later levels, at least w wide, keep the level's
+    tuples in runs of their own (narrower ones are solved one by one).
+    ``toeplitz`` solves a level's first tuple alone and translates its
+    columns to the others."""
+    seen, parts = np.zeros(ab.shape[1], dtype=bool), []
+    for lv in filter(None, net.levels):
+        size, n = max(len(t) for t in lv), len(lv)
+        tuples = np.array([list(t) + [-1] * (size - len(t)) for t in lv])
+        seen[tuples[tuples >= 0]] = True
+        cols, data, length, row = _grouped_solve(ab, seen, tuples[:1] if toeplitz else tuples)
+        if toeplitz:
+            cols, data, length, row = (tuples.reshape(-1), np.tile(data, n), np.tile(length, n),
+                                       (row + tuples[:, :1] - tuples[0, 0]).reshape(-1))
+        parts.append((cols, data, length, row))
+    return _assemble(ab.shape[1], parts)
 
 
 def diagonalize_gram(h, method="dyadic", net=None):
@@ -455,10 +452,12 @@ def diagonalize_gram(h, method="dyadic", net=None):
 
     ``h`` may be dense, ``scipy.sparse`` or the numpy container that
     :func:`~splinet.calculus.gramian` builds.  It is read once into its lower
-    band, which gives the columns that couple and picks the dyadic path: one
-    tuple per level is translated to the others when the net is complete,
-    its tuples span the band, and every band diagonal is constant to
-    ``TOEPLITZ_TOL`` of the band's largest entry.
+    band.  ``gsob`` and ``twob``'s outer pairs take the inverse Cholesky
+    factor (kernel 1); ``twob``'s middle pairs and each dyadic level take one
+    grouped banded solve (kernel 2).  One tuple per level is solved and
+    translated to the others when the net is complete, its tuples span the
+    band, and every band diagonal is constant to ``TOEPLITZ_TOL`` of the
+    band's largest entry.
     """
     ab = _check_spd(h)
     if method == "gsob":
@@ -499,8 +498,9 @@ def splinet(knots, k, type="spnt", normalize=False):
     ``type`` is one of ``BASIS_TYPES``: ``spnt``/``dspnt`` for the dyadic
     net (the tag in the result reflects whether the net is complete),
     ``gsob`` and ``twob`` for the one- and two-sided schemes, ``bs`` for the
-    plain basis only.  Whether the dyadic scheme translates one tuple per
-    level is read off the Gram matrix's band (:func:`diagonalize_gram`).
+    plain basis only.  P comes from :func:`diagonalize_gram`'s two kernels
+    on the Gram matrix's band: the inverse Cholesky factor for ``gsob`` and
+    ``twob``'s outer pairs, grouped banded solves for the rest.
     """
     if not isinstance(knots, KnotSet):
         knots = KnotSet(np.asarray(knots, dtype=float))

@@ -16,9 +16,9 @@ Taylor rows (:class:`~splinet.core.SplineFamily`), with numpy alone:
   it combines into its output rows, over the union of their supports.
 
 Sparse matrices (Gram matrices, coefficients) are held in :class:`_Csr`, a
-compressed-sparse-row container of numpy arrays.  scipy is imported only to
-return a ``scipy.sparse`` matrix where one is asked for; ``scipy.sparse``
-input is read through its ``tocsr`` method.
+compressed-sparse-row container of numpy arrays.  scipy, an optional
+dependency, is imported only to return a ``scipy.sparse`` matrix where one
+is asked for; ``scipy.sparse`` input is read through its ``tocsr`` method.
 """
 
 from __future__ import annotations
@@ -68,6 +68,20 @@ class _Csr:
         out = np.zeros(self.shape)
         out[self.rows(), self.indices] = self.data
         return out
+
+    def to_scipy(self, transpose=False):
+        """The ``scipy.sparse`` CSR matrix, or with ``transpose`` the CSC
+        matrix of the transpose; scipy comes with the ``splinet[sparse]``
+        extra."""
+        try:
+            import scipy.sparse
+        except ImportError:
+            raise ImportError("scipy.sparse matrices need scipy: "
+                              "pip install 'splinet[sparse]'") from None
+        arrays = (self.data, self.indices, self.indptr)
+        if transpose:
+            return scipy.sparse.csc_matrix(arrays, shape=self.shape[::-1])
+        return scipy.sparse.csr_matrix(arrays, shape=self.shape)
 
     def diagonal(self):
         """The entries ``[i, i]``."""
@@ -380,8 +394,4 @@ def gramian(fam_a, fam_b=None, sparse=False, *, _csr=False):
     g = _gram(a1, b1, symmetric)
     if _csr:
         return g
-    if sparse:
-        import scipy.sparse
-
-        return scipy.sparse.csr_matrix((g.data, g.indices, g.indptr), shape=g.shape)
-    return g.toarray()
+    return g.to_scipy() if sparse else g.toarray()

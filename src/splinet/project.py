@@ -204,20 +204,24 @@ def kl_reconstruct(fp, coeff_row, m_components):
 # CSV interfaces
 
 
+def _is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def read_csv_matrix(path):
-    """Numeric CSV as a 2-d array; a first row that is not numeric is a header.
-    Every row must have as many fields as the first data row."""
+    """Numeric CSV as a 2-d array.  A first row none of whose fields is a
+    number is a header; one that mixes numbers and text is a data row with a
+    bad field.  Every row must have as many fields as the first data row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, r) for r in reader if r]
     if not rows:
         raise ValueError("%s holds no CSV rows" % path)
-    start = 0
-    try:
-        float(rows[0][1][0])
-    except ValueError:
-        start = 1  # header line
-    body = rows[start:]
+    body = rows if any(map(_is_number, rows[0][1])) else rows[1:]
     if not body:
         raise ValueError("%s holds no CSV rows below its header" % path)
     for line, r in body:
@@ -227,14 +231,10 @@ def read_csv_matrix(path):
     try:
         return np.array([[float(x) for x in r] for _, r in body])
     except ValueError:
-        for line, r in body:
-            for j, x in enumerate(r):
-                try:
-                    float(x)
-                except ValueError:
-                    raise ValueError("%s: field %d on line %d is not a number: %r"
-                                     % (path, j + 1, line, x)) from None
-        raise
+        line, j, x = next((line, j, x) for line, r in body for j, x in enumerate(r)
+                          if not _is_number(x))
+        raise ValueError("%s: field %d on line %d is not a number: %r"
+                         % (path, j + 1, line, x)) from None
 
 
 def read_fdata_csv(path):

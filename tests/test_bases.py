@@ -1,3 +1,4 @@
+import sys
 import time
 import tracemalloc
 
@@ -215,7 +216,7 @@ def _assert_orthonormal(tr, h):
 
 
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 4), extra=st.integers(0, 300))
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 5), extra=st.integers(0, 300))
 def test_transform_matches_envelope_oracle(seed, k, extra):
     # random knots: every scheme against the dense envelope/Cholesky oracle,
     # from d = 1 and the zero band of k = 0 up (n = k gives d = 1; twob's
@@ -240,6 +241,31 @@ def test_transform_matches_envelope_oracle(seed, k, extra):
     tr = diagonalize_gram(h, "dyadic", net=net)
     _assert_matches_oracle(tr, oracles.dense_diagonalize(h, "dyadic", k, net, toeplitz=True))
     _assert_orthonormal(tr, h)
+
+
+def test_transform_p_needs_the_sparse_extra(monkeypatch):
+    # without scipy, P names the extra that installs it; the numpy arrays of
+    # P' still serve
+    h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 8), 2))
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    tr = diagonalize_gram(h, "gsob")
+    with pytest.raises(ImportError, match=r"splinet\[sparse\]"):
+        tr.P
+    assert np.allclose(tr.pt.toarray() @ h @ tr.pt.toarray().T, np.eye(7), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_twob_matches_envelope_oracle_at_every_middle(k):
+    # d = 1..2k+4 on irregular knots: all pairs within k (d <= k + 1), far
+    # pairs then a middle pair within k, far pairs then a centre index
+    rng = np.random.default_rng(40 + k)
+    for d in range(1, 2 * k + 5):
+        widths = rng.uniform(0.2, 1.0, d + k)
+        knots = sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths))
+        h = sp.gramian(sp.bspline_basis(knots, k))
+        tr = diagonalize_gram(h, "twob")
+        _assert_matches_oracle(tr, oracles.dense_diagonalize(h, "twob", k))
+        _assert_orthonormal(tr, h)
 
 
 def test_diagonalize_gram_validation():
@@ -337,10 +363,8 @@ def test_splinet_nonequidistant_orthonormal():
 
 
 def test_twob_runtime_guard():
-    # the two-sided scheme on irregular knots at d = 1533: ~14 s when every
-    # pair recorded the envelope of both columns as its row range, under 1 s
-    # now that a pair more than k apart is finished one column at a time,
-    # each column on its own rows
+    # the two-sided scheme on irregular knots at d = 1533: every column stays
+    # on the rows of its decay length
     rng = np.random.default_rng(5)
     widths = rng.uniform(0.5, 1.5, 1536)
     knots = sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths))
@@ -381,7 +405,7 @@ def test_splinet_toeplitz_flag_agrees():
     ("dspnt", True, True), ("dspnt", False, True), ("spnt", None, False),
     ("gsob", None, False), ("twob", None, False)])
 def test_splinet_sparse_gram_archive_matches_dense_route(type, use_toeplitz, equid):
-    # splinet() hands the sparse Gram to the orthogonalizer; the dense Gram
+    # splinet() hands the sparse Gram to diagonalize_gram; the dense Gram
     # gives the same transform and, through the dense P', the same archive
     rng = np.random.default_rng(11)
     # 45 members make a complete net, 46 do not
@@ -479,7 +503,9 @@ def test_dyadic_tuples_shorter_than_band_take_general_path():
     h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 8), 2))
     net = sp.net_layout(7, 1)
     assert net.complete and h.shape == (7, 7)
-    _assert_orthonormal(diagonalize_gram(h, "dyadic", net=net), h)
+    tr = diagonalize_gram(h, "dyadic", net=net)
+    _assert_orthonormal(tr, h)
+    _assert_matches_oracle(tr, oracles.dense_diagonalize(h, "dyadic", 2, net))
 
 
 def test_splinet_supports_grow_by_level():
@@ -527,8 +553,8 @@ def _stored_bytes(pt):
 #: bytes plus P's stored bytes (measured 2.7 on both dyadic paths)
 SPLINET_PEAK_FACTOR = 4
 
-#: tracemalloc peak of diagonalize_gram() over P's stored bytes (measured 4.0
-#: for gsob and twob at d = 1533 and 6141)
+#: tracemalloc peak of diagonalize_gram() over P's stored bytes (measured 4.4
+#: for gsob and 4.1 for twob at d = 1533 and 6141)
 DIAGONALIZE_PEAK_FACTOR = 8
 
 

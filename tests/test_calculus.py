@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,16 @@ def test_gramian_empty_support_member():
     zero = sp.exsupp(sp.lincomb(bs, np.zeros((1, len(bs)))))
     g = sp.gramian(sp.gather(bs, zero))
     assert np.all(g[-1] == 0.0) and np.all(g[:, -1] == 0.0)
+
+
+def test_gramian_sparse_needs_the_sparse_extra(monkeypatch):
+    # without scipy the sparse Gram names the extra that installs it; the
+    # dense one needs none
+    bs = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 8), 2)
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    with pytest.raises(ImportError, match=r"splinet\[sparse\]"):
+        sp.gramian(bs, sparse=True)
+    assert sp.gramian(bs).shape == (7, 7)
 
 
 def test_gramian_sparse_matches_dense():

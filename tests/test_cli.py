@@ -468,7 +468,8 @@ def test_random_covariance_files(tmp_path):
     ("s1,s2\n", "holds no CSV rows below its header"),
     ("0.1,0.2\n0.3\n", ": the row on line 2 has 1 fields, expected 2"),
     ("0.1,0.2\n0.3,x\n", ": field 2 on line 2 is not a number: 'x'"),
-], ids=["empty", "blank", "header-only", "ragged", "non-numeric"])
+    ("0.1x,0.2\n0.3,0.4\n", ": field 1 on line 1 is not a number: '0.1x'"),
+], ids=["empty", "blank", "header-only", "ragged", "non-numeric", "mixed-first-row"])
 @pytest.mark.parametrize("flag", ["--sigma", "--theta"])
 def test_random_covariance_file_checked_where_it_enters(tmp_path, capsys, text, says, flag):
     # an empty, header-only, ragged or non-numeric file exits 1 with one
@@ -558,7 +559,8 @@ def _assert_splinet_script(dist):
 
 
 def test_console_script_entry(tmp_path):
-    """pyproject.toml registers a `splinet` console script for cli.main.
+    """pyproject.toml registers a `splinet` console script for cli.main and
+    requires numpy alone outside its extras.
 
     The metadata is generated from a copy of the project with setuptools'
     `egg_info`, so the check needs no installed package and writes nothing
@@ -589,6 +591,10 @@ def test_console_script_entry(tmp_path):
     assert res.returncode == 0, res.stderr
     (egg,) = base.glob("*.egg-info")
     _assert_splinet_script(md.Distribution.at(egg))
+    # scipy is an extra: outside the extras, numpy is the one requirement
+    requires = md.Distribution.at(egg).requires
+    assert [r for r in requires if "extra ==" not in r] == ["numpy>=1.24"], requires
+    assert 'scipy>=1.10; extra == "sparse"' in requires, requires
 
     try:
         installed = md.distribution("splinet")

@@ -276,3 +276,16 @@ def test_csv_roundtrip(tmp_path):
     fd = sp.read_fdata_csv(fpath)
     assert np.array_equal(fd.args, args)
     assert np.array_equal(fd.values, vals)
+
+
+def test_written_headers_read_as_headers(tmp_path):
+    # no field of a header splinet writes is a number, so each reads as a
+    # header
+    read = splinet.project.read_csv_matrix
+    path = tmp_path / "coeff.csv"
+    sp.write_coeff_csv(path, np.ones((2, 3)))
+    assert read(path).shape == (2, 3)
+    for header in (["arg", "member", "value"], ["component", "eigenvalue"]):
+        splinet.project._write_csv(path, header, 4, lambda rows: [rows + 0.5] * len(header))
+        assert path.read_text().splitlines()[0] == ",".join(header)
+        assert np.array_equal(read(path), np.repeat(np.arange(4)[:, None] + 0.5, len(header), 1))
