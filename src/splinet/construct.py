@@ -21,11 +21,12 @@ Every recursion runs over a stack of ``M`` matrices at once, rows shaped
 alone -- the frlr system and its condition check -- is formed once per call;
 each matrix adds only its right-hand sides, and residuals come out as
 length-``M`` arrays.  The arithmetic over the stack is elementwise (Horner
-steps through :func:`splinet.core._taylor_rows`, broadcast products and
-substitution instead of BLAS calls), so a matrix's result does not depend on
-the others or on ``M``.  The public solvers and :func:`construct` run this
-core with ``M = 1``; :func:`splinet.random.rspline` runs it once over all
-its draws.
+steps through :func:`splinet.core._taylor_rows` and broadcast products
+instead of BLAS calls), and the frlr system is one LAPACK solve per matrix,
+so a matrix's result does not depend on the others or on ``M``.  Segments
+are checked as :class:`~splinet.core.KnotSet` checks knots.  The public
+solvers and :func:`construct` run this core with ``M = 1``;
+:func:`splinet.random.rspline` runs it once over all its draws.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_EPSILON,
+    KNOT_MATCH_TOL,
     ONE_SIDED,
     KnotSet,
     _family,
@@ -55,17 +57,6 @@ class SingularSystemError(ValueError):
     """The frlr core matrix C is numerically singular."""
 
 
-def _check_segment(knots_segment):
-    seg = np.asarray(knots_segment, dtype=float)
-    if seg.ndim != 1 or seg.size < 2:
-        raise ValueError("segment needs at least two knots")
-    if not np.all(np.isfinite(seg)):
-        raise ValueError("segment knots must be finite")
-    if np.any(np.diff(seg) <= 0):
-        raise ValueError("segment knots must be strictly increasing")
-    return seg
-
-
 def _max_abs(x):
     """Largest magnitude along the last axis; 0 where that axis is empty."""
     return np.max(np.abs(x), axis=-1, initial=0.0)
@@ -78,39 +69,6 @@ def _rows_dot(rows, mat):
     for p in range(1, mat.shape[0]):
         out = out + rows[:, p : p + 1] * mat[p]
     return out
-
-
-def _lu_factor(a):
-    """Partial-pivot LU of a small square matrix, as LAPACK's ``getrf``
-    returns it: ``lu`` holds U and, below the diagonal, the multipliers of
-    the unit lower factor; step ``i`` swapped rows ``i`` and ``piv[i]``."""
-    lu = np.array(a, dtype=float)
-    piv = np.zeros(lu.shape[0], dtype=int)
-    for i in range(lu.shape[0]):
-        p = i + int(np.argmax(np.abs(lu[i:, i])))
-        piv[i] = p
-        lu[[i, p]] = lu[[p, i]]
-        if lu[i, i] != 0:
-            lu[i + 1 :, i] /= lu[i, i]
-        lu[i + 1 :, i + 1 :] -= np.outer(lu[i + 1 :, i], lu[i, i + 1 :])
-    return lu, piv
-
-
-def _lu_solve_rows(lu, piv, rhs):
-    """Solve ``A x = b`` for every row ``b`` of ``rhs``, given
-    ``_lu_factor(A)``, by substitution over the stack."""
-    x = rhs.T.copy()
-    for i, p in enumerate(piv):
-        x[[i, p]] = x[[p, i]]
-    size = lu.shape[0]
-    for i in range(size):
-        for j in range(i):
-            x[i] -= lu[i, j] * x[j]
-    for i in range(size - 1, -1, -1):
-        for j in range(i + 1, size):
-            x[i] -= lu[i, j] * x[j]
-        x[i] /= lu[i, i]
-    return x.T
 
 
 def _frlc(first_row, kth_col, spacings, k):
@@ -126,16 +84,15 @@ def _frlc(first_row, kth_col, spacings, k):
 
 def solve_frlc(first_row, last_col, knots_segment):
     """Complete a matrix from its first row and k-th derivative column."""
-    seg = _check_segment(knots_segment)
+    seg = KnotSet(knots_segment).xi
     first_row = np.asarray(first_row, dtype=float)
     last_col = np.asarray(last_col, dtype=float)
     k = first_row.size - 1
     if last_col.size != seg.size:
         raise ValueError("last_col must have one entry per segment knot")
-    if last_col[0] != first_row[k]:
-        last_col = last_col.copy()
-        last_col[0] = first_row[k]
-    return _frlc(first_row[None], last_col[None], np.diff(seg), k)[0]
+    # the first row's k-th entry wins over last_col[0]
+    kth_col = np.concatenate([first_row[k:], last_col[1:]])
+    return _frlc(first_row[None], kth_col[None], np.diff(seg), k)[0]
 
 
 def _frfc(first_row_partial, first_col, spacings, k):
@@ -157,7 +114,7 @@ def _frfc(first_row_partial, first_col, spacings, k):
 
 def solve_frfc(first_row_partial, first_col, knots_segment):
     """Complete a matrix from its first row (orders < k) and value column."""
-    seg = _check_segment(knots_segment)
+    seg = KnotSet(knots_segment).xi
     first_row_partial = np.asarray(first_row_partial, dtype=float)
     first_col = np.asarray(first_col, dtype=float)
     k = first_row_partial.size
@@ -194,15 +151,12 @@ def _frlr(first_row, last_row, spacings, k):
     spacings may be negative (mirrored).  Returns the ``(M, m+2, k+1)``
     matrices and the per-matrix residuals."""
     m = len(spacings) - 1
-    if m == 0:
-        u = np.stack([first_row, last_row], axis=1)
-        prop = _taylor_rows(first_row, spacings[0])[:, :k]
-        u[:, 1, :k] = prop
-        return u, _max_abs(prop - last_row[:, :k])
-    cmat, dmat = _frlr_system(spacings, k)
-    lu, piv = _lu_factor(cmat.T)
-    rhs = last_row[:, k - m : k] - _rows_dot(first_row[:, k - m :], dmat)
-    mid_kth = _lu_solve_rows(lu, piv, rhs)
+    mid_kth = np.zeros((len(first_row), 0))
+    if m:
+        cmat, dmat = _frlr_system(spacings, k)
+        rhs = last_row[:, k - m : k] - _rows_dot(first_row[:, k - m :], dmat)
+        # one LAPACK gesv per matrix, each on its own copy of C'
+        mid_kth = np.linalg.solve(cmat.T, rhs[:, :, None])[:, :, 0]
     kth_col = np.column_stack([first_row[:, k], mid_kth, last_row[:, k]])
     u = _frlc(first_row, kth_col, spacings, k)
     return u, _max_abs(u[:, m + 1, : k - m] - last_row[:, : k - m])
@@ -214,16 +168,14 @@ def solve_frlr(first_row, last_row, knots_segment, m=None):
     Returns ``(matrix, residual)`` where the residual is the magnitude by
     which the unused last-row entries had to be overwritten for consistency.
     """
-    seg = _check_segment(knots_segment)
+    seg = KnotSet(knots_segment).xi
     first_row = np.asarray(first_row, dtype=float)
     last_row = np.asarray(last_row, dtype=float)
     k = first_row.size - 1
     seg_m = seg.size - 2
-    if m is None:
-        m = seg_m
-    if m != seg_m:
+    if m not in (None, seg_m):
         raise ValueError("segment has %d internal knots, expected m=%d" % (seg_m, m))
-    if m > k:
+    if seg_m > k:
         raise ValueError("frlr requires m <= k")
     if last_row.size != k + 1:
         raise ValueError("first and last rows must both have k+1 entries")
@@ -404,11 +356,10 @@ def refine(fam, new_knots):
     """
     old = fam.knots.xi
     new = new_knots.xi
-    scale = old[-1] - old[0]
     idx_map = np.clip(np.searchsorted(new, old), 0, new.size - 1)
     # a knot may land one slot late due to rounding; fix up and verify
     idx_map -= (idx_map > 0) & (np.abs(new[idx_map - 1] - old) < np.abs(new[idx_map] - old))
-    missing = np.abs(new[idx_map] - old) > 1e-12 * scale
+    missing = np.abs(new[idx_map] - old) > KNOT_MATCH_TOL * (old[-1] - old[0])
     if missing.any():
         raise ValueError("new knots do not contain original knot %g" % old[np.argmax(missing)])
     k = fam.smorder

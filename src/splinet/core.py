@@ -37,6 +37,9 @@ SYMMETRIC = "sym"
 #: computation path
 EPS_EQUID = 1e-8
 
+#: two knots closer than this fraction of the knot range are one knot
+KNOT_MATCH_TOL = 1e-12
+
 #: default relative validity tolerance of a family
 DEFAULT_EPSILON = 1e-7
 
@@ -102,7 +105,7 @@ class KnotSet:
     """Ordered knot vector; ``n`` counts the internal knots only."""
 
     xi: np.ndarray
-    equid: bool = field(default=False)
+    equid: bool = field(init=False)
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=float)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bases import BASIS_TYPES, _check_spd, _cho_solve_banded, _cholesky_banded, splinet
 from .calculus import gramian, integra, lincomb
-from .core import KnotSet, SplineFamily, evaluate
+from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, evaluate
 from .construct import refine
 
 
@@ -69,7 +69,7 @@ def _make_basis(knots, k, type):
 def _union_knots(a, b):
     scale = max(a.xi[-1] - a.xi[0], b.xi[-1] - b.xi[0])
     merged = np.sort(np.concatenate([a.xi, b.xi]))
-    keep = np.concatenate([[True], np.diff(merged) > 1e-12 * scale])
+    keep = np.concatenate([[True], np.diff(merged) > KNOT_MATCH_TOL * scale])
     return KnotSet(merged[keep])
 
 

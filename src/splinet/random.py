@@ -9,7 +9,7 @@ right-hand side.
 
 Randomness comes from numpy's counter-based Philox bit generator.  Member
 ``i`` always uses the substream ``Philox(key=seed).jumped(i)``, and the
-batched repair works draw by draw elementwise, so a fixed seed gives
+batched repair handles each draw on its own, so a fixed seed gives
 bit-identical output however many members are drawn.  Draws run in a single
 thread; the ``SPLINET_THREADS`` environment variable is ignored.
 """
@@ -19,9 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads its random module on first use; loading it with this module
-# keeps that out of the first draw
-import numpy.random  # noqa: F401
 
 from .core import ONE_SIDED, _family, as_one_sided
 from .construct import _check_construct, _construct_rows

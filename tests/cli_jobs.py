@@ -12,12 +12,14 @@ every type and with ``--normalize``, ``check``, ``random`` (also with
 an archive (orthonormal and ``bs``) and of a data CSV, ``fpca``, ``eval``
 and ``gram`` of one archive and of two.  The exit status is 0 when every
 job exits 0, the ``eval`` CSV (100 draws on 148 points, several of the
-writer's chunks) has the bytes ``csv.writer`` gives the same values, and no
+writer's chunks) has the bytes ``csv.writer`` gives the same values,
+``basis --knots`` on a file with a bad line exits 1 naming the file, and no
 ``scipy`` module is loaded: scipy is needed only for the ``scipy.sparse``
 objects the library returns or accepts on request, never on a CLI path.
 Nor is ``numpy.ma``, which numpy loads on the first ``np.unique`` call.
 """
 
+import contextlib
 import csv
 import io
 import os
@@ -94,6 +96,18 @@ def eval_matches_csv_module(d):
         return vals.size > 3 * _CSV_CHUNK_ROWS and fh.read() == ref.getvalue().encode("utf-8")
 
 
+def bad_knots_named(d):
+    """``basis --knots`` on a file with a bad line exits 1 and names the
+    file in its message."""
+    path = os.path.join(d, "bad_knots.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("0\n0.5\nabc\n1\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["basis", "--knots", path, "-k", "1", "-o", os.path.join(d, "bad")])
+    return code == 1 and path in err.getvalue()
+
+
 def unwanted_modules():
     """The ``scipy`` and ``numpy.ma`` modules loaded."""
     return sorted(m for m in sys.modules
@@ -105,6 +119,8 @@ def run(d):
     failed = [argv for argv in jobs(d) if main(argv) != 0]
     if not failed and not eval_matches_csv_module(d):
         failed = [["eval", "(its CSV differs from csv.writer's or spans too few chunks)"]]
+    if not bad_knots_named(d):
+        failed.append(["basis", "--knots", "(a bad knot file: no exit 1 or no file name)"])
     for argv in failed:
         print("job failed: splinet %s" % " ".join(argv), file=sys.stderr)
     loaded = unwanted_modules()

@@ -118,6 +118,19 @@ def test_empty_knots_file_exit_1(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.txt"]
 
 
+@pytest.mark.parametrize("text, line, row", [
+    ("0\n0.5\nabc\n1\n", 3, "abc"),
+    ("# knots\n\n0 0.2\n0.5 1e\n", 4, "0.5 1e"),
+    ("0 0.2  # two\n0.5\n1 2\n", 2, "0.5"),
+])
+def test_bad_knots_file_names_file_and_line(tmp_path, capsys, text, line, row):
+    kf = tmp_path / "k.txt"
+    kf.write_text(text)
+    assert main(["basis", "--knots", str(kf), "-k", "1", "-o", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: %s: line %d: %r is not a row of numbers"
+                                              % (kf, line, row))
+
+
 def test_eval_csv(tmp_path):
     out = str(tmp_path / "b")
     main(["basis", "--equid", "0", "1", "9", "-k", "2", "--type", "bs", "-o", out])

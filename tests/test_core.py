@@ -82,6 +82,11 @@ def test_knotset_basic():
         sp.KnotSet([0.0])
 
 
+def test_knotset_equid_is_derived_not_passed():
+    with pytest.raises(TypeError):
+        sp.KnotSet([0.0, 0.5, 2.0], equid=True)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_knotset_rejects_nonfinite(bad):
     with pytest.raises(ValueError, match="finite"):
