@@ -67,7 +67,7 @@ BASIS_TYPES = ("spnt", "dspnt", "gsob", "twob", "bs")
 def bspline_basis(knots, k, normalize=False):
     """The n-k+1 B-splines of order k as a family of type ``bs``."""
     if not isinstance(knots, KnotSet):
-        knots = KnotSet(np.asarray(knots, dtype=float))
+        knots = KnotSet(knots)
     n = knots.n
     if n < k:
         raise ValueError("need at least k internal knots for order-k B-splines")
@@ -502,12 +502,10 @@ def splinet(knots, k, type="spnt", normalize=False):
     on the Gram matrix's band: the inverse Cholesky factor for ``gsob`` and
     ``twob``'s outer pairs, grouped banded solves for the rest.
     """
-    if not isinstance(knots, KnotSet):
-        knots = KnotSet(np.asarray(knots, dtype=float))
     if type not in BASIS_TYPES:
         raise ValueError("unknown basis type %r" % (type,))
     bs = bspline_basis(knots, k, normalize=normalize)
-    net = net_layout(knots.n, k)
+    net = net_layout(bs.knots.n, k)
     if type == "bs":
         return SplinetResult(bs, None, net, None)
     h = gramian(bs, _csr=True)

@@ -385,7 +385,7 @@ def gramian(fam_a, fam_b=None, sparse=False, *, _csr=False):
     # _csr=True returns the numpy container (_Csr) and imports no scipy.
     # Only splinet() passes it: it calls this public function, not _gram, so
     # that the benchmark's span of gramian nests under splinet's.  Spans
-    # recorded by the library itself (ROADMAP item 5) let this argument go.
+    # recorded by the library itself (ROADMAP item 4) let this argument go.
     a1 = as_one_sided(fam_a)
     symmetric = fam_b is None
     b1 = a1 if symmetric else as_one_sided(fam_b)

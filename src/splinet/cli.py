@@ -15,16 +15,14 @@ import json
 import math
 import reprlib
 import sys
-import warnings
 
 import numpy as np
 
 from .archive import load_archive, save_archive
 from .bases import BASIS_TYPES, splinet
 from .calculus import gramian
-from .core import KnotSet, ValidityReport, equidistant_knots, evaluate, is_valid_spline, sample_grid
+from .core import KnotSet, equidistant_knots, evaluate, is_valid_spline, sample_grid
 from .project import (
-    FunctionalDataMatrix,
     ProjectionResult,
     fpca,
     project_data,
@@ -33,7 +31,7 @@ from .project import (
     read_fdata_csv,
     write_coeff_csv,
     _cells,
-    _is_number,
+    _read_numbers,
     _write_csv,
     _write_matrix_csv,
 )
@@ -48,31 +46,8 @@ def _knots_from_args(args):
         return equidistant_knots(_real_arg("--equid A", a), _real_arg("--equid B", b),
                                  _count_arg("--equid N", n))
     if args.knots is not None:
-        xi = _read_knots(args.knots)
-        if not xi.size:
-            raise ValueError("%s: no knots in the file" % args.knots)
-        return KnotSet(np.sort(xi))
+        return KnotSet(np.sort(_read_numbers(args.knots, csv=False).ravel()))
     raise UsageError("need either --equid A B N or --knots FILE")
-
-
-def _read_knots(path):
-    """The numbers of a knot file, whitespace separated, ``#`` starting a
-    comment.  The error names the first line that is not a row of numbers
-    like the first row."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            return np.loadtxt(path, dtype=float).ravel()
-        except ValueError as exc:
-            error = "%s: %s" % (path, exc)
-    with open(path, encoding="utf-8") as fh:
-        rows = [(i, r) for i, text in enumerate(fh, 1) if (r := text.partition("#")[0].split())]
-    for line, r in rows:
-        if len(r) != len(rows[0][1]) or not all(map(_is_number, r)):
-            error = "%s: line %d: %r is not a row of numbers like line %d" % (
-                path, line, " ".join(r), rows[0][0])
-            break
-    raise ValueError(error)
 
 
 class UsageError(Exception):

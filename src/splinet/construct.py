@@ -333,7 +333,7 @@ def construct(knots, k, seed, method="RRM", epsilon=DEFAULT_EPSILON, return_resi
     with ``return_residuals`` the residuals come back as a dict of floats.
     """
     if not isinstance(knots, KnotSet):
-        knots = KnotSet(np.asarray(knots, dtype=float))
+        knots = KnotSet(knots)
     _check_construct(knots.n, k, method)
     t = _seed_matrix(knots, k, seed, "CRLC" if k == 0 else method)
     s, residuals = _construct_rows(knots, k, t[None], method)

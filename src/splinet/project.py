@@ -10,14 +10,14 @@ geometry of the function space is the Euclidean geometry of coefficients.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import BASIS_TYPES, _check_spd, _cho_solve_banded, _cholesky_banded, splinet
-from .calculus import gramian, integra, lincomb
+from .calculus import _gram, gramian, integra, lincomb
 from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, evaluate
 from .construct import refine
 
@@ -82,7 +82,7 @@ def _projection(basis, transform, b, type):
     if type == "bs":
         # _check_spd factors H - tau*I, which does not solve H x = b, so H
         # itself is factored a second time
-        factors = _cholesky_banded(_check_spd(gramian(basis)))
+        factors = _cholesky_banded(_check_spd(_gram(basis, basis, True)))
         coeff = _cho_solve_banded(factors, b.T).T
     return ProjectionResult(coeff, basis, lincomb(basis, coeff), transform)
 
@@ -117,7 +117,7 @@ def project_data(data, knots, k, type="spnt"):
     if not isinstance(data, FunctionalDataMatrix):
         data = FunctionalDataMatrix(*data)
     if not isinstance(knots, KnotSet):
-        knots = KnotSet(np.asarray(knots, dtype=float))
+        knots = KnotSet(knots)
     xi = knots.xi
     inside = (data.args >= xi[0]) & (data.args <= xi[-1])
     if not np.any(inside):
@@ -125,8 +125,7 @@ def project_data(data, knots, k, type="spnt"):
     if not np.all(inside):
         warnings.warn("%d data arguments outside the knot range were dropped"
                       % int(np.sum(~inside)))
-    args = data.args[inside]
-    values = data.values[inside]
+    args, values = data.args[inside], data.values[inside]
 
     basis, transform = _make_basis(knots, k, type)
     prim = integra(basis)
@@ -205,42 +204,69 @@ def kl_reconstruct(fp, coeff_row, m_components):
 
 
 def _is_number(field):
+    """Whether numpy's parser reads ``field``: stripped, ASCII, no ``_``, a Python float."""
+    text = field.strip()
     try:
-        float(field)
+        float(text)
     except ValueError:
         return False
-    return True
+    return text.isascii() and "_" not in text
+
+
+def _read_numbers(path, csv):
+    """The numbers of a text file as a 2-d array, read by ``np.loadtxt``.
+
+    A CSV (``csv`` true) separates fields by commas, may quote them with
+    ``"`` and has a header when no field of its first row is a number.  A
+    knot file separates fields by whitespace, ``#`` starting a comment.
+    Blank lines hold no row.  Only when ``np.loadtxt`` rejects the file are
+    its lines read again, to name the first fault and its 1-based line: a row
+    not as wide as the first data row, or a field that is not a number.
+    """
+    fmt = dict(delimiter=",", comments=None, quotechar='"') if csv else dict(comments="#")
+
+    def rows(fh):  # (line, fields) of each line holding a row, as np.loadtxt splits it
+        for line, text in enumerate(fh, 1):
+            if csv and text != "\n":
+                yield line, np.loadtxt([text], dtype=object, ndmin=1, **fmt).tolist()
+            elif not csv and (fields := text.partition("#")[0].split()):
+                yield line, fields
+
+    with open(path, encoding="utf-8") as fh:
+        head = list(itertools.islice(rows(fh), 2))
+    if not head:
+        raise ValueError("%s holds no CSV rows" % path if csv else
+                         "%s: no knots in the file" % path)
+    header = csv and not any(map(_is_number, head[0][1]))
+    if header and len(head) == 1:
+        raise ValueError("%s holds no CSV rows below its header" % path)
+    try:
+        return np.loadtxt(path, ndmin=2, skiprows=head[0][0] if header else 0,
+                          encoding="utf-8", **fmt)
+    except ValueError as exc:
+        width = len(head[header][1])
+        with open(path, encoding="utf-8") as fh:
+            for line, fields in itertools.islice(rows(fh), header, None):
+                if len(fields) != width:
+                    raise ValueError("%s: the row on line %d has %d fields, expected %d"
+                                     % (path, line, len(fields), width)) from None
+                for j, x in enumerate(fields, 1):
+                    if not _is_number(x):
+                        raise ValueError("%s: field %d on line %d is not a number: %r"
+                                         % (path, j, line, x)) from None
+        # only a quoted field that spans lines (rows are not lines) gets here
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def read_csv_matrix(path):
-    """Numeric CSV as a 2-d array.  A first row none of whose fields is a
-    number is a header; one that mixes numbers and text is a data row with a
-    bad field.  Every row must have as many fields as the first data row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader if r]
-    if not rows:
-        raise ValueError("%s holds no CSV rows" % path)
-    body = rows if any(map(_is_number, rows[0][1])) else rows[1:]
-    if not body:
-        raise ValueError("%s holds no CSV rows below its header" % path)
-    for line, r in body:
-        if len(r) != len(body[0][1]):
-            raise ValueError("%s: the row on line %d has %d fields, expected %d"
-                             % (path, line, len(r), len(body[0][1])))
-    try:
-        return np.array([[float(x) for x in r] for _, r in body])
-    except ValueError:
-        line, j, x = next((line, j, x) for line, r in body for j, x in enumerate(r)
-                          if not _is_number(x))
-        raise ValueError("%s: field %d on line %d is not a number: %r"
-                         % (path, j + 1, line, x)) from None
+    """Numeric CSV as a 2-d array (:func:`_read_numbers`)."""
+    return _read_numbers(path, csv=True)
 
 
 def read_fdata_csv(path):
     """Functional-data CSV: column 1 ascending args, columns 2.. samples."""
     body = read_csv_matrix(path)
-    if body.ndim != 2 or body.shape[1] < 2:
+    if body.shape[1] < 2:
         raise ValueError("need an argument column plus at least one sample")
     return FunctionalDataMatrix(body[:, 0], body[:, 1:])
 

@@ -9,14 +9,16 @@ The inputs are written to ``DIR`` by numpy and splinet alone.  The jobs
 cover every command and the jobs of the benchmark's workloads: ``basis`` of
 every type and with ``--normalize``, ``check``, ``random`` (also with
 ``--sigma``/``--theta`` CSV files, one-row diagonals and matrices), ``project`` of
-an archive (orthonormal and ``bs``) and of a data CSV, ``fpca``, ``eval``
-and ``gram`` of one archive and of two.  The exit status is 0 when every
-job exits 0, the ``eval`` CSV (100 draws on 148 points, several of the
-writer's chunks) has the bytes ``csv.writer`` gives the same values,
-``basis --knots`` on a file with a bad line exits 1 naming the file, and no
-``scipy`` module is loaded: scipy is needed only for the ``scipy.sparse``
-objects the library returns or accepts on request, never on a CLI path.
-Nor is ``numpy.ma``, which numpy loads on the first ``np.unique`` call.
+an archive (orthonormal and ``bs``) and of a data CSV, ``fpca`` (also on
+a coefficient CSV whose header is quoted), ``eval`` and ``gram`` of one
+archive and of two.  The exit status is 0 when every job exits 0, the
+``eval`` CSV (100 draws on 148 points, several of the writer's chunks) has
+the bytes ``csv.writer`` gives the same values, ``basis --knots`` on a file
+with a bad line and ``project -i`` on a CSV with a bad field exit 1 naming
+the file and the line, and no ``scipy`` module is loaded: scipy is needed
+only for the ``scipy.sparse`` objects the library returns or accepts on
+request, never on a CLI path.  Nor is ``numpy.ma``, which numpy loads on
+the first ``np.unique`` call.
 """
 
 import contextlib
@@ -36,7 +38,8 @@ from splinet.project import _CSV_CHUNK_ROWS
 def write_inputs(d):
     """Knot file, single-member mean archive, covariance CSVs (one-row
     diagonals and matrices of Sigma over the mean's 22 knots and of Theta
-    over its 4 derivatives) and functional-data CSV."""
+    over its 4 derivatives), functional-data CSV and a coefficient CSV of 12
+    samples over the 9 members of ``b11`` under a quoted header."""
     rng = np.random.default_rng(0)
     widths = rng.uniform(0.5, 1.5, 31)
     np.savetxt(os.path.join(d, "knots.txt"), np.cumsum(np.append(0.0, widths)) / widths.sum())
@@ -54,6 +57,8 @@ def write_inputs(d):
     np.savetxt(os.path.join(d, "data.csv"), np.column_stack([args, samples]), fmt="%.17g",
                delimiter=",", header="arg," + ",".join("s%d" % i for i in range(8)),
                comments="")
+    np.savetxt(os.path.join(d, "quoted.coeff.csv"), rng.standard_normal((12, 9)), fmt="%.17g",
+               delimiter=",", header=",".join('"c%d"' % (j + 1) for j in range(9)), comments="")
 
 
 def jobs(d):
@@ -75,6 +80,8 @@ def jobs(d):
          "-o", p("pr_bs")],
         ["project", "-i", p("data.csv"), "--equid", "0", "1", "11", "-k", "3", "-o", p("pd")],
         ["fpca", "--coeff", p("pd.coeff.csv"), "--basis", p("b11.os.json"), "-o", p("fp")],
+        ["fpca", "--coeff", p("quoted.coeff.csv"), "--basis", p("b11.os.json"),
+         "-o", p("fp_quoted")],
         ["eval", "-i", p("draws.json"), "-N", "2", "-o", p("draws.eval.csv")],
         ["gram", "-i", p("b_bs.bs.json"), "-o", p("gram.csv")],
         ["gram", "-i", p("draws.json"), "--with", p("mean.json"), "-o", p("gram2.csv")],
@@ -96,16 +103,32 @@ def eval_matches_csv_module(d):
         return vals.size > 3 * _CSV_CHUNK_ROWS and fh.read() == ref.getvalue().encode("utf-8")
 
 
+def _exits_1_naming(argv, path, line):
+    """Whether ``argv`` exits 1 with a message naming ``path`` and ``line``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code == 1 and "%s: " % path in err.getvalue() and "line %d" % line in err.getvalue()
+
+
 def bad_knots_named(d):
     """``basis --knots`` on a file with a bad line exits 1 and names the
-    file in its message."""
+    file and the line in its message."""
     path = os.path.join(d, "bad_knots.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("0\n0.5\nabc\n1\n")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["basis", "--knots", path, "-k", "1", "-o", os.path.join(d, "bad")])
-    return code == 1 and path in err.getvalue()
+    return _exits_1_naming(["basis", "--knots", path, "-k", "1", "-o", os.path.join(d, "bad")],
+                           path, 3)
+
+
+def bad_csv_named(d):
+    """``project -i`` on a data CSV with a field that is not a number exits
+    1 and names the file and the line in its message."""
+    path = os.path.join(d, "bad_data.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("arg,s1\n0.0,1.0\n0.5,1_0\n0.75,2.0\n")
+    return _exits_1_naming(["project", "-i", path, "--equid", "0", "1", "11", "-k", "3",
+                            "-o", os.path.join(d, "bad_pd")], path, 3)
 
 
 def unwanted_modules():
@@ -120,7 +143,9 @@ def run(d):
     if not failed and not eval_matches_csv_module(d):
         failed = [["eval", "(its CSV differs from csv.writer's or spans too few chunks)"]]
     if not bad_knots_named(d):
-        failed.append(["basis", "--knots", "(a bad knot file: no exit 1 or no file name)"])
+        failed.append(["basis", "--knots", "(a bad knot file: no exit 1, file or line named)"])
+    if not bad_csv_named(d):
+        failed.append(["project", "-i", "(a bad data CSV: no exit 1, file or line named)"])
     for argv in failed:
         print("job failed: splinet %s" % " ".join(argv), file=sys.stderr)
     loaded = unwanted_modules()

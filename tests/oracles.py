@@ -13,9 +13,11 @@ the conversion to the symmetric convention block by block.  Linear
 combinations, support shrinking, evaluation, antiderivatives and the
 B-spline recursion build one member at a time.  Whole-spline
 construction runs one seed matrix at a time, with explicit step matrices and
-one ``np.linalg.solve`` per frlr group.
+one ``np.linalg.solve`` per frlr group.  Numeric CSVs are read through the
+``csv`` module and Python's ``float``, field by field.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -954,3 +956,30 @@ def tridiagonal_near_tau(d, ratio):
     c = ratio * SPD_SHIFT * d
     s = (2.0 * c - lam) / (1.0 - c)
     return np.diag(np.full(d, 2.0 + s)) - np.eye(d, k=1) - np.eye(d, k=-1)
+
+
+def _float_field(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def csv_module_matrix(path):
+    """Numeric CSV as a 2-d array through ``csv.reader`` and ``float``: a
+    first non-empty row none of whose fields is a number is a header, and
+    every row must have as many fields as the first data row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r]
+    if not rows:
+        raise ValueError("%s holds no CSV rows" % path)
+    body = rows if any(map(_float_field, rows[0][1])) else rows[1:]
+    if not body:
+        raise ValueError("%s holds no CSV rows below its header" % path)
+    for line, r in body:
+        if len(r) != len(body[0][1]):
+            raise ValueError("%s: the row on line %d has %d fields, expected %d"
+                             % (path, line, len(r), len(body[0][1])))
+    return np.array([[float(x) for x in r] for _, r in body])

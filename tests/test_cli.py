@@ -118,6 +118,12 @@ def test_empty_knots_file_exit_1(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.txt"]
 
 
+#: the fault each bad knot file below is refused for, by the row at fault
+_KNOT_ROW_FAULT = {"abc": "field 1 on line 3 is not a number: 'abc'",
+                   "0.5 1e": "field 2 on line 4 is not a number: '1e'",
+                   "0.5": "the row on line 2 has 1 fields, expected 2"}
+
+
 @pytest.mark.parametrize("text, line, row", [
     ("0\n0.5\nabc\n1\n", 3, "abc"),
     ("# knots\n\n0 0.2\n0.5 1e\n", 4, "0.5 1e"),
@@ -127,8 +133,58 @@ def test_bad_knots_file_names_file_and_line(tmp_path, capsys, text, line, row):
     kf = tmp_path / "k.txt"
     kf.write_text(text)
     assert main(["basis", "--knots", str(kf), "-k", "1", "-o", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err.startswith("error: %s: line %d: %r is not a row of numbers"
-                                              % (kf, line, row))
+    fault = _KNOT_ROW_FAULT[row]
+    assert "on line %d" % line in fault
+    assert capsys.readouterr().err == "error: %s: %s\n" % (kf, fault)
+
+
+#: a knot file's faults: (text, the error after the file name); comment and
+#: blank lines count in the line number
+_KNOT_FAULTS = [
+    ("0\n0.5\n1_0\n", "field 1 on line 3 is not a number: '1_0'"),
+    ("# knots\n0 0.5\n\n\uff11 2\n", "field 1 on line 4 is not a number: '\uff11'"),
+    ("0 0.5  # two\n0.7 0.8 0.9\n", "the row on line 2 has 3 fields, expected 2"),
+    ("0\n0.5\n1 # 2 x\n1e\n", "field 1 on line 4 is not a number: '1e'"),
+]
+#: a two-column CSV's faults below its header ``arg,s1`` on line 1
+_CSV_FAULTS = [
+    ("0,1\n0.5,1_0\n", "field 2 on line 3 is not a number: '1_0'"),
+    ("0,1\n\n0.5,\uff11\n", "field 2 on line 4 is not a number: '\uff11'"),
+    ("0,1\n0.5,\n", "field 2 on line 3 is not a number: ''"),
+    ("0,1\n0.5,1,2\n", "the row on line 3 has 3 fields, expected 2"),
+    ("0,1\n# a note\n0.5,2\n", "the row on line 3 has 1 fields, expected 2"),
+    ('0,1\n"0.5","x"\n', "field 2 on line 3 is not a number: 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, says", _KNOT_FAULTS)
+def test_knot_file_fault_named(tmp_path, capsys, text, says):
+    kf = tmp_path / "k.txt"
+    kf.write_text(text, encoding="utf-8")
+    assert main(["basis", "--knots", str(kf), "-k", "1", "-o", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: %s: %s\n" % (kf, says)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.txt"]
+
+
+@pytest.mark.parametrize("text, says", _CSV_FAULTS)
+@pytest.mark.parametrize("command", ["project", "fpca", "sigma"])
+def test_csv_fault_named(tmp_path, capsys, command, text, says):
+    # the one reader names the file, the 1-based line and the field for
+    # every CSV the CLI reads, before any output is written
+    b = str(tmp_path / "b")
+    assert main(["basis", "--equid", "0", "1", "7", "-k", "2", "-o", b]) == 0
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, oracles.random_valid_family(np.random.default_rng(6), 10, 2))
+    path = tmp_path / "in.csv"
+    path.write_text("arg,s1\n" + text, encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = {"project": ["project", "-i", str(path), "--equid", "0", "1", "7", "-k", "2"],
+            "fpca": ["fpca", "--coeff", str(path), "--basis", b + ".os.json"],
+            "sigma": ["random", "--mean", mp, "--sigma", str(path), "-M", "2"]}[command]
+    capsys.readouterr()
+    assert main(argv + ["-o", out]) == 1
+    assert capsys.readouterr().err == "error: %s: %s\n" % (path, says)
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
 def test_eval_csv(tmp_path):

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinet as sp
+import splinet.bases
 import splinet.project
 
 import oracles
@@ -142,7 +147,7 @@ def test_bs_projection_checks_tau_shift(monkeypatch, ratio):
     h = oracles.tridiagonal_near_tau(d, ratio)
     basis = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, d + 2), 3)
     b = np.random.default_rng(0).standard_normal((2, d))
-    monkeypatch.setattr(splinet.project, "gramian", lambda fam: h)
+    monkeypatch.setattr(splinet.project, "_gram", lambda a1, b1, symmetric: h)
     if ratio < 1:
         with pytest.raises(ValueError, match="not positive definite"):
             splinet.project._projection(basis, None, b, "bs")
@@ -150,6 +155,24 @@ def test_bs_projection_checks_tau_shift(monkeypatch, ratio):
     coeff = splinet.project._projection(basis, None, b, "bs").coeff
     ref = np.linalg.solve(h, b.T).T
     assert np.max(np.abs(coeff - ref)) <= 1e-4 * np.max(np.abs(ref))
+
+
+def test_bs_projection_builds_no_dense_gram():
+    # the banded normal equations take their band from the sparse Gram: at
+    # d = 1533 a dense d x d Gram alone would be 18.8 MB, four times the bound
+    basis = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 1535), 3)
+    d = len(basis)
+    b = np.random.default_rng(4).standard_normal((2, d))
+    tracemalloc.start()
+    try:
+        coeff = splinet.project._projection(basis, None, b, "bs").coeff
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8 / 4, peak
+    # the same band as the dense Gram's, so the same coefficients to the bit
+    factors = splinet.bases._cholesky_banded(splinet.bases._check_spd(sp.gramian(basis)))
+    assert np.array_equal(coeff, splinet.bases._cho_solve_banded(factors, b.T).T)
 
 
 def test_project_data_out_of_range_warns():
@@ -289,3 +312,80 @@ def test_written_headers_read_as_headers(tmp_path):
         splinet.project._write_csv(path, header, 4, lambda rows: [rows + 0.5] * len(header))
         assert path.read_text().splitlines()[0] == ",".join(header)
         assert np.array_equal(read(path), np.repeat(np.arange(4)[:, None] + 0.5, len(header), 1))
+
+
+#: the characters of random fields: those of numbers, ``_`` and non-ASCII
+#: digits (which Python's float reads and numpy's parser does not), a comma,
+#: a letter and ASCII and Unicode spaces
+_FIELD_CHARS = "0123456789.eE+-_ infatyINFATY,x\t\xa0\u2003\uff11\u0663"
+
+
+def _numpy_reads(field):
+    """Whether ``np.loadtxt`` reads ``field``, quoted, as one float."""
+    try:
+        return np.loadtxt(['"%s"' % field], delimiter=",", comments=None,
+                          quotechar='"').size == 1
+    except ValueError:
+        return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(_FIELD_CHARS, max_size=8) | st.sampled_from(
+    ["1_0", "\uff11", " 1.5 ", "\xa01.5\xa0", "1e", "+.5", "-inf", "NaN", "nan(1)", "0x10"]))
+def test_is_number_is_numpy_parser(field):
+    # a field the reader calls a number is one np.loadtxt reads, and no
+    # other, so a file it rejects always has a field or a row to name
+    assert splinet.project._is_number(field) == _numpy_reads(field)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A random finite table and a CSV text of it in mixed formatting."""
+    m, c = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    table = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=m * c, max_size=m * c))).reshape(m, c)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def field(text):
+        pad = draw(st.sampled_from(["", " ", "  "]))
+        if draw(st.booleans()):
+            return '"%s%s%s"' % (pad, text, pad)
+        return pad + text + pad
+
+    def blanks():
+        return end * draw(st.integers(0, 2))
+
+    lines = [blanks()]
+    if draw(st.booleans()):
+        lines.append(",".join(field("c%d" % (j + 1)) for j in range(c)) + end)
+    for row in table.tolist():
+        fmt = draw(st.sampled_from([repr, "%.17g".__mod__]))
+        lines.append(blanks() + ",".join(field(fmt(x)) for x in row) + end)
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return table, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_texts())
+def test_csv_reader_matches_csv_module(tmp_path_factory, table_text):
+    table, text = table_text
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = splinet.project.read_csv_matrix(path)
+    ref = oracles.csv_module_matrix(path)
+    assert got.shape == ref.shape == table.shape
+    assert got.tobytes() == ref.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("text, shape", [
+    ('"1.5",2\n3,4\n', (2, 2)),  # a quoted number is a number: no header
+    ("1_0,x\n1,2\n", (1, 2)),     # neither field is a number to numpy
+    ("\n\nc1\n\n7\n", (1, 1)),
+    ("# c1\n7\n", (1, 1)),       # no comments in a CSV: a header
+])
+def test_csv_header_rule(tmp_path, text, shape):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert splinet.project.read_csv_matrix(path).shape == shape
