@@ -31,6 +31,7 @@ from .project import (
     read_fdata_csv,
     write_coeff_csv,
     _cells,
+    _is_number,
     _read_numbers,
     _write_csv,
     _write_matrix_csv,
@@ -55,36 +56,46 @@ class UsageError(Exception):
 
 
 def _real_arg(flag, text):
-    """``text`` as a float; a non-number is a usage error (``nan`` and
-    ``inf`` are numbers, left to the knot checks)."""
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError("%s must be a number; got %r" % (flag, text)) from None
+    """``text`` as a float where numpy's parser reads a number, as in a file
+    (:func:`~splinet.project._is_number`: ``1_0`` and ``１`` are not); a
+    non-number is a usage error (``nan`` and ``inf`` are numbers, left to
+    the knot checks)."""
+    if not _is_number(text):
+        raise UsageError("%s must be a number; got %r" % (flag, text))
+    return float(text)
 
 
 def _count_arg(flag, text):
     """``text`` as a non-negative integer (``10`` or ``10.0``); anything else,
     a fraction, a negative or non-finite number, is a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = float(text) if _is_number(text) else math.nan
     if not (value >= 0 and value.is_integer()):
         raise UsageError("%s must be a non-negative integer; got %r" % (flag, text))
     return int(value)
 
 
-#: integer flags with a lower bound: attribute -> (flag, smallest value)
-_FLAG_MIN = {"order": ("-k", 0), "density": ("-N", 1), "count": ("-M", 1),
-             "deriv": ("--deriv", 0)}
+#: integer flags: attribute -> (flag, smallest value or None)
+_INT_FLAGS = {"order": ("-k", 0), "density": ("-N", 1), "count": ("-M", 1),
+              "deriv": ("--deriv", 0), "seed": ("--seed", None)}
 
 
-def _check_flag_ranges(args):
-    for attr, (flag, low) in _FLAG_MIN.items():
-        value = getattr(args, attr, None)
-        if value is not None and value < low:
+def _read_int_flags(args):
+    """Replace the text of every integer flag by its value, read exactly by
+    ``int`` (a 128-bit ``--seed`` too) where numpy's parser reads a number; a
+    non-integer or a value below the flag's bound is a usage error."""
+    for attr, (flag, low) in _INT_FLAGS.items():
+        text = getattr(args, attr, None)
+        if text is None:
+            continue
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not _is_number(text):
+            raise UsageError("%s must be an integer; got %r" % (flag, text))
+        if low is not None and value < low:
             raise UsageError("%s must be >= %d; got %d" % (flag, low, value))
+        setattr(args, attr, value)
 
 
 def _fmt(x):
@@ -134,16 +145,20 @@ def _cmd_check(args):
     return 1
 
 
-def _parse_cov(text):
+def _parse_cov(flag, text):
     """A ``--sigma``/``--theta`` value: a number, or a CSV file
     (:func:`read_csv_matrix`) of one value (a scalar), one row or one column
-    (a diagonal) or a matrix."""
+    (a diagonal) or a matrix.  Text that Python's ``float`` reads but numpy's
+    parser does not (``1_0``, ``１``) is a usage error."""
     if text is None:
         return 1.0
-    try:
+    if _is_number(text):
         return float(text)
+    try:
+        float(text)
     except ValueError:
         return np.squeeze(read_csv_matrix(text))
+    raise UsageError("%s must be a number or a CSV file; got %r" % (flag, text))
 
 
 def _noise_file(path, seed):
@@ -182,7 +197,8 @@ def _cmd_random(args):
     if args.noise is not None:
         noise = _noise_file(args.noise, args.seed)
     else:
-        noise = NoiseSpec(_parse_cov(args.sigma), _parse_cov(args.theta), args.seed)
+        noise = NoiseSpec(_parse_cov("--sigma", args.sigma), _parse_cov("--theta", args.theta),
+                          args.seed)
     fam = rspline(mean, noise, args.count, method=args.method)
     save_archive(args.out, fam)
     print("rng: %s (seed %d)" % (RNG_ALGORITHM, noise.seed), file=sys.stderr)
@@ -250,7 +266,7 @@ def build_parser():
 
     p = sub.add_parser("basis", help="generate a B-spline basis and an orthonormal one")
     _add_knot_flags(p)
-    p.add_argument("-k", "--order", type=int, required=True)
+    p.add_argument("-k", "--order", required=True)
     p.add_argument("--type", default="spnt", choices=BASIS_TYPES)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("-o", "--out", default="basis", help="output path prefix")
@@ -258,9 +274,9 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate an archive on a sample grid (long CSV)")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("-N", "--density", type=int, default=5,
+    p.add_argument("-N", "--density", default="5",
                    help="sample points per interval multiplier")
-    p.add_argument("--deriv", type=int, default=0)
+    p.add_argument("--deriv", default="0")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_eval)
 
@@ -270,8 +286,8 @@ def build_parser():
 
     p = sub.add_parser("random", help="draw random splines around a mean")
     p.add_argument("--mean", required=True, help="single-member archive")
-    p.add_argument("-M", "--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-M", "--count", default="1")
+    p.add_argument("--seed", default="0")
     p.add_argument("--sigma", help="scalar, or CSV vector/matrix file")
     p.add_argument("--theta", help="scalar, or CSV vector/matrix file")
     p.add_argument("--noise", help="JSON file with sigma/theta/seed")
@@ -282,7 +298,7 @@ def build_parser():
     p = sub.add_parser("project", help="project an archive or functional-data CSV")
     p.add_argument("-i", "--input", required=True)
     _add_knot_flags(p)
-    p.add_argument("-k", "--order", type=int, default=3)
+    p.add_argument("-k", "--order", default="3")
     p.add_argument("--type", default="spnt", choices=BASIS_TYPES)
     p.add_argument("-o", "--out", default="projection", help="output path prefix")
     p.set_defaults(func=_cmd_project)
@@ -308,7 +324,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        _check_flag_ranges(args)
+        _read_int_flags(args)
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -17,16 +17,17 @@ reversed knots, whose negative spacings the recursions accept, and copied
 back.
 
 Every recursion runs over a stack of ``M`` matrices at once, rows shaped
-``(M, k+1)`` and matrices ``(M, rows, k+1)``.  What depends on the knots
-alone -- the frlr system and its condition check -- is formed once per call;
-each matrix adds only its right-hand sides, and residuals come out as
-length-``M`` arrays.  The arithmetic over the stack is elementwise (Horner
-steps through :func:`splinet.core._taylor_rows` and broadcast products
-instead of BLAS calls), and the frlr system is one LAPACK solve per matrix,
-so a matrix's result does not depend on the others or on ``M``.  Segments
-are checked as :class:`~splinet.core.KnotSet` checks knots.  The public
-solvers and :func:`construct` run this core with ``M = 1``;
-:func:`splinet.random.rspline` runs it once over all its draws.
+``(M, k+1)`` and matrices ``(M, rows, k+1)``.  Every row comes from one
+forward sweep, :func:`_frlc` (Horner steps through
+:func:`splinet.core._taylor_rows`); the frlr system is read off that sweep,
+once per call with its condition check, and each matrix adds only its
+right-hand side, the sweep of its own first row.  Residuals come out as
+length-``M`` arrays.  The arithmetic over the stack is elementwise and the
+frlr system is one LAPACK solve per matrix, so a matrix's result does not
+depend on the others or on ``M``.  Segments are checked as
+:class:`~splinet.core.KnotSet` checks knots.  The public solvers and
+:func:`construct` run this core with ``M = 1``; :func:`splinet.random.rspline`
+runs it once over all its draws.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .core import (
     _taylor_col,
     _taylor_rows,
     as_one_sided,
-    taylor_step_matrix,
 )
 
 #: condition-number limit for the frlr core system
@@ -60,15 +60,6 @@ class SingularSystemError(ValueError):
 def _max_abs(x):
     """Largest magnitude along the last axis; 0 where that axis is empty."""
     return np.max(np.abs(x), axis=-1, initial=0.0)
-
-
-def _rows_dot(rows, mat):
-    """``rows @ mat`` as a sum of broadcast products, one term per row of
-    ``mat``, so a row's bits do not depend on how many rows are stacked."""
-    out = rows[:, :1] * mat[0]
-    for p in range(1, mat.shape[0]):
-        out = out + rows[:, p : p + 1] * mat[p]
-    return out
 
 
 def _frlc(first_row, kth_col, spacings, k):
@@ -127,37 +118,25 @@ def solve_frfc(first_row_partial, first_col, knots_segment):
     return _frfc(first_row_partial[None], first_col[None], np.diff(seg), k)[0]
 
 
-def _frlr_system(spacings, k):
-    """The frlr core matrices ``(C, D)`` of a segment (``m >= 1``): the
-    middle k-th entries ``x`` solve ``C' x = last[k-m:k] - first[k-m:] D``.
-    Raises :class:`SingularSystemError` when ``C`` is numerically singular."""
-    m = len(spacings) - 1
-    a_fulls = [taylor_step_matrix(s, k) for s in spacings]
-    ab = [a[k - m : k, k - m : k] for a in a_fulls]
-    c = [a[k, k - m : k] for a in a_fulls]
-    # suffix[r] = A^{(r)} A^{(r+1)} ... A^{(m+1)}  (steps are 1-based)
-    suffix = [np.eye(m) for _ in range(m + 3)]
-    for r in range(m + 1, 0, -1):
-        suffix[r] = ab[r - 1] @ suffix[r + 1]
-    cmat = np.vstack([c[r - 1] @ suffix[r + 1] for r in range(2, m + 2)])
-    dmat = a_fulls[0][k - m : k + 1, k - m : k] @ suffix[2]
-    if np.linalg.cond(cmat) > COND_LIMIT:
-        raise SingularSystemError("frlr system is numerically singular")
-    return cmat, dmat
-
-
 def _frlr(first_row, last_row, spacings, k):
     """Core first-row/last-row solve over stacked rows ``(M, k+1)``;
     spacings may be negative (mirrored).  Returns the ``(M, m+2, k+1)``
-    matrices and the per-matrix residuals."""
+    matrices and the per-matrix residuals.  Entries ``k-m .. k-1`` of the
+    swept last row are ``C' x`` plus their value at ``x = 0``, linear in the
+    middle k-th entries ``x``; column j of ``C'`` is the sweep of unit
+    ``x_j`` from a zero first row."""
     m = len(spacings) - 1
-    mid_kth = np.zeros((len(first_row), 0))
+    kth_col = np.zeros((len(first_row), m + 2))
+    kth_col[:, 0], kth_col[:, -1] = first_row[:, k], last_row[:, k]
     if m:
-        cmat, dmat = _frlr_system(spacings, k)
-        rhs = last_row[:, k - m : k] - _rows_dot(first_row[:, k - m :], dmat)
+        unit = np.zeros((m, m + 2))
+        unit[:, 1:-1] = np.eye(m)
+        cmat = _frlc(np.zeros((m, k + 1)), unit, spacings, k)[:, m + 1, k - m : k]
+        if np.linalg.cond(cmat) > COND_LIMIT:
+            raise SingularSystemError("frlr system is numerically singular")
+        rhs = last_row[:, k - m : k] - _frlc(first_row, kth_col, spacings, k)[:, m + 1, k - m : k]
         # one LAPACK gesv per matrix, each on its own copy of C'
-        mid_kth = np.linalg.solve(cmat.T, rhs[:, :, None])[:, :, 0]
-    kth_col = np.column_stack([first_row[:, k], mid_kth, last_row[:, k]])
+        kth_col[:, 1:-1] = np.linalg.solve(cmat.T, rhs[:, :, None])[:, :, 0]
     u = _frlc(first_row, kth_col, spacings, k)
     return u, _max_abs(u[:, m + 1, : k - m] - last_row[:, : k - m])
 
@@ -227,11 +206,9 @@ def _mirror(a):
 
 
 def _crlc(s, t, xi, c, n, k):
-    """CRLC from row ``c`` to knot ``n-k``: Taylor steps with the seed's k-th
+    """CRLC from row ``c`` to knot ``n-k``: one frlc over the seed's k-th
     column."""
-    s[:, c : n - k + 1, k] = t[:, c : n - k + 1, k]
-    for i in range(c, n - k):
-        s[:, i + 1, :k] = _taylor_rows(s[:, i], xi[i + 1] - xi[i])[:, :k]
+    s[:, c : n - k + 1] = _frlc(s[:, c], t[:, c : n - k + 1, k], np.diff(xi[c : n - k + 1]), k)
     return []
 
 

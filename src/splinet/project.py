@@ -18,7 +18,7 @@ import numpy as np
 
 from .bases import BASIS_TYPES, _check_spd, _cho_solve_banded, _cholesky_banded, splinet
 from .calculus import _gram, gramian, integra, lincomb
-from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, evaluate
+from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, as_one_sided, evaluate
 from .construct import refine
 
 
@@ -161,8 +161,12 @@ def fpca(pr):
                          "member), got an array of shape %s" % (d, coeff.shape))
     if not np.all(np.isfinite(coeff)):
         raise ValueError("fpca coefficients must be finite")
-    ident = gramian(basis)
-    if np.max(np.abs(ident - np.eye(d))) > 1e-6:
+    # the sparse Gram against the identity: stored entries off the diagonal
+    # must vanish, the diagonal (0 where not stored) must be 1
+    one = as_one_sided(basis)
+    g = _gram(one, one, True)
+    off = g.data[g.indices != g.rows()]
+    if np.max(np.abs(np.concatenate([g.diagonal() - 1.0, off])), initial=0.0) > 1e-6:
         raise ValueError("fpca needs an orthonormal basis; project with type='spnt'")
     m = coeff.shape[0]
     if m < 2:
@@ -225,12 +229,25 @@ def _read_numbers(path, csv):
     """
     fmt = dict(delimiter=",", comments=None, quotechar='"') if csv else dict(comments="#")
 
-    def rows(fh):  # (line, fields) of each line holding a row, as np.loadtxt splits it
-        for line, text in enumerate(fh, 1):
-            if csv and text != "\n":
-                yield line, np.loadtxt([text], dtype=object, ndmin=1, **fmt).tolist()
-            elif not csv and (fields := text.partition("#")[0].split()):
-                yield line, fields
+    def rows(fh):  # (first line, fields) of each row, as np.loadtxt splits it
+        start, text = 0, ""
+        for line, part in enumerate(fh, 1):
+            if not csv:
+                if fields := part.partition("#")[0].split():
+                    yield line, fields
+                continue
+            # a quoted field may span lines: a row ends where its quotes balance,
+            # or at the end of the file
+            start, text = start or line, text + part
+            if text.count('"') % 2 == 0:
+                if text != "\n":
+                    yield start, split(text)
+                start, text = 0, ""
+        if text:
+            yield start, split(text)
+
+    def split(text):
+        return np.loadtxt([text], dtype=object, ndmin=1, **fmt).tolist()
 
     with open(path, encoding="utf-8") as fh:
         head = list(itertools.islice(rows(fh), 2))
@@ -241,7 +258,7 @@ def _read_numbers(path, csv):
     if header and len(head) == 1:
         raise ValueError("%s holds no CSV rows below its header" % path)
     try:
-        return np.loadtxt(path, ndmin=2, skiprows=head[0][0] if header else 0,
+        return np.loadtxt(path, ndmin=2, skiprows=head[1][0] - 1 if header else 0,
                           encoding="utf-8", **fmt)
     except ValueError as exc:
         width = len(head[header][1])
@@ -254,7 +271,7 @@ def _read_numbers(path, csv):
                     if not _is_number(x):
                         raise ValueError("%s: field %d on line %d is not a number: %r"
                                          % (path, j, line, x)) from None
-        # only a quoted field that spans lines (rows are not lines) gets here
+        # no fault found where numpy found one: its own message
         raise ValueError("%s: %s" % (path, exc)) from None
 
 

@@ -15,7 +15,8 @@ archive and of two.  The exit status is 0 when every job exits 0, the
 ``eval`` CSV (100 draws on 148 points, several of the writer's chunks) has
 the bytes ``csv.writer`` gives the same values, ``basis --knots`` on a file
 with a bad line and ``project -i`` on a CSV with a bad field exit 1 naming
-the file and the line, and no ``scipy`` module is loaded: scipy is needed
+the file and the line, ``basis`` with ``1_0`` for ``--equid B`` or ``-k``
+exits 2 naming the flag, and no ``scipy`` module is loaded: scipy is needed
 only for the ``scipy.sparse`` objects the library returns or accepts on
 request, never on a CLI path.  Nor is ``numpy.ma``, which numpy loads on
 the first ``np.unique`` call.
@@ -103,12 +104,18 @@ def eval_matches_csv_module(d):
         return vals.size > 3 * _CSV_CHUNK_ROWS and fh.read() == ref.getvalue().encode("utf-8")
 
 
-def _exits_1_naming(argv, path, line):
-    """Whether ``argv`` exits 1 with a message naming ``path`` and ``line``."""
+def _exit_and_stderr(argv):
+    """``main(argv)``'s exit code and what it wrote to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv)
-    return code == 1 and "%s: " % path in err.getvalue() and "line %d" % line in err.getvalue()
+    return code, err.getvalue()
+
+
+def _exits_1_naming(argv, path, line):
+    """Whether ``argv`` exits 1 with a message naming ``path`` and ``line``."""
+    code, err = _exit_and_stderr(argv)
+    return code == 1 and "%s: " % path in err and "line %d" % line in err
 
 
 def bad_knots_named(d):
@@ -131,6 +138,19 @@ def bad_csv_named(d):
                             "-o", os.path.join(d, "bad_pd")], path, 3)
 
 
+def bad_flag_number(d):
+    """``basis`` with ``1_0``, which Python reads as 10 but numpy's parser
+    refuses in a file, for ``--equid B`` or for ``-k`` exits 2 with a usage
+    error naming the flag."""
+    out = os.path.join(d, "bad_flag")
+    for flags, flag in ((["--equid", "0", "1_0", "5", "-k", "3"], "--equid B"),
+                        (["--equid", "0", "1", "5", "-k", "1_0"], "-k")):
+        code, err = _exit_and_stderr(["basis", *flags, "-o", out])
+        if code != 2 or not err.startswith("usage error: %s must be" % flag):
+            return False
+    return True
+
+
 def unwanted_modules():
     """The ``scipy`` and ``numpy.ma`` modules loaded."""
     return sorted(m for m in sys.modules
@@ -146,6 +166,8 @@ def run(d):
         failed.append(["basis", "--knots", "(a bad knot file: no exit 1, file or line named)"])
     if not bad_csv_named(d):
         failed.append(["project", "-i", "(a bad data CSV: no exit 1, file or line named)"])
+    if not bad_flag_number(d):
+        failed.append(["basis", "--equid", "(1_0 as a flag value: no exit 2, flag named)"])
     for argv in failed:
         print("job failed: splinet %s" % " ".join(argv), file=sys.stderr)
     loaded = unwanted_modules()

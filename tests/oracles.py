@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own fast paths: inner
 products come from composite Gauss-Legendre quadrature on dense
 evaluations, or from the exact closed form summed pair by pair over shared
 knot intervals, and the first-row/last-row completion is re-solved as one
-dense linear system in the unknown entries.  Gram diagonalization runs on
+dense linear system in the unknown entries, and once more in exact rational
+arithmetic.  Gram diagonalization runs on
 dense ``H`` and ``P`` with whole-group row envelopes, and ``gsob`` through a
 dense Cholesky factor.  Archives are written through ``json``'s own encoder
 as the nested dict/list tree of the stored fields.  Validity and knot
@@ -18,7 +19,9 @@ one ``np.linalg.solve`` per frlr group.  Numeric CSVs are read through the
 """
 
 import csv
+import fractions
 import json
+import math
 
 import numpy as np
 import scipy.linalg
@@ -639,6 +642,49 @@ def _loop_frlr(first_row, last_row, spacings, k):
     if k - m > 0:
         residual = float(np.max(np.abs(u[m + 1, : k - m] - last_row[: k - m])))
     return u, residual
+
+
+def exact_frlr(first_row, last_row, spacings, k):
+    """The first-row/last-row completion in exact rational arithmetic.
+
+    The float inputs are read exactly as :class:`~fractions.Fraction`.  Every
+    entry of every row is carried as an affine function ``e[0] + e[1:] . x``
+    of the middle k-th entries ``x`` through Taylor steps summed term by
+    term; the equations ``row[m+1][c] = last_row[c]`` for ``c = k-m .. k-1``
+    are solved by Gaussian elimination.  Returns the matrix and the residual
+    (largest change of the unused last-row entries ``0 .. k-m-1``), both
+    rounded to float once at the end.
+    """
+    frac = fractions.Fraction
+    m = len(spacings) - 1
+    first = [frac(float(v)) for v in first_row]
+    last = [frac(float(v)) for v in last_row]
+    fact = [math.factorial(p) for p in range(k + 1)]
+
+    def const(v, j=0):
+        e = [frac(0)] * (m + 1)
+        e[j] = v
+        return e
+
+    rows = [[const(v) for v in first]]
+    for r, s in enumerate(spacings, start=1):
+        h, prev = frac(float(s)), rows[-1]
+        row = [[sum(prev[p][j] * h ** (p - c) / fact[p - c] for p in range(c, k + 1))
+                for j in range(m + 1)] for c in range(k)]
+        rows.append(row + [const(frac(1), r) if r <= m else const(last[k])])
+    # augmented system [A | b] in x, eliminated with the first nonzero pivot
+    aug = [rows[m + 1][c][1:] + [last[c] - rows[m + 1][c][0]] for c in range(k - m, k)]
+    for i in range(m):
+        piv = next(r for r in range(i, m) if aug[r][i] != 0)
+        aug[i], aug[piv] = aug[piv], aug[i]
+        for r in range(m):
+            if r != i and aug[r][i] != 0:
+                f = aug[r][i] / aug[i][i]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[i])]
+    x = [aug[i][m] / aug[i][i] for i in range(m)]
+    u = [[e[0] + sum(ej * xj for ej, xj in zip(e[1:], x)) for e in row] for row in rows]
+    residual = max((abs(u[m + 1][c] - last[c]) for c in range(k - m)), default=frac(0))
+    return np.array(u, dtype=float), float(residual)
 
 
 def _loop_backward_row(derivs_next, kth_on_interval, spacing, k):

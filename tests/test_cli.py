@@ -68,6 +68,24 @@ def test_knot_flags_usage_errors(tmp_path, capsys):
     (["basis", "--equid", "abc", "1", "7", "-k", "2"], "--equid A must be a number; got 'abc'"),
     (["basis", "--equid", "0", "one", "7", "-k", "2"], "--equid B must be a number; got 'one'"),
     (["project", "-i", "{mean}", "--equid", "0x1", "1", "5"], "--equid A must be a number"),
+    # flags take numbers as files do: numpy's parser reads no "_" and no
+    # non-ASCII digit, though Python's float and int read 1_0 as 10 and ３ as 3
+    (["basis", "--equid", "0", "1_0", "5", "-k", "1"], "--equid B must be a number; got '1_0'"),
+    (["basis", "--equid", "0", "\uff11", "5", "-k", "1"], "--equid B must be a number"),
+    (["basis", "--equid", "0", "1", "1_0", "-k", "1"],
+     "--equid N must be a non-negative integer; got '1_0'"),
+    (["basis", "--equid", "0", "1", "5", "-k", "1_0"], "-k must be an integer; got '1_0'"),
+    (["basis", "--equid", "0", "1", "5", "-k", "\uff13"], "-k must be an integer; got '\uff13'"),
+    (["basis", "--equid", "0", "1", "5", "-k", "3.0"], "-k must be an integer; got '3.0'"),
+    (["basis", "--equid", "0", "1", "5", "-k", "abc"], "-k must be an integer; got 'abc'"),
+    (["project", "-i", "{mean}", "--equid", "0", "1", "5", "-k", "1_0"], "-k must be an integer"),
+    (["eval", "-i", "{mean}", "-N", "1_0"], "-N must be an integer; got '1_0'"),
+    (["eval", "-i", "{mean}", "--deriv", "\uff11"], "--deriv must be an integer"),
+    (["random", "--mean", "{mean}", "-M", "1_0"], "-M must be an integer; got '1_0'"),
+    (["random", "--mean", "{mean}", "--seed", "1_0"], "--seed must be an integer; got '1_0'"),
+    (["random", "--mean", "{mean}", "--sigma", "1_0"],
+     "--sigma must be a number or a CSV file; got '1_0'"),
+    (["random", "--mean", "{mean}", "--theta", "\uff11"], "--theta must be a number or a CSV file"),
 ])
 def test_flag_values_are_usage_errors(tmp_path, capsys, argv, says):
     mp = str(tmp_path / "mean.json")
@@ -94,6 +112,18 @@ def test_equid_count_may_be_written_as_float(tmp_path):
     assert main(["basis", "--equid", "0", "1", "10.0", "-k", "2", "--type", "bs", "-o", out]) == 0
     bs, _ = sp.load_archive(out + ".bs.json")
     assert bs.knots.n == 10
+
+
+def test_int_flags_read_exactly(tmp_path, capsys):
+    # int reads the seed, not float: the largest 128-bit seed keeps its bits,
+    # and padding is stripped as in a file
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, oracles.random_valid_family(np.random.default_rng(3), 10, 2))
+    seed = str(2**128 - 1)
+    assert main(["random", "--mean", mp, "-M", " 2 ", "--seed", seed,
+                 "-o", str(tmp_path / "d.json")]) == 0
+    assert "(seed %s)" % seed in capsys.readouterr().err
+    assert len(sp.load_archive(str(tmp_path / "d.json"))[0]) == 2
 
 
 def test_nonfinite_knots_exit_1(tmp_path, capsys):
@@ -154,6 +184,10 @@ _CSV_FAULTS = [
     ("0,1\n0.5,1,2\n", "the row on line 3 has 3 fields, expected 2"),
     ("0,1\n# a note\n0.5,2\n", "the row on line 3 has 1 fields, expected 2"),
     ('0,1\n"0.5","x"\n', "field 2 on line 3 is not a number: 'x'"),
+    # a quoted field spanning lines 2-3 is one row: the fault is on line 4
+    ('"1\n",2\n3,x\n', "field 2 on line 4 is not a number: 'x'"),
+    # a quote left open runs to the end of the file, one field from line 3
+    ('0,1\n"0.5\n,2\n', "the row on line 3 has 1 fields, expected 2"),
 ]
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
-from splinet.construct import _construct_rows, _mirror
+from splinet.construct import _construct_rows, _frlr, _mirror
 from splinet.core import taylor_step_matrix
 
 import oracles
@@ -104,6 +104,31 @@ def test_frlr_matches_dense_oracle(k, m_off):
     dense = oracles.dense_frlr(first, last, seg)
     assert np.allclose(u[:-1], dense[:-1], atol=1e-8)
     assert res < 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+       st.booleans(), st.integers(0, 2**31 - 1))
+def test_frlr_matches_exact_oracle(km, mirrored, seed):
+    """solve_frlr and the batched _frlr against the completion in exact
+    rational arithmetic, matrices and residuals to 1e-12 of the largest
+    entry, on increasing segments and on their mirror images (negative
+    spacings, as the left halves of construct run)."""
+    k, m = km
+    rng = np.random.default_rng(seed)
+    seg = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.2, m + 1))])
+    seg *= 10.0 ** rng.uniform(-1, 1)
+    spacings = np.diff(seg[::-1] if mirrored else seg)
+    first, last = rng.standard_normal((2, 3, k + 1))
+    u, residual = _frlr(first, last, spacings, k)
+    for i in range(3):
+        ref, ref_residual = oracles.exact_frlr(first[i], last[i], spacings, k)
+        tol = 1e-12 * np.max(np.abs(ref))
+        assert np.all(np.abs(u[i] - ref) <= tol)
+        assert abs(residual[i] - ref_residual) <= tol
+        if not mirrored:
+            u1, r1 = sp.solve_frlr(first[i], last[i], seg)
+            assert np.all(np.abs(u1 - ref) <= tol) and abs(r1 - ref_residual) <= tol
 
 
 def test_frlr_equidistant_matches_general():

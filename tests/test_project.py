@@ -224,6 +224,43 @@ def test_fpca_requires_orthonormal_basis():
         sp.fpca(pr)
 
 
+@pytest.mark.parametrize("entry, value, ok", [
+    (None, None, True), ((0, 0), 1 + 1e-7, True), ((0, 0), 1 + 1e-5, False),
+    ((0, 1), 1e-5, False), ((0, 0), 0.0, False)])
+def test_fpca_orthonormality_rule(entry, value, ok):
+    # the Gram of A @ basis is A A^T: a diagonal off 1, an off-diagonal entry
+    # off 0 by more than 1e-6, or a zero member (a diagonal entry not stored)
+    # is refused
+    os_ = sp.splinet(sp.equidistant_knots(0.0, 1.0, 11), 3).os
+    a = np.eye(len(os_))
+    if entry is not None:
+        a[entry] = value
+    coeff = np.random.default_rng(0).standard_normal((4, len(os_)))
+    pr = sp.ProjectionResult(coeff, sp.lincomb(os_, a), None)
+    if ok:
+        sp.fpca(pr)
+    else:
+        with pytest.raises(ValueError, match="fpca needs an orthonormal basis"):
+            sp.fpca(pr)
+
+
+def test_fpca_orthonormality_check_builds_no_dense_gram():
+    # the check reads the sparse Gram: at d = 1533 a dense d x d Gram alone
+    # would be 18.8 MB, four times the bound
+    basis = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 1535), 3)
+    d = len(basis)
+    coeff = np.random.default_rng(5).standard_normal((2, d))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="fpca needs an orthonormal basis; project with "
+                                             "type='spnt'"):
+            sp.fpca(sp.ProjectionResult(coeff, basis, None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8 / 4, peak
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "wide", "narrow", "flat"])
 def test_fpca_rejects_bad_coefficients(bad):
     # checked before any arithmetic: no RuntimeWarning, no numpy error text
@@ -384,6 +421,8 @@ def test_csv_reader_matches_csv_module(tmp_path_factory, table_text):
     ("1_0,x\n1,2\n", (1, 2)),     # neither field is a number to numpy
     ("\n\nc1\n\n7\n", (1, 1)),
     ("# c1\n7\n", (1, 1)),       # no comments in a CSV: a header
+    ('"c\n1",c2\n1,2\n', (1, 2)),  # a header row spanning two lines
+    ('a,b\n"1\n",2\n3,4\n', (2, 2)),
 ])
 def test_csv_header_rule(tmp_path, text, shape):
     path = tmp_path / "t.csv"
