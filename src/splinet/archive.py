@@ -27,6 +27,7 @@ quarter or fewer are distinct) reuses the text of its first occurrence.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
 from itertools import chain, islice
@@ -156,8 +157,8 @@ def save_archive(path, fam, net=None):
     docstring, one member at a time from the stacked rows."""
     fam = as_symmetric(fam)
     comps = list(zip(fam.lo.tolist(), fam.hi.tolist()))
-    bounds = np.append(0, np.cumsum(fam.hi - fam.lo + 1)).tolist()  # component row offsets
-    blocks = _block_texts(fam.rows, bounds, _list(["%s"] * (fam.smorder + 1), 5))
+    blocks = _block_texts(fam.rows, np.append(fam.start, fam.rows.shape[0]).tolist(),
+                          _list(["%s"] * (fam.smorder + 1), 5))
     cut = fam.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "knots": %s,\n "order": %d,\n "type": %s,\n "epsilon": %s,\n "splines": '
@@ -177,6 +178,14 @@ def save_archive(path, fam, net=None):
 
 def load_archive(path):
     """Returns ``(family, net-or-None)``; the family is in the symmetric
-    convention as stored."""
-    with open(path, encoding="utf-8") as fh:
-        return family_from_dict(json.load(fh))
+    convention as stored.  The cyclic garbage collector is paused while the
+    archive is parsed and stacked (``json`` builds only acyclic lists, dicts
+    and floats) and left as the caller had it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return family_from_dict(json.load(fh))
+    finally:
+        if enabled:
+            gc.enable()

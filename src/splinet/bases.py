@@ -255,18 +255,15 @@ def _cholesky_banded(ab, shift=0.0):
 def _cho_solve_banded(factors, b):
     """Solve ``H x = b`` for ``b`` of d rows, given :func:`_cholesky_banded`'s
     factors of H: forward through the blocks, then back."""
-    y = np.array(b, dtype=float)
-    bounds, e = [], 0
+    y, e = np.array(b, dtype=float), 0
     for low, lead in factors:
         s, e = e, e + low.shape[0] - lead
         y[s:e] = np.linalg.solve(low[lead:, lead:], y[s:e] - low[lead:, :lead] @ y[s - lead : s])
-        bounds.append((s, e))
-    for j in range(len(factors) - 1, -1, -1):
-        (low, lead), (s, e) = factors[j], bounds[j]
-        if j + 1 < len(factors):
-            after, a_lead = factors[j + 1]
-            y[e - a_lead : e] -= after[a_lead:, :a_lead].T @ y[e : bounds[j + 1][1]]
+    for low, lead in reversed(factors):
+        s = e - low.shape[0] + lead
         y[s:e] = np.linalg.solve(low[lead:, lead:].T, y[s:e])
+        y[s - lead : s] -= low[lead:, :lead].T @ y[s:e]
+        e = s
     return y
 
 

@@ -140,7 +140,7 @@ def _interval_rows(fam1):
     stacked order: the member, interval (knot index) and Taylor row of each."""
     n_iv = fam1.hi - fam1.lo
     t = _ranges(fam1.lo, n_iv)
-    at = t + np.repeat(np.cumsum(n_iv + 1) - (n_iv + 1) - fam1.lo, n_iv)
+    at = t + np.repeat(fam1.start - fam1.lo, n_iv)
     return np.repeat(fam1.member, n_iv), t, fam1.rows[at]
 
 
@@ -204,7 +204,9 @@ def lincomb(fam, coeffs, type=None):
     comp = _ranges(fam1.offsets[col], n_comp)
     row, val = np.repeat(row, n_comp), np.repeat(val, n_comp)
     del col, n_comp
-    lo, hi = fam1.lo[comp], fam1.hi[comp]
+    # each piece's component bounds and first row in the family's stacked rows
+    lo, hi, src = fam1.lo[comp], fam1.hi[comp], fam1.start[comp]
+    del comp
     # the union of each output row's pieces, merged in (row, lo) order
     span = len(fam1.knots) + 1
     order = np.argsort(row * span + lo, kind="stable")
@@ -214,13 +216,11 @@ def lincomb(fam, coeffs, type=None):
     del head, order
     out_size = out_hi - out_lo + 1
     # each piece's first output row (that of knot t in output component c is
-    # shift[c] + t) and first row in the family's stacked rows
+    # shift[c] + t)
     shift = np.cumsum(out_size) - out_size - out_lo
     size = hi - lo + 1
     dst = shift[piece_out] + lo
     del piece_out, lo, hi, shift
-    src = (np.cumsum(fam1.hi - fam1.lo + 1) - (fam1.hi - fam1.lo + 1))[comp]
-    del comp
     rows = np.zeros((int(np.sum(out_size)), k + 1))
     columns = fam1.rows.T.copy()
     for s, e in _chunks(row, size, _PRODUCT_CHUNK):
@@ -244,7 +244,7 @@ def deriva(fam):
     if k < 1:
         raise ValueError("cannot differentiate an order-0 family")
     rows = fam1.rows[:, 1:].copy()
-    rows[np.cumsum(fam1.hi - fam1.lo + 1) - 1, k - 1] = 0.0
+    rows[fam1.start + fam1.hi - fam1.lo, k - 1] = 0.0
     return _family(fam1.knots, k - 1, rows, fam1.lo, fam1.hi, fam1.offsets, ONE_SIDED, "sp",
                    fam1.epsilon)
 
@@ -261,7 +261,7 @@ def integra(fam):
     k = fam1.smorder
     lo, hi, member, rows = fam1.lo, fam1.hi, fam1.member, fam1.rows
     size = hi - lo + 1
-    end = np.cumsum(size) - 1
+    end = fam1.start + size - 1
     w = _interval_weights(fam1.knots.xi, k)
     tols = fam1.epsilon * _integrals(fam1, absolute=True)
     # each row's integral over the interval it starts, summed in column
@@ -273,7 +273,7 @@ def integra(fam):
     inc[end] = 0.0
     # the running integral at every row: a sum over the member's rows before
     # it, taken in order, one row position at a time across all members
-    bounds = np.append(0, np.cumsum(size))[fam1.offsets]
+    bounds = np.append(fam1.start, rows.shape[0])[fam1.offsets]
     length = np.diff(bounds)
     by_len = np.argsort(-length, kind="stable")
     starts, desc = bounds[:-1][by_len], length[by_len]

@@ -348,13 +348,11 @@ def refine(fam, new_knots):
     j = _ranges(nlo, nsize)
     pos = np.clip(np.searchsorted(old, new[j], side="right") - 1, lo[comp], hi[comp] - 1)
     dt = new[j] - old[pos]
-    end = np.cumsum(hi - lo + 1) - 1
-    # the stacked row of old knot pos is end - hi + pos in its component
-    out = rows[(end - hi)[comp] + pos]
+    out = rows[(fam1.start - lo)[comp] + pos]
     # a zero step copies the row: a product would turn inf * 0 into nan
     step = dt != 0.0
     out[step] = _taylor_rows(out[step], dt[step])
     nend = np.cumsum(nsize) - 1
-    out[nend] = rows[end]
+    out[nend] = rows[fam1.start + hi - lo]
     out[nend, k] = 0.0
     return _family(new_knots, k, out, nlo, nhi, fam1.offsets, ONE_SIDED, fam.type, fam.epsilon)

@@ -16,6 +16,8 @@ A :class:`SplineFamily` stores these Taylor rows once, stacked: ``rows``
 (R x (k+1)) holds the block of every support component ``(lo[c], hi[c])``,
 one row per knot, one after another; components are listed member by member
 in support order, and member ``i`` owns components ``offsets[i]:offsets[i+1]``.
+``member[c]``, the owner of component ``c``, and ``start[c]``, the stacked row
+of its first knot, are derived once, when the family is built.
 One ``convention`` holds for the whole family: one-sided in memory, symmetric
 in archives (:mod:`splinet.archive`).  Every operation reads and builds these
 arrays; ``members`` gives ``(SupportSet, DerivativeMatrix)`` pairs back as
@@ -209,6 +211,8 @@ class SplineFamily:
     lo: np.ndarray
     hi: np.ndarray
     offsets: np.ndarray
+    member: np.ndarray
+    start: np.ndarray
     convention: str
     type: str
     epsilon: float
@@ -260,28 +264,26 @@ class SplineFamily:
         if bad.size:
             raise ValueError("support component (%d, %d) outside knot range"
                              % (lo[bad[0]], hi[bad[0]]))
-        if rows.shape != (int(np.sum(hi - lo + 1)), k + 1):
+        size = hi - lo + 1
+        if rows.shape != (int(np.sum(size)), k + 1):
             raise ValueError("stacked rows %s do not match the support at order %d"
                              % (rows.shape, k))
-        for a in (rows, lo, hi, offsets):
+        start = np.cumsum(size) - size
+        for a in (rows, lo, hi, offsets, member, start):
             a.flags.writeable = False
         vars(self).update(knots=knots, smorder=k, rows=rows, lo=lo, hi=hi, offsets=offsets,
-                          convention=convention, type=type, epsilon=epsilon)
+                          member=member, start=start, convention=convention, type=type,
+                          epsilon=epsilon)
 
     def __len__(self):
         return self.offsets.size - 1
-
-    @property
-    def member(self):
-        """The member owning each support component."""
-        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
     @cached_property
     def members(self):
         """``(SupportSet, DerivativeMatrix)`` per member, built on first use;
         the blocks are read-only views of :attr:`rows`."""
         comps = list(zip(self.lo.tolist(), self.hi.tolist()))
-        blocks = np.split(self.rows, np.cumsum(self.hi - self.lo + 1)[:-1]) if comps else []
+        blocks = np.split(self.rows, self.start[1:])
         cut = self.offsets.tolist()
         return tuple((SupportSet(tuple(comps[a:b])),
                       DerivativeMatrix(tuple(blocks[a:b]), self.convention))
@@ -474,8 +476,7 @@ def is_valid_spline(fam):
     d = len(fam)
     rows = fam.rows
     size = fam.hi - fam.lo + 1
-    end = np.cumsum(size) - 1
-    start = end - size + 1
+    end = fam.start + size - 1
     knot = _ranges(fam.lo, size)
     row_member = np.repeat(fam.member, size)
     sym = fam.convention == SYMMETRIC
@@ -485,7 +486,7 @@ def is_valid_spline(fam):
     with np.errstate(invalid="ignore", over="ignore"):
         viol[end] = np.max(np.abs(one[end]), axis=1)
         if k > 0:
-            viol[start] = np.max(np.abs(one[start, :k]), axis=1)
+            viol[fam.start] = np.max(np.abs(one[fam.start, :k]), axis=1)
             t = np.delete(np.arange(rows.shape[0]), end)
             pred = _taylor_rows(one[t], np.diff(fam.knots.xi)[knot[t]])
             viol[t + 1] = np.maximum(viol[t + 1],
@@ -494,7 +495,7 @@ def is_valid_spline(fam):
                 # middle knot: rows l and l+1 (even m) or row l+1 (odd m)
                 m = size - 2
                 odd = m % 2 == 1
-                mid = start + m // 2
+                mid = fam.start + m // 2
                 gap = np.abs(np.where(odd, 0.0, rows[mid, k]) - rows[mid + 1, k])
                 viol[mid + odd] = np.maximum(viol[mid + odd], gap)
         worst_of = np.zeros(d)
@@ -546,9 +547,7 @@ def evaluate(fam, grid, deriv=0):
     # lo..hi-1, so a point at xi[hi] belongs to the next interval (value 0)
     first = np.searchsorted(iv, fam.lo)
     count = np.searchsorted(iv, fam.hi) - first
-    size = fam.hi - fam.lo + 1
-    row0 = np.cumsum(size) - size - fam.lo  # stacked row of knot j: row0 + j
-    member = fam.member
+    row0 = fam.start - fam.lo  # stacked row of knot j: row0 + j
     # (point, component) pairs in chunks of about _EVAL_CHUNK
     cuts = np.flatnonzero(np.diff(np.cumsum(count) // _EVAL_CHUNK)) + 1
     for comps in np.split(np.arange(count.size), cuts):
@@ -556,7 +555,7 @@ def evaluate(fam, grid, deriv=0):
         p = _ranges(first[comps], count[comps])
         j = iv[p]
         # the deriv-th derivative is column deriv of the Taylor step
-        out[order[p], member[c]] = _taylor_col(fam.rows[row0[c] + j], t[p] - xi[j], deriv)
+        out[order[p], fam.member[c]] = _taylor_col(fam.rows[row0[c] + j], t[p] - xi[j], deriv)
     return out
 
 
@@ -592,8 +591,7 @@ def subsample(fam, indices):
     idx = np.arange(len(fam))[np.asarray(indices, dtype=np.int64).reshape(-1)]
     count = np.diff(fam.offsets)[idx]
     comp = _ranges(fam.offsets[idx], count)
-    size = fam.hi - fam.lo + 1
-    rows = fam.rows[_ranges((np.cumsum(size) - size)[comp], size[comp])]
+    rows = fam.rows[_ranges(fam.start[comp], (fam.hi - fam.lo + 1)[comp])]
     return _family(fam.knots, fam.smorder, rows, fam.lo[comp], fam.hi[comp],
                    np.concatenate([[0], np.cumsum(count)]), fam.convention, fam.type,
                    fam.epsilon)
@@ -615,16 +613,15 @@ def exsupp(fam):
     """
     fam1 = as_one_sided(fam)
     k = fam1.smorder
-    member, hi, rows = fam1.member, fam1.hi, fam1.rows
-    size = hi - fam1.lo + 1
-    end = np.cumsum(size) - 1
+    member, lo, hi, rows = fam1.member, fam1.lo, fam1.hi, fam1.rows
+    end = fam1.start + hi - lo
     row_max = np.max(np.abs(rows), axis=1)
-    alive = (row_max > np.repeat(_tolerances(fam1)[member], size)) | ~np.isfinite(row_max)
+    alive = (row_max > np.repeat(_tolerances(fam1)[member], hi - lo + 1)) | ~np.isfinite(row_max)
     alive[end] = False  # a component's last row starts no interval
     live = np.flatnonzero(alive)
     comp = np.searchsorted(end, live)
     owner = member[comp]
-    t = live - (end - hi)[comp]  # the knot index each live row starts at
+    t = live - (fam1.start - lo)[comp]  # the knot index each live row starts at
     head, new_member, new_lo, new_hi = _merge_runs(owner, t, t + 1, len(fam1.knots) + 1)
     new_size = new_hi - new_lo + 1
     out = rows[_ranges(live[head], new_size)]

@@ -31,6 +31,16 @@ def test_basis_and_check(tmp_path, capsys):
     assert "valid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind, has_net", [("spnt", True), ("gsob", False), ("twob", False)])
+def test_basis_writes_net_for_dyadic_bases_only(tmp_path, kind, has_net):
+    """The net describes the dyadic bases; gsob and twob archives hold none."""
+    out = str(tmp_path / kind)
+    assert main(["basis", "--equid", "0", "1", "11", "-k", "3", "--type", kind, "-o", out]) == 0
+    _, net = sp.load_archive(out + ".os.json")
+    assert (net is not None) == has_net
+    assert has_net == ('"net"' in open(out + ".os.json").read())
+
+
 def test_basis_knots_file(tmp_path):
     kf = tmp_path / "knots.txt"
     kf.write_text("\n".join(str(x) for x in np.linspace(0, 2, 9)))

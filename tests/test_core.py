@@ -1,3 +1,5 @@
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -618,6 +620,44 @@ def test_evaluate_matches_loop_oracle(k, spline_rows, symmetric, chunk, seed):
         for deriv in range(k + 1):
             got = sp.evaluate(fam, grid, deriv)
             assert got.tobytes() == oracles.loop_evaluate(fam, grid, deriv).tobytes()
+
+
+def _layout_by_loop(fam):
+    """Owner and first stacked row of every component, member by member."""
+    member, start, row = [], [], 0
+    for i, (supp, _) in enumerate(fam.members):
+        for lo, hi in supp:
+            member.append(i)
+            start.append(row)
+            row += hi - lo + 1
+    return member, start
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.booleans(), st.integers(0, 2**31 - 1))
+def test_layout_arrays_match_loop(k, spline_rows, seed):
+    """Every family's ``member`` and ``start``, derived once when it is
+    built, equal a loop over its members and are read-only int64: random
+    families and the result of every operation that builds a layout."""
+    rng = np.random.default_rng(seed)
+    fam = (oracles.lincomb_family if spline_rows else oracles.random_rows_family)(rng, k)
+    xi = fam.knots.xi
+    finer = sp.KnotSet(np.sort(np.concatenate([xi, (xi[:-1] + xi[1:]) / 2])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fam.json")
+        sp.save_archive(path, fam)
+        loaded, _ = sp.load_archive(path)
+    results = [fam, loaded, sp.sym2one(loaded), sp.lincomb(fam, rng.standard_normal((3, len(fam)))),
+               sp.exsupp(fam), sp.integra(fam), sp.refine(fam, finer),
+               sp.subsample(fam, [len(fam) - 1, 0, 2, 0]), sp.gather(fam, loaded)]
+    if k:
+        results.append(sp.deriva(fam))
+    for f in results:
+        member, start = _layout_by_loop(f)
+        for got, want in ((f.member, member), (f.start, start)):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == want
+    assert not hasattr(type(fam), "member")
 
 
 def test_family_rejects_mixed_conventions():
