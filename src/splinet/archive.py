@@ -27,7 +27,6 @@ quarter or fewer are distinct) reuses the text of its first occurrence.
 
 from __future__ import annotations
 
-import gc
 import json
 from collections import Counter
 from itertools import chain, islice
@@ -178,14 +177,6 @@ def save_archive(path, fam, net=None):
 
 def load_archive(path):
     """Returns ``(family, net-or-None)``; the family is in the symmetric
-    convention as stored.  The cyclic garbage collector is paused while the
-    archive is parsed and stacked (``json`` builds only acyclic lists, dicts
-    and floats) and left as the caller had it."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return family_from_dict(json.load(fh))
-    finally:
-        if enabled:
-            gc.enable()
+    convention as stored."""
+    with open(path, encoding="utf-8") as fh:
+        return family_from_dict(json.load(fh))

@@ -107,9 +107,8 @@ def _cmd_basis(args):
     res = splinet(knots, args.order, type=args.type, normalize=args.normalize)
     save_archive(args.out + ".bs.json", res.bs)
     if res.os is not None:
-        # the net describes dyadic bases only; gsob and twob use none
-        dyadic = res.os.type in ("spnt", "dspnt")
-        save_archive(args.out + ".os.json", res.os, res.net if dyadic else None)
+        save_archive(args.out + ".os.json", res.os,
+                     res.net if args.type in ("spnt", "dspnt") else None)
         print("wrote %s.bs.json and %s.os.json (%d members, type %s)"
               % (args.out, args.out, len(res.os), res.os.type))
     else:

@@ -367,26 +367,26 @@ def _taylor_rows(rows, dt):
 # convention conversion
 
 
-def _sym2one_rows(rows, size, k):
-    """Stacked symmetric blocks of ``size`` rows each, made one-sided in
+def _sym2one_rows(rows, fam):
+    """``fam``'s stacked symmetric blocks in ``rows``, made one-sided in
     place; returns ``rows``.
 
     Rows ``l+1 .. m`` of a block take the k-th entry of the row below (the
     bottom half stores left-hand limits) and the last row's k-th entry is 0;
     for ``k = 0`` only the last row changes.
     """
-    end = np.cumsum(size) - 1
+    k = fam.smorder
+    m = fam.hi - fam.lo - 1
     if k > 0:
-        m = size - 2
         l = m // 2
-        shift = _ranges(end - m + l, m - l)
+        shift = _ranges(fam.start + l + 1, m - l)
         rows[shift, k] = rows[shift + 1, k]
-    rows[end, k] = 0.0
+    rows[fam.start + m + 1, k] = 0.0
     return rows
 
 
-def _one2sym_rows(rows, size, k):
-    """Stacked one-sided blocks of ``size`` rows each, made symmetric in
+def _one2sym_rows(rows, fam):
+    """``fam``'s stacked one-sided blocks in ``rows``, made symmetric in
     place; returns ``rows``.  The inverse of :func:`_sym2one_rows`.
 
     Rows ``l+2 .. m+1`` of a block take the k-th entry of the row above (the
@@ -395,16 +395,16 @@ def _one2sym_rows(rows, size, k):
     only the last row changes: it records the last interval value, the left
     limit there.
     """
-    end = np.cumsum(size) - 1
+    k = fam.smorder
+    m = fam.hi - fam.lo - 1
     if k == 0:
+        end = fam.start + m + 1
         rows[end, 0] = rows[end - 1, 0]
         return rows
-    m = size - 2
-    l = m // 2
+    mid = fam.start + m // 2 + 1
     # the shift reads row l+1 before the middle entry overwrites it
-    shift = _ranges(end - m + l + 1, m - l)
+    shift = _ranges(mid + 1, m - m // 2)
     rows[shift, k] = rows[shift - 1, k]
-    mid = end - m + l
     rows[mid, k] = np.where(m % 2 == 0, rows[mid - 1, k], 0.0)
     return rows
 
@@ -419,7 +419,7 @@ def sym2one(fam, inverse=False):
     if fam.convention != src:
         raise ValueError("expected %r convention, found %r" % (src, fam.convention))
     convert = _one2sym_rows if inverse else _sym2one_rows
-    rows = convert(fam.rows.copy(), fam.hi - fam.lo + 1, fam.smorder)
+    rows = convert(fam.rows.copy(), fam)
     return _family(fam.knots, fam.smorder, rows, fam.lo, fam.hi, fam.offsets,
                    SYMMETRIC if inverse else ONE_SIDED, fam.type, fam.epsilon)
 
@@ -480,7 +480,7 @@ def is_valid_spline(fam):
     knot = _ranges(fam.lo, size)
     row_member = np.repeat(fam.member, size)
     sym = fam.convention == SYMMETRIC
-    one = _sym2one_rows(rows.copy(), size, k) if sym else rows
+    one = _sym2one_rows(rows.copy(), fam) if sym else rows
     viol = np.zeros(rows.shape[0])
     # non-finite members are reported from their first non-finite row below
     with np.errstate(invalid="ignore", over="ignore"):

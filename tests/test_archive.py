@@ -1,5 +1,4 @@
 import csv
-import gc
 import io
 import json
 import tracemalloc
@@ -119,27 +118,6 @@ def test_malformed_integer_fields(tmp_path, field, value, message):
         obj[field] = value
     with pytest.raises(ValueError, match="malformed archive: " + message):
         family_from_dict(obj)
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_load_leaves_collector_as_caller_had_it(tmp_path, enabled):
-    """load_archive pauses the cyclic collector while it parses; the
-    caller's state comes back after a load and after a malformed archive
-    raises."""
-    fam = oracles.random_valid_family(np.random.default_rng(3), 8, 2)
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    sp.save_archive(good, fam)
-    bad.write_text(good.read_text().replace('"order": 2', '"order": 2.5'))
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        sp.load_archive(good)
-        assert gc.isenabled() == enabled
-        with pytest.raises(ValueError, match="malformed archive"):
-            sp.load_archive(bad)
-        assert gc.isenabled() == enabled
-    finally:
-        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("field, value, message", [

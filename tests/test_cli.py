@@ -31,7 +31,8 @@ def test_basis_and_check(tmp_path, capsys):
     assert "valid" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("kind, has_net", [("spnt", True), ("gsob", False), ("twob", False)])
+@pytest.mark.parametrize("kind, has_net", [("spnt", True), ("dspnt", True), ("gsob", False),
+                                           ("twob", False)])
 def test_basis_writes_net_for_dyadic_bases_only(tmp_path, kind, has_net):
     """The net describes the dyadic bases; gsob and twob archives hold none."""
     out = str(tmp_path / kind)
