@@ -39,33 +39,35 @@ from .core import DEFAULT_EPSILON, SYMMETRIC, KnotSet, _family, as_symmetric
 
 def _integer(value, field):
     """``value`` as an int; ``3.0`` counts as 3, a non-integral value or a
-    non-number is a malformed archive."""
+    non-number is an error."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError("malformed archive: %s entry %r is not an integer" % (field, value))
+    raise ValueError("%s entry %r is not an integer" % (field, value))
 
 
 def _reals(values, field):
     """The list ``values`` as a float array; a JSON string, boolean or null in
-    it is a malformed archive (numpy would read ``"0.25"`` as 0.25, ``true`` as
+    it is an error (numpy would read ``"0.25"`` as 0.25, ``true`` as
     1.0 and ``null`` as NaN).  The check is one pass in C that collects the
     values' types; only the few distinct types are looked at in Python."""
     bad = {t for t in set(map(type, values))
            if not issubclass(t, (int, float)) or issubclass(t, bool)}
     if bad:
         value = next(v for v in values if type(v) in bad)
-        raise ValueError("malformed archive: %s entry %r is not a number" % (field, value))
+        raise ValueError("%s entry %r is not a number" % (field, value))
     return np.array(values, dtype=float)
 
 
 def family_from_dict(obj):
-    """Family and net from a parsed archive; a wrong structure or field type
-    raises ``ValueError("malformed archive: ...")``, as do a non-integral
-    ``order`` or ``supp`` entry, a ``knots``, ``epsilon`` or ``der`` entry that
-    is not a JSON number, and a ``net`` index outside ``0..d-1`` or repeated
-    across the net."""
+    """Family and net from a parsed archive.  Every fault raises
+    ``ValueError("malformed archive: ...")``: a wrong structure or field type,
+    a non-integral ``order`` or ``supp`` entry, a ``knots``, ``epsilon`` or
+    ``der`` entry that is not a JSON number, a ``net`` index outside
+    ``0..d-1`` or repeated across the net, and whatever the knot and layout
+    checks refuse (knots not increasing, a support or block shape that does
+    not fit, an unknown ``type``)."""
     try:
         knots = KnotSet(_reals(obj["knots"], "knots"))
         k = _integer(obj["order"], "order")
@@ -91,16 +93,16 @@ def family_from_dict(obj):
             d = len(fam)
             indices = [i for lv in levels for t in lv for i in t]
             if any(not 0 <= i < d for i in indices):
-                raise ValueError("malformed archive: net index outside 0..%d" % (d - 1))
+                raise ValueError("net index outside 0..%d" % (d - 1))
             if len(set(indices)) != len(indices):
-                raise ValueError("malformed archive: net index repeated")
+                raise ValueError("net index repeated")
             # a complete net must also cover every member
             complete = _net_complete(levels, k) and len(indices) == d
             net = DyadicNet(levels, complete, k)
         return fam, net
     except KeyError as exc:
         raise ValueError("malformed archive: missing field %s" % exc) from exc
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, ValueError) as exc:
         raise ValueError("malformed archive: %s" % exc) from exc
 
 

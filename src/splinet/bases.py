@@ -65,7 +65,9 @@ BASIS_TYPES = ("spnt", "dspnt", "gsob", "twob", "bs")
 
 
 def bspline_basis(knots, k, normalize=False):
-    """The n-k+1 B-splines of order k as a family of type ``bs``."""
+    """The n-k+1 B-splines of order k as a family of type ``bs``.  Raises
+    ``ValueError`` when a derivative value overflows, as it does once the
+    smallest knot spacing h is so small that 1/h**k is not a float."""
     if not isinstance(knots, KnotSet):
         knots = KnotSet(knots)
     n = knots.n
@@ -73,18 +75,23 @@ def bspline_basis(knots, k, normalize=False):
         raise ValueError("need at least k internal knots for order-k B-splines")
     xi = knots.xi
 
-    # one step raises the order of every member at once
+    # one step raises the order of every member at once; an overflow is
+    # caught below, once, rather than warned about at each step
     blk = np.zeros((n + 1, 2, 1))
     blk[:, 0] = 1.0
-    for q in range(1, k + 1):
-        seg = np.lib.stride_tricks.sliding_window_view(xi, q + 2)[: blk.shape[0] - 1]
-        blk = _raise_order(blk[:-1], blk[1:], seg, q)
+    with np.errstate(all="ignore"):
+        for q in range(1, k + 1):
+            seg = np.lib.stride_tricks.sliding_window_view(xi, q + 2)[: blk.shape[0] - 1]
+            blk = _raise_order(blk[:-1], blk[1:], seg, q)
     rows = blk.reshape(-1, k + 1)
 
     # member l lives on knots l..l+k+1: zero boundary values and last row
     lo = np.arange(n - k + 1)
     rows[lo * (k + 2), :k] = 0.0
     rows[lo * (k + 2) + k + 1] = 0.0
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("order-%d B-spline derivatives overflow: the smallest knot spacing, "
+                         "%r, is too small" % (k, float(np.min(np.diff(xi)))))
     fam = _family(knots, k, rows, lo, lo + k + 1, np.arange(n - k + 2), ONE_SIDED, "bs")
     if normalize:
         d = len(fam)
@@ -206,6 +213,10 @@ _CHOLESKY_BLOCK = 64
 #: factor, tau this fraction of H's trace
 SPD_SHIFT = 1e-12
 
+#: a Gram matrix is symmetric when H - H' is within this fraction of its
+#: largest entry (at least 1)
+GRAM_SYMMETRY_TOL = 1e-10
+
 
 def _band_block(ab, s, e):
     """``H[s:e, s:e]`` as a dense array, from H's lower band ``ab``."""
@@ -297,7 +308,7 @@ def _check_spd(h):
     asym = ab - up
     if np.any(asym):
         scale = max(1.0, float(np.abs(h.data).max()))
-        if float(np.abs(asym).max()) > 1e-10 * scale:
+        if float(np.abs(asym).max()) > GRAM_SYMMETRY_TOL * scale:
             raise ValueError("gram matrix must be symmetric")
         ab -= 0.5 * asym
     _cholesky_banded(ab, SPD_SHIFT * ab[0].sum())

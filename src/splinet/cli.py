@@ -259,8 +259,18 @@ def _add_knot_flags(p):
     p.add_argument("--knots", help="file with explicit knot values")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every token :func:`_is_number` reads as
+    a value, never as an option: argparse alone takes ``-1000`` and ``-1.5``
+    but not ``-1e3``, ``-.5e1`` or ``-inf``.  Subparsers are of this class
+    too."""
+
+    def _parse_optional(self, arg_string):
+        return None if _is_number(arg_string) else super()._parse_optional(arg_string)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="splinet",
         description="Spline bases, orthonormalization, projection and FPCA.")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -140,19 +140,44 @@ def project_data(data, knots, k, type="spnt"):
 # functional PCA
 
 
+#: largest entry of |G - I|, G the sparse Gram of the basis, for which
+#: :func:`fpca` takes the basis as orthonormal
+ORTHONORMAL_TOL = 1e-6
+
+#: eigenvalues below this fraction of the coefficients' mean square (at
+#: least 1) are rounding noise, as from centering identical samples, and
+#: count as zero
+EIGEN_NOISE_FLOOR = 1e-20
+
+#: a component is retained when its eigenvalue exceeds this fraction of the
+#: largest
+RETAIN_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class FpcaResult:
-    mean_coeff: np.ndarray
-    eigenvalues: np.ndarray
-    eigenfunctions: SplineFamily
-    scores: np.ndarray
+    """FPCA of m coefficient rows over a basis of d members, of which the
+    ``n_retained`` leading components carry variance."""
+
+    mean_coeff: np.ndarray  # (d,) mean coefficient row
+    eigenvalues: np.ndarray  # (d,) descending; zero past the rank of the data
+    eigenfunctions: SplineFamily  # one member per retained component
+    scores: np.ndarray  # (m, n_retained), standardized
     basis: SplineFamily
-    eigenvectors: np.ndarray  # columns, one per retained component
+    eigenvectors: np.ndarray  # (d, n_retained): columns, one per retained component
     n_retained: int
 
 
 def fpca(pr):
-    """Principal component analysis of a projection's coefficient rows."""
+    """Principal component analysis of a projection's coefficient rows.
+
+    The eigenpairs of the coefficient covariance come from the thin SVD of
+    the m x d centered rows (Ramsay & Silverman, *Functional Data Analysis*,
+    2005, ch. 8): eigenvalues s**2 / (m - 1), padded with zeros to d, and
+    eigenvectors the rows of V'.  So no d x d array is formed, and only the
+    retained components get eigenvectors, scores and eigenfunctions.  Each
+    eigenvector's largest-magnitude coefficient is positive.
+    """
     basis = pr.basis
     d = len(basis)
     coeff = np.asarray(pr.coeff, dtype=float)
@@ -166,31 +191,23 @@ def fpca(pr):
     one = as_one_sided(basis)
     g = _gram(one, one, True)
     off = g.data[g.indices != g.rows()]
-    if np.max(np.abs(np.concatenate([g.diagonal() - 1.0, off])), initial=0.0) > 1e-6:
+    if np.max(np.abs(np.concatenate([g.diagonal() - 1.0, off])), initial=0.0) > ORTHONORMAL_TOL:
         raise ValueError("fpca needs an orthonormal basis; project with type='spnt'")
     m = coeff.shape[0]
     if m < 2:
         raise ValueError("fpca needs at least two samples")
     mean = coeff.mean(axis=0)
     centered = coeff - mean
-    cov = centered.T @ centered / (m - 1)
-    w, v = np.linalg.eigh(cov)
-    w, v = w[::-1], v[:, ::-1]  # descending
-    lam1 = w[0] if w.size else 0.0
-    if w.size and w[-1] < -1e-10 * max(lam1, 1.0):
-        raise ValueError("coefficient covariance is indefinite")
-    w = np.clip(w, 0.0, None)
-    # rounding noise from centering identical samples counts as zero
-    w[w < 1e-20 * max(1.0, float(np.mean(coeff ** 2)))] = 0.0
-    lam1 = w[0] if w.size else 0.0
-    # reproducible sign: largest-magnitude coefficient positive
-    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    w = np.zeros(d)
+    w[: s.size] = s * s / (m - 1)
+    w[w < EIGEN_NOISE_FLOOR * max(1.0, float(np.mean(coeff ** 2)))] = 0.0
+    retained = int(np.sum(w > RETAIN_TOL * w.max(initial=0.0)))
+    v = vt[:retained].T
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(retained)]
     v = np.where(lead < 0, -v, v)
-    retained = int(np.sum(w > 1e-10 * lam1)) if lam1 > 0 else 0
-    scores = centered @ v[:, :retained]
-    scores = scores / np.sqrt(w[:retained])
-    eigenfun = lincomb(basis, v.T)
-    return FpcaResult(mean, w, eigenfun, scores, basis, v, retained)
+    scores = centered @ v / np.sqrt(w[:retained])
+    return FpcaResult(mean, w, lincomb(basis, v.T), scores, basis, v, retained)
 
 
 def kl_reconstruct(fp, coeff_row, m_components):

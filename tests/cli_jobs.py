@@ -10,10 +10,12 @@ cover every command and the jobs of the benchmark's workloads: ``basis`` of
 every type and with ``--normalize``, ``check``, ``random`` (also with
 ``--sigma``/``--theta`` CSV files, one-row diagonals and matrices), ``project`` of
 an archive (orthonormal and ``bs``) and of a data CSV, ``fpca`` (also on
-a coefficient CSV whose header is quoted), ``eval`` and ``gram`` of one
-archive and of two.  The exit status is 0 when every job exits 0, the
-``eval`` CSV (100 draws on 148 points, several of the writer's chunks) has
-the bytes ``csv.writer`` gives the same values, ``basis --knots`` on a file
+a coefficient CSV whose header is quoted, and on 4 rows over 9 basis
+members), ``eval`` and ``gram`` of one archive and of two.  The exit status
+is 0 when every job exits 0, the ``eval`` CSV (100 draws on 148 points,
+several of the writer's chunks) has the bytes ``csv.writer`` gives the same
+values, ``fpca`` on 4 rows writes 9 eigenvalues and one eigenfunction per
+score column, 3 of each, ``basis --knots`` on a file
 with a bad line and ``project -i`` on a CSV with a bad field exit 1 naming
 the file and the line, ``basis`` with ``1_0`` for ``--equid B`` or ``-k``
 exits 2 naming the flag, and no ``scipy`` module is loaded: scipy is needed
@@ -39,8 +41,9 @@ from splinet.project import _CSV_CHUNK_ROWS
 def write_inputs(d):
     """Knot file, single-member mean archive, covariance CSVs (one-row
     diagonals and matrices of Sigma over the mean's 22 knots and of Theta
-    over its 4 derivatives), functional-data CSV and a coefficient CSV of 12
-    samples over the 9 members of ``b11`` under a quoted header."""
+    over its 4 derivatives), functional-data CSV, a coefficient CSV of 12
+    samples over the 9 members of ``b11`` under a quoted header and one of 4
+    samples."""
     rng = np.random.default_rng(0)
     widths = rng.uniform(0.5, 1.5, 31)
     np.savetxt(os.path.join(d, "knots.txt"), np.cumsum(np.append(0.0, widths)) / widths.sum())
@@ -60,6 +63,8 @@ def write_inputs(d):
                comments="")
     np.savetxt(os.path.join(d, "quoted.coeff.csv"), rng.standard_normal((12, 9)), fmt="%.17g",
                delimiter=",", header=",".join('"c%d"' % (j + 1) for j in range(9)), comments="")
+    np.savetxt(os.path.join(d, "few.coeff.csv"), rng.standard_normal((4, 9)), fmt="%.17g",
+               delimiter=",")
 
 
 def jobs(d):
@@ -83,6 +88,7 @@ def jobs(d):
         ["fpca", "--coeff", p("pd.coeff.csv"), "--basis", p("b11.os.json"), "-o", p("fp")],
         ["fpca", "--coeff", p("quoted.coeff.csv"), "--basis", p("b11.os.json"),
          "-o", p("fp_quoted")],
+        ["fpca", "--coeff", p("few.coeff.csv"), "--basis", p("b11.os.json"), "-o", p("fp_few")],
         ["eval", "-i", p("draws.json"), "-N", "2", "-o", p("draws.eval.csv")],
         ["gram", "-i", p("b_bs.bs.json"), "-o", p("gram.csv")],
         ["gram", "-i", p("draws.json"), "--with", p("mean.json"), "-o", p("gram2.csv")],
@@ -102,6 +108,16 @@ def eval_matches_csv_module(d):
                 for j, col in enumerate(vals.T.tolist()) for g, v in zip(grid.tolist(), col))
     with open(os.path.join(d, "draws.eval.csv"), "rb") as fh:
         return vals.size > 3 * _CSV_CHUNK_ROWS and fh.read() == ref.getvalue().encode("utf-8")
+
+
+def fpca_at_rank(d):
+    """The ``fpca`` job on 4 rows over 9 basis members: 9 eigenvalues, and
+    as many eigenfunctions as score columns, one per retained component (3)."""
+    p = lambda name: os.path.join(d, "fp_few." + name)  # noqa: E731
+    values = np.loadtxt(p("eigenvalues.csv"), delimiter=",", skiprows=1, ndmin=2)
+    scores = np.loadtxt(p("scores.csv"), delimiter=",", skiprows=1, ndmin=2)
+    members = len(sp.load_archive(p("eigenfunctions.json"))[0])
+    return values.shape[0] == 9 and members == scores.shape[1] == 3
 
 
 def _exit_and_stderr(argv):
@@ -162,6 +178,8 @@ def run(d):
     failed = [argv for argv in jobs(d) if main(argv) != 0]
     if not failed and not eval_matches_csv_module(d):
         failed = [["eval", "(its CSV differs from csv.writer's or spans too few chunks)"]]
+    if not failed and not fpca_at_rank(d):
+        failed = [["fpca", "(4 rows: not 9 eigenvalues, or eigenfunctions unlike score columns)"]]
     if not bad_knots_named(d):
         failed.append(["basis", "--knots", "(a bad knot file: no exit 1, file or line named)"])
     if not bad_csv_named(d):

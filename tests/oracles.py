@@ -15,7 +15,8 @@ combinations, support shrinking, evaluation, antiderivatives and the
 B-spline recursion build one member at a time.  Whole-spline
 construction runs one seed matrix at a time, with explicit step matrices and
 one ``np.linalg.solve`` per frlr group.  Numeric CSVs are read through the
-``csv`` module and Python's ``float``, field by field.
+``csv`` module and Python's ``float``, field by field.  Functional PCA
+takes ``eigh`` of the dense d x d coefficient covariance.
 """
 
 import csv
@@ -32,6 +33,7 @@ from splinet.bases import SPD_SHIFT
 from splinet.calculus import _interval_weights
 from splinet.construct import COND_LIMIT, SingularSystemError
 from splinet.core import _ranges, _taylor_col, taylor_step_matrix
+from splinet.project import EIGEN_NOISE_FLOOR, RETAIN_TOL
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -1029,3 +1031,21 @@ def csv_module_matrix(path):
             raise ValueError("%s: the row on line %d has %d fields, expected %d"
                              % (path, line, len(r), len(body[0][1])))
     return np.array([[float(x) for x in r] for _, r in body])
+
+
+def covariance_fpca(coeff):
+    """FPCA of the coefficient rows through ``eigh`` of the d x d sample
+    covariance: ``(eigenvalues, eigenvectors, scores, n_retained)`` with all
+    d eigenvalues (descending, clipped at 0, the noise floor zeroed), all d
+    eigenvectors as columns under the sign rule, and the standardized scores
+    of the retained components."""
+    coeff = np.asarray(coeff, dtype=float)
+    m = coeff.shape[0]
+    centered = coeff - coeff.mean(axis=0)
+    w, v = np.linalg.eigh(centered.T @ centered / (m - 1))
+    w, v = np.clip(w[::-1], 0.0, None), v[:, ::-1]
+    w[w < EIGEN_NOISE_FLOOR * max(1.0, float(np.mean(coeff ** 2)))] = 0.0
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v = np.where(lead < 0, -v, v)
+    retained = int(np.sum(w > RETAIN_TOL * w[0])) if w[0] > 0 else 0
+    return w, v, centered @ v[:, :retained] / np.sqrt(w[:retained]), retained

@@ -166,6 +166,30 @@ def test_archive_support_and_shape_checked(splines, message):
         family_from_dict(obj)
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("negative_supp", "derivative block shape does not match support"),
+    ("block_rows", "derivative block shape does not match support"),
+    ("unknown_type", "unknown family type 'zz'"),
+    ("decreasing_knots", "knots must be strictly increasing"),
+])
+def test_every_loader_fault_is_malformed_archive(edit, message):
+    """Faults that the knot and layout checks find read as the loader's own:
+    one ``malformed archive: `` prefix before the check's text."""
+    fam = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 7), 2)
+    obj = oracles.family_to_dict(fam)
+    if edit == "negative_supp":
+        obj["splines"][0]["supp"] = [[-1, 3]]
+    elif edit == "block_rows":
+        obj["splines"][1]["der"][0].append([0.0] * 3)
+    elif edit == "unknown_type":
+        obj["type"] = "zz"
+    else:
+        obj["knots"][3], obj["knots"][4] = obj["knots"][4], obj["knots"][3]
+    with pytest.raises(ValueError) as err:
+        family_from_dict(obj)
+    assert str(err.value) == "malformed archive: " + message
+
+
 def test_integral_float_order_accepted(tmp_path):
     fam = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 7), 2)
     path = tmp_path / "bs.json"

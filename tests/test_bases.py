@@ -1,6 +1,7 @@
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,22 @@ def test_bspline_count_and_support(k):
 def test_bspline_too_few_knots():
     with pytest.raises(ValueError):
         sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 2), 3)
+
+
+@pytest.mark.parametrize("k, b", [(3, 1e-300), (2, 1e-200), (5, 1e-70)])
+def test_bspline_overflow_raises(k, b):
+    # a derivative of order j scales like 1/h**j: once 1/h**k overflows the
+    # recursion is refused with the order and h named, and numpy warns nothing
+    knots = sp.equidistant_knots(0.0, b, 5)
+    h = float(np.min(np.diff(knots.xi)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            sp.bspline_basis(knots, k)
+    assert str(err.value) == ("order-%d B-spline derivatives overflow: the smallest knot "
+                              "spacing, %r, is too small" % (k, h))
+    # a spacing whose 1/h**k is a float still builds
+    assert np.all(np.isfinite(sp.bspline_basis(sp.equidistant_knots(0.0, 1e-50, 5), k).rows))
 
 
 def test_bspline_partition_of_unity():

@@ -148,6 +148,36 @@ def test_nonfinite_knots_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.count("knots must be finite") == 5
 
 
+@pytest.mark.parametrize("a, first", [("-1e3", -1000.0), ("-.5e1", -5.0), ("-1000", -1000.0),
+                                      ("-1.5", -1.5)])
+def test_negative_equid_bound_is_a_value(tmp_path, a, first):
+    # argparse alone takes -1e3 and -.5e1 for options
+    out = str(tmp_path / "b")
+    assert main(["basis", "--equid", a, "1", "5", "-k", "3", "-o", out]) == 0
+    assert sp.load_archive(out + ".bs.json")[0].knots.xi[0] == first
+
+
+def test_negative_infinite_equid_bound_reaches_knot_check(tmp_path, capsys):
+    assert main(["basis", "--equid", "-inf", "1", "5", "-k", "3",
+                 "-o", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err == "error: knots must be finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("type", ["bs", "spnt"])
+def test_overflowing_bsplines_exit_1(tmp_path, capsys, type):
+    # the knot spacing 1e-300 / 6 makes 1/h**3 overflow: rejected where the
+    # B-splines are built, with no numpy warning and no archive written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["basis", "--equid", "0", "1e-300", "5", "-k", "3", "--type", type,
+                     "-o", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: order-3 B-spline derivatives overflow: the smallest knot "
+                          "spacing, 1.66666666666666"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_empty_knots_file_exit_1(tmp_path, capsys):
     kf = tmp_path / "k.txt"
     for text in ("", "# no knots\n"):
@@ -346,7 +376,7 @@ def test_check_rejects_bad_epsilon(tmp_path, capsys, eps):
     capsys.readouterr()
     assert main(["check", "-i", path]) == 1
     captured = capsys.readouterr()
-    assert "error: epsilon must be finite and non-negative" in captured.err
+    assert "error: malformed archive: epsilon must be finite and non-negative" in captured.err
     assert "valid" not in captured.out
 
 
@@ -639,10 +669,12 @@ def test_project_csv_then_fpca(tmp_path):
                  "--basis", bout + ".os.json", "-o", fout]) == 0
     eig = np.loadtxt(fout + ".eigenvalues.csv", delimiter=",", skiprows=1)
     assert eig.shape[1] == 2 and np.all(np.diff(eig[:, 1]) <= 1e-12)
+    assert eig.shape[0] == len(sp.load_archive(bout + ".os.json")[0])
     scores = np.loadtxt(fout + ".scores.csv", delimiter=",", skiprows=1)
     assert scores.shape[0] == 12
+    # one eigenfunction per retained component, one score column each
     ef, _ = sp.load_archive(fout + ".eigenfunctions.json")
-    assert len(ef) == len(sp.load_archive(bout + ".os.json")[0])
+    assert len(ef) == scores.shape[1] == 2
 
 
 def test_gram_command(tmp_path):

@@ -287,6 +287,58 @@ def test_fpca_identical_samples():
     coeff = np.tile(np.arange(len(res.os), dtype=float), (4, 1))
     fp = sp.fpca(sp.ProjectionResult(coeff, res.os, sp.lincomb(res.os, coeff)))
     assert fp.n_retained == 0 and np.all(fp.eigenvalues == 0.0)
+    assert fp.eigenvectors.shape == (len(res.os), 0) and fp.scores.shape == (4, 0)
+    assert len(fp.eigenfunctions) == 0
+
+
+@pytest.mark.parametrize("n, m, rank", [
+    (11, 5, None), (11, 9, None), (11, 40, None), (93, 12, None), (93, 91, None),
+    (93, 150, None), (11, 20, 3), (93, 30, 5), (11, 6, 0)],
+    ids=["m<d", "m=d", "m>d", "m<d_91", "m=d_91", "m>d_91", "rank3", "rank5_91", "identical"])
+def test_fpca_matches_covariance_eigh(n, m, rank):
+    """The thin SVD of the centered rows against ``eigh`` of the d x d
+    covariance: eigenvalues within 1e-13 of the largest and the same retained
+    count; where an eigenvalue is more than 1e-6 of the largest from its
+    neighbours, the eigenvector and the scores agree up to sign within 1e-10."""
+    basis = sp.splinet(sp.equidistant_knots(0.0, 1.0, n), 3).os
+    d = len(basis)
+    rng = np.random.default_rng(n + m)
+    if rank is None:
+        coeff = rng.standard_normal((m, d)) * rng.uniform(0.1, 3.0, d) + rng.standard_normal(d)
+    else:
+        coeff = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, d))
+        coeff += rng.standard_normal(d)
+    fp = sp.fpca(sp.ProjectionResult(coeff, basis, None))
+    w, v, scores, retained = oracles.covariance_fpca(coeff)
+    r = fp.n_retained
+    assert r == retained == min(m - 1, d if rank is None else rank)
+    assert fp.eigenvalues.shape == (d,) and fp.eigenvectors.shape == (d, r)
+    assert fp.scores.shape == (m, r) and len(fp.eigenfunctions) == r
+    lam1 = w[0]
+    assert np.all(np.abs(fp.eigenvalues - w) <= 1e-13 * lam1)
+    assert np.all(fp.eigenvalues[r:] == 0.0)
+    gap = np.abs(np.diff(w))
+    separated = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))[:r] > 1e-6 * lam1
+    sign = np.sign(np.sum(fp.eigenvectors * v[:, :r], axis=0))
+    assert np.all(np.abs(fp.eigenvectors - sign * v[:, :r])[:, separated] <= 1e-10)
+    assert np.all(np.abs(fp.scores - sign * scores)[:, separated] <= 1e-10)
+    assert np.array_equal(fp.eigenfunctions.rows, sp.lincomb(basis, fp.eigenvectors.T).rows)
+
+
+def test_fpca_builds_no_covariance():
+    # with 5 samples at d = 1533 one d x d float array alone would be 18.8 MB,
+    # and d eigenfunctions many times that
+    basis = sp.splinet(sp.equidistant_knots(0.0, 1.0, 1535), 3).os
+    d = len(basis)
+    coeff = np.random.default_rng(5).standard_normal((5, d))
+    tracemalloc.start()
+    try:
+        fp = sp.fpca(sp.ProjectionResult(coeff, basis, None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fp.n_retained == 4 and len(fp.eigenfunctions) == 4
+    assert peak < d * d * 8 / 2, peak
 
 
 def test_fpca_sign_convention():
