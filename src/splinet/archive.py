@@ -3,9 +3,13 @@
 Top-level fields, in this order: ``knots`` (reals), ``order`` (int),
 ``type`` (family tag), ``epsilon`` (real), ``splines`` (list of members,
 each with ``supp``, a list of 0-based ``[lo, hi]`` knot-index pairs, and
-``der``, one row-major matrix per support component in the symmetric
-convention), and optionally ``net`` (list of levels, each a list of
-member-index tuples).
+``der``, one row-major matrix per support component), and optionally
+``net`` (list of levels, each a list of member-index tuples).
+
+The stored k-th column is symmetric (:func:`splinet.core.sym2one`), the
+one in memory one-sided; this module alone converts, the loader once, the
+writer a chunk of components at a time.  The one stored entry per component
+that one-sided rows have no place for is checked where it is loaded.
 
 The file is byte-stable across versions: it is exactly
 ``json.dumps(fields, indent=1) + "\n"``.  Every list element sits on its
@@ -14,7 +18,9 @@ own line, indented one space per nesting level; empty lists are ``[]``;
 ``float.__repr__`` (shortest round-trip form, ``-0.0`` kept), except that
 non-finite values take JSON's tokens ``NaN``, ``Infinity`` and
 ``-Infinity``; the file ends with a newline.  Write/read round-trips are
-therefore bit-exact.  :func:`save_archive` renders this layout itself, one
+therefore bit-exact, bar each component's last one-sided k-th entry, which
+the symmetric column has no place for and which reads back as 0 (as it is
+in every spline).  :func:`save_archive` renders this layout itself, one
 member at a time, rather than through ``json``'s pure-Python indenting
 encoder, and renders each distinct derivative block once: a block whose
 bits recur elsewhere in the family (on equidistant knots the members of a
@@ -34,7 +40,8 @@ from itertools import chain, islice
 import numpy as np
 
 from .bases import DyadicNet, _net_complete
-from .core import DEFAULT_EPSILON, SYMMETRIC, KnotSet, _family, as_symmetric
+from .calculus import _chunks
+from .core import DEFAULT_EPSILON, KnotSet, _family, _tolerances, sym2one
 
 
 def _integer(value, field):
@@ -65,9 +72,11 @@ def family_from_dict(obj):
     ``ValueError("malformed archive: ...")``: a wrong structure or field type,
     a non-integral ``order`` or ``supp`` entry, a ``knots``, ``epsilon`` or
     ``der`` entry that is not a JSON number, a ``net`` index outside
-    ``0..d-1`` or repeated across the net, and whatever the knot and layout
+    ``0..d-1`` or repeated across the net, whatever the knot and layout
     checks refuse (knots not increasing, a support or block shape that does
-    not fit, an unknown ``type``)."""
+    not fit, an unknown ``type``), and a repeated k-th entry that the
+    conversion to one-sided rows would drop unchecked
+    (:func:`_one_sided`)."""
     try:
         knots = KnotSet(_reals(obj["knots"], "knots"))
         k = _integer(obj["order"], "order")
@@ -83,9 +92,10 @@ def family_from_dict(obj):
             raise ValueError("derivative block shape does not match support")
         rows = _reals(list(chain.from_iterable(flat)), "der").reshape(len(flat), k + 1)
         lo, hi = np.array([c for cs in comps for c in cs], dtype=np.int64).reshape(-1, 2).T
-        fam = _family(knots, k, rows, lo, hi, np.cumsum([0] + [len(c) for c in comps]),
-                      SYMMETRIC, obj.get("type", "sp"),
-                      float(_reals([obj.get("epsilon", DEFAULT_EPSILON)], "epsilon")[0]))
+        fam = _one_sided(_family(
+            knots, k, rows, lo, hi, np.cumsum([0] + [len(c) for c in comps]),
+            obj.get("type", "sp"),
+            float(_reals([obj.get("epsilon", DEFAULT_EPSILON)], "epsilon")[0])))
         net = None
         if "net" in obj:
             levels = tuple(tuple(tuple(_integer(i, "net") for i in t) for t in lv)
@@ -104,6 +114,31 @@ def family_from_dict(obj):
         raise ValueError("malformed archive: missing field %s" % exc) from exc
     except (TypeError, OverflowError, ValueError) as exc:
         raise ValueError("malformed archive: %s" % exc) from exc
+
+
+def _one_sided(stored):
+    """``stored``, a family of symmetric rows, made one-sided.  The entry per
+    component that this drops must be, within the member's tolerance or as
+    the same non-finite value, what :func:`save_archive` writes back there,
+    or a value ``check`` never sees would be lost: the loader refuses it."""
+    fam = _family(stored.knots, stored.smorder, sym2one(stored.rows, stored.lo, stored.hi),
+                  stored.lo, stored.hi, stored.offsets, stored.type, stored.epsilon)
+    got = stored.rows[:, fam.smorder]
+    want = sym2one(fam.rows, fam.lo, fam.hi, inverse=True)[:, fam.smorder]
+    off = np.flatnonzero((got != want) & ~(np.isnan(got) & np.isnan(want)))
+    if off.size:  # never for what save_archive wrote
+        comp = np.searchsorted(fam.start, off, side="right") - 1
+        with np.errstate(invalid="ignore", over="ignore"):
+            tol = _tolerances(fam)[fam.member[comp]]
+            bad = ~(np.abs(got[off] - want[off]) <= tol) | ~np.isfinite(got[off])
+        if bad.any():
+            i = int(np.argmax(bad))
+            r, c = off[i], comp[i]
+            raise ValueError("member %d, knot %d: k-th derivative entry %r where the symmetric "
+                             "convention stores %r (tolerance %r)"
+                             % (fam.member[c], fam.lo[c] + r - fam.start[c], float(got[r]),
+                                float(want[r]), float(tol[i])))
+    return fam
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -125,27 +160,37 @@ def _list(items, depth):
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
 
 
-def _block_texts(rows, bounds, row):
-    """Rendered derivative blocks ``rows[bounds[c]:bounds[c + 1]]``, in order.
+#: stacked rows that the writer converts to the symmetric convention at a time
+_CONVERT_ROWS = 1 << 10
+
+
+def _block_texts(fam, row):
+    """Rendered derivative blocks of ``fam``'s components, in order, their
+    k-th column made symmetric about ``_CONVERT_ROWS`` rows at a time.
 
     Each distinct block is rendered once: a block whose bits recur (as the
     translates of one B-spline or splinet member do on equidistant knots)
-    reuses the text of its first occurrence.  Blocks are counted by hash
-    first, so only the text of repeated blocks is held; the cache is keyed on
-    the bytes themselves, so a hash collision costs one entry, never wrong
+    reuses the text of its first occurrence.  Blocks are counted by the hash
+    of their stored rows first, so only the text of repeated blocks is held;
+    the cache is keyed on those bytes themselves, of which the symmetric
+    block is a function, so a hash collision costs one entry, never wrong
     text, and ``-0.0`` and ``0.0`` stay apart.
     """
+    rows, size = fam.rows, fam.hi - fam.lo + 1
+    bounds = np.append(fam.start, rows.shape[0]).tolist()
     repeats = Counter(hash(rows[a:b].tobytes()) for a, b in zip(bounds[:-1], bounds[1:]))
     texts = {}
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        blk = rows[a:b]
-        data = blk.tobytes()
-        text = texts.get(data)
-        if text is None:
-            text = _list([row] * (b - a), 4) % tuple(_tokens(blk))
-            if repeats[hash(data)] > 1:
-                texts[data] = text
-        yield text
+    for c0, c1 in _chunks(np.arange(size.size), size, _CONVERT_ROWS):
+        first = bounds[c0]
+        sym = sym2one(rows[first : bounds[c1]], fam.lo[c0:c1], fam.hi[c0:c1], inverse=True)
+        for a, b in zip(bounds[c0:c1], bounds[c0 + 1 : c1 + 1]):
+            data = rows[a:b].tobytes()
+            text = texts.get(data)
+            if text is None:
+                text = _list([row] * (b - a), 4) % tuple(_tokens(sym[a - first : b - first]))
+                if repeats[hash(data)] > 1:
+                    texts[data] = text
+            yield text
 
 
 def _member_text(comps, blocks):
@@ -156,10 +201,8 @@ def _member_text(comps, blocks):
 def save_archive(path, fam, net=None):
     """Write ``fam`` (and ``net``) in the layout described in the module
     docstring, one member at a time from the stacked rows."""
-    fam = as_symmetric(fam)
     comps = list(zip(fam.lo.tolist(), fam.hi.tolist()))
-    blocks = _block_texts(fam.rows, np.append(fam.start, fam.rows.shape[0]).tolist(),
-                          _list(["%s"] * (fam.smorder + 1), 5))
+    blocks = _block_texts(fam, _list(["%s"] * (fam.smorder + 1), 5))
     cut = fam.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "knots": %s,\n "order": %d,\n "type": %s,\n "epsilon": %s,\n "splines": '
@@ -178,7 +221,7 @@ def save_archive(path, fam, net=None):
 
 
 def load_archive(path):
-    """Returns ``(family, net-or-None)``; the family is in the symmetric
-    convention as stored."""
+    """Returns ``(family, net-or-None)``; the family is one-sided, as every
+    family in memory is."""
     with open(path, encoding="utf-8") as fh:
         return family_from_dict(json.load(fh))

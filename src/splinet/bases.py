@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import _Csr, _as_csr, _gram, gramian, lincomb
-from .core import ONE_SIDED, KnotSet, SplineFamily, _family, _ranges
+from .core import KnotSet, SplineFamily, _family, _ranges
 
 #: entries of P smaller than this (relative to max |P|) are set to zero
 P_TRUNCATION = 1e-11
@@ -92,7 +92,7 @@ def bspline_basis(knots, k, normalize=False):
     if not np.all(np.isfinite(rows)):
         raise ValueError("order-%d B-spline derivatives overflow: the smallest knot spacing, "
                          "%r, is too small" % (k, float(np.min(np.diff(xi)))))
-    fam = _family(knots, k, rows, lo, lo + k + 1, np.arange(n - k + 2), ONE_SIDED, "bs")
+    fam = _family(knots, k, rows, lo, lo + k + 1, np.arange(n - k + 2), "bs")
     if normalize:
         d = len(fam)
         scale = 1.0 / np.sqrt(_gram(fam, fam, True).diagonal())

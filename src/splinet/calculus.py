@@ -1,7 +1,6 @@
 """Calculus on derivative-matrix splines.
 
-All operations work in the one-sided convention internally and return
-results in that convention.  They read a family straight from its stacked
+Every operation reads a family straight from its stacked one-sided
 Taylor rows (:class:`~splinet.core.SplineFamily`), with numpy alone:
 
 * a member's *interval rows* (:func:`_interval_rows`) are the rows of its
@@ -27,14 +26,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    ONE_SIDED,
-    _family,
-    _merge_runs,
-    _ranges,
-    as_one_sided,
-    taylor_astar,
-)
+from .core import _family, _merge_runs, _ranges, taylor_astar
 
 
 class _Csr:
@@ -135,13 +127,13 @@ def _chunks(owner, work, limit):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _interval_rows(fam1):
-    """The interval rows of a one-sided family (module docstring), in
-    stacked order: the member, interval (knot index) and Taylor row of each."""
-    n_iv = fam1.hi - fam1.lo
-    t = _ranges(fam1.lo, n_iv)
-    at = t + np.repeat(fam1.start - fam1.lo, n_iv)
-    return np.repeat(fam1.member, n_iv), t, fam1.rows[at]
+def _interval_rows(fam):
+    """The interval rows of a family (module docstring), in stacked order:
+    the member, interval (knot index) and Taylor row of each."""
+    n_iv = fam.hi - fam.lo
+    t = _ranges(fam.lo, n_iv)
+    at = t + np.repeat(fam.start - fam.lo, n_iv)
+    return np.repeat(fam.member, n_iv), t, fam.rows[at]
 
 
 def _interval_weights(xi, k):
@@ -149,20 +141,30 @@ def _interval_weights(xi, k):
     return np.vstack([taylor_astar(np.diff(xi), k).T, np.zeros((1, k + 1))]).ravel()
 
 
-def _integrals(fam1, absolute=False):
+def _integrals(fam, absolute=False):
     """Every member's integral over the whole range; with ``absolute``, that
     of its rows' entrywise magnitudes, a bound on the member's L1 norm.  A
     member's products are summed in stacked order."""
-    k1 = fam1.smorder + 1
-    owner, t, rows = _interval_rows(fam1)
-    w = _interval_weights(fam1.knots.xi, fam1.smorder).reshape(-1, k1)[t]
+    k1 = fam.smorder + 1
+    owner, t, rows = _interval_rows(fam)
+    w = _interval_weights(fam.knots.xi, fam.smorder).reshape(-1, k1)[t]
     terms = (np.abs(rows) if absolute else rows) * w
-    return np.bincount(np.repeat(owner, k1), terms.ravel(), minlength=len(fam1))
+    return np.bincount(np.repeat(owner, k1), terms.ravel(), minlength=len(fam))
 
 
 def _moment_blocks(xi, k):
-    """``M_t[p, q] = w^(p+q+1) / ((p+q+1) p! q!)`` for every interval ``t``."""
-    w = np.diff(xi)[:, None, None]
+    """``M_t[p, q] = w^(p+q+1) / ((p+q+1) p! q!)`` for every interval ``t``;
+    a ``w^(2k+1)`` below the smallest normal float (its digits, and the Gram
+    matrix's, would be lost) or past the largest is refused."""
+    w, top = np.diff(xi), 2 * k + 1
+    with np.errstate(under="ignore", over="ignore"):
+        under = w.min() ** top < np.finfo(float).tiny
+        if under or not np.isfinite(w.max() ** top):
+            how, which, h = ("underflow", "smallest", w.min()) if under else (
+                "overflow", "largest", w.max())
+            raise ValueError("order-%d Gram moments %s: the %s knot spacing, %r, to the power %d "
+                             "is not a normal float" % (k, how, which, float(h), top))
+    w = w[:, None, None]
     e = np.arange(k + 1)[:, None] + np.arange(k + 1) + 1
     fact = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
     return w ** e / (e * np.outer(fact, fact))
@@ -187,28 +189,27 @@ def lincomb(fam, coeffs, type=None):
     component's last k-th entry 0.  All ``p`` members are built in one pass
     over one stacked array, and their blocks are views into it.
     """
-    fam1 = as_one_sided(fam)
-    k = fam1.smorder
+    k = fam.smorder
     a = _as_csr(coeffs)
     p = a.shape[0]
-    if a.shape[1] != len(fam1):
+    if a.shape[1] != len(fam):
         raise ValueError("coefficient matrix has %d columns, family has %d members"
-                         % (a.shape[1], len(fam1)))
+                         % (a.shape[1], len(fam)))
     row, col, val = a.rows(), a.indices, a.data
     # temporaries go as soon as they are used: the peak is a small multiple
     # of the output rows
     del a
     # one piece per coefficient and support component of its member, in
     # coefficient order: the pieces of output row r, member by member
-    n_comp = np.diff(fam1.offsets)[col]
-    comp = _ranges(fam1.offsets[col], n_comp)
+    n_comp = np.diff(fam.offsets)[col]
+    comp = _ranges(fam.offsets[col], n_comp)
     row, val = np.repeat(row, n_comp), np.repeat(val, n_comp)
     del col, n_comp
     # each piece's component bounds and first row in the family's stacked rows
-    lo, hi, src = fam1.lo[comp], fam1.hi[comp], fam1.start[comp]
+    lo, hi, src = fam.lo[comp], fam.hi[comp], fam.start[comp]
     del comp
     # the union of each output row's pieces, merged in (row, lo) order
-    span = len(fam1.knots) + 1
+    span = len(fam.knots) + 1
     order = np.argsort(row * span + lo, kind="stable")
     head, out_member, out_lo, out_hi = _merge_runs(row[order], lo[order], hi[order], span)
     piece_out = np.empty_like(order)
@@ -222,7 +223,7 @@ def lincomb(fam, coeffs, type=None):
     dst = shift[piece_out] + lo
     del piece_out, lo, hi, shift
     rows = np.zeros((int(np.sum(out_size)), k + 1))
-    columns = fam1.rows.T.copy()
+    columns = fam.rows.T.copy()
     for s, e in _chunks(row, size, _PRODUCT_CHUNK):
         # a chunk's output rows are one contiguous run, base to end
         base, end = int(dst[s:e].min()), int((dst[s:e] + size[s:e]).max())
@@ -232,21 +233,19 @@ def lincomb(fam, coeffs, type=None):
         for q in range(k + 1):
             rows[base:end, q] = np.bincount(at, weight * columns[q].take(take), end - base)
     rows[np.cumsum(out_size) - 1, k] = 0.0
-    return _family(fam1.knots, k, rows, out_lo, out_hi,
-                   np.searchsorted(out_member, np.arange(p + 1)), ONE_SIDED,
-                   type if type is not None else "sp", fam1.epsilon)
+    return _family(fam.knots, k, rows, out_lo, out_hi,
+                   np.searchsorted(out_member, np.arange(p + 1)),
+                   type if type is not None else "sp", fam.epsilon)
 
 
 def deriva(fam):
     """Termwise derivative: order drops from k to k-1."""
-    fam1 = as_one_sided(fam)
-    k = fam1.smorder
+    k = fam.smorder
     if k < 1:
         raise ValueError("cannot differentiate an order-0 family")
-    rows = fam1.rows[:, 1:].copy()
-    rows[fam1.start + fam1.hi - fam1.lo, k - 1] = 0.0
-    return _family(fam1.knots, k - 1, rows, fam1.lo, fam1.hi, fam1.offsets, ONE_SIDED, "sp",
-                   fam1.epsilon)
+    rows = fam.rows[:, 1:].copy()
+    rows[fam.start + fam.hi - fam.lo, k - 1] = 0.0
+    return _family(fam.knots, k - 1, rows, fam.lo, fam.hi, fam.offsets, "sp", fam.epsilon)
 
 
 def integra(fam):
@@ -257,13 +256,12 @@ def integra(fam):
     running integral counts as zero when it is within ``epsilon`` times an
     upper bound on the member's ``L1`` norm.
     """
-    fam1 = as_one_sided(fam)
-    k = fam1.smorder
-    lo, hi, member, rows = fam1.lo, fam1.hi, fam1.member, fam1.rows
+    k = fam.smorder
+    lo, hi, member, rows = fam.lo, fam.hi, fam.member, fam.rows
     size = hi - lo + 1
-    end = fam1.start + size - 1
-    w = _interval_weights(fam1.knots.xi, k)
-    tols = fam1.epsilon * _integrals(fam1, absolute=True)
+    end = fam.start + size - 1
+    w = _interval_weights(fam.knots.xi, k)
+    tols = fam.epsilon * _integrals(fam, absolute=True)
     # each row's integral over the interval it starts, summed in column
     # order; a component's last row starts none
     wk = w.reshape(-1, k + 1)[_ranges(lo, size)]
@@ -273,7 +271,7 @@ def integra(fam):
     inc[end] = 0.0
     # the running integral at every row: a sum over the member's rows before
     # it, taken in order, one row position at a time across all members
-    bounds = np.append(fam1.start, rows.shape[0])[fam1.offsets]
+    bounds = np.append(fam.start, rows.shape[0])[fam.offsets]
     length = np.diff(bounds)
     by_len = np.argsort(-length, kind="stable")
     starts, desc = bounds[:-1][by_len], length[by_len]
@@ -283,10 +281,10 @@ def integra(fam):
         run[at] = run[at - 1] + inc[at - 1]
     # a component whose running integral ends nonzero reaches the next one
     # (and joins it) or, the member's last, the last knot
-    last = np.diff(np.append(member, len(fam1))) != 0
+    last = np.diff(np.append(member, len(fam))) != 0
     ext = ~(np.abs(run[end]) <= tols[member])
-    reach = np.where(ext, np.where(last, len(fam1.knots) - 1, np.roll(lo, -1)), hi)
-    head, new_member, new_lo, new_hi = _merge_runs(member, lo, reach, len(fam1.knots) + 1)
+    reach = np.where(ext, np.where(last, len(fam.knots) - 1, np.roll(lo, -1)), hi)
+    head, new_member, new_lo, new_hi = _merge_runs(member, lo, reach, len(fam.knots) + 1)
     new_size = new_hi - new_lo + 1
     shift = np.cumsum(new_size) - new_size - new_lo  # new stacked row of knot j: shift + j
     pos = np.repeat(shift[np.cumsum(head) - 1], size) + _ranges(lo, size)
@@ -297,14 +295,13 @@ def integra(fam):
     src[pos] = np.arange(rows.shape[0])
     out[:, 0] = run[np.maximum.accumulate(src)]
     out[np.cumsum(new_size) - 1, k + 1] = 0.0
-    return _family(fam1.knots, k + 1, out, new_lo, new_hi,
-                   np.searchsorted(new_member, np.arange(len(fam1) + 1)), ONE_SIDED, "sp",
-                   fam1.epsilon)
+    return _family(fam.knots, k + 1, out, new_lo, new_hi,
+                   np.searchsorted(new_member, np.arange(len(fam) + 1)), "sp", fam.epsilon)
 
 
 def dintegra(fam):
     """Definite integrals over the whole range, one per member."""
-    return _integrals(as_one_sided(fam))
+    return _integrals(fam)
 
 
 def _gram(a1, b1, symmetric):
@@ -386,12 +383,10 @@ def gramian(fam_a, fam_b=None, sparse=False, *, _csr=False):
     # Only splinet() passes it: it calls this public function, not _gram, so
     # that the benchmark's span of gramian nests under splinet's.  Spans
     # recorded by the library itself (ROADMAP item 4) let this argument go.
-    a1 = as_one_sided(fam_a)
     symmetric = fam_b is None
-    b1 = a1 if symmetric else as_one_sided(fam_b)
-    if a1.knots != b1.knots or a1.smorder != b1.smorder:
+    if not symmetric and (fam_a.knots != fam_b.knots or fam_a.smorder != fam_b.smorder):
         raise ValueError("gramian requires identical knots and order")
-    g = _gram(a1, b1, symmetric)
+    g = _gram(fam_a, fam_a if symmetric else fam_b, symmetric)
     if _csr:
         return g
     return g.to_scipy() if sparse else g.toarray()

@@ -233,6 +233,9 @@ def _cmd_fpca(args):
     # fpca reads only the coefficients and the basis, so the projections
     # themselves are not built
     fp = fpca(ProjectionResult(coeff, basis, None))
+    if fp.n_retained == 0:
+        raise ValueError("%s: the coefficient rows carry no variance, so fpca retains no "
+                         "component" % args.coeff)
     _write_csv(args.out + ".eigenvalues.csv", ["component", "eigenvalue"],
                fp.eigenvalues.size, lambda rows: [rows + 1, fp.eigenvalues[rows]])
     save_archive(args.out + ".eigenfunctions.json", fp.eigenfunctions)

@@ -40,13 +40,11 @@ import numpy as np
 from .core import (
     DEFAULT_EPSILON,
     KNOT_MATCH_TOL,
-    ONE_SIDED,
     KnotSet,
     _family,
     _ranges,
     _taylor_col,
     _taylor_rows,
-    as_one_sided,
 )
 
 #: condition-number limit for the frlr core system
@@ -314,7 +312,7 @@ def construct(knots, k, seed, method="RRM", epsilon=DEFAULT_EPSILON, return_resi
     _check_construct(knots.n, k, method)
     t = _seed_matrix(knots, k, seed, "CRLC" if k == 0 else method)
     s, residuals = _construct_rows(knots, k, t[None], method)
-    fam = _family(knots, k, s[0], [0], [knots.n + 1], [0, 1], ONE_SIDED, "sp", epsilon)
+    fam = _family(knots, k, s[0], [0], [knots.n + 1], [0, 1], "sp", epsilon)
     if return_residuals:
         return fam, {name: float(r[0]) for name, r in residuals.items()}
     return fam
@@ -340,19 +338,18 @@ def refine(fam, new_knots):
     if missing.any():
         raise ValueError("new knots do not contain original knot %g" % old[np.argmax(missing)])
     k = fam.smorder
-    fam1 = as_one_sided(fam)
-    lo, hi, rows = fam1.lo, fam1.hi, fam1.rows
+    lo, hi, rows = fam.lo, fam.hi, fam.rows
     nlo, nhi = idx_map[lo], idx_map[hi]
     nsize = nhi - nlo + 1
     comp = np.repeat(np.arange(lo.size), nsize)
     j = _ranges(nlo, nsize)
     pos = np.clip(np.searchsorted(old, new[j], side="right") - 1, lo[comp], hi[comp] - 1)
     dt = new[j] - old[pos]
-    out = rows[(fam1.start - lo)[comp] + pos]
+    out = rows[(fam.start - lo)[comp] + pos]
     # a zero step copies the row: a product would turn inf * 0 into nan
     step = dt != 0.0
     out[step] = _taylor_rows(out[step], dt[step])
     nend = np.cumsum(nsize) - 1
-    out[nend] = rows[fam1.start + hi - lo]
+    out[nend] = rows[fam.start + hi - lo]
     out[nend, k] = 0.0
-    return _family(new_knots, k, out, nlo, nhi, fam1.offsets, ONE_SIDED, fam.type, fam.epsilon)
+    return _family(new_knots, k, out, nlo, nhi, fam.offsets, fam.type, fam.epsilon)

@@ -3,25 +3,21 @@
 A spline of smoothness order ``k`` over knots ``xi[0] < ... < xi[n+1]`` is
 stored through the values of its derivatives 0..k at the knots inside its
 support.  Derivatives 0..k-1 are continuous; the k-th derivative is constant
-between knots and may jump at them, so a convention is needed for the k-th
-column of the derivative matrix:
-
-* ``"one"`` (one-sided): row ``i`` holds the value on ``[xi[i], xi[i+1])``;
-  the last row of each support block holds 0.
-* ``"sym"`` (symmetric): the top half of a block holds right-hand limits and
-  the bottom half left-hand limits, split at ``l = m // 2`` rows into the
-  block (``m`` = number of internal knots of the support component).
+between knots and may jump at them.  In memory its column is one-sided: row
+``i`` holds the value on ``[xi[i], xi[i+1])`` and the last row of each
+support block holds 0.  Archives store it symmetrically (the top half of a
+block holds right-hand limits, the bottom half left-hand limits);
+:func:`sym2one` converts stacked rows between the two, and only
+:mod:`splinet.archive` calls it.
 
 A :class:`SplineFamily` stores these Taylor rows once, stacked: ``rows``
 (R x (k+1)) holds the block of every support component ``(lo[c], hi[c])``,
 one row per knot, one after another; components are listed member by member
 in support order, and member ``i`` owns components ``offsets[i]:offsets[i+1]``.
 ``member[c]``, the owner of component ``c``, and ``start[c]``, the stacked row
-of its first knot, are derived once, when the family is built.
-One ``convention`` holds for the whole family: one-sided in memory, symmetric
-in archives (:mod:`splinet.archive`).  Every operation reads and builds these
-arrays; ``members`` gives ``(SupportSet, DerivativeMatrix)`` pairs back as
-views, built on first use.
+of its first knot, are derived once, when the family is built.  Every
+operation reads and builds these arrays; ``members`` gives
+``(SupportSet, DerivativeMatrix)`` pairs back as views, built on first use.
 """
 
 from __future__ import annotations
@@ -31,9 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-ONE_SIDED = "one"
-SYMMETRIC = "sym"
 
 #: relative tolerance of ``KnotSet.equid``; it describes knots and selects no
 #: computation path
@@ -187,12 +180,11 @@ class DerivativeMatrix:
     """Per-support-component blocks of derivative values.
 
     Block ``r`` is an ``(m_r + 2) x (k + 1)`` array; column ``j`` holds the
-    j-th derivative at the component's knots.  Block shapes and the
-    convention are checked when a :class:`SplineFamily` stacks the blocks.
+    j-th derivative at the component's knots.  Block shapes are checked when
+    a :class:`SplineFamily` stacks the blocks.
     """
 
     blocks: tuple
-    convention: str = ONE_SIDED
 
     def max_abs(self):
         return max((float(np.max(np.abs(b))) for b in self.blocks if np.size(b)), default=0.0)
@@ -203,7 +195,7 @@ class SplineFamily:
     """A collection of splines over shared knots and smoothness order, stored
     as stacked rows (module docstring); all arrays are read-only.
     ``SplineFamily(knots, k, members, type, epsilon)`` takes
-    ``(SupportSet, DerivativeMatrix)`` pairs of one convention."""
+    ``(SupportSet, DerivativeMatrix)`` pairs."""
 
     knots: KnotSet
     smorder: int
@@ -213,17 +205,12 @@ class SplineFamily:
     offsets: np.ndarray
     member: np.ndarray
     start: np.ndarray
-    convention: str
     type: str
     epsilon: float
 
     def __init__(self, knots, smorder, members, type="sp", epsilon=DEFAULT_EPSILON):
-        """Stack the members once; shapes and conventions are checked over
-        all blocks at once."""
+        """Stack the members once; shapes are checked over all blocks at once."""
         members, k = tuple(members), smorder
-        conventions = {der.convention for _, der in members}
-        if len(conventions) > 1:
-            raise ValueError("members mix the one-sided and symmetric conventions")
         if [len(der.blocks) for _, der in members] != [len(supp) for supp, _ in members]:
             raise ValueError("support/derivative block count mismatch")
         comps = [c for supp, _ in members for c in supp]
@@ -238,10 +225,9 @@ class SplineFamily:
             raise ValueError("block shape %s does not match support (%d, %d) at order %d"
                              % (shape, c[0], c[1], k))
         self._set(knots, k, np.concatenate(blocks) if blocks else np.empty((0, k + 1)), lo, hi,
-                  np.cumsum([0] + [len(supp) for supp, _ in members]),
-                  conventions.pop() if conventions else ONE_SIDED, type, epsilon)
+                  np.cumsum([0] + [len(supp) for supp, _ in members]), type, epsilon)
 
-    def _set(self, knots, k, rows, lo, hi, offsets, convention, type, epsilon):
+    def _set(self, knots, k, rows, lo, hi, offsets, type, epsilon):
         """Check the layout in one vectorized pass and store it; ``rows`` is
         taken over and made read-only."""
         if k < 0:
@@ -250,8 +236,6 @@ class SplineFamily:
             raise ValueError("unknown family type %r" % (type,))
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ValueError("epsilon must be finite and non-negative; got %r" % (epsilon,))
-        if convention not in (ONE_SIDED, SYMMETRIC):
-            raise ValueError("unknown convention %r" % (convention,))
         lo, hi, offsets = (np.asarray(a, dtype=np.int64) for a in (lo, hi, offsets))
         rows = np.asarray(rows, dtype=float)
         bad = np.flatnonzero((lo < 0) | (hi <= lo))
@@ -272,8 +256,7 @@ class SplineFamily:
         for a in (rows, lo, hi, offsets, member, start):
             a.flags.writeable = False
         vars(self).update(knots=knots, smorder=k, rows=rows, lo=lo, hi=hi, offsets=offsets,
-                          member=member, start=start, convention=convention, type=type,
-                          epsilon=epsilon)
+                          member=member, start=start, type=type, epsilon=epsilon)
 
     def __len__(self):
         return self.offsets.size - 1
@@ -286,7 +269,7 @@ class SplineFamily:
         blocks = np.split(self.rows, self.start[1:])
         cut = self.offsets.tolist()
         return tuple((SupportSet(tuple(comps[a:b])),
-                      DerivativeMatrix(tuple(blocks[a:b]), self.convention))
+                      DerivativeMatrix(tuple(blocks[a:b])))
                      for a, b in zip(cut[:-1], cut[1:]))
 
     def member_tolerance(self, i):
@@ -301,12 +284,11 @@ class SplineFamily:
         return out
 
 
-def _family(knots, k, rows, lo, hi, offsets, convention=ONE_SIDED, type="sp",
-            epsilon=DEFAULT_EPSILON):
+def _family(knots, k, rows, lo, hi, offsets, type="sp", epsilon=DEFAULT_EPSILON):
     """A family straight from its stacked layout, the constructor every
     operation builds its result through; ``rows`` is taken over, not copied."""
     fam = object.__new__(SplineFamily)
-    fam._set(knots, k, rows, lo, hi, offsets, convention, type, epsilon)
+    fam._set(knots, k, rows, lo, hi, offsets, type, epsilon)
     return fam
 
 
@@ -320,16 +302,16 @@ def _tolerances(fam):
     return fam.epsilon * np.where(scale > 0, scale, 1.0)
 
 
-def make_member(supp, blocks, convention=ONE_SIDED):
-    return (supp, DerivativeMatrix(tuple(blocks), convention))
+def make_member(supp, blocks):
+    return (supp, DerivativeMatrix(tuple(blocks)))
 
 
-def member_from_full(knots, k, full, convention=ONE_SIDED):
+def member_from_full(knots, k, full):
     """Wrap a full (n+2) x (k+1) matrix as a full-support member."""
     full = np.asarray(full, dtype=float)
     if full.shape != (len(knots), k + 1):
         raise ValueError("full matrix has wrong shape")
-    return make_member(full_support(knots), (full,), convention)
+    return make_member(full_support(knots), (full,))
 
 
 # ---------------------------------------------------------------------------
@@ -364,76 +346,35 @@ def _taylor_rows(rows, dt):
 
 
 # ---------------------------------------------------------------------------
-# convention conversion
+# the symmetric k-th column of archives
 
 
-def _sym2one_rows(rows, fam):
-    """``fam``'s stacked symmetric blocks in ``rows``, made one-sided in
-    place; returns ``rows``.
+def sym2one(rows, lo, hi, inverse=False):
+    """A copy of the stacked rows of components ``(lo[c], hi[c])`` with the
+    k-th column made one-sided from symmetric, or with ``inverse`` the reverse.
 
-    Rows ``l+1 .. m`` of a block take the k-th entry of the row below (the
-    bottom half stores left-hand limits) and the last row's k-th entry is 0;
-    for ``k = 0`` only the last row changes.
-    """
-    k = fam.smorder
-    m = fam.hi - fam.lo - 1
-    if k > 0:
-        l = m // 2
-        shift = _ranges(fam.start + l + 1, m - l)
-        rows[shift, k] = rows[shift + 1, k]
-    rows[fam.start + m + 1, k] = 0.0
-    return rows
-
-
-def _one2sym_rows(rows, fam):
-    """``fam``'s stacked one-sided blocks in ``rows``, made symmetric in
-    place; returns ``rows``.  The inverse of :func:`_sym2one_rows`.
-
-    Rows ``l+2 .. m+1`` of a block take the k-th entry of the row above (the
-    bottom half stores left-hand limits); row ``l+1`` repeats row ``l``'s for
-    even ``m`` and holds 0 for odd ``m``.  For ``k = 0`` (piecewise constants)
-    only the last row changes: it records the last interval value, the left
-    limit there.
-    """
-    k = fam.smorder
-    m = fam.hi - fam.lo - 1
+    A symmetric block with ``m`` internal knots holds right-hand limits in
+    rows ``0..l`` (``l = m // 2``) and left-hand limits in rows ``l+2..m+1``;
+    its row ``l+1`` repeats row ``l`` (even ``m``) or holds 0 (odd ``m``).
+    For ``k = 0`` only the last row differs: it repeats the one before.
+    Each direction drops the one entry per component that the other fills."""
+    out = np.array(rows, dtype=float)
+    k = out.shape[1] - 1
+    size = np.asarray(hi) - np.asarray(lo) + 1
+    end = np.cumsum(size) - 1
     if k == 0:
-        end = fam.start + m + 1
-        rows[end, 0] = rows[end - 1, 0]
-        return rows
-    mid = fam.start + m // 2 + 1
-    # the shift reads row l+1 before the middle entry overwrites it
-    shift = _ranges(mid + 1, m - m // 2)
-    rows[shift, k] = rows[shift - 1, k]
-    rows[mid, k] = np.where(m % 2 == 0, rows[mid - 1, k], 0.0)
-    return rows
-
-
-def sym2one(fam, inverse=False):
-    """Convert the k-th derivative column between conventions.
-
-    With ``inverse=False`` a symmetric family becomes one-sided; with
-    ``inverse=True`` the opposite.  Only the last column changes.
-    """
-    src = ONE_SIDED if inverse else SYMMETRIC
-    if fam.convention != src:
-        raise ValueError("expected %r convention, found %r" % (src, fam.convention))
-    convert = _one2sym_rows if inverse else _sym2one_rows
-    rows = convert(fam.rows.copy(), fam)
-    return _family(fam.knots, fam.smorder, rows, fam.lo, fam.hi, fam.offsets,
-                   SYMMETRIC if inverse else ONE_SIDED, fam.type, fam.epsilon)
-
-
-def as_one_sided(fam):
-    if fam.convention == SYMMETRIC:
-        return sym2one(fam)
-    return fam
-
-
-def as_symmetric(fam):
-    if fam.convention == ONE_SIDED:
-        return sym2one(fam, inverse=True)
-    return fam
+        out[end, 0] = out[end - 1, 0] if inverse else 0.0
+        return out
+    m = size - 2
+    mid = end - m + m // 2  # row l+1
+    shift = _ranges(mid, m - m // 2)  # one-sided rows l+1 .. m
+    if inverse:
+        out[shift + 1, k] = rows[shift, k]
+        out[mid, k] = np.where(m % 2 == 0, rows[mid - 1, k], 0.0)
+    else:
+        out[shift, k] = rows[shift + 1, k]
+        out[end, k] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +396,10 @@ class ValidityReport:
 def is_valid_spline(fam):
     """Check the boundary and Taylor-propagation constraints of every member.
 
-    On each support component ``(lo, hi)``, read in the one-sided convention,
-    the violations are: derivatives ``0..k-1`` at ``lo`` and at ``hi``, which
-    must vanish; the k-th column at ``hi``, which must be 0; at every later
-    knot, derivatives ``0..k-1`` minus the Taylor step of the row before it.
-    A symmetric-convention component with ``m`` internal knots, ``l = m // 2``,
-    also checks its middle knot: for even ``m`` the stored k-th entries of rows
-    ``l`` and ``l+1`` must agree (knot ``lo+l``), for odd ``m`` the k-th entry
-    of row ``l+1`` must be 0 (knot ``lo+l+1``).
+    On each support component ``(lo, hi)`` the violations are: derivatives
+    ``0..k-1`` at ``lo`` and at ``hi``, which must vanish; the k-th column at
+    ``hi``, which must be 0; at every later knot, derivatives ``0..k-1`` minus
+    the Taylor step of the row before it.
 
     A member is valid when its largest violation is at most its tolerance,
     ``epsilon * max|stored entry|`` (:func:`_tolerances`).  The worst member
@@ -479,25 +416,16 @@ def is_valid_spline(fam):
     end = fam.start + size - 1
     knot = _ranges(fam.lo, size)
     row_member = np.repeat(fam.member, size)
-    sym = fam.convention == SYMMETRIC
-    one = _sym2one_rows(rows.copy(), fam) if sym else rows
     viol = np.zeros(rows.shape[0])
     # non-finite members are reported from their first non-finite row below
     with np.errstate(invalid="ignore", over="ignore"):
-        viol[end] = np.max(np.abs(one[end]), axis=1)
+        viol[end] = np.max(np.abs(rows[end]), axis=1)
         if k > 0:
-            viol[fam.start] = np.max(np.abs(one[fam.start, :k]), axis=1)
+            viol[fam.start] = np.max(np.abs(rows[fam.start, :k]), axis=1)
             t = np.delete(np.arange(rows.shape[0]), end)
-            pred = _taylor_rows(one[t], np.diff(fam.knots.xi)[knot[t]])
+            pred = _taylor_rows(rows[t], np.diff(fam.knots.xi)[knot[t]])
             viol[t + 1] = np.maximum(viol[t + 1],
-                                     np.max(np.abs(pred[:, :k] - one[t + 1, :k]), axis=1))
-            if sym:
-                # middle knot: rows l and l+1 (even m) or row l+1 (odd m)
-                m = size - 2
-                odd = m % 2 == 1
-                mid = fam.start + m // 2
-                gap = np.abs(np.where(odd, 0.0, rows[mid, k]) - rows[mid + 1, k])
-                viol[mid + odd] = np.maximum(viol[mid + odd], gap)
+                                     np.max(np.abs(pred[:, :k] - rows[t + 1, :k]), axis=1))
         worst_of = np.zeros(d)
         np.maximum.at(worst_of, row_member, viol)
     nonfinite = ~np.isfinite(rows).all(axis=1)
@@ -537,7 +465,6 @@ def evaluate(fam, grid, deriv=0):
         raise ValueError("grid points must be finite")
     if grid.size and (grid.min() < xi[0] or grid.max() > xi[-1]):
         raise ValueError("grid points outside the knot range")
-    fam = as_one_sided(fam)
     out = np.zeros((grid.size, len(fam)))
     order = np.argsort(grid, kind="stable")
     t = grid[order]
@@ -578,12 +505,10 @@ def gather(a, b):
     if a.knots != b.knots or a.smorder != b.smorder:
         raise ValueError("gather requires identical knots and order")
     typ = a.type if a.type == b.type else "sp"
-    if b.convention != a.convention:
-        b = sym2one(b, inverse=a.convention == SYMMETRIC)
     return _family(a.knots, a.smorder, np.concatenate([a.rows, b.rows]),
                    np.concatenate([a.lo, b.lo]), np.concatenate([a.hi, b.hi]),
                    np.concatenate([a.offsets, b.offsets[1:] + a.offsets[-1]]),
-                   a.convention, typ, a.epsilon)
+                   typ, a.epsilon)
 
 
 def subsample(fam, indices):
@@ -593,8 +518,7 @@ def subsample(fam, indices):
     comp = _ranges(fam.offsets[idx], count)
     rows = fam.rows[_ranges(fam.start[comp], (fam.hi - fam.lo + 1)[comp])]
     return _family(fam.knots, fam.smorder, rows, fam.lo[comp], fam.hi[comp],
-                   np.concatenate([[0], np.cumsum(count)]), fam.convention, fam.type,
-                   fam.epsilon)
+                   np.concatenate([[0], np.cumsum(count)]), fam.type, fam.epsilon)
 
 
 def empty_family(knots, k, type="sp", epsilon=DEFAULT_EPSILON):
@@ -611,25 +535,22 @@ def exsupp(fam):
     live interval ``(t, t + 1)`` is a piece of :func:`_merge_runs`.  One pass
     over the stacked rows.
     """
-    fam1 = as_one_sided(fam)
-    k = fam1.smorder
-    member, lo, hi, rows = fam1.member, fam1.lo, fam1.hi, fam1.rows
-    end = fam1.start + hi - lo
+    k = fam.smorder
+    member, lo, hi, rows = fam.member, fam.lo, fam.hi, fam.rows
+    end = fam.start + hi - lo
     row_max = np.max(np.abs(rows), axis=1)
-    alive = (row_max > np.repeat(_tolerances(fam1)[member], hi - lo + 1)) | ~np.isfinite(row_max)
+    alive = (row_max > np.repeat(_tolerances(fam)[member], hi - lo + 1)) | ~np.isfinite(row_max)
     alive[end] = False  # a component's last row starts no interval
     live = np.flatnonzero(alive)
     comp = np.searchsorted(end, live)
     owner = member[comp]
-    t = live - (fam1.start - lo)[comp]  # the knot index each live row starts at
-    head, new_member, new_lo, new_hi = _merge_runs(owner, t, t + 1, len(fam1.knots) + 1)
+    t = live - (fam.start - lo)[comp]  # the knot index each live row starts at
+    head, new_member, new_lo, new_hi = _merge_runs(owner, t, t + 1, len(fam.knots) + 1)
     new_size = new_hi - new_lo + 1
     out = rows[_ranges(live[head], new_size)]
     out[np.cumsum(new_size) - 1, k] = 0.0
-    fam1 = _family(fam1.knots, k, out, new_lo, new_hi,
-                   np.searchsorted(new_member, np.arange(len(fam1) + 1)), ONE_SIDED,
-                   fam1.type, fam1.epsilon)
-    return fam1 if fam.convention == ONE_SIDED else sym2one(fam1, inverse=True)
+    return _family(fam.knots, k, out, new_lo, new_hi,
+                   np.searchsorted(new_member, np.arange(len(fam) + 1)), fam.type, fam.epsilon)
 
 
 def _merge_runs(owner, lo, hi, span):

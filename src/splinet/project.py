@@ -18,7 +18,7 @@ import numpy as np
 
 from .bases import BASIS_TYPES, _check_spd, _cho_solve_banded, _cholesky_banded, splinet
 from .calculus import _gram, gramian, integra, lincomb
-from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, as_one_sided, evaluate
+from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, evaluate
 from .construct import refine
 
 
@@ -188,8 +188,7 @@ def fpca(pr):
         raise ValueError("fpca coefficients must be finite")
     # the sparse Gram against the identity: stored entries off the diagonal
     # must vanish, the diagonal (0 where not stored) must be 1
-    one = as_one_sided(basis)
-    g = _gram(one, one, True)
+    g = _gram(basis, basis, True)
     off = g.data[g.indices != g.rows()]
     if np.max(np.abs(np.concatenate([g.diagonal() - 1.0, off])), initial=0.0) > ORTHONORMAL_TOL:
         raise ValueError("fpca needs an orthonormal basis; project with type='spnt'")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ONE_SIDED, _family, as_one_sided
+from .core import _family
 from .construct import _check_construct, _construct_rows
 
 #: bit generator used for all draws; recorded here and in the CLI output
@@ -106,11 +106,10 @@ def rspline(mean, noise, count=1, method="RRM"):
         raise ValueError("mean must be a single-member family")
     if count < 1:
         raise ValueError("count must be >= 1")
-    fam1 = as_one_sided(mean)
-    knots = fam1.knots
-    k = fam1.smorder
+    knots = mean.knots
+    k = mean.smorder
     _check_construct(knots.n, k, method)
-    s = fam1.full_matrix(0)
+    s = mean.full_matrix(0)
     sig_half, th_half = noise.roots(s.shape[0], s.shape[1])
     t = np.empty((count,) + s.shape)
     for i in range(count):
@@ -120,5 +119,4 @@ def rspline(mean, noise, count=1, method="RRM"):
         t[i] = s + sig_half @ rng.standard_normal(s.shape) @ th_half
     rows, _ = _construct_rows(knots, k, t, method)
     return _family(knots, k, rows.reshape(-1, k + 1), np.zeros(count, dtype=np.int64),
-                   np.full(count, knots.n + 1), np.arange(count + 1), ONE_SIDED, "sp",
-                   fam1.epsilon)
+                   np.full(count, knots.n + 1), np.arange(count + 1), "sp", mean.epsilon)

@@ -18,7 +18,9 @@ values, ``fpca`` on 4 rows writes 9 eigenvalues and one eigenfunction per
 score column, 3 of each, ``basis --knots`` on a file
 with a bad line and ``project -i`` on a CSV with a bad field exit 1 naming
 the file and the line, ``basis`` with ``1_0`` for ``--equid B`` or ``-k``
-exits 2 naming the flag, and no ``scipy`` module is loaded: scipy is needed
+exits 2 naming the flag, ``check`` and ``eval`` on an archive whose middle
+k-th entry was edited exit 1 naming the member and the knot, and no
+``scipy`` module is loaded: scipy is needed
 only for the ``scipy.sparse`` objects the library returns or accepts on
 request, never on a CLI path.  Nor is ``numpy.ma``, which numpy loads on
 the first ``np.unique`` call.
@@ -27,6 +29,7 @@ the first ``np.unique`` call.
 import contextlib
 import csv
 import io
+import json
 import os
 import sys
 
@@ -167,6 +170,27 @@ def bad_flag_number(d):
     return True
 
 
+def middle_entry_refused(d):
+    """``check`` and ``eval`` on a copy of ``b11.os.json`` whose member 4
+    has its k-th entry at the middle knot, which only the symmetric
+    convention stores, edited: each exits 1 with a malformed-archive error
+    naming the member and the knot."""
+    with open(os.path.join(d, "b11.os.json"), encoding="utf-8") as fh:
+        arch = json.load(fh)
+    lo, hi = arch["splines"][4]["supp"][0]
+    mid = (hi - lo - 1) // 2 + 1
+    arch["splines"][4]["der"][0][mid][-1] += 1.0
+    path = os.path.join(d, "middle.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(arch, fh)
+    says = "error: malformed archive: member 4, knot %d: " % (lo + mid)
+    for argv in (["check", "-i", path], ["eval", "-i", path, "-o", path + ".csv"]):
+        code, err = _exit_and_stderr(argv)
+        if code != 1 or not err.startswith(says):
+            return False
+    return True
+
+
 def unwanted_modules():
     """The ``scipy`` and ``numpy.ma`` modules loaded."""
     return sorted(m for m in sys.modules
@@ -186,6 +210,9 @@ def run(d):
         failed.append(["project", "-i", "(a bad data CSV: no exit 1, file or line named)"])
     if not bad_flag_number(d):
         failed.append(["basis", "--equid", "(1_0 as a flag value: no exit 2, flag named)"])
+    if not middle_entry_refused(d):
+        failed.append(["check", "eval", "(an edited middle k-th entry: no exit 1, member or "
+                       "knot not named)"])
     for argv in failed:
         print("job failed: splinet %s" % " ".join(argv), file=sys.stderr)
     loaded = unwanted_modules()

@@ -10,7 +10,7 @@ dense ``H`` and ``P`` with whole-group row envelopes, and ``gsob`` through a
 dense Cholesky factor.  Archives are written through ``json``'s own encoder
 as the nested dict/list tree of the stored fields.  Validity and knot
 refinement walk members row by row with explicit Taylor step matrices, and
-the conversion to the symmetric convention block by block.  Linear
+the conversion to an archive's symmetric k-th column block by block.  Linear
 combinations, support shrinking, evaluation, antiderivatives and the
 B-spline recursion build one member at a time.  Whole-spline
 construction runs one seed matrix at a time, with explicit step matrices and
@@ -163,9 +163,9 @@ def pairwise_gramian(fam_a, fam_b=None):
     Pairs whose index spans do not overlap are skipped; the symmetric case
     computes the upper triangle and mirrors it.
     """
-    a1 = sp.as_one_sided(fam_a)
+    a1 = fam_a
     symmetric = fam_b is None
-    b1 = a1 if symmetric else sp.as_one_sided(fam_b)
+    b1 = a1 if symmetric else fam_b
     k = a1.smorder
     widths = np.diff(a1.knots.xi)
     a_data = [_interval_rows(a1, i) for i in range(len(a1))]
@@ -266,7 +266,7 @@ def random_knots(rng, n, a=0.0, b=1.0):
     return sp.KnotSet(np.concatenate([[a], inner, [b]]))
 
 
-def lincomb_family(rng, k, n=12, count=5, symmetric=False):
+def lincomb_family(rng, k, n=12, count=5):
     """``count`` members of ``exsupp(lincomb(...))`` over random knots.
 
     Every member but the last gets a run of zero B-spline coefficients, so
@@ -282,8 +282,7 @@ def lincomb_family(rng, k, n=12, count=5, symmetric=False):
         at = rng.integers(1, d - 1)
         row[at : at + rng.integers(0, k + 4)] = 0.0
     coeffs[-1] = 0.0
-    fam = sp.exsupp(sp.lincomb(bs, coeffs))
-    return sp.as_symmetric(fam) if symmetric else fam
+    return sp.exsupp(sp.lincomb(bs, coeffs))
 
 
 def loop_lincomb(fam, coeffs, type=None):
@@ -291,16 +290,15 @@ def loop_lincomb(fam, coeffs, type=None):
     row of ``coeffs C`` is scattered into a dense ``(n+2)(k+1)`` row, its
     support is ``|coeffs| O`` merged by ``_merge_components``, and its
     blocks are copies cut from that row."""
-    fam1 = sp.as_one_sided(fam)
-    k = fam1.smorder
+    k = fam.smorder
     if not scipy.sparse.issparse(coeffs):
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     a = scipy.sparse.csr_matrix(coeffs, dtype=float)
-    c, _, o = _taylor_layout(fam1)
+    c, _, o = _taylor_layout(fam)
     full = a @ c
     cover = abs(a) @ o
     cover.sort_indices()
-    shape = (len(fam1.knots), k + 1)
+    shape = (len(fam.knots), k + 1)
     members = []
     for r in range(a.shape[0]):
         row = np.zeros(shape[0] * shape[1])
@@ -309,19 +307,18 @@ def loop_lincomb(fam, coeffs, type=None):
         t = cover.indices[cover.indptr[r] : cover.indptr[r + 1]]
         comps = _merge_components(np.column_stack([t, t + 1]))
         members.append(_member_from_union(row.reshape(shape), comps, k))
-    return sp.SplineFamily(fam1.knots, k, tuple(members),
-                           type if type is not None else "sp", fam1.epsilon)
+    return sp.SplineFamily(fam.knots, k, tuple(members),
+                           type if type is not None else "sp", fam.epsilon)
 
 
 def loop_exsupp(fam):
     """:func:`splinet.exsupp` one member and one block at a time: the live
     intervals of a block are its rows (bar the last) with an entry above the
     member's tolerance or a non-finite entry, merged by ``_merge_components``."""
-    fam1 = sp.as_one_sided(fam)
     members = []
-    for idx in range(len(fam1)):
-        supp, der = fam1.members[idx]
-        tol = fam1.member_tolerance(idx)
+    for idx in range(len(fam)):
+        supp, der = fam.members[idx]
+        tol = fam.member_tolerance(idx)
         runs, blocks = [], []
         for (lo, hi), blk in zip(supp, der.blocks):
             row_max = np.max(np.abs(blk[:-1]), axis=1)
@@ -333,8 +330,7 @@ def loop_exsupp(fam):
                 runs.append((lo + a, lo + b))
                 blocks.append(new)
         members.append(sp.make_member(sp.SupportSet(tuple(runs)), blocks))
-    out = sp.SplineFamily(fam1.knots, fam1.smorder, tuple(members), fam1.type, fam1.epsilon)
-    return out if fam.convention == sp.ONE_SIDED else sp.as_symmetric(out)
+    return sp.SplineFamily(fam.knots, fam.smorder, tuple(members), fam.type, fam.epsilon)
 
 
 def loop_evaluate(fam, grid, deriv=0):
@@ -343,7 +339,6 @@ def loop_evaluate(fam, grid, deriv=0):
     unless it is the last knot, are stepped from their interval's row."""
     xi = fam.knots.xi
     grid = np.asarray(grid, dtype=float)
-    fam = sp.as_one_sided(fam)
     out = np.zeros((grid.size, len(fam)))
     for j, (supp, der) in enumerate(fam.members):
         for (lo, hi), blk in zip(supp, der.blocks):
@@ -360,25 +355,24 @@ def loop_integra(fam):
     a cumulative sum over a dense per-knot vector, and a component whose
     running integral ends nonzero reaches the next one (``_merge_components``)
     or the last knot."""
-    fam1 = sp.as_one_sided(fam)
-    k = fam1.smorder
-    n_knots = len(fam1.knots)
-    c_int = _taylor_layout(fam1)[1]
-    w = _interval_weights(fam1.knots.xi, k)
-    tols = fam1.epsilon * (abs(c_int) @ w)
+    k = fam.smorder
+    n_knots = len(fam.knots)
+    c_int = _taylor_layout(fam)[1]
+    w = _interval_weights(fam.knots.xi, k)
+    tols = fam.epsilon * (abs(c_int) @ w)
     members = []
-    for idx, (supp, _) in enumerate(fam1.members):
+    for idx, (supp, _) in enumerate(fam.members):
         at = slice(c_int.indptr[idx], c_int.indptr[idx + 1])
         cols = c_int.indices[at]
         per_knot = np.bincount(cols // (k + 1), c_int.data[at] * w[cols], n_knots)
         running = np.concatenate([[0.0], np.cumsum(per_knot[:-1])])
-        full = np.column_stack([running, fam1.full_matrix(idx)])
+        full = np.column_stack([running, fam.full_matrix(idx)])
         comps = list(supp)
         nxt = [lo for lo, _ in comps[1:]] + [n_knots - 1]
         ends = [hi if abs(running[hi]) <= tols[idx] else e for (_, hi), e in zip(comps, nxt)]
         union = _merge_components([(lo, e) for (lo, _), e in zip(comps, ends)])
         members.append(_member_from_union(full, union, k + 1))
-    return sp.SplineFamily(fam1.knots, k + 1, tuple(members), "sp", fam1.epsilon)
+    return sp.SplineFamily(fam.knots, k + 1, tuple(members), "sp", fam.epsilon)
 
 
 def loop_bspline_basis(knots, k):
@@ -443,7 +437,7 @@ def random_rows_family(rng, k, n=14, count=6):
 
 def assert_same_family(f, g):
     """Equal supports and bit-identical blocks, member by member."""
-    assert (len(f), f.smorder, f.type, f.convention) == (len(g), g.smorder, g.type, g.convention)
+    assert (len(f), f.smorder, f.type) == (len(g), g.smorder, g.type)
     for (supp_f, der_f), (supp_g, der_g) in zip(f.members, g.members):
         assert supp_f.components == supp_g.components
         assert len(der_f.blocks) == len(der_g.blocks)
@@ -451,24 +445,11 @@ def assert_same_family(f, g):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _one_sided_block(blk, k, convention):
-    """One block in the one-sided convention: for a symmetric block the
-    bottom-half k-th entries are left-hand limits and move up one row."""
-    out = blk.copy()
-    if convention == sp.core.SYMMETRIC:
-        if k > 0:
-            m = blk.shape[0] - 2
-            l = m // 2
-            out[l + 1 : m + 1, -1] = blk[l + 2 : m + 2, -1]
-        out[-1, -1] = 0.0
-    return out
-
-
 def loop_as_symmetric(fam):
-    """:func:`splinet.as_symmetric` of a one-sided family, one block at a
-    time: the bottom-half k-th entries move down one row, and the middle row
-    repeats the row above (even ``m``) or holds 0 (odd ``m``); for ``k = 0``
-    the last row takes the last interval value."""
+    """The rows an archive stores for ``fam``, one block at a time, held in
+    a family of the same layout: the bottom-half k-th entries move down one
+    row, and the middle row repeats the row above (even ``m``) or holds 0
+    (odd ``m``); for ``k = 0`` the last row takes the last interval value."""
     k = fam.smorder
     members = []
     for supp, der in fam.members:
@@ -483,7 +464,7 @@ def loop_as_symmetric(fam):
                 out[l + 2 : m + 2, k] = blk[l + 1 : m + 1, k]
                 out[l + 1, k] = blk[l, k] if m % 2 == 0 else 0.0
             blocks.append(out)
-        members.append(sp.make_member(supp, blocks, sp.core.SYMMETRIC))
+        members.append(sp.make_member(supp, blocks))
     return sp.SplineFamily(fam.knots, k, tuple(members), fam.type, fam.epsilon)
 
 
@@ -491,10 +472,10 @@ def loop_is_valid_spline(fam):
     """:func:`splinet.is_valid_spline` one member and one row at a time.
 
     Violations are noted in the order: left boundary, right boundary, the
-    Taylor propagation knot by knot, the symmetric middle knot; a member's
-    worst knot is the first noted at its largest violation.
+    Taylor propagation knot by knot; a member's worst knot is the first noted
+    at its largest violation.
     """
-    from splinet.core import SYMMETRIC, ValidityReport, taylor_step_matrix
+    from splinet.core import ValidityReport, taylor_step_matrix
 
     xi = fam.knots.xi
     k = fam.smorder
@@ -511,8 +492,7 @@ def loop_is_valid_spline(fam):
                 first_nonfinite = (idx, nonfinite[0])
             continue
         bad, bad_knot = 0.0, -1
-        for (lo, hi), blk in zip(supp, der.blocks):
-            one = _one_sided_block(blk, k, der.convention)
+        for (lo, hi), one in zip(supp, der.blocks):
             m = hi - lo - 1
             notes = []
             if k > 0:
@@ -523,12 +503,6 @@ def loop_is_valid_spline(fam):
                 pred = one[i] @ taylor_step_matrix(xi[lo + i + 1] - xi[lo + i], k)
                 if k > 0:
                     notes.append((float(np.max(np.abs(pred[:k] - one[i + 1, :k]))), lo + i + 1))
-            if der.convention == SYMMETRIC and k > 0:
-                l = m // 2
-                if m % 2 == 0:
-                    notes.append((abs(float(blk[l, k] - blk[l + 1, k])), lo + l))
-                else:
-                    notes.append((abs(float(blk[l + 1, k])), lo + l + 1))
             for v, knot in notes:
                 if v > bad:
                     bad, bad_knot = v, knot
@@ -559,8 +533,7 @@ def loop_refine(fam, new_knots):
     members = []
     for supp, der in fam.members:
         comps, blocks = [], []
-        for (lo, hi), stored in zip(supp, der.blocks):
-            blk = _one_sided_block(stored, k, der.convention)
+        for (lo, hi), blk in zip(supp, der.blocks):
             nlo, nhi = int(idx_map[lo]), int(idx_map[hi])
             nb = np.zeros((nhi - nlo + 1, k + 1))
             for j in range(nlo, nhi + 1):
@@ -971,7 +944,7 @@ def dense_diagonalize(h, method, k, net=None, toeplitz=False):
 
 def family_to_dict(fam, net=None):
     """The archive fields of ``fam`` (and ``net``) as plain dicts and lists."""
-    fam = sp.as_symmetric(fam)
+    fam = loop_as_symmetric(fam)
     out = {
         "knots": [float(x) for x in fam.knots.xi],
         "order": int(fam.smorder),

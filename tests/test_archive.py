@@ -13,7 +13,7 @@ import splinet as sp
 from splinet import archive
 from splinet.archive import family_from_dict
 from splinet.bases import DyadicNet
-from splinet.core import ONE_SIDED, SYMMETRIC, make_member
+from splinet.core import make_member
 
 import oracles
 
@@ -27,9 +27,7 @@ def test_roundtrip_bitexact(tmp_path):
     assert net is None
     assert back.smorder == fam.smorder
     assert np.array_equal(back.knots.xi, fam.knots.xi)
-    for i in range(len(fam)):
-        assert np.array_equal(sp.as_symmetric(back).full_matrix(i),
-                              sp.as_symmetric(fam).full_matrix(i))
+    assert back.rows.tobytes() == fam.rows.tobytes()
     # a second save of the loaded family is byte-identical
     sp.save_archive(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
@@ -190,6 +188,31 @@ def test_every_loader_fault_is_malformed_archive(edit, message):
     assert str(err.value) == "malformed archive: " + message
 
 
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_loader_checks_the_repeated_entry(k):
+    """The symmetric k-th column repeats one entry per component that the
+    one-sided rows have no place for: at the middle knot the entry above
+    (B-splines of order 2, two internal knots) or 0 (order 3, three), and
+    for k = 0 the last interval's value in the last row.  Within the
+    member's tolerance of that it loads as if unedited; beyond it, or NaN,
+    the loader refuses it, naming the member and the knot."""
+    fam = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 7), k)
+    obj = oracles.family_to_dict(fam)
+    i = 2
+    lo, hi = obj["splines"][i]["supp"][0]
+    m = hi - lo - 1
+    r = m + 1 if k == 0 else m // 2 + 1
+    row = obj["splines"][i]["der"][0][r]
+    stored, tol = row[k], fam.member_tolerance(i)
+    row[k] = stored + 0.5 * tol
+    assert family_from_dict(obj)[0].rows.tobytes() == fam.rows.tobytes()
+    for bad in (stored + 2.0 * tol, float("nan")):
+        row[k] = bad
+        with pytest.raises(ValueError, match="^malformed archive: member %d, knot %d: k-th "
+                                             "derivative entry" % (i, lo + r)):
+            family_from_dict(obj)
+
+
 def test_integral_float_order_accepted(tmp_path):
     fam = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 7), 2)
     path = tmp_path / "bs.json"
@@ -227,14 +250,13 @@ def _families(draw):
     n = draw(st.integers(0, 8))
     steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n + 1, max_size=n + 1))
     knots = sp.KnotSet(draw(st.floats(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(steps)]))
-    convention = draw(st.sampled_from([ONE_SIDED, SYMMETRIC]))
     members = []
     for _ in range(draw(st.integers(0, 4))):
         supp = draw(_supports(n))
         blocks = [np.array(draw(st.lists(_REALS, min_size=(hi - lo + 1) * (k + 1),
                                          max_size=(hi - lo + 1) * (k + 1))))
                   .reshape(hi - lo + 1, k + 1) for lo, hi in supp]
-        members.append(make_member(supp, blocks, convention))
+        members.append(make_member(supp, blocks))
     fam = sp.SplineFamily(knots, k, tuple(members),
                           draw(st.sampled_from(["sp", "bs", "gsob", "twob", "spnt", "dspnt"])),
                           draw(st.floats(0.0, 1e3)))
@@ -253,28 +275,31 @@ def _bits(a):
 
 
 def _nonfinite_family():
-    """-0.0, NaN and both infinities in one block, beside an empty support."""
-    blk = np.array([[np.nan, -0.0], [np.inf, -np.inf], [0.0, 1e-300]])
-    return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, 1), 1,
-                           (make_member(sp.SupportSet(((0, 2),)), [blk], SYMMETRIC),
-                            make_member(sp.SupportSet(()), [], SYMMETRIC)))
+    """-0.0, NaN and both infinities in blocks of odd and even ``m``, the
+    even one repeating a NaN at its middle knot, beside an empty support."""
+    odd = np.array([[np.nan, -0.0], [np.inf, -np.inf], [0.0, 1e-300]])
+    even = np.array([[0.0, 1.5], [-0.0, np.nan], [np.nan, np.inf], [0.0, 0.0]])
+    return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, 2), 1,
+                           (make_member(sp.SupportSet(((0, 2),)), [odd]),
+                            make_member(sp.SupportSet(((0, 3),)), [even]),
+                            make_member(sp.SupportSet(()), [])))
 
 
 def _check_writer(path, fam, net):
     """``save_archive`` writes what ``json.dumps(indent=1)`` does, and loading
-    it back gives the same bits."""
+    it back gives the same bits, bar each component's last k-th entry: the
+    symmetric column has no place for it, and it reads back as 0."""
     sp.save_archive(path, fam, net)
     assert path.read_text(encoding="utf-8") == oracles.archive_text(fam, net)
     back, back_net = sp.load_archive(path)
-    ref = sp.as_symmetric(fam)
-    assert np.array_equal(_bits(back.knots.xi), _bits(ref.knots.xi))
-    assert (back.smorder, back.type) == (ref.smorder, ref.type)
-    assert _bits(back.epsilon) == _bits(ref.epsilon)
-    assert len(back) == len(ref)
-    for (s1, d1), (s2, d2) in zip(back.members, ref.members):
-        assert s1.components == s2.components
-        assert len(d1.blocks) == len(d2.blocks)
-        assert all(np.array_equal(_bits(b1), _bits(b2)) for b1, b2 in zip(d1.blocks, d2.blocks))
+    rows = fam.rows.copy()
+    rows[fam.start + fam.hi - fam.lo, fam.smorder] = 0.0
+    assert np.array_equal(_bits(back.knots.xi), _bits(fam.knots.xi))
+    assert (back.smorder, back.type) == (fam.smorder, fam.type)
+    assert _bits(back.epsilon) == _bits(fam.epsilon)
+    assert len(back) == len(fam)
+    assert [s.components for s, _ in back.members] == [s.components for s, _ in fam.members]
+    assert np.array_equal(_bits(back.rows), _bits(rows))
     assert (back_net is None) == (net is None)
     if net is not None:
         assert back_net.levels == net.levels
@@ -319,7 +344,7 @@ def _repeating_families(draw):
     members = []
     for _ in range(draw(st.integers(1, 6))):
         supp = supports[draw(st.integers(0, len(supports) - 1))]
-        members.append(make_member(supp, [block(hi - lo + 1) for lo, hi in supp], SYMMETRIC))
+        members.append(make_member(supp, [block(hi - lo + 1) for lo, hi in supp]))
     return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, n), k, tuple(members))
 
 
@@ -332,10 +357,10 @@ def _repeats_family():
     signed[1, 0] = -0.0
     odd = np.array([[np.nan, np.inf], [-np.inf, np.nan], [np.nan, np.nan]])
     two, three = sp.SupportSet(((0, 2), (4, 6))), sp.SupportSet(((0, 2),))
-    members = [make_member(two, [a, a], SYMMETRIC), make_member(three, [a], SYMMETRIC),
-               make_member(three, [signed], SYMMETRIC), make_member(two, [odd, odd], SYMMETRIC),
-               make_member(sp.SupportSet(((1, 3), (5, 6))), [signed, a[:2]], SYMMETRIC),
-               make_member(three, [odd], SYMMETRIC)]
+    members = [make_member(two, [a, a]), make_member(three, [a]),
+               make_member(three, [signed]), make_member(two, [odd, odd]),
+               make_member(sp.SupportSet(((1, 3), (5, 6))), [signed, a[:2]]),
+               make_member(three, [odd])]
     return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, 5), 1, tuple(members))
 
 
@@ -364,7 +389,6 @@ def test_each_distinct_block_rendered_once(tmp_path, monkeypatch):
     tokens = archive._tokens
     monkeypatch.setattr(archive, "_tokens", lambda values: calls.append(1) or tokens(values))
     for fam, net in ((res.bs, None), (res.os, res.net)):
-        fam = sp.as_symmetric(fam)
         distinct = len(_distinct_blocks(fam))
         assert distinct < len(fam) // 2
         calls.clear()
@@ -374,10 +398,12 @@ def test_each_distinct_block_rendered_once(tmp_path, monkeypatch):
 
 def test_writer_peak_memory_without_repeats(tmp_path):
     """1000 random draws share no block: the writer holds a count per block,
-    not their bytes or text, so its peak stays well under the rows' size."""
+    not their bytes or text, and converts a chunk of components to the
+    symmetric convention at a time, so its peak stays well under the rows'
+    size."""
     mean = sp.construct(sp.equidistant_knots(0.0, 1.0, 40), 3,
                         np.random.default_rng(0).standard_normal(38), "CRLC")
-    fam = sp.as_symmetric(sp.rspline(mean, sp.NoiseSpec(seed=11), 1000))
+    fam = sp.rspline(mean, sp.NoiseSpec(seed=11), 1000)
     assert len(_distinct_blocks(fam)) == len(fam) == 1000
     tracemalloc.start()
     try:

@@ -164,6 +164,15 @@ def test_negative_infinite_equid_bound_reaches_knot_check(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_underflowing_gram_moments_exit_1(tmp_path, capsys):
+    # the knot spacing 1e-50 / 6 makes w**7 underflow: the Gram matrix would
+    # be wrong, so splinet() refuses and no archive is written
+    assert main(["basis", "--equid", "0", "1e-50", "5", "-k", "3",
+                 "-o", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr().err.startswith("error: order-3 Gram moments underflow")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("type", ["bs", "spnt"])
 def test_overflowing_bsplines_exit_1(tmp_path, capsys, type):
     # the knot spacing 1e-300 / 6 makes 1/h**3 overflow: rejected where the
@@ -364,6 +373,27 @@ def test_check_nan_archive(tmp_path, capsys):
     assert "member 2 violates validity by inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_edited_middle_entry_is_refused(tmp_path, capsys, command):
+    """The k-th entry that the symmetric convention adds at a member's
+    middle knot, edited beyond the member's tolerance, is refused where the
+    archive is loaded: every command exits 1 naming the member and knot."""
+    out = str(tmp_path / "b")
+    main(["basis", "--equid", "0", "1", "11", "-k", "3", "-o", out])
+    path = out + ".os.json"
+    obj = json.loads(open(path).read())
+    lo, hi = obj["splines"][4]["supp"][0]
+    mid = (hi - lo - 1) // 2 + 1
+    obj["splines"][4]["der"][0][mid][3] += 1.0
+    open(path, "w").write(json.dumps(obj))
+    capsys.readouterr()
+    argv = [command, "-i", path] + (["-o", str(tmp_path / "e.csv")] if command == "eval" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: malformed archive: member 4, knot %d: "
+                                              % (lo + mid))
+    assert not (tmp_path / "e.csv").exists()
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
 def test_check_rejects_bad_epsilon(tmp_path, capsys, eps):
     out = str(tmp_path / "b")
@@ -454,6 +484,20 @@ def test_fpca_bad_coefficients_exit_1(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: fpca")
     assert ("finite" if bad != "wide" else "9 coefficients") in err
+
+
+def test_fpca_without_variance_exits_1(tmp_path, capsys):
+    # identical rows retain no component: exit 1 and write none of the files
+    b = str(tmp_path / "b")
+    assert main(["basis", "--equid", "0", "1", "9", "-k", "3", "-o", b]) == 0
+    cp = tmp_path / "c.csv"
+    sp.write_coeff_csv(cp, np.tile(np.arange(7.0), (3, 1)))
+    capsys.readouterr()
+    assert main(["fpca", "--coeff", str(cp), "--basis", b + ".os.json",
+                 "-o", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == ("error: %s: the coefficient rows carry no variance, so "
+                                       "fpca retains no component\n" % cp)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bs.json", "b.os.json", "c.csv"]
 
 
 def test_ragged_csv_is_error(tmp_path, capsys):

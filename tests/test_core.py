@@ -130,7 +130,7 @@ def test_supportset_validation():
 
 
 # ---------------------------------------------------------------------------
-# convention conversion, frozen example matrices
+# the symmetric k-th column of archives, frozen example matrices
 
 # frozen reference: k=3 cubic spline over 10 equidistant internal knots,
 # symmetric convention (2-decimal values; the conversion is an exact column
@@ -197,19 +197,15 @@ ONE_ODD = np.array([
 ])
 
 
-def _wrap(mat, conv):
-    n = mat.shape[0] - 2
-    knots = sp.equidistant_knots(0.0, 1.0, n)
-    return sp.SplineFamily(knots, 3, (sp.member_from_full(knots, 3, mat, conv),))
+def _bounds(mat):
+    """The one component of a full-support block."""
+    return [0], [mat.shape[0] - 1]
 
 
 @pytest.mark.parametrize("sym, one", [(SYM_EVEN, ONE_EVEN), (SYM_ODD, ONE_ODD)])
 def test_sym2one_frozen_matrices(sym, one):
-    fam = _wrap(sym, sp.SYMMETRIC)
-    got = sp.sym2one(fam).full_matrix(0)
-    assert np.array_equal(got, one)
-    back = sp.sym2one(_wrap(one, sp.ONE_SIDED), inverse=True).full_matrix(0)
-    assert np.array_equal(back, sym)
+    assert np.array_equal(sp.sym2one(sym, *_bounds(sym)), one)
+    assert np.array_equal(sp.sym2one(one, *_bounds(one), inverse=True), sym)
 
 
 def test_sym2one_touches_only_last_column():
@@ -217,8 +213,7 @@ def test_sym2one_touches_only_last_column():
     for n in (6, 7, 10, 11):
         mat = rng.standard_normal((n + 2, 4))
         mat[0, :3] = mat[-1, :3] = 0.0
-        fam = _wrap(mat, sp.SYMMETRIC)
-        got = sp.sym2one(fam).full_matrix(0)
+        got = sp.sym2one(mat, *_bounds(mat))
         assert np.array_equal(got[:, :3], mat[:, :3])
         assert got[-1, 3] == 0.0
 
@@ -229,33 +224,23 @@ def test_sym2one_roundtrip(n, k, seed):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n + 2, k + 1))
     mat[-1, k] = 0.0  # one-sided terminal convention
-    knots = sp.equidistant_knots(0.0, 1.0, n)
-    fam = sp.SplineFamily(knots, k, (sp.member_from_full(knots, k, mat),))
-    back = sp.sym2one(sp.sym2one(fam, inverse=True))
-    assert np.array_equal(back.full_matrix(0), mat)
+    back = sp.sym2one(sp.sym2one(mat, *_bounds(mat), inverse=True), *_bounds(mat))
+    assert np.array_equal(back, mat)
 
 
 def test_sym2one_k0():
-    knots = sp.equidistant_knots(0.0, 1.0, 3)
     mat = np.array([[1.0], [2.0], [3.0], [4.0], [0.0]])
-    fam = sp.SplineFamily(knots, 0, (sp.member_from_full(knots, 0, mat),))
-    symf = sp.sym2one(fam, inverse=True)
+    sym = sp.sym2one(mat, *_bounds(mat), inverse=True)
     # piecewise constants: the terminal row records the last interval value
-    assert symf.full_matrix(0)[-1, 0] == 4.0
-    assert np.array_equal(sp.sym2one(symf).full_matrix(0), mat)
-
-
-def test_sym2one_wrong_convention_raises():
-    fam = _wrap(ONE_EVEN, sp.ONE_SIDED)
-    with pytest.raises(ValueError):
-        sp.sym2one(fam)  # expects a symmetric family
+    assert sym[-1, 0] == 4.0
+    assert np.array_equal(sp.sym2one(sym, *_bounds(mat)), mat)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 3),
        st.lists(st.lists(st.integers(0, 5), max_size=3), min_size=1, max_size=4),
        st.integers(0, 2**31 - 1))
-def test_as_symmetric_matches_block_oracle(k, internal, seed):
+def test_sym2one_inverse_matches_block_oracle(k, internal, seed):
     """The stacked one-sided -> symmetric conversion against the block loop,
     bit for bit, then back to the input bit for bit.  ``internal`` lists each
     member's components by their number of internal knots m (odd and even,
@@ -280,14 +265,9 @@ def test_as_symmetric_matches_block_oracle(k, internal, seed):
             blocks.append(blk)
         members.append(sp.make_member(supp, blocks))
     fam = sp.SplineFamily(knots, k, tuple(members))
-    got, ref = sp.as_symmetric(fam), oracles.loop_as_symmetric(fam)
-    back = sp.sym2one(got)
-    for (supp, der), (rsupp, rder), (bsupp, bder), (fsupp, fder) in zip(
-            got.members, ref.members, back.members, fam.members, strict=True):
-        assert supp == rsupp == bsupp == fsupp
-        assert der.convention == sp.SYMMETRIC and bder.convention == sp.ONE_SIDED
-        assert [b.tobytes() for b in der.blocks] == [b.tobytes() for b in rder.blocks]
-        assert [b.tobytes() for b in bder.blocks] == [b.tobytes() for b in fder.blocks]
+    got = sp.sym2one(fam.rows, fam.lo, fam.hi, inverse=True)
+    assert got.tobytes() == oracles.loop_as_symmetric(fam).rows.tobytes()
+    assert sp.sym2one(got, fam.lo, fam.hi).tobytes() == fam.rows.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +279,6 @@ def test_is_valid_spline_accepts_constructed():
     fam = oracles.random_valid_family(rng, 12, 3)
     rep = sp.is_valid_spline(fam)
     assert rep.all_ok and rep.max_violation <= fam.member_tolerance(0)
-    # the symmetric form of a valid spline is valid too
-    assert sp.is_valid_spline(sp.as_symmetric(fam)).all_ok
 
 
 def test_is_valid_spline_flags_perturbation():
@@ -368,21 +346,20 @@ def _raise_entry(fam, i, row, col, by):
     supp, der = members[i]
     blocks = [b.copy() for b in der.blocks]
     blocks[0][row, col] += by
-    members[i] = sp.make_member(supp, blocks, der.convention)
+    members[i] = sp.make_member(supp, blocks)
     return sp.SplineFamily(fam.knots, fam.smorder, tuple(members), fam.type, fam.epsilon)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 3), st.booleans(),
-       st.sampled_from(["none", "kth", "middle", "value", np.nan, np.inf, -np.inf]),
+@given(st.integers(0, 3),
+       st.sampled_from(["none", "kth", "value", np.nan, np.inf, -np.inf]),
        st.integers(0, 2**31 - 1))
-def test_is_valid_spline_matches_loop_oracle(k, symmetric, edit, seed):
+def test_is_valid_spline_matches_loop_oracle(k, edit, seed):
     """The stacked validity pass against the row-by-row loop.
 
-    ``kth`` raises a one-sided k-th entry (for k = 0 the last row's), which
-    breaks the Taylor step into one knot only; ``middle`` raises the stored
-    symmetric middle-knot entry; ``value`` raises a value, which breaks two
-    neighbouring knots by about the same amount, so only the member is
+    ``kth`` raises a k-th entry (for k = 0 the last row's), which breaks the
+    Taylor step into one knot only; ``value`` raises a value, which breaks
+    two neighbouring knots by about the same amount, so only the member is
     compared there; a non-finite ``edit`` is added to a random entry.
     """
     rng = np.random.default_rng(seed)
@@ -393,11 +370,6 @@ def test_is_valid_spline_matches_loop_oracle(k, symmetric, edit, seed):
     delta = 1e6 * fam.member_tolerance(i)
     if edit == "kth":
         fam = _raise_entry(fam, i, hi - lo if k == 0 else min(r, hi - lo - 1), k, delta)
-    if symmetric:
-        fam = sp.as_symmetric(fam)
-    if edit == "middle":
-        m = hi - lo - 1
-        fam = _raise_entry(fam, i, m // 2 + m % 2, k, delta)
     elif edit == "value":
         fam = _raise_entry(fam, i, r, 0, delta)
     elif not isinstance(edit, str):
@@ -507,15 +479,6 @@ def test_gather_and_subsample():
         sp.gather(a, other)
 
 
-def test_gather_mixed_conventions():
-    rng = np.random.default_rng(6)
-    a = oracles.random_valid_family(rng, 10, 2)
-    b = sp.as_symmetric(oracles.random_valid_family(rng, 10, 2))
-    g = sp.gather(a, b)
-    assert g.convention == sp.ONE_SIDED
-    assert sp.is_valid_spline(g).all_ok
-
-
 def test_exsupp_shrinks_cancellation():
     knots = sp.equidistant_knots(0.0, 1.0, 9)
     bs = sp.bspline_basis(knots, 2)
@@ -574,14 +537,14 @@ def test_merge_runs_matches_loop_oracle(pieces):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 3), st.booleans(), st.integers(0, 2**31 - 1),
+@given(st.integers(0, 3), st.integers(0, 2**31 - 1),
        st.sampled_from([None, np.nan, np.inf, -np.inf]))
-@example(2, False, 7, np.nan)
-def test_exsupp_matches_loop_oracle(k, symmetric, seed, nonfinite):
+@example(2, 7, np.nan)
+def test_exsupp_matches_loop_oracle(k, seed, nonfinite):
     """The one-pass exsupp against the per-member loop, bit for bit: dead
     runs of every length (one dead interval stays inside a component), a
-    member alive nowhere, an empty support, and both conventions.  A
-    non-finite entry in member 0's first row keeps that row live."""
+    member alive nowhere and an empty support.  A non-finite entry in member
+    0's first row keeps that row live."""
     rng = np.random.default_rng(seed)
     fam = oracles.random_rows_family(rng, k)
     if nonfinite is not None:
@@ -589,8 +552,6 @@ def test_exsupp_matches_loop_oracle(k, symmetric, seed, nonfinite):
         blocks = [b.copy() for b in der.blocks]
         blocks[0][0, 0] = nonfinite
         fam = sp.SplineFamily(fam.knots, k, (sp.make_member(supp, blocks), *rest))
-    if symmetric:
-        fam = sp.as_symmetric(fam)
     out = sp.exsupp(fam)
     oracles.assert_same_family(out, oracles.loop_exsupp(fam))
     assert out.members[-2][0].empty and out.members[-1][0].empty
@@ -602,17 +563,15 @@ def test_exsupp_matches_loop_oracle(k, symmetric, seed, nonfinite):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 3), st.booleans(), st.booleans(), st.sampled_from([5, 1 << 16]),
+@given(st.integers(0, 3), st.booleans(), st.sampled_from([5, 1 << 16]),
        st.integers(0, 2**31 - 1))
-def test_evaluate_matches_loop_oracle(k, spline_rows, symmetric, chunk, seed):
+def test_evaluate_matches_loop_oracle(k, spline_rows, chunk, seed):
     """evaluate, one pass over (point, component) pairs in chunks, against
     the per-component loop, bit for bit, for every derivative order on an
     unsorted grid holding every knot, repeated points and random points;
     rows that are not splines show which row each point is stepped from."""
     rng = np.random.default_rng(seed)
     fam = (oracles.lincomb_family if spline_rows else oracles.random_rows_family)(rng, k)
-    if symmetric:
-        fam = sp.as_symmetric(fam)
     xi = fam.knots.xi
     grid = np.concatenate([xi, rng.uniform(xi[0], xi[-1], 40), xi[rng.integers(0, xi.size, 5)]])
     rng.shuffle(grid)
@@ -647,7 +606,7 @@ def test_layout_arrays_match_loop(k, spline_rows, seed):
         path = os.path.join(tmp, "fam.json")
         sp.save_archive(path, fam)
         loaded, _ = sp.load_archive(path)
-    results = [fam, loaded, sp.sym2one(loaded), sp.lincomb(fam, rng.standard_normal((3, len(fam)))),
+    results = [fam, loaded, sp.lincomb(fam, rng.standard_normal((3, len(fam)))),
                sp.exsupp(fam), sp.integra(fam), sp.refine(fam, finer),
                sp.subsample(fam, [len(fam) - 1, 0, 2, 0]), sp.gather(fam, loaded)]
     if k:
@@ -658,15 +617,6 @@ def test_layout_arrays_match_loop(k, spline_rows, seed):
             assert got.dtype == np.int64 and not got.flags.writeable
             assert got.tolist() == want
     assert not hasattr(type(fam), "member")
-
-
-def test_family_rejects_mixed_conventions():
-    """Members of one family share one convention: a one-sided member beside
-    a symmetric one would be read with the wrong k-th column."""
-    a = oracles.random_valid_family(np.random.default_rng(8), 10, 3)
-    with pytest.raises(ValueError, match="mix"):
-        sp.SplineFamily(a.knots, 3, a.members + sp.as_symmetric(a).members)
-    assert sp.gather(a, sp.as_symmetric(a)).convention == sp.ONE_SIDED
 
 
 def test_empty_family_and_full_support():
