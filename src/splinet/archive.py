@@ -41,17 +41,7 @@ import numpy as np
 
 from .bases import DyadicNet, _net_complete
 from .calculus import _chunks
-from .core import DEFAULT_EPSILON, KnotSet, _family, _tolerances, sym2one
-
-
-def _integer(value, field):
-    """``value`` as an int; ``3.0`` counts as 3, a non-integral value or a
-    non-number is an error."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError("%s entry %r is not an integer" % (field, value))
+from .core import DEFAULT_EPSILON, KnotSet, _family, _integer, _tolerances, sym2one
 
 
 def _reals(values, field):

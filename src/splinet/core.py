@@ -1,4 +1,4 @@
-"""Core spline types: knots, supports, derivative matrices and families.
+"""Core spline types: knots and spline families.
 
 A spline of smoothness order ``k`` over knots ``xi[0] < ... < xi[n+1]`` is
 stored through the values of its derivatives 0..k at the knots inside its
@@ -16,8 +16,11 @@ one row per knot, one after another; components are listed member by member
 in support order, and member ``i`` owns components ``offsets[i]:offsets[i+1]``.
 ``member[c]``, the owner of component ``c``, and ``start[c]``, the stacked row
 of its first knot, are derived once, when the family is built.  Every
-operation reads and builds these arrays; ``members`` gives
-``(SupportSet, DerivativeMatrix)`` pairs back as views, built on first use.
+operation reads and builds these arrays.  A member on its own is the plain
+pair an archive stores, ``(supp, blocks)``: its support components as
+``(lo, hi)`` int pairs and one ``(hi-lo+1) x (k+1)`` block per component.
+The constructor stacks such pairs, ``members`` gives them back, and the
+layout check of the stacked arrays is the only check of either.
 """
 
 from __future__ import annotations
@@ -136,66 +139,29 @@ def equidistant_knots(a, b, n):
     return KnotSet(np.linspace(a, b, n + 2))
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """Disjoint, non-adjacent knot-index intervals ``(lo, hi)``, 0-based.
-
-    A component ``(lo, hi)`` covers knots ``xi[lo] .. xi[hi]`` and therefore
-    ``hi - lo`` inter-knot intervals (``m_r = hi - lo - 1`` internal knots).
-    """
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple((int(lo), int(hi)) for lo, hi in self.components)
-        prev_hi = None
-        for lo, hi in comps:
-            if lo < 0 or hi <= lo:
-                raise ValueError("bad support component (%d, %d)" % (lo, hi))
-            if prev_hi is not None and lo <= prev_hi + 1:
-                raise ValueError("support components must be disjoint and non-adjacent")
-            prev_hi = hi
-        object.__setattr__(self, "components", comps)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    @property
-    def empty(self):
-        return len(self.components) == 0
-
-    def n_intervals(self):
-        return sum(hi - lo for lo, hi in self.components)
-
-
-def full_support(knots):
-    return SupportSet(((0, len(knots) - 1),))
-
-
-@dataclass(frozen=True)
-class DerivativeMatrix:
-    """Per-support-component blocks of derivative values.
-
-    Block ``r`` is an ``(m_r + 2) x (k + 1)`` array; column ``j`` holds the
-    j-th derivative at the component's knots.  Block shapes are checked when
-    a :class:`SplineFamily` stacks the blocks.
-    """
-
-    blocks: tuple
-
-    def max_abs(self):
-        return max((float(np.max(np.abs(b))) for b in self.blocks if np.size(b)), default=0.0)
+def _integer(value, field):
+    """``value`` as an int; ``3.0`` counts as 3, a fraction, a bool or a
+    non-number is an error."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError("%s entry %r is not an integer" % (field, value))
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class SplineFamily:
     """A collection of splines over shared knots and smoothness order, stored
     as stacked rows (module docstring); all arrays are read-only.
-    ``SplineFamily(knots, k, members, type, epsilon)`` takes
-    ``(SupportSet, DerivativeMatrix)`` pairs."""
+
+    ``SplineFamily(knots, k, members, type, epsilon)`` takes each member as
+    a pair ``(supp, blocks)``: ``supp`` a sequence of ``(lo, hi)`` knot
+    indices (integers; ``3.0`` counts as 3), ``blocks`` one
+    ``(hi-lo+1) x (k+1)`` array per component.  Support components lie in
+    ``0..n+1`` with ``lo < hi``, in increasing order, disjoint and
+    non-adjacent; :meth:`_set` checks this for all members at once.
+    ``SplineFamily(f.knots, f.smorder, f.members, f.type, f.epsilon)``
+    rebuilds ``f``."""
 
     knots: KnotSet
     smorder: int
@@ -211,10 +177,11 @@ class SplineFamily:
     def __init__(self, knots, smorder, members, type="sp", epsilon=DEFAULT_EPSILON):
         """Stack the members once; shapes are checked over all blocks at once."""
         members, k = tuple(members), smorder
-        if [len(der.blocks) for _, der in members] != [len(supp) for supp, _ in members]:
+        if [len(blocks) for _, blocks in members] != [len(supp) for supp, _ in members]:
             raise ValueError("support/derivative block count mismatch")
-        comps = [c for supp, _ in members for c in supp]
-        blocks = [np.asarray(b, dtype=float) for _, der in members for b in der.blocks]
+        comps = [(_integer(lo, "supp"), _integer(hi, "supp"))
+                 for supp, _ in members for lo, hi in supp]
+        blocks = [np.asarray(b, dtype=float) for _, bs in members for b in bs]
         lo, hi = np.array(comps, dtype=np.int64).reshape(-1, 2).T
         shapes = [b.shape for b in blocks]
         want = [(m, k + 1) for m in (hi - lo + 1).tolist()]
@@ -263,14 +230,13 @@ class SplineFamily:
 
     @cached_property
     def members(self):
-        """``(SupportSet, DerivativeMatrix)`` per member, built on first use;
-        the blocks are read-only views of :attr:`rows`."""
+        """``(supp, blocks)`` per member, built on first use: ``supp`` a tuple
+        of ``(lo, hi)`` int pairs, ``blocks`` a tuple of read-only views of
+        :attr:`rows`, one per component."""
         comps = list(zip(self.lo.tolist(), self.hi.tolist()))
         blocks = np.split(self.rows, self.start[1:])
         cut = self.offsets.tolist()
-        return tuple((SupportSet(tuple(comps[a:b])),
-                      DerivativeMatrix(tuple(blocks[a:b])))
-                     for a, b in zip(cut[:-1], cut[1:]))
+        return tuple((tuple(comps[a:b]), tuple(blocks[a:b])) for a, b in zip(cut[:-1], cut[1:]))
 
     def member_tolerance(self, i):
         """Absolute validity tolerance for member i (epsilon is relative)."""
@@ -296,22 +262,14 @@ def _tolerances(fam):
     """Absolute validity tolerance of every member: ``epsilon`` times its
     largest finite ``|entry|``, or ``epsilon`` when that is 0."""
     mag = np.abs(fam.rows)
+    mag[~np.isfinite(mag)] = 0.0
+    # column by column: numpy reduces a (k+1)-wide axis slowly
+    row_max = mag[:, 0]
+    for col in mag.T[1:]:
+        row_max = np.maximum(row_max, col)
     scale = np.zeros(len(fam))
-    np.maximum.at(scale, np.repeat(fam.member, fam.hi - fam.lo + 1),
-                  np.max(mag, axis=1, where=np.isfinite(mag), initial=0.0))
+    np.maximum.at(scale, np.repeat(fam.member, fam.hi - fam.lo + 1), row_max)
     return fam.epsilon * np.where(scale > 0, scale, 1.0)
-
-
-def make_member(supp, blocks):
-    return (supp, DerivativeMatrix(tuple(blocks)))
-
-
-def member_from_full(knots, k, full):
-    """Wrap a full (n+2) x (k+1) matrix as a full-support member."""
-    full = np.asarray(full, dtype=float)
-    if full.shape != (len(knots), k + 1):
-        raise ValueError("full matrix has wrong shape")
-    return make_member(full_support(knots), (full,))
 
 
 # ---------------------------------------------------------------------------

@@ -210,10 +210,19 @@ def fpca(pr):
 
 
 def kl_reconstruct(fp, coeff_row, m_components):
-    """Truncated Karhunen-Loeve reconstruction of one coefficient row."""
-    if m_components < 0 or m_components > fp.n_retained:
-        raise ValueError("m_components must be in [0, %d]" % fp.n_retained)
-    centered = np.asarray(coeff_row, dtype=float) - fp.mean_coeff
+    """Truncated Karhunen-Loeve reconstruction of one coefficient row: ``d``
+    coefficients, one per basis member, kept on ``m_components`` retained
+    components (an integer in ``[0, n_retained]``)."""
+    if (not isinstance(m_components, (int, np.integer)) or isinstance(m_components, bool)
+            or not 0 <= m_components <= fp.n_retained):
+        raise ValueError("m_components must be an integer in [0, %d], got %r"
+                         % (fp.n_retained, m_components))
+    d = len(fp.basis)
+    coeff_row = np.asarray(coeff_row, dtype=float)
+    if coeff_row.shape != (d,):
+        raise ValueError("kl_reconstruct needs one row of %d coefficients (one per basis "
+                         "member), got an array of shape %s" % (d, coeff_row.shape))
+    centered = coeff_row - fp.mean_coeff
     v = fp.eigenvectors[:, :m_components]
     rec = fp.mean_coeff + v @ (v.T @ centered)
     return lincomb(fp.basis, rec[None, :])

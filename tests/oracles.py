@@ -106,7 +106,7 @@ def _member_from_union(full, comps, k):
     blocks = [full[lo : hi + 1].copy() for lo, hi in comps]
     for blk in blocks:
         blk[-1, k] = 0.0
-    return sp.make_member(sp.SupportSet(comps), blocks)
+    return tuple(comps), blocks
 
 
 def quad_inner(fam_a, i, fam_b, j, deriv=0):
@@ -134,7 +134,7 @@ def _interval_rows(fam1, idx):
     """Interval indices and the one-sided rows active on them for member idx."""
     supp, der = fam1.members[idx]
     ints = [np.arange(lo, hi) for lo, hi in supp]
-    rows = [blk[:-1] for blk in der.blocks]
+    rows = [blk[:-1] for blk in der]
     if not ints:
         return np.empty(0, dtype=int), np.empty((0, fam1.smorder + 1))
     return np.concatenate(ints), np.vstack(rows)
@@ -320,7 +320,7 @@ def loop_exsupp(fam):
         supp, der = fam.members[idx]
         tol = fam.member_tolerance(idx)
         runs, blocks = [], []
-        for (lo, hi), blk in zip(supp, der.blocks):
+        for (lo, hi), blk in zip(supp, der):
             row_max = np.max(np.abs(blk[:-1]), axis=1)
             alive = np.flatnonzero((row_max > tol) | ~np.isfinite(row_max))
             # one dead interval between live runs stays inside the component
@@ -329,7 +329,7 @@ def loop_exsupp(fam):
                 new[-1, -1] = 0.0
                 runs.append((lo + a, lo + b))
                 blocks.append(new)
-        members.append(sp.make_member(sp.SupportSet(tuple(runs)), blocks))
+        members.append((tuple(runs), blocks))
     return sp.SplineFamily(fam.knots, fam.smorder, tuple(members), fam.type, fam.epsilon)
 
 
@@ -341,7 +341,7 @@ def loop_evaluate(fam, grid, deriv=0):
     grid = np.asarray(grid, dtype=float)
     out = np.zeros((grid.size, len(fam)))
     for j, (supp, der) in enumerate(fam.members):
-        for (lo, hi), blk in zip(supp, der.blocks):
+        for (lo, hi), blk in zip(supp, der):
             sel = np.flatnonzero((grid >= xi[lo]) & (grid <= xi[hi]))
             iv = np.searchsorted(xi, grid[sel], side="right") - 1
             keep = (iv < hi) | ((iv == hi) & (hi == xi.size - 1))
@@ -402,7 +402,7 @@ def loop_bspline_basis(knots, k):
     for l, blk in enumerate(blocks):
         blk[0, :k] = 0.0
         blk[-1] = 0.0
-        members.append(sp.make_member(sp.SupportSet(((l, l + k + 1),)), (blk,)))
+        members.append((((l, l + k + 1),), (blk,)))
     return sp.SplineFamily(knots, k, tuple(members), "bs")
 
 
@@ -431,7 +431,7 @@ def random_rows_family(rng, k, n=14, count=6):
             comps.append((lo, hi))
             blocks.append(blk)
             lo = hi + int(rng.integers(2, 5))
-        members.append(sp.make_member(sp.SupportSet(tuple(comps)), blocks))
+        members.append((tuple(comps), blocks))
     return sp.SplineFamily(knots, k, tuple(members))
 
 
@@ -439,9 +439,9 @@ def assert_same_family(f, g):
     """Equal supports and bit-identical blocks, member by member."""
     assert (len(f), f.smorder, f.type) == (len(g), g.smorder, g.type)
     for (supp_f, der_f), (supp_g, der_g) in zip(f.members, g.members):
-        assert supp_f.components == supp_g.components
-        assert len(der_f.blocks) == len(der_g.blocks)
-        for a, b in zip(der_f.blocks, der_g.blocks):
+        assert supp_f == supp_g
+        assert len(der_f) == len(der_g)
+        for a, b in zip(der_f, der_g):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -454,7 +454,7 @@ def loop_as_symmetric(fam):
     members = []
     for supp, der in fam.members:
         blocks = []
-        for blk in der.blocks:
+        for blk in der:
             m = blk.shape[0] - 2
             l = m // 2
             out = blk.copy()
@@ -464,7 +464,7 @@ def loop_as_symmetric(fam):
                 out[l + 2 : m + 2, k] = blk[l + 1 : m + 1, k]
                 out[l + 1, k] = blk[l, k] if m % 2 == 0 else 0.0
             blocks.append(out)
-        members.append(sp.make_member(supp, blocks))
+        members.append((supp, blocks))
     return sp.SplineFamily(fam.knots, k, tuple(members), fam.type, fam.epsilon)
 
 
@@ -484,7 +484,7 @@ def loop_is_valid_spline(fam):
     first_nonfinite = None
     for idx, (supp, der) in enumerate(fam.members):
         nonfinite = [lo + int(np.argmax(~np.isfinite(blk).all(axis=1)))
-                     for (lo, _), blk in zip(supp, der.blocks)
+                     for (lo, _), blk in zip(supp, der)
                      if not np.isfinite(blk).all()]
         if nonfinite:
             report_ok.append(False)
@@ -492,7 +492,7 @@ def loop_is_valid_spline(fam):
                 first_nonfinite = (idx, nonfinite[0])
             continue
         bad, bad_knot = 0.0, -1
-        for (lo, hi), one in zip(supp, der.blocks):
+        for (lo, hi), one in zip(supp, der):
             m = hi - lo - 1
             notes = []
             if k > 0:
@@ -533,7 +533,7 @@ def loop_refine(fam, new_knots):
     members = []
     for supp, der in fam.members:
         comps, blocks = [], []
-        for (lo, hi), blk in zip(supp, der.blocks):
+        for (lo, hi), blk in zip(supp, der):
             nlo, nhi = int(idx_map[lo]), int(idx_map[hi])
             nb = np.zeros((nhi - nlo + 1, k + 1))
             for j in range(nlo, nhi + 1):
@@ -548,7 +548,7 @@ def loop_refine(fam, new_knots):
             nb[-1, k] = 0.0
             blocks.append(nb)
             comps.append((nlo, nhi))
-        members.append(sp.make_member(sp.SupportSet(tuple(comps)), blocks))
+        members.append((tuple(comps), blocks))
     return sp.SplineFamily(new_knots, k, tuple(members), fam.type, fam.epsilon)
 
 # ---------------------------------------------------------------------------
@@ -954,7 +954,7 @@ def family_to_dict(fam, net=None):
             {
                 "supp": [[int(lo), int(hi)] for lo, hi in supp],
                 "der": [[[float(x) for x in row] for row in blk]
-                        for blk in der.blocks],
+                        for blk in der],
             }
             for supp, der in fam.members
         ],

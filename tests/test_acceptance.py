@@ -140,9 +140,9 @@ def test_c08_support_scaling():
         n = 3 * 2**nn - 1
         res = sp.splinet(sp.equidistant_knots(0.0, 1.0, n), 3)
         os_trim = sp.exsupp(res.os)
-        rel = sum(m[0].n_intervals() for m in os_trim.members) / (n + 1)
+        rel = sum(hi - lo for supp, _ in os_trim.members for lo, hi in supp) / (n + 1)
         assert rel <= C * np.log2(n), (nn, rel)
-        rel_bs = sum(m[0].n_intervals() for m in res.bs.members) / (n + 1)
+        rel_bs = sum(hi - lo for supp, _ in res.bs.members for lo, hi in supp) / (n + 1)
         assert rel_bs <= 3 + 1  # k + 1
 
 

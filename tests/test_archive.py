@@ -13,7 +13,6 @@ import splinet as sp
 from splinet import archive
 from splinet.archive import family_from_dict
 from splinet.bases import DyadicNet
-from splinet.core import make_member
 
 import oracles
 
@@ -67,7 +66,7 @@ def test_multi_component_support_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     sp.save_archive(path, fam)
     back, _ = sp.load_archive(path)
-    assert back.members[0][0].components == fam.members[0][0].components
+    assert back.members[0][0] == fam.members[0][0]
     grid = np.linspace(0, 1, 201)
     assert np.allclose(sp.evaluate(back, grid), sp.evaluate(fam, grid), atol=1e-14)
 
@@ -158,7 +157,8 @@ def test_malformed_real_fields(tmp_path, field, value, message):
         "block_rows_swapped"])
 def test_archive_support_and_shape_checked(splines, message):
     """Archive members go straight into the stacked layout; its one
-    vectorized check rejects what a SupportSet or block shape would."""
+    vectorized check is the only check of supports and block shapes, as it
+    is for ``SplineFamily``'s ``(supp, blocks)`` pairs."""
     obj = {"knots": list(np.linspace(0.0, 1.0, 8)), "order": 2, "splines": splines}
     with pytest.raises(ValueError, match=message):
         family_from_dict(obj)
@@ -221,7 +221,7 @@ def test_integral_float_order_accepted(tmp_path):
     obj["order"] = 2.0
     obj["splines"][0]["supp"] = [[0.0, 3.0]]
     back, _ = family_from_dict(obj)
-    assert back.smorder == 2 and back.members[0][0].components == ((0, 3),)
+    assert back.smorder == 2 and back.members[0][0] == ((0, 3),)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def _supports(draw, n):
         hi = min(lo + draw(st.integers(1, 3)), n + 1)
         comps.append((lo, hi))
         lo = hi + 2 + draw(st.integers(0, 2))
-    return sp.SupportSet(tuple(comps))
+    return tuple(comps)
 
 
 @st.composite
@@ -256,7 +256,7 @@ def _families(draw):
         blocks = [np.array(draw(st.lists(_REALS, min_size=(hi - lo + 1) * (k + 1),
                                          max_size=(hi - lo + 1) * (k + 1))))
                   .reshape(hi - lo + 1, k + 1) for lo, hi in supp]
-        members.append(make_member(supp, blocks))
+        members.append((supp, blocks))
     fam = sp.SplineFamily(knots, k, tuple(members),
                           draw(st.sampled_from(["sp", "bs", "gsob", "twob", "spnt", "dspnt"])),
                           draw(st.floats(0.0, 1e3)))
@@ -280,9 +280,9 @@ def _nonfinite_family():
     odd = np.array([[np.nan, -0.0], [np.inf, -np.inf], [0.0, 1e-300]])
     even = np.array([[0.0, 1.5], [-0.0, np.nan], [np.nan, np.inf], [0.0, 0.0]])
     return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, 2), 1,
-                           (make_member(sp.SupportSet(((0, 2),)), [odd]),
-                            make_member(sp.SupportSet(((0, 3),)), [even]),
-                            make_member(sp.SupportSet(()), [])))
+                           ((((0, 2),), [odd]),
+                            (((0, 3),), [even]),
+                            ((), [])))
 
 
 def _check_writer(path, fam, net):
@@ -298,7 +298,7 @@ def _check_writer(path, fam, net):
     assert (back.smorder, back.type) == (fam.smorder, fam.type)
     assert _bits(back.epsilon) == _bits(fam.epsilon)
     assert len(back) == len(fam)
-    assert [s.components for s, _ in back.members] == [s.components for s, _ in fam.members]
+    assert [s for s, _ in back.members] == [s for s, _ in fam.members]
     assert np.array_equal(_bits(back.rows), _bits(rows))
     assert (back_net is None) == (net is None)
     if net is not None:
@@ -339,12 +339,12 @@ def _repeating_families(draw):
                           for _ in range(draw(st.integers(1, 2)))]
         return pool[size][draw(st.integers(0, len(pool[size]) - 1))]
 
-    supports = draw(st.lists(_supports(n).filter(lambda s: s.components), min_size=1,
+    supports = draw(st.lists(_supports(n).filter(bool), min_size=1,
                              max_size=2))
     members = []
     for _ in range(draw(st.integers(1, 6))):
         supp = supports[draw(st.integers(0, len(supports) - 1))]
-        members.append(make_member(supp, [block(hi - lo + 1) for lo, hi in supp]))
+        members.append((supp, [block(hi - lo + 1) for lo, hi in supp]))
     return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, n), k, tuple(members))
 
 
@@ -356,11 +356,11 @@ def _repeats_family():
     signed = a.copy()
     signed[1, 0] = -0.0
     odd = np.array([[np.nan, np.inf], [-np.inf, np.nan], [np.nan, np.nan]])
-    two, three = sp.SupportSet(((0, 2), (4, 6))), sp.SupportSet(((0, 2),))
-    members = [make_member(two, [a, a]), make_member(three, [a]),
-               make_member(three, [signed]), make_member(two, [odd, odd]),
-               make_member(sp.SupportSet(((1, 3), (5, 6))), [signed, a[:2]]),
-               make_member(three, [odd])]
+    two, three = ((0, 2), (4, 6)), ((0, 2),)
+    members = [(two, [a, a]), (three, [a]),
+               (three, [signed]), (two, [odd, odd]),
+               (((1, 3), (5, 6)), [signed, a[:2]]),
+               (three, [odd])]
     return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, 5), 1, tuple(members))
 
 

@@ -37,7 +37,7 @@ def test_bspline_count_and_support(k):
     bs = sp.bspline_basis(knots, k)
     assert len(bs) == n - k + 1
     for l, (supp, _) in enumerate(bs.members):
-        assert supp.components == ((l, l + k + 1),)
+        assert supp == ((l, l + k + 1),)
     assert sp.is_valid_spline(bs).all_ok
 
 
@@ -531,7 +531,7 @@ def test_splinet_supports_grow_by_level():
     sizes = []
     for lv in net.levels:
         idx = [i for tup in lv for i in tup]
-        spans = [res.os.members[i][0].n_intervals() for i in idx]
+        spans = [sum(hi - lo for lo, hi in res.os.members[i][0]) for i in idx]
         sizes.append(max(spans))
     # deeper levels have geometrically wider supports
     assert sizes[0] < sizes[1] < sizes[2]

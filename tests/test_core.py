@@ -117,16 +117,50 @@ def test_random_knots_terminates_for_many_knots():
     assert np.all(gaps > 0) and gaps.max() <= 3.0 * gaps.min() * (1 + 1e-9)
 
 
-def test_supportset_validation():
-    s = sp.SupportSet(((0, 3), (5, 8)))
-    assert len(s) == 2 and s.n_intervals() == 6 and not s.empty
-    with pytest.raises(ValueError):
-        sp.SupportSet(((0, 3), (4, 6)))  # adjacent components must merge
-    with pytest.raises(ValueError):
-        sp.SupportSet(((2, 2),))  # needs at least one interval
-    with pytest.raises(ValueError):
-        sp.SupportSet(((-1, 2),))
-    assert sp.SupportSet(()).empty
+def _one_member(knots, *supp):
+    """A one-member order-1 family of zero blocks on components ``supp``."""
+    return sp.SplineFamily(knots, 1, ((supp, [np.zeros((hi - lo + 1, 2)) for lo, hi in supp]),))
+
+
+def test_family_support_validation():
+    """A member is a plain ``(supp, blocks)`` pair; its support is checked
+    where the family stacks it."""
+    knots = sp.equidistant_knots(0.0, 1.0, 8)
+    (supp, blocks), = _one_member(knots, (0, 3), (5, 8)).members
+    assert supp == ((0, 3), (5, 8)) and sum(hi - lo for lo, hi in supp) == 6
+    assert [b.shape for b in blocks] == [(4, 2), (4, 2)]
+    disjoint = "support components must be disjoint and non-adjacent"
+    with pytest.raises(ValueError, match=disjoint):
+        _one_member(knots, (0, 3), (4, 6))  # adjacent components must merge
+    with pytest.raises(ValueError, match=disjoint):
+        _one_member(knots, (5, 8), (0, 3))  # components come in increasing order
+    with pytest.raises(ValueError, match=disjoint):
+        _one_member(knots, (0, 3), (2, 6))
+    with pytest.raises(ValueError, match=r"bad support component \(2, 2\)"):
+        _one_member(knots, (2, 2))  # needs at least one interval
+    with pytest.raises(ValueError, match=r"bad support component \(-1, 2\)"):
+        _one_member(knots, (-1, 2))
+    with pytest.raises(ValueError, match=r"support component \(5, 10\) outside knot range"):
+        _one_member(knots, (5, 10))
+    assert _one_member(knots).members == (((), ()),)
+
+
+@pytest.mark.parametrize("bound", [(0.5, 3), (0, 3.9), (True, 3), (0, np.True_), (0, "3"),
+                                   (0, None), (0, np.nan)])
+def test_family_rejects_non_integer_support_bounds(bound):
+    """The constructor reads support bounds by the loader's rule: an integral
+    float counts, a fraction, a bool or a non-number is an error."""
+    knots = sp.equidistant_knots(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="supp entry .* is not an integer"):
+        sp.SplineFamily(knots, 1, (((bound,), [np.zeros((4, 2))]),))
+
+
+def test_family_reads_integral_support_bounds():
+    knots = sp.equidistant_knots(0.0, 1.0, 8)
+    for bound in ((0.0, 3.0), (np.int64(0), np.int32(3)), (0, np.float64(3.0))):
+        fam = sp.SplineFamily(knots, 1, (((bound,), [np.zeros((4, 2))]),))
+        supp = fam.members[0][0]
+        assert supp == ((0, 3),) and all(type(b) is int for b in supp[0])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +286,7 @@ def test_sym2one_inverse_matches_block_oracle(k, internal, seed):
         for m in ms:
             comps.append((lo, lo + m + 1))
             lo += m + 3
-        supports.append(sp.SupportSet(tuple(comps)))
+        supports.append(tuple(comps))
         at = max(at, lo)
     knots = sp.equidistant_knots(0.0, 1.0, at - 2)
     members = []
@@ -263,7 +297,7 @@ def test_sym2one_inverse_matches_block_oracle(k, internal, seed):
             blk[rng.random(blk.shape) < 0.2] = -0.0
             blk[-1, k] = 0.0  # one-sided terminal convention
             blocks.append(blk)
-        members.append(sp.make_member(supp, blocks))
+        members.append((supp, blocks))
     fam = sp.SplineFamily(knots, k, tuple(members))
     got = sp.sym2one(fam.rows, fam.lo, fam.hi, inverse=True)
     assert got.tobytes() == oracles.loop_as_symmetric(fam).rows.tobytes()
@@ -281,12 +315,17 @@ def test_is_valid_spline_accepts_constructed():
     assert rep.all_ok and rep.max_violation <= fam.member_tolerance(0)
 
 
+def _full_member(mat):
+    """``mat``, a full ``(n+2) x (k+1)`` matrix, as a full-support member."""
+    return ((0, len(mat) - 1),), (mat,)
+
+
 def test_is_valid_spline_flags_perturbation():
     rng = np.random.default_rng(12)
     fam = oracles.random_valid_family(rng, 12, 3)
     mat = fam.full_matrix(0)
     mat[5, 0] += 10.0 * fam.member_tolerance(0)
-    bad = sp.SplineFamily(fam.knots, 3, (sp.member_from_full(fam.knots, 3, mat),))
+    bad = sp.SplineFamily(fam.knots, 3, (_full_member(mat),))
     rep = sp.is_valid_spline(bad)
     assert not rep.all_ok and rep.worst_member == 0
 
@@ -295,7 +334,7 @@ def test_is_valid_spline_flags_boundary():
     knots = sp.equidistant_knots(0.0, 1.0, 8)
     mat = np.zeros((10, 3))
     mat[0, 0] = 1.0  # nonzero value at the left terminal knot
-    bad = sp.SplineFamily(knots, 2, (sp.member_from_full(knots, 2, mat),))
+    bad = sp.SplineFamily(knots, 2, (_full_member(mat),))
     rep = sp.is_valid_spline(bad)
     assert not rep.all_ok and rep.worst_knot == 0
 
@@ -303,7 +342,7 @@ def test_is_valid_spline_flags_boundary():
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0])
 def test_family_rejects_bad_epsilon(eps):
     knots = sp.equidistant_knots(0.0, 1.0, 8)
-    member = sp.member_from_full(knots, 2, np.zeros((10, 3)))
+    member = _full_member(np.zeros((10, 3)))
     with pytest.raises(ValueError, match="epsilon"):
         sp.SplineFamily(knots, 2, (member,), "sp", eps)
 
@@ -313,19 +352,19 @@ def test_is_valid_spline_flags_nonfinite(bad):
     res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 23), 3)
     members = list(res.os.members)
     supp, der = members[4]
-    blocks = [b.copy() for b in der.blocks]
+    blocks = [b.copy() for b in der]
     blocks[0][2, 1] = bad
-    members[4] = sp.make_member(supp, blocks)
+    members[4] = (supp, blocks)
     rep = sp.is_valid_spline(sp.SplineFamily(res.os.knots, 3, tuple(members), "sp"))
     assert not rep.all_ok
     assert rep.member_ok == [i != 4 for i in range(len(members))]
     assert rep.max_violation == np.inf
-    assert rep.worst_member == 4 and rep.worst_knot == supp.components[0][0] + 2
+    assert rep.worst_member == 4 and rep.worst_knot == supp[0][0] + 2
 
 
 def test_is_valid_spline_tie_rule_and_empty():
     knots = sp.equidistant_knots(0.0, 1.0, 7)  # spacing 1/8, exact in binary
-    hollow = sp.make_member(sp.SupportSet(()), ())
+    hollow = ((), ())
     for members in ((), (hollow,) * 3):
         rep = sp.is_valid_spline(sp.SplineFamily(knots, 2, members))
         assert rep.all_ok and (rep.max_violation, rep.worst_member, rep.worst_knot) == (0.0, -1, -1)
@@ -333,8 +372,8 @@ def test_is_valid_spline_tie_rule_and_empty():
     # knots 4 and 7: the lower member and the lower knot are named
     mat = np.zeros((9, 3))
     mat[3, 2] = mat[6, 2] = 8.0
-    ok = sp.member_from_full(knots, 2, np.zeros((9, 3)))
-    bad = sp.member_from_full(knots, 2, mat)
+    ok = _full_member(np.zeros((9, 3)))
+    bad = _full_member(mat)
     rep = sp.is_valid_spline(sp.SplineFamily(knots, 2, (ok, bad, bad)))
     assert rep.member_ok == [True, False, False] and rep.max_violation == 1.0
     assert (rep.worst_member, rep.worst_knot) == (1, 4)
@@ -344,9 +383,9 @@ def _raise_entry(fam, i, row, col, by):
     """``fam`` with ``by`` added to entry (row, col) of member i's first block."""
     members = list(fam.members)
     supp, der = members[i]
-    blocks = [b.copy() for b in der.blocks]
+    blocks = [b.copy() for b in der]
     blocks[0][row, col] += by
-    members[i] = sp.make_member(supp, blocks)
+    members[i] = (supp, blocks)
     return sp.SplineFamily(fam.knots, fam.smorder, tuple(members), fam.type, fam.epsilon)
 
 
@@ -365,7 +404,7 @@ def test_is_valid_spline_matches_loop_oracle(k, edit, seed):
     rng = np.random.default_rng(seed)
     fam = oracles.lincomb_family(rng, k)
     i = int(rng.integers(0, len(fam) - 1))
-    lo, hi = fam.members[i][0].components[0]
+    lo, hi = fam.members[i][0][0]
     r = int(rng.integers(0, hi - lo + 1))
     delta = 1e6 * fam.member_tolerance(i)
     if edit == "kth":
@@ -382,7 +421,7 @@ def test_is_valid_spline_matches_loop_oracle(k, edit, seed):
         assert (rep.worst_member, rep.worst_knot) == (ref.worst_member, ref.worst_knot)
         return
     worst = {rep.worst_member, ref.worst_member} - {-1}
-    scale = max((fam.members[w][1].max_abs() for w in worst), default=0.0)
+    scale = max((np.max(np.abs(fam.full_matrix(w))) for w in worst), default=0.0)
     assert abs(rep.max_violation - ref.max_violation) <= 1e-14 * scale
     if not all(ref.member_ok):
         assert rep.worst_member == ref.worst_member == i
@@ -426,7 +465,7 @@ def test_evaluate_nonfinite_grid_raises(bad):
 def test_evaluate_right_continuous_at_support_edge():
     # an indicator of one interval is 1 at its left knot, 0 at its right knot
     knots = sp.equidistant_knots(0.0, 1.0, 4)
-    member = sp.make_member(sp.SupportSet(((1, 2),)), (np.array([[1.0], [0.0]]),))
+    member = (((1, 2),), (np.array([[1.0], [0.0]]),))
     fam = sp.SplineFamily(knots, 0, (member,))
     xi = knots.xi
     vals = sp.evaluate(fam, [xi[1], xi[2]])[:, 0]
@@ -435,7 +474,7 @@ def test_evaluate_right_continuous_at_support_edge():
 
 def test_evaluate_left_limit_at_last_knot():
     knots = sp.equidistant_knots(0.0, 1.0, 2)
-    member = sp.make_member(sp.SupportSet(((2, 3),)), (np.array([[1.0], [0.0]]),))
+    member = (((2, 3),), (np.array([[1.0], [0.0]]),))
     fam = sp.SplineFamily(knots, 0, (member,))
     assert sp.evaluate(fam, [1.0])[0, 0] == 1.0
 
@@ -484,7 +523,7 @@ def test_exsupp_shrinks_cancellation():
     bs = sp.bspline_basis(knots, 2)
     # the zero combination vanishes identically: support becomes empty
     zero = sp.lincomb(bs, np.zeros((1, len(bs))))
-    assert sp.exsupp(zero).members[0][0].empty
+    assert not sp.exsupp(zero).members[0][0]
     # a combination of two distant B-splines keeps two components
     c = np.zeros(len(bs))
     c[0] = 1.0
@@ -501,7 +540,7 @@ def test_exsupp_keeps_one_dead_interval():
     c[5:8] = 0.0
     fam = sp.lincomb(bs, c)
     out = sp.exsupp(fam)
-    assert out.members[0][0].components == ((0, 21),)
+    assert out.members[0][0] == ((0, 21),)
     grid = np.linspace(0.0, 1.0, 211)
     assert np.array_equal(sp.evaluate(out, grid), sp.evaluate(fam, grid))
 
@@ -549,15 +588,15 @@ def test_exsupp_matches_loop_oracle(k, seed, nonfinite):
     fam = oracles.random_rows_family(rng, k)
     if nonfinite is not None:
         (supp, der), *rest = fam.members
-        blocks = [b.copy() for b in der.blocks]
+        blocks = [b.copy() for b in der]
         blocks[0][0, 0] = nonfinite
-        fam = sp.SplineFamily(fam.knots, k, (sp.make_member(supp, blocks), *rest))
+        fam = sp.SplineFamily(fam.knots, k, ((supp, blocks), *rest))
     out = sp.exsupp(fam)
     oracles.assert_same_family(out, oracles.loop_exsupp(fam))
-    assert out.members[-2][0].empty and out.members[-1][0].empty
+    assert not out.members[-2][0] and not out.members[-1][0]
     assert np.isfinite(out.rows).all() == (nonfinite is None)
     # the tolerance scale is the largest finite entry
-    entries = np.concatenate([b.ravel() for b in fam.members[0][1].blocks])
+    entries = np.concatenate([b.ravel() for b in fam.members[0][1]])
     scale = np.max(np.abs(entries[np.isfinite(entries)]), initial=0.0)
     assert fam.member_tolerance(0) == fam.epsilon * (scale if scale > 0 else 1.0)
 
@@ -592,12 +631,10 @@ def _layout_by_loop(fam):
     return member, start
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 3), st.booleans(), st.integers(0, 2**31 - 1))
-def test_layout_arrays_match_loop(k, spline_rows, seed):
-    """Every family's ``member`` and ``start``, derived once when it is
-    built, equal a loop over its members and are read-only int64: random
-    families and the result of every operation that builds a layout."""
+def _produced_families(k, spline_rows, seed):
+    """A random family (``oracles.lincomb_family`` or, with entries that are
+    not splines, ``oracles.random_rows_family``; both hold a member with an
+    empty support) and the result of every operation that builds a layout."""
     rng = np.random.default_rng(seed)
     fam = (oracles.lincomb_family if spline_rows else oracles.random_rows_family)(rng, k)
     xi = fam.knots.xi
@@ -608,19 +645,67 @@ def test_layout_arrays_match_loop(k, spline_rows, seed):
         loaded, _ = sp.load_archive(path)
     results = [fam, loaded, sp.lincomb(fam, rng.standard_normal((3, len(fam)))),
                sp.exsupp(fam), sp.integra(fam), sp.refine(fam, finer),
-               sp.subsample(fam, [len(fam) - 1, 0, 2, 0]), sp.gather(fam, loaded)]
+               sp.subsample(fam, [len(fam) - 1, 0, 2, 0]), sp.gather(fam, loaded),
+               sp.empty_family(fam.knots, k)]
     if k:
         results.append(sp.deriva(fam))
+    for type in ("spnt", "gsob", "twob"):
+        res = sp.splinet(fam.knots, k, type)
+        results += [res.bs, res.os]
+    mean = oracles.random_valid_family(rng, 10, max(k, 1))
+    results.append(sp.rspline(mean, sp.NoiseSpec(sigma=0.3, seed=seed), count=3))
+    return results
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.booleans(), st.integers(0, 2**31 - 1))
+def test_layout_arrays_match_loop(k, spline_rows, seed):
+    """Every family's ``member`` and ``start``, derived once when it is
+    built, equal a loop over its members and are read-only int64: random
+    families and the result of every operation that builds a layout."""
+    results = _produced_families(k, spline_rows, seed)
     for f in results:
         member, start = _layout_by_loop(f)
         for got, want in ((f.member, member), (f.start, start)):
             assert got.dtype == np.int64 and not got.flags.writeable
             assert got.tolist() == want
-    assert not hasattr(type(fam), "member")
+    assert not hasattr(type(results[0]), "member")
 
 
-def test_empty_family_and_full_support():
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.booleans(), st.integers(0, 2**31 - 1))
+def test_members_rebuild_every_family(k, spline_rows, seed):
+    """``members`` gives plain ``(supp, blocks)`` pairs that the constructor
+    stacks back into the same layout, bit for bit, whichever operation built
+    the family; the blocks are read-only views of ``rows``."""
+    for f in _produced_families(k, spline_rows, seed):
+        for supp, blocks in f.members:
+            assert type(supp) is tuple and all(type(b) is int for c in supp for b in c)
+            assert all(not b.flags.writeable and np.shares_memory(b, f.rows) for b in blocks)
+        g = sp.SplineFamily(f.knots, f.smorder, f.members, f.type, f.epsilon)
+        assert (g.knots, g.smorder, g.type, g.epsilon) == (f.knots, f.smorder, f.type, f.epsilon)
+        for name in ("rows", "lo", "hi", "offsets", "member", "start"):
+            got, want = getattr(g, name), getattr(f, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_readme_quick_tour_runs():
+    """README's "Library quick tour" block runs as written."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    tour = text[text.index("## Library quick tour"):]
+    start = tour.index("```python\n") + len("```python\n")
+    code = tour[start : tour.index("```", start)]
+    exec(compile(code, "README.md quick tour", "exec"), {})
+
+
+def test_empty_family_and_full_member():
     knots = sp.equidistant_knots(0.0, 1.0, 4)
     fam = sp.empty_family(knots, 2)
-    assert len(fam) == 0
-    assert sp.full_support(knots).components == ((0, 5),)
+    assert len(fam) == 0 and fam.members == ()
+    mat = np.arange(18.0).reshape(6, 3)
+    full = sp.SplineFamily(knots, 2, (_full_member(mat),))
+    assert full.members[0][0] == ((0, 5),)
+    assert np.array_equal(full.full_matrix(0), mat)

@@ -365,6 +365,20 @@ def test_kl_reconstruct_monotone():
         sp.kl_reconstruct(fp, row, fp.n_retained + 1)
 
 
+def test_kl_reconstruct_errors_name_d_and_range():
+    pr, _, _ = _synthetic_projection()
+    fp = sp.fpca(pr)
+    d, r = len(pr.basis), fp.n_retained
+    row = pr.coeff[0]
+    for short in (row[:-1], np.append(row, 0.0), pr.coeff[:2]):
+        with pytest.raises(ValueError, match="one row of %d coefficients" % d):
+            sp.kl_reconstruct(fp, short, r)
+    for m in (1.5, 2.0, True, -1, r + 1):
+        with pytest.raises(ValueError, match=r"an integer in \[0, %d\]" % r):
+            sp.kl_reconstruct(fp, row, m)
+    assert len(sp.kl_reconstruct(fp, row, np.int64(r))) == 1
+
+
 # ---------------------------------------------------------------------------
 # CSV helpers
 

@@ -58,7 +58,7 @@ def test_rspline_prefix_bitexact(method):
     big = sp.rspline(mean, noise, count=1000, method=method)
     five = sp.rspline(mean, noise, count=5, method=method)
     one = sp.rspline(mean, noise, count=1, method=method)
-    blocks = [[fam.members[j][1].blocks[0].tobytes() for j in range(len(fam))]
+    blocks = [[fam.members[j][1][0].tobytes() for j in range(len(fam))]
               for fam in (big, five, one)]
     assert blocks[0][:5] == blocks[1]
     assert blocks[0][:1] == blocks[2]
