@@ -22,11 +22,9 @@ is asked for; ``scipy.sparse`` input is read through its ``tocsr`` method.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import _family, _merge_runs, _ranges, taylor_astar
+from .core import _factorials, _family, _merge_runs, _ranges
 
 
 class _Csr:
@@ -138,7 +136,10 @@ def _interval_rows(fam):
 
 def _interval_weights(xi, k):
     """Flattened ``w^(p+1) / (p+1)!`` per knot row; 0 on the last knot."""
-    return np.vstack([taylor_astar(np.diff(xi), k).T, np.zeros((1, k + 1))]).ravel()
+    w, fact = np.diff(xi), _factorials(k + 1)
+    # power by power: one ``w[:, None] ** arange`` may round differently
+    cols = [w ** (j + 1) / fact[j + 1] for j in range(k + 1)]
+    return np.vstack([np.column_stack(cols), np.zeros((1, k + 1))]).ravel()
 
 
 def _integrals(fam, absolute=False):
@@ -149,7 +150,8 @@ def _integrals(fam, absolute=False):
     owner, t, rows = _interval_rows(fam)
     w = _interval_weights(fam.knots.xi, fam.smorder).reshape(-1, k1)[t]
     terms = (np.abs(rows) if absolute else rows) * w
-    return np.bincount(np.repeat(owner, k1), terms.ravel(), minlength=len(fam))
+    # float even with no member's support, where bincount gives ints
+    return np.bincount(np.repeat(owner, k1), terms.ravel(), len(fam)).astype(float)
 
 
 def _moment_blocks(xi, k):
@@ -166,7 +168,7 @@ def _moment_blocks(xi, k):
                              "is not a normal float" % (k, how, which, float(h), top))
     w = w[:, None, None]
     e = np.arange(k + 1)[:, None] + np.arange(k + 1) + 1
-    fact = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
+    fact = _factorials(k)
     return w ** e / (e * np.outer(fact, fact))
 
 

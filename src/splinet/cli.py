@@ -208,9 +208,9 @@ def _cmd_random(args):
 
 
 def _cmd_project(args):
-    with open(args.input, encoding="utf-8") as fh:
-        is_archive = fh.read(1) == "{"
-    if is_archive:
+    with open(args.input, encoding="utf-8") as fh:  # the first character past JSON's whitespace
+        first = next((c for c in iter(lambda: fh.read(1), "") if c not in " \t\n\r"), "")
+    if first == "{":
         fam, _ = load_archive(args.input)
         target = None
         if args.equid is not None or args.knots is not None:

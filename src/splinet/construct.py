@@ -33,7 +33,6 @@ runs it once over all its draws.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .core import (
     DEFAULT_EPSILON,
     KNOT_MATCH_TOL,
     KnotSet,
+    _factorials,
     _family,
     _ranges,
     _taylor_col,
@@ -87,7 +87,7 @@ def solve_frlc(first_row, last_col, knots_segment):
 def _frfc(first_row_partial, first_col, spacings, k):
     """Rows 1.. from the row before; each row's k-th entry is the one that
     steps its value to the next entry of ``first_col`` (``(M, len+1)``)."""
-    m1 = len(spacings)
+    m1, fact_k = len(spacings), _factorials(k)[k]
     u = np.zeros((first_col.shape[0], m1 + 1, k + 1))
     u[:, 0, :k] = first_row_partial
     u[:, :, 0] = first_col
@@ -97,7 +97,7 @@ def _frfc(first_row_partial, first_col, spacings, k):
         if i < m1:
             # u[:, i, k] is still 0, so the Horner value sums orders 0..k-1
             h = spacings[i]
-            u[:, i, k] = (first_col[:, i + 1] - _taylor_col(u[:, i], h, 0)) / (h**k / math.factorial(k))
+            u[:, i, k] = (first_col[:, i + 1] - _taylor_col(u[:, i], h, 0)) / (h**k / fact_k)
     return u
 
 

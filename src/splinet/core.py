@@ -10,6 +10,10 @@ block holds right-hand limits, the bottom half left-hand limits);
 :func:`sym2one` converts stacked rows between the two, and only
 :mod:`splinet.archive` calls it.
 
+Every Taylor step, forward or backward, is the Horner sweep of
+:func:`_taylor_col`: entry ``c`` of a row carried across ``dt`` becomes
+``sum over i >= c of row[i] dt^(i-c) / (i-c)!``; no step matrix is formed.
+
 A :class:`SplineFamily` stores these Taylor rows once, stacked: ``rows``
 (R x (k+1)) holds the block of every support component ``(lo[c], hi[c])``,
 one row per knot, one after another; components are listed member by member
@@ -45,57 +49,8 @@ _FAMILY_TYPES = ("sp", "bs", "gsob", "twob", "spnt", "dspnt")
 
 
 def _factorials(k):
+    """``0!, 1!, ..., k!`` as floats, the one factorial table."""
     return np.cumprod(np.maximum(np.arange(k + 1), 1.0))
-
-
-def taylor_step_matrix(alpha, k):
-    """Lower-triangular Toeplitz matrix of Taylor-step weights.
-
-    ``A[i, j] = alpha**(i-j) / (i-j)!`` for ``i >= j``.  Propagating a row of
-    derivative values across a knot interval of length ``alpha`` amounts to a
-    right-multiplication by this matrix.  ``alpha`` may be negative here
-    (backward step); the public wrapper :func:`taylor_matrices` rejects that.
-    """
-    a = np.zeros((k + 1, k + 1))
-    fact = _factorials(k + 1)
-    for d in range(k + 1):
-        val = alpha**d / fact[d]
-        for i in range(d, k + 1):
-            a[i, i - d] = val
-    return a
-
-
-def taylor_astar(alpha, k):
-    """Column of integrated Taylor weights (alpha, alpha^2/2!, ..., alpha^(k+1)/(k+1)!)."""
-    fact = _factorials(k + 1)
-    return np.array([alpha ** (j + 1) / fact[j + 1] * 1.0 for j in range(k + 1)])
-
-
-def difference_matrix(size):
-    """Square matrix with a zero first row, then -1/+1 sub/diagonal bands."""
-    d = np.eye(size) - np.eye(size, k=-1)
-    d[0, 0] = 0.0
-    return d
-
-
-@dataclass(frozen=True)
-class TaylorStepMatrix:
-    A: np.ndarray
-    Astar: np.ndarray
-    Delta: np.ndarray
-
-
-def taylor_matrices(alpha, k):
-    """Taylor-step matrices for a knot spacing ``alpha >= 0`` and order ``k``."""
-    if k < 0:
-        raise ValueError("order k must be non-negative")
-    if alpha < 0:
-        raise ValueError("knot spacings are positive; got alpha=%g" % alpha)
-    return TaylorStepMatrix(
-        A=taylor_step_matrix(alpha, k),
-        Astar=taylor_astar(alpha, k),
-        Delta=difference_matrix(k + 2),
-    )
 
 
 @dataclass(frozen=True)
@@ -263,13 +218,18 @@ def _tolerances(fam):
     largest finite ``|entry|``, or ``epsilon`` when that is 0."""
     mag = np.abs(fam.rows)
     mag[~np.isfinite(mag)] = 0.0
-    # column by column: numpy reduces a (k+1)-wide axis slowly
-    row_max = mag[:, 0]
-    for col in mag.T[1:]:
-        row_max = np.maximum(row_max, col)
     scale = np.zeros(len(fam))
-    np.maximum.at(scale, np.repeat(fam.member, fam.hi - fam.lo + 1), row_max)
+    np.maximum.at(scale, np.repeat(fam.member, fam.hi - fam.lo + 1), _row_max(mag))
     return fam.epsilon * np.where(scale > 0, scale, 1.0)
+
+
+def _row_max(a):
+    """``np.max(a, axis=1)`` (a NaN passes on) of a 2-d array with a column
+    or more, column by column: numpy reduces a short last axis slowly."""
+    out = a[:, 0]
+    for col in a.T[1:]:
+        out = np.maximum(out, col)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +243,10 @@ def _ranges(starts, lengths):
 
 
 def _taylor_col(rows, dt, c):
-    """Column ``c`` of ``rows[r] @ taylor_step_matrix(dt[r], k)`` for every
-    row ``r``: the Horner sum ``v = rows[:, i] + v * dt / (i - c + 1)`` for
-    ``i = k-1 .. c``, started from ``v = rows[:, k]``."""
+    """``out[r] = sum over i >= c of rows[r, i] dt[r]^(i-c) / (i-c)!``, column
+    ``c`` of every row's Taylor step (``dt`` may be negative), as the Horner
+    sum ``v = rows[:, i] + v * dt / (i - c + 1)`` for ``i = k-1 .. c`` from
+    ``v = rows[:, k]``."""
     k = rows.shape[1] - 1
     v = rows[:, k]
     for i in range(k - 1, c - 1, -1):
@@ -294,9 +255,8 @@ def _taylor_col(rows, dt, c):
 
 
 def _taylor_rows(rows, dt):
-    """``rows[r] @ taylor_step_matrix(dt[r], k)`` for every row ``r``, one
-    :func:`_taylor_col` per column; no step matrix is formed, so memory stays
-    O(rows)."""
+    """``out[r, c] = sum over i >= c of rows[r, i] dt[r]^(i-c) / (i-c)!``, one
+    :func:`_taylor_col` per column ``c``; memory stays O(rows)."""
     out = np.empty(rows.shape)
     for c in range(rows.shape[1]):
         out[:, c] = _taylor_col(rows, dt, c)
@@ -377,13 +337,12 @@ def is_valid_spline(fam):
     viol = np.zeros(rows.shape[0])
     # non-finite members are reported from their first non-finite row below
     with np.errstate(invalid="ignore", over="ignore"):
-        viol[end] = np.max(np.abs(rows[end]), axis=1)
+        viol[end] = _row_max(np.abs(rows[end]))
         if k > 0:
-            viol[fam.start] = np.max(np.abs(rows[fam.start, :k]), axis=1)
+            viol[fam.start] = _row_max(np.abs(rows[fam.start, :k]))
             t = np.delete(np.arange(rows.shape[0]), end)
             pred = _taylor_rows(rows[t], np.diff(fam.knots.xi)[knot[t]])
-            viol[t + 1] = np.maximum(viol[t + 1],
-                                     np.max(np.abs(pred[:, :k] - rows[t + 1, :k]), axis=1))
+            viol[t + 1] = np.maximum(viol[t + 1], _row_max(np.abs(pred[:, :k] - rows[t + 1, :k])))
         worst_of = np.zeros(d)
         np.maximum.at(worst_of, row_member, viol)
     nonfinite = ~np.isfinite(rows).all(axis=1)
@@ -496,7 +455,7 @@ def exsupp(fam):
     k = fam.smorder
     member, lo, hi, rows = fam.member, fam.lo, fam.hi, fam.rows
     end = fam.start + hi - lo
-    row_max = np.max(np.abs(rows), axis=1)
+    row_max = _row_max(np.abs(rows))
     alive = (row_max > np.repeat(_tolerances(fam)[member], hi - lo + 1)) | ~np.isfinite(row_max)
     alive[end] = False  # a component's last row starts no interval
     live = np.flatnonzero(alive)

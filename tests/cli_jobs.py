@@ -19,7 +19,9 @@ score column, 3 of each, ``basis --knots`` on a file
 with a bad line and ``project -i`` on a CSV with a bad field exit 1 naming
 the file and the line, ``basis`` with ``1_0`` for ``--equid B`` or ``-k``
 exits 2 naming the flag, ``check`` and ``eval`` on an archive whose middle
-k-th entry was edited exit 1 naming the member and the knot, and no
+k-th entry was edited exit 1 naming the member and the knot, ``project -i``
+on an archive re-written after a leading newline writes the bytes it writes
+from the archive itself, and no
 ``scipy`` module is loaded: scipy is needed
 only for the ``scipy.sparse`` objects the library returns or accepts on
 request, never on a CLI path.  Nor is ``numpy.ma``, which numpy loads on
@@ -191,6 +193,25 @@ def middle_entry_refused(d):
     return True
 
 
+def leading_newline_archive(d):
+    """``project -i`` on ``draws.json`` re-written after one newline, which
+    is still JSON, writes the same ``.coeff.csv`` and ``.proj.json`` bytes
+    as the ``pr`` job on the archive itself."""
+    with open(os.path.join(d, "draws.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = os.path.join(d, "draws_ws.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n" + text)
+    if main(["project", "-i", path, "--equid", "0", "1", "12", "-o", os.path.join(d, "pr_ws")]):
+        return False
+    for ext in (".coeff.csv", ".proj.json"):
+        with open(os.path.join(d, "pr" + ext), "rb") as a, \
+                open(os.path.join(d, "pr_ws" + ext), "rb") as b:
+            if a.read() != b.read():
+                return False
+    return True
+
+
 def unwanted_modules():
     """The ``scipy`` and ``numpy.ma`` modules loaded."""
     return sorted(m for m in sys.modules
@@ -204,6 +225,8 @@ def run(d):
         failed = [["eval", "(its CSV differs from csv.writer's or spans too few chunks)"]]
     if not failed and not fpca_at_rank(d):
         failed = [["fpca", "(4 rows: not 9 eigenvalues, or eigenfunctions unlike score columns)"]]
+    if not failed and not leading_newline_archive(d):
+        failed = [["project", "-i", "(an archive after a newline: not the archive's outputs)"]]
     if not bad_knots_named(d):
         failed.append(["basis", "--knots", "(a bad knot file: no exit 1, file or line named)"])
     if not bad_csv_named(d):

@@ -8,9 +8,12 @@ dense linear system in the unknown entries, and once more in exact rational
 arithmetic.  Gram diagonalization runs on
 dense ``H`` and ``P`` with whole-group row envelopes, and ``gsob`` through a
 dense Cholesky factor.  Archives are written through ``json``'s own encoder
-as the nested dict/list tree of the stored fields.  Validity and knot
-refinement walk members row by row with explicit Taylor step matrices, and
-the conversion to an archive's symmetric k-th column block by block.  Linear
+as the nested dict/list tree of the stored fields.  No oracle steps a row
+with the library's Horner sweep: validity and knot refinement walk members
+row by row with the dense Taylor step matrices of :func:`taylor_step_matrix`,
+evaluation sums the powers of the step term by term, and antiderivatives
+weigh rows with their own ``w^(p+1) / (p+1)!``.  The conversion to an
+archive's symmetric k-th column runs block by block.  Linear
 combinations, support shrinking, evaluation, antiderivatives and the
 B-spline recursion build one member at a time.  Whole-spline
 construction runs one seed matrix at a time, with explicit step matrices and
@@ -30,12 +33,37 @@ import scipy.sparse
 
 import splinet as sp
 from splinet.bases import SPD_SHIFT
-from splinet.calculus import _interval_weights
 from splinet.construct import COND_LIMIT, SingularSystemError
-from splinet.core import _ranges, _taylor_col, taylor_step_matrix
+from splinet.core import _ranges
 from splinet.project import EIGEN_NOISE_FLOOR, RETAIN_TOL
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def taylor_step_matrix(alpha, k):
+    """Lower-triangular Toeplitz matrix of Taylor-step weights.
+
+    ``A[i, j] = alpha**(i-j) / (i-j)!`` for ``i >= j``.  Propagating a row of
+    derivative values across a knot interval of length ``alpha`` amounts to a
+    right-multiplication by this matrix; a negative ``alpha`` steps backward.
+    """
+    a = np.zeros((k + 1, k + 1))
+    for d in range(k + 1):
+        val = alpha**d / math.factorial(d)
+        for i in range(d, k + 1):
+            a[i, i - d] = val
+    return a
+
+
+def interval_weights(xi, k):
+    """``(n+2) x (k+1)``: row ``t`` holds ``w^(p+1) / (p+1)!`` for the width
+    ``w`` of interval ``t``, the integral of ``dt^p / p!`` over it; the last
+    knot starts no interval and holds 0."""
+    w = np.diff(np.asarray(xi, dtype=float))
+    out = np.zeros((w.size + 1, k + 1))
+    for p in range(k + 1):
+        out[:-1, p] = w ** (p + 1) / math.factorial(p + 1)
+    return out
 
 
 def _csr(rows, cols, data, shape):
@@ -224,8 +252,6 @@ def dense_frlr(first_row, last_row, seg):
         a_rows.append(unit(m + 1, c)); rhs.append(last_row[c])
     a_rows.append(unit(m + 1, k)); rhs.append(last_row[k])
     # propagation: row_{i+1}[0:k] = (row_i @ A)[0:k]
-    from splinet.core import taylor_step_matrix
-
     for i in range(rows - 1):
         a = taylor_step_matrix(seg[i + 1] - seg[i], k)
         for c in range(k):
@@ -336,8 +362,10 @@ def loop_exsupp(fam):
 def loop_evaluate(fam, grid, deriv=0):
     """:func:`splinet.evaluate` one member and one component at a time: the
     points in ``[xi[lo], xi[hi]]`` of each component, bar those at ``xi[hi]``
-    unless it is the last knot, are stepped from their interval's row."""
+    unless it is the last knot, are stepped from their interval's row as the
+    power sum ``sum over i >= deriv of row[i] dt^(i-deriv) / (i-deriv)!``."""
     xi = fam.knots.xi
+    k = fam.smorder
     grid = np.asarray(grid, dtype=float)
     out = np.zeros((grid.size, len(fam)))
     for j, (supp, der) in enumerate(fam.members):
@@ -346,7 +374,9 @@ def loop_evaluate(fam, grid, deriv=0):
             iv = np.searchsorted(xi, grid[sel], side="right") - 1
             keep = (iv < hi) | ((iv == hi) & (hi == xi.size - 1))
             sel, iv = sel[keep], np.clip(iv[keep], lo, hi - 1)
-            out[sel, j] = _taylor_col(blk[iv - lo], grid[sel] - xi[iv], deriv)
+            rows, dt = blk[iv - lo], grid[sel] - xi[iv]
+            out[sel, j] = sum(rows[:, i] * dt ** (i - deriv) / math.factorial(i - deriv)
+                              for i in range(deriv, k + 1))
     return out
 
 
@@ -358,7 +388,7 @@ def loop_integra(fam):
     k = fam.smorder
     n_knots = len(fam.knots)
     c_int = _taylor_layout(fam)[1]
-    w = _interval_weights(fam.knots.xi, k)
+    w = interval_weights(fam.knots.xi, k).ravel()
     tols = fam.epsilon * (abs(c_int) @ w)
     members = []
     for idx, (supp, _) in enumerate(fam.members):
@@ -475,7 +505,7 @@ def loop_is_valid_spline(fam):
     Taylor propagation knot by knot; a member's worst knot is the first noted
     at its largest violation.
     """
-    from splinet.core import ValidityReport, taylor_step_matrix
+    from splinet.core import ValidityReport
 
     xi = fam.knots.xi
     k = fam.smorder
@@ -517,8 +547,6 @@ def loop_is_valid_spline(fam):
 def loop_refine(fam, new_knots):
     """:func:`splinet.refine` one member and one new knot at a time, each
     new row the old row times its Taylor step matrix (copied at old knots)."""
-    from splinet.core import taylor_step_matrix
-
     old = fam.knots.xi
     new = new_knots.xi
     scale = old[-1] - old[0]

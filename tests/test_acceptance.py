@@ -12,7 +12,6 @@ import pytest
 
 import splinet as sp
 from splinet.bases import _dyadic, diagonalize_gram
-from splinet.core import taylor_step_matrix
 
 import oracles
 

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 
@@ -379,6 +380,33 @@ def test_dintegra_of_deriva_is_zero():
     assert np.max(np.abs(sp.dintegra(sp.deriva(fam)))) < 1e-10
 
 
+@pytest.mark.parametrize("equid", [True, False])
+def test_weights_and_moments_keep_their_bits(equid):
+    """The interval weights and the Gram moment blocks, from the one
+    factorial table, equal power by power the formulas over integer
+    factorials: ``w^(p+1) / (p+1)!`` and ``w^e / (e p! q!)``, ``e = p+q+1``."""
+    rng = np.random.default_rng(29)
+    xi = (sp.equidistant_knots(0.0, 1.0, 21) if equid else oracles.random_knots(rng, 21)).xi
+    w = np.diff(xi)[:, None, None]
+    for k in range(7):
+        assert np.array_equal(calculus._interval_weights(xi, k),
+                              oracles.interval_weights(xi, k).ravel())
+        e = np.arange(k + 1)[:, None] + np.arange(k + 1) + 1
+        fact = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
+        assert np.array_equal(calculus._moment_blocks(xi, k), w ** e / (e * np.outer(fact, fact)))
+
+
+@pytest.mark.parametrize("source", ["zero_lincomb", "empty"])
+def test_dintegra_is_float_without_support(source):
+    """Members without support integrate to float zeros, as all others do."""
+    knots = sp.equidistant_knots(0.0, 1.0, 6)
+    os = sp.splinet(knots, 2).os
+    fam = (sp.lincomb(os, np.zeros((2, len(os)))) if source == "zero_lincomb"
+           else sp.empty_family(knots, 2))
+    vals = sp.dintegra(fam)
+    assert vals.dtype == np.float64 and vals.tolist() == [0.0] * len(fam)
+
+
 def test_integra_extends_support_for_nonzero_integral():
     knots = sp.equidistant_knots(0.0, 1.0, 11)
     bs = sp.bspline_basis(knots, 2)
@@ -422,14 +450,15 @@ def test_integra_is_antiderivative_on_grid():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 3), st.sampled_from(["lincomb", "deriva", "rows", "rows_nan"]),
+@given(st.integers(0, 5), st.sampled_from(["lincomb", "deriva", "rows", "rows_nan"]),
        st.integers(0, 2**31 - 1))
 def test_integra_matches_loop_oracle(k, source, seed):
-    """integra, one pass over the stacked rows, against the per-member loop,
-    bit for bit: members of several components whose integrals end nonzero
-    (the antiderivative joins them) or at zero (derivatives of splines),
-    rows that are not splines, with signed zeros and a NaN, and empty
-    supports."""
+    """integra, one pass over the stacked rows, against the per-member loop
+    with its own interval weights ``w^(p+1) / (p+1)!``, bit for bit, on
+    irregular knots: members of several components whose integrals end
+    nonzero (the antiderivative joins them) or at zero (derivatives of
+    splines), rows that are not splines, with signed zeros and a NaN, and
+    empty supports."""
     rng = np.random.default_rng(seed)
     if source.startswith("rows"):
         fam = oracles.random_rows_family(rng, k)

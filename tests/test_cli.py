@@ -687,6 +687,24 @@ def test_project_archive(tmp_path):
     assert len(proj) == 2
 
 
+def test_project_archive_after_whitespace(tmp_path):
+    """An archive that starts with JSON whitespace is still an archive: the
+    same outputs as from the archive itself."""
+    rng = np.random.default_rng(2)
+    fp = str(tmp_path / "fam.json")
+    sp.save_archive(fp, oracles.random_valid_family(rng, 14, 3, count=2))
+    with open(fp, encoding="utf-8") as fh:
+        text = fh.read()
+    ws = str(tmp_path / "ws.json")
+    with open(ws, "w", encoding="utf-8") as fh:
+        fh.write("\n \t\r\n" + text)
+    for src, out in ((fp, "plain"), (ws, "ws")):
+        assert main(["project", "-i", src, "--equid", "0", "1", "5", "-o",
+                     str(tmp_path / out)]) == 0
+    for ext in (".coeff.csv", ".proj.json"):
+        assert (tmp_path / ("ws" + ext)).read_bytes() == (tmp_path / ("plain" + ext)).read_bytes()
+
+
 def test_project_csv_then_fpca(tmp_path):
     # functional data -> projection -> FPCA, chained through files
     t = np.linspace(0.0, 1.0, 600, endpoint=False)

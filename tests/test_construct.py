@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import splinet as sp
 from splinet.construct import _construct_rows, _frlr, _mirror
-from splinet.core import taylor_step_matrix
 
 import oracles
+from oracles import taylor_step_matrix
 
 
 def _taylor_consistent(mat, seg, k, tol=1e-9):

@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 from unittest import mock
@@ -8,37 +9,42 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splinet as sp
-from splinet import core
-from splinet.core import taylor_step_matrix
+from splinet import calculus, core
 
 import oracles
+from oracles import taylor_step_matrix
 
 
 # ---------------------------------------------------------------------------
-# Taylor step matrices
+# Taylor steps
+
+
+def _step_matrix(a, k):
+    """The Horner step of the identity's rows across ``a``: the step matrix."""
+    return core._taylor_rows(np.eye(k + 1), np.full(k + 1, a))
 
 
 def test_taylor_k1_closed_form():
-    t = sp.taylor_matrices(0.5, 1)
-    assert np.array_equal(t.A, [[1.0, 0.0], [0.5, 1.0]])
-    assert np.array_equal(t.Astar, [0.5, 0.125])
+    assert np.array_equal(_step_matrix(0.5, 1), [[1.0, 0.0], [0.5, 1.0]])
+    assert np.array_equal(_step_matrix(0.5, 1), taylor_step_matrix(0.5, 1))
+    assert np.array_equal(calculus._interval_weights(np.array([0.0, 0.5]), 1), [0.5, 0.125, 0, 0])
 
 
 def test_taylor_zero_step_is_identity():
     for k in range(5):
-        assert np.array_equal(sp.taylor_matrices(0.0, k).A, np.eye(k + 1))
+        assert np.array_equal(_step_matrix(0.0, k), np.eye(k + 1))
 
 
-def test_taylor_rejects_negative_spacing():
-    with pytest.raises(ValueError):
-        sp.taylor_matrices(-0.1, 2)
-    # the internal step matrix does accept negative (mirrored) steps
-    a = taylor_step_matrix(-0.5, 2)
-    assert a[1, 0] == -0.5
+def test_taylor_negative_step():
+    # the mirrored sweeps step backward
+    a = _step_matrix(-0.5, 2)
+    assert a[1, 0] == -0.5 and a[2, 0] == 0.125
+    assert np.allclose(a, taylor_step_matrix(-0.5, 2), rtol=1e-15, atol=0)
+    assert np.allclose(a @ _step_matrix(0.5, 2), np.eye(3), rtol=0, atol=1e-15)
 
 
 def test_taylor_entries_k3():
-    a = sp.taylor_matrices(2.0, 3).A
+    a = _step_matrix(2.0, 3)
     # column j of row i is 2^(i-j)/(i-j)!
     expected = np.array([
         [1, 0, 0, 0],
@@ -47,25 +53,42 @@ def test_taylor_entries_k3():
         [4.0 / 3.0, 2, 2, 1],
     ])
     assert np.allclose(a, expected, atol=1e-15)
+    assert np.allclose(a, taylor_step_matrix(2.0, 3), rtol=1e-15, atol=0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.01, 5.0), st.floats(0.01, 5.0), st.integers(0, 6))
 def test_taylor_semigroup(a, b, k):
     # stepping by a then b equals stepping by a+b
-    left = taylor_step_matrix(a, k) @ taylor_step_matrix(b, k)
-    assert np.allclose(left, taylor_step_matrix(a + b, k), rtol=1e-12, atol=1e-12)
+    left = core._taylor_rows(_step_matrix(a, k), np.full(k + 1, b))
+    assert np.allclose(left, _step_matrix(a + b, k), rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 8), st.integers(0, 2**31 - 1))
+def test_taylor_rows_match_dense_step(k, m, seed):
+    """Every row's Horner step against the row times its dense step matrix,
+    on steps of both signs and of zero."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((m, k + 1)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+    dt = rng.uniform(-2.0, 2.0, m) * 10.0 ** rng.uniform(-3, 0, m)
+    dt[rng.random(m) < 0.25] = 0.0
+    got = core._taylor_rows(rows, dt)
+    want = np.array([row @ taylor_step_matrix(h, k) for row, h in zip(rows, dt)])
+    # a sum of terms of either sign is good to a few ulps of its largest term
+    terms = np.array([np.abs(row) @ np.abs(taylor_step_matrix(h, k)) for row, h in zip(rows, dt)])
+    assert np.all(np.abs(got - want) <= 1e-13 * terms)
+    assert np.array_equal(got[dt == 0.0], rows[dt == 0.0])
 
 
 def test_astar_is_integral_of_row():
-    # integrating the Taylor polynomial of a row over [0, h] equals row @ Astar
+    # integrating the Taylor polynomial of a row over [0, h] equals the row
+    # times the interval's weights
     rng = np.random.default_rng(3)
     k, h = 3, 0.7
     row = rng.standard_normal(k + 1)
-    astar = sp.taylor_matrices(h, k).Astar
+    astar = calculus._interval_weights(np.array([0.0, h]), k)[: k + 1]
     xs = np.linspace(0, h, 20001)
-    import math
-
     vals = sum(row[p] * xs**p / math.factorial(p) for p in range(k + 1))
     assert abs(np.trapezoid(vals, xs) - row @ astar) < 1e-9
 
@@ -306,6 +329,20 @@ def test_sym2one_inverse_matches_block_oracle(k, internal, seed):
 
 # ---------------------------------------------------------------------------
 # validity
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 7])
+def test_row_max_is_np_max(width):
+    """The column-by-column row maximum that validity, exsupp and the
+    tolerances take is ``np.max(a, axis=1)``, NaN and infinities included."""
+    rng = np.random.default_rng(width)
+    a = rng.standard_normal((400, width))
+    a[rng.random(a.shape) < 0.05] = np.nan
+    a[rng.random(a.shape) < 0.05] = np.inf
+    a[rng.random(a.shape) < 0.05] = -np.inf
+    a[rng.random(a.shape) < 0.05] = -0.0
+    got = core._row_max(a)
+    assert got.shape == (400,) and np.array_equal(got, np.max(a, axis=1), equal_nan=True)
 
 
 def test_is_valid_spline_accepts_constructed():
@@ -602,22 +639,28 @@ def test_exsupp_matches_loop_oracle(k, seed, nonfinite):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 3), st.booleans(), st.sampled_from([5, 1 << 16]),
+@given(st.integers(0, 5), st.booleans(), st.sampled_from([5, 1 << 16]),
        st.integers(0, 2**31 - 1))
 def test_evaluate_matches_loop_oracle(k, spline_rows, chunk, seed):
-    """evaluate, one pass over (point, component) pairs in chunks, against
-    the per-component loop, bit for bit, for every derivative order on an
-    unsorted grid holding every knot, repeated points and random points;
-    rows that are not splines show which row each point is stepped from."""
+    """evaluate, one pass over (point, component) pairs in chunks of Horner
+    steps, against the per-component loop of power sums, for every derivative
+    order on irregular knots and an unsorted grid holding every knot,
+    repeated points and random points; rows that are not splines show which
+    row each point is stepped from.  Steps run forward, so the power sums of
+    the rows' magnitudes bound each value's terms; outside the supports both
+    are exactly 0."""
     rng = np.random.default_rng(seed)
     fam = (oracles.lincomb_family if spline_rows else oracles.random_rows_family)(rng, k)
+    mag = sp.SplineFamily(fam.knots, k, [(supp, [np.abs(b) for b in der])
+                                         for supp, der in fam.members])
     xi = fam.knots.xi
     grid = np.concatenate([xi, rng.uniform(xi[0], xi[-1], 40), xi[rng.integers(0, xi.size, 5)]])
     rng.shuffle(grid)
     with mock.patch.object(sp.core, "_EVAL_CHUNK", chunk):
         for deriv in range(k + 1):
             got = sp.evaluate(fam, grid, deriv)
-            assert got.tobytes() == oracles.loop_evaluate(fam, grid, deriv).tobytes()
+            err = np.abs(got - oracles.loop_evaluate(fam, grid, deriv))
+            assert np.all(err <= 1e-13 * oracles.loop_evaluate(mag, grid, deriv))
 
 
 def _layout_by_loop(fam):
