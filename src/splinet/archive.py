@@ -4,7 +4,8 @@ Top-level fields, in this order: ``knots`` (reals), ``order`` (int),
 ``type`` (family tag), ``epsilon`` (real), ``splines`` (list of members,
 each with ``supp``, a list of 0-based ``[lo, hi]`` knot-index pairs, and
 ``der``, one row-major matrix per support component), and optionally
-``net`` (list of levels, each a list of member-index tuples).
+``net`` (list of levels, each a list of member-index tuples; in memory the
+tuple of levels that :func:`splinet.bases.net_layout` returns).
 
 The stored k-th column is symmetric (:func:`splinet.core.sym2one`), the
 one in memory one-sided; this module alone converts, the loader once, the
@@ -39,7 +40,6 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .bases import DyadicNet, _net_complete
 from .calculus import _chunks
 from .core import DEFAULT_EPSILON, KnotSet, _family, _integer, _tolerances, sym2one
 
@@ -58,14 +58,14 @@ def _reals(values, field):
 
 
 def family_from_dict(obj):
-    """Family and net from a parsed archive.  Every fault raises
-    ``ValueError("malformed archive: ...")``: a wrong structure or field type,
-    a non-integral ``order`` or ``supp`` entry, a ``knots``, ``epsilon`` or
-    ``der`` entry that is not a JSON number, a ``net`` index outside
-    ``0..d-1`` or repeated across the net, whatever the knot and layout
-    checks refuse (knots not increasing, a support or block shape that does
-    not fit, an unknown ``type``), and a repeated k-th entry that the
-    conversion to one-sided rows would drop unchecked
+    """Family and net (its levels, or ``None``) from a parsed archive.  Every
+    fault raises ``ValueError("malformed archive: ...")``: a wrong structure
+    or field type, a non-integral ``order`` or ``supp`` entry, a ``knots``,
+    ``epsilon`` or ``der`` entry that is not a JSON number, a ``net`` index
+    outside ``0..d-1`` or repeated across the net, whatever the knot and
+    layout checks refuse (knots not increasing, a support or block shape
+    that does not fit, an unknown ``type``), and a repeated k-th entry that
+    the conversion to one-sided rows would drop unchecked
     (:func:`_one_sided`)."""
     try:
         knots = KnotSet(_reals(obj["knots"], "knots"))
@@ -88,17 +88,14 @@ def family_from_dict(obj):
             float(_reals([obj.get("epsilon", DEFAULT_EPSILON)], "epsilon")[0])))
         net = None
         if "net" in obj:
-            levels = tuple(tuple(tuple(_integer(i, "net") for i in t) for t in lv)
-                           for lv in obj["net"])
+            net = tuple(tuple(tuple(_integer(i, "net") for i in t) for t in lv)
+                        for lv in obj["net"])
             d = len(fam)
-            indices = [i for lv in levels for t in lv for i in t]
+            indices = [i for lv in net for t in lv for i in t]
             if any(not 0 <= i < d for i in indices):
                 raise ValueError("net index outside 0..%d" % (d - 1))
             if len(set(indices)) != len(indices):
                 raise ValueError("net index repeated")
-            # a complete net must also cover every member
-            complete = _net_complete(levels, k) and len(indices) == d
-            net = DyadicNet(levels, complete, k)
         return fam, net
     except KeyError as exc:
         raise ValueError("malformed archive: missing field %s" % exc) from exc
@@ -189,8 +186,8 @@ def _member_text(comps, blocks):
 
 
 def save_archive(path, fam, net=None):
-    """Write ``fam`` (and ``net``) in the layout described in the module
-    docstring, one member at a time from the stacked rows."""
+    """Write ``fam`` (and ``net``, its levels) in the layout described in the
+    module docstring, one member at a time from the stacked rows."""
     comps = list(zip(fam.lo.tolist(), fam.hi.tolist()))
     blocks = _block_texts(fam, _list(["%s"] * (fam.smorder + 1), 5))
     cut = fam.offsets.tolist()
@@ -205,13 +202,13 @@ def save_archive(path, fam, net=None):
         fh.write("\n ]" if len(fam) else "")
         if net is not None:
             levels = [_list([_list([str(int(i)) for i in t], 3) for t in level], 2)
-                      for level in net.levels]
+                      for level in net]
             fh.write(',\n "net": ' + _list(levels, 1))
         fh.write("\n}\n")
 
 
 def load_archive(path):
-    """Returns ``(family, net-or-None)``; the family is one-sided, as every
-    family in memory is."""
+    """Returns ``(family, net-or-None)``, the net as its levels; the family is
+    one-sided, as every family in memory is."""
     with open(path, encoding="utf-8") as fh:
         return family_from_dict(json.load(fh))

@@ -15,6 +15,10 @@ coefficient transform P with P' H P = I:
   already-processed members it overlaps and then orthonormalized
   internally with a symmetric (inverse square root) step.
 
+The net is fixed by d and k alone: :func:`net_layout` returns it as the
+plain tuple of its levels, each level a tuple of index tuples, and
+``diagonalize_gram(h, "dyadic", k)`` lays it out itself.
+
 All three read H only through its band (B-splines i and j overlap iff
 ``|i - j| <= k``), form no d x d array and take every column from the
 banded Cholesky factorization that also tests H for positive definiteness:
@@ -22,28 +26,28 @@ kernel 1 builds ``gsob``'s P = L^{-T}, H = L L', whose columns are also
 ``twob``'s outer ones (on H and on H reversed); kernel 2 gives a group G
 orthonormalized after the indices S (G among them) as Z Z_GG^{-1/2},
 Z = H_S^{-1} E_G, in one banded solve for all groups that H_S does not
-couple, such as a dyadic level's tuples.  The entries of both decay
-exponentially away from the diagonal (Demko, Moss & Smith, 1984, *Decay
-rates for inverses of band matrices*), so every column keeps the rows from
-its first to its last entry above ``P_WORKING_TRIM`` of its largest.  P is
-held in compressed-sparse-column numpy arrays (:class:`TransformMatrix`).
+couple: a dyadic level's tuples, or ``twob``'s one middle pair.  The entries
+of both decay exponentially away from the diagonal (Demko, Moss & Smith,
+1984, *Decay rates for inverses of band matrices*), so every column keeps
+the rows from its first to its last entry above ``P_WORKING_TRIM`` of its
+largest.  P is held in compressed-sparse-column numpy arrays
+(:class:`TransformMatrix`).
 
 H is read once into its lower band, and that band decides the dyadic path:
-when the net is complete, its tuples span the band and every band diagonal
-is constant (H is Toeplitz, as on equidistant knots), one tuple per level is
-computed and the rest are obtained by shifting rows and columns.
+when the net is complete and every band diagonal is constant (H is
+Toeplitz, as on equidistant knots), one tuple per level is computed and the
+rest are obtained by shifting rows and columns.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .calculus import _Csr, _as_csr, _gram, gramian, lincomb
-from .core import KnotSet, SplineFamily, _family, _ranges
+from .core import KnotSet, SplineFamily, _family, _integer, _ranges
 
 #: entries of P smaller than this (relative to max |P|) are set to zero
 P_TRUNCATION = 1e-11
@@ -64,10 +68,23 @@ BASIS_TYPES = ("spnt", "dspnt", "gsob", "twob", "bs")
 # B-splines
 
 
+def _order(k):
+    """The order ``k`` as an int >= 0, read by :func:`~splinet.core._integer`'s
+    rule (3.0 counts as 3); anything else is a ``ValueError`` naming it."""
+    try:
+        order = _integer(k, "order")
+    except ValueError:
+        order = -1
+    if order < 0:
+        raise ValueError("the order k must be an integer >= 0; got %r" % (k,))
+    return order
+
+
 def bspline_basis(knots, k, normalize=False):
     """The n-k+1 B-splines of order k as a family of type ``bs``.  Raises
     ``ValueError`` when a derivative value overflows, as it does once the
     smallest knot spacing h is so small that 1/h**k is not a float."""
+    k = _order(k)
     if not isinstance(knots, KnotSet):
         knots = KnotSet(knots)
     n = knots.n
@@ -122,34 +139,18 @@ def _raise_order(blk_l, blk_r, seg, q):
 # dyadic net
 
 
-@dataclass(frozen=True)
-class DyadicNet:
-    """Assignment of basis indices (0-based) to k-tuples on dyadic levels.
-
-    ``levels[i]`` is the tuple list of level i+1, each tuple an index array.
-    A complete net has 2^{N-l} full tuples on level l for l = 1..N.
-    """
-
-    levels: tuple
-    complete: bool
-    k: int
-
-    @property
-    def n_levels(self):
-        return len(self.levels)
-
-    def all_tuples(self):
-        for lv in self.levels:
-            yield from lv
-
-
 def net_layout(n, k):
-    """Lay the d = n-k+1 basis indices out on the dyadic net.
+    """The dyadic net of the d = n-k+1 basis indices (0-based): a tuple of
+    levels, level l the tuple of its tuples, each a tuple of ``max(k, 1)``
+    consecutive indices (the last one possibly fewer).
 
-    Tuple t (1-based) sits on level l when t = 2^{l-1} (mod 2^l); a trailing
-    group shorter than k makes the net incomplete, as does a tuple count
-    other than 2^N - 1.
+    Tuple t (1-based) sits on level l when t = 2^{l-1} (mod 2^l), so two
+    tuples of one level have a full tuple of a higher level between them.
+    A complete net has 2^{N-l} full tuples on level l for l = 1..N; a
+    trailing tuple shorter than k makes the net incomplete, as does a tuple
+    count other than 2^N - 1.
     """
+    k = _order(k)
     if n < k:
         raise ValueError("need n >= k")
     d = n - k + 1
@@ -159,8 +160,7 @@ def net_layout(n, k):
     for t, tup in enumerate(tuples, start=1):
         level = (t & -t).bit_length() - 1  # trailing zeros of t
         levels[level].append(tup)
-    levels = tuple(tuple(lv) for lv in levels)
-    return DyadicNet(levels, _net_complete(levels, k), k)
+    return tuple(tuple(lv) for lv in levels)
 
 
 def _net_complete(levels, k):
@@ -214,7 +214,7 @@ _CHOLESKY_BLOCK = 64
 SPD_SHIFT = 1e-12
 
 #: a Gram matrix is symmetric when H - H' is within this fraction of its
-#: largest entry (at least 1)
+#: largest entry
 GRAM_SYMMETRY_TOL = 1e-10
 
 
@@ -307,8 +307,7 @@ def _check_spd(h):
     up[-off[at], rows[at]] = data[at]
     asym = ab - up
     if np.any(asym):
-        scale = max(1.0, float(np.abs(h.data).max()))
-        if float(np.abs(asym).max()) > GRAM_SYMMETRY_TOL * scale:
+        if float(np.abs(asym).max()) > GRAM_SYMMETRY_TOL * float(np.abs(h.data).max()):
             raise ValueError("gram matrix must be symmetric")
         ab -= 0.5 * asym
     _cholesky_banded(ab, SPD_SHIFT * ab[0].sum())
@@ -346,22 +345,18 @@ def _grouped_solve(ab, seen, groups):
     of every group G, a row of ``groups`` (padded with -1), S the ``seen``
     indices.  With the unseen ones decoupled in a copy of the band, H_S
     splits into runs of seen indices more than w apart; a group's rows are
-    the runs it lies in.  One banded solve against the summed E_G and one
-    batched ``eigh`` serve all groups when no two share a run; otherwise
-    they are solved one at a time, in order, later ones unseen."""
+    the runs it lies in.  No two groups may share a run, so that one banded
+    solve against the summed E_G and one batched ``eigh`` serve them all.
+    That holds for ``twob``, which passes one group, and for a dyadic
+    level's tuples: between two of them lies an unseen full tuple of
+    ``max(k, 1) >= w`` indices (:func:`diagonalize_gram` refuses a narrower
+    one), so they lie more than w apart."""
     w = ab.shape[0] - 1
     at = np.flatnonzero(seen)
     cut = np.flatnonzero(np.diff(at) > w) + 1
     head, tail = at[np.concatenate([[0], cut])], at[np.concatenate([cut, [at.size]]) - 1]
     lo = head[np.searchsorted(head, groups[:, 0], "right") - 1]
     hi = tail[np.searchsorted(head, groups.max(axis=1), "right") - 1]
-    if np.any(lo[1:] <= hi[:-1]):
-        seen, parts = seen.copy(), []
-        seen[groups[groups >= 0]] = False
-        for g in groups:
-            seen[g[g >= 0]] = True
-            parts.append(_grouped_solve(ab, seen, g[None]))
-        return tuple(np.concatenate(a) for a in zip(*parts))
     r0, r1 = lo.min(), hi.max()
     band, hide = ab[:, r0 : r1 + 1].copy(), ~seen[r0 : r1 + 1]
     band[0, hide] = 1.0
@@ -437,13 +432,13 @@ def _twob(ab):
 
 
 def _dyadic(ab, net, toeplitz=False):
-    """The dyadic scheme on H's lower band ``ab``, one grouped solve per
-    level: the tuples of later levels, at least w wide, keep the level's
-    tuples in runs of their own (narrower ones are solved one by one).
+    """The dyadic scheme on H's lower band ``ab`` over the levels ``net`` of
+    :func:`net_layout`, one grouped solve per level: the tuples of later
+    levels, at least w wide, keep the level's tuples in runs of their own.
     ``toeplitz`` solves a level's first tuple alone and translates its
     columns to the others."""
     seen, parts = np.zeros(ab.shape[1], dtype=bool), []
-    for lv in filter(None, net.levels):
+    for lv in net:
         size, n = max(len(t) for t in lv), len(lv)
         tuples = np.array([list(t) + [-1] * (size - len(t)) for t in lv])
         seen[tuples[tuples >= 0]] = True
@@ -455,16 +450,18 @@ def _dyadic(ab, net, toeplitz=False):
     return _assemble(ab.shape[1], parts)
 
 
-def diagonalize_gram(h, method="dyadic", net=None):
+def diagonalize_gram(h, method="dyadic", k=None):
     """Transform P with P' H P = I by one of the three schemes.
 
     ``h`` may be dense, ``scipy.sparse`` or the numpy container that
     :func:`~splinet.calculus.gramian` builds.  It is read once into its lower
     band.  ``gsob`` and ``twob``'s outer pairs take the inverse Cholesky
     factor (kernel 1); ``twob``'s middle pairs and each dyadic level take one
-    grouped banded solve (kernel 2).  One tuple per level is solved and
-    translated to the others when the net is complete, its tuples span the
-    band, and every band diagonal is constant to ``TOEPLITZ_TOL`` of the
+    grouped banded solve (kernel 2).  ``dyadic`` needs the order ``k`` and
+    lays out the net ``net_layout(d + k - 1, k)``; it refuses a ``k`` whose
+    tuples, ``max(k, 1)`` indices, are narrower than H's band.  One tuple
+    per level is solved and translated to the others when the net is
+    complete and every band diagonal is constant to ``TOEPLITZ_TOL`` of the
     band's largest entry.
     """
     ab = _check_spd(h)
@@ -473,14 +470,13 @@ def diagonalize_gram(h, method="dyadic", net=None):
     elif method == "twob":
         p = _twob(ab)
     elif method == "dyadic":
-        if net is None:
-            raise ValueError("dyadic diagonalization needs a net")
-        d, tol = ab.shape[1], TOEPLITZ_TOL * np.abs(ab).max()
-        laid = np.fromiter(itertools.chain.from_iterable(net.all_tuples()), dtype=np.int64)
-        if not np.array_equal(np.sort(laid), np.arange(d)):
-            raise ValueError("the net must lay out each of the gram matrix's %d columns "
-                             "exactly once" % d)
-        toeplitz = net.complete and max(net.k, 1) >= ab.shape[0] - 1 and all(
+        k = _order(k)
+        w, d, tol = ab.shape[0] - 1, ab.shape[1], TOEPLITZ_TOL * np.abs(ab).max()
+        if max(k, 1) < w:
+            raise ValueError("order-%d tuples are narrower than the gram matrix's band, which "
+                             "reaches %d entries off the diagonal" % (k, w))
+        net = net_layout(d + k - 1, k)
+        toeplitz = _net_complete(net, k) and all(
             np.abs(row[: d - u] - row[0]).max() <= tol for u, row in enumerate(ab))
         p = _dyadic(ab, net, toeplitz=toeplitz)
     else:
@@ -496,7 +492,7 @@ def diagonalize_gram(h, method="dyadic", net=None):
 class SplinetResult:
     bs: SplineFamily
     os: SplineFamily | None
-    net: DyadicNet
+    net: tuple
     transform: TransformMatrix | None
 
 
@@ -518,8 +514,8 @@ def splinet(knots, k, type="spnt", normalize=False):
         return SplinetResult(bs, None, net, None)
     h = gramian(bs, _csr=True)
     if type in ("spnt", "dspnt"):
-        tr = diagonalize_gram(h, "dyadic", net=net)
-        tag = "dspnt" if net.complete else "spnt"
+        tr = diagonalize_gram(h, "dyadic", k)
+        tag = "dspnt" if _net_complete(net, k) else "spnt"
     else:
         tr = diagonalize_gram(h, type)
         tag = type

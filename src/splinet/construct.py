@@ -329,6 +329,8 @@ def refine(fam, new_knots):
     forward by its distance from that interval's left knot; a row at an old
     knot is copied.  A component's last row is its old last row.
     """
+    if not isinstance(new_knots, KnotSet):
+        new_knots = KnotSet(new_knots)
     old = fam.knots.xi
     new = new_knots.xi
     idx_map = np.clip(np.searchsorted(new, old), 0, new.size - 1)

@@ -96,6 +96,8 @@ def project_splines(fam, target_knots=None, type="spnt"):
     """
     k = fam.smorder
     target = fam.knots if target_knots is None else target_knots
+    if not isinstance(target, KnotSet):
+        target = KnotSet(target)
     basis, transform = _make_basis(target, k, type)
     if target == fam.knots:
         fam_ref, basis_ref = fam, basis

@@ -31,11 +31,11 @@ RNG_ALGORITHM = "numpy Philox4x64 counter-based generator, one jumped substream 
 _SEED_LIMIT = 2**128
 
 #: a covariance is symmetric when M - M' is within this fraction of its
-#: largest entry (at least 1)
+#: largest entry
 COV_SYMMETRY_TOL = 1e-10
 
 #: a covariance is positive semidefinite when its smallest eigenvalue is
-#: above minus this fraction of its trace (at least 1)
+#: above minus this fraction of its trace
 COV_PSD_TOL = 1e-10
 
 
@@ -54,14 +54,14 @@ def _expand_cov(c, size, name):
     else:
         raise ValueError("%s has wrong shape %r, expected (%d, %d)"
                          % (name, c.shape, size, size))
-    if not np.allclose(mat, mat.T, atol=COV_SYMMETRY_TOL * max(1.0, np.max(np.abs(mat)))):
+    if np.max(np.abs(mat - mat.T)) > COV_SYMMETRY_TOL * np.max(np.abs(mat)):
         raise ValueError("%s must be symmetric" % name)
     return 0.5 * (mat + mat.T)
 
 
 def _sqrt_psd(mat, name):
     w, v = np.linalg.eigh(mat)
-    if w[0] < -COV_PSD_TOL * max(np.trace(mat), 1.0):
+    if w[0] < -COV_PSD_TOL * np.trace(mat):
         raise ValueError("%s is indefinite beyond tolerance" % name)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T

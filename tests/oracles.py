@@ -928,7 +928,7 @@ def envelope_twob(h, k):
 
 def envelope_dyadic(h, k, net, toeplitz=False):
     g = _EnvelopeOrthogonalizer(h, k)
-    for lv in net.levels:
+    for lv in net:
         if toeplitz and lv:
             r0, r1 = g.process(lv[0])
             step = lv[1][0] - lv[0][0] if len(lv) > 1 else 0
@@ -988,7 +988,7 @@ def family_to_dict(fam, net=None):
         ],
     }
     if net is not None:
-        out["net"] = [[list(t) for t in level] for level in net.levels]
+        out["net"] = [[list(t) for t in level] for level in net]
     return out
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import splinet as sp
 from splinet import archive
 from splinet.archive import family_from_dict
-from splinet.bases import DyadicNet
 
 import oracles
 
@@ -37,8 +36,7 @@ def test_roundtrip_with_net(tmp_path):
     path = tmp_path / "os.json"
     sp.save_archive(path, res.os, res.net)
     fam, net = sp.load_archive(path)
-    assert net is not None and net.complete
-    assert net.levels == res.net.levels
+    assert net == res.net == sp.net_layout(11, 3)
     grid = np.linspace(0, 1, 201)
     assert np.allclose(sp.evaluate(fam, grid), sp.evaluate(res.os, grid), atol=1e-14)
     assert fam.type == "dspnt"
@@ -83,15 +81,17 @@ def test_corrupted_block_shape(tmp_path):
 
 
 def test_incomplete_net_flag(tmp_path):
+    # the type tag says whether the net is complete; the loader gives back
+    # the levels as written
     res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 12), 3)
     path = tmp_path / "inc.json"
     sp.save_archive(path, res.os, res.net)
-    _, net = sp.load_archive(path)
-    assert net is not None and not net.complete
+    fam, net = sp.load_archive(path)
+    assert fam.type == "spnt" and net == res.net == sp.net_layout(12, 3)
     # full tuples, 2^N - 1 of them, that leave member 9 out
     sp.save_archive(path, res.os, sp.net_layout(11, 3))
-    _, net = sp.load_archive(path)
-    assert net is not None and not net.complete
+    fam, net = sp.load_archive(path)
+    assert fam.type == "spnt" and net == sp.net_layout(11, 3)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -265,8 +265,7 @@ def _families(draw):
         # member indices at most once each, as the loader requires
         pool = iter(draw(st.permutations(range(len(members)))))
         shape = draw(st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=3))
-        levels = tuple(tuple(tuple(islice(pool, size)) for size in lv) for lv in shape)
-        net = DyadicNet(levels, False, k)
+        net = tuple(tuple(tuple(islice(pool, size)) for size in lv) for lv in shape)
     return fam, net
 
 
@@ -300,9 +299,7 @@ def _check_writer(path, fam, net):
     assert len(back) == len(fam)
     assert [s for s, _ in back.members] == [s for s, _ in fam.members]
     assert np.array_equal(_bits(back.rows), _bits(rows))
-    assert (back_net is None) == (net is None)
-    if net is not None:
-        assert back_net.levels == net.levels
+    assert back_net == net
 
 
 @settings(max_examples=150, deadline=None)

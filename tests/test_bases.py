@@ -1,3 +1,4 @@
+import re
 import sys
 import time
 import tracemalloc
@@ -18,6 +19,7 @@ from splinet.bases import (
     _cholesky_banded,
     _dyadic,
     _gsob,
+    _net_complete,
     _truncate,
     _twob,
     diagonalize_gram,
@@ -44,6 +46,26 @@ def test_bspline_count_and_support(k):
 def test_bspline_too_few_knots():
     with pytest.raises(ValueError):
         sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 2), 3)
+
+
+@pytest.mark.parametrize("k", [-1, 2.5, True, None, "3"])
+def test_order_must_be_a_nonnegative_integer(k):
+    # one rule for the order: bspline_basis (so splinet) and net_layout
+    # refuse it by name; -1 used to fail reshaping and 2.5 with a TypeError
+    knots = sp.equidistant_knots(0.0, 1.0, 10)
+    for call in (lambda: sp.bspline_basis(knots, k), lambda: sp.splinet(knots, k),
+                 lambda: sp.net_layout(10, k)):
+        with pytest.raises(ValueError, match="order k must be an integer >= 0; got %s"
+                           % re.escape(repr(k))):
+            call()
+
+
+def test_order_integral_float_accepted():
+    knots = sp.equidistant_knots(0.0, 1.0, 10)
+    oracles.assert_same_family(sp.bspline_basis(knots, 3.0), sp.bspline_basis(knots, 3))
+    assert sp.net_layout(10, 3.0) == sp.net_layout(10, 3)
+    res = sp.splinet(knots, np.float64(3.0))
+    assert res.os.smorder == 3 and res.net == sp.net_layout(10, 3)
 
 
 @pytest.mark.parametrize("k, b", [(3, 1e-300), (2, 1e-200), (5, 1e-70)])
@@ -120,25 +142,25 @@ def test_bspline_matches_scipy():
 
 def test_net_layout_example():
     net = sp.net_layout(3, 1)  # d = 3, tuples of size 1
-    assert net.complete
-    assert net.levels == (((0,), (2,)), ((1,),))
+    assert _net_complete(net, 1)
+    assert net == (((0,), (2,)), ((1,),))
     net0 = sp.net_layout(2, 0)  # order 0 also has tuples of size 1
-    assert net0.complete and net0.levels == net.levels
+    assert _net_complete(net0, 0) and net0 == net
 
 
 def test_net_layout_k3_complete():
     # n = 3*2^2 - 1 = 11, d = 9, three tuples of size 3 on two levels
     net = sp.net_layout(11, 3)
-    assert net.complete
-    assert net.levels == ((((0, 1, 2)), ((6, 7, 8))), (((3, 4, 5)),))
-    assert net.n_levels == 2
+    assert _net_complete(net, 3)
+    assert net == ((((0, 1, 2)), ((6, 7, 8))), (((3, 4, 5)),))
+    assert len(net) == 2
 
 
 def test_net_layout_incomplete():
     net = sp.net_layout(12, 3)  # d = 10: trailing tuple of size 1
-    assert not net.complete
-    assert list(net.all_tuples())[-1] == (9,)
-    assert not sp.net_layout(14, 3).complete  # 4 full tuples != 2^N - 1
+    assert not _net_complete(net, 3)
+    assert [t for lv in net for t in lv][-1] == (9,)
+    assert not _net_complete(sp.net_layout(14, 3), 3)  # 4 full tuples != 2^N - 1
 
 
 def test_net_layout_complete_sizes():
@@ -146,8 +168,23 @@ def test_net_layout_complete_sizes():
         for k in (1, 2, 3):
             n = k * 2**nn - 1
             net = sp.net_layout(n, k)
-            assert net.complete and net.n_levels == nn
-            assert [len(lv) for lv in net.levels] == [2 ** (nn - 1 - i) for i in range(nn)]
+            assert _net_complete(net, k) and len(net) == nn
+            assert [len(lv) for lv in net] == [2 ** (nn - 1 - i) for i in range(nn)]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_net_layout_level_tuples_more_than_k_apart(k):
+    # the invariant that lets kernel 2 solve a whole level at once: H's band
+    # reaches k off the diagonal, and two tuples of one level lie more than
+    # k indices apart, so they never share a run of seen indices; the net
+    # lays out each index once
+    for d in range(1, 300):
+        net = sp.net_layout(d + k - 1, k)
+        laid = sorted(i for lv in net for t in lv for i in t)
+        assert laid == list(range(d))
+        for lv in net:
+            assert all(len(t) and list(t) == list(range(t[0], t[-1] + 1)) for t in lv)
+            assert all(b[0] - a[-1] > k for a, b in zip(lv, lv[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +206,7 @@ def test_gsob_2x2_closed_form():
 def test_diagonalize_gram_identity(method, n, k):
     bs = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n), k)
     h = sp.gramian(bs)
-    net = sp.net_layout(n, k)
-    tr = diagonalize_gram(h, method, net=net)
+    tr = diagonalize_gram(h, method, k)
     assert np.max(np.abs(tr.P.T @ h @ tr.P - np.eye(len(bs)))) < 1e-10
 
 
@@ -200,10 +236,9 @@ def test_nnz_ordering():
     for n, k in [(47, 3), (95, 3), (31, 2), (63, 2)]:
         bs = sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n), k)
         h = sp.gramian(bs)
-        net = sp.net_layout(n, k)
         nnz_g = diagonalize_gram(h, "gsob").nnz
         nnz_t = diagonalize_gram(h, "twob").nnz
-        nnz_d = diagonalize_gram(h, "dyadic", net=net).nnz
+        nnz_d = diagonalize_gram(h, "dyadic", k).nnz
         assert nnz_d < nnz_t < nnz_g
 
 
@@ -245,7 +280,7 @@ def test_transform_matches_envelope_oracle(seed, k, extra):
     h = sp.gramian(sp.bspline_basis(knots, k))
     net = sp.net_layout(n, k)
     for method in ("gsob", "twob", "dyadic"):
-        tr = diagonalize_gram(h, method, net=net)
+        tr = diagonalize_gram(h, method, k)
         _assert_matches_oracle(tr, oracles.dense_diagonalize(h, method, k, net))
         _assert_orthonormal(tr, h)
     # complete equidistant net of about the same size, 2^N - 1 tuples of
@@ -254,8 +289,8 @@ def test_transform_matches_envelope_oracle(seed, k, extra):
     n_c = size * (2 ** max(1, int(np.log2((n - k + 1) / size + 1))) - 1) + k - 1
     h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n_c), k))
     net = sp.net_layout(n_c, k)
-    assert net.complete
-    tr = diagonalize_gram(h, "dyadic", net=net)
+    assert _net_complete(net, k)
+    tr = diagonalize_gram(h, "dyadic", k)
     _assert_matches_oracle(tr, oracles.dense_diagonalize(h, "dyadic", k, net, toeplitz=True))
     _assert_orthonormal(tr, h)
 
@@ -294,9 +329,23 @@ def test_diagonalize_gram_validation():
         diagonalize_gram(np.array([[1.0, np.nan], [np.nan, 1.0]]), "gsob")
     h = np.eye(3)
     with pytest.raises(ValueError):
-        diagonalize_gram(h, "dyadic")  # needs a net
+        diagonalize_gram(h, "dyadic")  # needs the order
     with pytest.raises(ValueError):
         diagonalize_gram(h, "qr")
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_check_spd_symmetry_is_scale_free(scale):
+    # H - H' is measured against H's own largest entry; below scale 1 it used
+    # to be measured against 1
+    h = scale * np.array([[1.0, 0.5], [0.25, 1.0]])
+    for form in (h, scipy.sparse.csr_matrix(h)):
+        with pytest.raises(ValueError, match="symmetric"):
+            _check_spd(form)
+    h[1, 0] = h[0, 1] * (1.0 + 1e-12)
+    assert np.allclose(_check_spd(h), [[scale, scale], [0.5 * scale, 0.0]], rtol=1e-11, atol=0)
+    with pytest.raises(ValueError, match="not positive definite"):
+        _check_spd(np.zeros((3, 3)))
 
 
 def test_check_spd_banded_path():
@@ -310,12 +359,16 @@ def test_check_spd_banded_path():
         _check_spd(h2)
 
 
-def test_dyadic_net_must_match_gram():
-    # a 5 x 5 Gram (order 3) against nets laying out 3 and 21 indices
+def test_dyadic_order_must_be_a_nonnegative_integer():
+    # the dyadic scheme lays out its net from the order, read by the one
+    # order rule; a missing, bool, fractional or negative one is refused
     h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 7), 3))
-    for n in (5, 23):
-        with pytest.raises(ValueError, match="each of the gram matrix's 5 columns"):
-            diagonalize_gram(h, "dyadic", sp.net_layout(n, 3))
+    for k in (None, True, 2.5, -1):
+        with pytest.raises(ValueError, match="order k must be an integer >= 0; got %s"
+                           % re.escape(repr(k))):
+            diagonalize_gram(h, "dyadic", k)
+    assert np.array_equal(diagonalize_gram(h, "dyadic", 3.0).pt.toarray(),
+                          diagonalize_gram(h, "dyadic", 3).pt.toarray())
 
 
 @pytest.mark.parametrize("d", [50, 150])  # one Cholesky block, three
@@ -510,26 +563,29 @@ def test_dyadic_path_read_off_the_gram(monkeypatch, d, kind, toeplitz):
 
     monkeypatch.setattr(sp.bases, "_dyadic", spy)
     h = sp.gramian(sp.bspline_basis(knots, 3), sparse=True)
-    diagonalize_gram(h, "dyadic", net=sp.net_layout(n, 3))
+    diagonalize_gram(h, "dyadic", 3)
     assert taken == [toeplitz]
 
 
-def test_dyadic_tuples_shorter_than_band_take_general_path():
-    # a complete net of single indices over a Gram of band 2: translating
-    # tuple (0,) to (2,) would ignore that H couples the two
+def test_dyadic_order_narrower_than_band_refused():
+    # tuples of one index over a Gram of band 2: two tuples of a level would
+    # be coupled by H, so neither one solve per level nor translating tuple
+    # (0,) to (2,) would hold; the order that built H is taken
     h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 8), 2))
-    net = sp.net_layout(7, 1)
-    assert net.complete and h.shape == (7, 7)
-    tr = diagonalize_gram(h, "dyadic", net=net)
+    assert h.shape == (7, 7)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="order-%d tuples are narrower than the gram "
+                           "matrix's band, which reaches 2 entries off the diagonal" % k):
+            diagonalize_gram(h, "dyadic", k)
+    tr = diagonalize_gram(h, "dyadic", 2)
     _assert_orthonormal(tr, h)
-    _assert_matches_oracle(tr, oracles.dense_diagonalize(h, "dyadic", 2, net))
+    _assert_matches_oracle(tr, oracles.dense_diagonalize(h, "dyadic", 2, sp.net_layout(8, 2)))
 
 
 def test_splinet_supports_grow_by_level():
     res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 23), 3)
-    net = res.net
     sizes = []
-    for lv in net.levels:
+    for lv in res.net:
         idx = [i for tup in lv for i in tup]
         spans = [sum(hi - lo for lo, hi in res.os.members[i][0]) for i in idx]
         sizes.append(max(spans))

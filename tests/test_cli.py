@@ -26,7 +26,8 @@ def test_basis_and_check(tmp_path, capsys):
     assert "dspnt" in msg
     bs, _ = sp.load_archive(out + ".bs.json")
     os_fam, net = sp.load_archive(out + ".os.json")
-    assert len(bs) == 9 and len(os_fam) == 9 and net.complete
+    assert len(bs) == 9 and len(os_fam) == 9
+    assert os_fam.type == "dspnt" and net == sp.net_layout(11, 3)
     assert main(["check", "-i", out + ".os.json"]) == 0
     assert "valid" in capsys.readouterr().out
 

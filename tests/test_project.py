@@ -82,6 +82,18 @@ def test_project_transform_attached():
     assert sp.project_splines(fam, type="bs").transform is None
 
 
+def test_project_and_refine_take_knots_as_an_array():
+    # as splinet, construct and project_data do, an array of knots is read
+    # as a KnotSet (it used to hit KnotSet's == and a missing ``.xi``)
+    fam = _family(n=14, count=2, seed=5)
+    for target in (sp.KnotSet(np.linspace(0.0, 1.0, 15)), fam.knots):
+        pr = sp.project_splines(fam, np.array(target.xi))
+        assert pr.sp.knots == target
+        assert np.array_equal(pr.coeff, sp.project_splines(fam, target).coeff)
+    union = sp.KnotSet(np.union1d(fam.knots.xi, np.linspace(0.0, 1.0, 15)))
+    oracles.assert_same_family(sp.refine(fam, np.array(union.xi)), sp.refine(fam, union))
+
+
 def test_project_bad_type():
     with pytest.raises(ValueError):
         sp.project_splines(_family(), type="qr")

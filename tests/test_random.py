@@ -114,6 +114,25 @@ def test_noise_spec_validation():
         sp.rspline(mean, sp.NoiseSpec(sigma=indef, seed=0))
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_noise_spec_checks_are_scale_free(scale):
+    # symmetry and semidefiniteness are measured against the matrix's own
+    # scale: below scale 1 they used to be absolute, so both faults passed
+    base = scale * np.eye(10)
+    asym, indef = base.copy(), base.copy()
+    asym[0, 1] = 50.0 * scale
+    indef[0, 0] = -50.0 * scale
+    for bad, message in ((asym, "Sigma must be symmetric"),
+                         (indef, "Sigma is indefinite beyond tolerance")):
+        with pytest.raises(ValueError, match=message):
+            sp.NoiseSpec(sigma=bad).roots(10, 3)
+        with pytest.raises(ValueError, match=message.replace("Sigma", "Theta")):
+            sp.NoiseSpec(theta=bad).roots(3, 10)
+    for good in (base, np.zeros((10, 10))):
+        sig, _ = sp.NoiseSpec(sigma=good).roots(10, 3)
+        assert np.allclose(sig @ sig, good, rtol=0, atol=1e-14 * scale)
+
+
 @pytest.mark.parametrize("field, bad", [("sigma", np.nan), ("theta", np.inf),
                                         ("sigma", [1.0] * 9 + [-np.inf])])
 def test_noise_spec_rejects_nonfinite(field, bad):
