@@ -41,7 +41,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .calculus import _chunks
-from .core import DEFAULT_EPSILON, KnotSet, _family, _integer, _tolerances, sym2one
+from .core import DEFAULT_EPSILON, KnotSet, _family, _integers, _tolerances, sym2one
 
 
 def _reals(values, field):
@@ -69,33 +69,32 @@ def family_from_dict(obj):
     (:func:`_one_sided`)."""
     try:
         knots = KnotSet(_reals(obj["knots"], "knots"))
-        k = _integer(obj["order"], "order")
+        k = int(_integers([obj["order"]], "order")[0])
         splines = obj["splines"]
-        comps = [[(_integer(lo, "supp"), _integer(hi, "supp")) for lo, hi in item["supp"]]
-                 for item in splines]
+        supps = [item["supp"] for item in splines]
+        lo, hi = _integers([b for supp in supps for lo, hi in supp for b in (lo, hi)],
+                           "supp").reshape(-1, 2).T
         ders = [item["der"] for item in splines]
-        if [len(der) for der in ders] != [len(cs) for cs in comps]:
+        if [len(der) for der in ders] != [len(supp) for supp in supps]:
             raise ValueError("support/derivative block count mismatch")
         flat = [row for der in ders for blk in der for row in blk]
-        sizes = [hi - lo + 1 for cs in comps for lo, hi in cs]
+        sizes = (hi - lo + 1).tolist()
         if [len(blk) for der in ders for blk in der] != sizes or set(map(len, flat)) - {k + 1}:
             raise ValueError("derivative block shape does not match support")
         rows = _reals(list(chain.from_iterable(flat)), "der").reshape(len(flat), k + 1)
-        lo, hi = np.array([c for cs in comps for c in cs], dtype=np.int64).reshape(-1, 2).T
         fam = _one_sided(_family(
-            knots, k, rows, lo, hi, np.cumsum([0] + [len(c) for c in comps]),
+            knots, k, rows, lo, hi, np.cumsum([0] + [len(supp) for supp in supps]),
             obj.get("type", "sp"),
             float(_reals([obj.get("epsilon", DEFAULT_EPSILON)], "epsilon")[0])))
         net = None
         if "net" in obj:
-            net = tuple(tuple(tuple(_integer(i, "net") for i in t) for t in lv)
-                        for lv in obj["net"])
+            indices = _integers([i for lv in obj["net"] for t in lv for i in t], "net")
             d = len(fam)
-            indices = [i for lv in net for t in lv for i in t]
-            if any(not 0 <= i < d for i in indices):
+            if np.any((indices < 0) | (indices >= d)):
                 raise ValueError("net index outside 0..%d" % (d - 1))
-            if len(set(indices)) != len(indices):
+            if np.any(np.diff(np.sort(indices)) == 0):
                 raise ValueError("net index repeated")
+            net = tuple(tuple(tuple(map(int, t)) for t in lv) for lv in obj["net"])
         return fam, net
     except KeyError as exc:
         raise ValueError("malformed archive: missing field %s" % exc) from exc

@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import _Csr, _as_csr, _gram, gramian, lincomb
-from .core import KnotSet, SplineFamily, _family, _integer, _ranges
+from .core import SplineFamily, _family, _integer, _knots, _ranges
 
 #: entries of P smaller than this (relative to max |P|) are set to zero
 P_TRUNCATION = 1e-11
@@ -68,25 +68,11 @@ BASIS_TYPES = ("spnt", "dspnt", "gsob", "twob", "bs")
 # B-splines
 
 
-def _order(k):
-    """The order ``k`` as an int >= 0, read by :func:`~splinet.core._integer`'s
-    rule (3.0 counts as 3); anything else is a ``ValueError`` naming it."""
-    try:
-        order = _integer(k, "order")
-    except ValueError:
-        order = -1
-    if order < 0:
-        raise ValueError("the order k must be an integer >= 0; got %r" % (k,))
-    return order
-
-
 def bspline_basis(knots, k, normalize=False):
     """The n-k+1 B-splines of order k as a family of type ``bs``.  Raises
     ``ValueError`` when a derivative value overflows, as it does once the
     smallest knot spacing h is so small that 1/h**k is not a float."""
-    k = _order(k)
-    if not isinstance(knots, KnotSet):
-        knots = KnotSet(knots)
+    k, knots = _integer(k, "the order k", low=0), _knots(knots)
     n = knots.n
     if n < k:
         raise ValueError("need at least k internal knots for order-k B-splines")
@@ -150,9 +136,8 @@ def net_layout(n, k):
     trailing tuple shorter than k makes the net incomplete, as does a tuple
     count other than 2^N - 1.
     """
-    k = _order(k)
-    if n < k:
-        raise ValueError("need n >= k")
+    k = _integer(k, "the order k", low=0)
+    n = _integer(n, "n", low=k)
     d = n - k + 1
     size = max(k, 1)
     tuples = [tuple(range(t, min(t + size, d))) for t in range(0, d, size)]
@@ -470,7 +455,7 @@ def diagonalize_gram(h, method="dyadic", k=None):
     elif method == "twob":
         p = _twob(ab)
     elif method == "dyadic":
-        k = _order(k)
+        k = _integer(k, "the order k", low=0)
         w, d, tol = ab.shape[0] - 1, ab.shape[1], TOEPLITZ_TOL * np.abs(ab).max()
         if max(k, 1) < w:
             raise ValueError("order-%d tuples are narrower than the gram matrix's band, which "

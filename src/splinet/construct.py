@@ -39,9 +39,10 @@ import numpy as np
 from .core import (
     DEFAULT_EPSILON,
     KNOT_MATCH_TOL,
-    KnotSet,
     _factorials,
     _family,
+    _integer,
+    _knots,
     _ranges,
     _taylor_col,
     _taylor_rows,
@@ -73,7 +74,7 @@ def _frlc(first_row, kth_col, spacings, k):
 
 def solve_frlc(first_row, last_col, knots_segment):
     """Complete a matrix from its first row and k-th derivative column."""
-    seg = KnotSet(knots_segment).xi
+    seg = _knots(knots_segment).xi
     first_row = np.asarray(first_row, dtype=float)
     last_col = np.asarray(last_col, dtype=float)
     k = first_row.size - 1
@@ -103,7 +104,7 @@ def _frfc(first_row_partial, first_col, spacings, k):
 
 def solve_frfc(first_row_partial, first_col, knots_segment):
     """Complete a matrix from its first row (orders < k) and value column."""
-    seg = KnotSet(knots_segment).xi
+    seg = _knots(knots_segment).xi
     first_row_partial = np.asarray(first_row_partial, dtype=float)
     first_col = np.asarray(first_col, dtype=float)
     k = first_row_partial.size
@@ -145,12 +146,12 @@ def solve_frlr(first_row, last_row, knots_segment, m=None):
     Returns ``(matrix, residual)`` where the residual is the magnitude by
     which the unused last-row entries had to be overwritten for consistency.
     """
-    seg = KnotSet(knots_segment).xi
+    seg = _knots(knots_segment).xi
     first_row = np.asarray(first_row, dtype=float)
     last_row = np.asarray(last_row, dtype=float)
     k = first_row.size - 1
     seg_m = seg.size - 2
-    if m not in (None, seg_m):
+    if m is not None and _integer(m, "m", low=0) != seg_m:
         raise ValueError("segment has %d internal knots, expected m=%d" % (seg_m, m))
     if seg_m > k:
         raise ValueError("frlr requires m <= k")
@@ -307,8 +308,7 @@ def construct(knots, k, seed, method="RRM", epsilon=DEFAULT_EPSILON, return_resi
     ``n+1`` interval values).  This is the batched core run on one matrix;
     with ``return_residuals`` the residuals come back as a dict of floats.
     """
-    if not isinstance(knots, KnotSet):
-        knots = KnotSet(knots)
+    k, knots = _integer(k, "the order k", low=0), _knots(knots)
     _check_construct(knots.n, k, method)
     t = _seed_matrix(knots, k, seed, "CRLC" if k == 0 else method)
     s, residuals = _construct_rows(knots, k, t[None], method)
@@ -329,8 +329,7 @@ def refine(fam, new_knots):
     forward by its distance from that interval's left knot; a row at an old
     knot is copied.  A component's last row is its old last row.
     """
-    if not isinstance(new_knots, KnotSet):
-        new_knots = KnotSet(new_knots)
+    new_knots = _knots(new_knots)
     old = fam.knots.xi
     new = new_knots.xi
     idx_map = np.clip(np.searchsorted(new, old), 0, new.size - 1)

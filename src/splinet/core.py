@@ -25,6 +25,11 @@ pair an archive stores, ``(supp, blocks)``: its support components as
 ``(lo, hi)`` int pairs and one ``(hi-lo+1) x (k+1)`` block per component.
 The constructor stacks such pairs, ``members`` gives them back, and the
 layout check of the stacked arrays is the only check of either.
+
+Every integer argument or entry is read by one rule, :func:`_integer`: an
+int, numpy integer or integral float (``3.0`` counts as 3) in range passes,
+anything else (a bool, a fraction) is a ``ValueError`` naming the argument.
+Every knots argument is read by :func:`_knots`.
 """
 
 from __future__ import annotations
@@ -87,21 +92,53 @@ class KnotSet:
         return hash(self.xi.tobytes())
 
 
-def equidistant_knots(a, b, n):
-    """n internal knots equally spaced in (a, b), terminal knots at a and b."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("knots must be finite")
-    return KnotSet(np.linspace(a, b, n + 2))
+def _knots(knots):
+    """``knots``, a :class:`KnotSet` or an array of increasing knots, as a ``KnotSet``."""
+    return knots if isinstance(knots, KnotSet) else KnotSet(knots)
 
 
-def _integer(value, field):
-    """``value`` as an int; ``3.0`` counts as 3, a fraction, a bool or a
-    non-number is an error."""
+def _as_int(value):
+    """``value`` as an int, or ``None`` for a bool, a fraction, a non-finite
+    float or a non-number."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
-    raise ValueError("%s entry %r is not an integer" % (field, value))
+    return None
+
+
+def _integer(value, name, low=None, high=None):
+    """``value`` by :func:`_as_int`, within ``low <= value <= high`` (``high``
+    only with ``low``), or a ``ValueError`` naming the argument: ``"N must be
+    an integer >= 1; got 2.5"``, ``"derivative order must be in [0, 2]; got 3"``."""
+    got = _as_int(value)
+    if got is not None and (low is None or got >= low) and (high is None or got <= high):
+        return got
+    span = "" if low is None else " >= %d" % low if high is None else " in [%d, %d]" % (low, high)
+    what = "" if got is not None and high is not None else " an integer"
+    raise ValueError("%s must be%s%s; got %r" % (name, what, span, value))
+
+
+def _integers(values, name, low=-(2**63), high=2**63 - 1):
+    """The entries of ``values``, a flat sequence or array, by :func:`_as_int`
+    (skipped when every type, collected in one pass, is ``int``) as an int64
+    array in ``[low, high]``, or a ``ValueError`` naming the first entry refused."""
+    values = values.ravel().tolist() if isinstance(values, np.ndarray) else list(values)
+    ints = values if set(map(type, values)) <= {int} else list(map(_as_int, values))
+    if None in ints:
+        raise ValueError("%s entry %r is not an integer" % (name, values[ints.index(None)]))
+    if ints and not low <= min(ints) <= max(ints) <= high:
+        i = next(i for i, v in enumerate(ints) if not low <= v <= high)
+        raise ValueError("%s entry %r is not in [%d, %d]" % (name, values[i], low, high))
+    return np.array(ints, dtype=np.int64)
+
+
+def equidistant_knots(a, b, n):
+    """n internal knots equally spaced in (a, b), terminal knots at a and b."""
+    n = _integer(n, "n", low=0)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("knots must be finite")
+    return KnotSet(np.linspace(a, b, n + 2))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -111,7 +148,7 @@ class SplineFamily:
 
     ``SplineFamily(knots, k, members, type, epsilon)`` takes each member as
     a pair ``(supp, blocks)``: ``supp`` a sequence of ``(lo, hi)`` knot
-    indices (integers; ``3.0`` counts as 3), ``blocks`` one
+    indices (integers, read by the integer rule), ``blocks`` one
     ``(hi-lo+1) x (k+1)`` array per component.  Support components lie in
     ``0..n+1`` with ``lo < hi``, in increasing order, disjoint and
     non-adjacent; :meth:`_set` checks this for all members at once.
@@ -131,29 +168,25 @@ class SplineFamily:
 
     def __init__(self, knots, smorder, members, type="sp", epsilon=DEFAULT_EPSILON):
         """Stack the members once; shapes are checked over all blocks at once."""
-        members, k = tuple(members), smorder
+        members, k = tuple(members), _integer(smorder, "the order k", low=0)
         if [len(blocks) for _, blocks in members] != [len(supp) for supp, _ in members]:
             raise ValueError("support/derivative block count mismatch")
-        comps = [(_integer(lo, "supp"), _integer(hi, "supp"))
-                 for supp, _ in members for lo, hi in supp]
+        lo, hi = _integers([b for supp, _ in members for lo, hi in supp for b in (lo, hi)],
+                           "supp").reshape(-1, 2).T
         blocks = [np.asarray(b, dtype=float) for _, bs in members for b in bs]
-        lo, hi = np.array(comps, dtype=np.int64).reshape(-1, 2).T
         shapes = [b.shape for b in blocks]
         want = [(m, k + 1) for m in (hi - lo + 1).tolist()]
         if shapes != want:
-            shape, c = next((s, c) for s, w, c in zip(shapes, want, comps) if s != w)
-            if len(shape) != 2:
-                raise ValueError("derivative blocks must be 2-d")
+            c, shape = next((c, s) for c, (s, w) in enumerate(zip(shapes, want)) if s != w)
             raise ValueError("block shape %s does not match support (%d, %d) at order %d"
-                             % (shape, c[0], c[1], k))
-        self._set(knots, k, np.concatenate(blocks) if blocks else np.empty((0, k + 1)), lo, hi,
-                  np.cumsum([0] + [len(supp) for supp, _ in members]), type, epsilon)
+                             % (shape, lo[c], hi[c], k))
+        self._set(_knots(knots), k, np.concatenate(blocks) if blocks else np.empty((0, k + 1)),
+                  lo, hi, np.cumsum([0] + [len(supp) for supp, _ in members]), type, epsilon)
 
     def _set(self, knots, k, rows, lo, hi, offsets, type, epsilon):
         """Check the layout in one vectorized pass and store it; ``rows`` is
         taken over and made read-only."""
-        if k < 0:
-            raise ValueError("smorder must be non-negative")
+        k = _integer(k, "the order k", low=0)
         if type not in _FAMILY_TYPES:
             raise ValueError("unknown family type %r" % (type,))
         if not (math.isfinite(epsilon) and epsilon >= 0):
@@ -374,9 +407,7 @@ def evaluate(fam, grid, deriv=0):
     support yield exactly 0.0.
     """
     xi = fam.knots.xi
-    k = fam.smorder
-    if deriv < 0 or deriv > k:
-        raise ValueError("derivative order must be in [0, %d]" % k)
+    deriv = _integer(deriv, "derivative order", 0, fam.smorder)
     grid = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid points must be finite")
@@ -405,9 +436,8 @@ def evaluate(fam, grid, deriv=0):
 
 def sample_grid(knots, k, N):
     """Knots plus ``k*N`` equally spaced points inside every interval."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    xi = knots.xi
+    k, N = _integer(k, "the order k", low=0), _integer(N, "N", low=1)
+    xi = _knots(knots).xi
     frac = np.arange(1, k * N + 1) / (k * N + 1.0)
     inner = xi[:-1, None] + frac * np.diff(xi)[:, None]
     return np.sort(np.concatenate([xi, inner.ravel()]))
@@ -429,8 +459,9 @@ def gather(a, b):
 
 
 def subsample(fam, indices):
-    """Select members by index, keeping order of ``indices``."""
-    idx = np.arange(len(fam))[np.asarray(indices, dtype=np.int64).reshape(-1)]
+    """Select members by index, keeping order of ``indices``, each an integer
+    in ``[0, len(fam))``: a negative index does not count from the end."""
+    idx = _integers(indices, "indices", 0, len(fam) - 1)
     count = np.diff(fam.offsets)[idx]
     comp = _ranges(fam.offsets[idx], count)
     rows = fam.rows[_ranges(fam.start[comp], (fam.hi - fam.lo + 1)[comp])]

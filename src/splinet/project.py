@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BASIS_TYPES, _check_spd, _cho_solve_banded, _cholesky_banded, splinet
+from .bases import _check_spd, _cho_solve_banded, _cholesky_banded, splinet
 from .calculus import _gram, gramian, integra, lincomb
-from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, evaluate
+from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, _integer, _knots, evaluate
 from .construct import refine
 
 
@@ -59,8 +59,6 @@ class FunctionalDataMatrix:
 
 
 def _make_basis(knots, k, type):
-    if type not in BASIS_TYPES:
-        raise ValueError("basis type must be one of %s" % (BASIS_TYPES,))
     res = splinet(knots, k, type=type)
     basis = res.bs if type == "bs" else res.os
     return basis, res.transform
@@ -95,9 +93,7 @@ def project_splines(fam, target_knots=None, type="spnt"):
     the projection is orthogonal in L2 of that union.
     """
     k = fam.smorder
-    target = fam.knots if target_knots is None else target_knots
-    if not isinstance(target, KnotSet):
-        target = KnotSet(target)
+    target = fam.knots if target_knots is None else _knots(target_knots)
     basis, transform = _make_basis(target, k, type)
     if target == fam.knots:
         fam_ref, basis_ref = fam, basis
@@ -118,8 +114,7 @@ def project_data(data, knots, k, type="spnt"):
     """
     if not isinstance(data, FunctionalDataMatrix):
         data = FunctionalDataMatrix(*data)
-    if not isinstance(knots, KnotSet):
-        knots = KnotSet(knots)
+    knots = _knots(knots)
     xi = knots.xi
     inside = (data.args >= xi[0]) & (data.args <= xi[-1])
     if not np.any(inside):
@@ -214,11 +209,8 @@ def fpca(pr):
 def kl_reconstruct(fp, coeff_row, m_components):
     """Truncated Karhunen-Loeve reconstruction of one coefficient row: ``d``
     coefficients, one per basis member, kept on ``m_components`` retained
-    components (an integer in ``[0, n_retained]``)."""
-    if (not isinstance(m_components, (int, np.integer)) or isinstance(m_components, bool)
-            or not 0 <= m_components <= fp.n_retained):
-        raise ValueError("m_components must be an integer in [0, %d], got %r"
-                         % (fp.n_retained, m_components))
+    components, an integer in ``[0, n_retained]`` (``2.0`` counts as 2)."""
+    m_components = _integer(m_components, "m_components", 0, fp.n_retained)
     d = len(fp.basis)
     coeff_row = np.asarray(coeff_row, dtype=float)
     if coeff_row.shape != (d,):

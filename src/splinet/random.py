@@ -20,15 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _family
+from .core import _family, _integer
 from .construct import _check_construct, _construct_rows
 
 #: bit generator used for all draws; recorded here and in the CLI output
 #: because the archive format carries no metadata field
 RNG_ALGORITHM = "numpy Philox4x64 counter-based generator, one jumped substream per member"
-
-#: Philox keys are two 64-bit words
-_SEED_LIMIT = 2**128
 
 #: a covariance is symmetric when M - M' is within this fraction of its
 #: largest entry
@@ -80,12 +77,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError("seed must be an integer; got %r" % (seed,))
-        if not 0 <= seed < _SEED_LIMIT:
+        seed = _integer(self.seed, "seed")
+        if not 0 <= seed < 2**128:  # a Philox key is two 64-bit words
             raise ValueError("seed must be in [0, 2**128); got %d" % seed)
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", seed)
 
     def roots(self, n_rows, n_cols):
         sig = _expand_cov(self.sigma, n_rows, "Sigma")
@@ -104,8 +99,7 @@ def rspline(mean, noise, count=1, method="RRM"):
     """
     if len(mean) != 1:
         raise ValueError("mean must be a single-member family")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _integer(count, "count", low=1)
     knots = mean.knots
     k = mean.smorder
     _check_construct(knots.n, k, method)

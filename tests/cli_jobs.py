@@ -21,7 +21,10 @@ the file and the line, ``basis`` with ``1_0`` for ``--equid B`` or ``-k``
 exits 2 naming the flag, ``check`` and ``eval`` on an archive whose middle
 k-th entry was edited exit 1 naming the member and the knot, ``project -i``
 on an archive re-written after a leading newline writes the bytes it writes
-from the archive itself, and no
+from the archive itself, ``check`` passes an archive whose ``order`` and
+``supp`` bounds are written as floats (``3.0``), on which ``eval`` writes
+the bytes it writes from the archive itself, and refuses one with
+``"order": true`` naming that entry, and no
 ``scipy`` module is loaded: scipy is needed
 only for the ``scipy.sparse`` objects the library returns or accepts on
 request, never on a CLI path.  Nor is ``numpy.ma``, which numpy loads on
@@ -193,6 +196,37 @@ def middle_entry_refused(d):
     return True
 
 
+def float_integer_fields(d):
+    """``b11.os.json`` re-written with its ``order`` and ``supp`` bounds as
+    integral floats: ``check`` exits 0, and ``eval`` writes the CSV bytes it
+    writes from the archive itself.  With ``"order": true`` instead,
+    ``check`` exits 1 naming ``order entry True``."""
+    src = os.path.join(d, "b11.os.json")
+    with open(src, encoding="utf-8") as fh:
+        arch = json.load(fh)
+    arch["order"] = float(arch["order"])
+    for item in arch["splines"]:
+        item["supp"] = [[float(lo), float(hi)] for lo, hi in item["supp"]]
+    floats = os.path.join(d, "floats.json")
+    with open(floats, "w", encoding="utf-8") as fh:
+        json.dump(arch, fh)
+    if main(["check", "-i", floats]) != 0:
+        return False
+    csvs = []
+    for path in (src, floats):
+        if main(["eval", "-i", path, "-o", path + ".csv"]) != 0:
+            return False
+        with open(path + ".csv", "rb") as fh:
+            csvs.append(fh.read())
+    arch["order"] = True
+    boolean = os.path.join(d, "bool_order.json")
+    with open(boolean, "w", encoding="utf-8") as fh:
+        json.dump(arch, fh)
+    code, err = _exit_and_stderr(["check", "-i", boolean])
+    return csvs[0] == csvs[1] and code == 1 and err.startswith(
+        "error: malformed archive: order entry True is not an integer")
+
+
 def leading_newline_archive(d):
     """``project -i`` on ``draws.json`` re-written after one newline, which
     is still JSON, writes the same ``.coeff.csv`` and ``.proj.json`` bytes
@@ -233,6 +267,9 @@ def run(d):
         failed.append(["project", "-i", "(a bad data CSV: no exit 1, file or line named)"])
     if not bad_flag_number(d):
         failed.append(["basis", "--equid", "(1_0 as a flag value: no exit 2, flag named)"])
+    if not float_integer_fields(d):
+        failed.append(["check", "eval", "(order and supp written as 3.0: not read as integers, "
+                       "or \"order\": true not refused by name)"])
     if not middle_entry_refused(d):
         failed.append(["check", "eval", "(an edited middle k-th entry: no exit 1, member or "
                        "knot not named)"])

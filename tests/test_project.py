@@ -385,9 +385,16 @@ def test_kl_reconstruct_errors_name_d_and_range():
     for short in (row[:-1], np.append(row, 0.0), pr.coeff[:2]):
         with pytest.raises(ValueError, match="one row of %d coefficients" % d):
             sp.kl_reconstruct(fp, short, r)
-    for m in (1.5, 2.0, True, -1, r + 1):
-        with pytest.raises(ValueError, match=r"an integer in \[0, %d\]" % r):
+    for m in (1.5, True):
+        with pytest.raises(ValueError, match=r"m_components must be an integer in \[0, %d\]"
+                           % r):
             sp.kl_reconstruct(fp, row, m)
+    for m in (-1, r + 1):
+        with pytest.raises(ValueError, match=r"m_components must be in \[0, %d\]; got %d"
+                           % (r, m)):
+            sp.kl_reconstruct(fp, row, m)
+    # the one integer rule: an integral float counts
+    oracles.assert_same_family(sp.kl_reconstruct(fp, row, float(r)), sp.kl_reconstruct(fp, row, r))
     assert len(sp.kl_reconstruct(fp, row, np.int64(r))) == 1
 
 
