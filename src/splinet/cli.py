@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import reprlib
 import sys
 
@@ -21,7 +20,7 @@ import numpy as np
 from .archive import load_archive, save_archive
 from .bases import BASIS_TYPES, splinet
 from .calculus import gramian
-from .core import KnotSet, equidistant_knots, evaluate, is_valid_spline, sample_grid
+from .core import KnotSet, _as_int, equidistant_knots, evaluate, is_valid_spline, sample_grid
 from .project import (
     ProjectionResult,
     fpca,
@@ -45,7 +44,7 @@ def _knots_from_args(args):
     if args.equid is not None:
         a, b, n = args.equid
         return equidistant_knots(_real_arg("--equid A", a), _real_arg("--equid B", b),
-                                 _count_arg("--equid N", n))
+                                 _int_arg("--equid N", n, 0))
     if args.knots is not None:
         return KnotSet(np.sort(_read_numbers(args.knots, csv=False).ravel()))
     raise UsageError("need either --equid A B N or --knots FILE")
@@ -65,13 +64,23 @@ def _real_arg(flag, text):
     return float(text)
 
 
-def _count_arg(flag, text):
-    """``text`` as a non-negative integer (``10`` or ``10.0``); anything else,
-    a fraction, a negative or non-finite number, is a usage error."""
-    value = float(text) if _is_number(text) else math.nan
-    if not (value >= 0 and value.is_integer()):
-        raise UsageError("%s must be a non-negative integer; got %r" % (flag, text))
-    return int(value)
+def _int_arg(flag, text, low=None):
+    """``text`` as an integer where numpy's parser reads a number: exactly,
+    by ``int``, when it has no fraction (a 128-bit ``--seed`` keeps its
+    bits), else as a decimal of integral value (``3.0`` counts as 3, as
+    :func:`~splinet.core._integer` takes it); anything else, or a value below
+    ``low``, is a usage error."""
+    value = None
+    if _is_number(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = _as_int(float(text))
+    if value is None:
+        raise UsageError("%s must be an integer; got %r" % (flag, text))
+    if low is not None and value < low:
+        raise UsageError("%s must be >= %d; got %d" % (flag, low, value))
+    return value
 
 
 #: integer flags: attribute -> (flag, smallest value or None)
@@ -80,22 +89,11 @@ _INT_FLAGS = {"order": ("-k", 0), "density": ("-N", 1), "count": ("-M", 1),
 
 
 def _read_int_flags(args):
-    """Replace the text of every integer flag by its value, read exactly by
-    ``int`` (a 128-bit ``--seed`` too) where numpy's parser reads a number; a
-    non-integer or a value below the flag's bound is a usage error."""
+    """Replace the text of every integer flag by its value (:func:`_int_arg`)."""
     for attr, (flag, low) in _INT_FLAGS.items():
         text = getattr(args, attr, None)
-        if text is None:
-            continue
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or not _is_number(text):
-            raise UsageError("%s must be an integer; got %r" % (flag, text))
-        if low is not None and value < low:
-            raise UsageError("%s must be >= %d; got %d" % (flag, low, value))
-        setattr(args, attr, value)
+        if text is not None:
+            setattr(args, attr, _int_arg(flag, text, low))
 
 
 def _fmt(x):

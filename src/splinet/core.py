@@ -308,24 +308,38 @@ def sym2one(rows, lo, hi, inverse=False):
     rows ``0..l`` (``l = m // 2``) and left-hand limits in rows ``l+2..m+1``;
     its row ``l+1`` repeats row ``l`` (even ``m``) or holds 0 (odd ``m``).
     For ``k = 0`` only the last row differs: it repeats the one before.
-    Each direction drops the one entry per component that the other fills."""
+    Each direction drops the one entry per component that the other fills
+    (:func:`_sym_entry`)."""
     out = np.array(rows, dtype=float)
     k = out.shape[1] - 1
+    at, fill = _sym_entry(out, lo, hi)
+    if k > 0:
+        m = np.asarray(hi) - np.asarray(lo) - 1
+        shift = _ranges(at, m - m // 2)  # one-sided rows l+1 .. m
+        if inverse:
+            out[shift + 1, k] = out[shift, k]
+        else:
+            out[shift, k] = out[shift + 1, k]
+            at = np.cumsum(m + 2) - 1  # each component's last row
+    out[at, k] = fill if inverse else 0.0
+    return out
+
+
+def _sym_entry(rows, lo, hi):
+    """``(at, fill)``: the stacked row of the one k-th entry per component
+    that the symmetric column holds and the one-sided has no place for (row
+    ``l+1``; for ``k = 0`` the last row), and the value the symmetric column
+    stores there, computed from ``rows`` of either convention (the rows
+    before ``at`` are the same in both): row ``l``'s entry for even ``m``, 0
+    for odd ``m``; for ``k = 0`` the entry of the row before."""
+    k = rows.shape[1] - 1
     size = np.asarray(hi) - np.asarray(lo) + 1
     end = np.cumsum(size) - 1
     if k == 0:
-        out[end, 0] = out[end - 1, 0] if inverse else 0.0
-        return out
+        return end, rows[end - 1, 0]
     m = size - 2
     mid = end - m + m // 2  # row l+1
-    shift = _ranges(mid, m - m // 2)  # one-sided rows l+1 .. m
-    if inverse:
-        out[shift + 1, k] = rows[shift, k]
-        out[mid, k] = np.where(m % 2 == 0, rows[mid - 1, k], 0.0)
-    else:
-        out[shift, k] = rows[shift + 1, k]
-        out[end, k] = 0.0
-    return out
+    return mid, np.where(m % 2 == 0, rows[mid - 1, k], 0.0)
 
 
 # ---------------------------------------------------------------------------

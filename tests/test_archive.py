@@ -1,8 +1,10 @@
 import csv
+import gc
 import io
 import json
 import tracemalloc
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,12 +155,20 @@ def test_malformed_real_fields(tmp_path, field, value, message):
     ([{"supp": [[0, 2]], "der": [[[0.0] * 2] * 3]}], "block shape does not match"),
     ([{"supp": [[0, 2], [4, 7]], "der": [[[0.0] * 3] * 4, [[0.0] * 3] * 3]}],
      "block shape does not match"),
+    ([{"supp": [[0, 1, 2]], "der": [[[0.0] * 3] * 3]}],
+     r"^malformed archive: supp entry \[0, 1, 2\] is not a \[lo, hi\] pair$"),
+    ([{"supp": [[0, 2], [3]], "der": [[[0.0] * 3] * 3, [[0.0] * 3]]}],
+     r"^malformed archive: supp entry \[3\] is not a \[lo, hi\] pair$"),
+    ([{"supp": [[0, 2]], "der": [[[0.0] * 3] * 3]}, {"supp": [5], "der": [[[0.0] * 3]]}],
+     r"^malformed archive: supp entry 5 is not a \[lo, hi\] pair$"),
 ], ids=["adjacent", "out_of_range", "empty_component", "block_count", "row_width",
-        "block_rows_swapped"])
+        "block_rows_swapped", "supp_triple", "supp_single", "supp_number"])
 def test_archive_support_and_shape_checked(splines, message):
     """Archive members go straight into the stacked layout; its one
     vectorized check is the only check of supports and block shapes, as it
-    is for ``SplineFamily``'s ``(supp, blocks)`` pairs."""
+    is for ``SplineFamily``'s ``(supp, blocks)`` pairs.  A ``supp`` entry that
+    is not a ``[lo, hi]`` pair is named before the bounds are read as one
+    flat list, where it would shift every bound after it."""
     obj = {"knots": list(np.linspace(0.0, 1.0, 8)), "order": 2, "splines": splines}
     with pytest.raises(ValueError, match=message):
         family_from_dict(obj)
@@ -211,6 +221,25 @@ def test_loader_checks_the_repeated_entry(k):
         with pytest.raises(ValueError, match="^malformed archive: member %d, knot %d: k-th "
                                              "derivative entry" % (i, lo + r)):
             family_from_dict(obj)
+
+
+def test_load_restores_the_collector(tmp_path):
+    """The loader pauses the cyclic garbage collector while ``json`` parses
+    and leaves it as it found it, on success and on a parse error."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    sp.save_archive(good, sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 7), 2))
+    bad.write_text('{"knots": [0.0, 1.0')
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            sp.load_archive(good)
+            assert gc.isenabled() == enabled
+            with pytest.raises(ValueError):
+                sp.load_archive(bad)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_integral_float_order_accepted(tmp_path):
@@ -302,13 +331,20 @@ def _check_writer(path, fam, net):
     assert back_net == net
 
 
+#: stacked rows per writer chunk: one component, a few, and the default
+_CHUNK_ROWS = st.sampled_from([1, 4, archive._CONVERT_ROWS])
+
+
 @settings(max_examples=150, deadline=None)
-@given(_families())
-@example((_nonfinite_family(), None))
-@example((sp.empty_family(sp.equidistant_knots(0.0, 1.0, 3), 2), None))
-def test_writer_matches_json_oracle_and_roundtrips(tmp_path_factory, case):
+@given(_families(), _CHUNK_ROWS)
+@example((_nonfinite_family(), None), archive._CONVERT_ROWS)
+@example((sp.empty_family(sp.equidistant_knots(0.0, 1.0, 3), 2), None), archive._CONVERT_ROWS)
+def test_writer_matches_json_oracle_and_roundtrips(tmp_path_factory, case, chunk):
+    """Members with no support before, between and after the others, and
+    chunks that end anywhere between members, give ``json.dumps``'s bytes."""
     fam, net = case
-    _check_writer(tmp_path_factory.mktemp("prop") / "f.json", fam, net)
+    with mock.patch.object(archive, "_CONVERT_ROWS", chunk):
+        _check_writer(tmp_path_factory.mktemp("prop") / "f.json", fam, net)
 
 
 #: few values, so that rows and blocks recur; 0.0 and -0.0 differ only in bits
@@ -317,16 +353,19 @@ _FEW_REALS = st.sampled_from([0.0, -0.0, 1.5, np.nan, np.inf, -np.inf])
 
 @st.composite
 def _repeating_families(draw):
-    """Families whose derivative blocks recur across and within members: the
-    members share at most two supports, each block comes from a pool of at
-    most two per length, built from at most four rows (one of them the first
-    with the signs of its zeros flipped), so equal rows also sit in blocks of
-    other lengths."""
+    """Families whose Taylor rows recur across and within members and
+    blocks: the members share at most two supports, each block comes from a
+    pool of at most two per length, built from a pool of rows that holds one
+    to three drawn rows, the first with the signs of its zeros flipped, a row
+    of zeros beside the same row of ``-0.0`` and a row of NaN.  So equal rows
+    sit in blocks that differ elsewhere and in blocks of other lengths, and
+    rows that differ only in the sign of a zero or hold NaN recur."""
     k = draw(st.integers(0, 2))
     n = draw(st.integers(1, 8))
     rows = draw(st.lists(st.lists(_FEW_REALS, min_size=k + 1, max_size=k + 1),
                          min_size=1, max_size=3))
     rows.append([-x if x == 0.0 else x for x in rows[0]])  # rows[0] with zero signs flipped
+    rows += [[0.0] * (k + 1), [-0.0] * (k + 1), [np.nan] * (k + 1)]
     pool = {}
 
     def block(size):
@@ -346,29 +385,55 @@ def _repeating_families(draw):
 
 
 def _repeats_family():
-    """One block twice in a member and again in another; the same block with
+    """One block twice in a member and again in another; a block that
+    shares two rows with it and differs in the third; the same block with
     one -0.0 for 0.0; a repeated NaN and infinity block; the rows of the
-    first block again in a block of two rows."""
+    first block again in a block of two rows, beside members with no
+    support."""
     a = np.array([[0.0, 1.5], [0.0, 1.5], [2.5, -1.0]])
+    other = a.copy()
+    other[1] = [np.nan, 0.25]
     signed = a.copy()
     signed[1, 0] = -0.0
     odd = np.array([[np.nan, np.inf], [-np.inf, np.nan], [np.nan, np.nan]])
     two, three = ((0, 2), (4, 6)), ((0, 2),)
-    members = [(two, [a, a]), (three, [a]),
-               (three, [signed]), (two, [odd, odd]),
+    members = [((), []), (two, [a, a]), (three, [a]), ((), []), ((), []),
+               (three, [signed]), (two, [odd, other]), (three, [other]),
                (((1, 3), (5, 6)), [signed, a[:2]]),
-               (three, [odd])]
+               (three, [odd]), ((), [])]
     return sp.SplineFamily(sp.equidistant_knots(0.0, 1.0, 5), 1, tuple(members))
 
 
 @settings(max_examples=150, deadline=None)
+@given(_repeating_families(), _CHUNK_ROWS)
+@example(_repeats_family(), 1)
+@example(_repeats_family(), archive._CONVERT_ROWS)
+def test_writer_repeated_blocks_match_json_oracle(tmp_path_factory, fam, chunk):
+    """Rows whose text is rendered once and reused: the bytes of every
+    occurrence are those of ``json.dumps``, and ``-0.0``, NaN and the
+    infinities survive the round trip bit for bit, however the members fall
+    into chunks."""
+    with mock.patch.object(archive, "_CONVERT_ROWS", chunk):
+        _check_writer(tmp_path_factory.mktemp("rep") / "f.json", fam, None)
+
+
+@settings(max_examples=50, deadline=None)
 @given(_repeating_families())
 @example(_repeats_family())
-def test_writer_repeated_blocks_match_json_oracle(tmp_path_factory, fam):
-    """Blocks whose text is rendered once and reused: the bytes of every
-    occurrence are those of ``json.dumps``, and ``-0.0``, NaN and the
-    infinities survive the round trip bit for bit."""
-    _check_writer(tmp_path_factory.mktemp("rep") / "f.json", fam, None)
+def test_writer_hash_collisions_render_afresh(tmp_path_factory, fam):
+    """A row hash that ignores signs, so that ``-0.0`` and ``0.0``, and rows
+    of opposite signs, collide: the cache compares the rows' bytes, so a
+    collision costs a render, never wrong text."""
+    hashes = archive._row_hashes
+    unsigned = lambda bits: hashes(bits & np.uint64(2**63 - 1))
+    with mock.patch.object(archive, "_row_hashes", unsigned):
+        _check_writer(tmp_path_factory.mktemp("col") / "f.json", fam, None)
+
+
+def _distinct_rows(fam):
+    """The distinct rows of ``fam`` as written: with the symmetric k-th column."""
+    sym = sp.sym2one(fam.rows, fam.lo, fam.hi, inverse=True)
+    return {row.tobytes() for row in sym}
 
 
 def _distinct_blocks(fam):
@@ -376,21 +441,25 @@ def _distinct_blocks(fam):
     return {fam.rows[a:b].tobytes() for a, b in zip(bounds[:-1], bounds[1:])}
 
 
-def test_each_distinct_block_rendered_once(tmp_path, monkeypatch):
+def test_each_distinct_row_rendered_once(tmp_path, monkeypatch):
     """On equidistant knots the B-splines, and the splinet's members within a
-    level, are translates of each other, so their blocks repeat bit for bit;
-    the writer renders each distinct block once, plus the knots."""
+    level, are translates of each other, so their Taylor rows repeat bit for
+    bit, and rows also recur across blocks that differ elsewhere: the writer
+    renders the numbers of each distinct symmetric row once, plus the knots."""
     res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 1535), 3)
     assert len(res.os) == 1533
-    calls = []
+    rendered = []
     tokens = archive._tokens
-    monkeypatch.setattr(archive, "_tokens", lambda values: calls.append(1) or tokens(values))
+    monkeypatch.setattr(archive, "_tokens",
+                        lambda values: rendered.append(values.size) or tokens(values))
     for fam, net in ((res.bs, None), (res.os, res.net)):
-        distinct = len(_distinct_blocks(fam))
-        assert distinct < len(fam) // 2
-        calls.clear()
+        distinct = len(_distinct_rows(fam))
+        # no more than the rows of the distinct blocks, and fewer than half the rows
+        assert distinct <= sum(map(len, _distinct_blocks(fam))) // (8 * (fam.smorder + 1))
+        assert distinct < fam.rows.shape[0] // 2
+        rendered.clear()
         sp.save_archive(tmp_path / "f.json", fam, net)
-        assert len(calls) <= distinct + 1
+        assert sum(rendered) <= distinct * (fam.smorder + 1) + len(fam.knots)
 
 
 def test_writer_peak_memory_without_repeats(tmp_path):

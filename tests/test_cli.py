@@ -70,7 +70,7 @@ def test_knot_flags_usage_errors(tmp_path, capsys):
     (["eval", "-i", "{mean}", "-N", "0"], "-N must be >= 1; got 0"),
     (["eval", "-i", "{mean}", "-N", "-3"], "-N must be >= 1"),
     (["random", "--mean", "{mean}", "-M", "0"], "-M must be >= 1; got 0"),
-    (["basis", "--equid", "0", "1", "-3", "-k", "2"], "--equid N must be a non-negative integer"),
+    (["basis", "--equid", "0", "1", "-3", "-k", "2"], "--equid N must be >= 0; got -3"),
     (["basis", "--equid", "0", "1", "10.4", "-k", "2"], "got '10.4'"),
     (["basis", "--equid", "0", "1", "2.5", "-k", "2"], "got '2.5'"),
     (["basis", "--equid", "0", "1", "nan", "-k", "2"], "got 'nan'"),
@@ -84,11 +84,10 @@ def test_knot_flags_usage_errors(tmp_path, capsys):
     # non-ASCII digit, though Python's float and int read 1_0 as 10 and ３ as 3
     (["basis", "--equid", "0", "1_0", "5", "-k", "1"], "--equid B must be a number; got '1_0'"),
     (["basis", "--equid", "0", "\uff11", "5", "-k", "1"], "--equid B must be a number"),
-    (["basis", "--equid", "0", "1", "1_0", "-k", "1"],
-     "--equid N must be a non-negative integer; got '1_0'"),
+    (["basis", "--equid", "0", "1", "1_0", "-k", "1"], "--equid N must be an integer; got '1_0'"),
     (["basis", "--equid", "0", "1", "5", "-k", "1_0"], "-k must be an integer; got '1_0'"),
     (["basis", "--equid", "0", "1", "5", "-k", "\uff13"], "-k must be an integer; got '\uff13'"),
-    (["basis", "--equid", "0", "1", "5", "-k", "3.0"], "-k must be an integer; got '3.0'"),
+    (["basis", "--equid", "0", "1", "5", "-k", "3.5"], "-k must be an integer; got '3.5'"),
     (["basis", "--equid", "0", "1", "5", "-k", "abc"], "-k must be an integer; got 'abc'"),
     (["project", "-i", "{mean}", "--equid", "0", "1", "5", "-k", "1_0"], "-k must be an integer"),
     (["eval", "-i", "{mean}", "-N", "1_0"], "-N must be an integer; got '1_0'"),
@@ -124,6 +123,29 @@ def test_equid_count_may_be_written_as_float(tmp_path):
     assert main(["basis", "--equid", "0", "1", "10.0", "-k", "2", "--type", "bs", "-o", out]) == 0
     bs, _ = sp.load_archive(out + ".bs.json")
     assert bs.knots.n == 10
+
+
+def test_every_int_flag_takes_integral_decimals(tmp_path, capsys):
+    """One rule reads every integer flag: ``3.0`` and ``3e0`` count as 3, as
+    the library's integer rule has it, and give the bytes that ``3`` gives."""
+    mean = str(tmp_path / "mean.json")
+    sp.save_archive(mean, oracles.random_valid_family(np.random.default_rng(3), 10, 2))
+    outputs = []
+    for i, (k, n, count, seed, density, deriv) in enumerate((("3", "11", "2", "7", "2", "1"),
+                                                             ("3.0", "11.0", "2.0", "7.0", "2.0",
+                                                              "1.0"),
+                                                             ("3e0", "1.1e1", "2e0", "7e0",
+                                                              "2e0", "1e0"))):
+        out = str(tmp_path / str(i))
+        for argv in (["basis", "--equid", "0", "1", n, "-k", k, "--type", "bs", "-o", out],
+                     ["random", "--mean", mean, "-M", count, "--seed", seed, "-o", out + ".draws"],
+                     ["eval", "-i", out + ".bs.json", "-N", density, "--deriv", deriv,
+                      "-o", out + ".csv"]):
+            assert main(argv) == 0, argv
+        outputs.append([open(out + suffix, "rb").read()
+                        for suffix in (".bs.json", ".draws", ".csv")])
+    capsys.readouterr()
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_int_flags_read_exactly(tmp_path, capsys):
