@@ -38,9 +38,6 @@ rows of a d = 6141 splinet a fifth or fewer are distinct.  Each chunk is one
 join of its row texts and the separators between them (a separator after a
 component's last row carries the brackets that close the block or member
 and the next member's ``supp``), and one write.
-
-:func:`family_from_dict` takes only JSON numbers in the real fields, where
-``float`` would also take ``"0.25"`` and ``true``.
 """
 
 from __future__ import annotations
@@ -53,57 +50,21 @@ from itertools import chain, islice
 import numpy as np
 
 from .calculus import _chunks
-from .core import (DEFAULT_EPSILON, KnotSet, _family, _integers, _sym_entry, _tolerances,
+from .core import (DEFAULT_EPSILON, SplineFamily, _family, _integers, _sym_entry, _tolerances,
                    sym2one)
 
 
-def _reals(values, field):
-    """The list ``values`` as a float array; a JSON string, boolean or null in
-    it is an error (numpy would read ``"0.25"`` as 0.25, ``true`` as
-    1.0 and ``null`` as NaN).  The check is one pass in C that collects the
-    values' types; only the few distinct types are looked at in Python."""
-    bad = {t for t in set(map(type, values))
-           if not issubclass(t, (int, float)) or issubclass(t, bool)}
-    if bad:
-        value = next(v for v in values if type(v) in bad)
-        raise ValueError("%s entry %r is not a number" % (field, value))
-    return np.array(values, dtype=float)
-
-
 def family_from_dict(obj):
-    """Family and net (its levels, or ``None``) from a parsed archive.  Every
-    fault raises ``ValueError("malformed archive: ...")``: a wrong structure
-    or field type, a ``supp`` entry that is not a ``[lo, hi]`` pair, a
-    non-integral ``order`` or ``supp`` bound, a ``knots``, ``epsilon`` or
-    ``der`` entry that is not a JSON number, a ``net`` index outside
-    ``0..d-1`` or repeated across the net, whatever the knot and layout
-    checks refuse (knots not increasing, a support or block shape that does
-    not fit, an unknown ``type``), and a repeated k-th entry that the
-    conversion to one-sided rows would drop unchecked (:func:`_one_sided`)."""
+    """Family and net (its levels, or ``None``) from a parsed archive, its
+    fields read by :class:`~splinet.core.SplineFamily`.  Every fault raises
+    ``ValueError("malformed archive: ...")``: a missing field, what the
+    constructor refuses, a non-integral ``order``, a ``net`` index outside
+    ``0..d-1`` or repeated, and a k-th entry :func:`_one_sided` would drop."""
     try:
-        knots = KnotSet(_reals(obj["knots"], "knots"))
         k = int(_integers([obj["order"]], "order")[0])
-        splines = obj["splines"]
-        supps = [item["supp"] for item in splines]
-        comps = list(chain.from_iterable(supps))
-        if not set(map(type, comps)) <= {list, tuple} or set(map(len, comps)) - {2}:
-            bad = next(c for c in comps if type(c) not in (list, tuple) or len(c) != 2)
-            raise ValueError("supp entry %r is not a [lo, hi] pair" % (bad,))
-        lo, hi = _integers(chain.from_iterable(comps), "supp").reshape(-1, 2).T
-        ders = [item["der"] for item in splines]
-        if list(map(len, ders)) != list(map(len, supps)):
-            raise ValueError("support/derivative block count mismatch")
-        blocks = list(chain.from_iterable(ders))
-        flat = list(chain.from_iterable(blocks))
-        if list(map(len, blocks)) != (hi - lo + 1).tolist() or set(map(len, flat)) - {k + 1}:
-            raise ValueError("derivative block shape does not match support")
-        rows = _reals(list(chain.from_iterable(flat)), "der").reshape(len(flat), k + 1)
-        # the one layout check, on a read-only view of the stored rows, which
-        # are then made one-sided in place
-        fam = _family(knots, k, rows.view(), lo, hi,
-                      np.cumsum([0] + list(map(len, supps))), obj.get("type", "sp"),
-                      float(_reals([obj.get("epsilon", DEFAULT_EPSILON)], "epsilon")[0]))
-        _one_sided(fam, rows)
+        fam = _one_sided(SplineFamily(obj["knots"], k,
+                                      [(m["supp"], m["der"]) for m in obj["splines"]],
+                                      obj.get("type", "sp"), obj.get("epsilon", DEFAULT_EPSILON)))
         net = None
         if "net" in obj:
             levels = obj["net"]
@@ -121,17 +82,17 @@ def family_from_dict(obj):
         raise ValueError("malformed archive: %s" % exc) from exc
 
 
-def _one_sided(fam, rows):
-    """Make ``rows``, the stored symmetric rows under ``fam.rows``, one-sided
-    in place.  The k-th entry per component that this drops
-    (:func:`~splinet.core._sym_entry`) must be, within the member's tolerance
-    or as the same non-finite value, what :func:`save_archive` writes back
-    there, or a value ``check`` never sees would be lost: the loader refuses
-    it."""
-    k = fam.smorder
-    at, want = _sym_entry(rows, fam.lo, fam.hi)
-    got = rows[at, k]
-    rows[:] = sym2one(rows, fam.lo, fam.hi)
+def _one_sided(stored):
+    """``stored``, a family of an archive's symmetric rows, with one-sided rows.
+    The k-th entry per component that this drops (:func:`~splinet.core._sym_entry`)
+    must be, within the member's tolerance or as the same non-finite value,
+    what :func:`save_archive` writes back there, or a value ``check`` never
+    sees would be lost: the loader refuses it."""
+    k, lo, hi = stored.smorder, stored.lo, stored.hi
+    at, want = _sym_entry(stored.rows, lo, hi)
+    got = stored.rows[at, k]
+    fam = _family(stored.knots, k, sym2one(stored.rows, lo, hi), lo, hi, stored.offsets,
+                  stored.type, stored.epsilon)
     off = np.flatnonzero((got != want) & ~(np.isnan(got) & np.isnan(want)))
     if off.size:  # never for what save_archive wrote
         with np.errstate(invalid="ignore", over="ignore"):
@@ -144,6 +105,7 @@ def _one_sided(fam, rows):
                              "convention stores %r (tolerance %r)"
                              % (fam.member[c], fam.lo[c] + at[c] - fam.start[c], float(got[c]),
                                 float(want[c]), float(tol[i])))
+    return fam
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -324,18 +286,18 @@ def load_archive(path):
     """Returns ``(family, net-or-None)``, the net as its levels; the family is
     one-sided, as every family in memory is.
 
-    The cyclic garbage collector is paused while ``json`` parses, and
-    restored after: the parse makes a list per Taylor row and no cycles, and
-    each collection it would trigger walks them all (on a d = 6141 splinet's
-    archive about a fifth of the parse)."""
+    The cyclic garbage collector is paused while ``json`` parses and the
+    fields are read, and restored after: the parse makes a list per Taylor
+    row, the reading a pair per member, neither makes cycles, and each
+    collection they would trigger walks every row list (on a d = 6141
+    splinet's archive about a fifth of the parse)."""
     with _GC_LOCK:
         paused = gc.isenabled()
         gc.disable()
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return family_from_dict(json.load(fh))
     finally:
         if paused:
             with _GC_LOCK:
                 gc.enable()
-    return family_from_dict(obj)

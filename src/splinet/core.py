@@ -23,13 +23,14 @@ of its first knot, are derived once, when the family is built.  Every
 operation reads and builds these arrays.  A member on its own is the plain
 pair an archive stores, ``(supp, blocks)``: its support components as
 ``(lo, hi)`` int pairs and one ``(hi-lo+1) x (k+1)`` block per component.
-The constructor stacks such pairs, ``members`` gives them back, and the
-layout check of the stacked arrays is the only check of either.
+:func:`_members` stacks such pairs, the constructor's and an archive's, and
+``members`` gives them back.
 
 Every integer argument or entry is read by one rule, :func:`_integer`: an
 int, numpy integer or integral float (``3.0`` counts as 3) in range passes,
 anything else (a bool, a fraction) is a ``ValueError`` naming the argument.
-Every knots argument is read by :func:`_knots`.
+Every knots argument is read by :func:`_knots`, and every real one (knots,
+blocks, epsilon, a grid) by :func:`_reals`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -66,7 +68,7 @@ class KnotSet:
     equid: bool = field(init=False)
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
+        xi = _reals(self.xi, "knots")
         if xi.ndim != 1 or xi.size < 2:
             raise ValueError("need at least two knots")
         if not np.all(np.isfinite(xi)):
@@ -133,6 +135,57 @@ def _integers(values, name, low=-(2**63), high=2**63 - 1):
     return np.array(ints, dtype=np.int64)
 
 
+def _reals(values, name):
+    """``values`` as a float array: an array of integer or float dtype as it
+    is, anything else by its entries' types, collected in one pass in C (ints
+    and floats pass), or a ``ValueError`` naming the first entry refused."""
+    if not isinstance(values, (list, tuple)):
+        values = np.asarray(values)
+        if values.dtype.kind in "iuf":
+            return values.astype(float, copy=False)
+        values = values.ravel().tolist()
+    bad = {t for t in set(map(type, values))
+           if not issubclass(t, (int, float, np.integer, np.floating)) or issubclass(t, bool)}
+    if bad:
+        value = next(v for v in values if type(v) in bad)
+        raise ValueError("%s entry %r is not a number" % (name, value))
+    return np.array(values, dtype=float)
+
+
+def _members(members, k):
+    """``(rows, lo, hi, offsets)`` from ``(supp, blocks)`` pairs of order ``k``:
+    ``[lo, hi]`` lists or tuples (:func:`_integers`), each with a block of
+    ``hi-lo+1`` rows of ``k+1`` reals (:func:`_reals`).  Real arrays of those
+    shapes are stacked as they are, other blocks read as nested lists."""
+    supps, ders = zip(*members, strict=True) if members else ((), ())
+    comps = list(chain.from_iterable(supps))
+    if not set(map(type, comps)) <= {list, tuple} or set(map(len, comps)) - {2}:
+        bad = next(c for c in comps if type(c) not in (list, tuple) or len(c) != 2)
+        raise ValueError("supp entry %r is not a [lo, hi] pair" % (bad,))
+    lo, hi = _integers(chain.from_iterable(comps), "supp").reshape(-1, 2).T
+    counts = list(map(len, supps))
+    if list(map(len, ders)) != counts:
+        raise ValueError("support/derivative block count mismatch")
+    offsets = np.cumsum([0] + counts)
+    blocks = list(chain.from_iterable(ders))
+    size = (hi - lo + 1).tolist()
+    types = set(map(type, blocks))
+    if (types == {np.ndarray} and {b.dtype.kind for b in blocks} <= set("iuf")
+            and [b.shape for b in blocks] == [(m, k + 1) for m in size]):
+        return np.concatenate(blocks, dtype=float), lo, hi, offsets
+    if np.ndarray in types:
+        blocks = [b.tolist() if isinstance(b, np.ndarray) else b for b in blocks]
+    try:
+        flat = list(chain.from_iterable(blocks))
+        fits = list(map(len, blocks)) == size and not set(map(len, flat)) - {k + 1}
+    except TypeError:  # a block or a row that is a number
+        fits = False
+    if not fits:
+        raise ValueError("derivative block shape does not match support")
+    rows = _reals(list(chain.from_iterable(flat)), "der")
+    return rows.reshape(len(flat), k + 1), lo, hi, offsets
+
+
 def equidistant_knots(a, b, n):
     """n internal knots equally spaced in (a, b), terminal knots at a and b."""
     n = _integer(n, "n", low=0)
@@ -147,9 +200,9 @@ class SplineFamily:
     as stacked rows (module docstring); all arrays are read-only.
 
     ``SplineFamily(knots, k, members, type, epsilon)`` takes each member as
-    a pair ``(supp, blocks)``: ``supp`` a sequence of ``(lo, hi)`` knot
-    indices (integers, read by the integer rule), ``blocks`` one
-    ``(hi-lo+1) x (k+1)`` array per component.  Support components lie in
+    a pair ``(supp, blocks)`` (:func:`_members`): ``supp`` a sequence of
+    ``(lo, hi)`` knot-index pairs, ``blocks`` one ``(hi-lo+1) x (k+1)`` array
+    or nested list of reals per component.  Support components lie in
     ``0..n+1`` with ``lo < hi``, in increasing order, disjoint and
     non-adjacent; :meth:`_set` checks this for all members at once.
     ``SplineFamily(f.knots, f.smorder, f.members, f.type, f.epsilon)``
@@ -167,28 +220,16 @@ class SplineFamily:
     epsilon: float
 
     def __init__(self, knots, smorder, members, type="sp", epsilon=DEFAULT_EPSILON):
-        """Stack the members once; shapes are checked over all blocks at once."""
-        members, k = tuple(members), _integer(smorder, "the order k", low=0)
-        if [len(blocks) for _, blocks in members] != [len(supp) for supp, _ in members]:
-            raise ValueError("support/derivative block count mismatch")
-        lo, hi = _integers([b for supp, _ in members for lo, hi in supp for b in (lo, hi)],
-                           "supp").reshape(-1, 2).T
-        blocks = [np.asarray(b, dtype=float) for _, bs in members for b in bs]
-        shapes = [b.shape for b in blocks]
-        want = [(m, k + 1) for m in (hi - lo + 1).tolist()]
-        if shapes != want:
-            c, shape = next((c, s) for c, (s, w) in enumerate(zip(shapes, want)) if s != w)
-            raise ValueError("block shape %s does not match support (%d, %d) at order %d"
-                             % (shape, lo[c], hi[c], k))
-        self._set(_knots(knots), k, np.concatenate(blocks) if blocks else np.empty((0, k + 1)),
-                  lo, hi, np.cumsum([0] + [len(supp) for supp, _ in members]), type, epsilon)
+        """Stack the members (:func:`_members`) and check the layout once."""
+        k = _integer(smorder, "the order k", low=0)
+        self._set(_knots(knots), k, *_members(tuple(members), k), type, epsilon)
 
     def _set(self, knots, k, rows, lo, hi, offsets, type, epsilon):
-        """Check the layout in one vectorized pass and store it; ``rows`` is
-        taken over and made read-only."""
-        k = _integer(k, "the order k", low=0)
+        """Check the layout in one vectorized pass and store it; ``k`` is an
+        order its caller has read, ``rows`` is taken over and made read-only."""
         if type not in _FAMILY_TYPES:
             raise ValueError("unknown family type %r" % (type,))
+        epsilon = float(_reals([epsilon], "epsilon")[0])
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ValueError("epsilon must be finite and non-negative; got %r" % (epsilon,))
         lo, hi, offsets = (np.asarray(a, dtype=np.int64) for a in (lo, hi, offsets))
@@ -422,7 +463,9 @@ def evaluate(fam, grid, deriv=0):
     """
     xi = fam.knots.xi
     deriv = _integer(deriv, "derivative order", 0, fam.smorder)
-    grid = np.asarray(grid, dtype=float)
+    grid = _reals(grid, "grid")
+    if grid.ndim != 1:
+        raise ValueError("grid must be one-dimensional; got shape %s" % (grid.shape,))
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid points must be finite")
     if grid.size and (grid.min() < xi[0] or grid.max() > xi[-1]):
@@ -462,9 +505,9 @@ def sample_grid(knots, k, N):
 
 
 def gather(a, b):
-    """Concatenate two families sharing knots and order."""
-    if a.knots != b.knots or a.smorder != b.smorder:
-        raise ValueError("gather requires identical knots and order")
+    """Concatenate two families sharing knots, order and epsilon."""
+    if a.knots != b.knots or a.smorder != b.smorder or a.epsilon != b.epsilon:
+        raise ValueError("gather requires identical knots, order and epsilon")
     typ = a.type if a.type == b.type else "sp"
     return _family(a.knots, a.smorder, np.concatenate([a.rows, b.rows]),
                    np.concatenate([a.lo, b.lo]), np.concatenate([a.hi, b.hi]),

@@ -88,20 +88,14 @@ def _projection(basis, transform, b, type):
 def project_splines(fam, target_knots=None, type="spnt"):
     """Project every member of ``fam`` onto a spline space.
 
-    With no ``target_knots`` this is a pure change of basis on the family's
-    own knots; otherwise both spaces are refined into their knot union and
-    the projection is orthogonal in L2 of that union.
+    Both spaces are refined into their knot union, where the projection is
+    orthogonal in L2; with no ``target_knots`` that is the family's own
+    knots, and the projection a pure change of basis.
     """
-    k = fam.smorder
     target = fam.knots if target_knots is None else _knots(target_knots)
-    basis, transform = _make_basis(target, k, type)
-    if target == fam.knots:
-        fam_ref, basis_ref = fam, basis
-    else:
-        union = _union_knots(fam.knots, target)
-        fam_ref = refine(fam, union)
-        basis_ref = refine(basis, union)
-    return _projection(basis, transform, gramian(fam_ref, basis_ref), type)
+    basis, transform = _make_basis(target, fam.smorder, type)
+    union = _union_knots(fam.knots, target)
+    return _projection(basis, transform, gramian(refine(fam, union), refine(basis, union)), type)
 
 
 def project_data(data, knots, k, type="spnt"):

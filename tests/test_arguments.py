@@ -1,6 +1,7 @@
 """One rule per argument kind: every integer argument is read by
 ``core._integer`` (sequences of them by its array form ``core._integers``),
-every knots argument by ``core._knots``."""
+every knots argument by ``core._knots``, every real field by ``core._reals``
+and every ``(supp, blocks)`` member pair by ``core._members``."""
 
 import math
 import numbers
@@ -246,3 +247,76 @@ def test_knots_arguments_take_an_array(entry):
     call = calls[entry]
     _assert_same(call(np.array(xi)), call(sp.KnotSet(xi)))
     _assert_same(call(list(xi)), call(sp.KnotSet(xi)))
+
+
+# ---------------------------------------------------------------------------
+# one reader for a family's fields
+
+_ROWS = [[0.0, 0.0, 0.0]] * 3  # the block of support (0, 2) at order 2
+# (field, value put there, the message both readers give)
+_MALFORMED = {
+    "supp_triple": ("supp", [[0, 1, 2]], "supp entry [0, 1, 2] is not a [lo, hi] pair"),
+    "supp_scalar": ("supp", [5], "supp entry 5 is not a [lo, hi] pair"),
+    "supp_string": ("supp", ["02"], "supp entry '02' is not a [lo, hi] pair"),
+    "bound_fraction": ("supp", [[0, 2.5]], "supp entry 2.5 is not an integer"),
+    "bound_bool": ("supp", [[True, 2]], "supp entry True is not an integer"),
+    "block_count": ("der", [_ROWS, _ROWS], "support/derivative block count mismatch"),
+    "block_ragged": ("der", [[[0.0] * 3, [0.0] * 2, [0.0] * 3]],
+                     "derivative block shape does not match support"),
+    "block_rows": ("der", [_ROWS[:2]], "derivative block shape does not match support"),
+    "block_flat": ("der", [[0.0] * 3], "derivative block shape does not match support"),
+    "block_number": ("der", [0.0], "derivative block shape does not match support"),
+    "der_string": ("der", [[[0.0, "0.5", 0.0]] + _ROWS[1:]], "der entry '0.5' is not a number"),
+    "der_bool": ("der", [[[0.0, True, 0.0]] + _ROWS[1:]], "der entry True is not a number"),
+    "der_none": ("der", [[[0.0, None, 0.0]] + _ROWS[1:]], "der entry None is not a number"),
+    "der_complex": ("der", [[[0.0, 1j, 0.0]] + _ROWS[1:]], "der entry 1j is not a number"),
+    "knots_string": ("knots", [0.0, "0.5", 1.0], "knots entry '0.5' is not a number"),
+    "knots_bool": ("knots", [0.0, True, 2.0], "knots entry True is not a number"),
+    "knots_none": ("knots", [0.0, None, 1.0], "knots entry None is not a number"),
+    "knots_complex": ("knots", [0.0, 0.5j, 1.0], "knots entry 0.5j is not a number"),
+    "epsilon_bool": ("epsilon", True, "epsilon entry True is not a number"),
+    "epsilon_string": ("epsilon", "1e-7", "epsilon entry '1e-7' is not a number"),
+    "epsilon_nan": ("epsilon", math.nan, "epsilon must be finite and non-negative; got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_fields_one_message_from_both_readers(case):
+    """``SplineFamily``/``KnotSet`` and the archive loader read a family's
+    fields by the same rules: each malformed field is a ``ValueError`` with
+    the same message, the loader's behind its ``malformed archive: ``."""
+    field, value, message = _MALFORMED[case]
+    fields = {"knots": list(np.linspace(0.0, 1.0, 8)), "supp": [[0, 2]], "der": [_ROWS],
+              "epsilon": 1e-7}
+    fields[field] = value
+    with pytest.raises(ValueError) as err:
+        sp.SplineFamily(sp.KnotSet(fields["knots"]), 2, [(fields["supp"], fields["der"])], "sp",
+                        fields["epsilon"])
+    assert str(err.value) == message
+    obj = {"knots": fields["knots"], "order": 2, "type": "sp", "epsilon": fields["epsilon"],
+           "splines": [{"supp": fields["supp"], "der": fields["der"]}]}
+    with pytest.raises(ValueError) as err:
+        family_from_dict(obj)
+    assert str(err.value) == "malformed archive: " + message
+
+
+@pytest.mark.parametrize("dtype, ok", [(np.int64, True), (np.uint8, True), (np.float32, True),
+                                       (float, True), (bool, False), (complex, False),
+                                       (str, False)])
+def test_real_rule_judges_arrays_by_dtype(dtype, ok):
+    """An array is read by its dtype, as the list of its entries is read
+    entry by entry, with the same message; so are a family's blocks."""
+    values = np.array([0, 1, 1], dtype=dtype)
+    blocks = [values.reshape(3, 1)]
+    if ok:
+        assert core._reals(values, "arg").tolist() == [0.0, 1.0, 1.0]
+        fam = sp.SplineFamily(KNOTS, 0, [([[0, 2]], blocks)])
+        assert fam.rows.dtype == float and fam.rows.ravel().tolist() == [0.0, 1.0, 1.0]
+        return
+    for form in (values, values.tolist()):
+        with pytest.raises(ValueError) as err:
+            core._reals(form, "arg")
+        assert str(err.value) == "arg entry %r is not a number" % (values.tolist()[0],)
+    with pytest.raises(ValueError) as err:
+        sp.SplineFamily(KNOTS, 0, [([[0, 2]], blocks)])
+    assert str(err.value) == "der entry %r is not a number" % (values.tolist()[0],)

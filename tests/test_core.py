@@ -490,6 +490,12 @@ def test_evaluate_out_of_range_raises():
         sp.evaluate(bs, [1.5])
     with pytest.raises(ValueError):
         sp.evaluate(bs, [0.5], deriv=2)
+    # the grid is one-dimensional and real
+    for grid, shape in ((0.5, r"\(\)"), (np.full((3, 1), 0.5), r"\(3, 1\)")):
+        with pytest.raises(ValueError, match=r"^grid must be one-dimensional; got shape " + shape):
+            sp.evaluate(bs, grid)
+    with pytest.raises(ValueError, match="^grid entry '0.5' is not a number$"):
+        sp.evaluate(bs, ["0.5"])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -553,6 +559,11 @@ def test_gather_and_subsample():
     other = oracles.random_valid_family(rng, 11, 2)
     with pytest.raises(ValueError):
         sp.gather(a, other)
+    # b's members would be judged against a's tolerance
+    looser = sp.SplineFamily(b.knots, b.smorder, b.members, b.type, 1e-3)
+    for x, y in ((a, looser), (looser, a)):
+        with pytest.raises(ValueError, match="identical knots, order and epsilon"):
+            sp.gather(x, y)
 
 
 def test_exsupp_shrinks_cancellation():
