@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import _Csr, _as_csr, _gram, gramian, lincomb
-from .core import SplineFamily, _family, _integer, _knots, _ranges
+from .core import SplineFamily, _family, _integer, _knots, _ranges, _reals
 
 #: entries of P smaller than this (relative to max |P|) are set to zero
 P_TRUNCATION = 1e-11
@@ -251,7 +251,7 @@ def _cholesky_banded(ab, shift=0.0):
 def _cho_solve_banded(factors, b):
     """Solve ``H x = b`` for ``b`` of d rows, given :func:`_cholesky_banded`'s
     factors of H: forward through the blocks, then back."""
-    y, e = np.array(b, dtype=float), 0
+    y, e = b.astype(float), 0
     for low, lead in factors:
         s, e = e, e + low.shape[0] - lead
         y[s:e] = np.linalg.solve(low[lead:, lead:], y[s:e] - low[lead:, :lead] @ y[s - lead : s])
@@ -273,11 +273,10 @@ def _check_spd(h):
     diagonal.  H - tau*I, tau ``SPD_SHIFT`` times H's trace, must admit a
     Cholesky factor, which holds iff H's smallest eigenvalue exceeds tau.
     """
-    if np.ndim(h) != 2:
+    h = h if isinstance(h, _Csr) or hasattr(h, "tocsr") else _reals(h, "gram matrix", 2)
+    if np.ndim(h) != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("gram matrix must be square")
-    h = _as_csr(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("gram matrix must be square")
+    h = _as_csr(h, "gram matrix")
     if not np.all(np.isfinite(h.data)):
         raise ValueError("gram matrix must be finite")
     # the lower band ab[u, i] = H[i+u, i] and its mirror H[i, i+u], read in

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _factorials, _family, _merge_runs, _ranges
+from .core import _factorials, _family, _merge_runs, _ranges, _reals
 
 
 class _Csr:
@@ -81,11 +81,11 @@ class _Csr:
         return out
 
 
-def _as_csr(m):
+def _as_csr(m, name="coeffs"):
     """``m`` as a :class:`_Csr` of its nonzero entries: the container itself
     (whose producers store no zeros), a canonical copy of a ``scipy.sparse``
-    matrix without its explicit zeros, or :func:`_dense_csr` of anything
-    else."""
+    matrix without its explicit zeros, or those of a dense vector (one row)
+    or matrix, its entries read by :func:`~splinet.core._reals` as ``name``."""
     if isinstance(m, _Csr):
         return m
     if hasattr(m, "tocsr"):
@@ -93,18 +93,12 @@ def _as_csr(m):
         m.sum_duplicates()
         m.eliminate_zeros()
         return _Csr(m.indptr.astype(np.int64), m.indices.astype(np.int64),
-                    np.asarray(m.data, dtype=float), m.shape)
-    return _dense_csr(m)
-
-
-def _dense_csr(m):
-    """:class:`_Csr` of the nonzero entries of a dense vector (one row) or
-    matrix; the nonzero scan runs over a boolean mask, several times faster
-    than over the floats."""
-    m = np.ascontiguousarray(np.atleast_2d(m), dtype=float)
+                    _reals(m.data, name), m.shape)
+    m = np.atleast_2d(_reals(m, name, 2))
     if m.ndim != 2:
         raise ValueError("coefficients must be a vector or a matrix")
     n_rows, n_cols = m.shape
+    # a nonzero scan over a boolean mask is several times faster than over floats
     nz = np.flatnonzero(m != 0)
     indptr = np.searchsorted(nz, np.arange(n_rows + 1) * n_cols)
     data = m.reshape(-1)[nz]

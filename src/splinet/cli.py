@@ -20,7 +20,8 @@ import numpy as np
 from .archive import load_archive, save_archive
 from .bases import BASIS_TYPES, splinet
 from .calculus import gramian
-from .core import KnotSet, _as_int, equidistant_knots, evaluate, is_valid_spline, sample_grid
+from .core import (KnotSet, _as_int, _reals, equidistant_knots, evaluate, is_valid_spline,
+                   sample_grid)
 from .project import (
     ProjectionResult,
     fpca,
@@ -176,13 +177,11 @@ def _noise_file(path, seed):
     covs = []
     for field in ("sigma", "theta"):
         value = spec.get(field, 1.0)
-        c = np.array(value, dtype=object)
-        # an integer past the float range is no number either
-        if c.ndim > 2 or not all(type(x) is float or (type(x) is int
-                                 and abs(x) <= sys.float_info.max) for x in c.flat):
+        try:
+            covs.append(_reals(value, field, 2))
+        except ValueError:
             raise ValueError("%s: %s must be a number, a list of numbers or a list of such "
-                             "lists; got %s" % (path, field, reprlib.repr(value)))
-        covs.append(c.astype(float))
+                             "lists; got %s" % (path, field, reprlib.repr(value))) from None
     if "seed" not in spec:
         return NoiseSpec(*covs, seed)
     try:

@@ -44,6 +44,7 @@ from .core import (
     _integer,
     _knots,
     _ranges,
+    _reals,
     _taylor_col,
     _taylor_rows,
 )
@@ -75,8 +76,8 @@ def _frlc(first_row, kth_col, spacings, k):
 def solve_frlc(first_row, last_col, knots_segment):
     """Complete a matrix from its first row and k-th derivative column."""
     seg = _knots(knots_segment).xi
-    first_row = np.asarray(first_row, dtype=float)
-    last_col = np.asarray(last_col, dtype=float)
+    first_row = _reals(first_row, "first_row")
+    last_col = _reals(last_col, "last_col")
     k = first_row.size - 1
     if last_col.size != seg.size:
         raise ValueError("last_col must have one entry per segment knot")
@@ -105,8 +106,8 @@ def _frfc(first_row_partial, first_col, spacings, k):
 def solve_frfc(first_row_partial, first_col, knots_segment):
     """Complete a matrix from its first row (orders < k) and value column."""
     seg = _knots(knots_segment).xi
-    first_row_partial = np.asarray(first_row_partial, dtype=float)
-    first_col = np.asarray(first_col, dtype=float)
+    first_row_partial = _reals(first_row_partial, "first_row_partial")
+    first_col = _reals(first_col, "first_col")
     k = first_row_partial.size
     if k < 1:
         raise ValueError("frfc needs order k >= 1")
@@ -147,8 +148,8 @@ def solve_frlr(first_row, last_row, knots_segment, m=None):
     which the unused last-row entries had to be overwritten for consistency.
     """
     seg = _knots(knots_segment).xi
-    first_row = np.asarray(first_row, dtype=float)
-    last_row = np.asarray(last_row, dtype=float)
+    first_row = _reals(first_row, "first_row")
+    last_row = _reals(last_row, "last_row")
     k = first_row.size - 1
     seg_m = seg.size - 2
     if m is not None and _integer(m, "m", low=0) != seg_m:
@@ -168,7 +169,7 @@ def solve_frlr(first_row, last_row, knots_segment, m=None):
 def _seed_matrix(knots, k, seed, method):
     n = knots.n
     l = n // 2
-    seed = np.asarray(seed, dtype=float)
+    seed = _reals(seed, "seed", 2)
     if seed.ndim == 2:
         if seed.shape != (n + 2, k + 1):
             raise ValueError("seed matrix must be (n+2) x (k+1)")

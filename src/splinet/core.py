@@ -30,12 +30,13 @@ Every integer argument or entry is read by one rule, :func:`_integer`: an
 int, numpy integer or integral float (``3.0`` counts as 3) in range passes,
 anything else (a bool, a fraction) is a ``ValueError`` naming the argument.
 Every knots argument is read by :func:`_knots`, and every real one (knots,
-blocks, epsilon, a grid) by :func:`_reals`.
+blocks, coefficients, covariances, data) by :func:`_reals`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -91,7 +92,7 @@ class KnotSet:
         return isinstance(other, KnotSet) and np.array_equal(self.xi, other.xi)
 
     def __hash__(self):
-        return hash(self.xi.tobytes())
+        return hash((self.xi + 0.0).tobytes())  # -0.0 == 0.0: one hash
 
 
 def _knots(knots):
@@ -135,21 +136,31 @@ def _integers(values, name, low=-(2**63), high=2**63 - 1):
     return np.array(ints, dtype=np.int64)
 
 
-def _reals(values, name):
+def _reals(values, name, ndim=1):
     """``values`` as a float array: an array of integer or float dtype as it
     is, anything else by its entries' types, collected in one pass in C (ints
-    and floats pass), or a ``ValueError`` naming the first entry refused."""
+    and floats in the float range pass), or a ``ValueError`` naming the first
+    entry refused; with ``ndim=2`` a list may hold rows, all of one length."""
     if not isinstance(values, (list, tuple)):
         values = np.asarray(values)
         if values.dtype.kind in "iuf":
             return values.astype(float, copy=False)
-        values = values.ravel().tolist()
+        return _reals(values.ravel().tolist(), name).reshape(values.shape)
+    if ndim == 2 and not {list, tuple, np.ndarray}.isdisjoint(map(type, values)):
+        rows = [r.tolist() if isinstance(r, np.ndarray) else r for r in values]
+        if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) > 1:
+            raise ValueError("%s rows must be lists of one length" % name)
+        return _reals(list(chain.from_iterable(rows)), name).reshape(len(rows), -1)
     bad = {t for t in set(map(type, values))
            if not issubclass(t, (int, float, np.integer, np.floating)) or issubclass(t, bool)}
     if bad:
         value = next(v for v in values if type(v) in bad)
         raise ValueError("%s entry %r is not a number" % (name, value))
-    return np.array(values, dtype=float)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        value = next(v for v in values if isinstance(v, int) and abs(v) > sys.float_info.max)
+        raise ValueError("%s entry %r is not a number" % (name, value)) from None
 
 
 def _members(members, k):
@@ -189,9 +200,7 @@ def _members(members, k):
 def equidistant_knots(a, b, n):
     """n internal knots equally spaced in (a, b), terminal knots at a and b."""
     n = _integer(n, "n", low=0)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("knots must be finite")
-    return KnotSet(np.linspace(a, b, n + 2))
+    return KnotSet(np.linspace(*KnotSet([a, b]).xi, n + 2))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -233,7 +242,6 @@ class SplineFamily:
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ValueError("epsilon must be finite and non-negative; got %r" % (epsilon,))
         lo, hi, offsets = (np.asarray(a, dtype=np.int64) for a in (lo, hi, offsets))
-        rows = np.asarray(rows, dtype=float)
         bad = np.flatnonzero((lo < 0) | (hi <= lo))
         if bad.size:
             raise ValueError("bad support component (%d, %d)" % (lo[bad[0]], hi[bad[0]]))
@@ -351,7 +359,7 @@ def sym2one(rows, lo, hi, inverse=False):
     For ``k = 0`` only the last row differs: it repeats the one before.
     Each direction drops the one entry per component that the other fills
     (:func:`_sym_entry`)."""
-    out = np.array(rows, dtype=float)
+    out = _reals(rows, "rows", 2).copy()
     k = out.shape[1] - 1
     at, fill = _sym_entry(out, lo, hi)
     if k > 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bases import _check_spd, _cho_solve_banded, _cholesky_banded, splinet
 from .calculus import _gram, gramian, integra, lincomb
-from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, _integer, _knots, evaluate
+from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, _integer, _knots, _reals, evaluate
 from .construct import refine
 
 
@@ -40,8 +40,8 @@ class FunctionalDataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        args = np.asarray(self.args, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        args = _reals(self.args, "args")
+        values = _reals(self.values, "values", 2)
         if values.ndim == 1:
             values = values[:, None]
         if args.ndim != 1 or values.shape[0] != args.size:
@@ -50,8 +50,7 @@ class FunctionalDataMatrix:
             raise ValueError("arguments must be strictly increasing")
         if np.any(~np.isfinite(values)) or np.any(~np.isfinite(args)):
             raise ValueError("missing or non-finite entries are not supported")
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "values", values)
+        vars(self).update(args=args, values=values)
 
     @property
     def n_samples(self):
@@ -171,7 +170,7 @@ def fpca(pr):
     """
     basis = pr.basis
     d = len(basis)
-    coeff = np.asarray(pr.coeff, dtype=float)
+    coeff = _reals(pr.coeff, "coeff", 2)
     if coeff.ndim != 2 or coeff.shape[1] != d:
         raise ValueError("fpca needs one row of %d coefficients per sample (one per basis "
                          "member), got an array of shape %s" % (d, coeff.shape))
@@ -206,7 +205,7 @@ def kl_reconstruct(fp, coeff_row, m_components):
     components, an integer in ``[0, n_retained]`` (``2.0`` counts as 2)."""
     m_components = _integer(m_components, "m_components", 0, fp.n_retained)
     d = len(fp.basis)
-    coeff_row = np.asarray(coeff_row, dtype=float)
+    coeff_row = _reals(coeff_row, "coeff_row")
     if coeff_row.shape != (d,):
         raise ValueError("kl_reconstruct needs one row of %d coefficients (one per basis "
                          "member), got an array of shape %s" % (d, coeff_row.shape))
@@ -343,4 +342,4 @@ def _write_matrix_csv(path, prefix, matrix):
 
 
 def write_coeff_csv(path, coeff):
-    _write_matrix_csv(path, "c", np.atleast_2d(np.asarray(coeff, dtype=float)))
+    _write_matrix_csv(path, "c", np.atleast_2d(_reals(coeff, "coeff", 2)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _family, _integer
+from .core import _family, _integer, _reals
 from .construct import _check_construct, _construct_rows
 
 #: bit generator used for all draws; recorded here and in the CLI output
@@ -37,7 +37,7 @@ COV_PSD_TOL = 1e-10
 
 
 def _expand_cov(c, size, name):
-    c = np.asarray(c, dtype=float)
+    c = _reals(c, name, 2)
     if not np.all(np.isfinite(c)):
         raise ValueError("%s has non-finite entries" % name)
     if c.ndim == 0:

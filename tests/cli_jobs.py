@@ -8,7 +8,9 @@ Usage, with ``src`` on ``PYTHONPATH``::
 The inputs are written to ``DIR`` by numpy and splinet alone.  The jobs
 cover every command and the jobs of the benchmark's workloads: ``basis`` of
 every type and with ``--normalize``, ``check``, ``random`` (also with
-``--sigma``/``--theta`` CSV files, one-row diagonals and matrices), ``project`` of
+``--sigma``/``--theta`` CSV files, one-row diagonals and matrices, and with a
+``--noise`` JSON file of a diagonal ``sigma``, a matrix ``theta`` and a
+``seed``), ``project`` of
 an archive (orthonormal and ``bs``) and of a data CSV, ``fpca`` (also on
 a coefficient CSV whose header is quoted, and on 4 rows over 9 basis
 members), ``eval`` and ``gram`` of one archive and of two.  The exit status
@@ -17,7 +19,8 @@ several of the writer's chunks) has the bytes ``csv.writer`` gives the same
 values, ``fpca`` on 4 rows writes 9 eigenvalues and one eigenfunction per
 score column, 3 of each, ``basis --knots`` on a file
 with a bad line and ``project -i`` on a CSV with a bad field exit 1 naming
-the file and the line, ``basis`` with ``1_0`` for ``--equid B`` or ``-k``
+the file and the line, ``random --noise`` on a file whose ``sigma`` holds
+``"0.5"`` exits 1 naming the file, ``basis`` with ``1_0`` for ``--equid B`` or ``-k``
 exits 2 naming the flag, ``check`` and ``eval`` on an archive whose middle
 k-th entry was edited exit 1 naming the member and the knot, ``project -i``
 on an archive re-written after a leading newline writes the bytes it writes
@@ -51,7 +54,8 @@ def write_inputs(d):
     diagonals and matrices of Sigma over the mean's 22 knots and of Theta
     over its 4 derivatives), functional-data CSV, a coefficient CSV of 12
     samples over the 9 members of ``b11`` under a quoted header and one of 4
-    samples."""
+    samples, and a ``--noise`` JSON file of the diagonal of Sigma, the matrix
+    Theta and a seed."""
     rng = np.random.default_rng(0)
     widths = rng.uniform(0.5, 1.5, 31)
     np.savetxt(os.path.join(d, "knots.txt"), np.cumsum(np.append(0.0, widths)) / widths.sum())
@@ -64,6 +68,10 @@ def write_inputs(d):
                    fmt="%.17g", delimiter=",")
         np.savetxt(os.path.join(d, name + "_mat.csv"),
                    0.2 * np.exp(-np.abs(i[:, None] - i) / 2.0), fmt="%.17g", delimiter=",")
+    i = np.arange(4)
+    with open(os.path.join(d, "noise.json"), "w", encoding="utf-8") as fh:
+        json.dump({"sigma": np.linspace(0.1, 0.3, 22).tolist(),
+                   "theta": (0.2 * np.exp(-np.abs(i[:, None] - i) / 2.0)).tolist(), "seed": 9}, fh)
     args = np.linspace(0.0, 1.0, 200, endpoint=False)
     samples = np.sin(2 * np.pi * np.outer(args, rng.uniform(0.5, 2.0, 8)))
     np.savetxt(os.path.join(d, "data.csv"), np.column_stack([args, samples]), fmt="%.17g",
@@ -89,6 +97,9 @@ def jobs(d):
          "--theta", p("theta_row.csv"), "-o", p("draws_diag.json")],
         ["random", "--mean", p("mean.json"), "-M", "5", "--sigma", p("sigma_mat.csv"),
          "--theta", p("theta_mat.csv"), "-o", p("draws_mat.json")],
+        ["random", "--mean", p("mean.json"), "-M", "5", "--noise", p("noise.json"),
+         "-o", p("draws_noise.json")],
+        ["check", "-i", p("draws_noise.json")],
         ["project", "-i", p("draws.json"), "--equid", "0", "1", "12", "-o", p("pr")],
         ["project", "-i", p("draws.json"), "--equid", "0", "1", "12", "--type", "bs",
          "-o", p("pr_bs")],
@@ -160,6 +171,17 @@ def bad_csv_named(d):
         fh.write("arg,s1\n0.0,1.0\n0.5,1_0\n0.75,2.0\n")
     return _exits_1_naming(["project", "-i", path, "--equid", "0", "1", "11", "-k", "3",
                             "-o", os.path.join(d, "bad_pd")], path, 3)
+
+
+def bad_noise_named(d):
+    """``random --noise`` on a JSON file whose ``sigma`` holds a string exits
+    1 and names the file in its message."""
+    path = os.path.join(d, "bad_noise.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"sigma": [1, "0.5"]}, fh)
+    code, err = _exit_and_stderr(["random", "--mean", os.path.join(d, "mean.json"), "-M", "2",
+                                  "--noise", path, "-o", os.path.join(d, "bad_noise_draws.json")])
+    return code == 1 and err.startswith("error: %s: sigma must be a number" % path)
 
 
 def bad_flag_number(d):
@@ -265,6 +287,8 @@ def run(d):
         failed.append(["basis", "--knots", "(a bad knot file: no exit 1, file or line named)"])
     if not bad_csv_named(d):
         failed.append(["project", "-i", "(a bad data CSV: no exit 1, file or line named)"])
+    if not bad_noise_named(d):
+        failed.append(["random", "--noise", "(a sigma holding \"0.5\": no exit 1, file named)"])
     if not bad_flag_number(d):
         failed.append(["basis", "--equid", "(1_0 as a flag value: no exit 2, flag named)"])
     if not float_integer_fields(d):

@@ -1,10 +1,13 @@
 """One rule per argument kind: every integer argument is read by
 ``core._integer`` (sequences of them by its array form ``core._integers``),
-every knots argument by ``core._knots``, every real field by ``core._reals``
-and every ``(supp, blocks)`` member pair by ``core._members``."""
+every knots argument by ``core._knots``, every real argument by
+``core._reals`` and every ``(supp, blocks)`` member pair by
+``core._members``."""
 
 import math
 import numbers
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import splinet as sp
 from splinet import core
 from splinet.archive import family_from_dict
 from splinet.bases import diagonalize_gram
+from splinet.project import ProjectionResult
 
 import oracles
 
@@ -274,6 +278,9 @@ _MALFORMED = {
     "knots_bool": ("knots", [0.0, True, 2.0], "knots entry True is not a number"),
     "knots_none": ("knots", [0.0, None, 1.0], "knots entry None is not a number"),
     "knots_complex": ("knots", [0.0, 0.5j, 1.0], "knots entry 0.5j is not a number"),
+    "knots_past_float": ("knots", [0.0, 10**400], "knots entry %d is not a number" % 10**400),
+    "der_past_float": ("der", [[[0.0, -(10**400), 0.0]] + _ROWS[1:]],
+                       "der entry %d is not a number" % -(10**400)),
     "epsilon_bool": ("epsilon", True, "epsilon entry True is not a number"),
     "epsilon_string": ("epsilon", "1e-7", "epsilon entry '1e-7' is not a number"),
     "epsilon_nan": ("epsilon", math.nan, "epsilon must be finite and non-negative; got nan"),
@@ -320,3 +327,128 @@ def test_real_rule_judges_arrays_by_dtype(dtype, ok):
     with pytest.raises(ValueError) as err:
         sp.SplineFamily(KNOTS, 0, [([[0, 2]], blocks)])
     assert str(err.value) == "der entry %r is not a number" % (values.tolist()[0],)
+
+
+# ---------------------------------------------------------------------------
+# one real-number rule for every real argument
+
+
+def _csv_bytes(coeff):
+    """The bytes ``write_coeff_csv`` writes for ``coeff``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.csv")
+        sp.write_coeff_csv(path, coeff)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _matrix(rows, cols, seed):
+    """A ``rows x cols`` nested list of integral floats in [-3, 3]."""
+    return np.random.default_rng(seed).integers(-3, 4, (rows, cols)).astype(float).tolist()
+
+
+_FIRST_COL = [0.0, 1.0, -1.0, 2.0, 0.0]  # one value per SEGMENT knot
+_ARGS, _VALUES = [0.0, 1.0, 2.0, 4.0], _matrix(4, 2, 1)
+_THETA = [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+_D = len(FP.basis)
+
+# (argument name as messages give it, call on the value, a value of integral
+# floats: a number, a list, or a list of rows where a matrix is taken)
+REAL_ENTRY_POINTS = {
+    "solve_frlc_first_row": ("first_row", lambda v: sp.solve_frlc(v, _FIRST_COL, SEGMENT),
+                             [0.0, 0.0, 0.0, 6.0]),
+    "solve_frlc_last_col": ("last_col", lambda v: sp.solve_frlc(FIRST, v, SEGMENT), _FIRST_COL),
+    "solve_frfc_first_row_partial": ("first_row_partial",
+                                     lambda v: sp.solve_frfc(v, _FIRST_COL, SEGMENT),
+                                     [0.0, 2.0, -1.0]),
+    "solve_frfc_first_col": ("first_col", lambda v: sp.solve_frfc([0.0, 2.0, -1.0], v, SEGMENT),
+                             _FIRST_COL),
+    "solve_frlr_first_row": ("first_row", lambda v: sp.solve_frlr(v, LAST, SEGMENT),
+                             [0.0, 0.0, 0.0, 6.0]),
+    "solve_frlr_last_row": ("last_row", lambda v: sp.solve_frlr(FIRST, v, SEGMENT),
+                            [1.0, -1.0, 2.0, 0.0]),
+    "construct_seed": ("seed", lambda v: sp.construct(KNOTS, 3, v, "CRLC"),
+                       [3.0, -1.0, 0.0, 2.0, 1.0, -2.0, 4.0, 1.0]),
+    "construct_seed_matrix": ("seed", lambda v: sp.construct(KNOTS, 3, v, "RRM"),
+                              _matrix(12, 4, 2)),
+    "lincomb": ("coeffs", lambda v: sp.lincomb(BS, v), _matrix(1, len(BS), 3)[0]),
+    "lincomb_matrix": ("coeffs", lambda v: sp.lincomb(BS, v), _matrix(3, len(BS), 4)),
+    "diagonalize_gram": ("gram matrix", lambda v: diagonalize_gram(v, "gsob").pt.toarray(),
+                         [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]),
+    "NoiseSpec_sigma": ("Sigma", lambda v: sp.rspline(MEAN, sp.NoiseSpec(sigma=v, seed=2), 2),
+                        [1.0, 2.0, 0.0, 1.0] * 3),
+    "NoiseSpec_theta": ("Theta", lambda v: sp.rspline(MEAN, sp.NoiseSpec(theta=v, seed=2), 2),
+                        _THETA),
+    "FunctionalDataMatrix_args": ("args", lambda v: sp.FunctionalDataMatrix(v, _VALUES), _ARGS),
+    "FunctionalDataMatrix_values": ("values", lambda v: sp.FunctionalDataMatrix(_ARGS, v),
+                                    _VALUES),
+    "project_data": ("values", lambda v: sp.project_data((DATA[0], v), KNOTS, 3).coeff,
+                     _matrix(50, 2, 5)),
+    "fpca": ("coeff", lambda v: sp.fpca(ProjectionResult(v, FP.basis, None)), _matrix(6, _D, 6)),
+    "kl_reconstruct": ("coeff_row", lambda v: sp.kl_reconstruct(FP, v, 2), _matrix(1, _D, 7)[0]),
+    "write_coeff_csv": ("coeff", _csv_bytes, _matrix(2, 3, 8)),
+    "equidistant_knots": ("knots", lambda v: sp.equidistant_knots(v, 1.0, 3), -1.0),
+    "sym2one": ("rows", lambda v: core.sym2one(v, [0], [3]), _matrix(4, 3, 9)),
+    "evaluate": ("grid", lambda v: sp.evaluate(BS, v), [0.0, 1.0, 1.0]),
+}
+
+
+def _with_first(value, bad):
+    """``value`` with its first number replaced by ``bad``."""
+    return [_with_first(value[0], bad)] + value[1:] if isinstance(value, list) else bad
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+def test_real_arguments_follow_one_rule(entry):
+    """A string, a bool, ``None`` or a complex number in a real argument, and
+    rows of unequal length where a matrix is taken, are a ValueError naming
+    the argument; ints, in a list or an array, give what the floats give, bit
+    for bit."""
+    name, call, good = REAL_ENTRY_POINTS[entry]
+    for bad in ("0.5", True, None, 1j):
+        with pytest.raises(ValueError) as err:
+            call(_with_first(good, bad))
+        assert str(err.value) == "%s entry %r is not a number" % (name, bad)
+    if isinstance(good, list) and isinstance(good[0], list):
+        with pytest.raises(ValueError) as err:
+            call(good[:-1] + [good[-1][:-1]])
+        assert str(err.value) == "%s rows must be lists of one length" % name
+    if not isinstance(good, list):  # a number, as epsilon is
+        want = call(good)
+        for form in (int(good), np.int64(good), np.float64(good)):
+            _assert_same(call(form), want)
+        return
+    want = call(np.array(good))
+    _assert_same(call(good), want)
+    ints = np.array(good, dtype=np.int64)
+    for form in (ints, ints.tolist()):
+        _assert_same(call(form), want)
+
+
+def test_sparse_real_arguments_judged_by_dtype():
+    """A ``scipy.sparse`` matrix is read by its data's dtype: int data give
+    what float data give, bool and complex data are refused by entry."""
+    sparse = pytest.importorskip("scipy.sparse")
+    coeffs = np.array(_matrix(3, len(BS), 10), dtype=np.int64)
+    want = sp.lincomb(BS, coeffs.astype(float))
+    _assert_same(sp.lincomb(BS, sparse.csr_matrix(coeffs)), want)
+    for dtype in (bool, complex):
+        with pytest.raises(ValueError) as err:
+            sp.lincomb(BS, sparse.csr_matrix(coeffs.astype(dtype)))
+        bad = coeffs[coeffs != 0][0].astype(dtype).item()
+        assert str(err.value) == "coeffs entry %r is not a number" % (bad,)
+    gram = np.array(REAL_ENTRY_POINTS["diagonalize_gram"][2], dtype=np.int64)
+    want = diagonalize_gram(gram.astype(float), "gsob").pt.toarray()
+    _assert_same(diagonalize_gram(sparse.csr_matrix(gram), "gsob").pt.toarray(), want)
+
+
+def test_real_rule_refuses_ints_past_the_float_range():
+    """An int past the float range is refused by entry, not by an
+    ``OverflowError``; the largest float's int passes."""
+    big = int(np.finfo(float).max)
+    assert core._reals([1, big], "x").tolist() == [1.0, float(big)]
+    for value, named in (([1, 10**400], 10**400), ([1.0, -(10**400), 10**500], -(10**400)),
+                         (np.array([10**400], dtype=object), 10**400)):
+        with pytest.raises(ValueError) as err:
+            core._reals(value, "x")
+        assert str(err.value) == "x entry %d is not a number" % named

@@ -107,6 +107,15 @@ def test_knotset_basic():
         sp.KnotSet([0.0])
 
 
+def test_knotset_hash_agrees_with_eq():
+    """Knots equal as numbers hash alike: ``-0.0 == 0.0``, so a set holds one
+    of two such knot sets, as it does of ``equidistant_knots(-0.0, ...)`` and
+    ``equidistant_knots(0.0, ...)``."""
+    a, b = sp.KnotSet([-0.0, 0.5, 1.0]), sp.KnotSet([0.0, 0.5, 1.0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert len({sp.equidistant_knots(-0.0, 1.0, 3), sp.equidistant_knots(0.0, 1.0, 3)}) == 1
+
+
 def test_knotset_equid_is_derived_not_passed():
     with pytest.raises(TypeError):
         sp.KnotSet([0.0, 0.5, 2.0], equid=True)
