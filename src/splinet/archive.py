@@ -24,6 +24,15 @@ therefore bit-exact, bar each component's last one-sided k-th entry, which
 the symmetric column has no place for and which reads back as 0 (as it is
 in every spline).
 
+Floats are rendered by :func:`_float_texts`, the package's one float
+renderer, which CSVs share: ``orjson`` writes a finite chunk whole with
+Ryu's shortest digits, and three byte rewrites give each token the text of
+``float.__repr__``; a chunk that holds a non-finite value is written one
+``float.__repr__`` at a time.  Files are parsed by ``orjson`` too, and by
+``json`` when orjson refuses one (:func:`_read_json`): ``NaN`` and
+``Infinity`` tokens, numbers past the double range, lone surrogates and
+every fault get ``json``'s result or message.
+
 :func:`save_archive` renders this layout itself, a chunk of about
 ``_CONVERT_ROWS`` stacked rows (whole members) at a time, rather than
 through ``json``'s pure-Python indenting encoder, and renders each distinct
@@ -35,19 +44,22 @@ the same, so a hash collision costs one more render, never wrong
 text, and ``-0.0`` and ``0.0`` stay apart.  On equidistant knots the members
 of a level are translates and their rows recur bit for bit: of the 111,365
 rows of a d = 6141 splinet a fifth or fewer are distinct.  Each chunk is one
-join of its row texts and the separators between them (a separator after a
-component's last row carries the brackets that close the block or member
-and the next member's ``supp``), and one write.
+join of its row texts, which hold a row's numbers only, and the separators
+between them, which carry the rows' brackets (a separator after a
+component's last row also carries the brackets that close the block or
+member and the next member's ``supp``), and one write.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import re
 import threading
 from itertools import chain, islice
 
 import numpy as np
+import orjson
 
 from .calculus import _chunks
 from .core import (DEFAULT_EPSILON, SplineFamily, _family, _integers, _sym_entry, _tolerances,
@@ -110,14 +122,61 @@ def _one_sided(stored):
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+#: the forms in which orjson's float text differs from ``float.__repr__``'s:
+#: a positive exponent, which repr signs (``1e16``, ``1e+16``); a negative
+#: exponent of one digit, which repr pads (``1e-9``, ``1e-09``); and a
+#: decimal in [1e-5, 1e-4) at the start of a token (``0.000025``, ``2.5e-05``),
+#: matched after its literal so that the search runs on the literal
+_EXP_SIGN = re.compile(rb"e(?=\d)")
+_EXP_PAD = re.compile(rb"e-(?=\d[],])")
+_SMALL = re.compile(rb"0\.0000(?<=[\[,-]0\.0000)(\d)(\d*)")
+
+
+def _small(match):
+    """``float.__repr__`` of a decimal that :data:`_SMALL` matched."""
+    return match[1] + (b"." + match[2] if match[2] else b"") + b"e-05"
+
+
+def _float_texts(values, sep=",", names=None):
+    """One string per row of a 2-d float array: the row's entries joined by
+    ``sep``.  Every entry is written exactly as ``float.__repr__`` writes it
+    (the shortest text that reads back to the same double, ``-0.0`` kept);
+    a non-finite one is then replaced by its entry in ``names``, if given.
+
+    This is the one renderer of floats in the package.  A finite array is
+    rendered whole by ``orjson`` with Ryu (Adams, PLDI 2018), which finds
+    the same shortest digits as ``float.__repr__`` in a fraction of its
+    time.  Then the three
+    forms in which orjson's text differs are rewritten (:data:`_EXP_SIGN`,
+    :data:`_EXP_PAD`, :data:`_SMALL`), and the rows are split by bytes
+    ``replace`` and ``str.split``.  orjson has no token for NaN or an
+    infinity, so an array that holds one takes ``float.__repr__`` one entry
+    at a time."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        toks = map(float.__repr__, values.ravel().tolist())
+        if names:
+            toks = map(lambda t: names.get(t, t), toks)
+        return list(map(sep.join, zip(*[toks] * values.shape[1])))
+    if not values.shape[0]:
+        return []
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in text:
+        text = _EXP_PAD.sub(b"e-0", _EXP_SIGN.sub(b"e+", text))
+    if b"0.0000" in text:
+        text = _SMALL.sub(_small, text)
+    # "[[a,b],[c,d]]": no token holds a bracket, so "]" + sep + "[" ends a row;
+    # orjson's buffer outsizes its text, and the first copy frees it
+    text = text.replace(b",", sep.encode())
+    rows = text.decode("ascii").split("]" + sep + "[")
+    rows[0] = rows[0][2:]
+    rows[-1] = rows[-1][:-2]
+    return rows
+
 
 def _tokens(values):
-    """JSON number tokens of a float array in row-major order, made one at
-    a time as they are taken."""
-    toks = map(float.__repr__, values.ravel().tolist())
-    if not np.isfinite(values).all():
-        toks = map(lambda t: _JSON_NONFINITE.get(t, t), toks)
-    return toks
+    """JSON number tokens of a float array in row-major order."""
+    return _float_texts(values.reshape(-1, 1), names=_JSON_NONFINITE)
 
 
 def _list(items, depth):
@@ -134,23 +193,26 @@ def _list(items, depth):
 _CONVERT_ROWS = 1 << 10
 #: a stacked row's odd multiplier in :func:`_row_hashes`
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+#: the text between the numbers of a row, and the row's brackets, which
+#: the separators around a row's text carry
+_NUM_SEP, _OPEN, _CLOSE = ",\n      ", "[\n      ", "\n     ]"
 #: the text between two rows of a block, and between two blocks of a member
-_ROW_SEP, _BLOCK_SEP = ",\n     ", "\n    ],\n    [\n     "
+_ROW_SEP = _CLOSE + ",\n     " + _OPEN
+_BLOCK_SEP = _CLOSE + "\n    ],\n    [\n     " + _OPEN
 #: the text after a member's last row
-_MEMBER_END = "\n    ]\n   ]\n  }"
+_MEMBER_END = _CLOSE + "\n    ]\n   ]\n  }"
 #: a support component's ``[lo, hi]`` pair
 _PAIR = "[\n     %d,\n     %d\n    ]"
 #: a member's text before its first row, from its rendered pairs
-_HEAD = ',\n  {\n   "supp": [\n    %s\n   ],\n   "der": [\n    [\n     '
+_HEAD = ',\n  {\n   "supp": [\n    %s\n   ],\n   "der": [\n    [\n     ' + _OPEN
 #: a member with no support, whole
 _EMPTY = ',\n  {\n   "supp": [],\n   "der": []\n  }'
 
 
 def _row_texts(values):
-    """The rows of a 2-d float array, each rendered as a JSON list at depth 5."""
-    width = values.shape[1]
-    row = "[" + ",".join(["\n      %s"] * width) + "\n     ]"
-    return list(map(row.__mod__, zip(*[_tokens(values)] * width)))
+    """The rows of a 2-d float array, each rendered as the numbers of a JSON
+    list at depth 5, without its brackets."""
+    return _float_texts(values, _NUM_SEP, _JSON_NONFINITE)
 
 
 def _row_hashes(bits):
@@ -229,7 +291,8 @@ def _rendered(sym, repeated, texts, keys):
 def _chunk_text(fam, c0, c1, texts):
     """Components ``c0..c1-1`` (whole members) rendered from their row
     ``texts``: one interleave of separators and rows, joined once.  The
-    separator before a member's first row closes the member before it,
+    separators carry the rows' brackets.  The separator before a member's
+    first row closes the member before it,
     holds the empty members in between whole and opens the member: its
     ``supp`` and ``der``'s brackets.  Before the family's first row, where
     there is no member to close, the text starts with ``_MEMBER_END + ","``."""
@@ -260,8 +323,8 @@ def save_archive(path, fam, net=None):
     keys = np.empty(repeated.size, dtype="V%d" % (8 * (fam.smorder + 1)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "knots": %s,\n "order": %d,\n "type": %s,\n "epsilon": %s,\n "splines": '
-                 % (_list(list(_tokens(fam.knots.xi)), 1), fam.smorder, json.dumps(fam.type),
-                    float.__repr__(float(fam.epsilon))))
+                 % (_list(_tokens(fam.knots.xi), 1), fam.smorder, json.dumps(fam.type),
+                    _tokens(np.array(fam.epsilon))[0]))
         fh.write("[" if len(fam) else "[]")
         first = len(_MEMBER_END) + 1  # no member to close before the first
         for c0, c1, sym in _sym_chunks(fam):
@@ -278,6 +341,26 @@ def save_archive(path, fam, net=None):
         fh.write("\n}\n")
 
 
+def _read_json(path):
+    """The JSON value that the file at ``path`` holds, parsed by ``orjson``.
+
+    A file that orjson refuses is parsed again by ``json`` from its UTF-8
+    text, which keeps ``json``'s result or message for it: the tokens
+    ``NaN``, ``Infinity`` and ``-Infinity``, a number past the double range
+    (``json`` reads an integer one exactly), a lone surrogate, and every
+    fault, bad UTF-8 included.  Decoding the text, not handing ``json`` the
+    bytes, keeps a UTF-16 file refused.  orjson reads an integer past 64
+    bits as a float, where ``json`` keeps its digits: an archive's integers
+    are refused long before that width, and a ``--noise`` file whose seed
+    reads as a float is read again by ``json``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return json.loads(raw.decode("utf-8"))
+
+
 #: held while a load reads or changes whether the cyclic collector runs
 _GC_LOCK = threading.Lock()
 
@@ -286,17 +369,16 @@ def load_archive(path):
     """Returns ``(family, net-or-None)``, the net as its levels; the family is
     one-sided, as every family in memory is.
 
-    The cyclic garbage collector is paused while ``json`` parses and the
-    fields are read, and restored after: the parse makes a list per Taylor
-    row, the reading a pair per member, neither makes cycles, and each
-    collection they would trigger walks every row list (on a d = 6141
-    splinet's archive about a fifth of the parse)."""
+    The file is parsed by :func:`_read_json`.  The cyclic garbage collector
+    is paused while it parses and the fields are read, and restored after:
+    the parse makes a list per Taylor row, the reading a pair per member,
+    neither makes cycles, and each collection they would trigger walks every
+    row list."""
     with _GC_LOCK:
         paused = gc.isenabled()
         gc.disable()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return family_from_dict(json.load(fh))
+        return family_from_dict(_read_json(path))
     finally:
         if paused:
             with _GC_LOCK:

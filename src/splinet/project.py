@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .archive import _float_texts
 from .bases import _check_spd, _cho_solve_banded, _cholesky_banded, splinet
 from .calculus import _gram, gramian, integra, lincomb
 from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, _integer, _knots, _reals, evaluate
@@ -305,12 +306,17 @@ _CSV_CHUNK_ROWS = 4096
 
 def _cells(col):
     """One string per row of a column chunk: the entries of a float array
-    through ``float.__repr__`` (shortest round trip), of an integer array
-    through ``str``, of an object array of strings as they are; the fields
-    of a row of a 2-d array are comma joined."""
+    exactly as ``float.__repr__`` writes them (shortest round trip, ``nan``
+    and ``inf`` for non-finite ones), rendered by the archive's float
+    renderer (:func:`~splinet.archive._float_texts`: orjson and three byte
+    rewrites); of an integer array through ``str``; of an object array of
+    strings as they are.  The fields of a row of a 2-d array are comma
+    joined."""
+    if col.dtype.kind == "f":
+        return _float_texts(col[:, None] if col.ndim == 1 else col)
     toks = col.ravel().tolist()
     if col.dtype != object:
-        toks = list(map(float.__repr__ if col.dtype.kind == "f" else str, toks))
+        toks = list(map(str, toks))
     if col.ndim == 1:
         return toks
     c = col.shape[1]

@@ -37,9 +37,7 @@ COV_PSD_TOL = 1e-10
 
 
 def _expand_cov(c, size, name):
-    c = _reals(c, name, 2)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("%s has non-finite entries" % name)
+    c = np.array(c, dtype=float)
     if c.ndim == 0:
         mat = float(c) * np.eye(size)
     elif c.ndim == 1:
@@ -64,12 +62,21 @@ def _sqrt_psd(mat, name):
     return (v * np.sqrt(w)) @ v.T
 
 
+def _frozen(value):
+    """``value``, a float or nested lists of floats, with tuples for lists."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Row covariance Sigma, column covariance Theta, and an RNG seed.
 
-    Scalars mean that multiple of the identity; vectors mean diagonals.  The
-    seed is an integer in ``[0, 2**128)``.
+    Scalars mean that multiple of the identity; vectors mean diagonals.
+    Each covariance is read by :func:`~splinet.core._reals` where it enters
+    and must be finite; it is stored as a float or nested tuples of floats,
+    so that specs compare and hash by value.  Its shape is checked at the
+    draw, against the mean's size.  The seed is an integer in
+    ``[0, 2**128)``.
     """
 
     sigma: object = 1.0
@@ -81,6 +88,11 @@ class NoiseSpec:
         if not 0 <= seed < 2**128:  # a Philox key is two 64-bit words
             raise ValueError("seed must be in [0, 2**128); got %d" % seed)
         object.__setattr__(self, "seed", seed)
+        for field, name in (("sigma", "Sigma"), ("theta", "Theta")):
+            c = _reals(getattr(self, field), name, 2)
+            if not np.all(np.isfinite(c)):
+                raise ValueError("%s has non-finite entries" % name)
+            object.__setattr__(self, field, _frozen(c.tolist()))
 
     def roots(self, n_rows, n_cols):
         sig = _expand_cov(self.sigma, n_rows, "Sigma")

@@ -254,6 +254,106 @@ def test_integral_float_order_accepted(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the loader parses with orjson, and with json where orjson refuses a file
+
+
+def _outcome(load):
+    """What a load gives: the family's fields and the net, bit for bit, or
+    the exception's type and message."""
+    try:
+        fam, net = load()
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared whole
+        return type(exc), str(exc)
+    return (fam.knots.xi.tobytes(), fam.smorder, fam.type, _bits(fam.epsilon).tobytes(),
+            fam.lo.tobytes(), fam.hi.tobytes(), fam.offsets.tobytes(), fam.rows.tobytes(), net)
+
+
+def _json_load(path):
+    """The archive at ``path`` read by ``json`` from UTF-8 text alone."""
+    with open(path, encoding="utf-8") as fh:
+        return family_from_dict(json.load(fh))
+
+
+def _edits():
+    """Archive texts that orjson refuses but ``json`` reads, or that both refuse."""
+    res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 5), 2)
+    text = oracles.archive_text(res.os, res.net)
+
+    def at(anchor, token):  # the token after the first ``anchor`` replaced
+        start = text.index(anchor) + len(anchor)
+        return text[:start] + token + text[text.index(",", start):]
+
+    knot, der = '"knots": [\n  ', '"der": [\n    [\n     [\n      '
+    return {
+        "nonfinite": oracles.archive_text(_nonfinite_family(), None),
+        "knot_past_double": at(knot, "1e400"),
+        "knot_infinity": at(knot, "-Infinity"),
+        "der_past_double": at(der, "-1e400"),
+        "der_nan": at(der, "NaN"),
+        "epsilon_nan": at('"epsilon": ', "NaN"),
+        "lone_surrogate": at('"type": ', '"\\ud800"'),
+        "truncated": text[: len(text) // 2],
+        "trailing": text + "[]",
+    }
+
+
+@pytest.mark.parametrize("case", ["nonfinite", "knot_past_double", "knot_infinity",
+                                  "der_past_double", "der_nan", "epsilon_nan", "lone_surrogate",
+                                  "truncated", "trailing"])
+def test_loader_matches_json_where_orjson_refuses(tmp_path, case):
+    """``NaN`` and ``Infinity`` tokens, numbers past the double range, a lone
+    surrogate and a broken file load, or are refused with the message, as
+    ``json`` alone has it."""
+    path = tmp_path / "a.json"
+    path.write_text(_edits()[case], encoding="utf-8")
+    got = _outcome(lambda: sp.load_archive(path))
+    assert got == _outcome(lambda: _json_load(path))
+    if case == "nonfinite":
+        assert isinstance(got[0], bytes)  # it loads
+
+
+@pytest.mark.parametrize("encode", [
+    lambda text: text.encode("utf-16"),
+    lambda text: text.replace('"bs"', '"bs\u00e9"').encode("latin-1"),
+    lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+], ids=["utf16", "latin1", "utf8_bom"])
+def test_loader_refuses_what_is_not_utf8_json(tmp_path, encode):
+    """A UTF-16 file, a stray Latin-1 byte and a UTF-8 byte order mark are
+    refused as ``json`` refuses the file read as UTF-8 text: the bytes are
+    decoded as UTF-8, never left to ``json``'s encoding detection."""
+    path = tmp_path / "a.json"
+    text = oracles.archive_text(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, 3), 1), None)
+    assert '"bs"' in text
+    path.write_bytes(encode(text))
+    got = _outcome(lambda: sp.load_archive(path))
+    assert got == _outcome(lambda: _json_load(path))
+    assert issubclass(got[0], ValueError)
+
+
+_BIG = "123456789012345678901234567890"
+
+
+@pytest.mark.parametrize("field, old, new", [
+    ("order", '"order": 2', '"order": ' + _BIG),
+    ("supp", '"supp": [\n    [\n     0,', '"supp": [\n    [\n     %s,' % _BIG),
+    ("net", '"net": [\n  [\n   [\n    0', '"net": [\n  [\n   [\n    ' + _BIG),
+], ids=["order", "supp", "net"])
+def test_integer_past_64_bits_refused_as_float(tmp_path, field, old, new):
+    """orjson reads an integer past 64 bits as a float: an ``order``,
+    ``supp`` or ``net`` entry that wide is still refused, its message quoting
+    the float, not the digits."""
+    res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 5), 2)
+    path = tmp_path / "a.json"
+    text = oracles.archive_text(res.os, res.net)
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        sp.load_archive(path)
+    assert str(err.value) == ("malformed archive: %s entry %r is not in [%d, %d]"
+                              % (field, float(_BIG), -(2**63), 2**63 - 1))
+
+
+# ---------------------------------------------------------------------------
 # the writer against json.dumps(indent=1), and bit-exact round trips
 
 _REALS = st.one_of(
@@ -445,13 +545,14 @@ def test_each_distinct_row_rendered_once(tmp_path, monkeypatch):
     """On equidistant knots the B-splines, and the splinet's members within a
     level, are translates of each other, so their Taylor rows repeat bit for
     bit, and rows also recur across blocks that differ elsewhere: the writer
-    renders the numbers of each distinct symmetric row once, plus the knots."""
+    renders the numbers of each distinct symmetric row once, plus the knots
+    and epsilon."""
     res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 1535), 3)
     assert len(res.os) == 1533
     rendered = []
-    tokens = archive._tokens
-    monkeypatch.setattr(archive, "_tokens",
-                        lambda values: rendered.append(values.size) or tokens(values))
+    texts = archive._float_texts
+    monkeypatch.setattr(archive, "_float_texts", lambda values, *a, **kw:
+                        rendered.append(values.size) or texts(values, *a, **kw))
     for fam, net in ((res.bs, None), (res.os, res.net)):
         distinct = len(_distinct_rows(fam))
         # no more than the rows of the distinct blocks, and fewer than half the rows
@@ -459,7 +560,7 @@ def test_each_distinct_row_rendered_once(tmp_path, monkeypatch):
         assert distinct < fam.rows.shape[0] // 2
         rendered.clear()
         sp.save_archive(tmp_path / "f.json", fam, net)
-        assert sum(rendered) <= distinct * (fam.smorder + 1) + len(fam.knots)
+        assert sum(rendered) <= distinct * (fam.smorder + 1) + len(fam.knots) + 1
 
 
 def test_writer_peak_memory_without_repeats(tmp_path):
@@ -500,3 +601,60 @@ def test_csv_writer_matches_csv_module(tmp_path_factory, rows, cols, values):
     w.writerow(["c%d" % (j + 1) for j in range(cols)])
     w.writerows([[repr(float(x)) for x in row] for row in m])
     assert path.read_bytes() == ref.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# the one float renderer
+
+
+def _repr_rows(values):
+    return [",".join(map(float.__repr__, row)) for row in values.tolist()]
+
+
+def _check_float_texts(width, values):
+    a = np.asarray(values, dtype=float)
+    a = np.resize(a, (-(-a.size // width), width))
+    assert archive._float_texts(a) == _repr_rows(a)
+    assert archive._float_texts(a.T) == _repr_rows(a.T)  # not C-contiguous
+    assert archive._float_texts(a, ",\n ") == [r.replace(",", ",\n ") for r in _repr_rows(a)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=1, max_size=40))
+@example(1, [1e-5, -1e-5, 9.999999999999999e-05, 1e-4, 1e16, 9999999999999998.0, 5e-324,
+             -0.0, 3e-7])
+@example(3, [1e-5, 2.5e-5, -1e-9, 1e16, -1.5e300, 10.00001, 0.0, -0.00001, 1e21])
+@example(6, [-1e-5, 9.999999999999999e-05, 5e-324, -1e16, 1e-4, 4e-6, 1e-10, 1e15])
+def test_float_texts_are_float_repr(width, values):
+    """Every token is exactly ``float.__repr__`` of its entry: orjson's forms
+    of a positive exponent, a one-digit negative exponent and a decimal in
+    [1e-5, 1e-4) are rewritten, at the start of a token only."""
+    _check_float_texts(width, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_float_texts_of_any_bits(width, bits):
+    """Every finite double, drawn as a 64-bit pattern, subnormals included."""
+    a = np.array(bits, dtype=np.uint64).view(np.float64)
+    a = a[np.isfinite(a)]
+    if a.size:
+        _check_float_texts(width, a)
+
+
+def test_float_texts_nonfinite_entry_by_entry():
+    """orjson has no token for NaN or an infinity: an array that holds one is
+    rendered one ``float.__repr__`` at a time, then through ``names``, and
+    only such an array is."""
+    a = np.array([[1e16, np.nan], [np.inf, -np.inf], [-0.0, 2.5e-5]])
+    assert archive._float_texts(a) == ["1e+16,nan", "inf,-inf", "-0.0,2.5e-05"]
+    assert (archive._float_texts(a, ", ", archive._JSON_NONFINITE)
+            == ["1e+16, NaN", "Infinity, -Infinity", "-0.0, 2.5e-05"])
+    with mock.patch.object(archive.orjson, "dumps", side_effect=AssertionError) as dumps:
+        archive._float_texts(a)
+        with pytest.raises(AssertionError):
+            archive._float_texts(np.nan_to_num(a))
+    assert dumps.call_count == 1
+    assert archive._float_texts(np.empty((0, 3))) == []
+    assert archive._float_texts(np.empty((2, 0))) == ["", ""]

@@ -377,6 +377,7 @@ REAL_ENTRY_POINTS = {
                          [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]),
     "NoiseSpec_sigma": ("Sigma", lambda v: sp.rspline(MEAN, sp.NoiseSpec(sigma=v, seed=2), 2),
                         [1.0, 2.0, 0.0, 1.0] * 3),
+    "NoiseSpec": ("Sigma", lambda v: sp.NoiseSpec(sigma=v), [1.0, 2.0, 0.0, 1.0]),
     "NoiseSpec_theta": ("Theta", lambda v: sp.rspline(MEAN, sp.NoiseSpec(theta=v, seed=2), 2),
                         _THETA),
     "FunctionalDataMatrix_args": ("args", lambda v: sp.FunctionalDataMatrix(v, _VALUES), _ARGS),

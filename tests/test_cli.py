@@ -606,6 +606,22 @@ def test_random_noise_json(tmp_path):
         assert len(fam) == 3
 
 
+def test_random_noise_json_seed_past_64_bits(tmp_path):
+    """A ``--noise`` file's seed keeps all of its 128 bits (orjson would read
+    an integer past 64 bits as a float): it draws what ``--seed`` draws."""
+    mean = oracles.random_valid_family(np.random.default_rng(6), 10, 2)
+    mp = str(tmp_path / "mean.json")
+    sp.save_archive(mp, mean)
+    seed = 2**127 + 12345
+    nz = tmp_path / "noise.json"
+    nz.write_text(json.dumps({"sigma": 0.2, "seed": seed}))
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(["random", "--mean", mp, "--noise", str(nz), "-M", "2", "-o", a]) == 0
+    assert main(["random", "--mean", mp, "--sigma", "0.2", "--seed", str(seed), "-M", "2",
+                 "-o", b]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
 @pytest.mark.parametrize("seed", [1.7, True, "3"])
 def test_random_noise_json_seed_must_be_integer(tmp_path, capsys, seed):
     mean = oracles.random_valid_family(np.random.default_rng(6), 10, 2)
@@ -791,7 +807,7 @@ def _assert_splinet_script(dist):
 
 def test_console_script_entry(tmp_path):
     """pyproject.toml registers a `splinet` console script for cli.main and
-    requires numpy alone outside its extras.
+    requires numpy and orjson alone outside its extras.
 
     The metadata is generated from a copy of the project with setuptools'
     `egg_info`, so the check needs no installed package and writes nothing
@@ -822,9 +838,10 @@ def test_console_script_entry(tmp_path):
     assert res.returncode == 0, res.stderr
     (egg,) = base.glob("*.egg-info")
     _assert_splinet_script(md.Distribution.at(egg))
-    # scipy is an extra: outside the extras, numpy is the one requirement
+    # scipy is an extra: outside the extras, numpy and orjson are the requirements
     requires = md.Distribution.at(egg).requires
-    assert [r for r in requires if "extra ==" not in r] == ["numpy>=1.24"], requires
+    assert ([r for r in requires if "extra ==" not in r]
+            == ["numpy>=1.24", "orjson>=3.8"]), requires
     assert 'scipy>=1.10; extra == "sparse"' in requires, requires
 
     try:

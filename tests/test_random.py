@@ -144,6 +144,24 @@ def test_noise_spec_rejects_nonfinite(field, bad):
             sp.rspline(mean, sp.NoiseSpec(**{field: bad}))
 
 
+def test_noise_spec_reads_covariances_where_they_enter():
+    """Sigma and Theta are read and checked for finiteness when the spec is
+    made, not at the draw; specs of the same covariances compare and hash
+    equal, however the covariances were given."""
+    for field, name in (("sigma", "Sigma"), ("theta", "Theta")):
+        with pytest.raises(ValueError, match="%s entry '0.5' is not a number" % name):
+            sp.NoiseSpec(**{field: "0.5"})
+        with pytest.raises(ValueError, match="%s has non-finite entries" % name):
+            sp.NoiseSpec(**{field: [1.0, np.nan]})
+    eye = sp.NoiseSpec(sigma=np.eye(2), theta=np.array([0.5, 0.25]), seed=3)
+    same = sp.NoiseSpec(sigma=[[1, 0], [0, 1]], theta=(0.5, 0.25), seed=3)
+    assert eye == same and hash(eye) == hash(same) and len({eye, same}) == 1
+    assert eye.sigma == ((1.0, 0.0), (0.0, 1.0)) and eye.theta == (0.5, 0.25)
+    assert eye != sp.NoiseSpec(sigma=[1.0, 1.0], theta=[0.5, 0.25], seed=3)
+    assert eye != sp.NoiseSpec(sigma=np.eye(2), theta=[0.5, 0.25], seed=4)
+    assert sp.NoiseSpec(sigma=np.float32(0.5)) == sp.NoiseSpec(sigma=0.5)
+
+
 def test_noise_spec_seed_range():
     for bad in (-1, 2**128):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\); got %d" % bad):
