@@ -151,7 +151,9 @@ def _float_texts(values, sep=",", names=None):
     :data:`_EXP_PAD`, :data:`_SMALL`), and the rows are split by bytes
     ``replace`` and ``str.split``.  orjson has no token for NaN or an
     infinity, so an array that holds one takes ``float.__repr__`` one entry
-    at a time."""
+    at a time.  A lone scalar (an archive's ``epsilon``, a number the CLI
+    prints) is written by ``float.__repr__`` directly: that is the text this
+    renderer reproduces, and an array round it would buy nothing."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         toks = map(float.__repr__, values.ravel().tolist())
@@ -324,7 +326,7 @@ def save_archive(path, fam, net=None):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "knots": %s,\n "order": %d,\n "type": %s,\n "epsilon": %s,\n "splines": '
                  % (_list(_tokens(fam.knots.xi), 1), fam.smorder, json.dumps(fam.type),
-                    _tokens(np.array(fam.epsilon))[0]))
+                    float.__repr__(float(fam.epsilon))))
         fh.write("[" if len(fam) else "[]")
         first = len(_MEMBER_END) + 1  # no member to close before the first
         for c0, c1, sym in _sym_chunks(fam):
@@ -351,8 +353,7 @@ def _read_json(path):
     fault, bad UTF-8 included.  Decoding the text, not handing ``json`` the
     bytes, keeps a UTF-16 file refused.  orjson reads an integer past 64
     bits as a float, where ``json`` keeps its digits: an archive's integers
-    are refused long before that width, and a ``--noise`` file whose seed
-    reads as a float is read again by ``json``."""
+    are refused long before that width."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:

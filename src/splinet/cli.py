@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .archive import _read_json, load_archive, save_archive
+from .archive import load_archive, save_archive
 from .bases import BASIS_TYPES, splinet
 from .calculus import gramian
 from .core import (KnotSet, _as_int, _reals, equidistant_knots, evaluate, is_valid_spline,
@@ -98,7 +98,7 @@ def _read_int_flags(args):
 
 
 def _fmt(x):
-    return _cells(np.array([float(x)]))[0]
+    return repr(float(x))
 
 
 def _cmd_basis(args):
@@ -167,15 +167,11 @@ def _noise_file(path, seed):
     (diagonals) or lists of such lists (matrices), and whose ``seed``, if
     present, replaces ``seed`` and must be an integer in range.  Anything
     else is an error naming the file."""
-    try:
-        spec = _read_json(path)
-        if isinstance(spec, dict) and isinstance(spec.get("seed"), float):
-            # orjson reads an integer past 64 bits as a float, json keeps a
-            # 128-bit seed's bits
-            with open(path, encoding="utf-8") as fh:
-                spec = json.load(fh)
-    except ValueError as exc:
-        raise ValueError("%s: not JSON: %s" % (path, exc)) from None
+    with open(path, encoding="utf-8") as fh:
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:
+            raise ValueError("%s: not JSON: %s" % (path, exc)) from None
     if not isinstance(spec, dict):
         raise ValueError("%s: must hold a JSON object; got %s" % (path, reprlib.repr(spec)))
     covs = []

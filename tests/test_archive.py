@@ -7,6 +7,7 @@ from itertools import islice
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -275,7 +276,9 @@ def _json_load(path):
 
 
 def _edits():
-    """Archive texts that orjson refuses but ``json`` reads, or that both refuse."""
+    """Archive texts that orjson refuses but ``json`` reads, or that both
+    refuse; and, keyed ``text_*``, number text that orjson reads itself but
+    that ``float.__repr__`` never writes."""
     res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 5), 2)
     text = oracles.archive_text(res.os, res.net)
 
@@ -294,6 +297,14 @@ def _edits():
         "lone_surrogate": at('"type": ', '"\\ud800"'),
         "truncated": text[: len(text) // 2],
         "trailing": text + "[]",
+        "text_knot_minus_zero_int": at(knot, "-0"),
+        "text_knot_long_decimal": at(knot, "-0.000000000000000000000000000000000000000000100000"
+                                           "00000000000000000000000000000000000000000000001"),
+        "text_epsilon_halfway": at('"epsilon": ', "1.0000000000000001110223024625156540423631"
+                                                  "6680908203125E-10"),
+        "text_der_subnormal_halfway": at(der, "2.4703282292062328e-324"),
+        "text_der_long_integer": at(der, "-123456789012345678901234567890e-40"),
+        "text_order_exponent": at('"order": ', "20e-1"),
     }
 
 
@@ -310,6 +321,67 @@ def test_loader_matches_json_where_orjson_refuses(tmp_path, case):
     assert got == _outcome(lambda: _json_load(path))
     if case == "nonfinite":
         assert isinstance(got[0], bytes)  # it loads
+
+
+@pytest.mark.parametrize("case", ["text_knot_minus_zero_int", "text_knot_long_decimal",
+                                  "text_epsilon_halfway", "text_der_subnormal_halfway",
+                                  "text_der_long_integer", "text_order_exponent"])
+def test_loader_matches_json_on_number_text(tmp_path, case):
+    """Number text that a hand-edited archive may hold and orjson reads
+    itself (a bare ``-0``, long or non-shortest decimals, a tie between two
+    doubles, a capital ``E``, an integral ``order`` with an exponent) loads
+    to the bits that ``json`` reads, or is refused with its message."""
+    path = tmp_path / "a.json"
+    path.write_text(_edits()[case], encoding="utf-8")
+    with open(path, "rb") as fh:
+        orjson.loads(fh.read())  # orjson's own parse, not the fallback
+    assert _outcome(lambda: sp.load_archive(path)) == _outcome(lambda: _json_load(path))
+
+
+def _json_number(sign, whole, frac, exp):
+    return sign + whole + ("." + frac if frac else "") + (exp or "")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(["", "-"]),
+       st.integers(0, 10**40).map(str) | st.sampled_from(["0", "1", "9"]),
+       st.none() | st.text("0123456789", min_size=1, max_size=40),
+       st.none() | st.builds("".join, st.tuples(st.sampled_from("eE"),
+                                                st.sampled_from(["", "+", "-"]),
+                                                st.text("0123456789", min_size=1, max_size=3))))
+@example("-", "0", None, None)
+@example("", "18446744073709551615", None, None)
+@example("", "18446744073709551616", None, None)
+@example("-", "9223372036854775808", None, None)
+@example("-", "9223372036854775809", None, None)
+@example("", "1" + "0" * 400, None, None)
+@example("", "1", "00000000000000011102230246251565404236316680908203125", None)
+@example("", "1", "00000000000000011102230246251565404236316680908203126", None)
+@example("", "2", "4703282292062328", "e-324")
+@example("", "1", "7976931348623159", "e308")
+@example("-", "0", "0", "e-400")
+def test_orjson_reads_number_tokens_as_json(sign, whole, frac, exp):
+    """A JSON number token that orjson reads gives ``json``'s type and bits,
+    except that an integer outside [-2**63, 2**64) becomes the float nearest
+    to it; orjson refuses only a number past the double range, which the
+    loader then reads by ``json``."""
+    tok = _json_number(sign, whole, frac, exp)
+    want = json.loads(tok)
+    try:
+        got = orjson.loads(tok)
+    except orjson.JSONDecodeError:
+        try:
+            assert abs(float(want)) == float("inf")
+        except OverflowError:  # an integer past the double range
+            pass
+        return
+    if isinstance(want, int) and not -(2**63) <= want < 2**64:
+        want = float(want)
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert _bits(got) == _bits(want)
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("encode", [
@@ -545,8 +617,7 @@ def test_each_distinct_row_rendered_once(tmp_path, monkeypatch):
     """On equidistant knots the B-splines, and the splinet's members within a
     level, are translates of each other, so their Taylor rows repeat bit for
     bit, and rows also recur across blocks that differ elsewhere: the writer
-    renders the numbers of each distinct symmetric row once, plus the knots
-    and epsilon."""
+    renders the numbers of each distinct symmetric row once, plus the knots."""
     res = sp.splinet(sp.equidistant_knots(0.0, 1.0, 1535), 3)
     assert len(res.os) == 1533
     rendered = []
@@ -560,7 +631,7 @@ def test_each_distinct_row_rendered_once(tmp_path, monkeypatch):
         assert distinct < fam.rows.shape[0] // 2
         rendered.clear()
         sp.save_archive(tmp_path / "f.json", fam, net)
-        assert sum(rendered) <= distinct * (fam.smorder + 1) + len(fam.knots) + 1
+        assert sum(rendered) <= distinct * (fam.smorder + 1) + len(fam.knots)
 
 
 def test_writer_peak_memory_without_repeats(tmp_path):
