@@ -1,6 +1,17 @@
-"""JSON spline archives.
+"""Every file splinet reads or writes: the only module that opens files and
+parses or renders number text.
 
-Top-level fields, in this order: ``knots`` (reals), ``order`` (int),
+- Spline archives (JSON): :func:`save_archive`, :func:`load_archive`, and
+  ``project -i``'s test for one, :func:`_is_archive`.
+- Numeric text files, knot files and CSVs: one reader, :func:`_read_numbers`
+  through ``np.loadtxt``, where a field is a number if numpy's parser reads
+  it (:func:`_is_number`, which the CLI's flags share).
+- CSVs, written as ``csv.writer`` writes unquoted fields, a bounded chunk of
+  cells at a time (:func:`_write_csv`).
+- ``random --noise`` files: a JSON object read by ``json`` itself, which
+  keeps a 128-bit seed's digits (:func:`_noise_file`).
+
+Archive fields, in this order: ``knots`` (reals), ``order`` (int),
 ``type`` (family tag), ``epsilon`` (real), ``splines`` (list of members,
 each with ``supp``, a list of 0-based ``[lo, hi]`` knot-index pairs, and
 ``der``, one row-major matrix per support component), and optionally
@@ -25,36 +36,24 @@ the symmetric column has no place for and which reads back as 0 (as it is
 in every spline).
 
 Floats are rendered by :func:`_float_texts`, the package's one float
-renderer, which CSVs share: ``orjson`` writes a finite chunk whole with
-Ryu's shortest digits, and three byte rewrites give each token the text of
-``float.__repr__``; a chunk that holds a non-finite value is written one
-``float.__repr__`` at a time.  Files are parsed by ``orjson`` too, and by
-``json`` when orjson refuses one (:func:`_read_json`): ``NaN`` and
-``Infinity`` tokens, numbers past the double range, lone surrogates and
-every fault get ``json``'s result or message.
+renderer, which CSVs share: ``orjson`` and three byte rewrites give each
+token the text of ``float.__repr__``.  Archives are parsed by ``orjson``
+too, and by ``json`` when orjson refuses one (:func:`_read_json`).
 
 :func:`save_archive` renders this layout itself, a chunk of about
-``_CONVERT_ROWS`` stacked rows (whole members) at a time, rather than
-through ``json``'s pure-Python indenting encoder, and renders each distinct
-Taylor row once.  A first pass hashes every symmetric row (the row as
-written) and keeps only the hashes that two or more rows share.  The second
-renders a row whose hash is its own; a repeated row takes the text of a
-row with its hash, from a cache of repeated rows only, when its bytes are
-the same, so a hash collision costs one more render, never wrong
-text, and ``-0.0`` and ``0.0`` stay apart.  On equidistant knots the members
-of a level are translates and their rows recur bit for bit: of the 111,365
-rows of a d = 6141 splinet a fifth or fewer are distinct.  Each chunk is one
-join of its row texts, which hold a row's numbers only, and the separators
-between them, which carry the rows' brackets (a separator after a
-component's last row also carries the brackets that close the block or
-member and the next member's ``supp``), and one write.
+``_CONVERT_ROWS`` stacked rows (whole members) at a time, and each distinct
+Taylor row once (:func:`_rendered`): on equidistant knots the members of a
+level are translates whose rows recur bit for bit (of the 111,365 rows of a
+d = 6141 splinet a fifth or fewer are distinct).  Each chunk is one join of
+its row texts and the separators between them, which carry the rows'
+brackets (:func:`_chunk_text`), and one write.
 """
-
 from __future__ import annotations
 
 import gc
 import json
 import re
+import reprlib
 import threading
 from itertools import chain, islice
 
@@ -62,8 +61,9 @@ import numpy as np
 import orjson
 
 from .calculus import _chunks
-from .core import (DEFAULT_EPSILON, SplineFamily, _family, _integers, _sym_entry, _tolerances,
-                   sym2one)
+from .core import (DEFAULT_EPSILON, SplineFamily, _family, _integers, _reals, _sym_entry,
+                   _tolerances, sym2one)
+from .random import NoiseSpec
 
 
 def family_from_dict(obj):
@@ -384,3 +384,170 @@ def load_archive(path):
         if paused:
             with _GC_LOCK:
                 gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# numeric text files
+
+
+def _is_number(field):
+    """Whether numpy's parser reads ``field``: stripped, ASCII, no ``_``, a Python float."""
+    text = field.strip()
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
+
+
+def _read_numbers(path, csv):
+    """The numbers of a text file as a 2-d array, read by ``np.loadtxt``.
+
+    A CSV (``csv`` true) separates fields by commas, may quote them with
+    ``"`` and has a header when no field of its first row is a number.  A
+    knot file separates fields by whitespace, ``#`` starting a comment.
+    Blank lines hold no row.  Only when ``np.loadtxt`` rejects the file are
+    its lines read again, to name the first fault and its 1-based line: a row
+    not as wide as the first data row, or a field that is not a number.  A
+    file that is not UTF-8 is refused by name wherever the bad byte sits.
+    """
+    fmt = dict(delimiter=",", comments=None, quotechar='"') if csv else dict(comments="#")
+
+    def rows(fh):  # (first line, fields) of each row, as np.loadtxt splits it
+        start, text = 0, ""
+        for line, part in enumerate(fh, 1):
+            if not csv:
+                if fields := part.partition("#")[0].split():
+                    yield line, fields
+                continue
+            # a quoted field may span lines: a row ends where its quotes balance,
+            # or at the end of the file
+            start, text = start or line, text + part
+            if text.count('"') % 2 == 0:
+                if text != "\n":
+                    yield start, split(text)
+                start, text = 0, ""
+        if text:
+            yield start, split(text)
+
+    def split(text):
+        return np.loadtxt([text], dtype=object, ndmin=1, **fmt).tolist()
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            head = list(islice(rows(fh), 2))
+        if not head:
+            raise ValueError("%s holds no CSV rows" % path if csv else
+                             "%s: no knots in the file" % path)
+        header = csv and not any(map(_is_number, head[0][1]))
+        if header and len(head) == 1:
+            raise ValueError("%s holds no CSV rows below its header" % path)
+        try:
+            return np.loadtxt(path, ndmin=2, skiprows=head[1][0] - 1 if header else 0,
+                              encoding="utf-8", **fmt)
+        except ValueError as exc:
+            width = len(head[header][1])
+            with open(path, encoding="utf-8") as fh:
+                for line, fields in islice(rows(fh), header, None):
+                    if len(fields) != width:
+                        raise ValueError("%s: the row on line %d has %d fields, expected %d"
+                                         % (path, line, len(fields), width)) from None
+                    for j, x in enumerate(fields, 1):
+                        if not _is_number(x):
+                            raise ValueError("%s: field %d on line %d is not a number: %r"
+                                             % (path, j, line, x)) from None
+            # no fault found where numpy found one: its own message
+            raise ValueError("%s: %s" % (path, exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError("%s: not UTF-8 text: %s" % (path, exc.reason)) from None
+
+
+def read_csv_matrix(path):
+    """Numeric CSV as a 2-d array (:func:`_read_numbers`)."""
+    return _read_numbers(path, csv=True)
+
+
+#: cells rendered, joined and written at a time by :func:`_write_csv`: 4096
+#: rows of ``eval``'s three columns, one row of a wider table at least
+_CSV_CHUNK_CELLS = 3 * 4096
+
+
+def _cells(col):
+    """One string per row of a column chunk: the entries of a float array
+    exactly as ``float.__repr__`` writes them (shortest round trip, ``nan``
+    and ``inf`` for non-finite ones), rendered by :func:`_float_texts`; of
+    an integer array through ``str``; of an object array of strings as they
+    are.  The fields of a row of a 2-d array are comma joined."""
+    if col.dtype.kind == "f":
+        return _float_texts(col[:, None] if col.ndim == 1 else col)
+    toks = col.ravel().tolist()
+    if col.dtype != object:
+        toks = list(map(str, toks))
+    if col.ndim == 1:
+        return toks
+    c = col.shape[1]
+    return [",".join(toks[i * c:(i + 1) * c]) for i in range(col.shape[0])]
+
+
+def _write_csv(path, header, nrows, columns):
+    """Write ``header`` and ``nrows`` rows as ``csv.writer`` writes fields
+    that need no quoting: comma separated, ``\\r\\n`` line ends.
+
+    ``columns(rows)`` gives the table's columns at the row indices ``rows``
+    (an integer array): number arrays or object arrays of strings, a 2-d
+    one giving one field per column (see :func:`_cells`).  It is asked for
+    ``_CSV_CHUNK_CELLS`` cells' worth of whole rows at a time, and each
+    chunk is rendered, joined and written before the next, so neither the
+    text of a long or wide CSV nor its tokens are ever held whole."""
+    step = max(1, _CSV_CHUNK_CELLS // (len(header) or 1))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, nrows, step):
+            rows = np.arange(lo, min(lo + step, nrows))
+            lines = map(",".join, zip(*map(_cells, columns(rows))))
+            fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _write_matrix_csv(path, prefix, matrix):
+    """A 2-d float array under the header ``prefix1,prefix2,...``."""
+    _write_csv(path, ["%s%d" % (prefix, j + 1) for j in range(matrix.shape[1])],
+               matrix.shape[0], lambda rows: [matrix[rows]])
+
+
+def write_coeff_csv(path, coeff):
+    _write_matrix_csv(path, "c", np.atleast_2d(_reals(coeff, "coeff", 2)))
+
+
+def _is_archive(path):
+    """Whether ``{`` is the first byte past JSON's whitespace (``project -i``)."""
+    with open(path, "rb") as fh:
+        return next((c for c in iter(lambda: fh.read(1), b"") if c not in b" \t\n\r"), b"") == b"{"
+
+
+def _noise_file(path, seed):
+    """The :class:`~splinet.random.NoiseSpec` of a ``--noise`` file: a JSON
+    object whose ``sigma`` and ``theta`` (1.0 when absent) are numbers, lists
+    of numbers (diagonals) or lists of such lists (matrices), and whose
+    ``seed``, if present, replaces ``seed`` and must be an integer in range.
+    Anything else is an error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:
+            raise ValueError("%s: not JSON: %s" % (path, exc)) from None
+    if not isinstance(spec, dict):
+        raise ValueError("%s: must hold a JSON object; got %s" % (path, reprlib.repr(spec)))
+    covs = []
+    for field in ("sigma", "theta"):
+        value = spec.get(field, 1.0)
+        try:
+            covs.append(_reals(value, field, 2))
+        except ValueError:
+            raise ValueError("%s: %s must be a number, a list of numbers or a list of such "
+                             "lists; got %s" % (path, field, reprlib.repr(value))) from None
+    if "seed" not in spec:
+        return NoiseSpec(*covs, seed)
+    try:
+        return NoiseSpec(*covs, spec["seed"])
+    except ValueError as exc:  # the file's seed, or a non-finite covariance
+        raise ValueError("%s: %s" % (path, exc)) from None

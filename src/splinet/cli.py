@@ -11,31 +11,17 @@ thread; the ``SPLINET_THREADS`` environment variable is ignored.
 from __future__ import annotations
 
 import argparse
-import json
-import reprlib
 import sys
 
 import numpy as np
 
-from .archive import load_archive, save_archive
+from .archive import (_cells, _is_archive, _is_number, _noise_file, _read_numbers, _write_csv,
+                      _write_matrix_csv, load_archive, read_csv_matrix, save_archive,
+                      write_coeff_csv)
 from .bases import BASIS_TYPES, splinet
 from .calculus import gramian
-from .core import (KnotSet, _as_int, _reals, equidistant_knots, evaluate, is_valid_spline,
-                   sample_grid)
-from .project import (
-    ProjectionResult,
-    fpca,
-    project_data,
-    project_splines,
-    read_csv_matrix,
-    read_fdata_csv,
-    write_coeff_csv,
-    _cells,
-    _is_number,
-    _read_numbers,
-    _write_csv,
-    _write_matrix_csv,
-)
+from .core import KnotSet, _as_int, equidistant_knots, evaluate, is_valid_spline, sample_grid
+from .project import ProjectionResult, fpca, project_data, project_splines, read_fdata_csv
 from .random import RNG_ALGORITHM, NoiseSpec, rspline
 
 
@@ -57,7 +43,7 @@ class UsageError(Exception):
 
 def _real_arg(flag, text):
     """``text`` as a float where numpy's parser reads a number, as in a file
-    (:func:`~splinet.project._is_number`: ``1_0`` and ``１`` are not); a
+    (:func:`~splinet.archive._is_number`: ``1_0`` and ``１`` are not); a
     non-number is a usage error (``nan`` and ``inf`` are numbers, left to
     the knot checks)."""
     if not _is_number(text):
@@ -161,35 +147,6 @@ def _parse_cov(flag, text):
     raise UsageError("%s must be a number or a CSV file; got %r" % (flag, text))
 
 
-def _noise_file(path, seed):
-    """The :class:`NoiseSpec` of a ``--noise`` file: a JSON object whose
-    ``sigma`` and ``theta`` (1.0 when absent) are numbers, lists of numbers
-    (diagonals) or lists of such lists (matrices), and whose ``seed``, if
-    present, replaces ``seed`` and must be an integer in range.  Anything
-    else is an error naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except ValueError as exc:
-            raise ValueError("%s: not JSON: %s" % (path, exc)) from None
-    if not isinstance(spec, dict):
-        raise ValueError("%s: must hold a JSON object; got %s" % (path, reprlib.repr(spec)))
-    covs = []
-    for field in ("sigma", "theta"):
-        value = spec.get(field, 1.0)
-        try:
-            covs.append(_reals(value, field, 2))
-        except ValueError:
-            raise ValueError("%s: %s must be a number, a list of numbers or a list of such "
-                             "lists; got %s" % (path, field, reprlib.repr(value))) from None
-    if "seed" not in spec:
-        return NoiseSpec(*covs, seed)
-    try:
-        return NoiseSpec(*covs, spec["seed"])
-    except ValueError as exc:  # the file's seed, or a non-finite covariance
-        raise ValueError("%s: %s" % (path, exc)) from None
-
-
 def _cmd_random(args):
     mean, _ = load_archive(args.mean)
     if args.noise is not None:
@@ -205,9 +162,7 @@ def _cmd_random(args):
 
 
 def _cmd_project(args):
-    with open(args.input, encoding="utf-8") as fh:  # the first character past JSON's whitespace
-        first = next((c for c in iter(lambda: fh.read(1), "") if c not in " \t\n\r"), "")
-    if first == "{":
+    if _is_archive(args.input):
         fam, _ = load_archive(args.input)
         target = None
         if args.equid is not None or args.knots is not None:

@@ -10,13 +10,12 @@ geometry of the function space is the Euclidean geometry of coefficients.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import _float_texts
+from .archive import read_csv_matrix, write_coeff_csv  # write_coeff_csv is re-exported
 from .bases import _check_spd, _cho_solve_banded, _cholesky_banded, splinet
 from .calculus import _gram, gramian, integra, lincomb
 from .core import KNOT_MATCH_TOL, KnotSet, SplineFamily, _integer, _knots, _reals, evaluate
@@ -217,80 +216,7 @@ def kl_reconstruct(fp, coeff_row, m_components):
 
 
 # ---------------------------------------------------------------------------
-# CSV interfaces
-
-
-def _is_number(field):
-    """Whether numpy's parser reads ``field``: stripped, ASCII, no ``_``, a Python float."""
-    text = field.strip()
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return text.isascii() and "_" not in text
-
-
-def _read_numbers(path, csv):
-    """The numbers of a text file as a 2-d array, read by ``np.loadtxt``.
-
-    A CSV (``csv`` true) separates fields by commas, may quote them with
-    ``"`` and has a header when no field of its first row is a number.  A
-    knot file separates fields by whitespace, ``#`` starting a comment.
-    Blank lines hold no row.  Only when ``np.loadtxt`` rejects the file are
-    its lines read again, to name the first fault and its 1-based line: a row
-    not as wide as the first data row, or a field that is not a number.
-    """
-    fmt = dict(delimiter=",", comments=None, quotechar='"') if csv else dict(comments="#")
-
-    def rows(fh):  # (first line, fields) of each row, as np.loadtxt splits it
-        start, text = 0, ""
-        for line, part in enumerate(fh, 1):
-            if not csv:
-                if fields := part.partition("#")[0].split():
-                    yield line, fields
-                continue
-            # a quoted field may span lines: a row ends where its quotes balance,
-            # or at the end of the file
-            start, text = start or line, text + part
-            if text.count('"') % 2 == 0:
-                if text != "\n":
-                    yield start, split(text)
-                start, text = 0, ""
-        if text:
-            yield start, split(text)
-
-    def split(text):
-        return np.loadtxt([text], dtype=object, ndmin=1, **fmt).tolist()
-
-    with open(path, encoding="utf-8") as fh:
-        head = list(itertools.islice(rows(fh), 2))
-    if not head:
-        raise ValueError("%s holds no CSV rows" % path if csv else
-                         "%s: no knots in the file" % path)
-    header = csv and not any(map(_is_number, head[0][1]))
-    if header and len(head) == 1:
-        raise ValueError("%s holds no CSV rows below its header" % path)
-    try:
-        return np.loadtxt(path, ndmin=2, skiprows=head[1][0] - 1 if header else 0,
-                          encoding="utf-8", **fmt)
-    except ValueError as exc:
-        width = len(head[header][1])
-        with open(path, encoding="utf-8") as fh:
-            for line, fields in itertools.islice(rows(fh), header, None):
-                if len(fields) != width:
-                    raise ValueError("%s: the row on line %d has %d fields, expected %d"
-                                     % (path, line, len(fields), width)) from None
-                for j, x in enumerate(fields, 1):
-                    if not _is_number(x):
-                        raise ValueError("%s: field %d on line %d is not a number: %r"
-                                         % (path, j, line, x)) from None
-        # no fault found where numpy found one: its own message
-        raise ValueError("%s: %s" % (path, exc)) from None
-
-
-def read_csv_matrix(path):
-    """Numeric CSV as a 2-d array (:func:`_read_numbers`)."""
-    return _read_numbers(path, csv=True)
+# functional-data CSVs
 
 
 def read_fdata_csv(path):
@@ -299,53 +225,3 @@ def read_fdata_csv(path):
     if body.shape[1] < 2:
         raise ValueError("need an argument column plus at least one sample")
     return FunctionalDataMatrix(body[:, 0], body[:, 1:])
-
-
-_CSV_CHUNK_ROWS = 4096
-
-
-def _cells(col):
-    """One string per row of a column chunk: the entries of a float array
-    exactly as ``float.__repr__`` writes them (shortest round trip, ``nan``
-    and ``inf`` for non-finite ones), rendered by the archive's float
-    renderer (:func:`~splinet.archive._float_texts`: orjson and three byte
-    rewrites); of an integer array through ``str``; of an object array of
-    strings as they are.  The fields of a row of a 2-d array are comma
-    joined."""
-    if col.dtype.kind == "f":
-        return _float_texts(col[:, None] if col.ndim == 1 else col)
-    toks = col.ravel().tolist()
-    if col.dtype != object:
-        toks = list(map(str, toks))
-    if col.ndim == 1:
-        return toks
-    c = col.shape[1]
-    return [",".join(toks[i * c:(i + 1) * c]) for i in range(col.shape[0])]
-
-
-def _write_csv(path, header, nrows, columns):
-    """Write ``header`` and ``nrows`` rows as ``csv.writer`` writes fields
-    that need no quoting: comma separated, ``\\r\\n`` line ends.
-
-    ``columns(rows)`` gives the table's columns at the row indices ``rows``
-    (an integer array): number arrays or object arrays of strings, a 2-d
-    one giving one field per column (see :func:`_cells`).  It is asked for
-    ``_CSV_CHUNK_ROWS`` rows at a time, and each chunk is rendered, joined
-    and written before the next, so neither the text of a long CSV nor its
-    tokens are ever held whole."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, nrows, _CSV_CHUNK_ROWS):
-            rows = np.arange(lo, min(lo + _CSV_CHUNK_ROWS, nrows))
-            lines = map(",".join, zip(*map(_cells, columns(rows))))
-            fh.write("\r\n".join(lines) + "\r\n")
-
-
-def _write_matrix_csv(path, prefix, matrix):
-    """A 2-d float array under the header ``prefix1,prefix2,...``."""
-    _write_csv(path, ["%s%d" % (prefix, j + 1) for j in range(matrix.shape[1])],
-               matrix.shape[0], lambda rows: [matrix[rows]])
-
-
-def write_coeff_csv(path, coeff):
-    _write_matrix_csv(path, "c", np.atleast_2d(_reals(coeff, "coeff", 2)))

@@ -46,7 +46,7 @@ import numpy as np
 import splinet as sp
 from splinet.bases import BASIS_TYPES
 from splinet.cli import main
-from splinet.project import _CSV_CHUNK_ROWS
+from splinet.archive import _CSV_CHUNK_CELLS
 
 
 def write_inputs(d):
@@ -126,7 +126,7 @@ def eval_matches_csv_module(d):
     w.writerows((repr(g), j, repr(v))
                 for j, col in enumerate(vals.T.tolist()) for g, v in zip(grid.tolist(), col))
     with open(os.path.join(d, "draws.eval.csv"), "rb") as fh:
-        return vals.size > 3 * _CSV_CHUNK_ROWS and fh.read() == ref.getvalue().encode("utf-8")
+        return vals.size > _CSV_CHUNK_CELLS and fh.read() == ref.getvalue().encode("utf-8")
 
 
 def fpca_at_rank(d):

@@ -652,18 +652,36 @@ def test_writer_peak_memory_without_repeats(tmp_path):
     assert peak <= 0.5 * fam.rows.nbytes
 
 
+def test_wide_csv_peak_memory(tmp_path):
+    """A CSV is written a chunk of cells at a time, however wide its rows:
+    the peak for a 1000 x 1000 matrix stays within the matrix's own 8 MB
+    (as one chunk of all 1000 rows it was 80.9 MB)."""
+    m = np.random.default_rng(0).standard_normal((1000, 1000))
+    tracemalloc.start()
+    try:
+        sp.write_coeff_csv(tmp_path / "m.csv", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= m.nbytes
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(st.integers(0, 6), st.sampled_from([4095, 4096, 4097, 8193])),
+@given(st.one_of(st.integers(0, 6), st.sampled_from([2458, 4095, 4096, 4097, 8193, 12289])),
        st.integers(0, 5), st.lists(_REALS, min_size=1, max_size=30))
 @example(4097, 0, [0.0])
+@example(12289, 1, [0.5, -0.0])
+@example(2458, 5, [np.inf, 1e-5])
 @example(8193, 0, [0.0])
 @example(4095, 3, [1.5, -0.0, np.nan, np.inf])
 @example(4096, 5, [0.1, -1e300, 5e-324])
 @example(4097, 1, [-np.inf, 2.0])
 @example(8193, 2, [0.0, -2.5, 1e22])
 def test_csv_writer_matches_csv_module(tmp_path_factory, rows, cols, values):
-    # the values repeat through the matrix; the row counts around
-    # _CSV_CHUNK_ROWS = 4096 put rows on both sides of the chunk edges
+    # the values repeat through the matrix; a chunk holds
+    # _CSV_CHUNK_CELLS // cols rows (4096 at three columns, 2457 at five,
+    # 12288 at one or none), and the row counts above put rows on both
+    # sides of its edges
     m = np.resize(np.array(values, dtype=float), (rows, cols))
     path = tmp_path_factory.mktemp("csv") / "c.csv"
     sp.write_coeff_csv(path, m)

@@ -9,7 +9,7 @@ import pytest
 
 import splinet as sp
 from splinet.cli import main
-from splinet.project import _CSV_CHUNK_ROWS
+from splinet.archive import _CSV_CHUNK_CELLS
 
 import oracles
 
@@ -248,6 +248,11 @@ _KNOT_FAULTS = [
     ("# knots\n0 0.5\n\n\uff11 2\n", "field 1 on line 4 is not a number: '\uff11'"),
     ("0 0.5  # two\n0.7 0.8 0.9\n", "the row on line 2 has 3 fields, expected 2"),
     ("0\n0.5\n1 # 2 x\n1e\n", "field 1 on line 4 is not a number: '1e'"),
+    # a 0xff byte (written through surrogateescape), in the first two rows and
+    # past the first 8192 bytes, where np.loadtxt meets it
+    ("0 0.\udcff5\n", "not UTF-8 text: invalid start byte"),
+    pytest.param("0\n" * 5000 + "0.\udcff5\n", "not UTF-8 text: invalid start byte",
+                 id="0xff-past-8192-bytes"),
 ]
 #: a two-column CSV's faults below its header ``arg,s1`` on line 1
 _CSV_FAULTS = [
@@ -261,13 +266,16 @@ _CSV_FAULTS = [
     ('"1\n",2\n3,x\n', "field 2 on line 4 is not a number: 'x'"),
     # a quote left open runs to the end of the file, one field from line 3
     ('0,1\n"0.5\n,2\n', "the row on line 3 has 1 fields, expected 2"),
+    ("0,\udcff1\n", "not UTF-8 text: invalid start byte"),
+    pytest.param("0,1\n" * 3000 + "0.5,\udcff\n", "not UTF-8 text: invalid start byte",
+                 id="0xff-past-8192-bytes"),
 ]
 
 
 @pytest.mark.parametrize("text, says", _KNOT_FAULTS)
 def test_knot_file_fault_named(tmp_path, capsys, text, says):
     kf = tmp_path / "k.txt"
-    kf.write_text(text, encoding="utf-8")
+    kf.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(["basis", "--knots", str(kf), "-k", "1", "-o", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == "error: %s: %s\n" % (kf, says)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.txt"]
@@ -283,7 +291,7 @@ def test_csv_fault_named(tmp_path, capsys, command, text, says):
     mp = str(tmp_path / "mean.json")
     sp.save_archive(mp, oracles.random_valid_family(np.random.default_rng(6), 10, 2))
     path = tmp_path / "in.csv"
-    path.write_text("arg,s1\n" + text, encoding="utf-8")
+    path.write_bytes(("arg,s1\n" + text).encode("utf-8", "surrogateescape"))
     out = str(tmp_path / "out")
     argv = {"project": ["project", "-i", str(path), "--equid", "0", "1", "7", "-k", "2"],
             "fpca": ["fpca", "--coeff", str(path), "--basis", b + ".os.json"],
@@ -325,7 +333,7 @@ def test_eval_csv_bytes_match_csv_module(tmp_path):
     """``eval`` writes what ``csv.writer`` writes for the same values, at
     every derivative and on both sides of every chunk edge (a grid has at
     least 3 points, so a 1-row table is the writer test's case)."""
-    assert _CSV_CHUNK_ROWS == 4096  # the row counts above sit on its edges
+    assert _CSV_CHUNK_CELLS // 3 == 4096  # the row counts above sit on its edges
     arch, ev = tmp_path / "fam.json", tmp_path / "vals.csv"
     for n_int, k, density, count, rows in _EVAL_TABLES:
         knots = sp.equidistant_knots(0.0, 1.0, n_int)
@@ -370,7 +378,7 @@ def test_eval_memory_is_archive_plus_values(tmp_path, count):
     values_bytes = 288 * count * 8  # 288 grid points
     # a row of a chunk: three tokens and their list slots, its line and its
     # share of the chunk's text, well under 300 bytes
-    chunk_bytes = _CSV_CHUNK_ROWS * 300
+    chunk_bytes = _CSV_CHUNK_CELLS // 3 * 300
     assert peak - load_peak <= values_bytes + chunk_bytes
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import splinet as sp
 import splinet.bases
 import splinet.project
+from splinet import archive
 
 import oracles
 
@@ -402,6 +403,15 @@ def test_kl_reconstruct_errors_name_d_and_range():
 # CSV helpers
 
 
+def test_public_csv_names_come_from_archive():
+    # the CSV reader and writer live in archive; splinet and splinet.project
+    # hand out the same objects
+    for name in ("read_csv_matrix", "write_coeff_csv"):
+        assert getattr(splinet.project, name) is getattr(archive, name)
+    assert sp.write_coeff_csv is archive.write_coeff_csv
+    assert sp.read_fdata_csv is splinet.project.read_fdata_csv
+
+
 def test_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     coeff = rng.standard_normal((3, 4))
@@ -431,7 +441,7 @@ def test_written_headers_read_as_headers(tmp_path):
     sp.write_coeff_csv(path, np.ones((2, 3)))
     assert read(path).shape == (2, 3)
     for header in (["arg", "member", "value"], ["component", "eigenvalue"]):
-        splinet.project._write_csv(path, header, 4, lambda rows: [rows + 0.5] * len(header))
+        archive._write_csv(path, header, 4, lambda rows: [rows + 0.5] * len(header))
         assert path.read_text().splitlines()[0] == ",".join(header)
         assert np.array_equal(read(path), np.repeat(np.arange(4)[:, None] + 0.5, len(header), 1))
 
@@ -457,7 +467,7 @@ def _numpy_reads(field):
 def test_is_number_is_numpy_parser(field):
     # a field the reader calls a number is one np.loadtxt reads, and no
     # other, so a file it rejects always has a field or a row to name
-    assert splinet.project._is_number(field) == _numpy_reads(field)
+    assert archive._is_number(field) == _numpy_reads(field)
 
 
 @st.composite
