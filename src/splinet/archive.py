@@ -370,16 +370,20 @@ def load_archive(path):
     """Returns ``(family, net-or-None)``, the net as its levels; the family is
     one-sided, as every family in memory is.
 
-    The file is parsed by :func:`_read_json`.  The cyclic garbage collector
-    is paused while it parses and the fields are read, and restored after:
-    the parse makes a list per Taylor row, the reading a pair per member,
-    neither makes cycles, and each collection they would trigger walks every
-    row list."""
+    The file is parsed by :func:`_read_json`.  A file that does not parse or
+    does not hold a family is refused by a ``ValueError`` naming it, ``PATH:``
+    before the parser's or :func:`family_from_dict`'s message.  The cyclic
+    garbage collector is paused while it parses and the fields are read, and
+    restored after: the parse makes a list per Taylor row, the reading a pair
+    per member, neither makes cycles, and each collection they would trigger
+    walks every row list."""
     with _GC_LOCK:
         paused = gc.isenabled()
         gc.disable()
     try:
         return family_from_dict(_read_json(path))
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
     finally:
         if paused:
             with _GC_LOCK:

@@ -21,17 +21,18 @@ plain tuple of its levels, each level a tuple of index tuples, and
 
 All three read H only through its band (B-splines i and j overlap iff
 ``|i - j| <= k``), form no d x d array and take every column from the
-banded Cholesky factorization that also tests H for positive definiteness:
-kernel 1 builds ``gsob``'s P = L^{-T}, H = L L', whose columns are also
-``twob``'s outer ones (on H and on H reversed); kernel 2 gives a group G
+banded Cholesky factorization that also tests H for positive definiteness.
+Kernel 1 builds P = L^{-T}, H = L L': ``gsob``'s on H, and ``twob``'s on H
+in the folded order 0, d-1, 1, d-2, ..., which makes each pair consecutive;
+the few pairs that L couples, in the middle, then take a 2 x 2 symmetric
+step.  Kernel 2 serves the dyadic levels: it gives a group G
 orthonormalized after the indices S (G among them) as Z Z_GG^{-1/2},
-Z = H_S^{-1} E_G, in one banded solve for all groups that H_S does not
-couple: a dyadic level's tuples, or ``twob``'s one middle pair.  The entries
-of both decay exponentially away from the diagonal (Demko, Moss & Smith,
-1984, *Decay rates for inverses of band matrices*), so every column keeps
-the rows from its first to its last entry above ``P_WORKING_TRIM`` of its
-largest.  P is held in compressed-sparse-column numpy arrays
-(:class:`TransformMatrix`).
+Z = H_S^{-1} E_G, in one banded solve for all of a level's tuples, which
+H_S does not couple.  The entries of both decay exponentially away from
+the diagonal (Demko, Moss & Smith, 1984, *Decay rates for inverses of band
+matrices*), so each column is cut where its entries fall below
+``P_WORKING_TRIM`` of its largest.  P is held in compressed-sparse-column
+numpy arrays (:class:`TransformMatrix`).
 
 H is read once into its lower band, and that band decides the dyadic path:
 when the net is complete and every band diagonal is constant (H is
@@ -186,9 +187,12 @@ def _truncate(tr):
     pt = tr.pt
     mag = np.abs(pt.data)
     keep = (mag >= P_TRUNCATION * mag.max(initial=0.0)) & (mag > 0)
-    cols = pt.rows()[keep]
-    out = _Csr.from_sorted(cols, pt.indices[keep], pt.data[keep], pt.shape)
-    return TransformMatrix(out)
+    del mag
+    kept = np.concatenate([[0], keep])
+    np.cumsum(kept, out=kept)
+    indptr = kept[pt.indptr]
+    del kept
+    return TransformMatrix(_Csr(indptr, pt.indices[keep], pt.data[keep], pt.shape))
 
 
 #: rows of H per dense block of the banded Cholesky factorization
@@ -298,12 +302,23 @@ def _check_spd(h):
     return ab
 
 
+#: diagonals of P kernel 1 first makes room for, per diagonal of H's band;
+#: the array doubles in place when the decay takes more (B-spline Gram
+#: matrices take 15 to 20)
+_DECAY_ROWS = 24
+
+
 def _inverse_cholesky(ab):
-    """Kernel 1: the :func:`_trimmed` columns of P = L^{-T}, H = L L' given
-    by its lower band ``ab``, one diagonal at a time over all columns.  Row
-    c of L^{-1} L = I gives ``P[c-u, c]`` from the w diagonals before it;
-    stops once w diagonals in a row lie below ``P_WORKING_TRIM`` of every
-    column's largest entry."""
+    """Kernel 1: P = L^{-T}, H = L L' given by its lower band ``ab``, one
+    diagonal at a time over all columns.  Row c of L^{-1} L = I gives
+    ``P[c-u, c]`` from the w diagonals before it; stops once w diagonals in a
+    row lie below ``P_WORKING_TRIM`` of every column's largest entry.
+
+    Returns ``(a, far)``: ``a[u, c] = P[c-u, c]`` in one array, grown in
+    place, whose last row, read as ``a[-1]``, holds the zeros ``P[c+1, c]``
+    below the diagonal; ``far[p, c]`` the last u = p (mod 2) whose entry is
+    above ``P_WORKING_TRIM`` of the column's largest, -2 if none.
+    """
     w, d = ab.shape[0] - 1, ab.shape[1]
     low, e = np.zeros_like(ab), 0  # low[v, i] = L[i + v, i]
     for f, lead in _cholesky_banded(ab):
@@ -311,17 +326,51 @@ def _inverse_cholesky(ab):
         for v in range(min(w, f.shape[0] - 1) + 1):
             j = max(lead - v, 0)
             low[v, s - lead + j : e - v] = f.reshape(-1)[v * f.shape[0] :: f.shape[0] + 1][j:]
-    diags = [1.0 / low[0]]
-    top, small = np.abs(diags[0]), 0
-    for u in range(1, d if w else 1):
-        acc = sum(diags[u - v][u:] * low[v, : d - u] for v in range(1, min(u, w) + 1))
-        diags.append(np.concatenate([np.zeros(u), -acc / low[0, : d - u]]))
-        top = np.maximum(top, np.abs(diags[-1]))
-        small = small + 1 if np.all(np.abs(diags[-1]) <= P_WORKING_TRIM * top) else 0
-        if small == w:
-            break
-    c = np.arange(d)
-    return _trimmed(np.stack(diags[::-1], axis=1)[None], c[None], c - len(diags) + 1)
+    a = np.zeros((min(d, _DECAY_ROWS * (w + 1)) + 1, d))
+    a[0] = 1.0 / low[0]
+    top, far = np.abs(a[0]), np.full((2, d), -2)
+    far[0] = 0
+    u, small = 1, 0
+    while u < d and small < w:
+        if u == a.shape[0] - 1:  # no view of a outlives the move
+            a.resize((min(2 * u, d) + 1, d), refcheck=False)
+        acc = sum(a[u - v, u:] * low[v, : d - u] for v in range(1, min(u, w) + 1))
+        np.divide(-acc, low[0, : d - u], out=a[u, u:])
+        mag = np.abs(a[u, u:])
+        np.maximum(top[u:], mag, out=top[u:])
+        above = mag > P_WORKING_TRIM * top[u:]
+        far[u % 2, u:][above] = u
+        small = 0 if above.any() else small + 1
+        u += 1
+    a.resize((u + 1, d), refcheck=False)
+    return a, far
+
+
+def _runs(a, start, step, row0, length):
+    """P as a :class:`TransformMatrix` from runs of kernel 1's ``a``, given
+    as ``(d, r)`` arrays: column j is its r runs in turn, run ``[j, i]`` the
+    ``length`` entries ``a.flat[start + step * t]`` on rows ``row0 + t``.
+    ``a`` is emptied in place once read, so that P's rows take its room."""
+    d = length.shape[0]
+    step = np.broadcast_to(step, length.shape).reshape(-1)
+    start, row0, length = start.reshape(-1), row0.reshape(-1), length.reshape(-1)
+    flat = _ranges(np.zeros_like(length), length)
+    flat *= np.repeat(step, length)
+    flat += np.repeat(start, length)
+    data = a.reshape(-1)[flat]
+    del flat
+    a.resize(0, refcheck=False)
+    indptr = np.concatenate([[0], np.cumsum(length.reshape(d, -1).sum(axis=1))])
+    return TransformMatrix(_Csr(indptr, _ranges(row0, length), data, (d, d)))
+
+
+def _inv_sqrt(g):
+    """``g^{-1/2}`` of every symmetric block of ``g`` by ``eigh``; raises
+    ``ValueError`` unless each is positive definite."""
+    eig, vec = np.linalg.eigh(g)
+    if eig[:, 0].min() <= 0:
+        raise ValueError("tuple gram block is not positive definite")
+    return (vec / np.sqrt(eig)[:, None, :]) @ vec.swapaxes(1, 2)
 
 
 def _grouped_solve(ab, seen, groups):
@@ -331,10 +380,9 @@ def _grouped_solve(ab, seen, groups):
     splits into runs of seen indices more than w apart; a group's rows are
     the runs it lies in.  No two groups may share a run, so that one banded
     solve against the summed E_G and one batched ``eigh`` serve them all.
-    That holds for ``twob``, which passes one group, and for a dyadic
-    level's tuples: between two of them lies an unseen full tuple of
-    ``max(k, 1) >= w`` indices (:func:`diagonalize_gram` refuses a narrower
-    one), so they lie more than w apart."""
+    That holds for a dyadic level's tuples: between two of them lies an
+    unseen full tuple of ``max(k, 1) >= w`` indices (:func:`diagonalize_gram`
+    refuses a narrower one), so they lie more than w apart."""
     w = ab.shape[0] - 1
     at = np.flatnonzero(seen)
     cut = np.flatnonzero(np.diff(at) > w) + 1
@@ -353,13 +401,10 @@ def _grouped_solve(ab, seen, groups):
     x = _cho_solve_banded(_cholesky_banded(band), rhs)
     zgg = np.where(valid[:, :, None] & valid[:, None, :], x[np.maximum(groups - r0, 0)],
                    np.eye(groups.shape[1]))
-    eig, vec = np.linalg.eigh(zgg)
-    if eig[:, 0].min() <= 0:
-        raise ValueError("tuple gram block is not positive definite")
     rows = lo[:, None] + np.arange((hi - lo).max() + 1)
     xs = x[np.minimum(rows, r1) - r0]
     xs[rows > hi[:, None]] = 0.0
-    y = (vec / np.sqrt(eig)[:, None, :]) @ vec.swapaxes(1, 2) @ xs.swapaxes(1, 2)
+    y = _inv_sqrt(zgg) @ xs.swapaxes(1, 2)
     return _trimmed(y, groups, lo[:, None])
 
 
@@ -390,29 +435,64 @@ def _assemble(d, parts):
 
 
 def _gsob(ab):
-    return _assemble(ab.shape[1], [_inverse_cholesky(ab)])
+    a, far = _inverse_cholesky(ab)
+    d = ab.shape[1]
+    c, length = np.arange(d), far.max(axis=0) + 1
+    return _runs(a, (length - 1) * d + c, -d, c - length + 1, length)
 
 
 def _twob(ab):
-    """Pairs ``(i, d-1-i)`` from both ends inward.  While a pair is more than
-    w apart, the indices seen so far form two runs that H does not couple:
-    its left column is column i of L^{-T}, its right one column i of the
-    same factor of the reversed band, read backwards.  Each later pair (or
-    the centre index) takes one grouped solve."""
+    """Pairs ``(j, d-1-j)`` from both ends inward: ``gsob`` in the folded
+    order f = 0, d-1, 1, d-2, ..., each pair then orthonormalized by the
+    symmetric step.  In that order H is banded within 2w, and with H = L L'
+    pair G's columns are ``L^{-T}[:, G] L_GG' (L_GG L_GG')^{-1/2}``.  As
+    P_GG = L_GG^{-T}, that is ``P_G P_GG' (P_GG P_GG')^{-1/2}``, and only the
+    pairs that L couples, a few in the middle, change.
+
+    Unfolded, a column's rows at even folded positions are the indices below
+    the middle, ascending as u falls, and those at odd positions the ones
+    above it, ascending as u rises: two runs of rows per column."""
     w, d = ab.shape[0] - 1, ab.shape[1]
-    m = max(0, (d - w) // 2)
-    parts, seen = [], np.zeros(d, dtype=bool)
-    if m:
-        rev = np.array([np.roll(row[::-1], -u) for u, row in enumerate(ab)])
-        cols, data, length, row = _inverse_cholesky(rev[:, :m])
-        parts += [_inverse_cholesky(ab[:, :m]),
-                  (d - 1 - cols[::-1], data[::-1], length[::-1], (d - row - length)[::-1])]
-        seen[:m] = seen[d - m :] = True
-    for i in range(m, (d + 1) // 2):
-        group = np.array([sorted({i, d - 1 - i})])
-        seen[group] = True
-        parts.append(_grouped_solve(ab, seen, group))
-    return _assemble(d, parts)
+    f = np.empty(d, dtype=np.int64)
+    f[0::2], f[1::2] = np.arange((d + 1) // 2), np.arange(d - 1, (d - 1) // 2, -1)
+    band = np.zeros((min(2 * w, d - 1) + 1, d))  # band[t, q] = H[f[q+t], f[q]]
+    for t, row in enumerate(band):
+        off = f[t:] - f[: d - t]
+        near = np.flatnonzero(np.abs(off) <= w)
+        row[near] = ab[np.abs(off[near]), np.minimum(f[t:], f[: d - t])[near]]
+    a, far = _inverse_cholesky(band)
+
+    # the coupled pairs (2j, 2j+1): P[2j, 2j+1] = -L[2j+1, 2j] / (L_aa L_bb)
+    g = np.arange(0, d - 1, 2)
+    g = g[a[1, g + 1] != 0]
+    if g.size:
+        pgg = np.zeros((g.size, 2, 2))
+        pgg[:, 0, 0], pgg[:, 0, 1], pgg[:, 1, 1] = a[0, g], a[1, g + 1], a[0, g + 1]
+        m = pgg.swapaxes(1, 2) @ _inv_sqrt(pgg @ pgg.swapaxes(1, 2))
+        # both columns on the rows 2j+1-u, u = 0..len(a)-1: the left one's
+        # row 2j+1 is its a[-1]
+        pa, pb = np.roll(a[:, g], 1, axis=0), a[:, g + 1]
+        a[:, g] = np.roll(pa * m[:, 0, 0] + pb * m[:, 1, 0], -1, axis=0)
+        a[:-1, g + 1] = (pa * m[:, 0, 1] + pb * m[:, 1, 1])[:-1]
+        # each column now reaches as far as either did, one row shifted
+        fa, fb = far[:, g], far[:, g + 1]
+        far[:, g] = np.maximum(fa, fb[::-1] - 1)
+        far[:, g + 1] = np.maximum(fb, np.minimum(fa[::-1] + 1, len(a) - 2))
+
+    # each index's column in row order: the rows below the middle, at u =
+    # odd, odd + 2, ... read downward, then those above it, at u = 1 - odd,
+    # 3 - odd, ... (from -1 for a coupled pair's left column) read upward,
+    # odd the parity of the column's folded position
+    c = np.empty(d, dtype=np.int64)
+    c[f] = np.arange(d)
+    odd = c % 2
+    hi0 = 1 - odd
+    hi0[f[g]] = -1
+    n_lo = np.maximum((far[odd, c] - odd) // 2 + 1, 0)
+    n_hi = np.maximum((far[1 - odd, c] - hi0) // 2 + 1, 0)
+    start = np.stack([(odd + 2 * n_lo - 2) * d + c, hi0 * d + c], axis=1)
+    row0 = np.stack([c // 2 - n_lo + 1, d - 1 - c // 2 + (hi0 + 1 - odd) // 2], axis=1)
+    return _runs(a, start, [-2 * d, 2 * d], row0, np.stack([n_lo, n_hi], axis=1))
 
 
 def _dyadic(ab, net, toeplitz=False):
@@ -439,14 +519,14 @@ def diagonalize_gram(h, method="dyadic", k=None):
 
     ``h`` may be dense, ``scipy.sparse`` or the numpy container that
     :func:`~splinet.calculus.gramian` builds.  It is read once into its lower
-    band.  ``gsob`` and ``twob``'s outer pairs take the inverse Cholesky
-    factor (kernel 1); ``twob``'s middle pairs and each dyadic level take one
-    grouped banded solve (kernel 2).  ``dyadic`` needs the order ``k`` and
-    lays out the net ``net_layout(d + k - 1, k)``; it refuses a ``k`` whose
-    tuples, ``max(k, 1)`` indices, are narrower than H's band.  One tuple
-    per level is solved and translated to the others when the net is
-    complete and every band diagonal is constant to ``TOEPLITZ_TOL`` of the
-    band's largest entry.
+    band.  ``gsob`` and ``twob`` take the inverse Cholesky factor (kernel
+    1), ``twob``'s on the band folded to the order 0, d-1, 1, d-2, ...; each
+    dyadic level takes one grouped banded solve (kernel 2).  ``dyadic`` needs
+    the order ``k`` and lays out the net ``net_layout(d + k - 1, k)``; it
+    refuses a ``k`` whose tuples, ``max(k, 1)`` indices, are narrower than
+    H's band.  One tuple per level is solved and translated to the others
+    when the net is complete and every band diagonal is constant to
+    ``TOEPLITZ_TOL`` of the band's largest entry.
     """
     ab = _check_spd(h)
     if method == "gsob":
@@ -488,7 +568,8 @@ def splinet(knots, k, type="spnt", normalize=False):
     ``gsob`` and ``twob`` for the one- and two-sided schemes, ``bs`` for the
     plain basis only.  P comes from :func:`diagonalize_gram`'s two kernels
     on the Gram matrix's band: the inverse Cholesky factor for ``gsob`` and
-    ``twob``'s outer pairs, grouped banded solves for the rest.
+    (on the folded band) ``twob``, grouped banded solves for the dyadic
+    levels.
     """
     if type not in BASIS_TYPES:
         raise ValueError("unknown basis type %r" % (type,))

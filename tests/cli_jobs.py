@@ -210,7 +210,7 @@ def middle_entry_refused(d):
     path = os.path.join(d, "middle.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(arch, fh)
-    says = "error: malformed archive: member 4, knot %d: " % (lo + mid)
+    says = "error: %s: malformed archive: member 4, knot %d: " % (path, lo + mid)
     for argv in (["check", "-i", path], ["eval", "-i", path, "-o", path + ".csv"]):
         code, err = _exit_and_stderr(argv)
         if code != 1 or not err.startswith(says):
@@ -246,7 +246,7 @@ def float_integer_fields(d):
         json.dump(arch, fh)
     code, err = _exit_and_stderr(["check", "-i", boolean])
     return csvs[0] == csvs[1] and code == 1 and err.startswith(
-        "error: malformed archive: order entry True is not an integer")
+        "error: %s: malformed archive: order entry True is not an integer" % boolean)
 
 
 def leading_newline_archive(d):

@@ -270,9 +270,13 @@ def _outcome(load):
 
 
 def _json_load(path):
-    """The archive at ``path`` read by ``json`` from UTF-8 text alone."""
-    with open(path, encoding="utf-8") as fh:
-        return family_from_dict(json.load(fh))
+    """The archive at ``path`` read by ``json`` from UTF-8 text alone, a
+    refusal naming the file as the loader's does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return family_from_dict(json.load(fh))
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _edits():
@@ -421,8 +425,8 @@ def test_integer_past_64_bits_refused_as_float(tmp_path, field, old, new):
     path.write_text(text.replace(old, new, 1), encoding="utf-8")
     with pytest.raises(ValueError) as err:
         sp.load_archive(path)
-    assert str(err.value) == ("malformed archive: %s entry %r is not in [%d, %d]"
-                              % (field, float(_BIG), -(2**63), 2**63 - 1))
+    assert str(err.value) == ("%s: malformed archive: %s entry %r is not in [%d, %d]"
+                              % (path, field, float(_BIG), -(2**63), 2**63 - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -420,8 +420,8 @@ def test_edited_middle_entry_is_refused(tmp_path, capsys, command):
     capsys.readouterr()
     argv = [command, "-i", path] + (["-o", str(tmp_path / "e.csv")] if command == "eval" else [])
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: malformed archive: member 4, knot %d: "
-                                              % (lo + mid))
+    assert capsys.readouterr().err.startswith("error: %s: malformed archive: member 4, knot %d: "
+                                              % (path, lo + mid))
     assert not (tmp_path / "e.csv").exists()
 
 
@@ -437,7 +437,8 @@ def test_check_rejects_bad_epsilon(tmp_path, capsys, eps):
     capsys.readouterr()
     assert main(["check", "-i", path]) == 1
     captured = capsys.readouterr()
-    assert "error: malformed archive: epsilon must be finite and non-negative" in captured.err
+    assert ("error: %s: malformed archive: epsilon must be finite and non-negative" % path
+            in captured.err)
     assert "valid" not in captured.out
 
 
@@ -475,7 +476,7 @@ def test_check_malformed_archive(tmp_path, capsys, edit):
     open(path, "w").write(json.dumps(obj))
     capsys.readouterr()
     assert main(["check", "-i", path]) == 1
-    assert "error: malformed archive" in capsys.readouterr().err
+    assert "error: %s: malformed archive" % path in capsys.readouterr().err
 
 
 def test_missing_file_is_error(tmp_path, capsys):
@@ -800,6 +801,30 @@ def test_gram_command(tmp_path):
     assert main(["gram", "-i", fp, "--with", fp, "-o", out2]) == 0
     g2 = np.loadtxt(out2, delimiter=",", skiprows=1)
     assert np.allclose(g, g2, atol=1e-12)
+
+
+@pytest.mark.parametrize("command", ["gram", "fpca"])
+@pytest.mark.parametrize("fault, says", [
+    ("no_comma", "Expecting ',' delimiter: line 1 column 16 (char 15)"),
+    ("no_splines", "malformed archive: missing field 'splines'"),
+])
+def test_broken_second_input_named(tmp_path, capsys, command, fault, says):
+    """An archive read beside a good input (``gram --with``, ``fpca
+    --basis``) that does not parse, or lacks a field, exits 1 naming it."""
+    good = str(tmp_path / "b")
+    main(["basis", "--equid", "0", "1", "11", "-k", "3", "-o", good])
+    obj = json.loads(open(good + ".os.json").read())
+    del obj["splines"]
+    broken = str(tmp_path / "broken.json")
+    open(broken, "w").write({"no_comma": '{"knots": [0.0 1.0]}',
+                             "no_splines": json.dumps(obj)}[fault])
+    coeff = str(tmp_path / "c.csv")
+    np.savetxt(coeff, np.random.default_rng(3).normal(size=(4, 9)), delimiter=",")
+    argv = {"gram": ["gram", "-i", good + ".os.json", "--with", broken, "-o", str(tmp_path / "g")],
+            "fpca": ["fpca", "--coeff", coeff, "--basis", broken, "-o", str(tmp_path / "f")]}
+    capsys.readouterr()
+    assert main(argv[command]) == 1
+    assert capsys.readouterr().err == "error: %s: %s\n" % (broken, says)
 
 
 def _assert_splinet_script(dist):
