@@ -19,25 +19,19 @@ The net is fixed by d and k alone: :func:`net_layout` returns it as the
 plain tuple of its levels, each level a tuple of index tuples, and
 ``diagonalize_gram(h, "dyadic", k)`` lays it out itself.
 
-All three read H only through its band (B-splines i and j overlap iff
-``|i - j| <= k``), form no d x d array and take every column from the
-banded Cholesky factorization that also tests H for positive definiteness.
-Kernel 1 builds P = L^{-T}, H = L L': ``gsob``'s on H, and ``twob``'s on H
-in the folded order 0, d-1, 1, d-2, ..., which makes each pair consecutive;
-the few pairs that L couples, in the middle, then take a 2 x 2 symmetric
-step.  Kernel 2 serves the dyadic levels: it gives a group G
-orthonormalized after the indices S (G among them) as Z Z_GG^{-1/2},
-Z = H_S^{-1} E_G, in one banded solve for all of a level's tuples, which
-H_S does not couple.  The entries of both decay exponentially away from
-the diagonal (Demko, Moss & Smith, 1984, *Decay rates for inverses of band
-matrices*), so each column is cut where its entries fall below
-``P_WORKING_TRIM`` of its largest.  P is held in compressed-sparse-column
-numpy arrays (:class:`TransformMatrix`).
-
-H is read once into its lower band, and that band decides the dyadic path:
-when the net is complete and every band diagonal is constant (H is
-Toeplitz, as on equidistant knots), one tuple per level is computed and the
-rest are obtained by shifting rows and columns.
+All three read H once into its lower band (B-splines i and j overlap iff
+``|i - j| <= k``), whose banded Cholesky factorization tests it for
+positive definiteness, and form no d x d array.  Kernel 1 builds
+P = L^{-T}, H = L L': ``gsob``'s on H, and ``twob``'s on H in the folded
+order 0, d-1, 1, d-2, ..., which makes each pair consecutive; the few pairs
+that L couples, in the middle, then take a 2 x 2 symmetric step.  Kernel 2
+is the dyadic levels as block cyclic reduction (Hockney 1965; Buzbee,
+Golub & Nielson 1970): H is block tridiagonal over tuples, and each level
+eliminates every other live tuple in one batched step.  The entries of
+both decay exponentially away from the diagonal (Demko, Moss & Smith, 1984,
+*Decay rates for inverses of band matrices*), so each column is cut where
+its entries fall below ``P_WORKING_TRIM`` of its largest.  P is held in
+compressed-sparse-column numpy arrays (:class:`TransformMatrix`).
 """
 
 from __future__ import annotations
@@ -56,10 +50,6 @@ P_TRUNCATION = 1e-11
 #: a finished column of P keeps the rows from its first to its last entry
 #: above this fraction of its largest, far below ``P_TRUNCATION``
 P_WORKING_TRIM = 1e-17
-
-#: largest spread of a band diagonal of H, relative to the band's largest
-#: entry, for which the dyadic scheme treats H as Toeplitz
-TOEPLITZ_TOL = 1e-10
 
 #: the ``type`` values of :func:`splinet`
 BASIS_TYPES = ("spnt", "dspnt", "gsob", "twob", "bs")
@@ -218,23 +208,23 @@ def _band_block(ab, s, e):
     return out
 
 
-def _cholesky_banded(ab, shift=0.0):
+def _cholesky_blocks(ab, shift=0.0):
     """Lower Cholesky factor of H - shift*I, H given by its lower band ``ab``
-    of width w.
+    of width w, one block at a time.
 
     H is factored in dense blocks of ``_CHOLESKY_BLOCK`` rows (at least w).  A
     block's rows meet earlier rows only in the w rows just before it, and
     all that those w rows carry from the rows before them is their Schur
     complement S.  So each block is factored together with those w rows,
     S in place of their own entries, and the trailing w x w of its factor,
-    T, gives the next block's S = T T'.  Returns ``(factor, lead)`` per block,
+    T, gives the next block's S = T T'.  Yields ``(factor, lead)`` per block,
     the first ``lead`` rows and columns of the factor those of the w rows
     before the block (none for the first).  Raises ``ValueError`` when
     H - shift*I is not positive definite.
     """
     w, d = ab.shape[0] - 1, ab.shape[1]
     size = max(_CHOLESKY_BLOCK, w)
-    factors, carry = [], np.zeros((0, 0))
+    carry = np.zeros((0, 0))
     for s in range(0, d, size):
         e = min(s + size, d)
         lead = carry.shape[0]
@@ -246,10 +236,14 @@ def _cholesky_banded(ab, shift=0.0):
             low = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             raise ValueError("gram matrix is not positive definite") from None
-        factors.append((low, lead))
+        yield low, lead
         tail = low[n - w :, n - w :]
         carry = tail @ tail.T
-    return factors
+
+
+def _cholesky_banded(ab, shift=0.0):
+    """:func:`_cholesky_blocks`'s blocks as a list."""
+    return list(_cholesky_blocks(ab, shift))
 
 
 def _cho_solve_banded(factors, b):
@@ -298,7 +292,8 @@ def _check_spd(h):
         if float(np.abs(asym).max()) > GRAM_SYMMETRY_TOL * float(np.abs(h.data).max()):
             raise ValueError("gram matrix must be symmetric")
         ab -= 0.5 * asym
-    _cholesky_banded(ab, SPD_SHIFT * ab[0].sum())
+    for _ in _cholesky_blocks(ab, SPD_SHIFT * ab[0].sum()):
+        pass  # each block is dropped once factored
     return ab
 
 
@@ -321,7 +316,7 @@ def _inverse_cholesky(ab):
     """
     w, d = ab.shape[0] - 1, ab.shape[1]
     low, e = np.zeros_like(ab), 0  # low[v, i] = L[i + v, i]
-    for f, lead in _cholesky_banded(ab):
+    for f, lead in _cholesky_blocks(ab):
         s, e = e, e + f.shape[0] - lead
         for v in range(min(w, f.shape[0] - 1) + 1):
             j = max(lead - v, 0)
@@ -373,41 +368,6 @@ def _inv_sqrt(g):
     return (vec / np.sqrt(eig)[:, None, :]) @ vec.swapaxes(1, 2)
 
 
-def _grouped_solve(ab, seen, groups):
-    """Kernel 2: the :func:`_trimmed` columns Z Z_GG^{-1/2}, Z = H_S^{-1} E_G,
-    of every group G, a row of ``groups`` (padded with -1), S the ``seen``
-    indices.  With the unseen ones decoupled in a copy of the band, H_S
-    splits into runs of seen indices more than w apart; a group's rows are
-    the runs it lies in.  No two groups may share a run, so that one banded
-    solve against the summed E_G and one batched ``eigh`` serve them all.
-    That holds for a dyadic level's tuples: between two of them lies an
-    unseen full tuple of ``max(k, 1) >= w`` indices (:func:`diagonalize_gram`
-    refuses a narrower one), so they lie more than w apart."""
-    w = ab.shape[0] - 1
-    at = np.flatnonzero(seen)
-    cut = np.flatnonzero(np.diff(at) > w) + 1
-    head, tail = at[np.concatenate([[0], cut])], at[np.concatenate([cut, [at.size]]) - 1]
-    lo = head[np.searchsorted(head, groups[:, 0], "right") - 1]
-    hi = tail[np.searchsorted(head, groups.max(axis=1), "right") - 1]
-    r0, r1 = lo.min(), hi.max()
-    band, hide = ab[:, r0 : r1 + 1].copy(), ~seen[r0 : r1 + 1]
-    band[0, hide] = 1.0
-    for u in range(1, w + 1):
-        band[u, hide] = 0.0  # H[i+u, i]
-        band[u, np.flatnonzero(hide[u:])] = 0.0  # H[i, i-u]
-    valid = groups >= 0
-    rhs = np.zeros((hide.size, groups.shape[1]))
-    rhs[groups[valid] - r0, np.nonzero(valid)[1]] = 1.0
-    x = _cho_solve_banded(_cholesky_banded(band), rhs)
-    zgg = np.where(valid[:, :, None] & valid[:, None, :], x[np.maximum(groups - r0, 0)],
-                   np.eye(groups.shape[1]))
-    rows = lo[:, None] + np.arange((hi - lo).max() + 1)
-    xs = x[np.minimum(rows, r1) - r0]
-    xs[rows > hi[:, None]] = 0.0
-    y = _inv_sqrt(zgg) @ xs.swapaxes(1, 2)
-    return _trimmed(y, groups, lo[:, None])
-
-
 def _trimmed(y, cols, row0):
     """Columns ``cols`` of P (-1 skipped), column ``cols[b, c]`` holding
     ``y[b, c]`` on ascending rows from ``row0[b, c]``, each trimmed to the
@@ -424,14 +384,19 @@ def _trimmed(y, cols, row0):
 
 
 def _assemble(d, parts):
-    """P as a :class:`TransformMatrix` from :func:`_trimmed` parts that
-    together hold each of its d columns once."""
-    cols, data, length, row = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(cols)
-    start, length = (np.cumsum(length) - length)[order], length[order]
-    pt = _Csr(np.concatenate([[0], np.cumsum(length)]), _ranges(row[order], length),
-              data[_ranges(start, length)], (d, d))
-    return TransformMatrix(pt)
+    """P as a :class:`TransformMatrix` from a list of :func:`_trimmed` parts
+    that together hold each of its d columns once.  The list is emptied as
+    the parts are moved in, so that P's arrays take their room."""
+    length = np.zeros(d, dtype=np.int64)
+    for cols, _, n, _ in parts:
+        length[cols] = n
+    indptr = np.concatenate([[0], np.cumsum(length)])
+    indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+    while parts:
+        cols, part, n, row = parts.pop()
+        at = _ranges(indptr[cols], n)
+        data[at], indices[at] = part, _ranges(row, n)
+    return TransformMatrix(_Csr(indptr, indices, data, (d, d)))
 
 
 def _gsob(ab):
@@ -495,23 +460,49 @@ def _twob(ab):
     return _runs(a, start, [-2 * d, 2 * d], row0, np.stack([n_lo, n_hi], axis=1))
 
 
-def _dyadic(ab, net, toeplitz=False):
+def _dyadic(ab, net):
     """The dyadic scheme on H's lower band ``ab`` over the levels ``net`` of
-    :func:`net_layout`, one grouped solve per level: the tuples of later
-    levels, at least w wide, keep the level's tuples in runs of their own.
-    ``toeplitz`` solves a level's first tuple alone and translates its
-    columns to the others."""
-    seen, parts = np.zeros(ab.shape[1], dtype=bool), []
-    for lv in net:
-        size, n = max(len(t) for t in lv), len(lv)
-        tuples = np.array([list(t) + [-1] * (size - len(t)) for t in lv])
-        seen[tuples[tuples >= 0]] = True
-        cols, data, length, row = _grouped_solve(ab, seen, tuples[:1] if toeplitz else tuples)
-        if toeplitz:
-            cols, data, length, row = (tuples.reshape(-1), np.tile(data, n), np.tile(length, n),
-                                       (row + tuples[:, :1] - tuples[0, 0]).reshape(-1))
-        parts.append((cols, data, length, row))
-    return _assemble(ab.shape[1], parts)
+    :func:`net_layout`, by block cyclic reduction.  Padded to 2^N - 1 tuples
+    of s indices, H is block tridiagonal over tuples, and level m's tuples
+    are every other live one.  Each is eliminated with its Schur block D_e,
+    which gives its columns, D_e^{-1/2} on e, and the multipliers
+    M_ea = -D_e^{-1} H_ea to its live neighbours a and b, which fill the
+    columns of later levels in: x_e = M_ea x_a + M_eb x_b.  A column of level
+    m lives on the 2^(m+1) - 1 tuples between two of higher levels."""
+    d, levels, s = ab.shape[1], len(net), len(net[0][0])
+    last = 2**levels  # x[t] holds tuple t-1; x[0] and x[last] stay 0
+    # dg[t] = H[tuple t, tuple t] and cp[t] = H[tuple t, tuple t-1], the
+    # indices past d decoupled with a unit diagonal; cp[0] and cp[last - 1]
+    # are the zero couplings to the tuples past either end
+    band = np.zeros((ab.shape[0], (last - 1) * s))
+    band[:, :d], band[0, d:] = ab, 1.0
+    dg, cp = np.zeros((2, last, s, s))
+    for u, row in enumerate(band.reshape(-1, last - 1, s)):
+        for b in range(s):  # H[ts + b + u, ts + b]
+            if b + u < s:
+                dg[:-1, b + u, b] = dg[:-1, b, b + u] = row[:, b]
+            else:
+                cp[1:, b + u - s, b] = row[:, b]
+    dg, below, parts = dg[:-1], [], []
+    for m in range(levels):
+        step, de = 2 ** (m + 1), dg[0::2]
+        x = np.zeros((last + 1, s, s))
+        x[step // 2 :: step] = _inv_sqrt(de)
+        for sq, lq, rq in reversed(below):
+            x[sq // 2 :: sq] = lq @ x[: -1 : sq] + rq @ x[sq::sq]
+        a = np.linalg.inv(de)
+        ml, mr = -a @ cp[0::2], -a @ cp[1::2].swapaxes(1, 2)
+        below.append((step, ml, mr))
+        dg = dg[1::2] + cp[1::2][:-1] @ mr[:-1] + cp[2::2].swapaxes(1, 2) @ ml[1:]
+        cp = cp[1::2] @ ml
+
+        # owner j's rows: the tuples between those at step * j and step * (j + 1)
+        owners = de.shape[0]
+        y = x[1:].reshape(owners, step, s, s)[:, :-1].transpose(0, 3, 1, 2)
+        cols = (step * np.arange(owners) + step // 2 - 1)[:, None] * s + np.arange(s)
+        parts.append(_trimmed(y.reshape(owners, s, -1), np.where(cols < d, cols, -1),
+                              (step * s * np.arange(owners))[:, None]))
+    return _assemble(d, parts)
 
 
 def diagonalize_gram(h, method="dyadic", k=None):
@@ -520,13 +511,11 @@ def diagonalize_gram(h, method="dyadic", k=None):
     ``h`` may be dense, ``scipy.sparse`` or the numpy container that
     :func:`~splinet.calculus.gramian` builds.  It is read once into its lower
     band.  ``gsob`` and ``twob`` take the inverse Cholesky factor (kernel
-    1), ``twob``'s on the band folded to the order 0, d-1, 1, d-2, ...; each
-    dyadic level takes one grouped banded solve (kernel 2).  ``dyadic`` needs
-    the order ``k`` and lays out the net ``net_layout(d + k - 1, k)``; it
-    refuses a ``k`` whose tuples, ``max(k, 1)`` indices, are narrower than
-    H's band.  One tuple per level is solved and translated to the others
-    when the net is complete and every band diagonal is constant to
-    ``TOEPLITZ_TOL`` of the band's largest entry.
+    1), ``twob``'s on the band folded to the order 0, d-1, 1, d-2, ...; the
+    dyadic levels are one block cyclic reduction (kernel 2).  ``dyadic``
+    needs the order ``k`` and lays out the net ``net_layout(d + k - 1, k)``;
+    it refuses a ``k`` whose tuples, ``max(k, 1)`` indices, are narrower
+    than H's band.
     """
     ab = _check_spd(h)
     if method == "gsob":
@@ -535,14 +524,11 @@ def diagonalize_gram(h, method="dyadic", k=None):
         p = _twob(ab)
     elif method == "dyadic":
         k = _integer(k, "the order k", low=0)
-        w, d, tol = ab.shape[0] - 1, ab.shape[1], TOEPLITZ_TOL * np.abs(ab).max()
+        w, d = ab.shape[0] - 1, ab.shape[1]
         if max(k, 1) < w:
             raise ValueError("order-%d tuples are narrower than the gram matrix's band, which "
                              "reaches %d entries off the diagonal" % (k, w))
-        net = net_layout(d + k - 1, k)
-        toeplitz = _net_complete(net, k) and all(
-            np.abs(row[: d - u] - row[0]).max() <= tol for u, row in enumerate(ab))
-        p = _dyadic(ab, net, toeplitz=toeplitz)
+        p = _dyadic(ab, net_layout(d + k - 1, k))
     else:
         raise ValueError("method must be one of gsob, twob, dyadic")
     return _truncate(p)
@@ -568,8 +554,8 @@ def splinet(knots, k, type="spnt", normalize=False):
     ``gsob`` and ``twob`` for the one- and two-sided schemes, ``bs`` for the
     plain basis only.  P comes from :func:`diagonalize_gram`'s two kernels
     on the Gram matrix's band: the inverse Cholesky factor for ``gsob`` and
-    (on the folded band) ``twob``, grouped banded solves for the dyadic
-    levels.
+    (on the folded band) ``twob``, block cyclic reduction over the dyadic
+    net's tuples.
     """
     if type not in BASIS_TYPES:
         raise ValueError("unknown basis type %r" % (type,))

@@ -7,7 +7,9 @@ knot intervals, and the first-row/last-row completion is re-solved as one
 dense linear system in the unknown entries, and once more in exact rational
 arithmetic.  Gram diagonalization runs on
 dense ``H`` and ``P`` with whole-group row envelopes, and ``gsob`` through a
-dense Cholesky factor.  Archives are written through ``json``'s own encoder
+dense Cholesky factor; at large d the dyadic scheme runs as one banded
+Cholesky solve per level (:func:`banded_dyadic`) rather than the library's
+block cyclic reduction.  Archives are written through ``json``'s own encoder
 as the nested dict/list tree of the stored fields.  No oracle steps a row
 with the library's Horner sweep: validity and knot refinement walk members
 row by row with the dense Taylor step matrices of :func:`taylor_step_matrix`,
@@ -32,7 +34,8 @@ import scipy.linalg
 import scipy.sparse
 
 import splinet as sp
-from splinet.bases import SPD_SHIFT
+from splinet.bases import (SPD_SHIFT, _assemble, _cho_solve_banded, _cholesky_banded,
+                           _inv_sqrt, _trimmed)
 from splinet.construct import COND_LIMIT, SingularSystemError
 from splinet.core import _ranges
 from splinet.project import EIGEN_NOISE_FLOOR, RETAIN_TOL
@@ -948,6 +951,60 @@ def lower_band(h, k):
     for u in range(ab.shape[0]):
         ab[u, : d - u] = h.diagonal(-u)
     return ab
+
+
+def grouped_solve(ab, seen, groups):
+    """One banded solve for a dyadic level: the ``_trimmed`` columns
+    Z Z_GG^{-1/2}, Z = H_S^{-1} E_G, of every group G, a row of ``groups``
+    (padded with -1), S the ``seen`` indices.  With the unseen ones decoupled in a copy of the band, H_S
+    splits into runs of seen indices more than w apart; a group's rows are
+    the runs it lies in.  No two groups may share a run, so that one banded
+    solve against the summed E_G and one batched ``eigh`` serve them all.
+    That holds for a dyadic level's tuples: between two of them lies an
+    unseen full tuple of ``max(k, 1) >= w`` indices (``diagonalize_gram``
+    refuses a narrower one), so they lie more than w apart."""
+    w = ab.shape[0] - 1
+    at = np.flatnonzero(seen)
+    cut = np.flatnonzero(np.diff(at) > w) + 1
+    head, tail = at[np.concatenate([[0], cut])], at[np.concatenate([cut, [at.size]]) - 1]
+    lo = head[np.searchsorted(head, groups[:, 0], "right") - 1]
+    hi = tail[np.searchsorted(head, groups.max(axis=1), "right") - 1]
+    r0, r1 = lo.min(), hi.max()
+    band, hide = ab[:, r0 : r1 + 1].copy(), ~seen[r0 : r1 + 1]
+    band[0, hide] = 1.0
+    for u in range(1, w + 1):
+        band[u, hide] = 0.0  # H[i+u, i]
+        band[u, np.flatnonzero(hide[u:])] = 0.0  # H[i, i-u]
+    valid = groups >= 0
+    rhs = np.zeros((hide.size, groups.shape[1]))
+    rhs[groups[valid] - r0, np.nonzero(valid)[1]] = 1.0
+    x = _cho_solve_banded(_cholesky_banded(band), rhs)
+    zgg = np.where(valid[:, :, None] & valid[:, None, :], x[np.maximum(groups - r0, 0)],
+                   np.eye(groups.shape[1]))
+    rows = lo[:, None] + np.arange((hi - lo).max() + 1)
+    xs = x[np.minimum(rows, r1) - r0]
+    xs[rows > hi[:, None]] = 0.0
+    y = _inv_sqrt(zgg) @ xs.swapaxes(1, 2)
+    return _trimmed(y, groups, lo[:, None])
+
+
+def banded_dyadic(ab, net, toeplitz=False):
+    """The dyadic scheme on H's lower band ``ab`` over the levels ``net`` of
+    ``net_layout``, one grouped banded solve per level: the tuples of later
+    levels, at least w wide, keep the level's tuples in runs of their own.
+    ``toeplitz`` solves a level's first tuple alone and translates its
+    columns to the others."""
+    seen, parts = np.zeros(ab.shape[1], dtype=bool), []
+    for lv in net:
+        size, n = max(len(t) for t in lv), len(lv)
+        tuples = np.array([list(t) + [-1] * (size - len(t)) for t in lv])
+        seen[tuples[tuples >= 0]] = True
+        cols, data, length, row = grouped_solve(ab, seen, tuples[:1] if toeplitz else tuples)
+        if toeplitz:
+            cols, data, length, row = (tuples.reshape(-1), np.tile(data, n), np.tile(length, n),
+                                       (row + tuples[:, :1] - tuples[0, 0]).reshape(-1))
+        parts.append((cols, data, length, row))
+    return _assemble(ab.shape[1], parts)
 
 
 def cholesky_gsob(h):

@@ -243,16 +243,34 @@ def test_nnz_ordering():
 
 
 def test_dyadic_toeplitz_matches_general():
+    # on a complete equidistant net a level's columns are translates of its
+    # first tuple's: the reduction's P against one tuple per level translated
     for nn in (3, 4, 5):
         n = 3 * 2**nn - 1
         knots = sp.equidistant_knots(0.0, 1.0, n)
         bs = sp.bspline_basis(knots, 3)
         h = sp.gramian(bs)
         net = sp.net_layout(n, 3)
-        fast = _dyadic(oracles.lower_band(h, 3), net, toeplitz=True).P.toarray()
-        slow = _dyadic(oracles.lower_band(h, 3), net, toeplitz=False).P.toarray()
-        scale = np.max(np.abs(slow))
-        assert np.max(np.abs(fast - slow)) < 1e-12 * scale
+        fast = _dyadic(oracles.lower_band(h, 3), net).P.toarray()
+        translated = oracles.banded_dyadic(oracles.lower_band(h, 3), net, toeplitz=True).P.toarray()
+        scale = np.max(np.abs(translated))
+        assert np.max(np.abs(fast - translated)) < 1e-12 * scale
+
+
+def test_dyadic_matches_dense_oracle_at_every_padding():
+    # d = 1..48 for k = 0..5 on irregular knots: a short last tuple, 2^N - 1
+    # and 2^N tuples, and d < max(k, 1) (one short tuple), each padded to
+    # 2^N - 1 full tuples by the reduction
+    for k in range(6):
+        rng = np.random.default_rng(70 + k)
+        for d in range(1, 49):
+            n = d + k - 1
+            widths = rng.uniform(0.2, 1.0, n + 1)
+            knots = sp.KnotSet(np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths))
+            h = sp.gramian(sp.bspline_basis(knots, k))
+            tr = diagonalize_gram(h, "dyadic", k)
+            _assert_matches_oracle(tr, oracles.dense_diagonalize(h, "dyadic", k,
+                                                                 sp.net_layout(n, k)))
 
 
 def _assert_matches_oracle(tr, oracle):
@@ -284,7 +302,7 @@ def test_transform_matches_envelope_oracle(seed, k, extra):
         _assert_matches_oracle(tr, oracles.dense_diagonalize(h, method, k, net))
         _assert_orthonormal(tr, h)
     # complete equidistant net of about the same size, 2^N - 1 tuples of
-    # max(k, 1) indices: the Toeplitz path
+    # max(k, 1) indices, against the oracle that translates one tuple per level
     size = max(k, 1)
     n_c = size * (2 ** max(1, int(np.log2((n - k + 1) / size + 1))) - 1) + k - 1
     h = sp.gramian(sp.bspline_basis(sp.equidistant_knots(0.0, 1.0, n_c), k))
@@ -307,14 +325,10 @@ def test_transform_p_needs_the_sparse_extra(monkeypatch):
 
 
 @pytest.mark.parametrize("k", range(6))
-def test_twob_matches_envelope_oracle_at_every_middle(k, monkeypatch):
+def test_twob_matches_envelope_oracle_at_every_middle(k):
     # d = 1..2k+4 on irregular knots: all pairs within k (d <= k + 1), far
     # pairs then a middle pair within k, far pairs then a centre index.  The
-    # folded inverse Cholesky factor serves every middle: no grouped solve
-    def grouped_solve(*args):
-        raise AssertionError("twob took a grouped solve")
-
-    monkeypatch.setattr(sp.bases, "_grouped_solve", grouped_solve)
+    # folded inverse Cholesky factor serves every middle
     rng = np.random.default_rng(40 + k)
     for d in range(1, 2 * k + 5):
         widths = rng.uniform(0.2, 1.0, d + k)
@@ -467,19 +481,9 @@ def test_splinet_spans_same_space():
     assert np.max(np.abs(sp.evaluate(back, grid) - sp.evaluate(res.bs, grid))) < 1e-10
 
 
-def test_splinet_toeplitz_flag_agrees():
-    knots = sp.equidistant_knots(0.0, 1.0, 23)
-    a = sp.splinet(knots, 3)
-    h = sp.gramian(a.bs)
-    b = _truncate(_dyadic(oracles.lower_band(h, 3), a.net, toeplitz=False))
-    scale = np.max(np.abs(b.P.toarray()))
-    assert np.max(np.abs(a.transform.P.toarray() - b.P.toarray())) < 1e-12 * scale
-
-
-@pytest.mark.parametrize("type, use_toeplitz, equid", [
-    ("dspnt", True, True), ("dspnt", False, True), ("spnt", None, False),
-    ("gsob", None, False), ("twob", None, False)])
-def test_splinet_sparse_gram_archive_matches_dense_route(type, use_toeplitz, equid):
+@pytest.mark.parametrize("type, equid", [
+    ("dspnt", True), ("spnt", False), ("gsob", False), ("twob", False)])
+def test_splinet_sparse_gram_archive_matches_dense_route(type, equid):
     # splinet() hands the sparse Gram to diagonalize_gram; the dense Gram
     # gives the same transform and, through the dense P', the same archive
     rng = np.random.default_rng(11)
@@ -489,12 +493,7 @@ def test_splinet_sparse_gram_archive_matches_dense_route(type, use_toeplitz, equ
     sparse_os, sparse_tr = res.os, res.transform
     h = sp.gramian(res.bs)
     if type in ("dspnt", "spnt"):
-        if use_toeplitz is False:
-            # splinet() takes the Toeplitz path on these knots: run the
-            # general one on the sparse Gram as splinet() would
-            sparse_tr = _truncate(_dyadic(_check_spd(sp.gramian(res.bs, sparse=True)), res.net))
-            sparse_os = sp.lincomb(res.bs, sparse_tr.P.T.toarray(), type=type)
-        tr = _truncate(_dyadic(oracles.lower_band(h, 3), res.net, toeplitz=bool(use_toeplitz)))
+        tr = _truncate(_dyadic(oracles.lower_band(h, 3), res.net))
     else:
         tr = diagonalize_gram(h, type)
     dense = sp.lincomb(res.bs, tr.P.T.toarray(), type=res.os.type)
@@ -545,31 +544,27 @@ def test_splinet_near_equidistant_orthonormal():
     assert np.max(np.abs(sp.gramian(res.os) - np.eye(len(res.os)))) <= 1e-10
 
 
-_PATH_CASES = [("unit", True), ("shifted", True), ("irregular", False), ("perturbed", False)]
+_KNOT_KINDS = ["unit", "shifted", "irregular", "perturbed"]
 
 
-@pytest.mark.parametrize("d, kind, toeplitz", [
-    (d, kind, toeplitz) for d in (1533, 6141) for kind, toeplitz in _PATH_CASES
-] + [(24573, kind, toeplitz) for kind, toeplitz in _PATH_CASES[:2]])
-def test_dyadic_path_read_off_the_gram(monkeypatch, d, kind, toeplitz):
-    # the Toeplitz path is taken exactly when H's band is Toeplitz: on
-    # equidistant knots over [0, 1] and [0.9, 2.9], not on irregular or
-    # perturbed ones
+@pytest.mark.parametrize("d, kind", [
+    (d, kind) for d in (1533, 6141) for kind in _KNOT_KINDS] + [
+    (24573, kind) for kind in _KNOT_KINDS[:2]])
+def test_dyadic_matches_banded_oracle_at_large_d(d, kind):
+    # the reduction against one banded solve per level on equidistant knots
+    # over [0, 1] and [0.9, 2.9], irregular and perturbed ones: the same
+    # sparsity after truncation and the same entries to 1e-12
     n = d + 2
     knots = {"unit": lambda: sp.equidistant_knots(0.0, 1.0, n),
              "shifted": lambda: sp.equidistant_knots(0.9, 2.9, n),
              "irregular": lambda: _irregular_knots(n),
              "perturbed": lambda: _perturbed_knots(n)}[kind]()
-    taken = []
-
-    def spy(ab, net, toeplitz=False):
-        taken.append(toeplitz)
-        return _dyadic(ab, net, toeplitz)
-
-    monkeypatch.setattr(sp.bases, "_dyadic", spy)
     h = sp.gramian(sp.bspline_basis(knots, 3), sparse=True)
-    diagonalize_gram(h, "dyadic", 3)
-    assert taken == [toeplitz]
+    tr = diagonalize_gram(h, "dyadic", 3)
+    ref = _truncate(oracles.banded_dyadic(_check_spd(h), sp.net_layout(n, 3))).pt
+    assert np.array_equal(tr.pt.indptr, ref.indptr)
+    assert np.array_equal(tr.pt.indices, ref.indices)
+    assert np.max(np.abs(tr.pt.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
 
 
 def test_dyadic_order_narrower_than_band_refused():
@@ -628,19 +623,18 @@ def _stored_bytes(pt):
 
 
 #: tracemalloc peak of splinet() at d = 24573 over its output family's row
-#: bytes plus P's stored bytes (measured 2.7 on both dyadic paths)
+#: bytes plus P's stored bytes (measured 2.7 on equidistant and irregular knots)
 SPLINET_PEAK_FACTOR = 4
 
 #: tracemalloc peak of diagonalize_gram() over P's stored bytes (measured 2.7
-#: for gsob and 3.6 for twob at d = 1533 and 6141)
+#: for gsob, 3.6 for twob and 3.0-3.1 for dyadic at d = 1533 and 6141)
 DIAGONALIZE_PEAK_FACTOR = 4
 
 
 @pytest.mark.parametrize("equid", [True, False])
 def test_splinet_large_d_memory_bounded_by_output(equid):
-    # d = 3 * 2^13 - 3 = 24573, a complete net: the Toeplitz path on
-    # equidistant knots, the general dyadic path on irregular ones.  A d x d
-    # array (P' or the Gram) would take 4.8 GB
+    # d = 3 * 2^13 - 3 = 24573, a complete net, on equidistant and on
+    # irregular knots.  A d x d array (P' or the Gram) would take 4.8 GB
     n = 3 * 2**13 - 1
     knots = sp.equidistant_knots(0.0, 1.0, n) if equid else oracles.random_knots(
         np.random.default_rng(12), n)
@@ -671,3 +665,13 @@ def test_gsob_twob_columns_trimmed_to_decay_length():
     for method in ("gsob", "twob"):
         assert longest[method, 1533] < 200, longest
         assert abs(longest[method, 6141] - longest[method, 1533]) <= 2, longest
+
+
+@pytest.mark.parametrize("d", [1533, 6141])
+def test_dyadic_peak_bounded_by_output(d):
+    # the reduction keeps a level's blocks, multipliers and one block vector
+    # of columns, all about d x k; what peaks is P's assembly
+    knots = oracles.random_knots(np.random.default_rng(0), d + 2)
+    h = sp.gramian(sp.bspline_basis(knots, 3), sparse=True)
+    tr, peak = _traced_peak(lambda: diagonalize_gram(h, "dyadic", 3))
+    assert peak <= DIAGONALIZE_PEAK_FACTOR * _stored_bytes(tr.pt), (d, peak)
